@@ -1,262 +1,40 @@
-(* Checker for the quick-bench snapshots.
-
-   Two modes, both dependency-free (a minimal RFC 8259 recursive-descent
-   parser; numbers are kept as their raw source tokens so comparisons
-   are byte-exact, never float-mediated):
+(* Checker for the JSON documents the tree writes: the quick-bench
+   snapshot, campaign artifacts and Chrome traces.  Parsing goes through
+   the strict RFC 8259 reader in [Obs.Json].
 
      check_json FILE
        parse FILE and fail loudly if it is malformed.
 
-     check_json FILE --sim-cycles-match REF [REF2 ...]
-       additionally parse each REF and demand that every "sim_cycles"
-       value under a cell or A/B entry whose name appears in BOTH files
-       is byte-identical.  Host timings and allocation counts may differ
-       between snapshots — simulated cycles may not: they are the
-       deterministic reproduction output, and a perf PR that shifts one
-       has changed the simulation, not just sped it up. *)
+     check_json FILE --schema tsp-manifest-v1|tsp-results-v1
+       additionally validate the campaign-artifact prologue.
 
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of string  (* raw source token, for byte-exact comparison *)
-  | Bool of bool
-  | Null
-
-exception Bad of int * string
-
-let parse (s : string) =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal w =
-    if !pos + String.length w <= n && String.sub s !pos (String.length w) = w
-    then pos := !pos + String.length w
-    else fail (Printf.sprintf "expected %S" w)
-  in
-  (* Returns the string's source characters between the quotes, escapes
-     left as written: keys are compared between files produced by the
-     same writer, so no unescaping is needed for equality. *)
-  let string_lit () =
-    expect '"';
-    let start = !pos in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' ->
-          let raw = String.sub s start (!pos - start) in
-          advance ();
-          raw
-      | Some '\\' -> begin
-          advance ();
-          match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-              advance ();
-              go ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad \\u escape"
-              done;
-              go ()
-          | _ -> fail "bad escape"
-        end
-      | Some c when Char.code c < 0x20 -> fail "control char in string"
-      | Some _ ->
-          advance ();
-          go ()
-    in
-    go ()
-  in
-  let number () =
-    let start = !pos in
-    let digits () =
-      let d0 = !pos in
-      let rec go () =
-        match peek () with Some '0' .. '9' -> advance (); go () | _ -> ()
-      in
-      go ();
-      if !pos = d0 then fail "expected digit"
-    in
-    (match peek () with Some '-' -> advance () | _ -> ());
-    digits ();
-    (match peek () with
-    | Some '.' ->
-        advance ();
-        digits ()
-    | _ -> ());
-    (match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ());
-    String.sub s start (!pos - start)
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> Str (string_lit ())
-    | Some 't' -> literal "true"; Bool true
-    | Some 'f' -> literal "false"; Bool false
-    | Some 'n' -> literal "null"; Null
-    | Some ('-' | '0' .. '9') -> Num (number ())
-    | _ -> fail "expected a JSON value"
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then begin
-      advance ();
-      Obj []
-    end
-    else begin
-      let rec members acc =
-        skip_ws ();
-        let k = string_lit () in
-        skip_ws ();
-        expect ':';
-        let v = value () in
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-        | Some '}' ->
-            advance ();
-            Obj (List.rev ((k, v) :: acc))
-        | _ -> fail "expected ',' or '}'"
-      in
-      members []
-    end
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then begin
-      advance ();
-      Arr []
-    end
-    else begin
-      let rec elems acc =
-        let v = value () in
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            advance ();
-            elems (v :: acc)
-        | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-        | _ -> fail "expected ',' or ']'"
-      in
-      elems []
-    end
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let read_file file =
-  let ic = open_in_bin file in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
-  contents
+     check_json FILE --identical REF
+       demand that FILE and REF are byte-identical. *)
 
 let parse_file file =
-  let contents = read_file file in
-  match parse contents with
-  | v -> (v, String.length contents)
-  | exception Bad (pos, msg) ->
-      Printf.eprintf "%s: malformed JSON at byte %d: %s\n" file pos msg;
+  match Obs.Json.parse_file file with
+  | Ok v -> v
+  | Error msg ->
+      Printf.eprintf "%s: malformed JSON: %s\n" file msg;
       exit 1
 
-let member k = function
-  | Obj kvs -> List.assoc_opt k kvs
-  | _ -> None
-
-(* The raw "sim_cycles" tokens of every named entry in a section
-   ("cells" or "ab"): [section_name -> (entry_name, raw_number) list]. *)
-let sim_cycles_of section v =
-  match member section v with
-  | Some (Obj entries) ->
-      List.filter_map
-        (fun (name, entry) ->
-          match member "sim_cycles" entry with
-          | Some (Num raw) -> Some (name, raw)
-          | _ -> None)
-        entries
-  | _ -> []
-
-let cross_check ~file ~ref_file v ref_v =
-  let shared = ref 0 and mismatches = ref [] in
-  List.iter
-    (fun section ->
-      let ours = sim_cycles_of section v in
-      let theirs = sim_cycles_of section ref_v in
-      List.iter
-        (fun (name, raw) ->
-          match List.assoc_opt name theirs with
-          | None -> ()
-          | Some ref_raw ->
-              incr shared;
-              if not (String.equal raw ref_raw) then
-                mismatches :=
-                  Printf.sprintf "%s/%s: %s (was %s in %s)" section name raw
-                    ref_raw ref_file
-                  :: !mismatches)
-        ours)
-    [ "cells"; "ab" ];
-  if !shared = 0 then begin
-    Printf.eprintf "%s vs %s: no shared sim_cycles entries to compare\n" file
-      ref_file;
-    exit 1
-  end;
-  match List.rev !mismatches with
-  | [] ->
-      Printf.printf "%s: %d sim_cycles entries identical to %s\n" file !shared
-        ref_file
-  | ms ->
-      Printf.eprintf
-        "%s: simulated cycles diverged from %s (%d of %d entries):\n" file
-        ref_file (List.length ms) !shared;
-      List.iter (fun m -> Printf.eprintf "  %s\n" m) ms;
-      exit 1
-
-(* Campaign-artifact schema validation (PR 10): every manifest/results
-   document Obs.Artifact writes must carry the shared prologue, and a
-   manifest must additionally carry a replayable argv and a config
-   object.  Validation is structural — key presence and type — because
-   the per-subcommand payloads deliberately differ. *)
+(* Campaign-artifact schema validation: every manifest/results document
+   Obs.Artifact writes must carry the shared prologue, and a manifest
+   must additionally carry a replayable argv and a config object.
+   Validation is structural — key presence and type — because the
+   per-subcommand payloads deliberately differ. *)
 let check_schema ~file ~schema v =
   let fail msg =
     Printf.eprintf "%s: %s\n" file msg;
     exit 1
   in
   let demand key pred what =
-    match member key v with
+    match Obs.Json.member key v with
     | Some x when pred x -> ()
     | Some _ -> fail (Printf.sprintf "%S is not %s" key what)
     | None -> fail (Printf.sprintf "missing %S" key)
   in
+  let open Obs.Json in
   demand "schema"
     (function Str s -> String.equal s schema | _ -> false)
     (Printf.sprintf "the string %S" schema);
@@ -275,6 +53,12 @@ let check_schema ~file ~schema v =
     demand "config" (function Obj _ -> true | _ -> false) "an object"
   end;
   Printf.printf "%s: valid %s\n" file schema
+
+let read_file file =
+  let ic = open_in_bin file in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Byte-identity gate: the replay contract promises that re-running a
    campaign from its manifest reproduces the results document exactly,
@@ -297,23 +81,15 @@ let check_identical ~file ~ref_file =
 let () =
   match Array.to_list Sys.argv with
   | [ _; file ] ->
-      let _, len = parse_file file in
-      Printf.printf "%s: well-formed JSON (%d bytes)\n" file len
-  | _ :: file :: "--sim-cycles-match" :: (_ :: _ as ref_files) ->
-      let v, _ = parse_file file in
-      List.iter
-        (fun ref_file ->
-          let ref_v, _ = parse_file ref_file in
-          cross_check ~file ~ref_file v ref_v)
-        ref_files
+      ignore (parse_file file : Obs.Json.value);
+      Printf.printf "%s: well-formed JSON\n" file
   | [ _; file; "--schema"; schema ]
     when schema = "tsp-manifest-v1" || schema = "tsp-results-v1" ->
-      let v, _ = parse_file file in
-      check_schema ~file ~schema v
+      check_schema ~file ~schema (parse_file file)
   | [ _; file; "--identical"; ref_file ] -> check_identical ~file ~ref_file
   | _ ->
       prerr_endline
-        "usage: check_json FILE [--sim-cycles-match REF...]\n\
+        "usage: check_json FILE\n\
         \       check_json FILE --schema tsp-manifest-v1|tsp-results-v1\n\
         \       check_json FILE --identical REF";
       exit 2

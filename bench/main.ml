@@ -8,7 +8,10 @@
    Part 2 is a Bechamel microbenchmark suite: one Test.make per Table 1
    cell (host wall-time of simulating that cell, i.e. simulator speed)
    plus the primitive operations of the stack.  These measure the
-   implementation, not the paper. *)
+   implementation, not the paper.
+
+   Part 3 (--quick) is the simulation gate that dune runtest diffs
+   against bench/baseline.json. *)
 
 open Bechamel
 open Toolkit
@@ -259,61 +262,33 @@ let run_bechamel tests =
   Workload.Report.table ~header:[ "benchmark"; "ns/run (host)" ] ~rows
     Format.std_formatter
 
-(* --- Part 3: the quick perf-trajectory snapshot (--quick) ---
+(* --- Part 3: the quick simulation gate (--quick) ---
 
-   A reduced cell set measured for host wall time, simulated cycles and
-   minor-heap allocation, written as JSON so successive PRs can diff the
-   simulator's speed (cf. machine-readable perf trajectories in CI).
-   Keys are normalized to [a-z0-9_] so they survive renames of the
-   pretty printers.  Simulated cycles are deterministic: check_json
-   cross-checks every cell shared with the committed BENCH_*.json
-   snapshots byte-for-byte.  The snapshot also measures three A/B pairs
-   on the same binary:
-   - the scheduler fast path on (default slice) vs off (slice 0);
-   - the SoA/unboxed memory-hierarchy fast path vs the retained boxed
-     access path ([Pmem.set_boxed_access]), same simulated cycles by
-     construction; and
-   - the reduced sweep suite at --jobs 1 vs --jobs N, the multicore
-     fan-out.  On a single-core host the latter ratio is ~1 by nature;
-     [host_cores] is recorded so readers can tell; and
-   - the durable-linearizability history recorder interposed on a full
-     workload run vs the same config with [instrument = None].  The
-     recorder timestamps ops with [Scheduler.now] (a field read, no RNG,
-     no simulated cost), so simulated cycles must be identical — the
-     cell asserts it — and only the host-side overhead differs; and
-   - the event tracer ([lib/obs]) attached to a full workload run vs
-     the same config with [tracer = None].  Emission packs ints into a
-     flat ring without allocating, drawing randomness or charging
-     cycles, so the traced run must be sim-cycle identical to the
-     untraced one — asserted here, the observability layer's central
-     determinism contract; and
-   - batched-quantum execution on the single-thread hot-path workload:
-     quanta on vs slice-only vs per-op scheduling (slice 0), byte-equal
-     simulated cycles and step counts asserted across all three; and
-   - an exhaustive crash-window fault campaign with quanta on vs off,
-     whose rendered verdict ledgers must be string-identical — the
-     campaign-level witness that quanta never move a crash point.
+   A table of cells.  Each has a name, the section of the snapshot it
+   sits in ("cells" or "ab", the grouping BENCH_1..9 used), and a run
+   that returns the cell's fields and its checks.  Every field is a pure
+   function of the cell's parameters — simulated cycles, step counts,
+   psync rates, hit rates, verdict counts — so the snapshot is
+   byte-identical across runs, hosts and --jobs, and runtest diffs it
+   against the committed bench/baseline.json.  Host time belongs to
+   benchmark/, which samples it repeatedly and reports the spread.
 
-   After writing the snapshot, --quick prints a one-line host-throughput
-   delta (geomean over shared cells) against the newest committed
-   BENCH_*.json, or against --compare FILE; --no-compare suppresses it. *)
+   A check that fails, or a run that cannot produce its fields, fails
+   the bench.  The checks are the identities the snapshot cannot show
+   by itself: an observer (history recorder, tracer) leaves the
+   simulated cycles of the run it watches unchanged, a crash on one
+   shard leaves the others untouched, recovery modes leave identical
+   heap images, results do not depend on the job count, and the
+   allocation-free paths stay allocation-free. *)
 
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
+type field = Int of int | Float of float * int  (* value, decimals *)
+type section = Cells | Ab
 
-let time_ns f =
-  let t0 = now_ns () in
-  let r = f () in
-  (r, Int64.to_int (Int64.sub (now_ns ()) t0))
-
-(* Host time and minor-heap words allocated while running [f].  The
-   [Gc.minor_words] calls themselves box a float or two; cells run long
-   enough that the constant is invisible, and the raw hot-path cell
-   asserts against a per-op threshold, not a literal zero. *)
-let time_and_alloc f =
-  let w0 = Gc.minor_words () in
-  let r, host_ns = time_ns f in
-  let words = Gc.minor_words () -. w0 in
-  (r, host_ns, words)
+type cell = {
+  name : string;
+  section : section;
+  run : unit -> (string * field) list * (string * bool) list;
+}
 
 let normalize_key s =
   String.map
@@ -324,19 +299,21 @@ let normalize_key s =
       | _ -> '_')
     s
 
+(* Minor-heap words per operation while running [f].  The
+   [Gc.minor_words] calls themselves box a float or two; the guards'
+   per-op thresholds absorb that constant, not a per-op leak. *)
+let words_per_op ~ops f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, (Gc.minor_words () -. w0) /. float_of_int ops)
+
 (* The hot path in isolation: one simulated thread hammering the device
-   through the scheduler step hook, with the fast path enabled (default
-   slice) or disabled (slice 0, the historical suspend-per-step path).
-   Identical simulated results are asserted; only host time differs.
-   [quantum] additionally wires the batched-execution handle, so
-   uncontended loads/stores bypass the hook entirely. *)
-let hot_path_cell ~ops ~slice ~quantum =
+   through the scheduler, with uncontended loads/stores charged against
+   batched quanta. *)
+let hot_path_loop ~ops =
   let cfg = Nvm.Config.with_region_size Nvm.Config.desktop (1024 * 1024) in
   let pmem = Nvm.Pmem.create cfg in
-  let sched =
-    Sched.Scheduler.create ~seed:7 ~cost_jitter:3 ~deterministic_slice:slice
-      ~quantum ()
-  in
+  let sched = Sched.Scheduler.create ~seed:7 ~cost_jitter:3 () in
   ignore
     (Sched.Scheduler.spawn sched ~name:"hot" (fun () ->
          for i = 1 to ops do
@@ -353,20 +330,16 @@ let hot_path_cell ~ops ~slice ~quantum =
   Nvm.Pmem.set_quantum pmem (Sched.Scheduler.quantum_handle sched);
   (match Sched.Scheduler.run sched with
   | Sched.Scheduler.Completed -> ()
-  | _ -> failwith "hot-path cell did not complete");
+  | _ -> failwith "hot-path loop did not complete");
   (Sched.Scheduler.elapsed_cycles sched, Sched.Scheduler.total_steps sched)
 
 (* The memory hierarchy alone: a load/store/periodic-cas loop against
    the device with no scheduler attached, so every nanosecond is cache
-   bookkeeping plus the byte images.  With [boxed = false] this is the
-   SoA/unboxed fast path and must not allocate; with [boxed = true] it
-   is the retained historical access shape (option per hit, variant per
-   miss, [int64] box per word).  Simulated cycles accumulate on the
-   stats clock and are identical either way — the caller asserts so. *)
-let raw_loadstore_cell ~ops ~boxed =
+   bookkeeping plus the byte images.  Simulated cycles accumulate on the
+   stats clock. *)
+let raw_loadstore_loop ~ops =
   let cfg = Nvm.Config.with_region_size Nvm.Config.desktop (1024 * 1024) in
   let pmem = Nvm.Pmem.create cfg in
-  Nvm.Pmem.set_boxed_access pmem boxed;
   let clock0 = (Nvm.Pmem.stats pmem).Nvm.Stats.clock in
   let acc = ref 0 in
   for i = 1 to ops do
@@ -379,402 +352,310 @@ let raw_loadstore_cell ~ops ~boxed =
   ignore !acc;
   (Nvm.Pmem.stats pmem).Nvm.Stats.clock - clock0
 
+module R = Workload.Runner
+module M = Workload.Machine
+module RS = Workload.Recovery_scaling
+module FR = Workload.Frontier
+module FI = Workload.Fault_injector
+module Serve = Service.Serve
+
 let quick_table1_config platform variant =
   {
-    (Workload.Runner.calibrated_config platform) with
-    Workload.Runner.variant;
+    (R.calibrated_config platform) with
+    R.variant;
     iterations = 150;
-    workload = Workload.Runner.Counters { h_keys = 2048; preload = true };
+    workload = R.Counters { h_keys = 2048; preload = true };
     n_buckets = 1024;
     log_mib = 2;
   }
 
-let quick_sweep_suite ~jobs () =
-  ignore
-    (Workload.Sweeps.flush_latency ~iterations:120 ~latencies:[ 100; 500 ]
-       ~jobs ()
-      : Workload.Sweeps.series_table);
-  ignore
-    (Workload.Sweeps.thread_scaling ~iterations:120 ~thread_counts:[ 1; 4; 8 ]
-       ~jobs ()
-      : Workload.Sweeps.series_table);
-  ignore
-    (Workload.Sweeps.read_ratio ~iterations:120 ~read_pcts:[ 0; 50 ] ~jobs ()
-      : Workload.Sweeps.series_table)
+(* The single-thread hot-path workload. *)
+let hot1_config =
+  {
+    (R.calibrated_config Nvm.Config.desktop) with
+    R.variant = R.Mutex_map Atlas.Mode.Log_only;
+    threads = 1;
+    iterations = 4000;
+    workload = R.Counters { h_keys = 2048; preload = true };
+    n_buckets = 1024;
+    log_mib = 2;
+  }
 
-(* JSON rendering primitives come from the shared telemetry writer:
-   [Obs.Json.float_repr] renders non-finite counters (a cell with zero
-   loads+stores has a NaN hit rate) as null rather than an unparseable
-   token, and [Obs.Json.escape] is the one string escaper every emitter
-   in the tree shares. *)
-let json_float f = Obs.Json.float_repr f
-let json_escape s = Obs.Json.escape s
+(* The config the observer cells watch. *)
+let observed_config =
+  {
+    (R.calibrated_config Nvm.Config.desktop) with
+    R.variant = R.Mutex_map Atlas.Mode.Log_only;
+    threads = 2;
+    iterations = 800;
+    workload = R.Counters { h_keys = 1024; preload = true };
+    n_buckets = 1024;
+    log_mib = 2;
+  }
 
-type compare_mode = Auto | Compare_with of string | No_compare
+let runner_cell ~name config =
+  let run () =
+    let r = R.run config in
+    ( [
+        ("sim_cycles", Int r.R.elapsed_cycles);
+        ("total_steps", Int r.R.total_steps);
+        ("hit_rate", Float (Nvm.Stats.hit_rate r.R.device_stats, 4));
+      ],
+      [
+        ( Fmt.str "consistent (seed %d): %a" config.R.seed Workload.Invariant.pp
+            r.R.invariants,
+          R.consistent r );
+      ] )
+  in
+  { name = normalize_key name; section = Cells; run }
 
-(* Read (name, sim_cycles, host_ns) triples back out of a snapshot this
-   harness wrote.  The writer puts one cell per line, so a line scanner
-   is exact on our own format (check_json holds the real parser; this
-   one only feeds the throughput-delta report). *)
-let scan_snapshot_cells file =
-  let find_int line key =
-    let pat = Printf.sprintf "\"%s\": " key in
-    let n = String.length line and m = String.length pat in
-    let rec at i =
-      if i + m > n then None
-      else if String.equal (String.sub line i m) pat then begin
-        let j = ref (i + m) in
-        while !j < n && (match line.[!j] with '0' .. '9' -> true | _ -> false) do
-          incr j
-        done;
-        if !j > i + m then int_of_string_opt (String.sub line (i + m) (!j - i - m))
-        else None
-      end
-      else at (i + 1)
+let table1_cells =
+  List.concat_map
+    (fun (pname, platform) ->
+      List.map
+        (fun variant ->
+          runner_cell
+            ~name:
+              (Printf.sprintf "table1_%s_%s" pname (R.variant_to_string variant))
+            (quick_table1_config platform variant))
+        Workload.Table1.variants)
+    [ ("desktop", Nvm.Config.desktop); ("server", Nvm.Config.server) ]
+
+let raw_ops = 2_000_000
+
+let raw_cell =
+  let run () =
+    let cycles, words =
+      words_per_op ~ops:raw_ops (fun () -> raw_loadstore_loop ~ops:raw_ops)
     in
-    at 0
+    ( [ ("sim_cycles", Int cycles); ("ops", Int raw_ops) ],
+      [
+        ( Printf.sprintf "allocation-free (%.4f minor words/op)" words,
+          words <= 0.01 );
+      ] )
   in
-  let ic = open_in file in
-  let cells = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match String.index_opt line '"' with
-       | None -> ()
-       | Some q0 -> (
-           match String.index_from_opt line (q0 + 1) '"' with
-           | None -> ()
-           | Some q1 -> (
-               let name = String.sub line (q0 + 1) (q1 - q0 - 1) in
-               match (find_int line "sim_cycles", find_int line "host_ns") with
-               | Some cy, Some ns -> cells := (name, (cy, ns)) :: !cells
-               | _ -> ()))
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !cells
+  { name = "hot_path_loadstore_raw"; section = Cells; run }
 
-(* The newest committed BENCH_<n>.json sitting next to [out] (older than
-   [out] itself when [out] is one of them). *)
-let previous_snapshot ~out =
-  let dir = Filename.dirname out in
-  let parse_n name =
-    let pre = "BENCH_" and suf = ".json" in
-    let lp = String.length pre and ls = String.length suf in
-    let l = String.length name in
-    if l > lp + ls
-       && String.equal (String.sub name 0 lp) pre
-       && Filename.check_suffix name suf
-    then int_of_string_opt (String.sub name lp (l - lp - ls))
-    else None
-  in
-  let self_n = parse_n (Filename.basename out) in
-  Array.to_list (try Sys.readdir dir with Sys_error _ -> [||])
-  |> List.filter_map (fun f ->
-         match parse_n f with
-         | Some n when (match self_n with Some s -> n < s | None -> true) ->
-             Some (n, Filename.concat dir f)
-         | _ -> None)
-  |> List.sort (fun (a, _) (b, _) -> compare b a)
-  |> function
-  | (_, f) :: _ -> Some f
-  | [] -> None
+(* The scheduler and device on the hot loop; its sim cycles and step
+   count were first recorded before quanta existed. *)
+let qb_ops = 400_000
 
-(* Host-throughput delta vs the previous snapshot: simulated cycles per
-   host second is the simulator's speed, and shared cells have identical
-   sim_cycles (check_json enforces it), so the ratio is a pure host-time
-   comparison.  One summary line (the geomean), one detail line per
-   shared cell. *)
-let compare_with_previous ~out ~mode =
-  let prev =
-    match mode with
-    | No_compare -> None
-    | Compare_with f -> Some f
-    | Auto -> previous_snapshot ~out
+let quantum_batching_cell =
+  let run () =
+    let (cycles, steps), words =
+      words_per_op ~ops:qb_ops (fun () -> hot_path_loop ~ops:qb_ops)
+    in
+    ( [ ("sim_cycles", Int cycles); ("total_steps", Int steps) ],
+      [
+        ( Printf.sprintf "no per-op allocation under quanta (%.4f minor words/op)"
+            words,
+          words <= 0.05 );
+      ] )
   in
-  match prev with
-  | None -> Fmt.pr "  (no previous BENCH_*.json to compare against)@."
-  | Some prev_file -> (
-      (* A missing or unreadable snapshot is a note, not a failure: the
-         delta report is advisory, and a fresh checkout (or an --out
-         pointed somewhere new) legitimately has nothing to diff
-         against. *)
-      match
-        try Some (scan_snapshot_cells prev_file) with Sys_error _ -> None
-      with
-      | None ->
-          Fmt.pr "  (previous snapshot %s is missing or unreadable — \
-                  skipping the throughput delta)@."
-            prev_file
-      | Some prev_cells ->
-      let cur_cells = scan_snapshot_cells out in
-      let shared =
-        List.filter_map
-          (fun (name, (cy, ns)) ->
-            match List.assoc_opt name prev_cells with
-            | Some (pcy, pns) -> Some (name, (pcy, pns), (cy, ns))
-            | None -> None)
-          cur_cells
-      in
-      if shared = [] then
-        Fmt.pr "  (no cells shared with %s — skipping the throughput \
-                delta)@."
-          prev_file
-      else begin
-        let tp cy ns = 1e3 *. float_of_int cy /. float_of_int (max 1 ns) in
-        let log_sum = ref 0.0 in
-        List.iter
-          (fun (name, (pcy, pns), (cy, ns)) ->
-            let sp = tp cy ns /. tp pcy pns in
-            log_sum := !log_sum +. log sp;
-            Fmt.pr "    %-40s %8.1f -> %8.1f Msimc/s (%.2fx)@." name
-              (tp pcy pns) (tp cy ns) sp)
-          shared;
-        let geo = exp (!log_sum /. float_of_int (List.length shared)) in
-        Fmt.pr "  host throughput vs %s: %.2fx geomean over %d shared cells@."
-          prev_file geo (List.length shared)
-      end)
+  { name = "quantum_batching"; section = Ab; run }
 
-let run_quick ~jobs ~out ~compare_mode =
-  let jobs = match jobs with Some j -> j | None -> Workload.Parallel.default_jobs () in
-  (* The single-thread hot-path workload: the cell the quantum A/B below
-     re-runs under each execution mode. *)
-  let hot1_config =
+(* Recovery at scale (E22): one deterministic crashed heap recovered
+   eagerly (per-word costed cache simulation), with the streamed
+   parallel engine and incrementally.  Incremental mode's outage is the
+   availability headline: near-constant while full collections grow
+   linearly with the population. *)
+let rs_cell ~objects ~mode =
+  RS.run_cell
+    ~variant:(R.Mutex_map Atlas.Mode.Log_only)
+    ~objects ~mode ~seed:29 ~touches:48 ()
+
+let rs_curve objects =
+  lazy
+    ( rs_cell ~objects ~mode:M.Eager,
+      rs_cell ~objects ~mode:(M.Parallel_gc 2),
+      rs_cell ~objects ~mode:M.Incremental_gc )
+
+let rs_20k = rs_curve 20_000
+let rs_60k = rs_curve 60_000
+
+let rs_big =
+  lazy
+    ( rs_cell ~objects:1_000_000 ~mode:M.Eager,
+      rs_cell ~objects:1_000_000 ~mode:(M.Parallel_gc 2) )
+
+let audited (c : RS.cell) = ("heap audit passes", c.RS.heap_audit_ok)
+
+let same_image (eager : RS.cell) (c : RS.cell) =
+  ( Printf.sprintf "%s leaves the eager heap image (%x vs %x)"
+      (M.recovery_mode_to_string c.RS.mode)
+      c.RS.image_hash eager.RS.image_hash,
+    c.RS.image_hash = eager.RS.image_hash )
+
+let recovery_cells k curve =
+  let cell mode pick checks =
+    let run () =
+      let ((eager, _, _) as modes) = Lazy.force curve in
+      let c = pick modes in
+      ( [
+          ("sim_cycles", Int c.RS.outage_cycles);
+          ("background_cycles", Int c.RS.background_cycles);
+        ],
+        audited c :: checks eager c )
+    in
+    { name = Printf.sprintf "recovery_%s_%dk" mode k; section = Cells; run }
+  in
+  let shorter (eager : RS.cell) (c : RS.cell) =
+    ( Printf.sprintf "outage shorter than eager (%d vs %d cycles)"
+        c.RS.outage_cycles eager.RS.outage_cycles,
+      c.RS.outage_cycles < eager.RS.outage_cycles )
+  in
+  [
+    cell "eager" (fun (e, _, _) -> e) (fun _ _ -> []);
+    cell "parallel" (fun (_, p, _) -> p) (fun e c -> [ same_image e c ]);
+    cell "incremental"
+      (fun (_, _, i) -> i)
+      (fun e c -> [ same_image e c; shorter e c ]);
+  ]
+
+let big_cell name pick checks =
+  let run () =
+    let ((eager, _) as big) = Lazy.force rs_big in
+    let c = pick big in
+    ([ ("sim_cycles", Int c.RS.outage_cycles) ], audited c :: checks eager c)
+  in
+  { name; section = Cells; run }
+
+let recovery_scaling_cell =
+  let run () =
+    let eager, par = Lazy.force rs_big in
+    let _, par2, _ = Lazy.force rs_20k in
+    let _, _, inc60 = Lazy.force rs_60k in
+    let par1 = rs_cell ~objects:20_000 ~mode:(M.Parallel_gc 1) in
+    ( [
+        ("sim_cycles", Int eager.RS.outage_cycles);
+        ("parallel_sim_cycles", Int par.RS.outage_cycles);
+        ("objects", Int eager.RS.objects);
+        ("incremental_outage_cycles", Int inc60.RS.outage_cycles);
+        ("incremental_background_cycles", Int inc60.RS.background_cycles);
+      ],
+      [ ("parallel:1 matches parallel:2", RS.cells_match par1 par2) ] )
+  in
+  { name = "recovery_scaling"; section = Ab; run }
+
+(* The observer pair: one full workload run watched by the history
+   recorder, one by the event tracer, each against the same run with no
+   observer.  Neither observer draws randomness or charges cycles. *)
+let unobserved = lazy (R.run observed_config)
+
+let unperturbed (r : R.result) =
+  let base = (Lazy.force unobserved).R.elapsed_cycles in
+  ( Printf.sprintf "sim cycles unchanged by the observer (%d vs %d)"
+      r.R.elapsed_cycles base,
+    r.R.elapsed_cycles = base )
+
+let history_recording_cell =
+  let run () =
+    let recorder = ref None in
+    let instrument sched ops =
+      let h = Check.History.create ~sched ~capacity:8192 () in
+      recorder := Some h;
+      Check.History.wrap h ops
+    in
+    let r = R.run { observed_config with R.instrument = Some instrument } in
+    let recorded =
+      match !recorder with
+      | Some h -> Check.History.length h
+      | None -> failwith "history instrument hook never ran"
+    in
+    ( [ ("sim_cycles", Int r.R.elapsed_cycles); ("ops_recorded", Int recorded) ],
+      [ unperturbed r ] )
+  in
+  { name = "history_recording"; section = Ab; run }
+
+let traced =
+  lazy
+    (let tracer = Obs.Tracer.create ~ring_cap:65536 () in
+     let r = R.run { observed_config with R.tracer = Some tracer } in
+     (r, Obs.Tracer.emitted tracer))
+
+let trace_recording_cell =
+  let run () =
+    let r, emitted = Lazy.force traced in
+    ( [
+        ("sim_cycles", Int r.R.elapsed_cycles);
+        ("events_emitted", Int emitted);
+      ],
+      [ unperturbed r ] )
+  in
+  { name = "trace_recording"; section = Ab; run }
+
+(* [Obs.Hist] sits on two hot paths — {!Obs.Tracer.emit} feeds the
+   dirty-exposure histogram, and the Serve latency sink keeps
+   log-bucketed histograms — so the traced run above is also the
+   histogram's sim-cycle identity witness.  This cell checks the add
+   loop itself. *)
+let hi_adds = 2_000_000
+
+let hist_cell =
+  let run () =
+    let h = Obs.Hist.create () in
+    let (), words =
+      words_per_op ~ops:hi_adds (fun () ->
+          for i = 1 to hi_adds do
+            Obs.Hist.add h (i * 2654435761 land 0xFFFFF)
+          done)
+    in
+    let r, _ = Lazy.force traced in
+    ( [
+        ("sim_cycles", Int r.R.elapsed_cycles);
+        ("adds", Int hi_adds);
+        ("p50", Int (Obs.Hist.quantile h 0.5));
+        ("p99", Int (Obs.Hist.quantile h 0.99));
+        ("p999", Int (Obs.Hist.quantile h 0.999));
+      ],
+      [
+        ( Printf.sprintf "Hist.add allocation-free (%.4f minor words/add)" words,
+          words <= 0.01 );
+        ("no sample dropped", Obs.Hist.count h = hi_adds);
+      ] )
+  in
+  { name = "hist_instrumentation"; section = Ab; run }
+
+(* The cells that fan out over [jobs]. *)
+
+(* An exhaustive crash-window fault campaign on the hot-path workload. *)
+let crash_campaign_cell ~jobs =
+  let run () =
+    let base =
+      {
+        hot1_config with
+        R.threads = 2;
+        iterations = 300;
+        workload = R.Counters { h_keys = 1024; preload = true };
+      }
+    in
+    let spec =
+      {
+        (FI.default_spec base) with
+        FI.exhaustive =
+          Some { FI.from_step = 30_000; window = 1_500; stride = 150 };
+      }
+    in
+    let s = FI.run ~jobs spec in
+    ( [
+        ("crash_points", Int s.FI.total);
+        ("crashes", Int s.FI.crashes);
+        ("violations", Int s.FI.violations);
+      ],
+      [ ("no unexpected violations", s.FI.unexpected_violations = 0) ] )
+  in
+  { name = "quantum_crash_campaign"; section = Ab; run }
+
+(* The sharded KV service, one shard crashed and recovered online vs
+   nobody crashed.  Shards are independent simulation cells behind a
+   deterministic router, so the survivors' witnesses (request fates,
+   step counts, device and scheduler clocks) must match across the two
+   runs. *)
+let shard_service_cell ~jobs =
+  let config =
     {
-      (Workload.Runner.calibrated_config Nvm.Config.desktop) with
-      Workload.Runner.variant = Workload.Runner.Mutex_map Atlas.Mode.Log_only;
-      threads = 1;
-      iterations = 4000;
-      workload = Workload.Runner.Counters { h_keys = 2048; preload = true };
-      n_buckets = 1024;
-      log_mib = 2;
-    }
-  in
-  (* Per-cell measurements: the Table 1 grid plus a single-thread cell
-     that isolates the scheduler/cache hot path. *)
-  let cells =
-    List.map
-      (fun (name, config) ->
-        let r, host_ns, minor_words =
-          time_and_alloc (fun () -> Workload.Runner.run config)
-        in
-        if not (Workload.Runner.consistent r) then
-          Fmt.failwith "quick bench: %s inconsistent (seed %d, %d sim cycles): %a"
-            name config.Workload.Runner.seed r.Workload.Runner.elapsed_cycles
-            Workload.Invariant.pp r.Workload.Runner.invariants;
-        ( normalize_key name,
-          r.Workload.Runner.elapsed_cycles,
-          host_ns,
-          minor_words,
-          Nvm.Stats.hit_rate r.Workload.Runner.device_stats ))
-      (List.concat_map
-         (fun (pname, platform) ->
-           List.map
-             (fun variant ->
-               ( Printf.sprintf "table1_%s_%s" pname
-                   (Workload.Runner.variant_to_string variant),
-                 quick_table1_config platform variant ))
-             Workload.Table1.variants)
-         [ ("desktop", Nvm.Config.desktop); ("server", Nvm.Config.server) ]
-      @ [ ("hot_path_log_only_1thread", hot1_config) ])
-  in
-  (* The allocation cell: the memory hierarchy alone, on the unboxed
-     fast path.  Its contract is zero minor words per operation; the
-     snapshot records the measurement and the bench fails if it drifts
-     (the threshold admits the [Gc.minor_words] float boxes, not a
-     per-op leak). *)
-  let raw_ops = 2_000_000 in
-  let raw_cycles, raw_host_ns, raw_words =
-    time_and_alloc (fun () -> raw_loadstore_cell ~ops:raw_ops ~boxed:false)
-  in
-  let raw_words_per_op = raw_words /. float_of_int raw_ops in
-  if raw_words_per_op > 0.01 then
-    Fmt.failwith
-      "quick bench: unboxed fast path allocates (%.4f minor words/op)"
-      raw_words_per_op;
-  (* A/B 1: scheduler fast path on vs off, same simulated results.  Both
-     legs run without quanta so the cell keeps measuring exactly what it
-     measured when BENCH_1..4 were recorded: the slice fast path alone. *)
-  let ops = 400_000 in
-  let cy_on, fast_on_ns =
-    time_ns (fun () ->
-        hot_path_cell ~ops ~slice:Sched.Scheduler.default_slice ~quantum:false)
-  in
-  let cy_off, fast_off_ns =
-    time_ns (fun () -> hot_path_cell ~ops ~slice:0 ~quantum:false)
-  in
-  if cy_on <> cy_off then
-    Fmt.failwith "quick bench: fast path changed simulated cycles (%d vs %d)"
-      (fst cy_on) (fst cy_off);
-  (* A/B 2: SoA/unboxed access path vs the retained boxed path.  Same
-     simulated cycles by construction, asserted here on one binary. *)
-  let soa_cycles, soa_on_ns, soa_on_words =
-    time_and_alloc (fun () -> raw_loadstore_cell ~ops:raw_ops ~boxed:false)
-  in
-  let soa_cycles_boxed, soa_off_ns, soa_off_words =
-    time_and_alloc (fun () -> raw_loadstore_cell ~ops:raw_ops ~boxed:true)
-  in
-  if soa_cycles <> soa_cycles_boxed then
-    Fmt.failwith
-      "quick bench: boxed access path changed simulated cycles (%d vs %d)"
-      soa_cycles soa_cycles_boxed;
-  if soa_cycles <> raw_cycles then
-    Fmt.failwith "quick bench: raw load/store cell is not deterministic";
-  (* A/B 3: the reduced sweep suite, sequential vs fanned out. *)
-  let (), suite_j1_ns = time_ns (fun () -> quick_sweep_suite ~jobs:1 ()) in
-  let (), suite_jn_ns = time_ns (fun () -> quick_sweep_suite ~jobs ()) in
-  (* A/B 4: the history recorder on vs off, one full workload run each.
-     [Scheduler.now] reads the current thread's vclock without touching
-     the RNG or charging cycles, so recording is invisible to the
-     simulation — identical elapsed cycles are asserted, and the JSON
-     records the host-side cost of remembering every operation. *)
-  let hr_config instrument =
-    {
-      (Workload.Runner.calibrated_config Nvm.Config.desktop) with
-      Workload.Runner.variant = Workload.Runner.Mutex_map Atlas.Mode.Log_only;
-      threads = 2;
-      iterations = 800;
-      workload = Workload.Runner.Counters { h_keys = 1024; preload = true };
-      n_buckets = 1024;
-      log_mib = 2;
-      instrument;
-    }
-  in
-  let hr_off, hr_off_ns, hr_off_words =
-    time_and_alloc (fun () -> Workload.Runner.run (hr_config None))
-  in
-  let hr_recorder = ref None in
-  let hr_instrument sched ops =
-    let h = Check.History.create ~sched ~capacity:8192 () in
-    hr_recorder := Some h;
-    Check.History.wrap h ops
-  in
-  let hr_on, hr_on_ns, hr_on_words =
-    time_and_alloc (fun () -> Workload.Runner.run (hr_config (Some hr_instrument)))
-  in
-  if
-    hr_on.Workload.Runner.elapsed_cycles
-    <> hr_off.Workload.Runner.elapsed_cycles
-  then
-    Fmt.failwith
-      "quick bench: history recording perturbed the simulation (%d vs %d \
-       cycles)"
-      hr_on.Workload.Runner.elapsed_cycles
-      hr_off.Workload.Runner.elapsed_cycles;
-  let hr_ops =
-    match !hr_recorder with
-    | Some h -> Check.History.length h
-    | None -> Fmt.failwith "quick bench: history instrument hook never ran"
-  in
-  (* A/B 5: the event tracer on vs off, one full workload run each.
-     Emission writes packed ints into a preallocated ring — no RNG, no
-     cycle charges — so the traced run must be byte-identical in
-     simulated cycles; this cell is the bench-level witness of that
-     contract (test/test_obs.ml holds the unit-level one). *)
-  let tc_config tracer = { (hr_config None) with Workload.Runner.tracer } in
-  let tc_off, tc_off_ns, tc_off_words =
-    time_and_alloc (fun () -> Workload.Runner.run (tc_config None))
-  in
-  let tc_tracer = Obs.Tracer.create ~ring_cap:65536 () in
-  let tc_on, tc_on_ns, tc_on_words =
-    time_and_alloc (fun () -> Workload.Runner.run (tc_config (Some tc_tracer)))
-  in
-  if
-    tc_on.Workload.Runner.elapsed_cycles
-    <> tc_off.Workload.Runner.elapsed_cycles
-  then
-    Fmt.failwith
-      "quick bench: event tracing perturbed the simulation (%d vs %d cycles)"
-      tc_on.Workload.Runner.elapsed_cycles
-      tc_off.Workload.Runner.elapsed_cycles;
-  let tc_events = Obs.Tracer.emitted tc_tracer in
-  (* A/B 6: batched-quantum execution on the single-thread hot path —
-     the same device-op loop the sched_fast_path pair measures, where
-     per-operation scheduling cost is the whole bill.  Three execution
-     modes of the same loop:
-     - on:         quanta + default slice (the default configuration);
-     - slice_only: no quanta, default slice (PR 1's fast path alone);
-     - off:        no quanta, slice 0 — every operation re-enters the
-                   scheduler through an effect, the historical baseline
-                   the tentpole is measured against.
-     All three must agree on simulated cycles and step counts (byte-
-     identical interleavings — the full-workload version of this
-     identity, across every Table 1 variant, lives in test_quantum.ml);
-     the JSON records all three host timings so both the headline ratio
-     (off/on) and the increment over the slice fast path
-     (slice_only/on) stay visible.  The quantum itself allocates
-     nothing, so the on leg's minor words are guarded against the
-     slice-only leg's. *)
-  let qb_ops = 400_000 in
-  let qb_run ~quantum ~slice =
-    time_and_alloc (fun () -> hot_path_cell ~ops:qb_ops ~slice ~quantum)
-  in
-  let qb_on, qb_on_ns, qb_on_words =
-    qb_run ~quantum:true ~slice:Sched.Scheduler.default_slice
-  in
-  let qb_slice, qb_slice_ns, qb_slice_words =
-    qb_run ~quantum:false ~slice:Sched.Scheduler.default_slice
-  in
-  let qb_off, qb_off_ns, _qb_off_words = qb_run ~quantum:false ~slice:0 in
-  if qb_on <> qb_slice || qb_on <> qb_off then
-    Fmt.failwith
-      "quick bench: quantum batching changed the simulation (%d/%d, %d/%d, \
-       %d/%d cycles/steps)"
-      (fst qb_on) (snd qb_on) (fst qb_slice) (snd qb_slice) (fst qb_off)
-      (snd qb_off);
-  if qb_on_words > (qb_slice_words *. 1.10) +. 65536.0 then
-    Fmt.failwith
-      "quick bench: quantum batching allocates (%.0f minor words vs %.0f \
-       without quanta)"
-      qb_on_words qb_slice_words;
-  let qb_speedup = float_of_int qb_off_ns /. float_of_int (max 1 qb_on_ns) in
-  (* A/B 7: an exhaustive crash-window fault campaign with quanta on vs
-     off.  The verdict ledger — every crash step, recovery verdict,
-     violation judgement and reproducer — must render identically, which
-     is the campaign-level witness that quanta never move a crash point
-     or change what recovery sees. *)
-  let qc_spec quantum =
-    {
-      (Workload.Fault_injector.default_spec
-         {
-           hot1_config with
-           Workload.Runner.threads = 2;
-           iterations = 300;
-           workload = Workload.Runner.Counters { h_keys = 1024; preload = true };
-           quantum;
-         })
-      with
-      Workload.Fault_injector.exhaustive =
-        Some
-          { Workload.Fault_injector.from_step = 30_000; window = 1_500; stride = 150 };
-    }
-  in
-  let qc_on, qc_on_ns =
-    time_ns (fun () -> Workload.Fault_injector.run ~jobs (qc_spec true))
-  in
-  let qc_off, qc_off_ns =
-    time_ns (fun () -> Workload.Fault_injector.run ~jobs (qc_spec false))
-  in
-  let qc_ledger s = Fmt.str "%a" Workload.Fault_injector.pp_summary s in
-  if not (String.equal (qc_ledger qc_on) (qc_ledger qc_off)) then
-    Fmt.failwith
-      "quick bench: quanta changed the crash-campaign verdict ledger:@.--- \
-       with quanta ---@.%s@.--- without ---@.%s"
-      (qc_ledger qc_on) (qc_ledger qc_off);
-  if qc_on.Workload.Fault_injector.unexpected_violations <> 0 then
-    Fmt.failwith "quick bench: quantum crash campaign found violations";
-  (* A/B 8: the sharded KV service, one shard crashed and recovered
-     online vs nobody crashed.  Shards are independent simulation cells
-     behind a deterministic router, so the crash parameters never reach
-     the survivors: their witnesses (request fates, step counts, device
-     and scheduler clocks) must be identical in both legs — the
-     bench-level blast-radius guarantee.  The snapshot records the
-     victim's full timeline (down, recovery, back up) with its final
-     scheduler clock as the sim_cycles witness. *)
-  let sv_config =
-    {
-      Service.Serve.smoke_config with
-      Service.Serve.shards = 3;
+      Serve.smoke_config with
+      Serve.shards = 3;
       seed = 23;
       keys = 2048;
       requests = 1200;
@@ -784,397 +665,197 @@ let run_quick ~jobs ~out ~compare_mode =
       windows = 6;
     }
   in
-  let sv_crash, sv_crash_ns =
-    time_ns (fun () -> Service.Serve.run ~jobs sv_config)
+  let witness (s : Serve.shard_report) =
+    Serve.(s.served, s.shed, s.timed_out, s.steps, s.sim_cycles, s.elapsed_cycles)
   in
-  let sv_base, sv_base_ns =
-    time_ns (fun () ->
-        Service.Serve.run ~jobs
-          { sv_config with Service.Serve.crash_shard = None })
+  let run () =
+    let crashed = Serve.run ~jobs config in
+    let quiet = Serve.run ~jobs { config with Serve.crash_shard = None } in
+    let victim = crashed.Serve.shards.(1) in
+    let rr =
+      match victim.Serve.recovery with
+      | Some r -> r
+      | None -> failwith "service victim has no recovery report"
+    in
+    let total f =
+      Array.fold_left (fun a s -> a + f s) 0 crashed.Serve.shards
+    in
+    ( [
+        ("sim_cycles", Int victim.Serve.elapsed_cycles);
+        ("t_down", Int rr.Serve.t_down);
+        ("t_up", Int rr.Serve.t_up);
+        ("recovery_cycles", Int rr.Serve.recovery_cycles);
+        ("rescued_lines", Int rr.Serve.rescued_lines);
+        ("served", Int (total (fun s -> s.Serve.served)));
+        ("shed", Int (total (fun s -> s.Serve.shed)));
+        ("timed_out", Int (total (fun s -> s.Serve.timed_out)));
+      ],
+      [
+        ( "survivors identical to the crash-free run",
+          List.for_all
+            (fun i ->
+              witness crashed.Serve.shards.(i) = witness quiet.Serve.shards.(i))
+            [ 0; 2 ] );
+        ( Printf.sprintf "victim outcome %S" victim.Serve.outcome,
+          String.equal victim.Serve.outcome "crashed+recovered" );
+        ( Printf.sprintf "victim durably linearizable (%s)" rr.Serve.dl_note,
+          match rr.Serve.dl with
+          | Some v -> Check.Dl.is_explained v
+          | None -> false );
+      ] )
   in
-  let sv_witness (s : Service.Serve.shard_report) =
-    ( s.Service.Serve.served,
-      s.Service.Serve.shed,
-      s.Service.Serve.timed_out,
-      s.Service.Serve.steps,
-      s.Service.Serve.sim_cycles,
-      s.Service.Serve.elapsed_cycles )
+  { name = "shard_service"; section = Ab; run }
+
+(* The fence-complexity frontier (E23): eager log-flush fortification,
+   the plain lock-free skip list and its NVTraverse transformation on
+   one identical counter workload, computed under --jobs 1 and under
+   the requested fan-out. *)
+let ff_variants =
+  [ R.Mutex_map Atlas.Mode.Log_flush; R.Nonblocking_map; R.Nvtraverse_map ]
+
+let ff_find rows v =
+  match FR.find rows v with
+  | Some r -> r
+  | None -> failwith "frontier row missing"
+
+let frontier_cells ~jobs =
+  let run jobs =
+    FR.run ~jobs ~variants:ff_variants ~platform:Nvm.Config.desktop ()
   in
-  Array.iteri
-    (fun i (s : Service.Serve.shard_report) ->
-      if i <> 1 && sv_witness s <> sv_witness sv_base.Service.Serve.shards.(i)
-      then
-        Fmt.failwith
-          "quick bench: shard %d witness differs between crashed and \
-           crash-free service runs (blast radius leaked)"
-          i)
-    sv_crash.Service.Serve.shards;
-  let sv_victim = sv_crash.Service.Serve.shards.(1) in
-  if not (String.equal sv_victim.Service.Serve.outcome "crashed+recovered")
-  then
-    Fmt.failwith "quick bench: service victim shard outcome is %S"
-      sv_victim.Service.Serve.outcome;
-  let sv_rec =
-    match sv_victim.Service.Serve.recovery with
-    | Some r -> r
-    | None -> Fmt.failwith "quick bench: service victim has no recovery report"
+  let rows = lazy (run 1, run jobs) in
+  let row_cell v =
+    let run () =
+      let r = ff_find (fst (Lazy.force rows)) v in
+      ( [
+          ("sim_cycles", Int r.FR.elapsed_cycles);
+          ("completed_ops", Int r.FR.completed_ops);
+          ("flushes_per_op", Float (r.FR.flushes_per_op, 3));
+          ("fences_per_op", Float (r.FR.fences_per_op, 3));
+          ("appends_per_op", Float (r.FR.appends_per_op, 3));
+        ],
+        [ ("durably linearizable", r.FR.dl_explained) ] )
+    in
+    {
+      name = "frontier_" ^ normalize_key (M.variant_to_cli_string v);
+      section = Cells;
+      run;
+    }
   in
-  (match sv_rec.Service.Serve.dl with
-  | Some v when Check.Dl.is_explained v -> ()
-  | Some v ->
-      Fmt.failwith "quick bench: service victim failed the DL check: %a"
-        Check.Dl.pp_verdict v
-  | None ->
-      Fmt.failwith "quick bench: service victim DL check was skipped (%s)"
-        sv_rec.Service.Serve.dl_note);
-  let sv_tally (r : Service.Serve.report) =
-    Array.fold_left
-      (fun (srv, shd, t_o) (s : Service.Serve.shard_report) ->
-        ( srv + s.Service.Serve.served,
-          shd + s.Service.Serve.shed,
-          t_o + s.Service.Serve.timed_out ))
-      (0, 0, 0) r.Service.Serve.shards
+  let summary_run () =
+    let rows1, rows_n = Lazy.force rows in
+    let nvt = ff_find rows1 R.Nvtraverse_map in
+    let lf = ff_find rows1 (R.Mutex_map Atlas.Mode.Log_flush) in
+    let nb = ff_find rows1 R.Nonblocking_map in
+    let cycles =
+      List.fold_left (fun a (r : FR.row) -> a + r.FR.elapsed_cycles) 0 rows1
+    in
+    ( [
+        ("sim_cycles", Int cycles);
+        ("nvtraverse_flushes_per_op", Float (nvt.FR.flushes_per_op, 3));
+        ("logflush_flushes_per_op", Float (lf.FR.flushes_per_op, 3));
+        ("nonblocking_flushes_per_op", Float (nb.FR.flushes_per_op, 3));
+        ("nvtraverse_miters", Float (nvt.FR.miters, 2));
+        ("logflush_miters", Float (lf.FR.miters, 2));
+      ],
+      [
+        (Printf.sprintf "rows identical at --jobs 1 and %d" jobs, rows1 = rows_n);
+        ("NVTraverse beats log-flush", FR.nvtraverse_beats_logflush rows1);
+      ] )
   in
-  let sv_served, sv_shed, sv_timed_out = sv_tally sv_crash in
-  (* A/B 9: recovery at scale (E22).  The same deterministic crashed heap
-     recovered eagerly (per-word costed cache simulation) and with the
-     streamed parallel engine (peek discovery + one analytic line-grained
-     bill).  Both must leave a byte-identical heap image, and the
-     parallel cells must be structurally identical at every job count;
-     the 10^6-object heap records the host-time speedup of streaming
-     over cache simulation.  Incremental mode's outage is the
-     availability headline: near-constant while full collections grow
-     linearly with the population. *)
-  let module RS = Workload.Recovery_scaling in
-  let rs_variant = Workload.Runner.Mutex_map Atlas.Mode.Log_only in
-  let rs_cell ~objects ~mode =
-    RS.run_cell ~variant:rs_variant ~objects ~mode ~seed:29 ~touches:48 ()
-  in
-  (* Host time of the recovery pipeline alone: population dominates the
-     whole-cell wall clock and is identical across modes, so the
-     mode-to-mode host comparison uses [recover_host_ms]. *)
-  let rs_host_ns (c : RS.cell) = int_of_float (c.RS.recover_host_ms *. 1e6) in
-  let rs_check ~objects (eager : RS.cell) (other : RS.cell) =
-    if other.RS.image_hash <> eager.RS.image_hash then
-      Fmt.failwith
-        "quick bench: recovery mode %s left a different heap image than \
-         eager at %d objects (%x vs %x)"
-        (Workload.Machine.recovery_mode_to_string other.RS.mode)
-        objects other.RS.image_hash eager.RS.image_hash;
-    if not (eager.RS.heap_audit_ok && other.RS.heap_audit_ok) then
-      Fmt.failwith "quick bench: recovery cell failed the heap audit"
-  in
-  let rs_curve =
-    List.map
-      (fun objects ->
-        let eager = rs_cell ~objects ~mode:Workload.Machine.Eager in
-        let par = rs_cell ~objects ~mode:(Workload.Machine.Parallel_gc 2) in
-        let inc = rs_cell ~objects ~mode:Workload.Machine.Incremental_gc in
-        rs_check ~objects eager par;
-        rs_check ~objects eager inc;
-        if inc.RS.outage_cycles >= eager.RS.outage_cycles then
-          Fmt.failwith
-            "quick bench: incremental outage (%d cycles) not shorter than \
-             eager (%d) at %d objects"
-            inc.RS.outage_cycles eager.RS.outage_cycles objects;
-        (objects, eager, par, inc))
-      [ 20_000; 60_000 ]
-  in
-  (* Jobs-identity witness: parallel:1 must match parallel:2 field for
-     field (mode and wall clock aside). *)
-  let rs_p1 = rs_cell ~objects:20_000 ~mode:(Workload.Machine.Parallel_gc 1) in
-  (match rs_curve with
-  | (20_000, _, p2, _) :: _ ->
-      if not (RS.cells_match rs_p1 p2) then
-        Fmt.failwith
-          "quick bench: parallel recovery diverges across job counts \
-           (determinism violation)"
-  | _ -> assert false);
-  let rs_big = 1_000_000 in
-  let rs_big_eager = rs_cell ~objects:rs_big ~mode:Workload.Machine.Eager in
-  let rs_big_par =
-    rs_cell ~objects:rs_big ~mode:(Workload.Machine.Parallel_gc 2)
-  in
-  rs_check ~objects:rs_big rs_big_eager rs_big_par;
-  let rs_speedup =
-    float_of_int (rs_host_ns rs_big_eager)
-    /. float_of_int (max 1 (rs_host_ns rs_big_par))
-  in
-  (* A/B 10: the fence-complexity frontier cell (E23).  Three designs —
-     eager log-flush fortification, the plain lock-free skip list, and
-     its NVTraverse transformation — on one identical counter workload,
-     with both legs of each row (traced run + strict-DL crash point)
-     computed under --jobs 1 and under the requested fan-out.  The rows
-     must be identical field-for-field across job counts (params are
-     drawn before the fan-out and each machine is private), and the
-     frontier ordering itself is asserted: NVTraverse strictly fewer
-     flushes per op than log-flush at equal or better throughput. *)
-  let ff_variants =
-    [
-      Workload.Runner.Mutex_map Atlas.Mode.Log_flush;
-      Workload.Runner.Nonblocking_map;
-      Workload.Runner.Nvtraverse_map;
+  ( List.map row_cell ff_variants,
+    { name = "fence_frontier"; section = Ab; run = summary_run } )
+
+(* The table, in snapshot order.  Cells sharing a run (the recovery
+   curves, the traced run, the frontier rows) share it through a lazy
+   value, so each simulation runs once. *)
+let quick_cells ~jobs =
+  let frontier_rows, fence_frontier = frontier_cells ~jobs in
+  table1_cells
+  @ [ runner_cell ~name:"hot_path_log_only_1thread" hot1_config ]
+  @ recovery_cells 20 rs_20k
+  @ recovery_cells 60 rs_60k
+  @ [
+      big_cell "recovery_eager_1000k" fst (fun _ _ -> []);
+      big_cell "recovery_parallel_1000k" snd (fun e c -> [ same_image e c ]);
     ]
+  @ frontier_rows
+  @ [
+      raw_cell;
+      quantum_batching_cell;
+      history_recording_cell;
+      trace_recording_cell;
+      crash_campaign_cell ~jobs;
+      shard_service_cell ~jobs;
+      recovery_scaling_cell;
+      fence_frontier;
+      hist_cell;
+    ]
+
+let run_quick ~jobs ~out =
+  let jobs =
+    match jobs with Some j -> j | None -> Workload.Parallel.default_jobs ()
   in
-  let ff_run jobs =
-    Workload.Frontier.run ~jobs ~variants:ff_variants
-      ~platform:Nvm.Config.desktop ()
+  let results =
+    List.map
+      (fun c ->
+        let fail msg = Fmt.failwith "quick bench: %s: %s" c.name msg in
+        let fields, checks = try c.run () with Failure msg -> fail msg in
+        List.iter (fun (what, ok) -> if not ok then fail what) checks;
+        (c, fields))
+      (quick_cells ~jobs)
   in
-  let ff_rows, ff_j1_ns = time_ns (fun () -> ff_run 1) in
-  let ff_rows_jn, ff_jn_ns = time_ns (fun () -> ff_run jobs) in
-  if ff_rows <> ff_rows_jn then
-    Fmt.failwith
-      "quick bench: frontier rows diverge across job counts (determinism \
-       violation):@.--- jobs 1 ---@.%a@.--- jobs %d ---@.%a"
-      Workload.Frontier.pp ff_rows jobs Workload.Frontier.pp ff_rows_jn;
+  let module J = Obs.Json in
+  let j = J.create () in
+  J.obj_open j;
+  J.key j "schema";
+  J.str j "tsp-bench-v3";
   List.iter
-    (fun (r : Workload.Frontier.row) ->
-      if not r.Workload.Frontier.dl_explained then
-        Fmt.failwith "quick bench: frontier row %s is not durably linearizable"
-          (Workload.Machine.variant_to_cli_string r.Workload.Frontier.variant))
-    ff_rows;
-  let ff_find v =
-    match Workload.Frontier.find ff_rows v with
-    | Some r -> r
-    | None -> Fmt.failwith "quick bench: frontier row missing"
-  in
-  let ff_nvt = ff_find Workload.Runner.Nvtraverse_map in
-  let ff_lf = ff_find (Workload.Runner.Mutex_map Atlas.Mode.Log_flush) in
-  let ff_nb = ff_find Workload.Runner.Nonblocking_map in
-  if not (Workload.Frontier.nvtraverse_beats_logflush ff_rows) then
-    Fmt.failwith
-      "quick bench: NVTraverse (%.3f flushes/op, %.2f Miters/s) does not \
-       beat log-flush (%.3f flushes/op, %.2f Miters/s)"
-      ff_nvt.Workload.Frontier.flushes_per_op ff_nvt.Workload.Frontier.miters
-      ff_lf.Workload.Frontier.flushes_per_op ff_lf.Workload.Frontier.miters;
-  (* A/B 11: histogram instrumentation (PR 10).  [Obs.Hist] cells now sit
-     on two hot paths — {!Obs.Tracer.emit} feeds the dirty-exposure
-     histogram, and the Serve latency sink retains log-bucketed
-     histograms instead of raw samples — so the traced-vs-untraced pair
-     above (A/B 5) is also the sim-cycle identity witness for the
-     histogram: its traced leg ran with every emit feeding [Hist.add],
-     and its cycles matched the untraced leg's.  This cell times the add
-     loop itself and asserts it allocates nothing. *)
-  let hi_ops = 2_000_000 in
-  let hi_h = Obs.Hist.create () in
-  let hi_fill () =
-    for i = 1 to hi_ops do
-      Obs.Hist.add hi_h (i * 2654435761 land 0xFFFFF)
-    done
-  in
-  let (), hi_ns, hi_words = time_and_alloc hi_fill in
-  let hi_words_per_op = hi_words /. float_of_int hi_ops in
-  if hi_words_per_op > 0.01 then
-    Fmt.failwith "quick bench: Obs.Hist.add allocates (%.4f minor words/op)"
-      hi_words_per_op;
-  if Obs.Hist.count hi_h <> hi_ops then
-    Fmt.failwith "quick bench: Obs.Hist dropped samples (%d of %d)"
-      (Obs.Hist.count hi_h) hi_ops;
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "{\n";
-  pf "  \"schema\": \"tsp-bench-v2\",\n";
-  pf "  \"host_cores\": %d,\n" (Workload.Parallel.default_jobs ());
-  pf "  \"jobs\": %d,\n" jobs;
-  pf "  \"cells\": {\n";
-  List.iter
-    (fun (name, sim_cycles, host_ns, minor_words, hit_rate) ->
-      pf "    \"%s\": { \"sim_cycles\": %d, \"host_ns\": %d, \
-          \"minor_words\": %.0f, \"hit_rate\": %s },\n"
-        (json_escape name) sim_cycles host_ns minor_words
-        (json_float hit_rate))
-    cells;
-  List.iter
-    (fun (objects, eager, par, inc) ->
-      let cell name (c : RS.cell) =
-        pf "    \"recovery_%s_%dk\": { \"sim_cycles\": %d, \"host_ns\": %d, \
-            \"background_cycles\": %d },\n"
-          name (objects / 1000) c.RS.outage_cycles (rs_host_ns c)
-          c.RS.background_cycles
-      in
-      cell "eager" eager;
-      cell "parallel" par;
-      cell "incremental" inc)
-    rs_curve;
-  pf "    \"recovery_eager_1000k\": { \"sim_cycles\": %d, \"host_ns\": %d },\n"
-    rs_big_eager.RS.outage_cycles (rs_host_ns rs_big_eager);
-  pf "    \"recovery_parallel_1000k\": { \"sim_cycles\": %d, \"host_ns\": %d },\n"
-    rs_big_par.RS.outage_cycles (rs_host_ns rs_big_par);
-  List.iter
-    (fun (r : Workload.Frontier.row) ->
-      pf "    \"frontier_%s\": { \"sim_cycles\": %d, \"completed_ops\": %d, \
-          \"flushes_per_op\": %.3f, \"fences_per_op\": %.3f, \
-          \"appends_per_op\": %.3f },\n"
-        (normalize_key
-           (Workload.Machine.variant_to_cli_string r.Workload.Frontier.variant))
-        r.Workload.Frontier.elapsed_cycles r.Workload.Frontier.completed_ops
-        r.Workload.Frontier.flushes_per_op r.Workload.Frontier.fences_per_op
-        r.Workload.Frontier.appends_per_op)
-    ff_rows;
-  pf "    \"hot_path_loadstore_raw\": { \"sim_cycles\": %d, \"host_ns\": %d, \
-       \"minor_words\": %.0f, \"ops\": %d, \"minor_words_per_op\": %.4f }\n"
-    raw_cycles raw_host_ns raw_words raw_ops raw_words_per_op;
-  pf "  },\n";
-  pf "  \"ab\": {\n";
-  pf "    \"sched_fast_path\": { \"sim_cycles\": %d, \"on_host_ns\": %d, \
-       \"off_host_ns\": %d, \"speedup\": %.2f },\n"
-    (fst cy_on) fast_on_ns fast_off_ns
-    (float_of_int fast_off_ns /. float_of_int (max 1 fast_on_ns));
-  pf "    \"soa_unboxed_access\": { \"sim_cycles\": %d, \"on_host_ns\": %d, \
-       \"off_host_ns\": %d, \"speedup\": %.2f, \"on_minor_words\": %.0f, \
-       \"off_minor_words\": %.0f },\n"
-    soa_cycles soa_on_ns soa_off_ns
-    (float_of_int soa_off_ns /. float_of_int (max 1 soa_on_ns))
-    soa_on_words soa_off_words;
-  pf "    \"sweep_suite_jobs\": { \"jobs\": %d, \"jobs1_host_ns\": %d, \
-       \"jobsn_host_ns\": %d, \"speedup\": %.2f },\n"
-    jobs suite_j1_ns suite_jn_ns
-    (float_of_int suite_j1_ns /. float_of_int (max 1 suite_jn_ns));
-  pf "    \"history_recording\": { \"sim_cycles\": %d, \"on_host_ns\": %d, \
-       \"off_host_ns\": %d, \"overhead\": %.2f, \"on_minor_words\": %.0f, \
-       \"off_minor_words\": %.0f, \"ops_recorded\": %d },\n"
-    hr_on.Workload.Runner.elapsed_cycles hr_on_ns hr_off_ns
-    (float_of_int hr_on_ns /. float_of_int (max 1 hr_off_ns))
-    hr_on_words hr_off_words hr_ops;
-  pf "    \"trace_recording\": { \"sim_cycles\": %d, \"on_host_ns\": %d, \
-       \"off_host_ns\": %d, \"overhead\": %.2f, \"on_minor_words\": %.0f, \
-       \"off_minor_words\": %.0f, \"events_emitted\": %d },\n"
-    tc_on.Workload.Runner.elapsed_cycles tc_on_ns tc_off_ns
-    (float_of_int tc_on_ns /. float_of_int (max 1 tc_off_ns))
-    tc_on_words tc_off_words tc_events;
-  pf "    \"quantum_batching\": { \"sim_cycles\": %d, \"total_steps\": %d, \
-       \"on_host_ns\": %d, \"off_host_ns\": %d, \"slice_only_host_ns\": %d, \
-       \"speedup\": %.2f, \"speedup_vs_slice_only\": %.2f, \
-       \"on_minor_words\": %.0f, \"slice_only_minor_words\": %.0f },\n"
-    (fst qb_on) (snd qb_on) qb_on_ns qb_off_ns qb_slice_ns qb_speedup
-    (float_of_int qb_slice_ns /. float_of_int (max 1 qb_on_ns))
-    qb_on_words qb_slice_words;
-  pf "    \"quantum_crash_campaign\": { \"crash_points\": %d, \"crashes\": %d, \
-       \"violations\": %d, \"on_host_ns\": %d, \"off_host_ns\": %d, \
-       \"speedup\": %.2f },\n"
-    qc_on.Workload.Fault_injector.total qc_on.Workload.Fault_injector.crashes
-    qc_on.Workload.Fault_injector.violations qc_on_ns qc_off_ns
-    (float_of_int qc_off_ns /. float_of_int (max 1 qc_on_ns));
-  pf "    \"shard_service\": { \"sim_cycles\": %d, \"t_down\": %d, \
-       \"t_up\": %d, \"recovery_cycles\": %d, \"rescued_lines\": %d, \
-       \"served\": %d, \"shed\": %d, \"timed_out\": %d, \
-       \"crash_host_ns\": %d, \"baseline_host_ns\": %d },\n"
-    sv_victim.Service.Serve.elapsed_cycles sv_rec.Service.Serve.t_down
-    sv_rec.Service.Serve.t_up sv_rec.Service.Serve.recovery_cycles
-    sv_rec.Service.Serve.rescued_lines sv_served sv_shed sv_timed_out
-    sv_crash_ns sv_base_ns;
-  (let _, _, _, inc60 = List.nth rs_curve 1 in
-   pf "    \"recovery_scaling\": { \"sim_cycles\": %d, \
-       \"parallel_sim_cycles\": %d, \"objects\": %d, \"eager_host_ns\": %d, \
-       \"parallel_host_ns\": %d, \"host_speedup\": %.2f, \
-       \"incremental_outage_cycles\": %d, \
-       \"incremental_background_cycles\": %d, \"jobs_identity\": true },\n"
-     rs_big_eager.RS.outage_cycles rs_big_par.RS.outage_cycles rs_big
-     (rs_host_ns rs_big_eager) (rs_host_ns rs_big_par) rs_speedup
-     inc60.RS.outage_cycles inc60.RS.background_cycles);
-  pf "    \"fence_frontier\": { \"sim_cycles\": %d, \
-      \"nvtraverse_flushes_per_op\": %.3f, \"logflush_flushes_per_op\": %.3f, \
-      \"nonblocking_flushes_per_op\": %.3f, \"nvtraverse_miters\": %.2f, \
-      \"logflush_miters\": %.2f, \"jobs1_host_ns\": %d, \
-      \"jobsn_host_ns\": %d, \"jobs_identity\": true },\n"
-    (List.fold_left
-       (fun a (r : Workload.Frontier.row) ->
-         a + r.Workload.Frontier.elapsed_cycles)
-       0 ff_rows)
-    ff_nvt.Workload.Frontier.flushes_per_op
-    ff_lf.Workload.Frontier.flushes_per_op
-    ff_nb.Workload.Frontier.flushes_per_op ff_nvt.Workload.Frontier.miters
-    ff_lf.Workload.Frontier.miters ff_j1_ns ff_jn_ns;
-  pf "    \"hist_instrumentation\": { \"sim_cycles\": %d, \
-       \"traced_sim_cycles_match\": true, \"adds\": %d, \"host_ns\": %d, \
-       \"minor_words\": %.0f, \"minor_words_per_add\": %.4f, \"p50\": %d, \
-       \"p99\": %d, \"p999\": %d }\n"
-    tc_on.Workload.Runner.elapsed_cycles hi_ops hi_ns hi_words
-    hi_words_per_op
-    (Obs.Hist.quantile hi_h 0.5)
-    (Obs.Hist.quantile hi_h 0.99)
-    (Obs.Hist.quantile hi_h 0.999);
-  pf "  }\n";
-  pf "}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents b);
+    (fun (section, key) ->
+      J.line_break j;
+      J.key j key;
+      J.obj_open j;
+      List.iter
+        (fun (c, fields) ->
+          if c.section = section then begin
+            J.line_break j;
+            J.key j c.name;
+            J.obj_open j;
+            List.iter
+              (fun (k, v) ->
+                J.key j k;
+                match v with
+                | Int i -> J.int j i
+                | Float (f, dp) -> J.float ~dp j f)
+              fields;
+            J.obj_close j
+          end)
+        results;
+      J.obj_close j)
+    [ (Cells, "cells"); (Ab, "ab") ];
+  J.obj_close j;
+  let oc = open_out_bin out in
+  J.to_channel oc j;
+  output_char oc '\n';
   close_out oc;
-  Fmt.pr "quick bench: %d cells -> %s@." (List.length cells + 1) out;
-  Fmt.pr "  sched fast path: %.2fx host speedup (identical sim cycles)@."
-    (float_of_int fast_off_ns /. float_of_int (max 1 fast_on_ns));
-  Fmt.pr
-    "  soa/unboxed access: %.2fx host speedup, %.4f minor words/op \
-     (identical sim cycles)@."
-    (float_of_int soa_off_ns /. float_of_int (max 1 soa_on_ns))
-    raw_words_per_op;
-  Fmt.pr "  sweep suite --jobs %d vs --jobs 1: %.2fx (host has %d cores)@."
-    jobs
-    (float_of_int suite_j1_ns /. float_of_int (max 1 suite_jn_ns))
-    (Workload.Parallel.default_jobs ());
-  Fmt.pr
-    "  history recording: %.2fx host overhead, %d ops recorded (identical \
-     sim cycles)@."
-    (float_of_int hr_on_ns /. float_of_int (max 1 hr_off_ns))
-    hr_ops;
-  Fmt.pr
-    "  event tracing: %.2fx host overhead, %d events emitted (identical sim \
-     cycles)@."
-    (float_of_int tc_on_ns /. float_of_int (max 1 tc_off_ns))
-    tc_events;
-  Fmt.pr
-    "  quantum batching: %.2fx host speedup vs per-op scheduling, %.2fx vs \
-     slice-only (identical sim cycles)@."
-    qb_speedup
-    (float_of_int qb_slice_ns /. float_of_int (max 1 qb_on_ns));
-  Fmt.pr
-    "  quantum crash campaign: %d crash points, identical verdict ledger, \
-     %.2fx host speedup@."
-    qc_on.Workload.Fault_injector.total
-    (float_of_int qc_off_ns /. float_of_int (max 1 qc_on_ns));
-  Fmt.pr
-    "  shard service: victim down %d cycles (%d lines rescued), survivors \
-     byte-identical to the crash-free run@."
-    sv_rec.Service.Serve.recovery_cycles sv_rec.Service.Serve.rescued_lines;
-  Fmt.pr
-    "  recovery at scale: 10^6 objects, %.2fx host speedup parallel vs \
-     eager (identical heap images; incremental outage %d cycles vs %d)@."
-    rs_speedup
-    (let _, _, _, inc60 = List.nth rs_curve 1 in
-     inc60.RS.outage_cycles)
-    (let _, eager60, _, _ = List.nth rs_curve 1 in
-     eager60.RS.outage_cycles);
-  Fmt.pr
-    "  fence frontier: nvtraverse %.3f flushes/op at %.2f Miters/s vs \
-     log-flush %.3f at %.2f (rows identical across --jobs)@."
-    ff_nvt.Workload.Frontier.flushes_per_op ff_nvt.Workload.Frontier.miters
-    ff_lf.Workload.Frontier.flushes_per_op ff_lf.Workload.Frontier.miters;
-  Fmt.pr
-    "  hist instrumentation: %.1f ns/add, %.4f minor words/add (traced run \
-     sim-cycle-identical to untraced)@."
-    (float_of_int hi_ns /. float_of_int hi_ops)
-    hi_words_per_op;
-  compare_with_previous ~out ~mode:compare_mode
+  Fmt.pr "quick bench: %d cells, every check passed -> %s@."
+    (List.length results) out
 
 (* --- Entry point --- *)
 
 let usage () =
   prerr_endline
-    "usage: bench [--quick] [--jobs N|auto] [--out FILE] [--compare FILE] \
-     [--no-compare]\n\
+    "usage: bench [--quick] [--jobs N|auto] [--out FILE]\n\
      \  (no flags)      full run: paper reproduction + Bechamel microbenchmarks\n\
-     \  --quick         reduced cell set; writes a BENCH JSON snapshot and exits\n\
+     \  --quick         the simulation gate: runs every quick cell and its\n\
+     \                  checks, writes the deterministic JSON snapshot\n\
      \  --jobs N|auto   fan independent cells across N domains; auto (the\n\
      \                  default) clamps to the host's cores and runs\n\
      \                  sequentially when that is 1\n\
-     \  --out FILE      where --quick writes its JSON (default BENCH_9.json)\n\
-     \  --compare FILE  diff --quick host throughput against FILE instead of\n\
-     \                  the newest committed BENCH_*.json\n\
-     \  --no-compare    skip the throughput delta report";
+     \  --out FILE      where --quick writes its JSON (default bench_quick.json)";
   exit 2
 
 let () =
-  let quick = ref false and jobs = ref None and out = ref "BENCH_9.json" in
-  let compare_mode = ref Auto in
+  let quick = ref false and jobs = ref None and out = ref "bench_quick.json" in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest -> quick := true; parse rest
@@ -1185,12 +866,10 @@ let () =
         | _ -> usage ()
       end
     | "--out" :: f :: rest -> out := f; parse rest
-    | "--compare" :: f :: rest -> compare_mode := Compare_with f; parse rest
-    | "--no-compare" :: rest -> compare_mode := No_compare; parse rest
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !quick then run_quick ~jobs:!jobs ~out:!out ~compare_mode:!compare_mode
+  if !quick then run_quick ~jobs:!jobs ~out:!out
   else begin
     reproduce_table1 ?jobs:!jobs ();
     reproduce_sweeps ?jobs:!jobs ();

@@ -25,11 +25,6 @@ let hit = 0
 let miss_clean = 1
 let miss_dirty = 2
 
-type access = Hit | Miss of { evicted_dirty : bool }
-
-let access_of_code code =
-  if code = hit then Hit else Miss { evicted_dirty = code = miss_dirty }
-
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let log2_exact n =
@@ -130,38 +125,6 @@ let touch t ~addr ~dirty =
     t.stamps.(v) <- next_stamp t;
     if evicted_dirty then miss_dirty else miss_clean
   end
-
-let touch_boxed t ~addr ~dirty =
-  (* The pre-SoA access shape, retained for A/B measurement: an option
-     boxed on every hit (the historical [find_way]) plus the [access]
-     variant boxed on every miss — one minor allocation per access
-     either way.  State transitions are identical to [touch]; the A/B
-     harness asserts identical simulated cycles. *)
-  let line = line_of t addr in
-  match (match find_idx t line with -1 -> None | i -> Some i) with
-  | Some i ->
-      t.stamps.(i) <- next_stamp t;
-      if dirty && not (is_dirty_idx t i) then begin
-        set_dirty_idx t i;
-        t.n_dirty <- t.n_dirty + 1
-      end;
-      Hit
-  | None ->
-      let base = (line land t.set_mask) * t.ways in
-      let v = lru_idx t base in
-      let evicted_dirty = t.tags.(v) >= 0 && is_dirty_idx t v in
-      if evicted_dirty then begin
-        t.write_back (t.tags.(v) lsl t.line_shift);
-        t.n_dirty <- t.n_dirty - 1
-      end;
-      t.tags.(v) <- line;
-      if dirty then begin
-        set_dirty_idx t v;
-        t.n_dirty <- t.n_dirty + 1
-      end
-      else clear_dirty_idx t v;
-      t.stamps.(v) <- next_stamp t;
-      Miss { evicted_dirty }
 
 let flush_line t ~addr =
   let line = line_of t addr in

@@ -29,13 +29,6 @@ val miss_clean : int
 val miss_dirty : int
 (** Miss; the evicted LRU victim was dirty and was written back ([= 2]). *)
 
-type access = Hit | Miss of { evicted_dirty : bool }
-(** Boxed view of an access outcome, for tests and for the retained
-    pre-SoA access path ({!touch_boxed}). *)
-
-val access_of_code : int -> access
-(** Decode a {!touch} result ([hit] → [Hit], …). *)
-
 val create :
   sets:int -> ways:int -> line_size:int -> write_back:(int -> unit) -> t
 (** [write_back line_addr] is called with the byte address of the first
@@ -51,12 +44,6 @@ val touch : t -> addr:int -> dirty:bool -> int
     store); a load leaves the dirty bit as it was.  On a miss the LRU
     way of the set is evicted (writing it back first if dirty) and the
     new line installed.  Allocates nothing. *)
-
-val touch_boxed : t -> addr:int -> dirty:bool -> access
-(** Exactly {!touch}, through the historical allocating shape (an
-    option per hit, a variant per miss).  Kept so the benchmark can
-    measure the unboxed path against it on the same binary; simulated
-    state transitions are identical. *)
 
 val flush_line : t -> addr:int -> bool
 (** Write the line containing [addr] back if it is cached and dirty

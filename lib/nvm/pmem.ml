@@ -13,9 +13,6 @@ type t = {
          (never grants) until a scheduler is wired in, so the hot path
          needs no option match *)
   mutable crashed : bool;
-  mutable boxed_access : bool;
-      (* route accesses through the retained pre-SoA allocating path;
-         A/B measurement only — simulated results are identical *)
   journal : (int * int64) Queue.t option;
   tracer : Obs.Tracer.t option ref;
       (* a ref cell rather than a mutable field because the [write_back]
@@ -51,7 +48,6 @@ let create ?(journal = false) cfg =
     hook = None;
     quantum = Scheduler.null_quantum;
     crashed = false;
-    boxed_access = false;
     journal = (if journal then Some (Queue.create ()) else None);
     tracer;
   }
@@ -63,7 +59,6 @@ let clear_step_hook t = t.hook <- None
 let set_quantum t q = t.quantum <- q
 let clear_quantum t = t.quantum <- Scheduler.null_quantum
 let quantum_barrier t = Scheduler.quantum_settle t.quantum
-let set_boxed_access t b = t.boxed_access <- b
 
 let set_tracer t tr =
   t.tracer := tr;
@@ -106,16 +101,7 @@ let charge t cycles =
 
 let guard t = if t.crashed then raise Crashed_device
 
-(* One cache touch, returning whether it hit.  The unboxed path tests the
-   int code from [Cache.touch]; the boxed path is the historical shape
-   (option + variant, one minor allocation per access), kept so the
-   benchmark can A/B the two on one binary. *)
-let[@inline] touch_hit t ~addr ~dirty =
-  if t.boxed_access then
-    match Cache.touch_boxed t.cache ~addr ~dirty with
-    | Cache.Hit -> true
-    | Cache.Miss _ -> false
-  else Cache.touch t.cache ~addr ~dirty = Cache.hit
+let[@inline] touch_hit t ~addr ~dirty = Cache.touch t.cache ~addr ~dirty = Cache.hit
 
 let load t addr =
   guard t;
@@ -202,64 +188,53 @@ let cas t addr ~expected ~desired =
    load/store regression test asserts zero minor allocation. *)
 
 let load_int t addr =
-  if t.boxed_access then Int64.to_int (load t addr)
-  else begin
-    guard t;
-    let st = t.stats in
-    st.Stats.loads <- st.Stats.loads + 1;
-    let cost =
-      if touch_hit t ~addr ~dirty:false then begin
-        st.Stats.load_hits <- st.Stats.load_hits + 1;
-        t.cfg.Config.load_hit
-      end
-      else begin
-        st.Stats.load_misses <- st.Stats.load_misses + 1;
-        t.cfg.Config.load_miss
-      end
-    in
-    st.Stats.load_cycles <- st.Stats.load_cycles + cost;
-    qstep t cost;
-    trace t ~code:Obs.Event.load ~a:addr ~b:cost;
-    Memory.load_int t.mem addr
-  end
-
-let store_int t addr v =
-  if t.boxed_access then store t addr (Int64.of_int v)
-  else begin
-    guard t;
-    let st = t.stats in
-    st.Stats.stores <- st.Stats.stores + 1;
-    let cost = store_cost t ~addr in
-    st.Stats.store_cycles <- st.Stats.store_cycles + cost;
-    qstep t cost;
-    trace t ~code:Obs.Event.store ~a:addr ~b:cost;
-    Memory.store_int t.mem addr v;
-    record_store_int t addr v
-  end
-
-let cas_int t addr ~expected ~desired =
-  if t.boxed_access then
-    cas t addr ~expected:(Int64.of_int expected)
-      ~desired:(Int64.of_int desired)
-  else begin
-    guard t;
-    let st = t.stats in
-    st.Stats.cas_ops <- st.Stats.cas_ops + 1;
-    let base =
-      if touch_hit t ~addr ~dirty:true then t.cfg.Config.store_cost
-      else t.cfg.Config.store_cost + t.cfg.Config.store_miss_extra
-    in
-    st.Stats.cas_cycles <- st.Stats.cas_cycles + base + t.cfg.Config.cas_extra;
-    step t (base + t.cfg.Config.cas_extra);
-    trace t ~code:Obs.Event.cas ~a:addr ~b:(base + t.cfg.Config.cas_extra);
-    if Memory.cas_int t.mem addr ~expected ~desired then begin
-      record_store_int t addr desired;
-      true
+  guard t;
+  let st = t.stats in
+  st.Stats.loads <- st.Stats.loads + 1;
+  let cost =
+    if touch_hit t ~addr ~dirty:false then begin
+      st.Stats.load_hits <- st.Stats.load_hits + 1;
+      t.cfg.Config.load_hit
     end
     else begin
-      st.Stats.cas_failures <- st.Stats.cas_failures + 1;
-      false
+      st.Stats.load_misses <- st.Stats.load_misses + 1;
+      t.cfg.Config.load_miss
     end
+  in
+  st.Stats.load_cycles <- st.Stats.load_cycles + cost;
+  qstep t cost;
+  trace t ~code:Obs.Event.load ~a:addr ~b:cost;
+  Memory.load_int t.mem addr
+
+let store_int t addr v =
+  guard t;
+  let st = t.stats in
+  st.Stats.stores <- st.Stats.stores + 1;
+  let cost = store_cost t ~addr in
+  st.Stats.store_cycles <- st.Stats.store_cycles + cost;
+  qstep t cost;
+  trace t ~code:Obs.Event.store ~a:addr ~b:cost;
+  Memory.store_int t.mem addr v;
+  record_store_int t addr v
+
+let cas_int t addr ~expected ~desired =
+  guard t;
+  let st = t.stats in
+  st.Stats.cas_ops <- st.Stats.cas_ops + 1;
+  let base =
+    if touch_hit t ~addr ~dirty:true then t.cfg.Config.store_cost
+    else t.cfg.Config.store_cost + t.cfg.Config.store_miss_extra
+  in
+  st.Stats.cas_cycles <- st.Stats.cas_cycles + base + t.cfg.Config.cas_extra;
+  step t (base + t.cfg.Config.cas_extra);
+  trace t ~code:Obs.Event.cas ~a:addr ~b:(base + t.cfg.Config.cas_extra);
+  if Memory.cas_int t.mem addr ~expected ~desired then begin
+    record_store_int t addr desired;
+    true
+  end
+  else begin
+    st.Stats.cas_failures <- st.Stats.cas_failures + 1;
+    false
   end
 
 let flush t addr =

@@ -93,13 +93,6 @@ val cas_int : t -> int -> expected:int -> desired:int -> bool
 (** [cas] through sign-extended int operands, allocation-free.  The
     comparison still observes all 64 stored bits. *)
 
-val set_boxed_access : t -> bool -> unit
-(** Route subsequent accesses through the retained pre-SoA allocating
-    path (boxed cache results, boxed [int64] round-trips).  Simulated
-    cycles, statistics and stored bytes are identical either way — the
-    quick benchmark measures both on one binary and asserts so.  A/B
-    instrumentation only; defaults to off. *)
-
 val set_tracer : t -> Obs.Tracer.t option -> unit
 (** Attach (or detach) an event tracer.  Every device op then emits one
     packed event after its cycle charge; attaching also wires the

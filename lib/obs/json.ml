@@ -121,11 +121,23 @@ let raw t s =
   elem t;
   Buffer.add_string t.buf s
 
+(* Start the next element on a new line: write its separator now, then
+   the newline, and mark the separator as written (the same state a key
+   leaves behind).  Lets a document be laid out one record per line, for
+   line-based diffs, without a pretty-printer. *)
+let line_break t =
+  elem t;
+  Buffer.add_char t.buf '\n';
+  t.after_key <- true
+
 (* --- Reader -------------------------------------------------------- *)
 
-(* A deliberately small recursive-descent parser for reading our own
-   artifacts back (the --replay path).  Numbers are kept as floats: the
-   replay consumer only ever reads strings and arrays. *)
+(* A small recursive-descent parser: the --replay path reads artifacts
+   back through it, and [check_json] uses it as the well-formedness gate
+   for every document the tree writes, so it enforces the RFC 8259
+   number and string grammar rather than whatever [float_of_string]
+   happens to accept.  Numbers are kept as floats: the replay consumer
+   only ever reads strings and arrays. *)
 
 type value =
   | Null
@@ -179,19 +191,22 @@ let parse s =
           | 'b' -> Buffer.add_char buf '\b'; go ()
           | 'f' -> Buffer.add_char buf '\012'; go ()
           | 'u' ->
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "invalid \\u escape"
+              let is_hex = function
+                | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                | _ -> false
               in
+              let hex = if !pos + 4 <= n then String.sub s !pos 4 else "" in
+              if hex = "" || not (String.for_all is_hex hex) then
+                fail "invalid \\u escape";
+              let code = int_of_string ("0x" ^ hex) in
+              pos := !pos + 4;
               (* Only ASCII escapes are produced by our writer; anything
                  else is preserved as a replacement byte. *)
               Buffer.add_char buf
                 (if code < 0x80 then Char.chr code else '?');
               go ()
           | _ -> fail "invalid escape")
+      | c when Char.code c < 0x20 -> fail "raw control character in string"
       | c ->
           advance ();
           Buffer.add_char buf c;
@@ -200,19 +215,30 @@ let parse s =
     go ();
     Buffer.contents buf
   in
+  (* RFC 8259: an optional minus, then [0] or a digit run without a
+     leading zero, then an optional fraction and exponent, each with at
+     least one digit. *)
   let parse_number () =
     let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+    let digits () =
+      let d0 = !pos in
+      while peek () >= '0' && peek () <= '9' do
+        advance ()
+      done;
+      if !pos = d0 then fail "expected a digit"
     in
-    while num_char (peek ()) do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "invalid number %S" tok)
+    if peek () = '-' then advance ();
+    if peek () = '0' then advance () else digits ();
+    if peek () = '.' then begin
+      advance ();
+      digits ()
+    end;
+    if peek () = 'e' || peek () = 'E' then begin
+      advance ();
+      if peek () = '+' || peek () = '-' then advance ();
+      digits ()
+    end;
+    Num (float_of_string (String.sub s start (!pos - start)))
   in
   let rec parse_value () =
     skip_ws ();

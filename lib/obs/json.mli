@@ -30,6 +30,12 @@ val arr_close : t -> unit
 val key : t -> string -> unit
 (** Object member name; must be followed by exactly one value. *)
 
+val line_break : t -> unit
+(** Start the next element (member or array item) on a new line.  Call
+    it only before an element, never before a close: it writes the
+    element's separator.  For documents laid out one record per line so
+    that line-based diffs stay readable. *)
+
 (** {1 Values} *)
 
 val str : t -> string -> unit
@@ -51,15 +57,15 @@ val raw : t -> string -> unit
 
 val escape : string -> string
 (** JSON string-body escaping (['"'], backslash, control characters);
-    shared with {!Chrome} and the bench emitter. *)
-
-val float_repr : ?dp:int -> float -> string
-(** The rendered token {!float} would emit ([null] when non-finite). *)
+    shared with {!Chrome}. *)
 
 (** {1 Reader}
 
-    A small strict parser for reading our own artifacts back (the
-    [--replay] path).  Numbers are floats; object member order is
+    A small parser for reading our own artifacts back (the [--replay]
+    path) and the well-formedness gate behind [check_json].  It enforces
+    the RFC 8259 grammar: no leading zeros, digits on both sides of a
+    decimal point, no raw control characters inside strings, four hex
+    digits per [\u] escape.  Numbers are floats; object member order is
     preserved. *)
 
 type value =

@@ -185,7 +185,6 @@ let[@inline] settle_quantum q =
 
 let quantum_settle q = settle_quantum q
 let quantum_handle t = t.quantum
-let quantum_enabled t = t.quantum_on
 
 (* Charge one uncontended step against a held quantum: same clock
    update and the same jitter draw from the same stream as the [step]

@@ -61,7 +61,11 @@ val create :
     [quantum] (default [true]) lets the scheduler grant batched
     execution quanta to the device layer (see {!quantum_handle});
     [false] confines every charge to {!step}.  Like the slice, the flag
-    never changes simulated results. *)
+    never changes simulated results.
+
+    Every simulation layer above this one uses the defaults; the two
+    knobs exist so tests can compare against the per-op reference,
+    [~quantum:false ~deterministic_slice:0]. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> int
 (** Register a thread; returns its id (0, 1, ... in spawn order).  Must be
@@ -125,9 +129,6 @@ val quantum_settle : quantum -> unit
     steps into the scheduler's counters.  Idempotent; safe from harness
     code.  Device-level synchronisation points (log appends, OCS
     boundaries) use this to force their charge through {!step}. *)
-
-val quantum_enabled : t -> bool
-(** Whether {!create} was given [~quantum:true] (the default). *)
 
 val yield : t -> unit
 (** [step t ~cost:0]. *)

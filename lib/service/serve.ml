@@ -191,8 +191,6 @@ let spec_for (cfg : config) ~shard ~owned ~n_buckets ~tracer =
     hash_op_cycles = rc.Workload.Runner.hash_op_cycles;
     skip_op_cycles = rc.Workload.Runner.skip_op_cycles;
     value_words = 1;
-    quantum = rc.Workload.Runner.quantum;
-    deterministic_slice = rc.Workload.Runner.deterministic_slice;
     tracer;
     hardware = rc.Workload.Runner.hardware;
     failure = rc.Workload.Runner.failure;

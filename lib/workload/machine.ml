@@ -84,8 +84,6 @@ type spec = {
   hash_op_cycles : int;
   skip_op_cycles : int;
   value_words : int;
-  quantum : bool;
-  deterministic_slice : int;
   tracer : Obs.Tracer.t option;
   hardware : Tsp_core.Hardware.t;
   failure : Tsp_core.Failure_class.t;
@@ -205,8 +203,7 @@ let create spec =
   let pmem = Nvm.Pmem.create ~journal:spec.journal spec.platform in
   let heap = Heap.create pmem ~base:0 ~size:(log_base spec) in
   let sched =
-    Scheduler.create ~seed:spec.seed ~cost_jitter:spec.cost_jitter
-      ~quantum:spec.quantum ~deterministic_slice:spec.deterministic_slice ()
+    Scheduler.create ~seed:spec.seed ~cost_jitter:spec.cost_jitter ()
   in
   wire_tracer spec pmem sched;
   let atlas =
@@ -430,10 +427,7 @@ let finish_background_gc (m : t) =
 
 let reattach (m : t) ~seed ~first_seq =
   let spec = m.spec in
-  let sched =
-    Scheduler.create ~seed ~cost_jitter:spec.cost_jitter ~quantum:spec.quantum
-      ~deterministic_slice:spec.deterministic_slice ()
-  in
+  let sched = Scheduler.create ~seed ~cost_jitter:spec.cost_jitter () in
   (* The restarted machine gets a fresh scheduler: repoint the tracer's
      thread and clock closures at it so post-recovery events keep
      flowing. *)

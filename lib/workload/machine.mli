@@ -66,8 +66,6 @@ type spec = {
   hash_op_cycles : int;
   skip_op_cycles : int;
   value_words : int;  (** hash-map value width; 1 for every workload but Wide *)
-  quantum : bool;
-  deterministic_slice : int;
   tracer : Obs.Tracer.t option;
       (** must be private to this machine — see the module header *)
   hardware : Tsp_core.Hardware.t;

@@ -12,8 +12,6 @@ type cell = {
   verdict : string;
   heap_audit_ok : bool;
   image_hash : int;
-  host_ms : float;
-  recover_host_ms : float;
 }
 
 (* FNV-1a over every heap word (peeks: free, no cache effects).  Two
@@ -43,8 +41,6 @@ let default_spec ~variant ~seed =
     hash_op_cycles = 30;
     skip_op_cycles = 25;
     value_words = 1;
-    quantum = false;
-    deterministic_slice = Sched.Scheduler.default_slice;
     tracer = None;
     hardware = Tsp_core.Hardware.nvram_machine;
     failure = Tsp_core.Failure_class.Process_crash;
@@ -60,13 +56,11 @@ let run_cell ?(spec = None) ~variant ~objects ~mode ~seed ?(touches = 0) () =
   let tracer = Obs.Tracer.create ~ring_cap:4096 () in
   let base = match spec with Some s -> s | None -> default_spec ~variant ~seed in
   let base = { base with Machine.tracer = Some tracer } in
-  let t0 = Sys.time () in
   let m = Populate.build base ~objects ~seed in
   let pmem = m.Machine.pmem in
   let stats = Nvm.Pmem.stats pmem in
   ignore (Machine.crash_execute m : Tsp_core.Crash_executor.execution);
   let clock0 = stats.Nvm.Stats.clock in
-  let tr0 = Sys.time () in
   let r = Machine.recover ~mode m in
   let outage_cycles = stats.Nvm.Stats.clock - clock0 in
   (* Incremental: the machine is already serving; charge a sample of
@@ -90,8 +84,6 @@ let run_cell ?(spec = None) ~variant ~objects ~mode ~seed ?(touches = 0) () =
   ignore
     (Machine.finish_background_gc m
       : (Heap_gc.stats * Heap_gc.quarantine) option);
-  let recover_host_ms = (Sys.time () -. tr0) *. 1000. in
-  let host_ms = (Sys.time () -. t0) *. 1000. in
   let phases =
     List.init Obs.Event.n_phases (fun p ->
         (Obs.Event.phase_name p, Obs.Tracer.phase_cycles tracer p))
@@ -109,21 +101,11 @@ let run_cell ?(spec = None) ~variant ~objects ~mode ~seed ?(touches = 0) () =
     verdict = Fmt.str "%a" Atlas.Recovery.pp_verdict r.Machine.recovery_verdict;
     heap_audit_ok = r.Machine.heap_audit_ok;
     image_hash = image_hash pmem ~lo:0 ~hi:(Machine.log_base m.Machine.spec);
-    host_ms;
-    recover_host_ms;
   }
 
-(* Structural identity, minus the fields that legitimately vary between
-   two runs of the same measurement: [mode] (jobs-identity compares
-   parallel:1 against parallel:N) and [host_ms] (wall clock). *)
-let cells_match a b =
-  a.variant = b.variant && a.objects = b.objects
-  && a.outage_cycles = b.outage_cycles
-  && a.background_cycles = b.background_cycles
-  && a.on_demand_touches = b.on_demand_touches
-  && a.phases = b.phases && a.gc = b.gc && a.verdict = b.verdict
-  && a.heap_audit_ok = b.heap_audit_ok
-  && a.image_hash = b.image_hash
+(* Structural identity minus [mode]: jobs-identity compares parallel:1
+   against parallel:N. *)
+let cells_match a b = { a with mode = b.mode } = b
 
 let pp_cell ppf c =
   Fmt.pf ppf
@@ -133,10 +115,7 @@ let pp_cell ppf c =
     (Machine.recovery_mode_to_string c.mode)
     c.outage_cycles c.background_cycles c.heap_audit_ok c.verdict
 
-(* One measurement cell as a results-artifact object.  Host wall-clock
-   fields are deliberately excluded: they vary run to run, and the
-   artifact identity contract only admits pure functions of the cell
-   parameters. *)
+(* One measurement cell as a results-artifact object. *)
 let cell_to_json j c =
   let module J = Obs.Json in
   J.obj_open j;

@@ -29,12 +29,6 @@ type cell = {
   heap_audit_ok : bool;
   image_hash : int;
       (** FNV-1a over every heap word after collection completes *)
-  host_ms : float;  (** wall-clock cost of the whole cell (host side) *)
-  recover_host_ms : float;
-      (** wall-clock cost of the recovery pipeline alone — [recover]
-          through the completed collection — the number mode-to-mode
-          host comparisons should use (population dominates [host_ms]
-          and is identical across modes) *)
 }
 
 val image_hash : Nvm.Pmem.t -> lo:int -> hi:int -> int
@@ -58,14 +52,12 @@ val run_cell :
     image digest is taken. *)
 
 val cells_match : cell -> cell -> bool
-(** Structural identity of two cells, ignoring [mode] and [host_ms] —
+(** Structural identity of two cells, ignoring [mode] —
     the jobs-identity check: a parallel cell at any job count must
     [cells_match] the same measurement at jobs = 1. *)
 
 val pp_cell : cell Fmt.t
 
 val cell_to_json : Obs.Json.t -> cell -> unit
-(** Emit one cell as a results-artifact object.  The host wall-clock
-    fields ([host_ms], [recover_host_ms]) are excluded — the artifact
-    identity contract only admits pure functions of the cell
-    parameters. *)
+(** Emit one cell as a results-artifact object: every field is a pure
+    function of the cell parameters. *)

@@ -47,12 +47,6 @@ type config = {
   record_latency : bool;
   instrument : (Scheduler.t -> Tsp_maps.Map_intf.ops -> Tsp_maps.Map_intf.ops) option;
   tracer : Obs.Tracer.t option;
-  quantum : bool;
-      (* let the scheduler grant batched-execution quanta (host-speed
-         only; simulated results are bit-identical either way) *)
-  deterministic_slice : int;
-      (* scheduler inline-step slice; 0 = suspend per step.  Host-speed
-         only, like [quantum] *)
 }
 
 let default_config =
@@ -80,8 +74,6 @@ let default_config =
     record_latency = false;
     instrument = None;
     tracer = None;
-    quantum = true;
-    deterministic_slice = Scheduler.default_slice;
   }
 
 (* Per-platform charges solved so the counter workload reproduces the
@@ -143,7 +135,6 @@ type result = {
   crash : crash_report option;
   entries : (int * int64) list;
   total_steps : int;
-  wall_seconds : float;
   device_stats : Nvm.Stats.t;
   latencies_cycles : int array;
       (* per-operation latency samples, empty unless record_latency *)
@@ -178,8 +169,6 @@ let machine_spec config =
     skip_op_cycles = config.skip_op_cycles;
     value_words =
       (match config.workload with Wide { value_words; _ } -> value_words | _ -> 1);
-    quantum = config.quantum;
-    deterministic_slice = config.deterministic_slice;
     tracer = config.tracer;
     hardware = config.hardware;
     failure = config.failure;
@@ -329,7 +318,6 @@ let crash_report_of pmem ~verdict ~(recovery : Machine.recovery) ~clock_before
   }
 
 let run_full config =
-  let t0 = Sys.time () in
   let spec = machine_spec config in
   let spec =
     if config.populate_objects > 0 then
@@ -433,7 +421,6 @@ let run_full config =
       crash;
       entries;
       total_steps = Scheduler.total_steps sched;
-      wall_seconds = Sys.time () -. t0;
       device_stats = Nvm.Pmem.stats pmem;
       latencies_cycles = Check.Ivec.to_array latency_buf;
     }
@@ -526,7 +513,7 @@ let pp_result ppf r =
   in
   Fmt.pf ppf
     "@[<v>%s / %s on %s: %a@ %d iterations in %a cycles = %.2f M iter/s \
-     (sim); %d steps, %.2fs wall@ %a%a@]"
+     (sim); %d steps@ %a%a@]"
     (variant_to_string r.config.variant)
     (match r.config.workload with
     | Counters _ -> "counters"
@@ -536,7 +523,7 @@ let pp_result ppf r =
     | Transfers _ -> "transfers")
     r.config.platform.Nvm.Config.name pp_outcome r.outcome r.iterations_done
     Nvm.Cost_model.pp_cycles r.elapsed_cycles r.miters_per_sec r.total_steps
-    r.wall_seconds Invariant.pp r.invariants
+    Invariant.pp r.invariants
     (fun ppf -> function
       | None -> ()
       | Some c ->

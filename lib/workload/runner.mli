@@ -104,20 +104,6 @@ type config = {
           simulation state but never mutates it — no RNG draws, no
           cycles, no allocation — so a traced run's simulated cycles
           are byte-identical to an untraced one's. *)
-  quantum : bool;
-      (** (default [true]) let the scheduler grant batched-execution
-          quanta, so bursts of uncontended loads/stores charge the
-          thread clock without re-entering the scheduler.  A host-speed
-          knob only: steps, clocks, interleavings, crash points, traces
-          and histories are bit-identical with it on or off (the
-          [quantum_batching] bench cell and [test_quantum.ml] assert
-          this). *)
-  deterministic_slice : int;
-      (** (default {!Sched.Scheduler.default_slice}) the scheduler's
-          inline-step slice; [0] reproduces the historical
-          suspend-per-step execution (and starves quantum grants, whose
-          budgets never exceed the slice).  Host-speed only, like
-          [quantum]. *)
 }
 
 val default_config : config
@@ -167,7 +153,6 @@ type result = {
   crash : crash_report option;
   entries : (int * int64) list;  (** post-run/post-recovery map dump *)
   total_steps : int;
-  wall_seconds : float;  (** host time the simulation took (informational) *)
   device_stats : Nvm.Stats.t;
       (** operation counters of the simulated device (loads, flushes,
           write-backs, rescued/dropped lines, ...) *)

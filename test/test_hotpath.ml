@@ -1,9 +1,8 @@
 (* The zero-allocation fast path, checked from two directions:
 
    - equivalence: random load/store/flush/drop traces driven through the
-     production SoA cache (both its unboxed [touch] and the retained
-     boxed shim) and through [Reference_cache], the verbatim pre-SoA
-     record implementation.  Every observable — access outcome,
+     production SoA cache and through [Reference_cache], the verbatim
+     pre-SoA record implementation.  Every observable — access outcome,
      write-back sequence, dirty set, residency — must agree at every
      step.
    - allocation: a long store/load/cas loop through the [_int] device
@@ -44,23 +43,14 @@ let code_of_ref = function
   | Reference_cache.Miss { evicted_dirty = false } -> Cache.miss_clean
   | Reference_cache.Miss { evicted_dirty = true } -> Cache.miss_dirty
 
-let code_of_boxed = function
-  | Cache.Hit -> Cache.hit
-  | Cache.Miss { evicted_dirty = false } -> Cache.miss_clean
-  | Cache.Miss { evicted_dirty = true } -> Cache.miss_dirty
-
 let prop_soa_matches_reference =
   qcheck ~count:300 "SoA cache == record-based reference on random traces"
     QCheck2.Gen.(list_size (int_range 1 400) op_gen)
     (fun ops ->
-      let wb_soa = ref [] and wb_box = ref [] and wb_ref = ref [] in
+      let wb_soa = ref [] and wb_ref = ref [] in
       let soa =
         Cache.create ~sets:4 ~ways:2 ~line_size:64 ~write_back:(fun a ->
             wb_soa := a :: !wb_soa)
-      in
-      let box =
-        Cache.create ~sets:4 ~ways:2 ~line_size:64 ~write_back:(fun a ->
-            wb_box := a :: !wb_box)
       in
       let reference =
         Reference_cache.create ~sets:4 ~ways:2 ~line_size:64
@@ -70,31 +60,23 @@ let prop_soa_matches_reference =
         (match op with
         | Touch (addr, dirty) ->
             let c = Cache.touch soa ~addr ~dirty in
-            let b = code_of_boxed (Cache.touch_boxed box ~addr ~dirty) in
             let r = code_of_ref (Reference_cache.touch reference ~addr ~dirty) in
-            if c <> r || b <> r then
-              QCheck2.Test.fail_reportf
-                "touch %d dirty:%b diverged: soa=%d boxed=%d ref=%d" addr dirty
-                c b r
+            if c <> r then
+              QCheck2.Test.fail_reportf "touch %d dirty:%b diverged: soa=%d ref=%d"
+                addr dirty c r
         | Flush addr ->
             let c = Cache.flush_line soa ~addr in
-            let b = Cache.flush_line box ~addr in
             let r = Reference_cache.flush_line reference ~addr in
-            if c <> r || b <> r then
-              QCheck2.Test.fail_reportf "flush %d diverged" addr
+            if c <> r then QCheck2.Test.fail_reportf "flush %d diverged" addr
         | Write_back_all ->
             let c = Cache.write_back_all soa in
-            let b = Cache.write_back_all box in
             let r = Reference_cache.write_back_all reference in
-            if c <> r || b <> r then
-              QCheck2.Test.fail_reportf "write_back_all diverged: %d/%d/%d" c b
-                r
+            if c <> r then
+              QCheck2.Test.fail_reportf "write_back_all diverged: %d/%d" c r
         | Drop_all ->
             let c = Cache.drop_all soa in
-            let b = Cache.drop_all box in
             let r = Reference_cache.drop_all reference in
-            if c <> r || b <> r then
-              QCheck2.Test.fail_reportf "drop_all diverged: %d/%d/%d" c b r);
+            if c <> r then QCheck2.Test.fail_reportf "drop_all diverged: %d/%d" c r);
         (* Invariants after every step. *)
         if Cache.dirty_count soa <> Reference_cache.dirty_count reference then
           QCheck2.Test.fail_reportf "dirty_count diverged";
@@ -107,9 +89,8 @@ let prop_soa_matches_reference =
         then QCheck2.Test.fail_reportf "is_dirty %d diverged" a
       in
       List.iter check_op ops;
-      !wb_soa = !wb_ref && !wb_box = !wb_ref
-      && Cache.dirty_lines soa = Reference_cache.dirty_lines reference
-      && Cache.dirty_lines box = Reference_cache.dirty_lines reference)
+      !wb_soa = !wb_ref
+      && Cache.dirty_lines soa = Reference_cache.dirty_lines reference)
 
 (* --- allocation regression --- *)
 
@@ -141,53 +122,6 @@ let test_zero_alloc_loop () =
     (Printf.sprintf "minor words for %d ops: %.0f (acc %d)" ops words acc)
     true
     (words < 100.)
-
-(* The boxed A/B path exists precisely to allocate like the historical
-   implementation: sanity-check that it still does, so the benchmark's
-   comparison stays meaningful. *)
-let test_boxed_path_allocates () =
-  let p = desktop_pmem ~region_mib:1 () in
-  Pmem.set_boxed_access p true;
-  let ops = 10_000 in
-  let body () =
-    for i = 0 to ops - 1 do
-      let addr = i * 8 land 0xFFF8 in
-      Pmem.store_int p addr i;
-      ignore (Pmem.load_int p addr : int)
-    done
-  in
-  body ();
-  let before = Gc.minor_words () in
-  body ();
-  let after = Gc.minor_words () in
-  Alcotest.(check bool)
-    (Printf.sprintf "boxed path allocates (%.0f words)" (after -. before))
-    true
-    (after -. before > float_of_int ops)
-
-(* Boxed and unboxed paths are observationally identical: same values,
-   same statistics. *)
-let test_boxed_unboxed_same_stats () =
-  let run boxed =
-    let p = small_pmem () in
-    Pmem.set_boxed_access p boxed;
-    for i = 0 to 999 do
-      let addr = i * 64 land 0xFFF8 in
-      Pmem.store_int p addr i;
-      ignore (Pmem.load_int p addr : int);
-      ignore (Pmem.cas_int p addr ~expected:i ~desired:(i + 1) : bool)
-    done;
-    let st = Pmem.stats p in
-    ( st.Nvm.Stats.clock,
-      Nvm.Stats.total_ops st,
-      st.Nvm.Stats.writebacks,
-      Pmem.durable_snapshot p )
-  in
-  let c1, o1, w1, s1 = run false and c2, o2, w2, s2 = run true in
-  Alcotest.(check int) "same clock" c1 c2;
-  Alcotest.(check int) "same ops" o1 o2;
-  Alcotest.(check int) "same writebacks" w1 w2;
-  Alcotest.(check bool) "same durable image" true (String.equal s1 s2)
 
 (* --- Intset --- *)
 
@@ -249,9 +183,6 @@ let suite =
     [
       prop_soa_matches_reference;
       case "device int ops allocate nothing" test_zero_alloc_loop;
-      case "boxed A/B path still allocates" test_boxed_path_allocates;
-      case "boxed and unboxed paths agree on stats and bytes"
-        test_boxed_unboxed_same_stats;
       case "intset: add/mem/clear" test_intset_basics;
       case "intset: growth keeps members and order" test_intset_growth_and_order;
       prop_intset_matches_hashtbl;

@@ -123,11 +123,7 @@ let test_cache_hit_miss () =
     (Cache.touch c ~addr:0 ~dirty:false);
   Alcotest.(check int)
     "same line hits" Cache.hit
-    (Cache.touch c ~addr:8 ~dirty:false);
-  (* The boxed shim decodes the same outcome. *)
-  match Cache.touch_boxed c ~addr:16 ~dirty:false with
-  | Cache.Hit -> ()
-  | Cache.Miss _ -> Alcotest.fail "boxed shim should agree on a hit"
+    (Cache.touch c ~addr:8 ~dirty:false)
 
 let test_cache_dirty_tracking () =
   let c, _ = make_cache () in
@@ -148,11 +144,9 @@ let test_cache_eviction_writes_back () =
     (Cache.touch c ~addr:128 ~dirty:false);
   Alcotest.(check (list int)) "line 0 written back" [ 0 ] !wb;
   Alcotest.(check bool) "line 0 gone" false (Cache.cached c ~addr:0);
-  (* The boxed shim decodes the next eviction (dirty line 64) the same
-     way. *)
-  (match Cache.touch_boxed c ~addr:192 ~dirty:false with
-  | Cache.Miss { evicted_dirty = true } -> ()
-  | _ -> Alcotest.fail "boxed shim: expected dirty eviction");
+  Alcotest.(check int)
+    "next eviction is dirty line 64" Cache.miss_dirty
+    (Cache.touch c ~addr:192 ~dirty:false);
   Alcotest.(check (list int)) "line 64 written back next" [ 64; 0 ] !wb
 
 let test_cache_lru_order () =

@@ -358,9 +358,14 @@ let test_json_writer_roundtrip () =
   J.bool j true;
   J.key j "nil";
   J.null j;
+  J.line_break j;
   J.key j "xs";
   J.arr_open j;
-  List.iter (J.int j) [ 1; 2; 3 ];
+  List.iter
+    (fun x ->
+      J.line_break j;
+      J.int j x)
+    [ 1; 2; 3 ];
   J.arr_close j;
   J.key j "nested";
   J.obj_open j;
@@ -387,6 +392,29 @@ let test_json_writer_roundtrip () =
       (match J.member "rate" doc with
       | Some (J.Num f) -> Alcotest.(check (float 1e-9)) "fixed-point" 1.25 f
       | _ -> Alcotest.fail "float member")
+
+(* The reader is the well-formedness gate behind check_json, so it must
+   hold the RFC 8259 grammar, not whatever [float_of_string] accepts. *)
+let test_json_reader_strict () =
+  let module J = Obs.Json in
+  List.iter
+    (fun doc ->
+      match J.parse doc with
+      | Ok _ -> Alcotest.failf "accepted non-RFC 8259 input %S" doc
+      | Error _ -> ())
+    [
+      "1."; "[01]"; "01"; "-01"; "-"; ".5"; "+1"; "1e"; "1.e3"; "\"a\tb\"";
+      "\"a\nb\""; "\"\\u12g4\""; "\"\\u00\""; "[1,]"; "{\"a\":1,}";
+    ];
+  List.iter
+    (fun doc ->
+      match J.parse doc with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "rejected valid input %S: %s" doc e)
+    [
+      "0"; "-0"; "10"; "-0.5e+3"; "1E-2"; "[0,1]"; "\"a\\tb\\u0041\"";
+      " {\"k\": [true, null]} ";
+    ]
 
 (* --- Hist: bucketed quantiles vs the exact nearest-rank values --- *)
 
@@ -592,6 +620,7 @@ let suite =
       case "metrics/counts" test_metrics_counts;
       case "metrics/zero-commit-per-op" test_metrics_zero_commit;
       case "json/writer-roundtrip-hostile" test_json_writer_roundtrip;
+      case "json/reader-rfc8259-strict" test_json_reader_strict;
       case "hist/quantile-error-bound" test_hist_quantile_error;
       case "hist/no-alloc-add" test_hist_no_alloc;
       case "signature/normalize-idempotent" test_signature_normalize;

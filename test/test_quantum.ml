@@ -1,65 +1,19 @@
-(* Batched-quantum execution (the PR 6 tentpole) must be a pure
-   host-speed optimisation: with quanta granted, bursts of uncontended
-   loads/stores charge the thread clock without re-entering the
-   scheduler, yet every simulated observable — cycles, step counts,
-   interleavings, crash points, durable images, traces, histories —
-   stays bit-identical to the suspend-per-step slow path.  These tests
-   pin that contract from every angle the bench's single A/B cell
-   cannot: all Table 1 variants, exhaustive crash enumeration, the
-   tracer and history observers, and randomised slice/quantum sizes. *)
+(* Batched-quantum execution must be a pure host-speed optimisation:
+   with quanta granted, bursts of uncontended loads/stores charge the
+   thread clock without re-entering the scheduler, yet every simulated
+   observable — cycles, step counts, interleavings, crash points,
+   durable images, traces, mid-burst clock reads — stays bit-identical
+   to the suspend-per-step reference ([~quantum:false
+   ~deterministic_slice:0]).  Quanta are always on above the scheduler,
+   so the reference leg lives here, at the scheduler level; the
+   workload-level witnesses are the pinned sim cycles in
+   bench/baseline.json, first recorded before quanta existed. *)
 
 open Helpers
-module Runner = Workload.Runner
-module Table1 = Workload.Table1
-module FI = Workload.Fault_injector
 module Tracer = Obs.Tracer
-module History = Check.History
 module Mutex = Scheduler.Mutex
 
-(* Everything a run exposes about the simulation (host wall time and
-   latency sample buffers excluded). *)
-let observables (r : Runner.result) =
-  ( r.Runner.elapsed_cycles,
-    r.Runner.total_steps,
-    r.Runner.iterations_done,
-    r.Runner.outcome,
-    r.Runner.entries,
-    r.Runner.device_stats )
-
-let variant_config variant =
-  {
-    (Runner.calibrated_config Nvm.Config.desktop) with
-    Runner.variant;
-    threads = 3;
-    iterations = 120;
-    workload = Runner.Counters { h_keys = 512; preload = true };
-    n_buckets = 512;
-    log_mib = 2;
-  }
-
-(* 1. Full-workload identity across every Table 1 variant: the quantum
-   path runs the map, Atlas and recovery machinery end to end, so any
-   accounting slip (a missed settle, a double charge, a skipped jitter
-   draw) shows up as a cycle or entry diff here. *)
-let test_table1_variants_identical () =
-  List.iter
-    (fun variant ->
-      let name = Runner.variant_to_string variant in
-      let run quantum =
-        Runner.run { (variant_config variant) with Runner.quantum }
-      in
-      let on = run true and off = run false in
-      Alcotest.(check bool) (name ^ ": consistent") true (Runner.consistent on);
-      Alcotest.(check int)
-        (name ^ ": elapsed cycles")
-        off.Runner.elapsed_cycles on.Runner.elapsed_cycles;
-      Alcotest.(check bool)
-        (name ^ ": all observables identical")
-        true
-        (observables on = observables off))
-    Table1.variants
-
-(* 2. Crash fidelity, directly: a crash injected at a fixed step must
+(* 1. Crash fidelity, directly: a crash injected at a fixed step must
    fire at that step and leave the same durable image whether or not
    the crashed burst was running inside a quantum (grant budgets are
    clamped to the crash boundary, so the handler path takes over for
@@ -90,117 +44,39 @@ let test_crash_image_identical () =
     "post-crash durable image identical" true
     (String.equal (crashed ~quantum:true) (crashed ~quantum:false))
 
-(* 3. Crash-point-set equality over an exhaustive enumeration: the
-   campaign visits every stride-th boundary of a window, and each run's
-   full outcome — crash step, recovery verdict, rollback work, per-run
-   device cycles, reproducer — must be identical with and without
-   quanta, and the rendered ledger byte-identical across --jobs. *)
-let test_exhaustive_campaign_identical () =
-  let spec quantum =
-    let base =
-      {
-        (Runner.calibrated_config Nvm.Config.desktop) with
-        Runner.variant = Runner.Mutex_map Atlas.Mode.Log_only;
-        threads = 2;
-        iterations = 150;
-        workload = Runner.Counters { h_keys = 256; preload = true };
-        n_buckets = 512;
-        log_mib = 1;
-        quantum;
-      }
-    in
-    {
-      (FI.default_spec base) with
-      FI.exhaustive = Some { FI.from_step = 10_000; window = 800; stride = 100 };
-    }
-  in
-  let on = FI.run ~jobs:1 (spec true) in
-  let off = FI.run ~jobs:1 (spec false) in
-  Alcotest.(check (list int))
-    "crash-point set identical"
-    (List.map (fun (o : FI.run_outcome) -> o.FI.crash_step) off.FI.outcomes)
-    (List.map (fun (o : FI.run_outcome) -> o.FI.crash_step) on.FI.outcomes);
-  Alcotest.(check bool)
-    "every run outcome identical" true
-    (on.FI.outcomes = off.FI.outcomes);
-  let render s = Fmt.str "%a" FI.pp_summary s in
-  Alcotest.(check bool)
-    "verdict ledger identical" true
-    (String.equal (render on) (render off));
-  Alcotest.(check bool)
-    "ledger byte-identical across --jobs (quanta on)" true
-    (String.equal (render on) (render (FI.run ~jobs:2 (spec true))))
-
-(* 4. The tracer under quanta: emitted events (codes, tids, virtual
-   timestamps, payloads) must match the slow path byte for byte —
-   including the ctx-switch dedup, which must not see phantom switches
-   at quantum boundaries. *)
-let test_tracer_identical () =
-  let run quantum =
-    let tracer = Tracer.create ~ring_cap:65536 () in
-    let r =
-      Runner.run
-        {
-          (variant_config (Runner.Mutex_map Atlas.Mode.Log_only)) with
-          Runner.quantum;
-          tracer = Some tracer;
-        }
-    in
-    Alcotest.(check bool) "consistent" true (Runner.consistent r);
-    let evs = ref [] in
-    Tracer.iter tracer (fun e -> evs := e :: !evs);
-    (Tracer.emitted tracer, Tracer.dropped tracer, List.rev !evs)
-  in
-  let em_on, dr_on, evs_on = run true in
-  let em_off, dr_off, evs_off = run false in
-  Alcotest.(check int) "events emitted" em_off em_on;
-  Alcotest.(check int) "events dropped" dr_off dr_on;
-  Alcotest.(check bool) "event streams identical" true (evs_on = evs_off)
-
-(* 5. The ISSUE-6 bugfix regression: a history record's t0/t1 read the
-   virtual clock mid-burst, and must observe the settled per-op cycle —
-   not the cycle at which the quantum was granted.  Records (op, key,
-   tid, timestamps, results) must be identical across quantum on/off. *)
-let test_history_timestamps_identical () =
-  let run quantum =
-    let recorder = ref None in
-    let instrument sched ops =
-      let h = History.create ~sched ~capacity:4096 () in
-      recorder := Some h;
-      History.wrap h ops
-    in
-    let r =
-      Runner.run
-        {
-          (variant_config (Runner.Mutex_map Atlas.Mode.Log_only)) with
-          Runner.quantum;
-          instrument = Some instrument;
-        }
-    in
-    Alcotest.(check bool) "consistent" true (Runner.consistent r);
-    match !recorder with
-    | Some h -> History.records h
-    | None -> Alcotest.fail "instrument hook never ran"
-  in
-  let on = run true and off = run false in
-  Alcotest.(check int) "ops recorded" (List.length off) (List.length on);
-  Alcotest.(check bool)
-    "records (incl. t0/t1 timestamps) identical" true (on = off)
-
-(* 6. Randomised equivalence: a contended-then-uncontended two-thread
-   workload at an arbitrary slice (which also bounds the quantum size)
-   must match the suspend-per-step reference in every observable. *)
-let mini_observables ~seed ~slice ~quantum =
+(* The scheduler-level harness: a contended-then-uncontended two-thread
+   workload at an arbitrary slice (which also bounds the quantum size).
+   Returns every simulated observable plus the [Scheduler.now] read
+   after each store — mid-burst whenever a quantum is held.  A [tracer]
+   is wired the way [Workload.Machine] wires one: events stamped with
+   the running thread's virtual clock, each sampling the dirty-line
+   count.  The mode is the scheduler's [(quantum, deterministic_slice)]
+   pair. *)
+let mini_observables ?tracer ~seed (quantum, slice) =
   let pmem = desktop_pmem ~region_mib:1 () in
   let sched =
     Scheduler.create ~seed ~cost_jitter:3 ~deterministic_slice:slice ~quantum ()
   in
+  Option.iter
+    (fun tr ->
+      Pmem.set_tracer pmem (Some tr);
+      Scheduler.set_tracer sched (Some tr);
+      Tracer.set_tid tr (fun () -> Scheduler.current_id sched);
+      Tracer.set_clock tr (fun () ->
+          if Scheduler.in_thread sched then Scheduler.now sched
+          else (Pmem.stats pmem).Nvm.Stats.clock))
+    tracer;
   let m = Mutex.create sched in
+  let nows = ref [] in
+  let store addr v =
+    Pmem.store_int pmem addr v;
+    nows := Scheduler.now sched :: !nows
+  in
   let body tid () =
     for i = 0 to 199 do
       Mutex.lock m;
       let addr = (i * 64) land 0xFFFF in
-      Pmem.store_int pmem addr ((tid * 100_000) + i);
+      store addr ((tid * 100_000) + i);
       ignore (Pmem.load_int pmem addr : int);
       if i land 31 = 0 then begin
         Pmem.flush pmem addr;
@@ -211,7 +87,7 @@ let mini_observables ~seed ~slice ~quantum =
     (* Uncontended tail for thread 0: where quanta actually grant. *)
     if tid = 0 then
       for i = 0 to 999 do
-        Pmem.store_int pmem ((i * 8) land 0xFFFF) i
+        store ((i * 8) land 0xFFFF) i
       done
   in
   ignore (Scheduler.spawn sched ~name:"t0" (body 0) : int);
@@ -226,16 +102,52 @@ let mini_observables ~seed ~slice ~quantum =
   ( Pmem.stats pmem,
     Pmem.durable_snapshot pmem,
     Scheduler.elapsed_cycles sched,
-    Scheduler.total_steps sched )
+    Scheduler.total_steps sched,
+    List.rev !nows )
 
+let reference = (false, 0)
+let with_quanta = (true, Scheduler.default_slice)
+
+(* 2. The tracer under quanta: emitted events (codes, tids, virtual
+   timestamps, payloads, dirty samples) must match the reference byte
+   for byte — including the ctx-switch dedup, which must not see
+   phantom switches at quantum boundaries. *)
+let test_tracer_identical () =
+  let events mode =
+    let tr = Tracer.create ~ring_cap:65536 () in
+    ignore (mini_observables ~tracer:tr ~seed:5 mode);
+    let evs = ref [] in
+    Tracer.iter tr (fun e -> evs := e :: !evs);
+    (Tracer.emitted tr, Tracer.dropped tr, List.rev !evs)
+  in
+  let em_on, dr_on, evs_on = events with_quanta in
+  let em_off, dr_off, evs_off = events reference in
+  Alcotest.(check int) "events emitted" em_off em_on;
+  Alcotest.(check int) "events dropped" dr_off dr_on;
+  Alcotest.(check bool) "event streams identical" true (evs_on = evs_off)
+
+(* 3. A clock read mid-burst (what a history record's t0/t1 and every
+   trace timestamp do) must observe the settled per-op cycle, not the
+   cycle at which the quantum was granted. *)
+let test_history_timestamps_identical () =
+  let nows mode =
+    let tr = Tracer.create ~ring_cap:65536 () in
+    let _, _, _, _, nows = mini_observables ~tracer:tr ~seed:11 mode in
+    nows
+  in
+  let on = nows with_quanta and off = nows reference in
+  Alcotest.(check int) "clock reads" (List.length off) (List.length on);
+  Alcotest.(check (list int)) "Scheduler.now after every store" off on
+
+(* 4. Randomised equivalence at arbitrary slice/quantum settings. *)
 let qcheck_quantum_equiv =
   qcheck ~count:25 "random slice/quantum matches the slow path"
     QCheck2.Gen.(triple (int_bound 9_999) (int_bound 64) bool)
     (fun (seed, slice, quantum) ->
-      mini_observables ~seed ~slice ~quantum
-      = mini_observables ~seed ~slice:0 ~quantum:false)
+      mini_observables ~seed (quantum, slice)
+      = mini_observables ~seed reference)
 
-(* 7. The allocation-free Sim_rng rewrite that feeds per-op jitter draws
+(* 5. The allocation-free Sim_rng rewrite that feeds per-op jitter draws
    inside quanta: its two-limb native-int stream must match the boxed
    int64 splitmix64 reference draw by draw, across every public
    operation and both [int] bound regimes (limb-wise modulo below
@@ -298,12 +210,8 @@ let qcheck_rng_reference =
 let suite =
   ( "quantum",
     [
-      case "quantum invisible across all Table 1 variants"
-        test_table1_variants_identical;
       case "crash image identical across quantum on/off"
         test_crash_image_identical;
-      slow_case "exhaustive crash enumeration identical with quanta"
-        test_exhaustive_campaign_identical;
       case "tracer byte-identical under quanta" test_tracer_identical;
       case "history timestamps settle per op inside quanta"
         test_history_timestamps_identical;
