@@ -94,6 +94,9 @@ let validate t =
     [
       ((fun () -> is_power_of_two t.line_size),
        "line_size must be a power of two");
+      ((fun () -> t.line_size <= Memory.page_size),
+       Printf.sprintf "line_size must not exceed the %d-byte memory page"
+         Memory.page_size);
       ((fun () -> t.region_size > 0), "region_size must be positive");
       ((fun () -> t.region_size mod t.line_size = 0),
        "region_size must be a multiple of line_size");

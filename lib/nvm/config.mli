@@ -45,7 +45,9 @@ val validate : t -> (unit, string) result
 (** Check internal consistency (powers of two, divisibility, positivity).
     [line_size] and the set count [cache_lines / cache_ways] must be
     powers of two: the cache model indexes lines and sets with
-    shift/mask instead of division on the per-access hot path. *)
+    shift/mask instead of division on the per-access hot path.
+    [line_size] must also not exceed {!Memory.page_size}, so a line
+    never straddles two pages of the memory images. *)
 
 val n_sets : t -> int
 (** Number of cache sets, [cache_lines / cache_ways]. *)

@@ -1,15 +1,52 @@
-type t = { current : Bytes.t; durable : Bytes.t; size : int }
+(* Each image is an array of fixed-size pages.  A page nobody has
+   written is the one shared [zero_page], so a fresh region costs two
+   pointer arrays instead of two zero-filled region-sized buffers, and a
+   run pays only for the pages it touches.  [zero_page] is never written:
+   every writer obtains its page through [wr], which swaps in a private
+   page first.  Pages are whole even when [size] is not a multiple of
+   [page_size]; the bytes past [size] in the last page are unreachable,
+   because every access is bounds-checked against [size]. *)
+
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+let zero_page = Bytes.make page_size '\000'
+
+type t = { current : Bytes.t array; durable : Bytes.t array; size : int }
 
 let create ~size =
-  { current = Bytes.make size '\000'; durable = Bytes.make size '\000'; size }
+  if size < 0 then Fmt.invalid_arg "Memory.create: negative size %d" size;
+  let pages = (size + page_mask) lsr page_bits in
+  {
+    current = Array.make pages zero_page;
+    durable = Array.make pages zero_page;
+    size;
+  }
 
 let size t = t.size
 
+(* A page is [page_size] bytes = 512 words, above the minor heap's
+   largest block, so materialising one allocates on the major heap and
+   never a minor word. *)
+let[@inline never] materialise pages i =
+  let p = Bytes.make page_size '\000' in
+  Array.unsafe_set pages i p;
+  p
+
+(* The page holding [addr], made private to [pages] if it was still the
+   zero page.  [addr] must already be known to be in bounds. *)
+let[@inline] wr pages addr =
+  let i = addr lsr page_bits in
+  let p = Array.unsafe_get pages i in
+  if p == zero_page then materialise pages i else p
+
 (* Word access validation is a single fused branch on the fast path; the
    cold continuation reconstructs which rule was broken.  Bounds and
-   alignment are established here once per access, after which the raw
-   [unsafe_*] primitives below need no further checks — in particular no
-   second bounds check inside [Bytes.get_int64_le]. *)
+   alignment are established here once per access, after which the page
+   index is in range, the word lies inside its page (pages are a whole
+   number of aligned words), and the raw [unsafe_*] primitives below
+   need no further checks — in particular no second bounds check inside
+   [Bytes.get_int64_le]. *)
 
 let[@inline never] check_fail t addr =
   if addr land 7 <> 0 then
@@ -37,13 +74,21 @@ let[@inline] unsafe_get_int64_le b i =
 let[@inline] unsafe_set_int64_le b i v =
   if Sys.big_endian then unsafe_set_64 b i (swap64 v) else unsafe_set_64 b i v
 
+let[@inline] get pages addr =
+  unsafe_get_int64_le
+    (Array.unsafe_get pages (addr lsr page_bits))
+    (addr land page_mask)
+
+let[@inline] set pages addr v =
+  unsafe_set_int64_le (wr pages addr) (addr land page_mask) v
+
 let load t addr =
   check t addr;
-  unsafe_get_int64_le t.current addr
+  get t.current addr
 
 let store t addr v =
   check t addr;
-  unsafe_set_int64_le t.current addr v
+  set t.current addr v
 
 (* Int-typed word access: [load_int t a = Int64.to_int (load t a)] and
    [store_int t a v] writes the same bytes as [store t a (Int64.of_int v)],
@@ -53,88 +98,72 @@ let store t addr v =
 
 let load_int t addr =
   check t addr;
-  Int64.to_int (unsafe_get_int64_le t.current addr)
+  Int64.to_int (get t.current addr)
 
 let store_int t addr v =
   check t addr;
-  unsafe_set_int64_le t.current addr (Int64.of_int v)
+  set t.current addr (Int64.of_int v)
 
 (* 64-bit compare-and-swap against an int-expressible expected value,
    without boxing.  [actual = Int64.of_int expected] iff the low 63 bits
    match ([Int64.to_int actual = expected]) and bit 63 equals bit 62
-   (i.e. the top two bits are 00 or 11, as sign extension produces). *)
+   (i.e. the top two bits are 00 or 11, as sign extension produces).  A
+   failed CAS writes nothing, so it leaves a zero page shared. *)
 let cas_int t addr ~expected ~desired =
   check t addr;
-  let actual = unsafe_get_int64_le t.current addr in
+  let actual = get t.current addr in
   let top2 = Int64.to_int (Int64.shift_right actual 62) land 3 in
   if Int64.to_int actual = expected && (top2 = 0 || top2 = 3) then begin
-    unsafe_set_int64_le t.current addr (Int64.of_int desired);
+    set t.current addr (Int64.of_int desired);
     true
   end
   else false
 
 let load_durable t addr =
   check t addr;
-  unsafe_get_int64_le t.durable addr
+  get t.durable addr
 
-let write_back t ~line_addr ~len =
-  Bytes.blit t.current line_addr t.durable line_addr len
+(* Copy [len] bytes at [addr] from current to durable.  The range must
+   be in bounds and inside one page: [Config.validate] caps [line_size]
+   at [page_size], so an aligned line never straddles two pages. *)
+let copy_to_durable t addr len =
+  let off = addr land page_mask in
+  if addr < 0 || len < 0 || addr + len > t.size || off + len > page_size then
+    Fmt.invalid_arg "Memory: range %d+%d out of bounds or across a page" addr
+      len;
+  Bytes.blit (Array.unsafe_get t.current (addr lsr page_bits)) off
+    (wr t.durable addr) off len
+
+let write_back t ~line_addr ~len = copy_to_durable t line_addr len
 
 let write_back_word t addr =
   check t addr;
-  Bytes.blit t.current addr t.durable addr 8
+  copy_to_durable t addr 8
 
 let flip_durable_bit t ~addr ~bit =
   check t addr;
   if bit < 0 || bit > 63 then
     Fmt.invalid_arg "Memory.flip_durable_bit: bit %d out of range" bit;
-  let v = Bytes.get_int64_le t.durable addr in
-  Bytes.set_int64_le t.durable addr (Int64.logxor v (Int64.shift_left 1L bit))
+  set t.durable addr (Int64.logxor (get t.durable addr) (Int64.shift_left 1L bit))
 
-let discard_current t = Bytes.blit t.durable 0 t.current 0 t.size
-let promote_all t = Bytes.blit t.current 0 t.durable 0 t.size
+(* A page whose durable copy is the zero page goes back to sharing it;
+   any other page gets the durable bytes, reusing the current page when
+   it is already private. *)
+let discard_current t =
+  Array.iteri
+    (fun i d ->
+      if d == zero_page then t.current.(i) <- zero_page
+      else
+        let c = t.current.(i) in
+        if c == zero_page then t.current.(i) <- Bytes.copy d
+        else Bytes.blit d 0 c 0 page_size)
+    t.durable
 
-let blit_string t addr s =
-  Bytes.blit_string s 0 t.current addr (String.length s);
-  Bytes.blit_string s 0 t.durable addr (String.length s)
-
-let durable_snapshot t = Bytes.to_string t.durable
-
-(* Compare word-at-a-time where alignment allows, byte-at-a-time
-   otherwise; no intermediate substrings are allocated either way. *)
-let diff_lines t ~line_size =
-  let range_differs off stop =
-    if off land 7 = 0 && (stop - off) land 7 = 0 then begin
-      let rec go_words o =
-        o < stop
-        && (not
-              (Int64.equal
-                 (Bytes.get_int64_le t.current o)
-                 (Bytes.get_int64_le t.durable o))
-           || go_words (o + 8))
-      in
-      go_words off
-    end
-    else begin
-      let rec go_bytes o =
-        o < stop
-        && (not
-              (Char.equal (Bytes.unsafe_get t.current o)
-                 (Bytes.unsafe_get t.durable o))
-           || go_bytes (o + 1))
-      in
-      go_bytes off
-    end
-  in
-  let acc = ref [] in
-  (* The trailing partial line, when [size] is not a multiple of
-     [line_size], is compared explicitly over its own (short) range
-     rather than silently skipped. *)
-  let tail = t.size / line_size * line_size in
-  if tail < t.size && range_differs tail t.size then acc := tail :: !acc;
-  let off = ref (tail - line_size) in
-  while !off >= 0 do
-    if range_differs !off (!off + line_size) then acc := !off :: !acc;
-    off := !off - line_size
-  done;
-  !acc
+let durable_snapshot t =
+  let b = Bytes.create t.size in
+  Array.iteri
+    (fun i p ->
+      let off = i lsl page_bits in
+      Bytes.blit p 0 b off (min page_size (t.size - off)))
+    t.durable;
+  Bytes.unsafe_to_string b

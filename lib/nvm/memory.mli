@@ -6,12 +6,25 @@
     updated when a line is written back — by cache eviction, by an explicit
     flush, or by a TSP crash-time rescue.  After a crash, recovery swaps
     the durable image in as the new current image; anything that never
-    reached [durable] is gone. *)
+    reached [durable] is gone.
+
+    Both images are arrays of {!page_size}-byte pages, and every page
+    starts as one shared, never-written zero page.  A page is
+    materialised the first time something writes to it, so a device
+    costs the pages a run touches rather than its whole region.  This is
+    invisible through the interface: reads, bytes and errors are those
+    of two flat zero-filled images. *)
 
 type t
 
+val page_size : int
+(** Bytes per page: 4096, a constant.  {!Config.validate} rejects a
+    [line_size] above it, so an aligned cache line lies inside one page. *)
+
 val create : size:int -> t
-(** Fresh, zero-filled region; [size] in bytes. *)
+(** Fresh, zero-filled region; [size] in bytes.  Costs two arrays of
+    [ceil (size / page_size)] pointers (256 KiB for a 64 MiB region) and
+    no page: nothing is zeroed. *)
 
 val size : t -> int
 
@@ -47,7 +60,8 @@ val load_durable : t -> int -> int64
 
 val write_back : t -> line_addr:int -> len:int -> unit
 (** Copy [len] bytes at [line_addr] from current to durable: the effect of
-    a cache-line write-back. *)
+    a cache-line write-back.  The range must lie inside the region and
+    inside one page; [Invalid_argument] otherwise. *)
 
 val write_back_word : t -> int -> unit
 (** Copy one aligned 8-byte word from current to durable: the unit of a
@@ -61,26 +75,14 @@ val flip_durable_bit : t -> addr:int -> bit:int -> unit
 
 val discard_current : t -> unit
 (** Replace the current image with a copy of the durable image: the effect
-    of a crash in which unsaved data is lost. *)
-
-val promote_all : t -> unit
-(** Copy the entire current image over the durable image: the effect of a
-    perfect TSP rescue (used only by tests; real rescues write back the
-    dirty lines individually so the statistics stay honest). *)
-
-val blit_string : t -> int -> string -> unit
-(** Raw initialisation helper: write [string] bytes into both images at
-    once (used when formatting a fresh heap, which is by definition
-    durable). *)
-
-val diff_lines : t -> line_size:int -> int list
-(** Byte offsets of the lines whose current and durable contents differ,
-    in ascending order; a debugging and verification aid.  Comparison is
-    done in place over the two images — no per-line copies.  When [size]
-    is not a multiple of [line_size] the trailing partial line is
-    compared over its own short range and reported at its line-aligned
-    offset (it is never silently skipped). *)
+    of a crash in which unsaved data is lost.  Walks the page array once
+    and copies only the durable pages that were ever written; a page
+    whose durable copy is still the zero page goes back to sharing it.
+    So it costs O(region / page_size) pointer steps plus O(k) page copies
+    for k written durable pages, and allocates only for durable pages
+    whose current copy was never written. *)
 
 val durable_snapshot : t -> string
 (** A copy of the entire durable image, for bit-exact comparisons in
-    determinism tests. *)
+    determinism tests.  Allocates and fills a [size]-byte string: the one
+    operation here whose cost is still proportional to the region. *)

@@ -38,6 +38,17 @@ let test_with_region_size () =
   let c = Config.with_region_size Config.test_small 4096 in
   Alcotest.(check int) "exact multiple kept" 4096 c.Config.region_size
 
+let test_validate_line_size_page () =
+  (* A line wider than a memory page would straddle two pages. *)
+  let wide = { Config.test_small with Config.line_size = 2 * Memory.page_size } in
+  (match Config.validate wide with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "line_size above the page size accepted");
+  check_raises_invalid "Pmem.create" (fun () -> ignore (Pmem.create wide));
+  let page = { Config.test_small with Config.line_size = Memory.page_size } in
+  Alcotest.(check bool) "one-page line accepted" true
+    (Result.is_ok (Config.validate page))
+
 let test_n_sets () =
   Alcotest.(check int) "test_small sets" 8 (Config.n_sets Config.test_small);
   Alcotest.(check int) "desktop sets" 1024 (Config.n_sets Config.desktop)
@@ -62,7 +73,12 @@ let test_memory_write_back () =
   Memory.store m 72 8L;
   Memory.write_back m ~line_addr:64 ~len:64;
   Alcotest.check int64 "durable after wb" 7L (Memory.load_durable m 64);
-  Alcotest.check int64 "same line too" 8L (Memory.load_durable m 72)
+  Alcotest.check int64 "same line too" 8L (Memory.load_durable m 72);
+  check_raises_invalid "line past the end" (fun () ->
+      Memory.write_back m ~line_addr:1000 ~len:64);
+  let m = Memory.create ~size:(2 * Memory.page_size) in
+  check_raises_invalid "line across a page boundary" (fun () ->
+      Memory.write_back m ~line_addr:(Memory.page_size - 32) ~len:64)
 
 let test_memory_discard () =
   let m = Memory.create ~size:1024 in
@@ -73,39 +89,44 @@ let test_memory_discard () =
   Alcotest.check int64 "written-back survives" 1L (Memory.load m 0);
   Alcotest.check int64 "unwritten lost" 0L (Memory.load m 64)
 
-let test_memory_diff_lines () =
-  let m = Memory.create ~size:256 in
-  Alcotest.(check (list int)) "clean" [] (Memory.diff_lines m ~line_size:64);
-  Memory.store m 0 1L;
-  Memory.store m 128 1L;
-  Alcotest.(check (list int))
-    "two dirty lines" [ 0; 128 ]
-    (Memory.diff_lines m ~line_size:64);
-  Memory.promote_all m;
-  Alcotest.(check (list int)) "promoted" [] (Memory.diff_lines m ~line_size:64)
+(* Bytes allocated by [f ()] on this domain, minor and major heap alike. *)
+let allocated_during f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (Gc.allocated_bytes () -. before, r)
 
-let test_memory_diff_lines_tail () =
-  (* A region that is not a multiple of the line size: the trailing
-     partial line must be compared over its own short range, not
-     skipped.  104 bytes = one full 64-byte line + a 40-byte tail. *)
-  let m = Memory.create ~size:104 in
-  Alcotest.(check (list int)) "clean" [] (Memory.diff_lines m ~line_size:64);
-  Memory.store m 96 1L (* last aligned word, inside the tail line *);
-  Alcotest.(check (list int))
-    "tail line reported" [ 64 ]
-    (Memory.diff_lines m ~line_size:64);
-  Memory.store m 0 2L;
-  Alcotest.(check (list int))
-    "full line and tail line" [ 0; 64 ]
-    (Memory.diff_lines m ~line_size:64);
-  Memory.promote_all m;
-  Alcotest.(check (list int)) "promoted" [] (Memory.diff_lines m ~line_size:64)
+let test_memory_create_footprint () =
+  let bytes, _ = allocated_during (fun () -> Pmem.create Config.desktop) in
+  Alcotest.(check bool)
+    (Printf.sprintf "64 MiB desktop device allocates %.0f bytes < 1 MiB" bytes)
+    true (bytes < 1048576.)
 
-let test_memory_blit_string () =
-  let m = Memory.create ~size:256 in
-  Memory.blit_string m 64 "\x01\x00\x00\x00\x00\x00\x00\x00";
-  Alcotest.check int64 "current" 1L (Memory.load m 64);
-  Alcotest.check int64 "durable too" 1L (Memory.load_durable m 64)
+let test_memory_recover_footprint () =
+  (* k pages written and persisted, then a crash and a recovery: the
+     whole life allocates O(k) pages — one current and one durable copy
+     each — whatever the region size. *)
+  let k = 8 in
+  let addr i = i * 37 * Memory.page_size in
+  let life p =
+    for i = 0 to k - 1 do
+      Pmem.store_int p (addr i) (i + 1)
+    done;
+    Pmem.persist_all p;
+    Pmem.store_int p (addr 0) 99 (* dirty again, dropped below *);
+    Pmem.crash p Pmem.Discard;
+    Pmem.recover p
+  in
+  (* The first run in a process also pays one-off lazy set-up. *)
+  life (Pmem.create Config.desktop);
+  let p = Pmem.create Config.desktop in
+  let bytes, () = allocated_during (fun () -> life p) in
+  let bound = float ((2 * k) + 2) *. float Memory.page_size in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d written pages: %.0f bytes < %.0f" k bytes bound)
+    true (bytes < bound);
+  for i = 0 to k - 1 do
+    Alcotest.(check int) "persisted word recovered" (i + 1) (Pmem.load_int p (addr i))
+  done
 
 (* --- Cache --- *)
 
@@ -560,6 +581,89 @@ let prop_discard_is_per_word_prefix =
                ops)
         ops)
 
+(* The paged images against [Reference_memory], the flat two-[Bytes]
+   model they replaced.  The region spans three whole pages and a tail
+   that is not a whole page (nor a whole line); addresses favour the
+   words on both sides of each page boundary and the last aligned word. *)
+
+type mem_op =
+  | Store of int * int64
+  | Store_int of int * int
+  | Cas of int * bool * int  (* expect the current value, or an arbitrary one *)
+  | Write_back of int
+  | Write_back_word of int
+  | Flip of int * int
+  | Discard
+
+let ref_size = (3 * Memory.page_size) + 520
+
+let mem_op_gen =
+  let open QCheck2.Gen in
+  let ps = Memory.page_size in
+  let edges =
+    [ 0; ps - 8; ps; (2 * ps) - 8; 2 * ps; (3 * ps) - 8; 3 * ps; ref_size - 8 ]
+  in
+  let word =
+    frequency
+      [ (3, map (fun w -> w * 8) (int_range 0 ((ref_size / 8) - 1)));
+        (2, oneofl edges) ]
+  in
+  let line = map (fun a -> min a (ref_size - 64) land lnot 63) word in
+  frequency
+    [ (4, map2 (fun a v -> Store (a, v)) word int64);
+      (4, map2 (fun a v -> Store_int (a, v)) word int);
+      (2, map3 (fun a cur v -> Cas (a, cur, v)) word bool int);
+      (2, map (fun a -> Write_back a) line);
+      (2, map (fun a -> Write_back_word a) word);
+      (1, map2 (fun a b -> Flip (a, b)) word (int_range 0 63));
+      (1, return Discard) ]
+
+let prop_paged_memory_matches_reference =
+  qcheck ~count:200 "paged memory == flat reference on random operations"
+    QCheck2.Gen.(list_size (int_range 1 300) mem_op_gen)
+    (fun ops ->
+      let m = Memory.create ~size:ref_size in
+      let r = Reference_memory.create ~size:ref_size in
+      List.iter
+        (function
+          | Store (a, v) ->
+              Memory.store m a v;
+              Reference_memory.store r a v
+          | Store_int (a, v) ->
+              Memory.store_int m a v;
+              Reference_memory.store_int r a v
+          | Cas (a, cur, v) ->
+              let expected =
+                if cur then Reference_memory.load_int r a else v lxor 1
+              in
+              let got = Memory.cas_int m a ~expected ~desired:v in
+              if got <> Reference_memory.cas_int r a ~expected ~desired:v then
+                QCheck2.Test.fail_reportf "cas_int %d diverged" a
+          | Write_back a ->
+              Memory.write_back m ~line_addr:a ~len:64;
+              Reference_memory.write_back r ~line_addr:a ~len:64
+          | Write_back_word a ->
+              Memory.write_back_word m a;
+              Reference_memory.write_back_word r a
+          | Flip (addr, bit) ->
+              Memory.flip_durable_bit m ~addr ~bit;
+              Reference_memory.flip_durable_bit r ~addr ~bit
+          | Discard ->
+              Memory.discard_current m;
+              Reference_memory.discard_current r)
+        ops;
+      for w = 0 to (ref_size / 8) - 1 do
+        let a = w * 8 in
+        if
+          (not (Int64.equal (Memory.load m a) (Reference_memory.load r a)))
+          || not
+               (Int64.equal (Memory.load_durable m a)
+                  (Reference_memory.load_durable r a))
+        then QCheck2.Test.fail_reportf "word %d diverged" a
+      done;
+      String.equal (Memory.durable_snapshot m)
+        (Reference_memory.durable_snapshot r))
+
 let suite =
   ( "nvm",
     [
@@ -567,14 +671,16 @@ let suite =
       case "config: validate rejects bad geometry" test_validate_rejects;
       case "config: with_region_size rounds up" test_with_region_size;
       case "config: n_sets" test_n_sets;
+      case "config: line_size above the page size rejected"
+        test_validate_line_size_page;
       case "memory: store/load roundtrip" test_memory_roundtrip;
       case "memory: alignment and bounds" test_memory_alignment;
       case "memory: write_back copies a line" test_memory_write_back;
       case "memory: discard_current drops unsaved data" test_memory_discard;
-      case "memory: diff_lines and promote_all" test_memory_diff_lines;
-      case "memory: diff_lines covers a trailing partial line"
-        test_memory_diff_lines_tail;
-      case "memory: blit_string writes both images" test_memory_blit_string;
+      case "memory: a fresh desktop device allocates < 1 MiB"
+        test_memory_create_footprint;
+      case "memory: crash and recover allocate per written page"
+        test_memory_recover_footprint;
       case "cache: hit after miss" test_cache_hit_miss;
       case "cache: dirty bit tracking" test_cache_dirty_tracking;
       case "cache: eviction writes dirty victim back"
@@ -623,4 +729,5 @@ let suite =
       case "cost model conversions" test_cost_model;
       prop_rescue_preserves_everything;
       prop_discard_is_per_word_prefix;
+      prop_paged_memory_matches_reference;
     ] )
