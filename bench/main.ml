@@ -459,24 +459,22 @@ let quantum_batching_cell =
    parallel engine and incrementally.  Incremental mode's outage is the
    availability headline: near-constant while full collections grow
    linearly with the population. *)
-let rs_cell ~objects ~mode =
-  RS.run_cell
-    ~variant:(R.Mutex_map Atlas.Mode.Log_only)
-    ~objects ~mode ~seed:29 ~touches:48 ()
+let rs_cell ?(variant = R.Mutex_map Atlas.Mode.Log_only) ~objects ~mode () =
+  RS.run_cell ~variant ~objects ~mode ~seed:29 ~touches:48 ()
 
 let rs_curve objects =
   lazy
-    ( rs_cell ~objects ~mode:M.Eager,
-      rs_cell ~objects ~mode:(M.Parallel_gc 2),
-      rs_cell ~objects ~mode:M.Incremental_gc )
+    ( rs_cell ~objects ~mode:M.Eager (),
+      rs_cell ~objects ~mode:(M.Parallel_gc 2) (),
+      rs_cell ~objects ~mode:M.Incremental_gc () )
 
 let rs_20k = rs_curve 20_000
 let rs_60k = rs_curve 60_000
 
 let rs_big =
   lazy
-    ( rs_cell ~objects:1_000_000 ~mode:M.Eager,
-      rs_cell ~objects:1_000_000 ~mode:(M.Parallel_gc 2) )
+    ( rs_cell ~objects:1_000_000 ~mode:M.Eager (),
+      rs_cell ~objects:1_000_000 ~mode:(M.Parallel_gc 2) () )
 
 let audited (c : RS.cell) = ("heap audit passes", c.RS.heap_audit_ok)
 
@@ -512,6 +510,15 @@ let recovery_cells k curve =
       (fun e c -> [ same_image e c; shorter e c ]);
   ]
 
+(* The curves above recover hash maps, whose eager DFS order is the
+   bucket table's; these two pin the skip-node and B-tree-node orders. *)
+let eager_20k_cell name variant =
+  let run () =
+    let c = rs_cell ~variant ~objects:20_000 ~mode:M.Eager () in
+    ([ ("sim_cycles", Int c.RS.outage_cycles) ], [ audited c ])
+  in
+  { name; section = Cells; run }
+
 let big_cell name pick checks =
   let run () =
     let ((eager, _) as big) = Lazy.force rs_big in
@@ -525,7 +532,7 @@ let recovery_scaling_cell =
     let eager, par = Lazy.force rs_big in
     let _, par2, _ = Lazy.force rs_20k in
     let _, _, inc60 = Lazy.force rs_60k in
-    let par1 = rs_cell ~objects:20_000 ~mode:(M.Parallel_gc 1) in
+    let par1 = rs_cell ~objects:20_000 ~mode:(M.Parallel_gc 1) () in
     ( [
         ("sim_cycles", Int eager.RS.outage_cycles);
         ("parallel_sim_cycles", Int par.RS.outage_cycles);
@@ -774,6 +781,10 @@ let quick_cells ~jobs =
   @ [ runner_cell ~name:"hot_path_log_only_1thread" hot1_config ]
   @ recovery_cells 20 rs_20k
   @ recovery_cells 60 rs_60k
+  @ [
+      eager_20k_cell "recovery_eager_skiplist_20k" R.Nonblocking_map;
+      eager_20k_cell "recovery_eager_btree_20k" (R.Mutex_btree Atlas.Mode.Log_only);
+    ]
   @ [
       big_cell "recovery_eager_1000k" fst (fun _ _ -> []);
       big_cell "recovery_parallel_1000k" snd (fun e c -> [ same_image e c ]);
