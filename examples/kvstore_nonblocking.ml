@@ -65,7 +65,7 @@ let () =
   Fmt.pr "%d keys present; shared counter reached %Ld@." entries hits;
   (* The recovery GC is optional here — it only reclaims nodes whose
      insertion lost its race or was cut off before linking. *)
-  let gc = Pheap.Heap_gc.collect heap in
+  let gc, _quarantine = Pheap.Heap_gc.collect heap in
   Fmt.pr "optional GC pass: %a@." Pheap.Heap_gc.pp_stats gc;
   Fmt.pr
     "@.Zero runtime overhead, zero recovery code: the non-blocking \

@@ -13,9 +13,9 @@ module Kind = Pheap.Kind
 (* A cons cell: [0] = value (raw), [1] = next (pointer). *)
 let cell_kind =
   Kind.register ~name:"quickstart_cell"
-    ~scan:(fun ~load ~addr ~words:_ ->
-      let next = Int64.to_int (load (addr + 8)) in
-      if next <> 0 then [ next ] else [])
+    ~scan:(fun ~load ~addr ~words:_ ~emit ->
+      let next = load (addr + 8) in
+      if next <> 0 then emit next)
     ()
 
 let cons heap value next =
@@ -59,7 +59,7 @@ let () =
   (* Recover: re-attach, let the recovery GC rebuild allocator state. *)
   Pmem.recover pmem;
   let heap = Heap.attach pmem ~base:0 ~size in
-  let gc = Pheap.Heap_gc.collect heap in
+  let gc, _quarantine = Pheap.Heap_gc.collect heap in
   Fmt.pr "@.after recovery: root list = %a@."
     Fmt.(Dump.list int)
     (to_list heap (Heap.get_root heap));

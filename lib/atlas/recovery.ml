@@ -159,8 +159,9 @@ let run_attached ?(scan = Costed_scan) ~heap ~pmem ~ulog () =
   phase_begin Obs.Event.phase_log_scan;
   (match scan with
   | Costed_scan ->
+      let read = Nvm.Pmem.load pmem in
       for tid = 0 to Undo_log.num_threads ulog - 1 do
-        consume tid (Undo_log.scan_thread_checked ulog ~tid)
+        consume tid (Undo_log.scan_thread ulog ~tid ~read)
       done
   | Streamed_scan fanout ->
       (* Scan all rings with cost-free peeks — in parallel if [fanout]
@@ -173,7 +174,13 @@ let run_attached ?(scan = Costed_scan) ~heap ~pmem ~ulog () =
       let results = Array.make n (Ok ([], 0), 0) in
       let tasks =
         List.init n (fun tid () ->
-            results.(tid) <- Undo_log.scan_thread_streamed ulog ~tid)
+            let words = ref 0 in
+            let read a =
+              incr words;
+              Nvm.Pmem.peek pmem a
+            in
+            let res = Undo_log.scan_thread ulog ~tid ~read in
+            results.(tid) <- (res, !words))
       in
       fanout tasks;
       let words = ref 0 in

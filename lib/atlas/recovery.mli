@@ -39,22 +39,26 @@ type report = {
           non-empty after a non-TSP crash lost log writes *)
   truncated_entries : int;
       (** decodable entries stranded beyond a torn or corrupt slot (see
-          {!Undo_log.scan_thread_checked}); never replayed *)
+          {!Undo_log.scan_thread}); never replayed *)
   verdict : verdict;
 }
 
+(** Both modes run the one ring scan, {!Undo_log.scan_thread}, and
+    differ only in the reader they hand it, so they produce the same
+    report, verdict and heap repairs; only the cycle bill differs. *)
 type scan_mode =
   | Costed_scan
-      (** the default: every log word is read through the costed cache
-          simulation, in tid order — the charge sequence older benchmark
-          snapshots pin *)
+      (** the default: every log word is read with a costed
+          {!Nvm.Pmem.load}, ring by ring in tid order — the per-word
+          charge sequence the eager recovery cycle counts pin *)
   | Streamed_scan of ((unit -> unit) list -> unit)
-      (** scan each thread's ring with cost-free peeks — the supplied
-          runner executes the per-thread scan thunks, sequentially or on
-          a domain pool, and must have completed them all when it
-          returns — then merge in tid order and charge one analytic bill
-          (log words read × cold-miss cost).  The report, verdict and
-          heap repairs are byte-identical for any runner. *)
+      (** each ring is read with a cost-free peek that counts words — the
+          supplied runner executes the per-thread scan thunks,
+          sequentially or on a domain pool, and must have completed them
+          all when it returns — then the rings merge in tid order and
+          one analytic bill is charged (cache lines of log words read ×
+          cold-miss cost).  The result is byte-identical for any
+          runner. *)
 
 val run : ?scan:scan_mode -> heap:Pheap.Heap.t -> log_base:int -> unit -> report
 (** Perform rollback.  The heap's device must not be in the crashed

@@ -145,23 +145,12 @@ let live_entries t ~tid =
   let d = if head >= tail then head - tail else head - tail + t.buf_bytes in
   d / entry_bytes
 
-let scan_thread t ~tid =
-  let tail = Nvm.Pmem.load_int t.pmem (desc_addr t.base tid) in
-  let cap = capacity_entries t in
-  let load a = Nvm.Pmem.load t.pmem a in
-  let rec go at prev_seq n acc =
-    if n >= cap then List.rev acc
-    else
-      match Log_entry.read load ~at with
-      | None -> List.rev acc
-      | Some e when e.Log_entry.seq <= prev_seq -> List.rev acc
-      | Some e -> go (next_slot t at) e.Log_entry.seq (n + 1) (e :: acc)
-  in
-  go tail 0 0 []
-
-let scan_thread_checked t ~tid =
+(* The ring scan behind every recovery mode.  Every word goes through
+   [read]: costed device loads for the eager scan, a counting peek for
+   the streamed one. *)
+let scan_thread t ~tid ~read =
   let bstart = buf_start t tid and bend = buf_end t tid in
-  let tail = Nvm.Pmem.load_int t.pmem (desc_addr t.base tid) in
+  let tail = Int64.to_int (read (desc_addr t.base tid)) in
   if tail < bstart || tail >= bend || (tail - bstart) mod entry_bytes <> 0
   then
     Error
@@ -169,12 +158,11 @@ let scan_thread_checked t ~tid =
          tail bstart bend)
   else begin
     let cap = capacity_entries t in
-    let load a = Nvm.Pmem.load t.pmem a in
     let rec go at prev_seq n acc =
       match
         if n >= cap then None
         else
-          match Log_entry.read load ~at with
+          match Log_entry.read read ~at with
           | Some e when e.Log_entry.seq > prev_seq -> Some e
           | _ -> None
       with
@@ -191,63 +179,16 @@ let scan_thread_checked t ~tid =
        keep their bytes and, when the live window is empty, their seqs
        exceed [last_seq]), not evidence of truncation. *)
     let orphans = ref 0 in
-    if n < cap && not (Int64.equal (load stop_at) 0L) then begin
+    if n < cap && not (Int64.equal (read stop_at) 0L) then begin
       let at = ref (next_slot t stop_at) in
       for _ = 1 to cap - n - 1 do
-        (match Log_entry.read load ~at:!at with
+        (match Log_entry.read read ~at:!at with
         | Some e when e.Log_entry.seq > last_seq -> incr orphans
         | _ -> ());
         at := next_slot t !at
       done
     end;
     Ok (entries, !orphans)
-  end
-
-(* [scan_thread_checked] over cost-free peeks, returning the same result
-   plus the number of log words actually read, so the recovery layer can
-   charge one analytic bill for a streamed scan instead of simulating
-   every access through the cache model.  Peeks have no side effects, so
-   scans of distinct threads' rings can run concurrently and the result
-   is independent of scheduling. *)
-let scan_thread_streamed t ~tid =
-  let words = ref 1 (* the tail descriptor *) in
-  let bstart = buf_start t tid and bend = buf_end t tid in
-  let tail = Nvm.Pmem.peek_int t.pmem (desc_addr t.base tid) in
-  if tail < bstart || tail >= bend || (tail - bstart) mod entry_bytes <> 0
-  then
-    ( Error
-        (Fmt.str "thread %d: corrupt tail descriptor %d (buffer [%d,%d))" tid
-           tail bstart bend),
-      !words )
-  else begin
-    let cap = capacity_entries t in
-    let load a =
-      incr words;
-      Nvm.Pmem.peek t.pmem a
-    in
-    let rec go at prev_seq n acc =
-      match
-        if n >= cap then None
-        else
-          match Log_entry.read load ~at with
-          | Some e when e.Log_entry.seq > prev_seq -> Some e
-          | _ -> None
-      with
-      | Some e -> go (next_slot t at) e.Log_entry.seq (n + 1) (e :: acc)
-      | None -> (List.rev acc, at, prev_seq, n)
-    in
-    let entries, stop_at, last_seq, n = go tail 0 0 [] in
-    let orphans = ref 0 in
-    if n < cap && not (Int64.equal (load stop_at) 0L) then begin
-      let at = ref (next_slot t stop_at) in
-      for _ = 1 to cap - n - 1 do
-        (match Log_entry.read load ~at:!at with
-        | Some e when e.Log_entry.seq > last_seq -> incr orphans
-        | _ -> ());
-        at := next_slot t !at
-      done
-    end;
-    (Ok (entries, !orphans), !words)
   end
 
 let set_watermark t seq =

@@ -83,28 +83,25 @@ val watermark : t -> int
 
 (** {1 Recovery side} *)
 
-val scan_thread : t -> tid:int -> Log_entry.t list
-(** The valid window of [tid]'s ring in append order: from the persistent
-    tail forward while entries decode and sequence numbers strictly
-    increase, stopping at the sentinel. *)
-
-val scan_thread_checked :
-  t -> tid:int -> (Log_entry.t list * int, string) result
-(** {!scan_thread} hardened for adversarial images.  [Error] when the
-    persistent tail descriptor is not a valid slot address in [tid]'s
-    buffer (the whole thread log is unusable).  [Ok (entries, orphans)]
-    otherwise: [entries] is the validated window exactly as
-    {!scan_thread} returns it, and [orphans] counts decodable entries
-    {e beyond} the cut whose sequence numbers continue the window —
-    evidence that the scan was truncated at a torn or corrupted entry
-    rather than stopping at the log's natural head.  Orphaned entries
-    are deliberately not replayed (nothing after a tear can be trusted);
-    recovery reports them as degradation instead. *)
-
-val scan_thread_streamed :
-  t -> tid:int -> (Log_entry.t list * int, string) result * int
-(** {!scan_thread_checked} over cost-free peeks: identical result, plus
-    the number of log words read (tail descriptor, entry decodes and the
-    orphan probe).  The caller charges the streamed-scan bill itself;
-    because peeks have no cache effects, scans of distinct threads' rings
-    may run concurrently with a deterministic outcome. *)
+val scan_thread :
+  t ->
+  tid:int ->
+  read:(int -> int64) ->
+  (Log_entry.t list * int, string) result
+(** Scan [tid]'s ring, reading every word (the tail descriptor, entry
+    decodes and the orphan probe) with [read]: a costed
+    {!Nvm.Pmem.load} for the eager recovery scan, a cost-free peek that
+    counts words for the streamed one — peeks have no cache effects, so
+    scans of distinct threads' rings may then run concurrently with a
+    deterministic outcome.  Hardened for adversarial images.  [Error]
+    when the persistent tail descriptor is not a valid slot address in
+    [tid]'s buffer (the whole thread log is unusable).
+    [Ok (entries, orphans)] otherwise: [entries] is the valid window in
+    append order — from the persistent tail forward while entries
+    decode and sequence numbers strictly increase, stopping at the
+    sentinel — and [orphans] counts decodable entries {e beyond} the
+    cut whose sequence numbers continue the window: evidence that the
+    scan was truncated at a torn or corrupted entry rather than stopping
+    at the log's natural head.  Orphaned entries are deliberately not
+    replayed (nothing after a tear can be trusted); recovery reports
+    them as degradation instead. *)

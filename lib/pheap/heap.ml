@@ -158,30 +158,12 @@ let store_field_int t a i v = Nvm.Pmem.store_int t.pmem (field_addr t a i) v
 let cas_field_int t a i ~expected ~desired =
   Nvm.Pmem.cas_int t.pmem (field_addr t a i) ~expected ~desired
 
-let iter_blocks t f =
-  let stop = t.heap_end in
-  let rec go header_addr =
-    if header_addr < stop then begin
-      let h = Nvm.Pmem.load t.pmem header_addr in
-      if not (Layout.header_valid h) then
-        corrupt "invalid block header at %d: %Lx" header_addr h;
-      let words = Layout.header_words h in
-      let a = header_addr + Layout.word_size in
-      let next = a + (words * Layout.word_size) in
-      if next > stop then
-        corrupt "block at %d overruns heap end (%d past %d)" a next stop;
-      f ~addr:a ~kind:(Layout.header_kind h) ~words;
-      go next
-    end
-  in
-  go (start_addr t)
-
-let fold_blocks_checked t f =
+let fold_blocks_checked t ~read f =
   let stop = t.heap_end in
   let rec go header_addr =
     if header_addr >= stop then Ok ()
     else begin
-      let h = Nvm.Pmem.load t.pmem header_addr in
+      let h = read header_addr in
       if not (Layout.header_valid h) then
         Error
           (header_addr, Fmt.str "invalid block header at %d: %Lx" header_addr h)
@@ -202,3 +184,8 @@ let fold_blocks_checked t f =
     end
   in
   go (start_addr t)
+
+let iter_blocks t f =
+  match fold_blocks_checked t ~read:(Nvm.Pmem.load t.pmem) f with
+  | Ok () -> ()
+  | Error (_, msg) -> raise (Corrupt msg)

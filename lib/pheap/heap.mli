@@ -103,20 +103,23 @@ val is_object_start : t -> addr -> bool
 (** Cost-free check that a valid, non-free object header precedes
     [addr]. *)
 
-val iter_blocks : t -> (addr:addr -> kind:int -> words:int -> unit) -> unit
-(** Walk every block (live and free) in address order, reading headers
-    through the costed load path — recovery work is real work.
-    @raise Corrupt on an invalid header. *)
-
 val fold_blocks_checked :
   t ->
+  read:(int -> int64) ->
   (addr:addr -> kind:int -> words:int -> unit) ->
   (unit, int * string) result
-(** {!iter_blocks} for adversarial images: instead of raising on the
-    first invalid or overrunning header it stops there and returns
-    [Error (header_addr, diagnosis)] — everything before [header_addr]
-    was walked normally, everything from it to the heap end is
-    unparseable and should be quarantined, not reused. *)
+(** Walk every block (live and free) in address order, reading each
+    full 64-bit header word with [read] — a costed {!Nvm.Pmem.load} for
+    the eager collector (recovery work is real work), a counting peek
+    for the streamed ones.  On the first invalid or overrunning header
+    it stops and returns [Error (header_addr, diagnosis)]: everything
+    before [header_addr] was walked normally, everything from it to the
+    heap end is unparseable and should be quarantined, not reused. *)
+
+val iter_blocks : t -> (addr:addr -> kind:int -> words:int -> unit) -> unit
+(** {!fold_blocks_checked} over costed loads, raising instead of
+    returning the diagnosis.
+    @raise Corrupt on an invalid or overrunning header. *)
 
 val set_debug_checks : bool -> unit
 (** Globally enable paranoid field-access validation (header magic and

@@ -1,23 +1,12 @@
-type scan = load:(int -> int64) -> addr:int -> words:int -> int list
-
-type scan_int =
+type scan =
   load:(int -> int) -> addr:int -> words:int -> emit:(int -> unit) -> unit
 
-type entry = { name : string; scan : scan; scan_int : scan_int }
+type entry = { name : string; scan : scan }
 
 let table : (int, entry) Hashtbl.t = Hashtbl.create 16
 let next_id = ref 16 (* user kinds start here; low ids are builtins *)
 
-(* Fallback streamed scanner: run the list scanner through an
-   int-boxing shim and emit the result in load order-agnostic fashion.
-   Allocates (the list, one int64 box per load) and loses bit 63 of
-   non-pointer words, which no registered scanner inspects.  Kinds on
-   the streamed recovery path should register a native [scan_int]. *)
-let derive_scan_int (scan : scan) : scan_int =
- fun ~load ~addr ~words ~emit ->
-  List.iter emit (scan ~load:(fun a -> Int64.of_int (load a)) ~addr ~words)
-
-let register ?kind ~name ~scan ?scan_int () =
+let register ?kind ~name ~scan () =
   let id =
     match kind with
     | Some k -> k
@@ -31,53 +20,28 @@ let register ?kind ~name ~scan ?scan_int () =
   | Some e when not (String.equal e.name name) ->
       Fmt.invalid_arg "Kind.register: id %d already bound to %s" id e.name
   | Some _ ->
-      (* Idempotent re-registration: keep the original scanners so a kind
+      (* Idempotent re-registration: keep the original scanner so a kind
          cannot be silently neutered after objects of it exist. *)
       ()
-  | None ->
-      let scan_int =
-        match scan_int with Some f -> f | None -> derive_scan_int scan
-      in
-      Hashtbl.replace table id { name; scan; scan_int });
+  | None -> Hashtbl.replace table id { name; scan });
   id
 
-let no_pointers : scan = fun ~load:_ ~addr:_ ~words:_ -> []
-
-let no_pointers_int : scan_int = fun ~load:_ ~addr:_ ~words:_ ~emit:_ -> ()
+let no_pointers : scan = fun ~load:_ ~addr:_ ~words:_ ~emit:_ -> ()
 
 let every_word : scan =
- fun ~load ~addr ~words ->
-  let rec go i acc =
-    if i >= words then acc
-    else
-      let v = Int64.to_int (load (addr + (8 * i))) in
-      go (i + 1) (if v <> 0 then v :: acc else acc)
-  in
-  go 0 []
-
-let every_word_int : scan_int =
  fun ~load ~addr ~words ~emit ->
   for i = 0 to words - 1 do
     let v = load (addr + (8 * i)) in
     if v <> 0 then emit v
   done
 
-let raw =
-  register ~kind:1 ~name:"raw" ~scan:no_pointers ~scan_int:no_pointers_int ()
-
-let all_pointers =
-  register ~kind:2 ~name:"all_pointers" ~scan:every_word
-    ~scan_int:every_word_int ()
+let raw = register ~kind:1 ~name:"raw" ~scan:no_pointers ()
+let all_pointers = register ~kind:2 ~name:"all_pointers" ~scan:every_word ()
 
 let scan_object ~kind =
   match Hashtbl.find_opt table kind with
   | Some e -> e.scan
   | None -> Fmt.invalid_arg "Kind.scan_object: unknown kind %d" kind
-
-let scan_object_int ~kind =
-  match Hashtbl.find_opt table kind with
-  | Some e -> e.scan_int
-  | None -> Fmt.invalid_arg "Kind.scan_object_int: unknown kind %d" kind
 
 let name kind =
   match Hashtbl.find_opt table kind with

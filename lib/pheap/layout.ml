@@ -24,17 +24,11 @@ let header_valid h =
   Int64.to_int (Int64.shift_right_logical h 56) land 0xff = header_magic
   && header_words h > 0
 
-(* Unboxed variants over [Int64.to_int] of the header word (bit 63 —
-   the magic byte's top bit — is dropped by the conversion, so the
-   magic check runs on its low 7 bits).  These are what the
-   allocation-free streamed recovery scanners decode with; the boxed
-   forms above remain the canonical ones. *)
+(* Unboxed decoders over [Int64.to_int] of a header word already known
+   to be valid (the conversion drops bit 63, which neither field uses). *)
 
 let header_kind_i h = (h lsr 48) land 0xff
 let header_words_i h = h land 0xffffffff
-
-let header_valid_i h =
-  (h lsr 56) land 0x7f = header_magic land 0x7f && header_words_i h > 0
 
 let obj_header_addr addr = addr - word_size
 let obj_total_bytes ~words = (words + 1) * word_size

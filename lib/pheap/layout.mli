@@ -34,12 +34,9 @@ val header_valid : int64 -> bool
 
 val header_kind_i : int -> int
 val header_words_i : int -> int
-
-val header_valid_i : int -> bool
-(** Unboxed header decode over [Int64.to_int] of the header word.  The
-    conversion drops bit 63 (the magic byte's top bit), so validity is
-    checked on the magic's low 7 bits — indistinguishable in practice,
-    and the graceful walkers tolerate junk either way. *)
+(** Unboxed decode over [Int64.to_int] of a header word.  The conversion
+    drops bit 63 (the magic byte's top bit), so these decode headers
+    already validated with {!header_valid}; they cannot check one. *)
 
 val kind_free : int
 (** Kind of a free block; never registered in {!Kind}. *)

@@ -8,10 +8,7 @@ module Rt = Atlas.Runtime
    that can tear without rollback even when every store is durable. *)
 let node_kind =
   Kind.register ~name:"hash_node"
-    ~scan:(fun ~load ~addr ~words:_ ->
-      let next = Int64.to_int (load (addr + 8)) in
-      if next <> 0 then [ next ] else [])
-    ~scan_int:(fun ~load ~addr ~words:_ ~emit ->
+    ~scan:(fun ~load ~addr ~words:_ ~emit ->
       let next = load (addr + 8) in
       if next <> 0 then emit next)
     ()
@@ -20,8 +17,7 @@ let node_kind =
    [2] = value width in words. *)
 let header_kind =
   Kind.register ~name:"hash_header"
-    ~scan:(fun ~load ~addr ~words:_ -> [ Int64.to_int (load (addr + 8)) ])
-    ~scan_int:(fun ~load ~addr ~words:_ ~emit ->
+    ~scan:(fun ~load ~addr ~words:_ ~emit ->
       let table = load (addr + 8) in
       if table <> 0 then emit table)
     ()

@@ -28,8 +28,7 @@ let k_result = 6 (* last acknowledged stamp *)
 
 let table_kind =
   Kind.register ~name:"delayfree_table"
-    ~scan:(fun ~load:_ ~addr:_ ~words:_ -> [])
-    ~scan_int:(fun ~load:_ ~addr:_ ~words:_ ~emit:_ -> ())
+    ~scan:(fun ~load:_ ~addr:_ ~words:_ ~emit:_ -> ())
     ()
 
 type t = {

@@ -8,16 +8,7 @@ let default_op_cycles = 25
 
 let node_kind =
   Kind.register ~name:"skip_node"
-    ~scan:(fun ~load ~addr ~words ->
-      let level = words - next_base in
-      let rec go lv acc =
-        if lv >= level then acc
-        else
-          let p = Int64.to_int (load (addr + (8 * (next_base + lv)))) land lnot 1 in
-          go (lv + 1) (if p <> 0 then p :: acc else acc)
-      in
-      go 0 [])
-    ~scan_int:(fun ~load ~addr ~words ~emit ->
+    ~scan:(fun ~load ~addr ~words ~emit ->
       let level = words - next_base in
       for lv = 0 to level - 1 do
         let p = load (addr + (8 * (next_base + lv))) land lnot 1 in

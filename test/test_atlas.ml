@@ -92,6 +92,13 @@ let fresh_log ?(threads = 2) () =
 
 let entry seq payload = { Log_entry.seq; tid = 0; payload }
 
+(* Sequence numbers of [tid]'s valid window, scanned with costed loads. *)
+let scanned_seqs pmem log ~tid =
+  match Undo_log.scan_thread log ~tid ~read:(Pmem.load pmem) with
+  | Ok (entries, _) ->
+      List.map (fun (e : Log_entry.t) -> e.Log_entry.seq) entries
+  | Error msg -> Alcotest.fail msg
+
 let test_log_format_attach () =
   let pmem, log, base = fresh_log () in
   Alcotest.(check int) "threads" 2 (Undo_log.num_threads log);
@@ -103,7 +110,7 @@ let test_log_format_attach () =
       ignore (Undo_log.attach pmem ~base:0))
 
 let test_log_append_scan () =
-  let _, log, _ = fresh_log () in
+  let pmem, log, _ = fresh_log () in
   let es =
     [
       entry 1 (Log_entry.Begin { ocs = 1 });
@@ -112,16 +119,14 @@ let test_log_append_scan () =
     ]
   in
   List.iter (fun e -> ignore (Undo_log.append log ~tid:0 e : int)) es;
-  let scanned = Undo_log.scan_thread log ~tid:0 in
   Alcotest.(check (list int)) "seqs in order" [ 1; 2; 3 ]
-    (List.map (fun (e : Log_entry.t) -> e.Log_entry.seq) scanned);
+    (scanned_seqs pmem log ~tid:0);
   Alcotest.(check (list int)) "other thread empty" []
-    (List.map (fun (e : Log_entry.t) -> e.Log_entry.seq)
-       (Undo_log.scan_thread log ~tid:1));
+    (scanned_seqs pmem log ~tid:1);
   Alcotest.(check int) "live entries" 3 (Undo_log.live_entries log ~tid:0)
 
 let test_log_prune_and_wrap () =
-  let _, log, _ = fresh_log () in
+  let pmem, log, _ = fresh_log () in
   let cap = Undo_log.capacity_entries log in
   (* Fill, prune everything, then fill again: the ring must wrap and the
      scan must return only the fresh window. *)
@@ -138,11 +143,10 @@ let test_log_prune_and_wrap () =
       (Undo_log.append log ~tid:0 (entry (cap + i) (Log_entry.Commit { ocs = i }))
         : int)
   done;
-  let scanned = Undo_log.scan_thread log ~tid:0 in
   Alcotest.(check (list int))
     "only fresh entries despite stale valid ones beyond the sentinel"
     [ cap + 1; cap + 2; cap + 3; cap + 4; cap + 5 ]
-    (List.map (fun (e : Log_entry.t) -> e.Log_entry.seq) scanned)
+    (scanned_seqs pmem log ~tid:0)
 
 let test_log_full () =
   let _, log, _ = fresh_log () in
@@ -174,9 +178,8 @@ let test_log_scan_stops_at_torn_entry () =
   (* Tear the second entry by smashing its payload word. *)
   let second = Undo_log.next_slot log a1 in
   Pmem.store pmem (second + 16) 0xFFL;
-  let scanned = Undo_log.scan_thread log ~tid:0 in
   Alcotest.(check (list int)) "scan stops before the torn entry" [ 1 ]
-    (List.map (fun (e : Log_entry.t) -> e.Log_entry.seq) scanned)
+    (scanned_seqs pmem log ~tid:0)
 
 (* --- Runtime + Recovery, end to end --- *)
 

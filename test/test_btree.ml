@@ -232,7 +232,7 @@ let test_crash_mid_split_recovers () =
       let heap' = Heap.attach pmem ~base:0 ~size:log_base in
       ignore heap;
       ignore (Atlas.Recovery.run ~heap:heap' ~log_base () : Atlas.Recovery.report);
-      ignore (Heap_gc.collect heap');
+      ignore (Heap_gc.collect heap' : Heap_gc.stats * Heap_gc.quarantine);
       Alcotest.(check bool) "heap audit" true (Heap_gc.verify heap' = Ok ());
       (match Btree.check_plain heap' ~root:(Heap.get_root heap') with
       | Ok () -> ()

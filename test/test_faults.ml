@@ -325,6 +325,84 @@ let test_campaign_shrinks_violation () =
       in
       Alcotest.(check bool) "minimized repro still violates" true o.FI.violation
 
+(* --- Damaged images under every recovery mode: the eager, parallel and
+   incremental engines share one log-ring scan, one scanner per kind and
+   one sweep planner, so on an image a fault model damaged they must
+   reach the same judgement.  Each leg is a `faults --smoke` crash point
+   (its 400 + 50k and 40000 + 40k grids) at which eager recovery comes
+   back [Degraded]: torn log lines truncate rings (log-only), and bit rot
+   dense enough to land on live data damages the heap (on this grid the
+   reference 8 flips never reach the small heap inside the 64 MiB
+   region, hence 4096).  The non-blocking map has no torn leg: after its
+   persisted preload the counter workload allocates nothing, so torn
+   lines only hit value words and recovery stays [Clean].  Reasons
+   compare as multisets: the eager DFS and the streamed BFS reach
+   unscannable objects in different orders. --- *)
+
+let damaged_legs =
+  let log_only = Runner.Mutex_map Mode.Log_only in
+  let torn = FM.Torn_lines { prob = 0.5 } in
+  let rot = FM.Bit_rot { flips = 4096 } in
+  [
+    (log_only, torn, 99, 500);
+    (log_only, torn, 99, 1_600);
+    (log_only, torn, 99, 40_000);
+    (log_only, rot, 110, 500);
+    (Runner.Nonblocking_map, rot, 107, 500);
+    (Runner.Nonblocking_map, rot, 110, 1_000);
+  ]
+
+let test_recovery_modes_agree_on_damage () =
+  List.iter
+    (fun (variant, fault, seed, crash_step) ->
+      let leg mode =
+        let base = { small_config with Runner.variant; recovery_mode = mode } in
+        let o =
+          FI.one (FI.default_spec base) ~fault:(Some fault) ~seed ~crash_step
+        in
+        (* [one]'s own run, repeated for its recovered entries. *)
+        let r =
+          Runner.run
+            {
+              base with
+              Runner.seed;
+              crash_at_step = Some crash_step;
+              fault_model = Some fault;
+            }
+        in
+        let verdict, reasons =
+          match o.FI.recovery_verdict with
+          | Some Recovery.Clean -> ("clean", [])
+          | Some (Recovery.Degraded rs) -> ("degraded", List.sort compare rs)
+          | Some (Recovery.Unrecoverable m) -> ("unrecoverable", [ m ])
+          | None -> ("none", [])
+        in
+        ( ( o.FI.violation,
+            verdict,
+            o.FI.gc_freed,
+            o.FI.rolled_back,
+            o.FI.cascaded ),
+          reasons,
+          List.sort compare r.Runner.entries )
+      in
+      let name =
+        Fmt.str "%s %s seed %d step %d"
+          (Runner.variant_to_string variant)
+          (FM.to_string fault) seed crash_step
+      in
+      let ((judged, _, _) as eager) = leg Workload.Machine.Eager in
+      let _, verdict, _, _, _ = judged in
+      Alcotest.(check string) (name ^ ": eager degrades") "degraded" verdict;
+      List.iter
+        (fun mode ->
+          Alcotest.(check bool)
+            (Fmt.str "%s: %s = eager" name
+               (Workload.Machine.recovery_mode_to_string mode))
+            true
+            (leg mode = eager))
+        [ Workload.Machine.Parallel_gc 2; Workload.Machine.Incremental_gc ])
+    damaged_legs
+
 let suite =
   ( "faults",
     [
@@ -343,4 +421,6 @@ let suite =
         test_campaign_adversarial_all_graceful;
       slow_case "campaign: shrinker produces a smaller, still-failing repro"
         test_campaign_shrinks_violation;
+      case "recovery modes agree on damaged images"
+        test_recovery_modes_agree_on_damage;
     ] )

@@ -545,7 +545,7 @@ let test_hash_crash_recovery () =
   let heap' = Heap.attach pmem ~base:0 ~size:(size - (512 * 1024)) in
   ignore heap;
   let report = Atlas.Recovery.run ~heap:heap' ~log_base:(size - (512 * 1024)) () in
-  let gc = Heap_gc.collect heap' in
+  let gc, _ = Heap_gc.collect heap' in
   Alcotest.(check bool) "audit passes" true (Heap_gc.verify heap' = Ok ());
   Alcotest.(check bool) "recovery examined sections" true
     (report.Atlas.Recovery.ocses >= 0);
@@ -591,7 +591,7 @@ let test_skip_crash_recovery_and_gc () =
   let root = Heap.get_root heap' in
   Alcotest.(check bool) "consistent with zero recovery code" true
     (Skiplist.check_plain heap' ~root = Ok ());
-  let gc = Heap_gc.collect heap' in
+  let gc, _ = Heap_gc.collect heap' in
   Alcotest.(check bool) "audit passes" true (Heap_gc.verify heap' = Ok ());
   (* Values of present keys are exactly what their writer stored. *)
   Skiplist.fold_plain heap' ~root
@@ -631,7 +631,7 @@ let test_nvt_crash_recovery () =
   let root = Heap.get_root heap' in
   Alcotest.(check bool) "consistent with zero recovery code" true
     (Nvt.check_plain heap' ~root = Ok ());
-  ignore (Heap_gc.collect heap' : Heap_gc.stats);
+  ignore (Heap_gc.collect heap' : Heap_gc.stats * Heap_gc.quarantine);
   Alcotest.(check bool) "audit passes" true (Heap_gc.verify heap' = Ok ());
   Nvt.fold_plain heap' ~root
     (fun k v () ->

@@ -169,7 +169,7 @@ let test_crash_recovery_zero_mechanism () =
   Alcotest.(check bool) "no duplicates after crash" true
     (List.length (List.sort_uniq compare all) = List.length all);
   (* The dequeued dummies the consumer orphaned are reclaimed by GC. *)
-  let gc = Heap_gc.collect heap' in
+  let gc, _ = Heap_gc.collect heap' in
   Alcotest.(check bool) "GC reclaimed dequeued nodes" true
     (gc.Heap_gc.freed_objects >= List.length !consumed - 1);
   (* The queue is usable immediately. *)
