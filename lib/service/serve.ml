@@ -178,23 +178,17 @@ let spec_for (cfg : config) ~shard ~owned ~n_buckets ~tracer =
     (n_buckets * 16) + (Array.length owned * 256) + (1 lsl 20)
     + (cfg.log_mib * 1024 * 1024)
   in
-  {
-    Machine.platform = Nvm.Config.with_region_size cfg.platform region;
-    variant = cfg.variant;
-    threads = 1;
-    seed = cfg.seed + (7919 * (shard + 1));
-    journal = false;
-    n_buckets;
-    log_mib = cfg.log_mib;
-    atlas_costs = rc.Workload.Runner.atlas_costs;
-    cost_jitter = rc.Workload.Runner.cost_jitter;
-    hash_op_cycles = rc.Workload.Runner.hash_op_cycles;
-    skip_op_cycles = rc.Workload.Runner.skip_op_cycles;
-    value_words = 1;
-    tracer;
-    hardware = rc.Workload.Runner.hardware;
-    failure = rc.Workload.Runner.failure;
-  }
+  Workload.Runner.machine_spec
+    {
+      rc with
+      platform = Nvm.Config.with_region_size cfg.platform region;
+      variant = cfg.variant;
+      threads = 1;
+      seed = cfg.seed + (7919 * (shard + 1));
+      n_buckets;
+      log_mib = cfg.log_mib;
+      tracer;
+    }
 
 let serve_one (ops : Map_intf.ops) ~key ~op =
   if op = Arrival.op_read then ignore (ops.Map_intf.get ~tid:0 ~key : int64 option)

@@ -28,23 +28,7 @@ let image_hash pmem ~lo ~hi =
   !h
 
 let default_spec ~variant ~seed =
-  {
-    Machine.platform = Nvm.Config.desktop;
-    variant;
-    threads = 4;
-    seed;
-    journal = false;
-    n_buckets = 16384;
-    log_mib = 8;
-    atlas_costs = Atlas.Runtime.default_costs;
-    cost_jitter = 3;
-    hash_op_cycles = 30;
-    skip_op_cycles = 25;
-    value_words = 1;
-    tracer = None;
-    hardware = Tsp_core.Hardware.nvram_machine;
-    failure = Tsp_core.Failure_class.Process_crash;
-  }
+  Runner.machine_spec { Runner.default_config with variant; threads = 4; seed }
 
 (* One measurement: build a heap of [objects] entries, crash it, recover
    in [mode], and account every phase.  The pre-crash image is a pure

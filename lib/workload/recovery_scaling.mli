@@ -35,6 +35,8 @@ val image_hash : Nvm.Pmem.t -> lo:int -> hi:int -> int
 (** FNV-1a over the words of [\[lo, hi)] via cost-free peeks. *)
 
 val default_spec : variant:Machine.variant -> seed:int -> Machine.spec
+(** {!Runner.default_config}'s machine with [variant], [seed] and four
+    threads: the heap every recovery cell populates. *)
 
 val run_cell :
   ?spec:Machine.spec option ->
