@@ -421,6 +421,18 @@ let table1_cells =
         Workload.Table1.variants)
     [ ("desktop", Nvm.Config.desktop); ("server", Nvm.Config.server) ]
 
+(* The Table 1 cells run with cost jitter 3, where two threads rarely
+   share a clock.  With jitter off, eight threads on identical costs tie
+   constantly, and every tie the scheduler breaks is an RNG draw that
+   any shortcut past its pick must reproduce. *)
+let contended_nojitter_cell =
+  runner_cell ~name:"contended_nonblocking_8t_nojitter"
+    {
+      (quick_table1_config Nvm.Config.desktop R.Nonblocking_map) with
+      R.cost_jitter = 0;
+      iterations = 300;
+    }
+
 let raw_ops = 2_000_000
 
 let raw_cell =
@@ -778,7 +790,10 @@ let frontier_cells ~jobs =
 let quick_cells ~jobs =
   let frontier_rows, fence_frontier = frontier_cells ~jobs in
   table1_cells
-  @ [ runner_cell ~name:"hot_path_log_only_1thread" hot1_config ]
+  @ [
+      contended_nojitter_cell;
+      runner_cell ~name:"hot_path_log_only_1thread" hot1_config;
+    ]
   @ recovery_cells 20 rs_20k
   @ recovery_cells 60 rs_60k
   @ [
