@@ -84,9 +84,10 @@ let step t cost =
   | Some f -> f ~cost
   | None -> t.stats.Stats.clock <- t.stats.Stats.clock + cost
 
-(* Fused charge for plain (uncontended) accesses: consume the scheduler
-   quantum when one is held — a branch and a clock add, no closure call,
-   no effect — and fall back to the full [step] road otherwise.  Only
+(* Fused charge for plain accesses: consume the scheduler quantum when
+   one is held and the charge stays short of the horizon — a branch, a
+   comparison and a clock add, no closure call, no effect — and fall
+   back to the full [step] road otherwise.  Only
    loads and stores come through here; CAS, flush, fence and compute
    charges are synchronisation points and always take [step], which
    settles any outstanding quantum first. *)

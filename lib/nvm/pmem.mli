@@ -50,8 +50,9 @@ val clear_step_hook : t -> unit
 
 val set_quantum : t -> Sched.Scheduler.quantum -> unit
 (** Install the scheduler's batched-execution handle: plain loads and
-    stores first try {!Sched.Scheduler.quantum_try_charge} and only fall
-    back to the step hook when no quantum is held.  CAS, flush, fence
+    stores first try {!Sched.Scheduler.quantum_try_charge} and fall back
+    to the step hook when no quantum is held or the quantum refuses the
+    charge at the horizon.  CAS, flush, fence
     and {!charge} always go through the hook (they are synchronisation
     points).  Wired alongside {!set_step_hook}; until then the device
     holds {!Sched.Scheduler.null_quantum}, which never grants. *)
