@@ -1,277 +1,13 @@
-(* Benchmark harness.
-
-   Part 1 regenerates the paper's evaluation: Table 1 (its only numeric
-   artifact) in full, followed by the sweep series that make the prose
-   claims measurable (E4/E7/E8 of DESIGN.md).  Throughput is simulated
-   time — the reproduction target.
-
-   Part 2 is a Bechamel microbenchmark suite: one Test.make per Table 1
-   cell (host wall-time of simulating that cell, i.e. simulator speed)
-   plus the primitive operations of the stack.  These measure the
-   implementation, not the paper.
-
-   Part 3 (--quick) is the simulation gate that dune runtest diffs
-   against bench/baseline.json. *)
-
-open Bechamel
-open Toolkit
-
-(* --- Part 1: the paper's numbers --- *)
-
-let reproduce_table1 ?jobs () =
-  Fmt.pr "==================================================================@.";
-  Fmt.pr "Part 1a: Table 1 reproduction (simulated time)@.";
-  Fmt.pr "==================================================================@.@.";
-  let rows = Workload.Table1.run ~iterations:2500 ~repeats:3 ?jobs () in
-  Workload.Table1.render rows Format.std_formatter;
-  (match rows with
-  | desktop :: _ -> Workload.Table1.render_breakdown desktop Format.std_formatter
-  | [] -> ());
-  Fmt.pr "@."
-
-let reproduce_sweeps ?jobs () =
-  Fmt.pr "==================================================================@.";
-  Fmt.pr "Part 1b: sweep series (E4, E7, E8, E11, E12, cache ablation)@.";
-  Fmt.pr "==================================================================@.@.";
-  let render t = Workload.Sweeps.render t Format.std_formatter; Fmt.pr "@." in
-  render (Workload.Sweeps.flush_latency ~iterations:600 ?jobs ());
-  render (Workload.Sweeps.thread_scaling ~iterations:600 ?jobs ());
-  render (Workload.Sweeps.log_cost_ablation ~iterations:600 ?jobs ());
-  render (Workload.Sweeps.cache_ablation ~iterations:600 ?jobs ());
-  render (Workload.Sweeps.read_ratio ~iterations:600 ?jobs ());
-  Fmt.pr "%a@.@." Workload.Sweeps.pp_ledger
-    (Workload.Sweeps.procrastination_ledger ~iterations:600
-       ~crash_step:60_000 ?jobs ());
-  Workload.Sweeps.render_ycsb
-    (Workload.Sweeps.ycsb_table ~iterations:600 ?jobs Workload.Ycsb.A)
-    Format.std_formatter;
-  Fmt.pr "@.";
-  Workload.Sweeps.render_ycsb
-    (Workload.Sweeps.ycsb_table ~iterations:600 ?jobs Workload.Ycsb.B)
-    Format.std_formatter;
-  Fmt.pr "@."
-
-let reproduce_fault_summary ?jobs () =
-  Fmt.pr "==================================================================@.";
-  Fmt.pr "Part 1c: fault-injection spot check (E3/E9)@.";
-  Fmt.pr "==================================================================@.@.";
-  let base =
-    {
-      (Workload.Runner.calibrated_config Nvm.Config.desktop) with
-      Workload.Runner.iterations = 400;
-      workload = Workload.Runner.Counters { h_keys = 4096; preload = true };
-    }
-  in
-  let campaign name cfg =
-    let spec =
-      {
-        (Workload.Fault_injector.default_spec cfg) with
-        Workload.Fault_injector.runs = 12;
-        max_step = 60_000;
-      }
-    in
-    let s = Workload.Fault_injector.run ?jobs spec in
-    Fmt.pr "%-46s %d/%d consistent@." name s.Workload.Fault_injector.consistent_recoveries
-      s.Workload.Fault_injector.crashes
-  in
-  campaign "mutex+log-only, process crash (TSP):"
-    { base with Workload.Runner.variant = Workload.Runner.Mutex_map Atlas.Mode.Log_only };
-  campaign "non-blocking, process crash (TSP):"
-    { base with Workload.Runner.variant = Workload.Runner.Nonblocking_map };
-  campaign "B+-tree + log-only, process crash (TSP):"
-    { base with Workload.Runner.variant = Workload.Runner.Mutex_btree Atlas.Mode.Log_only };
-  campaign "log-only, power outage, no TSP (control):"
-    {
-      base with
-      Workload.Runner.variant = Workload.Runner.Mutex_map Atlas.Mode.Log_only;
-      hardware = Tsp_core.Hardware.conventional_server;
-      failure = Tsp_core.Failure_class.Power_outage;
-    };
-  Fmt.pr "@.";
-  (* E16: the adversarial spectrum, on a cache small enough to evict
-     (on the stock cache nothing is dirty-evicted and discard-class
-     faults revert to a clean snapshot). *)
-  Fmt.pr "adversarial spectrum (E16), mutex+log-only, 32 KiB cache:@.";
-  let adv_base =
-    {
-      (Workload.Runner.calibrated_config
-         { Nvm.Config.desktop with Nvm.Config.cache_lines = 512 })
-      with
-      Workload.Runner.variant = Workload.Runner.Mutex_map Atlas.Mode.Log_only;
-      workload = Workload.Runner.Counters { h_keys = 256; preload = true };
-      threads = 4;
-      iterations = 200;
-      n_buckets = 512;
-      log_mib = 1;
-    }
-  in
-  let spec =
-    {
-      (Workload.Fault_injector.default_spec adv_base) with
-      Workload.Fault_injector.fault_models =
-        List.map Option.some Nvm.Fault_model.reference;
-      exhaustive =
-        Some
-          { Workload.Fault_injector.from_step = 40_000; window = 200; stride = 40 };
-    }
-  in
-  let s = Workload.Fault_injector.run ?jobs spec in
-  List.iter
-    (fun (t : Workload.Fault_injector.model_tally) ->
-      Fmt.pr "  %-22s %d/%d consistent, verdicts %d/%d/%d, %d violations (%d unexpected)@."
-        (Workload.Fault_injector.model_label t.Workload.Fault_injector.model)
-        t.Workload.Fault_injector.m_consistent t.Workload.Fault_injector.m_runs
-        t.Workload.Fault_injector.m_clean t.Workload.Fault_injector.m_degraded
-        t.Workload.Fault_injector.m_unrecoverable
-        t.Workload.Fault_injector.m_violations
-        t.Workload.Fault_injector.m_unexpected)
-    s.Workload.Fault_injector.per_model;
-  Fmt.pr "@."
-
-(* --- Part 2: Bechamel microbenchmarks --- *)
-
-(* Primitive device operations. *)
-let bench_pmem_ops () =
-  let cfg = Nvm.Config.with_region_size Nvm.Config.desktop (1024 * 1024) in
-  let pmem = Nvm.Pmem.create cfg in
-  let i = ref 0 in
-  let test name f = Test.make ~name (Staged.stage f) in
-  [
-    test "pmem/store" (fun () ->
-        incr i;
-        Nvm.Pmem.store pmem (!i * 8 land 0xFFF8) 1L);
-    test "pmem/load" (fun () ->
-        incr i;
-        ignore (Nvm.Pmem.load pmem (!i * 8 land 0xFFF8)));
-    test "pmem/flush+fence" (fun () ->
-        Nvm.Pmem.store pmem 0 2L;
-        Nvm.Pmem.flush pmem 0;
-        Nvm.Pmem.fence pmem);
-    test "pmem/cas" (fun () ->
-        ignore (Nvm.Pmem.cas pmem 64 ~expected:0L ~desired:0L));
-  ]
-
-let bench_heap_ops () =
-  let pmem =
-    Nvm.Pmem.create (Nvm.Config.with_region_size Nvm.Config.desktop (8 * 1024 * 1024))
-  in
-  let heap = Pheap.Heap.create pmem ~base:0 ~size:(8 * 1024 * 1024) in
-  [
-    Test.make ~name:"heap/alloc+free"
-      (Staged.stage (fun () ->
-           let a = Pheap.Heap.alloc heap ~kind:Pheap.Kind.raw ~words:4 in
-           Pheap.Heap.free heap a));
-  ]
-
-let bench_skiplist_ops () =
-  let pmem =
-    Nvm.Pmem.create (Nvm.Config.with_region_size Nvm.Config.desktop (16 * 1024 * 1024))
-  in
-  let heap = Pheap.Heap.create pmem ~base:0 ~size:(16 * 1024 * 1024) in
-  let sl = Tsp_maps.Lockfree_skiplist.create heap ~num_threads:1 ~seed:1 () in
-  for k = 0 to 9999 do
-    Tsp_maps.Lockfree_skiplist.set_plain sl ~key:(k * 2) ~value:1L
-  done;
-  let ops = Tsp_maps.Lockfree_skiplist.ops sl in
-  let i = ref 0 in
-  [
-    Test.make ~name:"skiplist/get(10k)"
-      (Staged.stage (fun () ->
-           incr i;
-           ignore (ops.Tsp_maps.Map_intf.get ~tid:0 ~key:(!i * 7 mod 20000))));
-    Test.make ~name:"skiplist/set(10k)"
-      (Staged.stage (fun () ->
-           incr i;
-           ops.Tsp_maps.Map_intf.set ~tid:0 ~key:(!i * 2 mod 20000) ~value:2L));
-  ]
-
-let bench_undo_log () =
-  let pmem =
-    Nvm.Pmem.create (Nvm.Config.with_region_size Nvm.Config.desktop (1024 * 1024))
-  in
-  let log = Atlas.Undo_log.format pmem ~base:0 ~size:(512 * 1024) ~num_threads:1 in
-  let seq = ref 0 in
-  [
-    Test.make ~name:"undo-log/append+prune"
-      (Staged.stage (fun () ->
-           incr seq;
-           let at =
-             Atlas.Undo_log.append log ~tid:0
-               {
-                 Atlas.Log_entry.seq = !seq;
-                 tid = 0;
-                 payload = Atlas.Log_entry.Update { addr = 64; old = 0L };
-               }
-           in
-           Atlas.Undo_log.advance_tail log ~tid:0
-             ~new_tail:(Atlas.Undo_log.next_slot log at)
-             ~flush:false));
-  ]
-
-(* One Test.make per Table 1 cell: host time to simulate that cell with
-   a reduced iteration count.  Name format "<platform>/<variant>". *)
-let bench_table1_cells () =
-  let cell platform variant =
-    let config =
-      {
-        (Workload.Runner.calibrated_config platform) with
-        Workload.Runner.variant;
-        iterations = 40;
-        workload = Workload.Runner.Counters { h_keys = 2048; preload = true };
-        n_buckets = 1024;
-        log_mib = 2;
-      }
-    in
-    let name =
-      Printf.sprintf "table1/%s/%s"
-        (if platform.Nvm.Config.name = Nvm.Config.desktop.Nvm.Config.name
-         then "desktop"
-         else "server")
-        (Workload.Runner.variant_to_string variant)
-    in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let r = Workload.Runner.run config in
-           assert (Workload.Runner.consistent r)))
-  in
-  List.concat_map
-    (fun platform -> List.map (cell platform) Workload.Table1.variants)
-    [ Nvm.Config.desktop; Nvm.Config.server ]
-
-let run_bechamel tests =
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"tsp" tests) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ est ] -> Printf.sprintf "%.1f" est
-        | _ -> "-"
-      in
-      rows := [ name; ns ] :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  Workload.Report.table ~header:[ "benchmark"; "ns/run (host)" ] ~rows
-    Format.std_formatter
-
-(* --- Part 3: the quick simulation gate (--quick) ---
-
-   A table of cells.  Each has a name, the section of the snapshot it
+(* The quick simulation gate: a table of cells.  Each has a name, the section of the snapshot it
    sits in ("cells" or "ab", the grouping BENCH_1..9 used), and a run
    that returns the cell's fields and its checks.  Every field is a pure
    function of the cell's parameters — simulated cycles, step counts,
    psync rates, hit rates, verdict counts — so the snapshot is
    byte-identical across runs, hosts and --jobs, and runtest diffs it
    against the committed bench/baseline.json.  Host time belongs to
-   benchmark/, which samples it repeatedly and reports the spread.
+   benchmark/, which samples it repeatedly and reports the spread; the
+   paper's tables come from the tsp subcommands (table1, sweeps, ycsb,
+   faults).
 
    A check that fails, or a run that cannot produce its fields, fails
    the bench.  The checks are the identities the snapshot cannot show
@@ -870,21 +606,19 @@ let run_quick ~jobs ~out =
 
 let usage () =
   prerr_endline
-    "usage: bench [--quick] [--jobs N|auto] [--out FILE]\n\
-     \  (no flags)      full run: paper reproduction + Bechamel microbenchmarks\n\
-     \  --quick         the simulation gate: runs every quick cell and its\n\
-     \                  checks, writes the deterministic JSON snapshot\n\
+    "usage: bench [--jobs N|auto] [--out FILE]\n\
+     \  runs every quick cell and its checks, writes the deterministic\n\
+     \  JSON snapshot\n\
      \  --jobs N|auto   fan independent cells across N domains; auto (the\n\
      \                  default) clamps to the host's cores and runs\n\
      \                  sequentially when that is 1\n\
-     \  --out FILE      where --quick writes its JSON (default bench_quick.json)";
+     \  --out FILE      where to write the JSON (default bench_quick.json)";
   exit 2
 
 let () =
-  let quick = ref false and jobs = ref None and out = ref "bench_quick.json" in
+  let jobs = ref None and out = ref "bench_quick.json" in
   let rec parse = function
     | [] -> ()
-    | "--quick" :: rest -> quick := true; parse rest
     | "--jobs" :: "auto" :: rest -> jobs := None; parse rest
     | "--jobs" :: n :: rest -> begin
         match int_of_string_opt n with
@@ -895,15 +629,4 @@ let () =
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !quick then run_quick ~jobs:!jobs ~out:!out
-  else begin
-    reproduce_table1 ?jobs:!jobs ();
-    reproduce_sweeps ?jobs:!jobs ();
-    reproduce_fault_summary ?jobs:!jobs ();
-    Fmt.pr "==================================================================@.";
-    Fmt.pr "Part 2: Bechamel microbenchmarks (host wall time of the simulator)@.";
-    Fmt.pr "==================================================================@.@.";
-    run_bechamel
-      (bench_pmem_ops () @ bench_heap_ops () @ bench_skiplist_ops ()
-     @ bench_undo_log () @ bench_table1_cells ())
-  end
+  run_quick ~jobs:!jobs ~out:!out

@@ -33,7 +33,9 @@ let git_describe =
 let hostname = lazy (try Unix.gethostname () with _ -> "unknown")
 
 (* Run-only flags that must not survive into the stored replay argv:
-   they change where/how the campaign runs, never what it computes. *)
+   they change where/how the campaign runs, never what it computes.
+   Each goes in every spelling: "--flag v", "--flag=v" and, for the
+   short "-j", the attached "-jN". *)
 let run_only_flags = [ "--jobs"; "-j"; "--artifact-dir"; "--replay" ]
 
 let replay_args argv =
@@ -43,6 +45,7 @@ let replay_args argv =
       (fun f -> String.length a > String.length f
                 && String.sub a 0 (String.length f + 1) = f ^ "=")
       run_only_flags
+    || (String.length a > 2 && String.sub a 0 2 = "-j")
   in
   let rec go = function
     | [] -> []

@@ -1,5 +1,6 @@
 module Heap = Pheap.Heap
 module Kind = Pheap.Kind
+module Pmem = Nvm.Pmem
 module Rng = Sched.Sim_rng
 
 let default_max_level = 16
@@ -24,8 +25,10 @@ type t = {
   op_cycles : int;
       (* charged per operation: level generation, call overhead and the
          per-access CPU work a flat word-level simulation underestimates *)
+  nvtraverse : bool;  (* persist the critical update window *)
 }
 
+let pmem t = Heap.pmem t.heap
 let root t = t.head
 let max_level t = t.max_level
 
@@ -49,15 +52,45 @@ let alloc_node t ~key ~value ~level =
   Heap.store_field_int t.heap node 2 level;
   node
 
+(* NVTraverse boundary persistence: traversals run entirely unflushed;
+   only on exiting to the critical update window do we flush the O(1)
+   words that carry durable state — the updated value word, or the
+   bottom-level link being published/marked — then issue one fence.
+   Upper-level links are a volatile index (rebuilt by any traversal)
+   and are never flushed, which is what drops per-op flushes from
+   O(path length) to O(1).  Every call site tests [t.nvtraverse]. *)
+let fence t = Pmem.fence (pmem t)
+
+let persist_field t node i =
+  Pmem.flush (pmem t) (Heap.field_addr t.heap node i);
+  fence t
+
+(* Flush the first and the last line of a node's fields.  That covers
+   a node of up to nine fields, which sits on one line or two, but not
+   every node: one of ten or more fields can span three lines (four at
+   the top levels) and its middle lines stay unflushed, and when the
+   key starts a line the header at [node - 8] is on the line before,
+   outside the span.  Sizing the span loads the header, so an insert
+   pays one costed load the plain discipline does not. *)
+let flush_span t node =
+  let p = pmem t in
+  let line = (Pmem.config p).Nvm.Config.line_size in
+  let first = Heap.field_addr t.heap node 0 in
+  let last = Heap.field_addr t.heap node (Heap.words_of t.heap node - 1) in
+  Pmem.flush p first;
+  if last / line <> first / line then Pmem.flush p last
+
 let make_rngs ~num_threads ~seed =
   let master = Rng.create ~seed in
   Array.init num_threads (fun _ -> Rng.split master)
 
 let create heap ?(max_level = default_max_level) ?(op_cycles = default_op_cycles)
-    ~num_threads ~seed () =
+    ?(nvtraverse = false) ~num_threads ~seed () =
   if max_level < 1 || max_level > 32 then
     invalid_arg "Lockfree_skiplist.create: max_level out of range";
-  let t = { heap; head = Heap.null; max_level; rngs = [||]; op_cycles } in
+  let t =
+    { heap; head = Heap.null; max_level; rngs = [||]; op_cycles; nvtraverse }
+  in
   let tail = alloc_node t ~key:max_int ~value:0L ~level:max_level in
   for lv = 0 to max_level - 1 do
     Heap.store_field_int heap tail (next_base + lv) Heap.null
@@ -67,16 +100,25 @@ let create heap ?(max_level = default_max_level) ?(op_cycles = default_op_cycles
     Heap.store_field_int heap head (next_base + lv) tail
   done;
   Heap.set_root heap head;
-  { heap; head; max_level; rngs = make_rngs ~num_threads ~seed; op_cycles }
+  let t = { t with head; rngs = make_rngs ~num_threads ~seed } in
+  if nvtraverse then begin
+    (* The empty structure is durable before any operation runs. *)
+    flush_span t tail;
+    flush_span t head;
+    fence t
+  end;
+  t
 
-let attach heap ?(op_cycles = default_op_cycles) ~num_threads ~seed head =
+let attach heap ?(op_cycles = default_op_cycles) ?(nvtraverse = false)
+    ~num_threads ~seed head =
   if not (Heap.is_object_start heap head)
      || Heap.kind_of heap head <> node_kind
   then invalid_arg "Lockfree_skiplist.attach: root is not a skip-list node";
   if Heap.load_field_int heap head 0 <> min_int then
     invalid_arg "Lockfree_skiplist.attach: root is not the head sentinel";
   let max_level = Heap.words_of heap head - next_base in
-  { heap; head; max_level; rngs = make_rngs ~num_threads ~seed; op_cycles }
+  let rngs = make_rngs ~num_threads ~seed in
+  { heap; head; max_level; rngs; op_cycles; nvtraverse }
 
 let random_level t tid =
   let rng = t.rngs.(tid) in
@@ -150,8 +192,17 @@ let rec upsert t tid key ~value ~on_found =
     for lv = 0 to level - 1 do
       Heap.store_field_int t.heap node (next_base + lv) succs.(lv)
     done;
-    if cas_next t preds.(0) 0 ~expected:succs.(0) ~desired:node then
+    (* NVTraverse's critical update window: persist the initialised
+       node before it becomes reachable, publish it with one CAS, then
+       persist the bottom-level link that made it reachable. *)
+    if t.nvtraverse then begin
+      flush_span t node;
+      fence t
+    end;
+    if cas_next t preds.(0) 0 ~expected:succs.(0) ~desired:node then begin
+      if t.nvtraverse then persist_field t preds.(0) next_base;
       link_upper t node level key 1
+    end
     else begin
       (* Lost the race; the node was never published, so reclaim it
          immediately rather than waiting for the recovery GC. *)
@@ -165,13 +216,18 @@ let set t ~tid ~key ~value =
   upsert t tid key ~value ~on_found:(fun node ->
       (* A single word store is atomic; overwrite needs no CAS. *)
       Heap.store_field t.heap node 1 value;
+      if t.nvtraverse then persist_field t node 1;
       true)
 
 let incr t ~tid ~key ~by =
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
   upsert t tid key ~value:by ~on_found:(fun node ->
       let old = value_of t node in
-      Heap.cas_field t.heap node 1 ~expected:old ~desired:(Int64.add old by))
+      let ok =
+        Heap.cas_field t.heap node 1 ~expected:old ~desired:(Int64.add old by)
+      in
+      if ok && t.nvtraverse then persist_field t node 1;
+      ok)
 
 (* Wait-free membership test: traverse without snipping. *)
 let get t ~tid:_ ~key =
@@ -213,6 +269,9 @@ let remove t ~tid:_ ~key =
       let nxt = read_next t node 0 in
       if is_marked nxt then false
       else if cas_next t node 0 ~expected:nxt ~desired:(with_mark nxt) then begin
+        (* NVTraverse persists the mark before reporting success; the
+           physical unlink that follows is index maintenance. *)
+        if t.nvtraverse then persist_field t node next_base;
         ignore (find_arrays t key);  (* physically unlink *)
         true
       end
@@ -223,7 +282,8 @@ let remove t ~tid:_ ~key =
 
 let ops t =
   {
-    Map_intf.name = "lockfree-skiplist";
+    Map_intf.name =
+      (if t.nvtraverse then "nvtraverse-skiplist" else "lockfree-skiplist");
     set = set t;
     get = get t;
     incr = incr t;

@@ -13,7 +13,32 @@
     Node layout: key, value, level, then [level] next pointers whose low
     bit is the deletion mark.  Deletion marks top-down and is linearised
     at the bottom-level mark; traversals physically unlink marked nodes
-    as they pass. *)
+    as they pass.
+
+    {2 The NVTraverse discipline}
+
+    Built with [~nvtraverse:true], the same list runs the NVTraverse
+    transformation (Friedman et al., PLDI 2020): operations are split
+    into a {e traversal} phase that issues no flushes at all and a
+    {e critical update} window that persists only the O(1) words
+    carrying durable state — the freshly initialised node and the
+    bottom-level link for an insert, the value word for an overwrite or
+    increment, the marked bottom-level link for a delete — each followed
+    by a single fence.
+
+    Per-operation psync complexity therefore drops from O(path length)
+    (what a naive "flush everything you touch" persistent skiplist
+    pays) to O(1): one flush + one fence for overwrite/increment/
+    delete, two-to-three flushes and two fences for an insert.
+    Upper-level links are treated as a volatile index — never flushed,
+    rebuilt by any traversal — mirroring the SOFT/NVTraverse observation
+    that only the bottom-level list is semantically persistent.
+
+    The two disciplines differ only in those flushes and fences, which
+    is the paper's procrastination-versus-prevention contrast in one
+    structure.  They share the node layout and GC kind, so snapshots,
+    audits and recovery treat both identically; recovery remains
+    re-attachment plus GC. *)
 
 type t
 
@@ -23,16 +48,27 @@ val create :
   Pheap.Heap.t ->
   ?max_level:int ->
   ?op_cycles:int ->
+  ?nvtraverse:bool ->
   num_threads:int ->
   seed:int ->
   unit ->
   t
 (** Allocate head and tail sentinels, point the heap root at the head,
-    and build per-thread level generators from [seed]. *)
+    and build per-thread level generators from [seed].  With
+    [~nvtraverse:true] (default [false]) the sentinels are persisted
+    before returning and every operation runs the NVTraverse
+    discipline. *)
 
 val attach :
-  Pheap.Heap.t -> ?op_cycles:int -> num_threads:int -> seed:int -> Pheap.Heap.addr -> t
-(** Re-attach after recovery: nothing to repair, by design.
+  Pheap.Heap.t ->
+  ?op_cycles:int ->
+  ?nvtraverse:bool ->
+  num_threads:int ->
+  seed:int ->
+  Pheap.Heap.addr ->
+  t
+(** Re-attach after recovery: nothing to repair, by design, under
+    either discipline.
     @raise Invalid_argument if the root is not a skip-list head. *)
 
 val root : t -> Pheap.Heap.addr

@@ -5,17 +5,3 @@ type ops = {
   incr : tid:int -> key:int -> by:int64 -> unit;
   remove : tid:int -> key:int -> bool;
 }
-
-type kind = Mutex_hashmap | Lockfree_skiplist
-
-let kind_to_string = function
-  | Mutex_hashmap -> "mutex-hashmap"
-  | Lockfree_skiplist -> "lockfree-skiplist"
-
-let kind_of_string = function
-  | "mutex-hashmap" | "hashmap" | "mutex" -> Ok Mutex_hashmap
-  | "lockfree-skiplist" | "skiplist" | "lockfree" | "non-blocking" ->
-      Ok Lockfree_skiplist
-  | s -> Error (Printf.sprintf "unknown map kind %S" s)
-
-let pp_kind ppf k = Fmt.string ppf (kind_to_string k)

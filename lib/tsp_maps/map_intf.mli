@@ -12,9 +12,3 @@ type ops = {
       (** atomic read-modify-write; inserts [by] when the key is absent *)
   remove : tid:int -> key:int -> bool;
 }
-
-type kind = Mutex_hashmap | Lockfree_skiplist
-
-val kind_to_string : kind -> string
-val kind_of_string : string -> (kind, string) result
-val pp_kind : kind Fmt.t

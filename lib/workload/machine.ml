@@ -6,7 +6,6 @@ module Rng = Sched.Sim_rng
 module Hashmap = Tsp_maps.Chained_hashmap
 module Skiplist = Tsp_maps.Lockfree_skiplist
 module Btree = Tsp_maps.Btree
-module Nvt = Tsp_maps.Nvtraverse_skiplist
 module Delayfree = Tsp_maps.Delayfree_map
 
 type variant =
@@ -187,22 +186,17 @@ let build_map spec heap atlas sched ~root =
         | Some root -> Btree.attach heap ~atlas ~sched ~op_cycles root
       in
       map (Btree.ops bt) (Btree.set_plain bt) Btree.fold_plain None
-  | Nonblocking_map ->
+  | (Nonblocking_map | Nvtraverse_map) as v ->
       let num_threads = spec.threads and op_cycles = spec.skip_op_cycles in
+      let nvtraverse = v = Nvtraverse_map in
       let sl =
         match root with
-        | None -> Skiplist.create heap ~num_threads ~op_cycles ~seed ()
-        | Some root -> Skiplist.attach heap ~op_cycles ~num_threads ~seed root
+        | None ->
+            Skiplist.create heap ~num_threads ~op_cycles ~nvtraverse ~seed ()
+        | Some root ->
+            Skiplist.attach heap ~op_cycles ~nvtraverse ~num_threads ~seed root
       in
       map (Skiplist.ops sl) (Skiplist.set_plain sl) Skiplist.fold_plain None
-  | Nvtraverse_map ->
-      let num_threads = spec.threads and op_cycles = spec.skip_op_cycles in
-      let sl =
-        match root with
-        | None -> Nvt.create heap ~num_threads ~op_cycles ~seed ()
-        | Some root -> Nvt.attach heap ~op_cycles ~num_threads ~seed root
-      in
-      map (Nvt.ops sl) (Nvt.set_plain sl) Nvt.fold_plain None
   | Delayfree_map ->
       let op_cycles = spec.hash_op_cycles in
       let df =

@@ -29,8 +29,9 @@ type variant =
   | Mutex_btree of Atlas.Mode.t
   | Nonblocking_map
   | Nvtraverse_map
-      (** {!Tsp_maps.Nvtraverse_skiplist}: traversal unflushed, O(1)
-          flushes in the critical update window *)
+      (** {!Tsp_maps.Lockfree_skiplist} under its NVTraverse discipline:
+          traversal unflushed, O(1) flushes in the critical update
+          window *)
   | Delayfree_map
       (** {!Tsp_maps.Delayfree_map}: recoverable CAS, announce/ack
           protocol re-executed exactly once by recovery *)

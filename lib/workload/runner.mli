@@ -22,8 +22,8 @@ type variant = Machine.variant =
           two structures, whose node splits are large critical sections *)
   | Nonblocking_map  (** the lock-free skip list *)
   | Nvtraverse_map
-      (** the NVTraverse-transformed skip list: unflushed traversal,
-          O(1) flushes in the critical update window *)
+      (** the same skip list under its NVTraverse discipline: unflushed
+          traversal, O(1) flushes in the critical update window *)
   | Delayfree_map
       (** the delay-free recoverable-CAS table: announced CASes a crash
           leaves re-executable exactly once *)

@@ -38,11 +38,11 @@ let in_thread pmem sched body =
       | Scheduler.Crashed _ -> Alcotest.fail "unexpected crash"
       | Scheduler.Deadlocked _ -> Alcotest.fail "unexpected deadlock")
 
-let skip_env ?(threads = 4) () =
+let skip_env ?(threads = 4) ?nvtraverse () =
   let pmem = desktop_pmem ~region_mib:4 () in
   let size = (Pmem.config pmem).Config.region_size in
   let heap = Heap.create pmem ~base:0 ~size in
-  let sl = Skiplist.create heap ~num_threads:threads ~seed:3 () in
+  let sl = Skiplist.create heap ?nvtraverse ~num_threads:threads ~seed:3 () in
   (pmem, heap, sl)
 
 (* --- Hash map: functional behaviour --- *)
@@ -438,15 +438,7 @@ let prop_skip_vs_model =
 
 (* --- The commit-free newcomers: NVTraverse and delay-free --- *)
 
-module Nvt = Tsp_maps.Nvtraverse_skiplist
 module Delayfree = Tsp_maps.Delayfree_map
-
-let nvt_env ?(threads = 4) () =
-  let pmem = desktop_pmem ~region_mib:4 () in
-  let size = (Pmem.config pmem).Config.region_size in
-  let heap = Heap.create pmem ~base:0 ~size in
-  let sl = Nvt.create heap ~num_threads:threads ~seed:3 () in
-  (pmem, heap, sl)
 
 let delayfree_env () =
   let pmem = desktop_pmem ~region_mib:4 () in
@@ -496,14 +488,100 @@ let script_gen =
 let prop_nvt_vs_model =
   qcheck ~count:40 "nvtraverse skip list behaves like Map" script_gen
     (fun script ->
-      let pmem, heap, sl = nvt_env () in
+      let pmem, heap, sl = skip_env ~nvtraverse:true () in
       let dump () =
         List.rev
-          (Nvt.fold_plain heap ~root:(Nvt.root sl)
+          (Skiplist.fold_plain heap ~root:(Skiplist.root sl)
              (fun k v acc -> (k, v) :: acc)
              [])
       in
-      run_script_vs_model pmem (Nvt.ops sl) dump script)
+      run_script_vs_model pmem (Skiplist.ops sl) dump script)
+
+(* The two skip-list disciplines differ only in flushes and fences.
+   Each script runs single-threaded on a plain list and on an
+   NVTraverse list built from the same seed, and every operation's
+   device-counter deltas are compared (taken after [create], which
+   persists NVTraverse's sentinels).  Stores and CASes agree exactly;
+   NVTraverse loads one word more per insert, the header [flush_span]
+   reads to size the new node's span.  The plain list never flushes or
+   fences.  NVTraverse pays 1 flush + 1 fence to overwrite, increment
+   or delete a present key, 2-3 flushes + 2 fences to insert, and
+   nothing for a get or a remove of an absent key. *)
+type psync = {
+  loads : int;
+  stores : int;
+  cas_ops : int;
+  flushes : int;
+  fences : int;
+}
+
+let psync_of (s : Nvm.Stats.t) =
+  {
+    loads = s.loads;
+    stores = s.stores;
+    cas_ops = s.cas_ops;
+    flushes = s.flushes;
+    fences = s.fences;
+  }
+
+let psync_delta a b =
+  {
+    loads = b.loads - a.loads;
+    stores = b.stores - a.stores;
+    cas_ops = b.cas_ops - a.cas_ops;
+    flushes = b.flushes - a.flushes;
+    fences = b.fences - a.fences;
+  }
+
+let prop_skip_disciplines =
+  qcheck ~count:40 "skip list: disciplines differ only in flushes and fences"
+    script_gen (fun script ->
+      let run nvtraverse =
+        let pmem, heap, sl = skip_env ~nvtraverse () in
+        let ops = Skiplist.ops sl in
+        let deltas = ref [] in
+        in_thread pmem (Scheduler.create ()) (fun () ->
+            List.iter
+              (fun (op, (key, v)) ->
+                let before = psync_of (Pmem.stats pmem) in
+                let v64 = Int64.of_int v in
+                (match op with
+                | 0 -> ops.Map_intf.set ~tid:0 ~key ~value:v64
+                | 1 -> ops.Map_intf.incr ~tid:0 ~key ~by:v64
+                | 2 -> ignore (ops.Map_intf.remove ~tid:0 ~key : bool)
+                | _ -> ignore (ops.Map_intf.get ~tid:0 ~key : int64 option));
+                deltas :=
+                  psync_delta before (psync_of (Pmem.stats pmem)) :: !deltas)
+              script);
+        let dump =
+          Skiplist.fold_plain heap ~root:(Skiplist.root sl)
+            (fun k v acc -> (k, v) :: acc)
+            []
+        in
+        (dump, List.rev !deltas)
+      in
+      let plain_dump, plain = run false and nvt_dump, nvt = run true in
+      let present = Hashtbl.create 32 in
+      let op_ok (op, (key, _)) p n =
+        let was_present = Hashtbl.mem present key in
+        (match op with
+        | 0 | 1 -> Hashtbl.replace present key ()
+        | 2 -> Hashtbl.remove present key
+        | _ -> ());
+        let insert = op <= 1 && not was_present in
+        p.flushes = 0 && p.fences = 0
+        && n.stores = p.stores
+        && n.cas_ops = p.cas_ops
+        && n.loads = p.loads + Bool.to_int insert
+        &&
+        if insert then (n.flushes = 2 || n.flushes = 3) && n.fences = 2
+        else if op <= 2 && was_present then n.flushes = 1 && n.fences = 1
+        else n.flushes = 0 && n.fences = 0
+      in
+      plain_dump = nvt_dump
+      && List.for_all2
+           (fun (op, p) n -> op_ok op p n)
+           (List.combine script plain) nvt)
 
 let prop_delayfree_vs_model =
   qcheck ~count:40 "delay-free table behaves like Map" script_gen
@@ -605,9 +683,9 @@ let test_nvt_crash_recovery () =
      values are congruent to them, so any torn or lost node is visible.
      Recovery is re-attachment + GC, with zero structure-specific code —
      the NVTraverse argument is that the flushed O(1) words suffice. *)
-  let pmem, heap, sl = nvt_env () in
+  let pmem, heap, sl = skip_env ~nvtraverse:true () in
   Pmem.persist_all pmem;
-  let ops = Nvt.ops sl in
+  let ops = Skiplist.ops sl in
   let sched = Scheduler.create ~seed:31 () in
   for tid = 0 to 3 do
     ignore
@@ -630,10 +708,10 @@ let test_nvt_crash_recovery () =
   ignore heap;
   let root = Heap.get_root heap' in
   Alcotest.(check bool) "consistent with zero recovery code" true
-    (Nvt.check_plain heap' ~root = Ok ());
+    (Skiplist.check_plain heap' ~root = Ok ());
   ignore (Heap_gc.collect heap' : Heap_gc.stats * Heap_gc.quarantine);
   Alcotest.(check bool) "audit passes" true (Heap_gc.verify heap' = Ok ());
-  Nvt.fold_plain heap' ~root
+  Skiplist.fold_plain heap' ~root
     (fun k v () ->
       Alcotest.(check bool) "no torn node" true (Int64.to_int v = k mod 1000))
     ()
@@ -709,6 +787,7 @@ let suite =
       case "skiplist: level distribution" test_skip_level_distribution;
       prop_skip_vs_model;
       prop_nvt_vs_model;
+      prop_skip_disciplines;
       prop_delayfree_vs_model;
       slow_case "hashmap: crash + rollback + GC recovery"
         test_hash_crash_recovery;

@@ -593,8 +593,9 @@ let test_artifact_jobs_identical () =
       | _ -> Alcotest.fail "results document carries its schema")
 
 (* Run-only knobs must never reach the stored replay argv: --jobs/-j,
-   --artifact-dir and --replay are dropped in both "--flag v" and
-   "--flag=v" spellings, campaign flags pass through untouched. *)
+   --artifact-dir and --replay are dropped in the "--flag v" and
+   "--flag=v" spellings and -j also as "-jN"; campaign flags pass
+   through untouched. *)
 let test_artifact_replay_args () =
   Alcotest.(check (list string))
     "run-only flags stripped"
@@ -603,7 +604,7 @@ let test_artifact_replay_args () =
        [|
          "tsp"; "faults"; "--smoke"; "--jobs"; "4"; "--artifact-dir"; "out";
          "--seed=7"; "-j"; "2"; "--replay=m.json"; "--shrink";
-         "--artifact-dir=o2";
+         "--artifact-dir=o2"; "-j2";
        |])
 
 let suite =
