@@ -14,74 +14,124 @@ let setup_logs style_renderer level =
 let logs_term =
   Term.(const setup_logs $ Fmt_cli.style_renderer () $ Logs_cli.level ())
 
-(* Shared argument parsers *)
+(* Value parsers live next to their types in the library; [conv_of] is
+   the one bridge from a library [of_string] to Cmdliner. *)
+let conv_of parse print =
+  Arg.conv ((fun s -> Result.map_error (fun m -> `Msg m) (parse s)), print)
 
 let platform_conv =
-  let parse = function
-    | "desktop" | "envy" -> Ok Nvm.Config.desktop
-    | "server" | "dl580" -> Ok Nvm.Config.server
-    | s -> Error (`Msg (Printf.sprintf "unknown platform %S" s))
-  in
-  Arg.conv (parse, fun ppf p -> Fmt.string ppf p.Nvm.Config.name)
+  conv_of Nvm.Config.of_string (fun ppf p -> Fmt.string ppf p.Nvm.Config.name)
 
-(* Spellings and round-trip live in Workload.Machine, next to the type:
-   adding a variant there is the only step needed for the CLI, the fault
-   injector's reproducers and the frontier table to agree. *)
 let variant_conv =
-  let parse s =
-    match Workload.Machine.variant_of_string s with
-    | Ok v -> Ok v
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv
-    (parse, fun ppf v -> Fmt.string ppf (Workload.Machine.variant_to_cli_string v))
+  conv_of Workload.Machine.variant_of_string
+    (Fmt.of_to_string Workload.Machine.variant_to_cli_string)
 
 let hardware_conv =
-  let parse s =
-    match Tsp_core.Hardware.find s with
-    | Some h -> Ok h
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown hardware %S (try one of: %s)" s
-                (String.concat ", "
-                   (List.map
-                      (fun h -> h.Tsp_core.Hardware.name)
-                      Tsp_core.Hardware.all))))
-  in
-  Arg.conv (parse, fun ppf h -> Fmt.string ppf h.Tsp_core.Hardware.name)
+  conv_of Tsp_core.Hardware.of_string (fun ppf h ->
+      Fmt.string ppf h.Tsp_core.Hardware.name)
 
 let failure_conv =
-  let parse s =
-    Result.map_error (fun m -> `Msg m) (Tsp_core.Failure_class.of_string s)
-  in
-  Arg.conv (parse, Tsp_core.Failure_class.pp)
+  conv_of Tsp_core.Failure_class.of_string Tsp_core.Failure_class.pp
 
 let recovery_mode_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "eager" -> Ok Workload.Machine.Eager
-    | "parallel" -> Ok (Workload.Machine.Parallel_gc 2)
-    | "incremental" | "lazy" -> Ok Workload.Machine.Incremental_gc
-    | s -> (
-        match String.index_opt s ':' with
-        | Some i
-          when String.sub s 0 i = "parallel" -> (
-            match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-            | Some j when j >= 1 -> Ok (Workload.Machine.Parallel_gc j)
-            | _ ->
-                Error
-                  (`Msg (Printf.sprintf "invalid parallel job count in %S" s)))
-        | _ ->
-            Error
-              (`Msg
-                 (Printf.sprintf
-                    "unknown recovery mode %S (eager, parallel[:N], \
-                     incremental)"
-                    s)))
+  conv_of Workload.Machine.recovery_mode_of_string
+    (Fmt.of_to_string Workload.Machine.recovery_mode_to_string)
+
+let fault_model_conv = conv_of Nvm.Fault_model.of_string Nvm.Fault_model.pp
+
+let preset_conv =
+  conv_of Workload.Ycsb.preset_of_string
+    (Fmt.of_to_string Workload.Ycsb.preset_to_string)
+
+(* Flags that several subcommands accept, each declared once: a
+   subcommand picks only the default, or the doc where the meaning
+   differs (--smoke, serve's --crash-at, faults' list of --fault-model). *)
+
+let variant_arg ?(default = Workload.Runner.Mutex_map Atlas.Mode.Log_only)
+    () =
+  let doc =
+    "Map variant: "
+    ^ String.concat ", "
+        (List.map Workload.Machine.variant_to_cli_string
+           Workload.Machine.all_variants)
+    ^ "."
   in
-  Arg.conv
-    (parse, fun ppf m -> Fmt.string ppf (Workload.Machine.recovery_mode_to_string m))
+  Arg.(value & opt variant_conv default
+       & info [ "variant" ] ~docv:"VARIANT" ~doc)
+
+let platform_arg =
+  Arg.(value & opt platform_conv Nvm.Config.desktop
+       & info [ "platform" ] ~docv:"P" ~doc:"desktop or server.")
+
+let hardware_arg ?(default = Tsp_core.Hardware.nvram_machine) () =
+  Arg.(value & opt hardware_conv default
+       & info [ "hardware" ] ~docv:"HW" ~doc:"Hardware platform model.")
+
+let failure_arg =
+  Arg.(value
+       & opt failure_conv Tsp_core.Failure_class.Process_crash
+       & info [ "failure" ] ~docv:"F"
+           ~doc:"Injected failure class: process-crash, kernel-panic or \
+                 power-outage.")
+
+let crash_at_arg doc =
+  Arg.(value & opt (some int) None & info [ "crash-at" ] ~docv:"STEP" ~doc)
+
+let crash_at_doc = "Inject a crash after STEP simulated memory operations."
+
+let fault_model_info doc = Arg.info [ "fault-model" ] ~docv:"FM" ~doc
+
+let fault_model_arg =
+  Arg.(value & opt (some fault_model_conv) None
+       & fault_model_info
+           "Crash fault model of the injected crash: full-rescue, \
+            full-discard, partial-rescue[:JOULES], torn[:PROB] or \
+            bit-rot[:FLIPS].  Default: the TSP verdict of the hardware and \
+            failure class.")
+
+let from_arg =
+  Arg.(value & opt int 500
+       & info [ "from" ] ~docv:"STEP" ~doc:"First crash step enumerated.")
+
+let window_arg =
+  Arg.(value & opt int 2000
+       & info [ "window" ] ~docv:"W"
+           ~doc:"Number of steps the enumerated window covers.")
+
+let stride_arg default =
+  Arg.(value & opt int default
+       & info [ "stride" ] ~docv:"S"
+           ~doc:"Enumerate every S-th step of the window.")
+
+let journal_arg =
+  Arg.(value & flag
+       & info [ "journal" ]
+           ~doc:"Record store history and run the recovery-observer \
+                 prefix check on every crash.")
+
+let transfers_arg =
+  Arg.(value & flag
+       & info [ "transfers" ]
+           ~doc:"Use the bank-transfer workload (multi-store critical \
+                 sections) instead of the Section 5.1 counters.")
+
+let transfers_workload =
+  Workload.Runner.Transfers { accounts = 512; initial_balance = 1000 }
+
+let populate_arg =
+  Arg.(value & opt int 0
+       & info [ "populate" ] ~docv:"N"
+           ~doc:"Pre-load N extra map entries (deterministic, seeded) \
+                 before the workload runs — heap ballast the recovery \
+                 pipeline must scan.  The region is grown to fit.")
+
+let breakdown_arg =
+  Arg.(value & flag
+       & info [ "breakdown" ]
+           ~doc:"Also print the cycle decomposition (where the simulated \
+                 time went).")
+
+let smoke_arg doc = Arg.(value & flag & info [ "smoke" ] ~doc)
 
 let recovery_mode_arg =
   Arg.(value
@@ -101,36 +151,34 @@ let threads_arg =
   Arg.(value & opt int 8 & info [ "threads"; "t" ] ~docv:"T"
          ~doc:"Number of worker threads.")
 
-let seed_env =
-  Cmd.Env.info "TSP_SEED"
-    ~doc:"Default deterministic seed for every campaign subcommand; the \
-          $(b,--seed) option overrides it."
+let seed_info =
+  Arg.info [ "seed" ] ~docv:"SEED"
+    ~env:
+      (Cmd.Env.info "TSP_SEED"
+         ~doc:"Default deterministic seed for every campaign subcommand; \
+               the $(b,--seed) option overrides it.")
+    ~doc:"Deterministic seed; a run is a pure function of it."
 
-let seed_arg =
-  Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~env:seed_env
-         ~doc:"Deterministic seed; a run is a pure function of it.")
+let seed_arg = Arg.(value & opt int 11 & seed_info)
 
 (* [--jobs] accepts a positive count or "auto" (the default): adapt to
    the host — clamp to [Domain.recommended_domain_count ()] and take the
    sequential no-domain path when that is 1, so a 1-core host never pays
    domain spawn/GC overhead for zero parallelism. *)
 let jobs_conv =
-  let parse s =
-    if String.lowercase_ascii s = "auto" then Ok None
-    else
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok (Some n)
-      | Some _ | None ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "invalid jobs %S: expected a positive integer or \"auto\"" s))
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "auto"
-    | Some n -> Format.pp_print_int ppf n
-  in
-  Arg.conv (parse, print)
+  conv_of
+    (fun s ->
+      if String.lowercase_ascii s = "auto" then Ok None
+      else
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok (Some n)
+        | Some _ | None ->
+            Error
+              (Printf.sprintf
+                 "invalid jobs %S: expected a positive integer or \"auto\"" s))
+    (fun ppf -> function
+      | None -> Format.pp_print_string ppf "auto"
+      | Some n -> Format.pp_print_int ppf n)
 
 let jobs_arg =
   Arg.(value & opt jobs_conv None
@@ -240,18 +288,9 @@ let table1_cmd =
              & info [ "repeats" ] ~docv:"R"
                  ~doc:"Rerun each cell with R distinct seeds; report mean \
                        and half-spread.")
-      $ Arg.(value & flag
-             & info [ "breakdown" ]
-                 ~doc:"Also print the per-variant cycle decomposition.")
-      $ jobs_arg)
+      $ breakdown_arg $ jobs_arg)
 
 (* faults *)
-
-let fault_models_conv =
-  let parse s =
-    Result.map_error (fun m -> `Msg m) (Nvm.Fault_model.of_string_list s)
-  in
-  Arg.conv (parse, Fmt.(list ~sep:comma Nvm.Fault_model.pp))
 
 let faults_cmd =
   let run () variant hardware failure platform runs iterations threads
@@ -260,39 +299,29 @@ let faults_cmd =
     let module FI = Workload.Fault_injector in
     handle_replay ~artifact_dir ~jobs replay;
     let smoke_base = smoke || smoke_base in
-    let platform =
-      (* The smoke workload's footprint fits the desktop cache entirely,
-         which would make discard-class faults revert to a clean snapshot
-         (nothing ever evicted).  A 32 KiB cache forces evictions, so
-         crash images genuinely mix old and new lines. *)
-      if smoke_base then { platform with Nvm.Config.cache_lines = 512 }
-      else platform
-    in
-    let base = Workload.Runner.calibrated_config platform in
-    let workload =
-      if transfers then
-        Workload.Runner.Transfers { accounts = 512; initial_balance = 1000 }
-      else if wide > 1 then
-        Workload.Runner.Wide { h_keys = 1024; value_words = wide }
-      else if smoke_base then
-        Workload.Runner.Counters { h_keys = 256; preload = true }
-      else base.Workload.Runner.workload
-    in
     let base =
       {
-        base with
+        (Workload.Runner.calibrated_config platform) with
         Workload.Runner.variant;
         hardware;
         failure;
-        iterations = (if smoke then 200 else iterations);
-        threads = (if smoke then 4 else threads);
-        workload;
+        iterations;
+        threads;
         journal;
       }
     in
     let base =
-      if smoke_base then
-        { base with Workload.Runner.n_buckets = 512; log_mib = 1 }
+      if smoke_base then Workload.Runner.smoke ~sized:smoke base else base
+    in
+    let base =
+      if transfers then
+        { base with Workload.Runner.workload = transfers_workload }
+      else if wide > 1 then
+        {
+          base with
+          Workload.Runner.workload =
+            Workload.Runner.Wide { h_keys = 1024; value_words = wide };
+        }
       else base
     in
     let fault_models =
@@ -330,14 +359,7 @@ let faults_cmd =
         List.concat_map
           (fun v ->
             let base = { base with Workload.Runner.variant = v } in
-            (* The recoverable-CAS table is so much faster on this
-               workload that it finishes near step 22k; aim its mid-run
-               window where it still crashes. *)
-            let mid_from =
-              match v with
-              | Workload.Runner.Delayfree_map -> 18_000
-              | _ -> 40_000
-            in
+            let mid_from = Workload.Runner.smoke_mid_from v in
             [
               FI.run ?jobs
                 (spec_with ~base
@@ -406,35 +428,9 @@ let faults_cmd =
       if not smoke then exit 1
     end
   in
-  let variant =
-    Arg.(value
-         & opt variant_conv (Workload.Runner.Mutex_map Atlas.Mode.Log_only)
-         & info [ "variant" ] ~docv:"VARIANT"
-             ~doc:
-               "Map variant: no-log, log-only, log-flush, non-blocking, \
-                nvtraverse, delay-free, btree, btree-no-log or btree-flush.")
-  in
-  let hardware =
-    Arg.(value
-         & opt hardware_conv Tsp_core.Hardware.nvram_machine
-         & info [ "hardware" ] ~docv:"HW" ~doc:"Hardware platform model.")
-  in
-  let failure =
-    Arg.(value
-         & opt failure_conv Tsp_core.Failure_class.Process_crash
-         & info [ "failure" ] ~docv:"F"
-             ~doc:"Injected failure class: process-crash, kernel-panic or \
-                   power-outage.")
-  in
   let runs =
     Arg.(value & opt int 100 & info [ "runs" ] ~docv:"N"
            ~doc:"Number of injected crashes.")
-  in
-  let transfers =
-    Arg.(value & flag
-         & info [ "transfers" ]
-             ~doc:"Use the bank-transfer workload (multi-store critical \
-                   sections) instead of the Section 5.1 counters.")
   in
   let wide =
     Arg.(value & opt int 1
@@ -442,24 +438,15 @@ let faults_cmd =
              ~doc:"Use the wide-value workload with W-word values (the \
                    multi-word tearing experiment E13).")
   in
-  let journal =
-    Arg.(value & flag
-         & info [ "journal" ]
-             ~doc:"Record store history and run the recovery-observer \
-                   prefix check on every crash.")
-  in
-  let platform =
-    Arg.(value & opt platform_conv Nvm.Config.desktop
-         & info [ "platform" ] ~docv:"P" ~doc:"desktop or server.")
-  in
   let fault_models =
-    Arg.(value & opt fault_models_conv []
-         & info [ "fault-model" ] ~docv:"FM"
-             ~doc:
-               "Comma-separated crash fault models to campaign under: \
-                full-rescue, full-discard, partial-rescue[:JOULES], \
-                torn[:PROB], bit-rot[:FLIPS], or 'all' for the reference \
-                spectrum.  Default: the binary TSP-verdict behaviour (E3).")
+    Arg.(value
+         & opt (conv_of Nvm.Fault_model.of_string_list
+                  Fmt.(list ~sep:comma Nvm.Fault_model.pp)) []
+         & fault_model_info
+             "Comma-separated crash fault models to campaign under: \
+              full-rescue, full-discard, partial-rescue[:JOULES], \
+              torn[:PROB], bit-rot[:FLIPS], or 'all' for the reference \
+              spectrum.  Default: the binary TSP-verdict behaviour (E3).")
   in
   let exhaustive =
     Arg.(value & flag
@@ -468,21 +455,6 @@ let faults_cmd =
                    at --stride instead of sampling; uses one pinned seed \
                    (--run-seed), so coverage of the window is complete and \
                    RNG-free.")
-  in
-  let from_step =
-    Arg.(value & opt int 500
-         & info [ "from" ] ~docv:"STEP"
-             ~doc:"Exhaustive mode: first crash step enumerated.")
-  in
-  let window =
-    Arg.(value & opt int 2000
-         & info [ "window" ] ~docv:"W"
-             ~doc:"Exhaustive mode: number of steps covered.")
-  in
-  let stride =
-    Arg.(value & opt int 1
-         & info [ "stride" ] ~docv:"S"
-             ~doc:"Exhaustive mode: enumerate every S-th step.")
   in
   let run_seed =
     Arg.(value & opt (some int) None
@@ -502,13 +474,11 @@ let faults_cmd =
                    fault-model intensity to a minimal reproducer.")
   in
   let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"Bounded CI preset: two exhaustive campaign windows (a \
-                   2000-step sweep after preload and a dense mid-workload \
-                   window) across the whole reference fault-model spectrum \
-                   on a reduced workload.  Exits non-zero only on \
-                   unexpected violations.")
+    smoke_arg
+      "Bounded CI preset: two exhaustive campaign windows (a 2000-step \
+       sweep after preload and a dense mid-workload window) across the \
+       whole reference fault-model spectrum on a reduced workload.  Exits \
+       non-zero only on unexpected violations."
   in
   let smoke_base =
     Arg.(value & flag
@@ -525,10 +495,11 @@ let faults_cmd =
           conventional-server --failure power-outage --variant log-only it \
           becomes the E9 negative control; with --fault-model/--exhaustive \
           the adversarial crash-fidelity campaign E16).")
-    Term.(const run $ logs_term $ variant $ hardware $ failure $ platform
-          $ runs $ iterations_arg 800 $ threads_arg $ transfers $ wide
-          $ journal $ fault_models $ exhaustive $ from_step $ window $ stride
-          $ run_seed $ campaign_seed $ shrink $ smoke $ smoke_base $ jobs_arg
+    Term.(const run $ logs_term $ variant_arg () $ hardware_arg ()
+          $ failure_arg $ platform_arg $ runs $ iterations_arg 800
+          $ threads_arg $ transfers_arg $ wide $ journal_arg $ fault_models
+          $ exhaustive $ from_arg $ window_arg $ stride_arg 1 $ run_seed
+          $ campaign_seed $ shrink $ smoke $ smoke_base $ jobs_arg
           $ artifact_dir_arg $ replay_arg)
 
 (* check *)
@@ -538,27 +509,20 @@ let check_cmd =
       mutant seed smoke jobs populate recovery_mode artifact_dir replay =
     let module CC = Workload.Check_campaign in
     handle_replay ~artifact_dir ~jobs replay;
-    let platform =
-      (* Same rationale as the faults smoke preset: a small cache forces
-         evictions, so the crash image genuinely mixes old and new
-         lines instead of replaying a clean snapshot. *)
-      if smoke then { platform with Nvm.Config.cache_lines = 512 }
-      else platform
-    in
-    let base = Workload.Runner.calibrated_config platform in
     let base =
       {
-        base with
+        (Workload.Runner.calibrated_config platform) with
         Workload.Runner.variant;
-        threads = (if smoke then 4 else threads);
-        iterations = (if smoke then 200 else iterations);
+        threads;
+        iterations;
         seed;
-        workload = Workload.Runner.Counters { h_keys = 256; preload = true };
-        n_buckets = 512;
-        log_mib = 1;
         populate_objects = populate;
         recovery_mode;
       }
+    in
+    let base =
+      if smoke then Workload.Runner.smoke base
+      else Workload.Runner.smoke_workload base
     in
     let mutate, mutate_label =
       match mutant with
@@ -579,16 +543,9 @@ let check_cmd =
         List.concat_map
           (fun variant ->
             let base = { base with Workload.Runner.variant } in
-            (* The recoverable-CAS table finishes near step 22k on this
-               workload; its mid window must sit before that to crash. *)
-            let mid_from =
-              match variant with
-              | Workload.Runner.Delayfree_map -> 18_000
-              | _ -> 40_000
-            in
             [
               spec_with base 400 1200 100;
-              spec_with base mid_from 400 100;
+              spec_with base (Workload.Runner.smoke_mid_from variant) 400 100;
             ])
           [
             Workload.Runner.Nonblocking_map;
@@ -649,32 +606,6 @@ let check_cmd =
         else
           Fmt.pr "@.Mutant caught: flagged on %d crash point(s).@." flagged
   in
-  let variant =
-    Arg.(value
-         & opt variant_conv Workload.Runner.Nonblocking_map
-         & info [ "variant" ] ~docv:"VARIANT"
-             ~doc:"Map variant to check (see $(b,run) for the list).")
-  in
-  let platform =
-    Arg.(value & opt platform_conv Nvm.Config.desktop
-         & info [ "platform" ] ~docv:"P" ~doc:"desktop or server.")
-  in
-  let from_step =
-    Arg.(value & opt int 500
-         & info [ "from" ] ~docv:"STEP"
-             ~doc:"First crash step enumerated.")
-  in
-  let window =
-    Arg.(value & opt int 2000
-         & info [ "window" ] ~docv:"W"
-             ~doc:"Number of steps covered; with --stride this is the \
-                   exhaustive crash-point enumeration of the faults CLI.")
-  in
-  let stride =
-    Arg.(value & opt int 100
-         & info [ "stride" ] ~docv:"S"
-             ~doc:"Enumerate every S-th step of the window.")
-  in
   let mutant =
     Arg.(value & opt (some int) None
          & info [ "mutant" ] ~docv:"N"
@@ -684,18 +615,10 @@ let check_cmd =
                    flagged.")
   in
   let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"Bounded CI preset: small cache and workload, early and \
-                   mid-workload exhaustive windows over both the lock-free \
-                   skip list and the log-only hash map.  Exits non-zero on \
-                   any flagged point.")
-  in
-  let populate =
-    Arg.(value & opt int 0
-         & info [ "populate" ] ~docv:"N"
-             ~doc:"Pre-load N extra map entries before the workload — the \
-                   checker then exercises recovery over a populated heap.")
+    smoke_arg
+      "Bounded CI preset: small cache and workload, early and mid-workload \
+       exhaustive windows over both the lock-free skip list and the \
+       log-only hash map.  Exits non-zero on any flagged point."
   in
   Cmd.v
     (Cmd.info "check"
@@ -705,10 +628,11 @@ let check_cmd =
           at each enumerated step, recover, and verify the recovered state \
           is explained by a linearization of a prefix-closed subset of the \
           history.  Byte-identical output for any --jobs value.")
-    Term.(const run $ logs_term $ variant $ platform $ threads_arg
-          $ iterations_arg 800 $ from_step $ window $ stride $ mutant
-          $ seed_arg $ smoke $ jobs_arg $ populate $ recovery_mode_arg
-          $ artifact_dir_arg $ replay_arg)
+    Term.(const run $ logs_term
+          $ variant_arg ~default:Workload.Runner.Nonblocking_map ()
+          $ platform_arg $ threads_arg $ iterations_arg 800 $ from_arg
+          $ window_arg $ stride_arg 100 $ mutant $ seed_arg $ smoke $ jobs_arg
+          $ populate_arg $ recovery_mode_arg $ artifact_dir_arg $ replay_arg)
 
 (* sweeps *)
 
@@ -773,15 +697,11 @@ let wsp_cmd =
     Fmt.pr "@.headroom (budget/need, worst stage): %.2f@."
       (Tsp_core.Wsp.headroom o)
   in
-  let hardware =
-    Arg.(value
-         & opt hardware_conv Tsp_core.Hardware.wsp_machine
-         & info [ "hardware" ] ~docv:"HW" ~doc:"Platform to plan for.")
-  in
   Cmd.v
     (Cmd.info "wsp"
        ~doc:"Simulate the two-stage Whole-System Persistence rescue (E6).")
-    Term.(const run $ logs_term $ hardware)
+    Term.(const run $ logs_term
+          $ hardware_arg ~default:Tsp_core.Hardware.wsp_machine ())
 
 (* run *)
 
@@ -790,9 +710,7 @@ let run_cmd =
       failure transfers journal resume breakdown populate recovery_mode =
     let base = Workload.Runner.calibrated_config platform in
     let workload =
-      if transfers then
-        Workload.Runner.Transfers { accounts = 512; initial_balance = 1000 }
-      else base.Workload.Runner.workload
+      if transfers then transfers_workload else base.Workload.Runner.workload
     in
     let config =
       {
@@ -827,45 +745,6 @@ let run_cmd =
       if not (Workload.Runner.consistent r) then exit 1
     end
   in
-  let platform =
-    Arg.(value & opt platform_conv Nvm.Config.desktop
-         & info [ "platform" ] ~docv:"P" ~doc:"desktop or server.")
-  in
-  let variant =
-    let doc =
-      "Map variant: "
-      ^ String.concat ", "
-          (List.map Workload.Machine.variant_to_cli_string
-             Workload.Machine.all_variants)
-      ^ "."
-    in
-    Arg.(value
-         & opt variant_conv (Workload.Runner.Mutex_map Atlas.Mode.Log_only)
-         & info [ "variant" ] ~docv:"VARIANT" ~doc)
-  in
-  let crash_at =
-    Arg.(value & opt (some int) None
-         & info [ "crash-at" ] ~docv:"STEP"
-             ~doc:"Inject a crash after STEP simulated memory operations.")
-  in
-  let hardware =
-    Arg.(value
-         & opt hardware_conv Tsp_core.Hardware.nvram_machine
-         & info [ "hardware" ] ~docv:"HW" ~doc:"Hardware platform model.")
-  in
-  let failure =
-    Arg.(value
-         & opt failure_conv Tsp_core.Failure_class.Process_crash
-         & info [ "failure" ] ~docv:"F" ~doc:"Failure class for --crash-at.")
-  in
-  let transfers =
-    Arg.(value & flag
-         & info [ "transfers" ] ~doc:"Run the bank-transfer workload.")
-  in
-  let journal =
-    Arg.(value & flag
-         & info [ "journal" ] ~doc:"Enable the recovery-observer journal.")
-  in
   let resume =
     Arg.(value & flag
          & info [ "resume" ]
@@ -873,39 +752,24 @@ let run_cmd =
                    persistent state and run the workload to completion \
                    (counters only).")
   in
-  let breakdown =
-    Arg.(value & flag
-         & info [ "breakdown" ]
-             ~doc:"Also print the per-category device cycle decomposition \
-                   (where the simulated time went).")
-  in
-  let populate =
-    Arg.(value & opt int 0
-         & info [ "populate" ] ~docv:"N"
-             ~doc:"Pre-load N extra map entries (deterministic, seeded) \
-                   before the workload runs — heap ballast the recovery \
-                   pipeline must scan.  The region is grown to fit.")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one configuration and print the full report.")
-    Term.(const run $ logs_term $ platform $ variant $ iterations_arg 2000
-          $ threads_arg $ seed_arg $ crash_at $ hardware $ failure
-          $ transfers $ journal $ resume $ breakdown $ populate
+    Term.(const run $ logs_term $ platform_arg $ variant_arg ()
+          $ iterations_arg 2000 $ threads_arg $ seed_arg
+          $ crash_at_arg crash_at_doc $ hardware_arg () $ failure_arg
+          $ transfers_arg $ journal_arg $ resume $ breakdown_arg $ populate_arg
           $ recovery_mode_arg)
 
 (* ycsb *)
 
 let ycsb_cmd =
   let run () preset iterations records jobs =
-    match Workload.Ycsb.preset_of_string preset with
-    | Error e -> Fmt.failwith "%s" e
-    | Ok p ->
-        Workload.Sweeps.render_ycsb
-          (Workload.Sweeps.ycsb_table ~iterations ~records ?jobs p)
-          Format.std_formatter
+    Workload.Sweeps.render_ycsb
+      (Workload.Sweeps.ycsb_table ~iterations ~records ?jobs preset)
+      Format.std_formatter
   in
   let preset =
-    Arg.(value & pos 0 string "A"
+    Arg.(value & pos 0 preset_conv Workload.Ycsb.A
          & info [] ~docv:"PRESET" ~doc:"YCSB core workload: A, B, C or F.")
   in
   let records =
@@ -954,21 +818,15 @@ let trace_cmd =
       if not (Workload.Frontier.nvtraverse_beats_logflush rows) then exit 1
     end
     else
-    (* The smoke preset mirrors the faults smoke base (32 KiB cache,
-       small counter workload) with a mid-run crash, so one bounded run
-       exercises the whole pipeline: workload, crash, rescue, recovery
-       phases. *)
-    let platform =
-      if smoke then { platform with Nvm.Config.cache_lines = 512 }
-      else platform
-    in
-    let base = Workload.Runner.calibrated_config platform in
+    (* The smoke preset is the crash-campaign smoke shape with one crash
+       at step 40 000, so one bounded run exercises the whole pipeline:
+       workload, crash, rescue, recovery phases. *)
     let config =
       {
-        base with
+        (Workload.Runner.calibrated_config platform) with
         Workload.Runner.variant;
-        iterations = (if smoke then 200 else iterations);
-        threads = (if smoke then 4 else threads);
+        iterations;
+        threads;
         seed;
         crash_at_step = (if smoke then Some 40_000 else crash_at);
         hardware;
@@ -976,17 +834,7 @@ let trace_cmd =
         fault_model;
       }
     in
-    let config =
-      if smoke then
-        {
-          config with
-          Workload.Runner.workload =
-            Workload.Runner.Counters { h_keys = 256; preload = true };
-          n_buckets = 512;
-          log_mib = 1;
-        }
-      else config
-    in
+    let config = if smoke then Workload.Runner.smoke config else config in
     (* The exposure budget defaults to the hardware's residual-energy
        stage-1 rescue capacity: how many dirty lines the platform could
        actually evacuate if it died right now. *)
@@ -1108,50 +956,6 @@ let trace_cmd =
              tracer));
     if not (Workload.Runner.consistent r) then exit 1
   in
-  let fault_model_conv =
-    let parse s =
-      Result.map_error (fun m -> `Msg m) (Nvm.Fault_model.of_string s)
-    in
-    Arg.conv (parse, Nvm.Fault_model.pp)
-  in
-  let platform =
-    Arg.(value & opt platform_conv Nvm.Config.desktop
-         & info [ "platform" ] ~docv:"P" ~doc:"desktop or server.")
-  in
-  let variant =
-    let doc =
-      "Map variant: "
-      ^ String.concat ", "
-          (List.map Workload.Machine.variant_to_cli_string
-             Workload.Machine.all_variants)
-      ^ "."
-    in
-    Arg.(value
-         & opt variant_conv (Workload.Runner.Mutex_map Atlas.Mode.Log_only)
-         & info [ "variant" ] ~docv:"VARIANT" ~doc)
-  in
-  let crash_at =
-    Arg.(value & opt (some int) None
-         & info [ "crash-at" ] ~docv:"STEP"
-             ~doc:"Inject a crash after STEP simulated memory operations \
-                   and trace through rescue and recovery.")
-  in
-  let hardware =
-    Arg.(value
-         & opt hardware_conv Tsp_core.Hardware.nvram_machine
-         & info [ "hardware" ] ~docv:"HW" ~doc:"Hardware platform model.")
-  in
-  let failure =
-    Arg.(value
-         & opt failure_conv Tsp_core.Failure_class.Process_crash
-         & info [ "failure" ] ~docv:"F" ~doc:"Failure class for --crash-at.")
-  in
-  let fault_model =
-    Arg.(value & opt (some fault_model_conv) None
-         & info [ "fault-model" ] ~docv:"MODEL"
-             ~doc:"Crash fault model for --crash-at (full-rescue, \
-                   full-discard, partial-rescue:J, torn:P, bit-rot:N).")
-  in
   let out =
     Arg.(value & opt string "trace.json"
          & info [ "out"; "o" ] ~docv:"FILE"
@@ -1178,10 +982,9 @@ let trace_cmd =
                    hardware's residual energy.")
   in
   let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"Bounded preset on a 32 KiB cache with a mid-run crash; \
-                   used by dune runtest to validate the trace pipeline.")
+    smoke_arg
+      "Bounded preset on a 32 KiB cache with a mid-run crash; used by dune \
+       runtest to validate the trace pipeline."
   in
   let frontier =
     Arg.(value & flag
@@ -1201,28 +1004,15 @@ let trace_cmd =
           persistence-exposure and psync-complexity summaries.  With \
           $(b,--frontier), chart every design's psync-per-op cost against \
           throughput and recovery instead.")
-    Term.(const run $ logs_term $ platform $ variant $ iterations_arg 2000
-          $ threads_arg $ seed_arg $ crash_at $ hardware $ failure
-          $ fault_model $ out $ exposure $ ring_cap $ budget_lines $ smoke
+    Term.(const run $ logs_term $ platform_arg $ variant_arg ()
+          $ iterations_arg 2000 $ threads_arg $ seed_arg
+          $ crash_at_arg crash_at_doc $ hardware_arg () $ failure_arg
+          $ fault_model_arg $ out $ exposure $ ring_cap $ budget_lines $ smoke
           $ frontier $ jobs_arg $ artifact_dir_arg $ replay_arg)
 
 (* serve *)
 
 let serve_cmd =
-  let degraded_conv =
-    let parse s = Result.map_error (fun m -> `Msg m) (Service.Degraded.of_string s) in
-    Arg.conv (parse, Service.Degraded.pp)
-  in
-  let preset_conv =
-    let parse s =
-      Result.map_error (fun m -> `Msg m) (Workload.Ycsb.preset_of_string s)
-    in
-    Arg.conv (parse, fun ppf p -> Fmt.string ppf (Workload.Ycsb.preset_to_string p))
-  in
-  let fault_model_conv =
-    let parse s = Result.map_error (fun m -> `Msg m) (Nvm.Fault_model.of_string s) in
-    Arg.conv (parse, Nvm.Fault_model.pp)
-  in
   let run () smoke platform variant shards seed keys requests rate theta preset
       crash_shard crash_at fault_model recovery_mode degraded trace_out jobs
       windows artifact_dir replay =
@@ -1324,30 +1114,13 @@ let serve_cmd =
     if Array.exists bad r.Service.Serve.shards then exit 1
   in
   let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"Seconds-scale CI preset: 4 shards, 16 Ki keys, 6000 \
-                   requests, a crash on shard 1.  Explicit options still \
-                   override it.")
-  in
-  let platform =
-    Arg.(value & opt platform_conv Nvm.Config.desktop
-         & info [ "platform" ] ~docv:"P" ~doc:"desktop or server.")
-  in
-  let variant =
-    Arg.(value
-         & opt variant_conv (Workload.Runner.Mutex_map Atlas.Mode.Log_only)
-         & info [ "variant" ] ~docv:"VARIANT" ~doc:"Per-shard map variant.")
+    smoke_arg
+      "Seconds-scale CI preset: 4 shards, 16 Ki keys, 6000 requests, a crash \
+       on shard 1.  Explicit options still override it."
   in
   let shards =
     Arg.(value & opt (some int) None
          & info [ "shards" ] ~docv:"N" ~doc:"Number of independent shards.")
-  in
-  let seed =
-    Arg.(value & opt (some int) None
-         & info [ "seed" ] ~docv:"SEED" ~env:seed_env
-             ~doc:"Deterministic seed; the whole report is a pure function \
-                   of it.")
   in
   let keys =
     Arg.(value & opt (some int) None
@@ -1380,19 +1153,11 @@ let serve_cmd =
              ~doc:"Crash shard S mid-traffic and recover it online while the \
                    others keep serving.")
   in
-  let crash_at =
-    Arg.(value & opt (some int) None
-         & info [ "crash-at" ] ~docv:"STEP"
-             ~doc:"Crash after STEP simulated memory operations on the \
-                   victim shard (default: half its crash-free step count).")
-  in
-  let fault_model =
-    Arg.(value & opt (some fault_model_conv) None
-         & info [ "fault-model" ] ~docv:"FM"
-             ~doc:"Adversarial crash semantics for the victim shard.")
-  in
   let degraded =
-    Arg.(value & opt (some degraded_conv) None
+    Arg.(value
+         & opt
+             (some (conv_of Service.Degraded.of_string Service.Degraded.pp))
+             None
          & info [ "degraded-mode" ] ~docv:"MODE"
              ~doc:"What the router does with requests for a down shard: \
                    $(b,shed), $(b,queue[:deadline]) or \
@@ -1414,10 +1179,15 @@ let serve_cmd =
          "Sharded KV service under open-loop load: N independent machines \
           behind a deterministic router, with online crash recovery of one \
           shard, graceful degradation, and availability accounting.")
-    Term.(const run $ logs_term $ smoke $ platform $ variant $ shards $ seed
-          $ keys $ requests $ rate $ theta $ preset $ crash_shard $ crash_at
-          $ fault_model $ recovery_mode_arg $ degraded $ trace_out $ jobs_arg
-          $ windows $ artifact_dir_arg $ replay_arg)
+    Term.(const run $ logs_term $ smoke $ platform_arg $ variant_arg ()
+          $ shards
+          $ Arg.(value & opt (some int) None & seed_info)
+          $ keys $ requests $ rate $ theta $ preset $ crash_shard
+          $ crash_at_arg
+              "Inject a crash after STEP simulated memory operations on the \
+               victim shard (default: half its crash-free step count)."
+          $ fault_model_arg $ recovery_mode_arg $ degraded $ trace_out
+          $ jobs_arg $ windows $ artifact_dir_arg $ replay_arg)
 
 (* recovery *)
 
@@ -1562,11 +1332,6 @@ let recovery_cmd =
     end
     else if smoke then Fmt.pr "@.recovery smoke: all checks passed.@."
   in
-  let variant =
-    Arg.(value
-         & opt variant_conv (Workload.Runner.Mutex_map Atlas.Mode.Log_only)
-         & info [ "variant" ] ~docv:"VARIANT" ~doc:"Map variant to measure.")
-  in
   let sizes =
     Arg.(value
          & opt (list int) [ 10_000; 100_000; 1_000_000 ]
@@ -1593,13 +1358,11 @@ let recovery_cmd =
                    finishes.")
   in
   let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"Seconds-scale CI campaign: small heaps, all modes, both \
-                   hash map and skip list; asserts image identity across \
-                   modes, parallel determinism across job counts, and the \
-                   incremental availability win.  Exits non-zero on any \
-                   failure.")
+    smoke_arg
+      "Seconds-scale CI campaign: small heaps, all modes, both hash map and \
+       skip list; asserts image identity across modes, parallel determinism \
+       across job counts, and the incremental availability win.  Exits \
+       non-zero on any failure."
   in
   Cmd.v
     (Cmd.info "recovery"
@@ -1608,7 +1371,7 @@ let recovery_cmd =
           growing population, crash them, recover in each mode, and chart \
           outage cycles against heap size — the complexity curves that \
           justify parallel and incremental recovery.")
-    Term.(const run $ logs_term $ variant $ sizes $ modes $ seed_arg
+    Term.(const run $ logs_term $ variant_arg () $ sizes $ modes $ seed_arg
           $ touches $ smoke $ artifact_dir_arg $ replay_arg)
 
 let main_cmd =

@@ -104,7 +104,12 @@ let all =
     nvram_nvcache_machine;
   ]
 
-let find name = List.find_opt (fun h -> String.equal h.name name) all
+let of_string name =
+  match List.find_opt (fun h -> String.equal h.name name) all with
+  | Some h -> Ok h
+  | None ->
+      let names = String.concat ", " (List.map (fun h -> h.name) all) in
+      Error (Printf.sprintf "unknown hardware %S (try one of: %s)" name names)
 
 let memory_to_string = function
   | Dram -> "DRAM"

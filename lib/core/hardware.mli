@@ -61,5 +61,6 @@ val nvram_nvcache_machine : t
 (** NVRAM plus non-volatile caches: nothing volatile remains. *)
 
 val all : t list
-val find : string -> t option
 val pp : t Fmt.t
+val of_string : string -> (t, string) result
+(** Look a platform up by its [name]; the error lists every name. *)

@@ -80,6 +80,15 @@ let test_small =
     cas_extra = 2;
   }
 
+let of_string = function
+  | "desktop" | "envy" -> Ok desktop
+  | "server" | "dl580" -> Ok server
+  | s -> Error (Printf.sprintf "unknown platform %S" s)
+
+let to_cli_string t =
+  List.assoc_opt t.name [ (desktop.name, "desktop"); (server.name, "server") ]
+  |> Option.value ~default:t.name
+
 let round_up n multiple = (n + multiple - 1) / multiple * multiple
 
 let with_region_size t bytes =

@@ -37,6 +37,12 @@ val test_small : t
 (** A tiny region and cache for unit tests: evictions happen quickly, so
     write-back and crash-discard behaviour is easy to exercise. *)
 
+val of_string : string -> (t, string) result
+(** [desktop] (alias [envy]) or [server] (alias [dl580]). *)
+
+val to_cli_string : t -> string
+(** The spelling of the preset [t] derives from (by name), else [t.name]. *)
+
 val with_region_size : t -> int -> t
 (** [with_region_size t bytes] returns [t] resized; [bytes] is rounded up
     to a whole number of cache lines. *)

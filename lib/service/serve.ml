@@ -328,27 +328,6 @@ let background_gc_body inc () =
     ()
   done
 
-(* Strict durable linearizability is only a sound expectation of
-   rescue-class crash semantics; mirror Check_campaign's envelope. *)
-let dl_gate (cfg : config) spec =
-  match cfg.fault_model with
-  | None ->
-      let verdict =
-        Tsp_core.Policy.decide spec.Machine.hardware spec.Machine.failure
-      in
-      if Tsp_core.Policy.is_tsp verdict then Ok ()
-      else
-        Error
-          "skipped: the hardware/failure pair gets a non-TSP verdict (discard \
-           semantics), outside the strict checker's soundness envelope"
-  | Some Nvm.Fault_model.Full_rescue -> Ok ()
-  | Some fm ->
-      Error
-        (Printf.sprintf
-           "skipped: fault model %s is outside the strict checker's soundness \
-            envelope (rescue-class semantics required)"
-           (Nvm.Fault_model.to_string fm))
-
 type cell = { c_report : shard_report; c_fates : int array; c_lats : int array }
 
 let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_step shard =
@@ -473,8 +452,13 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
               (k, v) :: acc)
         in
         let dl, dl_note =
-          match (dl_gate cfg spec, history) with
-          | Error note, _ -> (None, note)
+          match
+            ( Workload.Check_campaign.dl_envelope
+                ~hardware:spec.Machine.hardware
+                ~failure:spec.Machine.failure cfg.fault_model,
+              history )
+          with
+          | Error reason, _ -> (None, "skipped: " ^ reason)
           | Ok (), None -> (None, "skipped: no history recorded")
           | Ok (), Some h ->
               let initial =

@@ -84,25 +84,22 @@ let initial_entries config =
    Under discard/partial/torn/bit-rot semantics completed work may
    legitimately vanish, and a "violation" would indict the fault model,
    not the structure. *)
-let validate spec =
-  ignore (initial_entries spec.base : (int * int64) list);
-  (match spec.base.Runner.fault_model with
+let dl_envelope ~hardware ~failure = function
+  | None when Tsp_core.Policy.(is_tsp (decide hardware failure)) -> Ok ()
   | None ->
-      let verdict =
-        Tsp_core.Policy.decide spec.base.Runner.hardware
-          spec.base.Runner.failure
-      in
-      if not (Tsp_core.Policy.is_tsp verdict) then
-        invalid_arg
-          "Check_campaign: the hardware/failure pair gets a non-TSP verdict \
-           (discard semantics); strict durable linearizability cannot be \
-           expected of it"
-  | Some FM.Full_rescue -> ()
+      Error "the hardware/failure pair gets a non-TSP verdict (discard \
+             semantics), outside the strict checker's soundness envelope"
+  | Some FM.Full_rescue -> Ok ()
   | Some fm ->
-      Fmt.invalid_arg
-        "Check_campaign: fault model %s is outside the strict checker's \
-         soundness envelope (rescue-class semantics required)"
-        (FM.to_string fm));
+      Fmt.error "fault model %s is outside the strict checker's soundness \
+                 envelope (rescue-class semantics required)" (FM.to_string fm)
+
+let validate spec =
+  let b = spec.base in
+  ignore (initial_entries b : (int * int64) list);
+  dl_envelope ~hardware:b.Runner.hardware ~failure:b.Runner.failure
+    b.Runner.fault_model
+  |> Result.iter_error (fun why -> invalid_arg ("Check_campaign: " ^ why));
   if spec.stride < 1 then
     invalid_arg "Check_campaign: stride must be >= 1";
   if spec.window < 1 then

@@ -73,6 +73,12 @@ val initial_entries : Runner.config -> (int * int64) list
     @raise Invalid_argument for workloads the checker does not support
     (wide values and transfers bypass the recorded op interface). *)
 
+val dl_envelope :
+  hardware:Tsp_core.Hardware.t -> failure:Tsp_core.Failure_class.t ->
+  Nvm.Fault_model.t option -> (unit, string) result
+(** [Error reason] unless strict durable linearizability is sound to
+    expect of the crash: a TSP policy verdict, or [Full_rescue]. *)
+
 val non_durable :
   seed:int -> every:int -> Tsp_maps.Map_intf.ops -> Tsp_maps.Map_intf.ops
 (** The planted bug: a variant whose writes are not durably linearizable.

@@ -85,11 +85,6 @@ let default_spec base =
 
 let model_label = function None -> "policy" | Some m -> FM.to_string m
 
-(* The CLI spelling of each variant, for copy-pasteable reproducers:
-   the canonical spellings live in [Machine] next to the parser, so the
-   two cannot drift. *)
-let variant_flag = Machine.variant_to_cli_string
-
 (* A complete `tsp faults` invocation replaying exactly this run: the
    exhaustive enumerator with a one-step window and a pinned per-run
    seed is the single-run special case of a campaign. *)
@@ -98,14 +93,12 @@ let repro_of spec ~fault ~seed ~crash_step =
   let buf = Buffer.create 160 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "tsp faults --variant %s --hardware '%s' --failure %s"
-    (variant_flag b.Runner.variant)
+    (Machine.variant_to_cli_string b.Runner.variant)
     b.Runner.hardware.Tsp_core.Hardware.name
     (Tsp_core.Failure_class.to_string b.Runner.failure);
-  if
-    not
-      (String.equal b.Runner.platform.Nvm.Config.name
-         Nvm.Config.desktop.Nvm.Config.name)
-  then add " --platform server";
+  (match Nvm.Config.to_cli_string b.Runner.platform with
+  | "desktop" -> ()
+  | p -> add " --platform %s" p);
   (match b.Runner.workload with
   | Runner.Transfers _ -> add " --transfers"
   | Runner.Wide { value_words; _ } -> add " --wide %d" value_words
@@ -551,7 +544,7 @@ let to_json j s =
   let b = s.spec.base in
   J.obj_open j;
   J.key j "variant";
-  J.str j (variant_flag b.Runner.variant);
+  J.str j (Machine.variant_to_cli_string b.Runner.variant);
   J.key j "hardware";
   J.str j b.Runner.hardware.Tsp_core.Hardware.name;
   J.key j "failure";

@@ -41,14 +41,11 @@ let default_variants =
 
 let base_config ~platform ~threads ~iterations ~seed =
   {
-    Runner.default_config with
+    (Runner.smoke_workload Runner.default_config) with
     Runner.platform;
     threads;
     iterations;
     seed;
-    workload = Runner.Counters { h_keys = 256; preload = true };
-    n_buckets = 512;
-    log_mib = 1;
   }
 
 let measure ~config ~crash_step variant =

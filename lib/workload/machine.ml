@@ -250,6 +250,20 @@ let recovery_mode_to_string = function
   | Parallel_gc jobs -> Fmt.str "parallel:%d" jobs
   | Incremental_gc -> "incremental"
 
+let recovery_mode_of_string s =
+  match String.lowercase_ascii s with
+  | "eager" -> Ok Eager
+  | "parallel" -> Ok (Parallel_gc 2)
+  | "incremental" | "lazy" -> Ok Incremental_gc
+  | s when String.starts_with ~prefix:"parallel:" s -> (
+      match int_of_string_opt (String.sub s 9 (String.length s - 9)) with
+      | Some j when j >= 1 -> Ok (Parallel_gc j)
+      | _ -> Error (Printf.sprintf "invalid parallel job count in %S" s))
+  | s ->
+      Error
+        (Printf.sprintf
+           "unknown recovery mode %S (eager, parallel[:N], incremental)" s)
+
 type recovery = {
   heap : Heap.t option;
   observer : Tsp_core.Recovery_observer.verdict option;

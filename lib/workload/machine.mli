@@ -153,6 +153,10 @@ type recovery_mode = Eager | Parallel_gc of int | Incremental_gc
 
 val recovery_mode_to_string : recovery_mode -> string
 
+val recovery_mode_of_string : string -> (recovery_mode, string) result
+(** [eager], [parallel] (2 jobs), [parallel:N] or [incremental] (alias
+    [lazy]), in any case; round-trips with {!recovery_mode_to_string}. *)
+
 type recovery = {
   heap : Pheap.Heap.t option;  (** [None]: attach failed (unrecoverable) *)
   observer : Tsp_core.Recovery_observer.verdict option;

@@ -109,6 +109,17 @@ let calibrated_config platform =
     skip_op_cycles;
   }
 
+let smoke_workload c =
+  let workload = Counters { h_keys = 256; preload = true } in
+  { c with workload; n_buckets = 512; log_mib = 1 }
+
+let smoke ?(sized = true) c =
+  let platform = { c.platform with Nvm.Config.cache_lines = 512 } in
+  let c = smoke_workload { c with platform } in
+  if sized then { c with threads = 4; iterations = 200 } else c
+
+let smoke_mid_from = function Delayfree_map -> 18_000 | _ -> 40_000
+
 type crash_report = {
   verdict : Tsp_core.Policy.verdict;
   observer : Tsp_core.Recovery_observer.verdict option;

@@ -123,6 +123,22 @@ val machine_spec : config -> Machine.spec
     machines directly derive theirs from [default_config] or
     [calibrated_config] with record overrides. *)
 
+(** {1 The crash-campaign smoke shape}
+
+    256 preloaded counter keys in 512 buckets and a 1 MiB log, run by 4
+    threads x 200 iterations on a 512-line (32 KiB) cache small enough
+    that a discard loses lines: what the faults/check/trace smokes crash. *)
+
+val smoke_workload : config -> config
+(** Only the keys, buckets and log. *)
+
+val smoke : ?sized:bool -> config -> config
+(** The whole shape; [~sized:false] keeps the threads and iterations. *)
+
+val smoke_mid_from : variant -> int
+(** Start of the smokes' mid-workload crash window: 18 000 for the
+    delay-free table (done near step 22k), else 40 000. *)
+
 type crash_report = {
   verdict : Tsp_core.Policy.verdict;
   observer : Tsp_core.Recovery_observer.verdict option;

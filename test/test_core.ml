@@ -35,11 +35,12 @@ let test_fc_severity_order () =
 let test_hw_find () =
   List.iter
     (fun h ->
-      match HW.find h.HW.name with
-      | Some h' -> Alcotest.(check string) "found" h.HW.name h'.HW.name
-      | None -> Alcotest.failf "%s not found" h.HW.name)
+      match HW.of_string h.HW.name with
+      | Ok h' -> Alcotest.(check string) "found" h.HW.name h'.HW.name
+      | Error e -> Alcotest.failf "%s not found: %s" h.HW.name e)
     HW.all;
-  Alcotest.(check bool) "unknown" true (HW.find "nonesuch" = None)
+  Alcotest.(check bool) "unknown" true
+    (Result.is_error (HW.of_string "nonesuch"))
 
 let test_hw_presets_sane () =
   Alcotest.(check bool) "conventional has no standby energy" true

@@ -123,17 +123,12 @@ let test_fault_campaign_jobs_invariant () =
   let module FI = Workload.Fault_injector in
   let module FM = Nvm.Fault_model in
   let base =
-    let platform =
-      { Nvm.Config.desktop with Nvm.Config.cache_lines = 512 }
-    in
     {
-      (Workload.Runner.calibrated_config platform) with
+      (Workload.Runner.smoke
+         (Workload.Runner.calibrated_config Nvm.Config.desktop))
+      with
       Workload.Runner.variant = Workload.Runner.Mutex_map Atlas.Mode.Log_only;
-      workload = Workload.Runner.Counters { h_keys = 256; preload = true };
-      threads = 4;
       iterations = 60;
-      n_buckets = 512;
-      log_mib = 1;
     }
   in
   List.iter

@@ -17,16 +17,9 @@ module FI = Workload.Fault_injector
    faults genuinely lose lines (on the stock 512 KiB cache everything
    stays resident and Full_discard reverts to a clean snapshot). *)
 let small_config =
-  let platform = { Nvm.Config.desktop with Nvm.Config.cache_lines = 512 } in
-  let base = Runner.calibrated_config platform in
   {
-    base with
+    (Runner.smoke (Runner.calibrated_config Nvm.Config.desktop)) with
     Runner.variant = Runner.Mutex_map Mode.Log_only;
-    workload = Runner.Counters { h_keys = 256; preload = true };
-    threads = 4;
-    iterations = 200;
-    n_buckets = 512;
-    log_mib = 1;
   }
 
 (* --- Graceful degraded recovery: the runner must return a structured

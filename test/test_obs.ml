@@ -517,15 +517,9 @@ module FM = Nvm.Fault_model
 module FI = Workload.Fault_injector
 
 let faults_base =
-  let platform = { Nvm.Config.desktop with Nvm.Config.cache_lines = 512 } in
   {
-    (Runner.calibrated_config platform) with
+    (Runner.smoke (Runner.calibrated_config Nvm.Config.desktop)) with
     Runner.variant = Runner.Mutex_map Atlas.Mode.Log_only;
-    workload = Runner.Counters { h_keys = 256; preload = true };
-    threads = 4;
-    iterations = 200;
-    n_buckets = 512;
-    log_mib = 1;
   }
 
 (* The ISSUE's headline property: the same bug observed at two

@@ -237,6 +237,32 @@ let test_serve_recovery_and_ledger () =
         (l.Serve.p50 <= l.Serve.p99 && l.Serve.p99 <= l.Serve.p999))
     r.Serve.latency
 
+(* A victim that recovers under a non-rescue fault model is outside the
+   strict checker's envelope: no DL verdict, and the note carries the
+   envelope's own reason. *)
+let test_serve_dl_skipped_outside_envelope () =
+  let fm = Nvm.Fault_model.Full_discard in
+  let cfg = { tiny_config with Serve.fault_model = Some fm } in
+  let victim = (Serve.run ~jobs:1 cfg).Serve.shards.(1) in
+  Alcotest.(check string) "victim recovered" "crashed+recovered"
+    victim.Serve.outcome;
+  let reason =
+    match
+      Workload.Check_campaign.dl_envelope
+        ~hardware:Workload.Runner.default_config.Workload.Runner.hardware
+        ~failure:Workload.Runner.default_config.Workload.Runner.failure
+        (Some fm)
+    with
+    | Ok () -> Alcotest.fail "full-discard inside the strict envelope"
+    | Error reason -> reason
+  in
+  match victim.Serve.recovery with
+  | None -> Alcotest.fail "victim shard has no recovery report"
+  | Some rr ->
+      Alcotest.(check bool) "no DL verdict" true (rr.Serve.dl = None);
+      Alcotest.(check string) "note names the envelope's reason"
+        ("skipped: " ^ reason) rr.Serve.dl_note
+
 let test_serve_shed_and_retry () =
   let run mode = Serve.run ~jobs:2 { tiny_config with Serve.degraded = mode } in
   let shed = run Degraded.Shed in
@@ -287,6 +313,8 @@ let suite =
         test_serve_blast_radius;
       slow_case "serve: recovery report, DL verdict, ledger accounting"
         test_serve_recovery_and_ledger;
+      slow_case "serve: DL check skipped outside the rescue envelope"
+        test_serve_dl_skipped_outside_envelope;
       slow_case "serve: shed and retry degraded modes" test_serve_shed_and_retry;
       case "serve: config guards" test_serve_guards;
       case "sweeps: ycsb table reports p999" test_ycsb_table_p999;

@@ -143,6 +143,49 @@ let test_variant_round_trip () =
     (Workload.Machine.variant_of_string "rcas"
     = Ok Workload.Machine.Delayfree_map)
 
+(* The recovery-mode and platform spellings the CLI takes, parsed where
+   their types live: canonical forms round-trip, aliases resolve, and
+   nonsense is refused. *)
+let test_mode_platform_round_trip () =
+  let module M = Workload.Machine in
+  List.iter
+    (fun (s, want) ->
+      match M.recovery_mode_of_string s with
+      | Ok m ->
+          Alcotest.(check bool) (s ^ " parses") true (m = want);
+          Alcotest.(check bool) (s ^ " round-trips") true
+            (M.recovery_mode_of_string (M.recovery_mode_to_string m) = Ok m)
+      | Error e -> Alcotest.fail (s ^ " failed to parse: " ^ e))
+    [
+      ("eager", M.Eager);
+      ("parallel", M.Parallel_gc 2);
+      ("parallel:3", M.Parallel_gc 3);
+      ("incremental", M.Incremental_gc);
+      ("lazy", M.Incremental_gc);
+    ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " rejected") true
+        (Result.is_error (M.recovery_mode_of_string s)))
+    [ "parallel:0"; "bogus" ];
+  List.iter
+    (fun (s, want) ->
+      match Nvm.Config.of_string s with
+      | Ok p ->
+          Alcotest.(check string) (s ^ " parses") want.Nvm.Config.name
+            p.Nvm.Config.name;
+          Alcotest.(check bool) (s ^ " round-trips") true
+            (Nvm.Config.of_string (Nvm.Config.to_cli_string p) = Ok p)
+      | Error e -> Alcotest.fail (s ^ " failed to parse: " ^ e))
+    [
+      ("desktop", Nvm.Config.desktop);
+      ("envy", Nvm.Config.desktop);
+      ("server", Nvm.Config.server);
+      ("dl580", Nvm.Config.server);
+    ];
+  Alcotest.(check bool) "bogus platform rejected" true
+    (Result.is_error (Nvm.Config.of_string "bogus"))
+
 let test_runner_deterministic () =
   let run () =
     let r = Runner.run { small_config with Runner.seed = 77 } in
@@ -683,6 +726,8 @@ let suite =
       slow_case "runner: all variants complete consistently"
         test_runner_completes_all_variants;
       case "runner: variant spellings round-trip" test_variant_round_trip;
+      case "runner: recovery-mode and platform spellings round-trip"
+        test_mode_platform_round_trip;
       case "runner: deterministic replay" test_runner_deterministic;
       case "runner: seed perturbs interleaving"
         test_runner_seed_changes_interleaving;
