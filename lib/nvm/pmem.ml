@@ -135,6 +135,14 @@ let record_store_int t addr v =
   | None -> ()
   | Some q -> Queue.add (addr, Int64.of_int v) q
 
+(* Every flush or eviction of a dirty line counts in [writebacks].  If
+   one ran during a store's charge (another thread may have run), the
+   store's line may be clean where the value lands: re-dirty it, or a
+   rescue would drop the store. *)
+let[@inline] redirty t addr ~since =
+  if t.stats.Stats.writebacks <> since && not (Cache.is_dirty t.cache ~addr)
+  then ignore (Cache.touch t.cache ~addr ~dirty:true : int)
+
 (* Cost accounting shared by [store]/[store_int]/[cas]/[cas_int]: count
    the access, touch the cache dirty, return the store cost. *)
 let[@inline] store_cost t ~addr =
@@ -153,9 +161,11 @@ let store t addr v =
   st.Stats.stores <- st.Stats.stores + 1;
   let cost = store_cost t ~addr in
   st.Stats.store_cycles <- st.Stats.store_cycles + cost;
+  let wb = st.Stats.writebacks in
   qstep t cost;
   trace t ~code:Obs.Event.store ~a:addr ~b:cost;
   Memory.store t.mem addr v;
+  redirty t addr ~since:wb;
   record_store t addr v
 
 let cas t addr ~expected ~desired =
@@ -170,11 +180,13 @@ let cas t addr ~expected ~desired =
      read-modify-write, which then executes indivisibly: no other thread
      can run between the comparison and the write. *)
   st.Stats.cas_cycles <- st.Stats.cas_cycles + base + t.cfg.Config.cas_extra;
+  let wb = st.Stats.writebacks in
   step t (base + t.cfg.Config.cas_extra);
   trace t ~code:Obs.Event.cas ~a:addr ~b:(base + t.cfg.Config.cas_extra);
   let actual = Memory.load t.mem addr in
   if Int64.equal actual expected then begin
     Memory.store t.mem addr desired;
+    redirty t addr ~since:wb;
     record_store t addr desired;
     true
   end
@@ -213,9 +225,11 @@ let store_int t addr v =
   st.Stats.stores <- st.Stats.stores + 1;
   let cost = store_cost t ~addr in
   st.Stats.store_cycles <- st.Stats.store_cycles + cost;
+  let wb = st.Stats.writebacks in
   qstep t cost;
   trace t ~code:Obs.Event.store ~a:addr ~b:cost;
   Memory.store_int t.mem addr v;
+  redirty t addr ~since:wb;
   record_store_int t addr v
 
 let cas_int t addr ~expected ~desired =
@@ -227,9 +241,11 @@ let cas_int t addr ~expected ~desired =
     else t.cfg.Config.store_cost + t.cfg.Config.store_miss_extra
   in
   st.Stats.cas_cycles <- st.Stats.cas_cycles + base + t.cfg.Config.cas_extra;
+  let wb = st.Stats.writebacks in
   step t (base + t.cfg.Config.cas_extra);
   trace t ~code:Obs.Event.cas ~a:addr ~b:(base + t.cfg.Config.cas_extra);
   if Memory.cas_int t.mem addr ~expected ~desired then begin
+    redirty t addr ~since:wb;
     record_store_int t addr desired;
     true
   end

@@ -496,6 +496,44 @@ let test_pmem_step_hook () =
     !costs;
   Alcotest.(check int) "clock without hook" 50 (Pmem.stats p).Stats.clock
 
+(* A writer's charge may switch threads, and the thread that runs may
+   clean the writer's line (flush it, or evict it by touching the rest of
+   its set) before the value lands.  The step hook plays that thread once,
+   during the first charge.  The landed value must still reach the
+   durable image under a Rescue crash, for all four writers. *)
+let store_race_survives_rescue clean () =
+  List.iter
+    (fun (name, write) ->
+      let p = small_pmem () in
+      let fired = ref false in
+      Pmem.set_step_hook p (fun ~cost:_ ->
+          if not !fired then begin
+            fired := true;
+            clean p
+          end);
+      write p;
+      Pmem.clear_step_hook p;
+      Pmem.crash p Pmem.Rescue;
+      Alcotest.check int64 (name ^ " durable after the rescue") 42L
+        (Pmem.load_durable p 0))
+    [
+      ("store", fun p -> Pmem.store p 0 42L);
+      ("store_int", fun p -> Pmem.store_int p 0 42);
+      ("cas", fun p -> ignore (Pmem.cas p 0 ~expected:0L ~desired:42L : bool));
+      ( "cas_int",
+        fun p -> ignore (Pmem.cas_int p 0 ~expected:0 ~desired:42 : bool) );
+    ]
+
+let test_pmem_store_race_flush =
+  store_race_survives_rescue (fun p -> Pmem.flush p 0)
+
+(* test_small has 8 sets of 2 ways: lines 512 and 1024 share line 0's
+   set, and loading both evicts it. *)
+let test_pmem_store_race_evict =
+  store_race_survives_rescue (fun p ->
+      ignore (Pmem.load p 512 : int64);
+      ignore (Pmem.load p 1024 : int64))
+
 let test_pmem_peek_costless () =
   let p = small_pmem () in
   Pmem.store p 0 3L;
@@ -721,6 +759,12 @@ let suite =
         test_crash_with_then_recover;
       case "pmem: persist_all empties the cache" test_pmem_persist_all;
       case "pmem: step hook sees per-op costs" test_pmem_step_hook;
+      case "pmem: a store whose line is flushed during its charge survives \
+            a rescue"
+        test_pmem_store_race_flush;
+      case "pmem: a store whose line is evicted during its charge survives \
+            a rescue"
+        test_pmem_store_race_evict;
       case "pmem: peek is free" test_pmem_peek_costless;
       case "pmem: journal records history in order" test_pmem_journal_history;
       case "pmem: natural eviction preserves data across Discard"

@@ -258,6 +258,14 @@ let contended_observables (seed, jitter, crash_at_step, progs)
     progs;
   let outcome = run_wired ?crash_at_step pmem sched in
   Pmem.crash pmem Pmem.Rescue;
+  (* The rescue leaves every word of the programs' range (plain ops up
+     to 2040, sections up to 2072) at its pre-crash value, including a
+     store that landed after another thread cleaned its line. *)
+  for w = 0 to 2072 / 8 do
+    let a = w * 8 in
+    if not (Int64.equal (Pmem.peek pmem a) (Pmem.load_durable pmem a)) then
+      QCheck2.Test.fail_reportf "word %d lost its last store" a
+  done;
   let evs = ref [] in
   Tracer.iter tr (fun e -> evs := e :: !evs);
   ( outcome,
