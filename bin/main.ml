@@ -203,6 +203,18 @@ let jobs_arg =
 
 let current_argv = ref Sys.argv
 
+(* The seed TSP_SEED supplied to this run, if it supplied one.  Cmdliner
+   looks the variable up only for a --seed the command line left out,
+   so a lookup that finds it means the environment chose the seed.  A
+   replay ignores the environment, so the stored replay argv pins that
+   seed with --seed. *)
+let env_seed = ref None
+
+let env var =
+  let v = Sys.getenv_opt var in
+  if String.equal var "TSP_SEED" then env_seed := v;
+  v
+
 (* Forward reference to the toplevel evaluator, filled in once
    [main_cmd] exists, so the --replay handler can re-enter the CLI. *)
 let reeval : (string array -> int) ref =
@@ -228,7 +240,8 @@ let replay_arg =
 
 (* If --replay was given, re-enter the CLI with the manifest's stored
    argv plus this invocation's run-only flags, and exit with its
-   status. *)
+   status.  The stored argv alone decides the run: the re-entry reads
+   no environment variable. *)
 let handle_replay ~artifact_dir ~jobs replay =
   match replay with
   | None -> ()
@@ -249,6 +262,7 @@ let handle_replay ~artifact_dir ~jobs replay =
           in
           let argv = Array.of_list (("tsp" :: args) @ extra) in
           current_argv := argv;
+          env_seed := None;
           exit (!reeval argv))
 
 let emit_artifacts artifact_dir ~subcommand ~config ~body =
@@ -257,7 +271,9 @@ let emit_artifacts artifact_dir ~subcommand ~config ~body =
   | Some dir ->
       let manifest =
         Obs.Artifact.manifest ~subcommand
-          ~replay:(Obs.Artifact.replay_args !current_argv)
+          ~replay:
+            (Obs.Artifact.replay_args !current_argv
+            @ match !env_seed with Some s -> [ "--seed"; s ] | None -> [])
           ~config
       in
       let results = Obs.Artifact.results ~subcommand ~body in
@@ -1095,23 +1111,7 @@ let serve_cmd =
       ~body:(fun j ->
         Obs.Json.key j "report";
         Service.Serve.to_json j r);
-    (* Under rescue-class crash semantics the service must come back
-       consistent; a lost shard or a DL violation is a real failure.
-       Adversarial fault models are allowed to lose the shard. *)
-    let adversarial =
-      match cfg.Service.Serve.fault_model with
-      | Some fm -> Nvm.Fault_model.expects_loss fm
-      | None -> false
-    in
-    let bad (s : Service.Serve.shard_report) =
-      s.Service.Serve.outcome = "deadlocked"
-      || ((not adversarial) && s.Service.Serve.outcome = "crashed+lost")
-      || (match s.Service.Serve.recovery with
-         | Some { Service.Serve.dl = Some v; _ } ->
-             not (Check.Dl.is_explained v)
-         | _ -> false)
-    in
-    if Array.exists bad r.Service.Serve.shards then exit 1
+    if Service.Serve.failed r then exit 1
   in
   let smoke =
     smoke_arg
@@ -1213,8 +1213,9 @@ let recovery_cmd =
     in
     let failures = ref 0 in
     let all_cells = ref [] in
-    let fail fmt =
-      Fmt.kstr (fun s -> incr failures; Fmt.pr "FAIL: %s@." s) fmt
+    let fail msg =
+      incr failures;
+      Fmt.pr "FAIL: %s@." msg
     in
     Fmt.pr "%-16s %8s %-12s %14s %9s %14s %10s %6s@." "variant" "objects"
       "mode" "outage-cycles" "cyc/obj" "bg-cycles" "on-demand" "audit";
@@ -1236,62 +1237,11 @@ let recovery_cmd =
                     (float_of_int c.RS.outage_cycles /. float_of_int objects)
                     c.RS.background_cycles c.RS.on_demand_touches
                     c.RS.heap_audit_ok;
-                  (mode, c))
+                  c)
                 modes
             in
-            all_cells := !all_cells @ List.map snd cells;
-            (* Every mode must leave the same heap image, and the
-               parallel cells must match at every job count. *)
-            (match cells with
-            | [] -> ()
-            | (_, first) :: rest ->
-                List.iter
-                  (fun (m, c) ->
-                    if c.RS.image_hash <> first.RS.image_hash then
-                      fail "%s/%d: %s image %x differs from %s image %x"
-                        (Workload.Machine.variant_to_string variant)
-                        objects
-                        (Workload.Machine.recovery_mode_to_string m)
-                        c.RS.image_hash
-                        (Workload.Machine.recovery_mode_to_string
-                           first.RS.mode)
-                        first.RS.image_hash;
-                    if not c.RS.heap_audit_ok then
-                      fail "%s/%d: %s failed the heap audit"
-                        (Workload.Machine.variant_to_string variant)
-                        objects
-                        (Workload.Machine.recovery_mode_to_string m))
-                  rest);
-            let parallel =
-              List.filter_map
-                (fun (m, c) ->
-                  match m with Workload.Machine.Parallel_gc _ -> Some c | _ -> None)
-                cells
-            in
-            (match parallel with
-            | p1 :: rest ->
-                List.iter
-                  (fun p ->
-                    if not (RS.cells_match p1 p) then
-                      fail
-                        "%s/%d: parallel cells diverge across job counts \
-                         (determinism violation)"
-                        (Workload.Machine.variant_to_string variant)
-                        objects)
-                  rest
-            | [] -> ());
-            match
-              ( List.assoc_opt Workload.Machine.Eager cells,
-                List.assoc_opt Workload.Machine.Incremental_gc cells )
-            with
-            | Some e, Some i ->
-                if i.RS.outage_cycles >= e.RS.outage_cycles then
-                  fail
-                    "%s/%d: incremental outage (%d cycles) is not shorter \
-                     than eager (%d cycles)"
-                    (Workload.Machine.variant_to_string variant)
-                    objects i.RS.outage_cycles e.RS.outage_cycles
-            | _ -> ())
+            all_cells := !all_cells @ cells;
+            List.iter fail (RS.violations cells))
           sizes)
       variants;
     emit_artifacts artifact_dir ~subcommand:"recovery"
@@ -1384,5 +1334,5 @@ let main_cmd =
     [ table1_cmd; faults_cmd; check_cmd; sweeps_cmd; ycsb_cmd; policy_cmd;
       wsp_cmd; run_cmd; trace_cmd; serve_cmd; recovery_cmd ]
 
-let () = reeval := fun argv -> Cmd.eval ~argv main_cmd
-let () = exit (Cmd.eval ~argv:!current_argv main_cmd)
+let () = reeval := fun argv -> Cmd.eval ~env:(fun _ -> None) ~argv main_cmd
+let () = exit (Cmd.eval ~env ~argv:!current_argv main_cmd)

@@ -47,9 +47,10 @@ let () =
 
   (* TSP crash, then recovery = re-attach.  That's all of it. *)
   ignore
-    (Tsp_core.Tsp.crash pmem ~hardware:Tsp_core.Hardware.nvram_machine
+    (Tsp_core.Crash_executor.execute pmem
+       ~hardware:Tsp_core.Hardware.nvram_machine
        ~failure:Tsp_core.Failure_class.Process_crash
-      : Tsp_core.Policy.verdict);
+      : Tsp_core.Crash_executor.execution);
   Pmem.recover pmem;
   let heap = Heap.attach pmem ~base:0 ~size in
   let root = Heap.get_root heap in

@@ -81,9 +81,10 @@ let () =
 
   (* Crash with TSP, recover, roll back interrupted SETs, verify. *)
   ignore
-    (Tsp_core.Tsp.crash pmem ~hardware:Tsp_core.Hardware.nvdimm_server
+    (Tsp_core.Crash_executor.execute pmem
+       ~hardware:Tsp_core.Hardware.nvdimm_server
        ~failure:Tsp_core.Failure_class.Power_outage
-      : Tsp_core.Policy.verdict);
+      : Tsp_core.Crash_executor.execution);
   Nvm.Pmem.recover pmem;
   let heap = Heap.attach pmem ~base:0 ~size:log_base in
   let report = Atlas.Recovery.run ~heap ~log_base () in

@@ -48,11 +48,13 @@ let () =
 
   (* Crash under a failure class for which TSP is available on this
      hardware: the policy engine decides the device's behaviour. *)
-  let verdict =
-    Tsp_core.Tsp.crash pmem ~hardware:Tsp_core.Hardware.nvram_machine
+  let crash =
+    Tsp_core.Crash_executor.execute pmem
+      ~hardware:Tsp_core.Hardware.nvram_machine
       ~failure:Tsp_core.Failure_class.Process_crash
   in
-  Fmt.pr "@.crash injected: %a@." Tsp_core.Policy.pp_verdict verdict;
+  Fmt.pr "@.crash injected: %a@." Tsp_core.Policy.pp_verdict
+    crash.Tsp_core.Crash_executor.verdict;
   Fmt.pr "%a@." Tsp_core.Recovery_observer.pp
     (Tsp_core.Recovery_observer.observe pmem);
 

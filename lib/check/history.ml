@@ -113,7 +113,6 @@ let nth t i =
   }
 
 let records t = List.init (length t) (nth t)
-let pending_of_record r = r.t1 < 0
 
 let pending t =
   let n = ref 0 in

@@ -60,5 +60,3 @@ val records : t -> record list
 val completed : t -> int
 val pending : t -> int
 
-val pending_of_record : record -> bool
-(** [t1 < 0]: invoked but never acknowledged. *)

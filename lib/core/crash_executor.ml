@@ -7,7 +7,6 @@ type action_bill = {
 
 type execution = {
   verdict : Policy.verdict;
-  mode : Nvm.Pmem.crash_mode;
   fault : Nvm.Fault_model.t;
   damage : Nvm.Pmem.crash_damage;
   bills : action_bill list;
@@ -71,17 +70,7 @@ let bill_action (h : Hardware.t) ~dirty_lines ~line_size action =
 
 let execute ?fault ?(rng = fun _ -> 0) pmem ~hardware ~failure =
   let verdict = Policy.decide hardware failure in
-  let mode = Policy.crash_mode verdict in
-  let fault =
-    match fault with
-    | Some f -> f
-    | None -> (
-        (* The paper's binary semantics: the verdict decides whether the
-           rescue happens at all. *)
-        match mode with
-        | Nvm.Pmem.Rescue -> Nvm.Fault_model.Full_rescue
-        | Nvm.Pmem.Discard -> Nvm.Fault_model.Full_discard)
-  in
+  let fault = Policy.crash_model ~hardware ~failure fault in
   let dirty_lines = Nvm.Pmem.dirty_line_count pmem in
   let line_size = (Nvm.Pmem.config pmem).Nvm.Config.line_size in
   let rescue_limit =
@@ -92,7 +81,7 @@ let execute ?fault ?(rng = fun _ -> 0) pmem ~hardware ~failure =
              ~line_size)
     | _ -> None
   in
-  let damage = Nvm.Pmem.crash_with pmem ~fault ?rescue_limit ~rng () in
+  let damage = Nvm.Pmem.crash pmem ~fault ?rescue_limit ~rng () in
   let bills =
     if Nvm.Fault_model.adversarial fault then begin
       (* The verdict's plan never ran to completion; bill only the data
@@ -119,7 +108,6 @@ let execute ?fault ?(rng = fun _ -> 0) pmem ~hardware ~failure =
   in
   {
     verdict;
-    mode;
     fault;
     damage;
     bills;
@@ -128,19 +116,3 @@ let execute ?fault ?(rng = fun _ -> 0) pmem ~hardware ~failure =
     rescued_lines = damage.Nvm.Pmem.rescued;
     dropped_lines = damage.Nvm.Pmem.dropped;
   }
-
-let pp_execution ppf e =
-  let pp_bill ppf b =
-    Fmt.pf ppf "%a: %.6f s, %.3f J%s" Policy.pp_crash_action b.action
-      b.seconds b.energy_j
-      (if b.lines_involved > 0 then
-         Printf.sprintf " (%d dirty lines)" b.lines_involved
-       else "")
-  in
-  Fmt.pf ppf
-    "@[<v>%a@ fault %a@ %a@ total %.6f s, %.3f J; rescued %d lines, torn %d, \
-     dropped %d, %d bits flipped@]"
-    Policy.pp_verdict e.verdict Nvm.Fault_model.pp e.fault
-    Fmt.(list ~sep:cut pp_bill)
-    e.bills e.total_seconds e.total_energy_j e.rescued_lines
-    e.damage.Nvm.Pmem.torn e.dropped_lines e.damage.Nvm.Pmem.bit_flips

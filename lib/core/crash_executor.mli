@@ -18,8 +18,8 @@ type action_bill = {
 
 type execution = {
   verdict : Policy.verdict;
-  mode : Nvm.Pmem.crash_mode;  (** verdict-derived binary semantics *)
-  fault : Nvm.Fault_model.t;  (** the fault actually applied *)
+  fault : Nvm.Fault_model.t;
+      (** the model the crash ran: {!Policy.crash_model}'s answer *)
   damage : Nvm.Pmem.crash_damage;
   bills : action_bill list;
   total_seconds : float;
@@ -39,15 +39,14 @@ val execute :
     device and bill the actions against the dirty-line count observed at
     the instant of the crash.
 
-    Without [fault] the crash follows the verdict exactly as before:
-    TSP verdicts rescue every dirty line, non-TSP verdicts discard them.
-    With [fault] the campaign overrides those binary semantics with an
-    adversarial model (see {!Nvm.Fault_model}): [Partial_rescue]'s
+    The crash runs {!Policy.crash_model}'s answer: without [fault] the
+    verdict decides, TSP verdicts rescue every dirty line and non-TSP
+    verdicts discard them.  With [fault] the campaign overrides those
+    binary semantics with an adversarial model (see
+    {!Nvm.Fault_model}): [Partial_rescue]'s
     energy budget is converted to a line count via
     {!Wsp.line_rescue_budget}, and the bill covers only the lines that
     actually moved before the fault cut the rescue short, priced as a
     synthetic {!Policy.Adversarial_rescue} action.  [rng] feeds
-    {!Nvm.Pmem.crash_with}'s draws (defaults to the constant 0 — fine
+    {!Nvm.Pmem.crash}'s draws (defaults to the constant 0 — fine
     for the deterministic models, campaigns pass their seeded stream). *)
-
-val pp_execution : execution Fmt.t

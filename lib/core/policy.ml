@@ -134,9 +134,12 @@ let weakest_runtime_obligation h req =
     No_runtime_action
     (decide_requirement h req)
 
-let crash_mode = function
-  | Tsp _ -> Nvm.Pmem.Rescue
-  | Not_tsp _ -> Nvm.Pmem.Discard
+let crash_model ~hardware ~failure = function
+  | Some fault -> fault
+  | None -> (
+      match decide hardware failure with
+      | Tsp _ -> Nvm.Fault_model.Full_rescue
+      | Not_tsp _ -> Nvm.Fault_model.Full_discard)
 
 let is_tsp = function Tsp _ -> true | Not_tsp _ -> false
 

@@ -56,9 +56,16 @@ val weakest_runtime_obligation :
     [No_runtime_action] iff every class gets a TSP verdict, otherwise the
     strongest of the per-class obligations. *)
 
-val crash_mode : verdict -> Nvm.Pmem.crash_mode
-(** How the simulated device behaves when this failure strikes:
-    TSP verdicts rescue dirty lines, non-TSP verdicts discard them. *)
+val crash_model :
+  hardware:Hardware.t ->
+  failure:Failure_class.t ->
+  Nvm.Fault_model.t option ->
+  Nvm.Fault_model.t
+(** The fault model a crash of [failure] on [hardware] runs: an explicit
+    fault model overrides the verdict; without one, a TSP verdict
+    rescues every dirty line ([Full_rescue]) and a non-TSP verdict drops
+    them ([Full_discard]).  Every crash executes this model
+    ({!Crash_executor.execute}), and every judge of a crash asks it. *)
 
 val is_tsp : verdict -> bool
 val pp_verdict : verdict Fmt.t

@@ -50,7 +50,7 @@ val line_rescue_budget : Hardware.t -> budget_j:float -> line_size:int -> int
 (** How many cache lines a stage-1 rescue can move before [budget_j]
     joules run out, under the platform's DRAM bandwidth and rescue power
     draw.  This converts a {!Nvm.Fault_model.Partial_rescue} energy
-    budget into the [rescue_limit] passed to {!Nvm.Pmem.crash_with};
+    budget into the [rescue_limit] passed to {!Nvm.Pmem.crash};
     0 when the budget is non-positive. *)
 
 val headroom : outcome -> float

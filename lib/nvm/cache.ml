@@ -141,7 +141,7 @@ let dirty_count t = t.n_dirty
 
 let dirty_lines t =
   (* Collected into an exact-size scratch array and sorted with the
-     monomorphic [Int.compare]: this runs inside [Pmem.crash_with] for
+     monomorphic [Int.compare]: this runs inside [Pmem.crash] for
      every partial-rescue and torn campaign step, where the historical
      polymorphic [List.sort compare] dominated the crash cost. *)
   let out = Array.make (max 1 t.n_dirty) 0 in

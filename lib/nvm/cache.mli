@@ -53,7 +53,7 @@ val flush_line : t -> addr:int -> bool
 val dirty_lines : t -> int list
 (** Byte addresses of all currently dirty lines, ascending.  Sorted with
     [Int.compare] over a scratch array (not polymorphic compare): this
-    runs once per [Pmem.crash_with], i.e. per campaign crash point. *)
+    runs once per [Pmem.crash], i.e. per campaign crash point. *)
 
 val dirty_count : t -> int
 (** Number of currently dirty lines, maintained incrementally — O(1),

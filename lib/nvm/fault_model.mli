@@ -23,7 +23,7 @@ type t =
   | Full_discard  (** no TSP: every dirty line lost *)
   | Partial_rescue of { energy_budget_j : float }
       (** rescue energy exhausts after moving the lines the budget
-          affords (see {!Pmem.crash_with}'s [rescue_limit]) *)
+          affords (see {!Pmem.crash}'s [rescue_limit]) *)
   | Torn_lines of { prob : float }
       (** each rescued line is torn with probability [prob] in [0,1] *)
   | Bit_rot of { flips : int }

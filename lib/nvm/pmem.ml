@@ -1,7 +1,5 @@
 module Scheduler = Sched.Scheduler
 
-type crash_mode = Rescue | Discard
-
 type t = {
   cfg : Config.t;
   mem : Memory.t;
@@ -269,29 +267,6 @@ let fence t =
   step t t.cfg.Config.fence_cost;
   trace t ~code:Obs.Event.fence ~a:0 ~b:t.cfg.Config.fence_cost
 
-let crash t mode =
-  guard t;
-  (* Crash injection aborts any in-flight burst: whatever the quantum
-     had accrued is folded into the scheduler before the device dies
-     (normally a no-op — the scheduler settles before abandoning its
-     threads — but crashes forced from harness code hit this). *)
-  quantum_barrier t;
-  t.stats.Stats.crashes <- t.stats.Stats.crashes + 1;
-  (* Emitted before the rescue/drop so the event's dirty-line sample is
-     the exposure at the instant of failure. *)
-  trace t
-    ~code:Obs.Event.crash
-    ~a:(match mode with Rescue -> 0 | Discard -> 1)
-    ~b:0;
-  (match mode with
-  | Rescue ->
-      let n = Cache.write_back_all t.cache in
-      t.stats.Stats.rescued_lines <- t.stats.Stats.rescued_lines + n
-  | Discard ->
-      let n = Cache.drop_all t.cache in
-      t.stats.Stats.dropped_lines <- t.stats.Stats.dropped_lines + n);
-  t.crashed <- true
-
 type crash_damage = {
   rescued : int;
   torn : int;
@@ -301,11 +276,17 @@ type crash_damage = {
 
 let no_damage = { rescued = 0; torn = 0; dropped = 0; bit_flips = 0 }
 
-let crash_with t ~fault ?(rescue_limit = max_int) ~rng () =
+let crash t ~fault ?(rescue_limit = max_int) ~rng () =
   guard t;
+  (* Crash injection aborts any in-flight burst: whatever the quantum
+     had accrued is folded into the scheduler before the device dies
+     (normally a no-op — the scheduler settles before abandoning its
+     threads — but crashes forced from harness code hit this). *)
   quantum_barrier t;
   let st = t.stats in
   st.Stats.crashes <- st.Stats.crashes + 1;
+  (* Emitted before the rescue/drop so the event's dirty-line sample is
+     the exposure at the instant of failure. *)
   trace t ~code:Obs.Event.crash ~a:(Fault_model.tag fault) ~b:0;
   let line_size = t.cfg.Config.line_size in
   let words_per_line = line_size / 8 in
@@ -409,9 +390,6 @@ let store_history t =
   match t.journal with
   | None -> []
   | Some q -> List.of_seq (Queue.to_seq q)
-
-let journal_length t =
-  match t.journal with None -> 0 | Some q -> Queue.length q
 
 let last_values t =
   match t.journal with

@@ -10,20 +10,17 @@
     clock and to interleave threads.  When no hook is installed (setup and
     recovery code), costs accumulate on {!Stats.t}'s [clock].
 
-    Crash semantics (the heart of the reproduction):
-    - [crash t Rescue] models a tolerated failure for which TSP is
+    Crash semantics (the heart of the reproduction), as {!crash} runs
+    the paper's two {!Fault_model.t} endpoints:
+    - [Full_rescue] models a tolerated failure for which TSP is
       available: every dirty cache line is written back to the durable
       image before execution stops, so recovery observes {e all} stores
       issued so far — a strict prefix of program order (the whole of it).
-    - [crash t Discard] models a failure without TSP (e.g. power loss on
+    - [Full_discard] models a failure without TSP (e.g. power loss on
       plain DRAM): dirty lines are lost and the durable image keeps only
       what eviction or explicit flushes had already written back. *)
 
 type t
-
-type crash_mode =
-  | Rescue  (** TSP available: dirty lines written back at crash time *)
-  | Discard  (** TSP unavailable: dirty lines lost *)
 
 exception Crashed_device
 (** Raised by every operation between {!crash} and {!recover}. *)
@@ -37,7 +34,7 @@ val create : ?journal:bool -> Config.t -> t
     lifetime of the device (cleared only by {!recover}).  A workload
     issuing millions of stores with [~journal:true] will hold all of
     them in memory — enable it only for tests and fault-injection runs
-    of bounded length, and use {!journal_length} to monitor growth. *)
+    of bounded length. *)
 
 val config : t -> Config.t
 val stats : t -> Stats.t
@@ -119,10 +116,6 @@ val fence : t -> unit
 
 (** {1 Crash and recovery} *)
 
-val crash : t -> crash_mode -> unit
-(** Stop the world.  See the module header for the two modes.  After a
-    crash the device is unusable until {!recover}. *)
-
 type crash_damage = {
   rescued : int;  (** dirty lines fully written back *)
   torn : int;  (** dirty lines whose write-back was cut mid-line *)
@@ -130,16 +123,17 @@ type crash_damage = {
   bit_flips : int;  (** durable bits flipped after the crash *)
 }
 
-val crash_with :
+val crash :
   t ->
   fault:Fault_model.t ->
   ?rescue_limit:int ->
   rng:(int -> int) ->
   unit ->
   crash_damage
-(** Crash under an arbitrary {!Fault_model.t} and report what the
-    durable image suffered.  [Full_rescue]/[Full_discard] reproduce
-    {!crash}'s two modes exactly.  [Partial_rescue] rescues at most
+(** Stop the world under [fault] and report what the durable image
+    suffered.  After a crash the device is unusable until {!recover}.
+    [Full_rescue] and [Full_discard] are the two endpoints of the module
+    header and draw nothing from [rng].  [Partial_rescue] rescues at most
     [rescue_limit] dirty lines (default unbounded; the caller derives
     the limit from the WSP energy budget), walking them in ascending
     line-address order so the surviving prefix is deterministic.
@@ -192,17 +186,13 @@ val store_history : t -> (int * int64) list
 (** Journal of (address, value) stores in issue order, oldest first.
     Empty unless the device was created with [~journal:true]. *)
 
-val journal_length : t -> int
-(** Entries currently held in the store journal; 0 when the device was
-    created without [~journal:true].  The journal is unbounded (see
-    {!create}), so long-running journalled workloads should watch this. *)
-
 val durable_reflects_all_stores : t -> bool
 (** The recovery-observer check of Section 4.1: for every address ever
     stored to, is the {e last} stored value the one in the durable image?
-    This is exactly the guarantee a TSP [Rescue] crash provides (recovery
-    sees the full prefix of issued stores); after a [Discard] crash it
-    typically fails, which is why non-TSP designs must flush.
+    This is exactly the guarantee a TSP [Full_rescue] crash provides
+    (recovery sees the full prefix of issued stores); after a
+    [Full_discard] crash it typically fails, which is why non-TSP
+    designs must flush.
     Precondition: device created with [~journal:true]. *)
 
 val lost_store_count : t -> int

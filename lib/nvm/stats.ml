@@ -96,6 +96,11 @@ let cycle_totals t =
     t.fence_cycles; t.compute_cycles;
   |]
 
+let sum_cycle_totals totals =
+  let acc = Array.make (Array.length cycle_category_names) 0 in
+  List.iter (Array.iteri (fun i v -> acc.(i) <- acc.(i) + v)) totals;
+  acc
+
 let pp_breakdown_totals ppf totals =
   let sum = Array.fold_left ( + ) 0 totals in
   let total = max 1 sum in

@@ -60,6 +60,10 @@ val cycle_totals : t -> int array
     used by campaign ledgers that aggregate across [Parallel.map]
     domains. *)
 
+val sum_cycle_totals : int array list -> int array
+(** Element-wise sum of {!cycle_totals} arrays: a campaign's ledger over
+    its runs, independent of the domain each run executed in. *)
+
 val pp : t Fmt.t
 
 val pp_breakdown : t Fmt.t

@@ -128,11 +128,6 @@ let to_buffer_multi ?thread_name buf tracks =
           emit_track ?thread_name ~pid ~event tr)
         tracks)
 
-let to_string_multi ?thread_name tracks =
-  let buf = Buffer.create 65536 in
-  to_buffer_multi ?thread_name buf tracks;
-  Buffer.contents buf
-
 let write_file_multi ?thread_name file tracks =
   let oc = open_out_bin file in
   Buffer.output_buffer oc

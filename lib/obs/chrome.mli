@@ -43,8 +43,5 @@ val write_file : ?thread_name:(int -> string) -> string -> Tracer.t -> unit
 val to_buffer_multi :
   ?thread_name:(int -> string) -> Buffer.t -> (string * Tracer.t) list -> unit
 
-val to_string_multi :
-  ?thread_name:(int -> string) -> (string * Tracer.t) list -> string
-
 val write_file_multi :
   ?thread_name:(int -> string) -> string -> (string * Tracer.t) list -> unit

@@ -63,8 +63,6 @@ let add t v =
 
 let count t = t.n
 let sum t = t.sum
-let min_value t = t.vmin
-let max_value t = t.vmax
 let is_empty t = t.n = 0
 let mean t = if t.n = 0 then 0. else float_of_int t.sum /. float_of_int t.n
 
@@ -90,24 +88,6 @@ let quantile t q =
       if acc >= rank then b else find (b + 1) acc
     in
     representative t (find 0 0)
-  end
-
-let merge_into ~into t =
-  Array.iteri
-    (fun b c ->
-      if c > 0 then into.buckets.(b) <- into.buckets.(b) + c)
-    t.buckets;
-  if t.n > 0 then begin
-    if into.n = 0 then begin
-      into.vmin <- t.vmin;
-      into.vmax <- t.vmax
-    end
-    else begin
-      if t.vmin < into.vmin then into.vmin <- t.vmin;
-      if t.vmax > into.vmax then into.vmax <- t.vmax
-    end;
-    into.n <- into.n + t.n;
-    into.sum <- into.sum + t.sum
   end
 
 let levels = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";

@@ -23,19 +23,12 @@ val add : t -> int -> unit
 
 val reset : t -> unit
 
-val merge_into : into:t -> t -> unit
-(** Accumulate [t]'s buckets and exact stats into [into]. *)
-
 (** {1 Exact statistics} *)
 
 val count : t -> int
 val sum : t -> int
 val mean : t -> float
 
-val min_value : t -> int
-(** Smallest recorded value; 0 when empty. *)
-
-val max_value : t -> int
 val is_empty : t -> bool
 
 (** {1 Bucketed statistics} *)

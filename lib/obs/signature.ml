@@ -67,6 +67,14 @@ let make ~klass ~phase ~invariant ~shape =
 let equal a b = String.equal a.hash b.hash
 let compare a b = String.compare a.hash b.hash
 
+let tally sigs =
+  List.fold_left
+    (fun acc sg ->
+      if List.exists (fun (g, _) -> equal g sg) acc then
+        List.map (fun (g, n) -> if equal g sg then (g, n + 1) else (g, n)) acc
+      else acc @ [ (sg, 1) ])
+    [] sigs
+
 let pp ppf s =
   Fmt.pf ppf "%s [%s/%s/%s] %s" s.hash s.klass s.phase s.shape s.invariant
 
@@ -83,3 +91,16 @@ let to_json j s =
   Json.key j "shape";
   Json.str j s.shape;
   Json.obj_close j
+
+let tally_to_json j tally =
+  Json.arr_open j;
+  List.iter
+    (fun (sg, n) ->
+      Json.obj_open j;
+      Json.key j "signature";
+      to_json j sg;
+      Json.key j "count";
+      Json.int j n;
+      Json.obj_close j)
+    tally;
+  Json.arr_close j

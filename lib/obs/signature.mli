@@ -30,7 +30,15 @@ val shape_of_count : int -> string
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val tally : t list -> (t * int) list
+(** The distinct signatures with their multiplicities, in first-seen
+    order: a campaign's failures deduped to its failure modes. *)
+
 val pp : t Fmt.t
 
 val to_json : Json.t -> t -> unit
 (** Emit [{hash, class, phase, invariant, shape}]. *)
+
+val tally_to_json : Json.t -> (t * int) list -> unit
+(** Emit a {!tally} as an array of [{signature, count}] objects. *)

@@ -452,8 +452,6 @@ module Incremental = struct
   let remaining_cycles t = t.total - t.consumed
   let plan t = (t.stats, t.quarantine)
   let finished t = t.applied
-  let touched_objects t = Nvm.Intset.cardinal t.touched
-  let marked_objects t = Nvm.Intset.cardinal t.marks
 
   let advance t ~budget =
     if t.applied then 0

@@ -122,11 +122,6 @@ module Incremental : sig
 
   val finished : t -> bool
 
-  val marked_objects : t -> int
-
-  val touched_objects : t -> int
-  (** Objects recovered on demand via {!touch} so far. *)
-
   val advance : t -> budget:int -> int
   (** Charge up to [budget] cycles of background collection work and
       return the amount actually consumed (0 once drained or

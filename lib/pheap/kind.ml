@@ -11,6 +11,9 @@ let register ?kind ~name ~scan () =
     match kind with
     | Some k -> k
     | None ->
+        while Hashtbl.mem table !next_id do
+          incr next_id
+        done;
         let k = !next_id in
         incr next_id;
         k

@@ -33,8 +33,11 @@ val all_pointers : int
 (** Builtin kind 2: every word is either null or a heap pointer. *)
 
 val register : ?kind:int -> name:string -> scan:scan -> unit -> int
-(** Register a kind and return its id.  When [kind] is given it is used.
-    Re-registering an id under the same name is an idempotent no-op that
+(** Register a kind and return its id.  When [kind] is given it is used;
+    otherwise the next id from 16 up that no kind holds yet.  Without
+    [kind] the id follows module initialisation order, which depends on
+    what the program links, so the library's structures pin theirs: a
+    heap image then reads the same in every program.  Re-registering an id under the same name is an idempotent no-op that
     keeps the {e original} scanner (a kind cannot be silently neutered
     once objects of it exist); registering a different name over an
     existing id raises.  Ids must fit in a byte and not collide with the

@@ -80,6 +80,7 @@ type recovery_report = {
   t_up : int;
   recovery_cycles : int;
   rescued_lines : int;
+  fault : Nvm.Fault_model.t;
   background_gc_cycles : int;
   on_demand_recovered : int;
   recovery_verdict : Atlas.Recovery.verdict;
@@ -400,7 +401,10 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
       let t_down = Scheduler.elapsed_cycles sched1 in
       let steps1 = Scheduler.total_steps sched1 in
       let clock_before = (Nvm.Pmem.stats pmem).Nvm.Stats.clock in
-      let _bill = Machine.crash_execute ?fault:cfg.fault_model m in
+      let fault =
+        (Machine.crash_execute ?fault:cfg.fault_model m)
+          .Tsp_core.Crash_executor.fault
+      in
       let recovery = Machine.recover ~mode:cfg.recovery m in
       let recovery_cycles =
         (Nvm.Pmem.stats pmem).Nvm.Stats.clock - clock_before
@@ -429,6 +433,7 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
                  t_up;
                  recovery_cycles;
                  rescued_lines;
+                 fault;
                  background_gc_cycles = 0;
                  on_demand_recovered = 0;
                  recovery_verdict = recovery.Machine.recovery_verdict;
@@ -438,19 +443,8 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
                })
       end
       else begin
-        let max_seq =
-          match recovery.Machine.atlas_recovery with
-          | Some a -> a.Atlas.Recovery.max_seq
-          | None -> 0
-        in
-        let root =
-          Machine.reattach m ~seed:(spec.Machine.seed + 101)
-            ~first_seq:(max_seq + 1)
-        in
-        let recovered_entries =
-          m.Machine.map.Machine.fold_root m.Machine.heap ~root (fun k v acc ->
-              (k, v) :: acc)
-        in
+        let root = Machine.reattach m recovery in
+        let recovered_entries = Machine.dump m ~root in
         let dl, dl_note =
           match
             ( Workload.Check_campaign.dl_envelope
@@ -531,6 +525,7 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
                  t_up;
                  recovery_cycles;
                  rescued_lines;
+                 fault;
                  background_gc_cycles;
                  on_demand_recovered;
                  recovery_verdict = recovery.Machine.recovery_verdict;
@@ -707,6 +702,22 @@ let run ?jobs (cfg : config) =
     windows = build_windows cfg ~horizon ~times:stream.Arrival.times fates;
     latency = latency_rows cfg ~outage ~times:stream.Arrival.times ~shard_of fates latencies;
   }
+
+(* The service's verdict on a run: a shard fails when it deadlocked,
+   when it was lost although the model its crash ran promised no loss,
+   or when its recovered state is not durably linearizable. *)
+let failed r =
+  let bad s =
+    s.outcome = "deadlocked"
+    ||
+    match s.recovery with
+    | None -> false
+    | Some rr ->
+        (s.outcome = "crashed+lost"
+        && not (Nvm.Fault_model.expects_loss rr.fault))
+        || (match rr.dl with Some v -> not (Dl.is_explained v) | None -> false)
+  in
+  Array.exists bad r.shards
 
 (* --- Rendering ---------------------------------------------------- *)
 

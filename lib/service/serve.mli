@@ -60,6 +60,10 @@ type recovery_report = {
   t_up : int;  (** cycle it was serving again: [t_down + recovery_cycles] *)
   recovery_cycles : int;
   rescued_lines : int;
+  fault : Nvm.Fault_model.t;
+      (** the model the crash ran: the configured fault model, or the
+          one the shard's hardware and failure class resolve to
+          ({!Tsp_core.Policy.crash_model}) *)
   background_gc_cycles : int;
       (** incremental mode: the collection bill paid while already
           serving (overlapped, not part of the outage); 0 otherwise *)
@@ -131,6 +135,12 @@ val run : ?jobs:int -> config -> report
     time only.
     @raise Invalid_argument on a malformed config (shard count, crash
     shard out of range, rate, windows). *)
+
+val failed : report -> bool
+(** The exit rule of [tsp serve]: some shard deadlocked, was lost
+    although the model its crash ran promises no loss
+    ({!Nvm.Fault_model.expects_loss}), or recovered a state its strict
+    durable-linearizability check flagged. *)
 
 val render : report -> string
 (** The full deterministic report: configuration, per-shard ledger,

@@ -16,7 +16,7 @@ let node_words ~order = (2 * order) + 4
 let order_of_words words = (words - 4) / 2
 
 let node_kind =
-  Kind.register ~name:"btree_node"
+  Kind.register ~kind:20 ~name:"btree_node"
     ~scan:(fun ~load ~addr ~words ~emit ->
       let order = order_of_words words in
       let meta = load addr in
@@ -35,7 +35,7 @@ let node_kind =
     ()
 
 let header_kind =
-  Kind.register ~name:"btree_header"
+  Kind.register ~kind:21 ~name:"btree_header"
     ~scan:(fun ~load ~addr ~words:_ ~emit ->
       let root = load addr in
       if root <> 0 then emit root)

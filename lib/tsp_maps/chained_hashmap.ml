@@ -7,7 +7,7 @@ module Rt = Atlas.Runtime
    value is a genuine multi-store critical section, the kind of update
    that can tear without rollback even when every store is durable. *)
 let node_kind =
-  Kind.register ~name:"hash_node"
+  Kind.register ~kind:16 ~name:"hash_node"
     ~scan:(fun ~load ~addr ~words:_ ~emit ->
       let next = load (addr + 8) in
       if next <> 0 then emit next)
@@ -16,7 +16,7 @@ let node_kind =
 (* Header layout: [0] = bucket count, [1] = table address,
    [2] = value width in words. *)
 let header_kind =
-  Kind.register ~name:"hash_header"
+  Kind.register ~kind:17 ~name:"hash_header"
     ~scan:(fun ~load ~addr ~words:_ ~emit ->
       let table = load (addr + 8) in
       if table <> 0 then emit table)

@@ -27,7 +27,7 @@ let k_seal = 5 (* stamp again, written after old/new: announce is complete *)
 let k_result = 6 (* last acknowledged stamp *)
 
 let table_kind =
-  Kind.register ~name:"delayfree_table"
+  Kind.register ~kind:18 ~name:"delayfree_table"
     ~scan:(fun ~load:_ ~addr:_ ~words:_ ~emit:_ -> ())
     ()
 
@@ -285,10 +285,6 @@ let repair heap table =
     acked = !acked;
     aborted = !aborted;
   }
-
-let pp_repair ppf r =
-  Fmt.pf ppf "rcas repair: %d slots, %d re-executed, %d acked, %d aborted"
-    r.scanned r.reexecuted r.acked r.aborted
 
 (* {2 Plain access} *)
 

@@ -54,8 +54,6 @@ val repair : Pheap.Heap.t -> Pheap.Heap.addr -> repair
     re-runs it to the same state.
     @raise Invalid_argument if the root is not a delay-free table. *)
 
-val pp_repair : repair Fmt.t
-
 (** {1 Plain access — setup and verification} *)
 
 val set_plain : t -> key:int -> value:int64 -> unit

@@ -3,7 +3,7 @@ module Kind = Pheap.Kind
 
 (* Node: [0] = value (raw), [1] = next (pointer). *)
 let node_kind =
-  Kind.register ~name:"queue_node"
+  Kind.register ~kind:22 ~name:"queue_node"
     ~scan:(fun ~load ~addr ~words:_ ~emit ->
       let next = load (addr + 8) in
       if next <> 0 then emit next)
@@ -11,7 +11,7 @@ let node_kind =
 
 (* Header: [0] = head (pointer to the dummy node), [1] = tail. *)
 let header_kind =
-  Kind.register ~name:"queue_header"
+  Kind.register ~kind:23 ~name:"queue_header"
     ~scan:(fun ~load ~addr ~words:_ ~emit ->
       let head = load addr in
       let tail = load (addr + 8) in

@@ -8,7 +8,7 @@ let next_base = 3 (* word index of the level-0 next pointer *)
 let default_op_cycles = 25
 
 let node_kind =
-  Kind.register ~name:"skip_node"
+  Kind.register ~kind:19 ~name:"skip_node"
     ~scan:(fun ~load ~addr ~words ~emit ->
       let level = words - next_base in
       for lv = 0 to level - 1 do

@@ -4,9 +4,6 @@ type t = int64 M.t
 
 let empty = M.empty
 
-let of_entries l =
-  List.fold_left (fun m (k, v) -> M.add k v m) M.empty l
-
 let set t ~key ~value = M.add key value t
 let get t ~key = M.find_opt key t
 

@@ -12,7 +12,6 @@
 type t
 
 val empty : t
-val of_entries : (int * int64) list -> t
 
 val set : t -> key:int -> value:int64 -> t
 val get : t -> key:int -> int64 option

@@ -84,13 +84,13 @@ let initial_entries config =
    Under discard/partial/torn/bit-rot semantics completed work may
    legitimately vanish, and a "violation" would indict the fault model,
    not the structure. *)
-let dl_envelope ~hardware ~failure = function
-  | None when Tsp_core.Policy.(is_tsp (decide hardware failure)) -> Ok ()
-  | None ->
+let dl_envelope ~hardware ~failure fault =
+  match (Tsp_core.Policy.crash_model ~hardware ~failure fault, fault) with
+  | FM.Full_rescue, _ -> Ok ()
+  | _, None ->
       Error "the hardware/failure pair gets a non-TSP verdict (discard \
              semantics), outside the strict checker's soundness envelope"
-  | Some FM.Full_rescue -> Ok ()
-  | Some fm ->
+  | fm, Some _ ->
       Fmt.error "fault model %s is outside the strict checker's soundness \
                  envelope (rescue-class semantics required)" (FM.to_string fm)
 
@@ -213,12 +213,7 @@ let run ?jobs spec =
 let clean s = s.flagged = 0
 
 let breakdown s =
-  let acc = Array.make (Array.length Nvm.Stats.cycle_category_names) 0 in
-  List.iter
-    (fun p ->
-      Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) p.cycle_totals)
-    s.points;
-  acc
+  Nvm.Stats.sum_cycle_totals (List.map (fun p -> p.cycle_totals) s.points)
 
 let pp_summary ppf s =
   Fmt.pf ppf
@@ -279,18 +274,7 @@ let signature_of_point ~(spec : spec) (p : point) =
            ~shape:(Obs.Signature.shape_of_count (List.length violations)))
 
 let distinct_signatures s =
-  List.fold_left
-    (fun acc p ->
-      match signature_of_point ~spec:s.spec p with
-      | None -> acc
-      | Some sg ->
-          if List.exists (fun (g, _) -> Obs.Signature.equal g sg) acc then
-            List.map
-              (fun (g, n) ->
-                if Obs.Signature.equal g sg then (g, n + 1) else (g, n))
-              acc
-          else acc @ [ (sg, 1) ])
-    [] s.points
+  Obs.Signature.tally (List.filter_map (signature_of_point ~spec:s.spec) s.points)
 
 (* The campaign's slice of a results artifact: spec echo, point totals,
    per-point outcome rows and deduped signatures.  Everything here is a
@@ -338,17 +322,7 @@ let to_json j s =
   J.key j "degraded_recoveries";
   J.int j s.degraded_recoveries;
   J.key j "signatures";
-  J.arr_open j;
-  List.iter
-    (fun (sg, n) ->
-      J.obj_open j;
-      J.key j "signature";
-      Obs.Signature.to_json j sg;
-      J.key j "count";
-      J.int j n;
-      J.obj_close j)
-    (distinct_signatures s);
-  J.arr_close j;
+  Obs.Signature.tally_to_json j (distinct_signatures s);
   J.key j "points";
   J.arr_open j;
   List.iter

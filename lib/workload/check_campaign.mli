@@ -100,10 +100,6 @@ val run : ?jobs:int -> spec -> summary
 val clean : summary -> bool
 (** No flagged points. *)
 
-val breakdown : summary -> int array
-(** Element-wise sum of every point's [cycle_totals], printable with
-    {!Nvm.Stats.pp_breakdown_totals}.  Jobs-invariant. *)
-
 val pp_summary : summary Fmt.t
 (** Header, per-verdict ledger, and one line per flagged point (first 20)
     with the per-key diagnoses.  Deterministic: independent of [jobs]
@@ -115,9 +111,6 @@ val signature_of_point : spec:spec -> point -> Obs.Signature.t option
     first per-key diagnosis x flagged-key shape.  Crash steps, op
     counts and recovered values normalize out, so the same planted bug
     at two crash points yields the same signature. *)
-
-val distinct_signatures : summary -> (Obs.Signature.t * int) list
-(** Deduped signatures with multiplicities, in first-seen order. *)
 
 val to_json : Obs.Json.t -> summary -> unit
 (** Emit this campaign's results-artifact object: spec echo, totals,

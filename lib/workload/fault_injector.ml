@@ -132,37 +132,28 @@ let one spec ~fault ~seed ~crash_step =
       let recovery_verdict =
         Option.map (fun c -> c.Runner.recovery_verdict) r.Runner.crash
       in
-      let adversarial =
-        match fault with Some f -> FM.adversarial f | None -> false
+      (* Judging rules, on the model the crash ran (a run that never
+         crashed ran none): the binary models promise full consistency;
+         the adversarial models only promise graceful degradation —
+         recovery must come back with a structured verdict, and only
+         Bit_rot is allowed to reach [Unrecoverable] (it alone can hit
+         region headers).  A violation is expected only where the model
+         drops every dirty line. *)
+      let model =
+        Option.map
+          (fun c -> c.Runner.rescue_bill.Tsp_core.Crash_executor.fault)
+          r.Runner.crash
       in
-      let tsp_covered =
-        match r.Runner.crash with
-        | Some c -> Tsp_core.Policy.is_tsp c.Runner.verdict
-        | None -> true
-      in
-      (* Judging rules: the binary models (and the verdict-derived
-         default) promise full consistency; the adversarial models only
-         promise graceful degradation — recovery must come back with a
-         structured verdict, and only Bit_rot is allowed to reach
-         [Unrecoverable] (it alone can hit region headers). *)
       let violation =
-        if not crashed then not consistent
-        else if adversarial then
-          match (recovery_verdict, fault) with
-          | Some (Atlas.Recovery.Unrecoverable _), Some (FM.Bit_rot _) ->
-              false
-          | Some (Atlas.Recovery.Unrecoverable _), _ -> true
-          | _ -> false
-        else not consistent
+        match model with
+        | Some m when FM.adversarial m -> (
+            match (recovery_verdict, m) with
+            | Some (Atlas.Recovery.Unrecoverable _), FM.Bit_rot _ -> false
+            | Some (Atlas.Recovery.Unrecoverable _), _ -> true
+            | _ -> false)
+        | _ -> not consistent
       in
-      let expected =
-        violation
-        &&
-        match fault with
-        | Some FM.Full_discard -> true
-        | Some _ -> false
-        | None -> not tsp_covered
-      in
+      let expected = violation && model = Some FM.Full_discard in
       let observer_prefix_ok =
         Option.bind r.Runner.crash (fun c ->
             Option.map
@@ -397,12 +388,7 @@ let violation_rate s =
    carries its own per-category totals (recorded inside whichever
    [Parallel.map] domain ran it), so the sum is jobs-invariant. *)
 let breakdown s =
-  let acc = Array.make (Array.length Nvm.Stats.cycle_category_names) 0 in
-  List.iter
-    (fun o ->
-      Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) o.cycle_totals)
-    s.outcomes;
-  acc
+  Nvm.Stats.sum_cycle_totals (List.map (fun o -> o.cycle_totals) s.outcomes)
 
 (* The deterministic one-line diagnosis of a violating outcome, shared
    by the summary printer, the failure signature and the artifact. *)
@@ -446,24 +432,8 @@ let signature_of o =
          ~invariant:(failure_detail o)
          ~shape:(Obs.Signature.shape_of_count failing))
 
-(* Distinct signatures with multiplicities, in first-seen order. *)
 let distinct_signatures s =
-  List.fold_left
-    (fun acc o ->
-      match signature_of o with
-      | None -> acc
-      | Some sg -> (
-          match
-            List.assoc_opt sg.Obs.Signature.hash
-              (List.map (fun (g, n) -> (g.Obs.Signature.hash, n)) acc)
-          with
-          | Some _ ->
-              List.map
-                (fun (g, n) ->
-                  if Obs.Signature.equal g sg then (g, n + 1) else (g, n))
-                acc
-          | None -> acc @ [ (sg, 1) ]))
-    [] s.outcomes
+  Obs.Signature.tally (List.filter_map signature_of s.outcomes)
 
 (* One verdict-ledger line per fault model; the exact string is an
    identity witness (the replay gate compares it byte-for-byte), so it
@@ -597,17 +567,7 @@ let to_json j s =
   List.iter (fun t -> J.str j (ledger_row t)) s.per_model;
   J.arr_close j;
   J.key j "signatures";
-  J.arr_open j;
-  List.iter
-    (fun (sg, n) ->
-      J.obj_open j;
-      J.key j "signature";
-      Obs.Signature.to_json j sg;
-      J.key j "count";
-      J.int j n;
-      J.obj_close j)
-    (distinct_signatures s);
-  J.arr_close j;
+  Obs.Signature.tally_to_json j (distinct_signatures s);
   J.key j "violation_rows";
   J.arr_open j;
   List.iter

@@ -62,8 +62,11 @@ type run_outcome = {
   recovery_verdict : Atlas.Recovery.verdict option;
   violation : bool;  (** this run broke its fault model's promise *)
   expected : bool;
-      (** the violation is the documented behaviour of the configuration
-          (e.g. an unfortified variant under discard semantics) *)
+      (** the violation is the documented behaviour of the model the
+          crash ran ({!Tsp_core.Crash_executor.execution}'s [fault]):
+          [Full_discard], e.g. an unfortified variant without TSP.  A
+          run that never crashed ran no model, so its violation is
+          never expected *)
   repro : string;  (** complete [tsp faults] invocation replaying this run *)
   iterations_done : int;
   invariants : Invariant.result;
@@ -148,11 +151,6 @@ val all_consistent : summary -> bool
 val violation_rate : summary -> float
 (** Violations as a fraction of crashed runs. *)
 
-val breakdown : summary -> int array
-(** Element-wise sum of every outcome's [cycle_totals]: where the
-    campaign's simulated device time went, printable with
-    {!Nvm.Stats.pp_breakdown_totals}. *)
-
 val pp_summary : summary Fmt.t
 (** Campaign header, per-fault-model verdict ledger, distinct failure
     signatures, one line per violation with its reproducer (first 20),
@@ -169,9 +167,6 @@ val signature_of : run_outcome -> Obs.Signature.t option
     failing-check shape.  Stable across seeds, crash steps and cycle
     counts — the same bug at two crash points yields the same
     signature. *)
-
-val distinct_signatures : summary -> (Obs.Signature.t * int) list
-(** Deduped signatures with multiplicities, in first-seen order. *)
 
 val ledger_row : model_tally -> string
 (** The exact verdict-ledger line {!pp_summary} prints for this model —

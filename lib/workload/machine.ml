@@ -96,6 +96,7 @@ type map = {
     root:Heap.addr ->
     (int -> int64 -> (int * int64) list -> (int * int64) list) ->
     (int * int64) list;
+  audit : Heap.t -> root:Heap.addr -> unit;
   hashmap : Hashmap.t option;
 }
 
@@ -156,14 +157,24 @@ let build_atlas ?first_seq spec heap =
    the structure on a fresh heap and [Some root] to attach to the one a
    recovered heap holds. *)
 let build_map spec heap atlas sched ~root =
-  let map map_ops set_plain fold_plain hashmap =
+  let map map_ops set_plain fold_plain audit hashmap =
     {
       map_ops;
       set_plain;
       fold_root = (fun h ~root f -> fold_plain h ~root f []);
+      audit;
       hashmap;
     }
   in
+  let audited what check h ~root =
+    match check h ~root with
+    | Ok () -> ()
+    | Error e -> raise (Heap.Corrupt (what ^ " audit: " ^ e))
+  in
+  (* The hash map has no structural audit, and the plain skip list
+     stays unaudited: the audit's loads are costed and land in the
+     recovery cost, so they would move its pinned values. *)
+  let unaudited _ ~root:_ = () in
   let seed = spec.seed + 7 in
   match spec.variant with
   | Mutex_map _ ->
@@ -176,7 +187,8 @@ let build_map spec heap atlas sched ~root =
               ~op_cycles ~value_words:spec.value_words ()
         | Some root -> Hashmap.attach heap ~atlas ~sched ~op_cycles root
       in
-      map (Hashmap.ops hm) (Hashmap.set_plain hm) Hashmap.fold_plain (Some hm)
+      map (Hashmap.ops hm) (Hashmap.set_plain hm) Hashmap.fold_plain unaudited
+        (Some hm)
   | Mutex_btree _ ->
       let atlas = Option.get atlas in
       let op_cycles = spec.hash_op_cycles in
@@ -185,7 +197,9 @@ let build_map spec heap atlas sched ~root =
         | None -> Btree.create heap ~atlas ~sched ~op_cycles ()
         | Some root -> Btree.attach heap ~atlas ~sched ~op_cycles root
       in
-      map (Btree.ops bt) (Btree.set_plain bt) Btree.fold_plain None
+      map (Btree.ops bt) (Btree.set_plain bt) Btree.fold_plain
+        (audited "btree" Btree.check_plain)
+        None
   | (Nonblocking_map | Nvtraverse_map) as v ->
       let num_threads = spec.threads and op_cycles = spec.skip_op_cycles in
       let nvtraverse = v = Nvtraverse_map in
@@ -196,7 +210,10 @@ let build_map spec heap atlas sched ~root =
         | Some root ->
             Skiplist.attach heap ~op_cycles ~nvtraverse ~num_threads ~seed root
       in
-      map (Skiplist.ops sl) (Skiplist.set_plain sl) Skiplist.fold_plain None
+      map (Skiplist.ops sl) (Skiplist.set_plain sl) Skiplist.fold_plain
+        (if nvtraverse then audited "skiplist" Skiplist.check_plain
+         else unaudited)
+        None
   | Delayfree_map ->
       let op_cycles = spec.hash_op_cycles in
       let df =
@@ -207,7 +224,9 @@ let build_map spec heap atlas sched ~root =
               ()
         | Some root -> Delayfree.attach heap ~op_cycles root
       in
-      map (Delayfree.ops df) (Delayfree.set_plain df) Delayfree.fold_plain None
+      map (Delayfree.ops df) (Delayfree.set_plain df) Delayfree.fold_plain
+        (audited "rcas table" Delayfree.check_plain)
+        None
 
 let create spec =
   let pmem = Nvm.Pmem.create ~journal:spec.journal spec.platform in
@@ -441,9 +460,19 @@ let finish_background_gc (m : t) =
       m.gc_pending <- None;
       Some result
 
-let reattach (m : t) ~seed ~first_seq =
+(* The restart rule: the restarted scheduler draws from its own
+   seed-derived stream, and the Atlas sequence resumes past the highest
+   sequence number recovery saw. *)
+let reattach (m : t) (r : recovery) =
   let spec = m.spec in
-  let sched = Scheduler.create ~seed ~cost_jitter:spec.cost_jitter () in
+  let first_seq =
+    match r.atlas_recovery with
+    | Some a -> a.Atlas.Recovery.max_seq + 1
+    | None -> 1
+  in
+  let sched =
+    Scheduler.create ~seed:(spec.seed + 101) ~cost_jitter:spec.cost_jitter ()
+  in
   (* The restarted machine gets a fresh scheduler: repoint the tracer's
      thread and clock closures at it so post-recovery events keep
      flowing. *)
@@ -456,6 +485,5 @@ let reattach (m : t) ~seed ~first_seq =
   m.map <- map;
   root
 
-let dump (m : t) =
-  let root = Heap.get_root m.heap in
+let dump (m : t) ~root =
   m.map.fold_root m.heap ~root (fun k v acc -> (k, v) :: acc)

@@ -74,9 +74,10 @@ type spec = {
 }
 
 (** The map under test with the handles recovery-time verification
-    needs: [fold_root] dumps the persistent structure with plain loads
-    against {e any} heap handle over the same device, so it works on the
-    re-attached post-crash heap too. *)
+    needs: [fold_root] dumps the persistent structure and [audit] checks
+    its structural invariants, both with plain loads against {e any}
+    heap handle over the same device, so they work on the re-attached
+    post-crash heap too. *)
 type map = {
   map_ops : Tsp_maps.Map_intf.ops;
   set_plain : key:int -> value:int64 -> unit;
@@ -85,6 +86,11 @@ type map = {
     root:Pheap.Heap.addr ->
     (int -> int64 -> (int * int64) list -> (int * int64) list) ->
     (int * int64) list;
+  audit : Pheap.Heap.t -> root:Pheap.Heap.addr -> unit;
+      (** the structure's own audit (B-tree, NVTraverse skip list,
+          delay-free table); @raise Pheap.Heap.Corrupt naming the
+          structure and its first broken invariant.  A no-op for the
+          hash map and the plain skip list. *)
   hashmap : Tsp_maps.Chained_hashmap.t option;
       (** the richer interface (transfers, wide values); mutex map only *)
 }
@@ -179,8 +185,9 @@ val recover : ?mode:recovery_mode -> t -> recovery
     Atlas rollback (mutex variants), graceful GC, audit.  Failures are
     reported, never raised.  On success [t.heap] is re-pointed at the
     recovered heap; [t.atlas] and [t.map] are stale until {!reattach}
-    (the recovered state can still be dumped via [map.fold_root] against
-    [recovery.heap]).  [mode] defaults to [Eager]. *)
+    (the recovered state can still be audited and dumped through
+    [t.map], whose [audit] and {!dump} read any heap handle).  [mode]
+    defaults to [Eager]. *)
 
 val finish_background_gc :
   t -> (Pheap.Heap_gc.stats * Pheap.Heap_gc.quarantine) option
@@ -188,13 +195,16 @@ val finish_background_gc :
     apply the allocator reset) and clear [gc_pending].  [None] when no
     collection is pending. *)
 
-val reattach : t -> seed:int -> first_seq:int -> Pheap.Heap.addr
-(** Restart the machine on its recovered heap: fresh scheduler (with the
-    tracer re-wired), fresh Atlas runtime starting at [first_seq], and
-    the map re-attached at the persistent root, which is returned (the
-    root read is a simulated load; callers wanting the root must reuse
-    this one, not re-read it).  After this the machine serves again:
-    spawn threads and {!execute}. *)
+val reattach : t -> recovery -> Pheap.Heap.addr
+(** Restart the machine on the heap [recovery] left: fresh scheduler
+    seeded [spec.seed + 101] (with the tracer re-wired), fresh Atlas
+    runtime whose sequence starts one past the recovered log's
+    [max_seq], and the map re-attached at the persistent root, which is
+    returned (the root read is a simulated load; callers wanting the
+    root must reuse this one, not re-read it).  After this the machine
+    serves again: spawn threads and {!execute}. *)
 
-val dump : t -> (int * int64) list
-(** [map.fold_root] over the machine's current heap and root. *)
+val dump : t -> root:Pheap.Heap.addr -> (int * int64) list
+(** [map.fold_root] over the machine's current heap at [root], which
+    the caller already holds (reading it again would be another costed
+    load). *)

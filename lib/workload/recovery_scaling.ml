@@ -91,13 +91,51 @@ let run_cell ?(spec = None) ~variant ~objects ~mode ~seed ?(touches = 0) () =
    against parallel:N. *)
 let cells_match a b = { a with mode = b.mode } = b
 
-let pp_cell ppf c =
-  Fmt.pf ppf
-    "%-16s %8d objs %-12s outage %12d cycles bg %12d audit %b %s"
-    (Machine.variant_to_string c.variant)
-    c.objects
-    (Machine.recovery_mode_to_string c.mode)
-    c.outage_cycles c.background_cycles c.heap_audit_ok c.verdict
+(* The rules one (variant, size)'s cells obey, each broken one as a
+   failure message: every cell passes its heap audit, every mode leaves
+   the first cell's image, the parallel cells match across job counts,
+   and the incremental outage is shorter than the eager one. *)
+let violations = function
+  | [] -> []
+  | first :: _ as cells ->
+      let out = ref [] in
+      let fail fmt =
+        Fmt.kstr
+          (fun s -> out := s :: !out)
+          ("%s/%d: " ^^ fmt)
+          (Machine.variant_to_string first.variant)
+          first.objects
+      in
+      let mode c = Machine.recovery_mode_to_string c.mode in
+      List.iter
+        (fun c ->
+          if c.image_hash <> first.image_hash then
+            fail "%s image %x differs from %s image %x" (mode c) c.image_hash
+              (mode first) first.image_hash;
+          if not c.heap_audit_ok then fail "%s failed the heap audit" (mode c))
+        cells;
+      (match
+         List.filter
+           (fun c -> match c.mode with Machine.Parallel_gc _ -> true | _ -> false)
+           cells
+       with
+      | p1 :: rest ->
+          List.iter
+            (fun p ->
+              if not (cells_match p1 p) then
+                fail
+                  "parallel cells diverge across job counts (determinism \
+                   violation)")
+            rest
+      | [] -> ());
+      let find m = List.find_opt (fun c -> c.mode = m) cells in
+      (match (find Machine.Eager, find Machine.Incremental_gc) with
+      | Some e, Some i when i.outage_cycles >= e.outage_cycles ->
+          fail "incremental outage (%d cycles) is not shorter than eager (%d \
+                cycles)"
+            i.outage_cycles e.outage_cycles
+      | _ -> ());
+      List.rev !out
 
 (* One measurement cell as a results-artifact object. *)
 let cell_to_json j c =

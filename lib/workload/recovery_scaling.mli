@@ -58,7 +58,13 @@ val cells_match : cell -> cell -> bool
     the jobs-identity check: a parallel cell at any job count must
     [cells_match] the same measurement at jobs = 1. *)
 
-val pp_cell : cell Fmt.t
+val violations : cell list -> string list
+(** The rules the cells of one (variant, size) obey, across whatever
+    modes they ran in, as one failure message per broken rule: every
+    cell passes its heap audit, every cell leaves the first cell's heap
+    image, the [Parallel_gc] cells {!cells_match} across job counts, and
+    the [Incremental_gc] outage is shorter than the [Eager] one.  Empty
+    when all hold. *)
 
 val cell_to_json : Obs.Json.t -> cell -> unit
 (** Emit one cell as a results-artifact object: every field is a pure

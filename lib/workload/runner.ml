@@ -4,7 +4,6 @@ module Rt = Atlas.Runtime
 module Scheduler = Sched.Scheduler
 module Rng = Sched.Sim_rng
 module Hashmap = Tsp_maps.Chained_hashmap
-module Btree = Tsp_maps.Btree
 
 type variant = Machine.variant =
   | Mutex_map of Atlas.Mode.t
@@ -445,13 +444,11 @@ let run_full config =
   match sched_outcome with
   | Scheduler.Completed ->
       let root = Heap.get_root heap in
-      let entries =
-        map.Machine.fold_root heap ~root (fun k v acc -> (k, v) :: acc)
-      in
+      let entries = Machine.dump m ~root in
       let wide_entries = wide_dump heap root in
       ( finish Completed (check_invariants config ?wide_entries entries) None entries,
         m,
-        Some heap )
+        None )
   | Scheduler.Deadlocked { blocked } ->
       (finish (Deadlocked blocked) (Invariant.failed "deadlocked") None [], m, None)
   | Scheduler.Crashed { at_step } ->
@@ -471,29 +468,8 @@ let run_full config =
         | Some rheap when recovery.Machine.heap_audit_ok -> begin
             try
               let root = Heap.get_root rheap in
-              (match config.variant with
-              | Mutex_btree _ -> begin
-                  match Btree.check_plain rheap ~root with
-                  | Ok () -> ()
-                  | Error e -> raise (Heap.Corrupt ("btree audit: " ^ e))
-                end
-              | Nvtraverse_map -> begin
-                  match Tsp_maps.Lockfree_skiplist.check_plain rheap ~root with
-                  | Ok () -> ()
-                  | Error e -> raise (Heap.Corrupt ("skiplist audit: " ^ e))
-                end
-              | Delayfree_map -> begin
-                  match Tsp_maps.Delayfree_map.check_plain rheap ~root with
-                  | Ok () -> ()
-                  | Error e -> raise (Heap.Corrupt ("rcas table audit: " ^ e))
-                end
-              (* The plain skip list stays unaudited: the audit's loads
-                 are costed and land in [recovery_cycles], so they would
-                 move its pinned values. *)
-              | Mutex_map _ | Nonblocking_map -> ());
-              let entries =
-                map.Machine.fold_root rheap ~root (fun k v acc -> (k, v) :: acc)
-              in
+              map.Machine.audit rheap ~root;
+              let entries = Machine.dump m ~root in
               let wide_entries = wide_dump rheap root in
               (entries, check_invariants config ?wide_entries entries)
             with Heap.Corrupt msg | Invalid_argument msg ->
@@ -505,7 +481,7 @@ let run_full config =
       let crash =
         Some (crash_report_of pmem ~verdict ~recovery ~clock_before ~rescue_bill)
       in
-      (finish (Crashed at_step) invariants crash entries, m, rheap)
+      (finish (Crashed at_step) invariants crash entries, m, Some recovery)
 
 let run config =
   let r, _, _ = run_full config in
@@ -588,15 +564,13 @@ type resume_report = {
   duplicated_increments : int;  (** counters: 0 <= duplicates <= T *)
 }
 
-let resume_counters config (m : Machine.t) ~h_keys ~max_seq =
-  let root = Machine.reattach m ~seed:(config.seed + 101) ~first_seq:(max_seq + 1) in
+let resume_counters config (m : Machine.t) ~h_keys recovery =
+  let root = Machine.reattach m recovery in
   let pmem = m.Machine.pmem in
   let sched = m.Machine.sched in
-  let heap = m.Machine.heap in
   let map = m.Machine.map in
-  let fold_root f = map.Machine.fold_root heap ~root f in
   (* Each thread derives its restart point from the persistent heap. *)
-  let entries = fold_root (fun k v acc -> (k, v) :: acc) in
+  let entries = Machine.dump m ~root in
   let resume_from tid =
     match List.assoc_opt (Key_space.c2 ~tid) entries with
     | Some v -> Int64.to_int v + 1
@@ -623,7 +597,7 @@ let resume_counters config (m : Machine.t) ~h_keys ~max_seq =
         : int)
   done;
   let outcome = Machine.execute m in
-  (outcome, !resumed_iters, fold_root)
+  (outcome, !resumed_iters, Machine.dump m ~root)
 
 let run_with_resume config =
   let h_keys =
@@ -635,7 +609,7 @@ let run_with_resume config =
            further transfers preserves conservation); use the counter \
            workload, whose completion target makes resumption observable"
   in
-  let first, m, rheap = run_full config in
+  let first, m, recovery = run_full config in
   let no_resume completion_ok =
     {
       first;
@@ -647,22 +621,16 @@ let run_with_resume config =
       duplicated_increments = 0;
     }
   in
-  match (first.outcome, rheap) with
+  match (first.outcome, recovery) with
   | Completed, _ -> no_resume (consistent first)
   | (Crashed _ | Deadlocked _), None -> no_resume false
   | Deadlocked _, Some _ -> no_resume false
-  | Crashed _, Some _ ->
+  | Crashed _, Some recovery ->
       if not (consistent first) then no_resume false
       else begin
-        let max_seq =
-          match first.crash with
-          | Some { atlas_recovery = Some a; _ } -> a.Atlas.Recovery.max_seq
-          | _ -> 0
+        let outcome, resume_iterations, final_entries =
+          resume_counters config m ~h_keys recovery
         in
-        let outcome, resume_iterations, fold_root =
-          resume_counters config m ~h_keys ~max_seq
-        in
-        let final_entries = fold_root (fun k v acc -> (k, v) :: acc) in
         let final_invariants =
           Invariant.counters_resumed ~entries:final_entries
             ~threads:config.threads

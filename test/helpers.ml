@@ -5,8 +5,14 @@ module Config = Nvm.Config
 module Heap = Pheap.Heap
 module Scheduler = Sched.Scheduler
 module Rng = Sched.Sim_rng
+module FM = Nvm.Fault_model
 
 let small_pmem ?(journal = false) () = Pmem.create ~journal Config.test_small
+
+(* A crash under one of the paper's two endpoints, [FM.Full_rescue] or
+   [FM.Full_discard]: neither draws from the RNG. *)
+let crash pmem fault =
+  ignore (Pmem.crash pmem ~fault ~rng:(fun _ -> 0) () : Pmem.crash_damage)
 
 let desktop_pmem ?(journal = false) ?(region_mib = 8) () =
   Pmem.create ~journal

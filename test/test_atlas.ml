@@ -303,7 +303,7 @@ let test_rollback_incomplete_section () =
   (match outcome with
   | Scheduler.Crashed _ -> ()
   | _ -> Alcotest.fail "crash point not reached");
-  Pmem.crash pmem Pmem.Rescue;
+  crash pmem FM.Full_rescue;
   let heap', report = recover_env pmem ~log_base in
   Alcotest.(check int) "one incomplete" 1 report.Recovery.incomplete;
   Alcotest.(check bool) "an update rolled back" true
@@ -326,7 +326,7 @@ let test_committed_section_survives () =
            let m = Rt.make_mutex atlas sched in
            Rt.with_lock atlas ctx m (fun () -> Rt.store_field atlas ctx a 0 2L));
        ]);
-  Pmem.crash pmem Pmem.Rescue;
+  crash pmem FM.Full_rescue;
   let heap', report = recover_env pmem ~log_base in
   Alcotest.(check int) "nothing incomplete" 0 report.Recovery.incomplete;
   Alcotest.(check int) "nothing rolled back" 0 report.Recovery.updates_applied;
@@ -389,7 +389,7 @@ let test_cascading_rollback () =
   (match outcome with
   | Scheduler.Crashed _ -> ()
   | _ -> Alcotest.fail "expected crash while A was open");
-  Pmem.crash pmem Pmem.Rescue;
+  crash pmem FM.Full_rescue;
   let heap', report = recover_env pmem ~log_base in
   Alcotest.(check int) "A incomplete" 1 report.Recovery.incomplete;
   Alcotest.(check int) "B cascaded" 1 report.Recovery.cascaded;
@@ -428,7 +428,7 @@ let test_log_flush_mode_survives_discard () =
   (match outcome with
   | Scheduler.Crashed _ -> ()
   | _ -> Alcotest.fail "expected crash");
-  Pmem.crash pmem Pmem.Discard (* no TSP rescue *);
+  crash pmem FM.Full_discard (* no TSP rescue *);
   let heap', report = recover_env pmem ~log_base in
   Alcotest.check int64 "committed store survived its flush" 8L
     (Heap.load_field heap' a 0);
@@ -474,7 +474,7 @@ let test_recovery_seq_seed () =
            let m = Rt.make_mutex atlas sched in
            Rt.with_lock atlas ctx m (fun () -> Rt.store_field atlas ctx a 0 1L));
        ]);
-  Pmem.crash pmem Pmem.Rescue;
+  crash pmem FM.Full_rescue;
   let heap', report = recover_env pmem ~log_base in
   (* A new runtime seeded past the recovered maximum keeps sequences
      monotone across the restart. *)
@@ -535,7 +535,7 @@ let test_async_rolls_back_uncovered_commits () =
            Rt.with_lock atlas ctx m (fun () -> Rt.store_field atlas ctx a 3 1L);
            Alcotest.(check int) "two pending" 2 (Rt.pending_commits atlas));
        ]);
-  Pmem.crash pmem Pmem.Discard (* no TSP: deferred durability must hold *);
+  crash pmem FM.Full_discard (* no TSP: deferred durability must hold *);
   let heap', report = recover_env pmem ~log_base in
   Alcotest.check int64 "covered commit survives" 1L (Heap.load_field heap' a 0);
   Alcotest.check int64 "covered commit survives (2)" 1L
@@ -716,7 +716,7 @@ let prop_rollback_is_prefix =
       | Scheduler.Deadlocked _ -> Alcotest.fail "deadlock");
       (* Under Log_only we need TSP; under Log_flush even a discard
          crash must recover. *)
-      Pmem.crash pmem (if flush_mode then Pmem.Discard else Pmem.Rescue);
+      crash pmem (if flush_mode then FM.Full_discard else FM.Full_rescue);
       let heap', _report = recover_env pmem ~log_base in
       let recovered = Array.init 16 (fun i -> Heap.load_field heap' slots i) in
       ignore heap;
@@ -770,7 +770,7 @@ let prop_async_recovers_a_prefix =
                    if cp then Rt.checkpoint atlas)
                  txns);
            ]);
-      Pmem.crash pmem Pmem.Discard;
+      crash pmem FM.Full_discard;
       let heap', _ = recover_env pmem ~log_base in
       let recovered = Array.init 16 (fun i -> Heap.load_field heap' slots i) in
       ignore heap;

@@ -225,7 +225,7 @@ let test_crash_mid_split_recovers () =
       (match outcome with
       | Scheduler.Crashed _ -> incr crashes_checked
       | _ -> Alcotest.fail "crash point not reached");
-      Pmem.crash pmem Pmem.Rescue;
+      crash pmem FM.Full_rescue;
       Pmem.recover pmem;
       let size = (Pmem.config pmem).Config.region_size in
       let log_base = size - (1024 * 1024) in

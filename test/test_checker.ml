@@ -8,10 +8,8 @@ module History = Check.History
 module Dl = Check.Dl
 module Ivec = Check.Ivec
 module Model = Tsp_maps.Model
-module Snapshot = Tsp_maps.Snapshot
 module Map_intf = Tsp_maps.Map_intf
 module Skiplist = Tsp_maps.Lockfree_skiplist
-module Hashmap = Tsp_maps.Chained_hashmap
 module Recovery = Atlas.Recovery
 module Runner = Workload.Runner
 module Report = Workload.Report
@@ -267,42 +265,6 @@ let test_dl_vs_model =
       Dl.is_explained (dl records entries)
       && not (Dl.is_explained (dl records ((999, 123L) :: entries))))
 
-(* --- Snapshot: kind-dispatched state enumeration --- *)
-
-let test_snapshot_skiplist () =
-  let pmem = desktop_pmem ~region_mib:4 () in
-  let size = (Pmem.config pmem).Config.region_size in
-  let heap = Heap.create pmem ~base:0 ~size in
-  let sl = Skiplist.create heap ~num_threads:1 ~seed:3 () in
-  List.iter
-    (fun (k, v) -> Skiplist.set_plain sl ~key:k ~value:v)
-    [ (5, 50L); (1, 10L); (2, 20L) ];
-  Alcotest.(check string) "structure" "skip_node" (Snapshot.structure heap);
-  Alcotest.(check (list (pair int int64)))
-    "entries in key order"
-    [ (1, 10L); (2, 20L); (5, 50L) ]
-    (Snapshot.entries heap)
-
-let test_snapshot_hashmap () =
-  let pmem = desktop_pmem ~region_mib:4 () in
-  let size = (Pmem.config pmem).Config.region_size in
-  let log_base = size - (512 * 1024) in
-  let heap = Heap.create pmem ~base:0 ~size:log_base in
-  let atlas =
-    Atlas.Runtime.create ~mode:Atlas.Mode.Log_only ~heap ~log_base
-      ~log_size:(512 * 1024) ~num_threads:1 ()
-  in
-  let sched = Scheduler.create ~seed:5 () in
-  let hm = Hashmap.create heap ~atlas ~sched ~n_buckets:16 () in
-  List.iter
-    (fun (k, v) -> Hashmap.set_plain hm ~key:k ~value:v)
-    [ (5, 50L); (1, 10L); (2, 20L) ];
-  Alcotest.(check string) "structure" "hash_header" (Snapshot.structure heap);
-  Alcotest.(check bool) "entries match (any order)" true
-    (Model.equal_entries
-       [ (1, 10L); (2, 20L); (5, 50L) ]
-       (Snapshot.entries heap))
-
 (* --- Recovery verdict formatting --- *)
 
 let test_orphan_warning () =
@@ -518,8 +480,6 @@ let suite =
       case "dl/overlap" test_dl_overlap;
       case "dl/frame" test_dl_frame;
       test_dl_vs_model;
-      case "snapshot/skiplist" test_snapshot_skiplist;
-      case "snapshot/hashmap" test_snapshot_hashmap;
       case "recovery/orphan-warning" test_orphan_warning;
       case "recovery/pp-verdict" test_pp_verdict;
       case "faults/tally" test_tally;

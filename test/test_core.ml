@@ -1,6 +1,7 @@
 (* Tests for the TSP concept library: failure classes, hardware presets,
    the WSP energy model, the decision procedure (the executable form of
-   Section 3), the recovery observer, and the facade. *)
+   Section 3), the crash-model resolver, the recovery observer and the
+   crash executor. *)
 
 open Helpers
 module FC = Tsp_core.Failure_class
@@ -9,7 +10,6 @@ module Req = Tsp_core.Requirement
 module Wsp = Tsp_core.Wsp
 module Policy = Tsp_core.Policy
 module Observer = Tsp_core.Recovery_observer
-module Tsp = Tsp_core.Tsp
 
 (* --- Failure_class --- *)
 
@@ -189,13 +189,47 @@ let test_weakest_obligation () =
     (ob nvram_no_handler [ FC.Process_crash; FC.Kernel_panic ]
     = Policy.Flush_log_entries)
 
+(* The resolver answers which model a crash runs: without an explicit
+   model the verdict picks an endpoint, an explicit model wins, and the
+   executor runs exactly the resolver's answer. *)
 let test_crash_mode_mapping () =
+  let module Exec = Tsp_core.Crash_executor in
   Alcotest.(check bool) "tsp -> rescue" true
-    (Policy.crash_mode (Policy.decide HW.nvram_machine FC.Power_outage)
-    = Pmem.Rescue);
+    (Policy.crash_model ~hardware:HW.nvram_machine ~failure:FC.Power_outage
+       None
+    = FM.Full_rescue);
   Alcotest.(check bool) "non-tsp -> discard" true
-    (Policy.crash_mode (Policy.decide HW.conventional_server FC.Power_outage)
-    = Pmem.Discard)
+    (Policy.crash_model ~hardware:HW.conventional_server
+       ~failure:FC.Power_outage None
+    = FM.Full_discard);
+  List.iter
+    (fun hardware ->
+      List.iter
+        (fun failure ->
+          let name = hardware.HW.name ^ "/" ^ FC.to_string failure in
+          let resolve = Policy.crash_model ~hardware ~failure in
+          let endpoint =
+            if Policy.is_tsp (Policy.decide hardware failure) then
+              FM.Full_rescue
+            else FM.Full_discard
+          in
+          Alcotest.(check bool) (name ^ ": the verdict picks") true
+            (resolve None = endpoint);
+          List.iter
+            (fun fm ->
+              Alcotest.(check bool) (name ^ ": an explicit model wins") true
+                (resolve (Some fm) = fm))
+            FM.reference;
+          List.iter
+            (fun fault ->
+              let p = small_pmem () in
+              Pmem.store p 0 1L;
+              let e = Exec.execute ?fault p ~hardware ~failure in
+              Alcotest.(check bool) (name ^ ": the executor runs it") true
+                (e.Exec.fault = resolve fault))
+            (None :: List.map Option.some FM.reference))
+        FC.all)
+    HW.all
 
 let test_decision_matrix_covers_everything () =
   let m = Policy.decision_matrix () in
@@ -212,7 +246,7 @@ let test_observer_rescue () =
   for i = 0 to 40 do
     Pmem.store p (i * 8) (Int64.of_int i)
   done;
-  Pmem.crash p Pmem.Rescue;
+  crash p FM.Full_rescue;
   let v = Observer.observe p in
   Alcotest.(check bool) "prefix ok" true v.Observer.prefix_ok;
   Alcotest.(check int) "no losses" 0 v.Observer.lost;
@@ -222,7 +256,7 @@ let test_observer_rescue () =
 let test_observer_discard () =
   let p = small_pmem ~journal:true () in
   Pmem.store p 0 1L;
-  Pmem.crash p Pmem.Discard;
+  crash p FM.Full_discard;
   let v = Observer.observe p in
   Alcotest.(check bool) "prefix broken" false v.Observer.prefix_ok;
   Alcotest.(check int) "one lost" 1 v.Observer.lost
@@ -276,32 +310,33 @@ let test_executor_wsp_bill_matches_model () =
     (abs_float (e.Exec.total_energy_j -. expected.Tsp_core.Wsp.total_energy_j)
      < 1e-6)
 
-(* --- Facade --- *)
+(* --- Requirement -> obligation, and the crash it implies --- *)
+
+let tsp_everywhere h req =
+  List.for_all (fun (_, v) -> Policy.is_tsp v) (Policy.decide_requirement h req)
 
 let test_plan_and_crash () =
-  let plan = Tsp.plan HW.nvram_machine Req.default in
-  Alcotest.(check bool) "tsp everywhere on nvram" true (Tsp.tsp_everywhere plan);
+  Alcotest.(check bool) "tsp everywhere on nvram" true
+    (tsp_everywhere HW.nvram_machine Req.default);
   Alcotest.(check bool) "no obligation" true
-    (plan.Tsp.obligation = Policy.No_runtime_action);
-  let plan2 = Tsp.plan HW.conventional_server Req.default in
+    (Policy.weakest_runtime_obligation HW.nvram_machine Req.default
+    = Policy.No_runtime_action);
   Alcotest.(check bool) "not everywhere on conventional" false
-    (Tsp.tsp_everywhere plan2);
-  (* The facade applies the right device semantics. *)
+    (tsp_everywhere HW.conventional_server Req.default);
+  (* The crash applies the right device semantics. *)
   let p = small_pmem ~journal:true () in
   Pmem.store p 0 5L;
-  let v =
-    Tsp.crash p ~hardware:HW.nvram_machine ~failure:FC.Power_outage
-  in
-  Alcotest.(check bool) "verdict is tsp" true (Policy.is_tsp v);
+  let e = Exec.execute p ~hardware:HW.nvram_machine ~failure:FC.Power_outage in
+  Alcotest.(check bool) "verdict is tsp" true (Policy.is_tsp e.Exec.verdict);
   Alcotest.check int64 "value rescued" 5L (Pmem.load_durable p 0)
 
 let test_crash_discard_via_facade () =
   let p = small_pmem ~journal:true () in
   Pmem.store p 0 5L;
-  let v =
-    Tsp.crash p ~hardware:HW.conventional_server ~failure:FC.Power_outage
+  let e =
+    Exec.execute p ~hardware:HW.conventional_server ~failure:FC.Power_outage
   in
-  Alcotest.(check bool) "verdict not tsp" false (Policy.is_tsp v);
+  Alcotest.(check bool) "verdict not tsp" false (Policy.is_tsp e.Exec.verdict);
   Alcotest.check int64 "value lost" 0L (Pmem.load_durable p 0)
 
 let suite =

@@ -84,7 +84,7 @@ let test_fast_path_invisible_under_crash () =
     | Scheduler.Crashed { at_step } ->
         Alcotest.(check int) "crash step" 1234 at_step
     | _ -> Alcotest.fail "expected a crash");
-    Pmem.crash pmem Pmem.Rescue;
+    crash pmem FM.Full_rescue;
     Pmem.durable_snapshot pmem
   in
   Alcotest.(check bool)

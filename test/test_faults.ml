@@ -157,7 +157,7 @@ let test_recovery_idempotent () =
         let r = Rng.create ~seed:3 in
         fun bound -> Rng.int r bound
       in
-      ignore (Pmem.crash_with pmem ~fault ~rng () : Pmem.crash_damage);
+      ignore (Pmem.crash pmem ~fault ~rng () : Pmem.crash_damage);
       Pmem.recover pmem;
       match recover_once pmem ~log_base with
       | exception Heap.Corrupt _
@@ -189,7 +189,7 @@ let test_recovery_idempotent_across_recovery_crash () =
     fun bound -> Rng.int r bound
   in
   ignore
-    (Pmem.crash_with pmem ~fault:(FM.Torn_lines { prob = 0.4 }) ~rng ()
+    (Pmem.crash pmem ~fault:(FM.Torn_lines { prob = 0.4 }) ~rng ()
       : Pmem.crash_damage);
   Pmem.recover pmem;
   let steps = ref 0 in
@@ -203,7 +203,7 @@ let test_recovery_idempotent_across_recovery_crash () =
   Pmem.clear_step_hook pmem;
   (* The interrupted attempt's dirty repairs die in a second crash. *)
   ignore
-    (Pmem.crash_with pmem ~fault:FM.Full_discard ~rng:(fun _ -> 0) ()
+    (Pmem.crash pmem ~fault:FM.Full_discard ~rng:(fun _ -> 0) ()
       : Pmem.crash_damage);
   Pmem.recover pmem;
   let r1, s1 = recover_once pmem ~log_base in

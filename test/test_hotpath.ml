@@ -9,12 +9,12 @@
      operations must not allocate on the minor heap, measured with
      [Gc.minor_words].
 
-   Plus direct unit tests for [Atlas.Intset], the open-addressed set
+   Plus direct unit tests for [Nvm.Intset], the open-addressed set
    behind the runtime's per-store bookkeeping. *)
 
 open Helpers
 module Cache = Nvm.Cache
-module Intset = Atlas.Intset
+module Intset = Nvm.Intset
 
 (* --- SoA cache vs the reference model --- *)
 

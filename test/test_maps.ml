@@ -617,7 +617,7 @@ let test_hash_crash_recovery () =
   (match outcome with
   | Scheduler.Crashed _ -> ()
   | _ -> Alcotest.fail "expected crash");
-  Pmem.crash pmem Pmem.Rescue;
+  crash pmem FM.Full_rescue;
   Pmem.recover pmem;
   let size = (Pmem.config pmem).Config.region_size in
   let heap' = Heap.attach pmem ~base:0 ~size:(size - (512 * 1024)) in
@@ -661,7 +661,7 @@ let test_skip_crash_recovery_and_gc () =
   (match outcome with
   | Scheduler.Crashed _ -> ()
   | _ -> Alcotest.fail "expected crash");
-  Pmem.crash pmem Pmem.Rescue;
+  crash pmem FM.Full_rescue;
   Pmem.recover pmem;
   let size = (Pmem.config pmem).Config.region_size in
   let heap' = Heap.attach pmem ~base:0 ~size in
@@ -701,7 +701,7 @@ let test_nvt_crash_recovery () =
   (match outcome with
   | Scheduler.Crashed _ -> ()
   | _ -> Alcotest.fail "expected crash");
-  Pmem.crash pmem Pmem.Rescue;
+  crash pmem FM.Full_rescue;
   Pmem.recover pmem;
   let size = (Pmem.config pmem).Config.region_size in
   let heap' = Heap.attach pmem ~base:0 ~size in
@@ -741,7 +741,7 @@ let test_delayfree_crash_repair () =
   (match outcome with
   | Scheduler.Crashed _ -> ()
   | _ -> Alcotest.fail "expected crash");
-  Pmem.crash pmem Pmem.Rescue;
+  crash pmem FM.Full_rescue;
   Pmem.recover pmem;
   let size = (Pmem.config pmem).Config.region_size in
   let heap' = Heap.attach pmem ~base:0 ~size in

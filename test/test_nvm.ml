@@ -113,7 +113,7 @@ let test_memory_recover_footprint () =
     done;
     Pmem.persist_all p;
     Pmem.store_int p (addr 0) 99 (* dirty again, dropped below *);
-    Pmem.crash p Pmem.Discard;
+    crash p FM.Full_discard;
     Pmem.recover p
   in
   (* The first run in a process also pays one-off lazy set-up. *)
@@ -254,7 +254,7 @@ let test_pmem_crash_rescue () =
   for i = 0 to 63 do
     Pmem.store p (i * 8) (Int64.of_int i)
   done;
-  Pmem.crash p Pmem.Rescue;
+  crash p FM.Full_rescue;
   Alcotest.(check bool) "all stores durable" true
     (Pmem.durable_reflects_all_stores p);
   Alcotest.(check int) "no losses" 0 (Pmem.lost_store_count p)
@@ -263,14 +263,14 @@ let test_pmem_crash_discard () =
   let p = small_pmem ~journal:true () in
   (* One store, never evicted (nothing else touches its set): must die. *)
   Pmem.store p 0 123L;
-  Pmem.crash p Pmem.Discard;
+  crash p FM.Full_discard;
   Alcotest.(check bool) "store lost" false (Pmem.durable_reflects_all_stores p);
   Alcotest.check int64 "durable stale" 0L (Pmem.load_durable p 0)
 
 let test_pmem_crash_then_ops_fail () =
   let p = small_pmem () in
   Pmem.store p 0 1L;
-  Pmem.crash p Pmem.Rescue;
+  crash p FM.Full_rescue;
   Alcotest.check_raises "store after crash" Pmem.Crashed_device (fun () ->
       Pmem.store p 0 2L);
   Alcotest.check_raises "load after crash" Pmem.Crashed_device (fun () ->
@@ -280,7 +280,7 @@ let test_pmem_crash_then_ops_fail () =
 let test_pmem_recover () =
   let p = small_pmem ~journal:true () in
   Pmem.store p 0 11L;
-  Pmem.crash p Pmem.Rescue;
+  crash p FM.Full_rescue;
   Pmem.recover p;
   Alcotest.(check bool) "usable again" false (Pmem.is_crashed p);
   Alcotest.check int64 "rescued value visible" 11L (Pmem.load p 0);
@@ -292,7 +292,7 @@ let test_pmem_recover_discard_installs_durable () =
   Pmem.store p 0 5L;
   Pmem.flush p 0;
   Pmem.store p 0 6L (* dirty again, will be dropped *);
-  Pmem.crash p Pmem.Discard;
+  crash p FM.Full_discard;
   Pmem.recover p;
   Alcotest.check int64 "current = durable after recover" 5L (Pmem.load p 0)
 
@@ -311,7 +311,7 @@ let test_crash_with_full_rescue () =
   for i = 0 to 3 do
     Pmem.store p (i * 64) (Int64.of_int (i + 1))
   done;
-  let d = Pmem.crash_with p ~fault:Nvm.Fault_model.Full_rescue ~rng:no_rng () in
+  let d = Pmem.crash p ~fault:Nvm.Fault_model.Full_rescue ~rng:no_rng () in
   Alcotest.(check int) "rescued" 4 d.Pmem.rescued;
   Alcotest.(check int) "no drops" 0 d.Pmem.dropped;
   for i = 0 to 3 do
@@ -324,7 +324,7 @@ let test_crash_with_full_rescue () =
 let test_crash_with_full_discard () =
   let p = small_pmem () in
   Pmem.store p 0 123L;
-  let d = Pmem.crash_with p ~fault:Nvm.Fault_model.Full_discard ~rng:no_rng () in
+  let d = Pmem.crash p ~fault:Nvm.Fault_model.Full_discard ~rng:no_rng () in
   Alcotest.(check int) "dropped" 1 d.Pmem.dropped;
   Alcotest.check int64 "durable stale" 0L (Pmem.load_durable p 0)
 
@@ -336,7 +336,7 @@ let test_crash_with_partial_rescue () =
     Pmem.store p (i * 64) (Int64.of_int (i + 1))
   done;
   let d =
-    Pmem.crash_with p
+    Pmem.crash p
       ~fault:(Nvm.Fault_model.Partial_rescue { energy_budget_j = 1e-3 })
       ~rescue_limit:2 ~rng:no_rng ()
   in
@@ -356,7 +356,7 @@ let test_crash_with_partial_rescue_unbounded () =
     Pmem.store p (i * 64) 7L
   done;
   let d =
-    Pmem.crash_with p
+    Pmem.crash p
       ~fault:(Nvm.Fault_model.Partial_rescue { energy_budget_j = 1.0 })
       ~rng:no_rng ()
   in
@@ -372,7 +372,7 @@ let test_crash_with_torn_lines () =
   (* prob 1.0 always tears; the word draw says 3 leading words land. *)
   let rng bound = if bound = 1_000_000 then 0 else 3 in
   let d =
-    Pmem.crash_with p
+    Pmem.crash p
       ~fault:(Nvm.Fault_model.Torn_lines { prob = 1.0 })
       ~rng ()
   in
@@ -396,7 +396,7 @@ let test_crash_with_torn_zero_words_no_writeback () =
   let wb_before = (Pmem.stats p).Stats.writebacks in
   let rng bound = if bound = 1_000_000 then 0 else 0 in
   let d =
-    Pmem.crash_with p ~fault:(Nvm.Fault_model.Torn_lines { prob = 1.0 }) ~rng ()
+    Pmem.crash p ~fault:(Nvm.Fault_model.Torn_lines { prob = 1.0 }) ~rng ()
   in
   Alcotest.(check int) "torn" 1 d.Pmem.torn;
   Alcotest.(check int) "no words landed" 0
@@ -410,7 +410,7 @@ let test_crash_with_torn_prob_zero_is_rescue () =
   Pmem.store p 0 9L;
   let rng bound = if bound = 1_000_000 then 0 else 0 in
   let d =
-    Pmem.crash_with p ~fault:(Nvm.Fault_model.Torn_lines { prob = 0. }) ~rng ()
+    Pmem.crash p ~fault:(Nvm.Fault_model.Torn_lines { prob = 0. }) ~rng ()
   in
   Alcotest.(check int) "nothing torn" 0 d.Pmem.torn;
   Alcotest.(check int) "rescued instead" 1 d.Pmem.rescued;
@@ -426,7 +426,7 @@ let test_crash_with_bit_rot () =
     match !k with 1 -> 1 | 2 -> 5 | 3 -> 2 | _ -> 9
   in
   let d =
-    Pmem.crash_with p ~fault:(Nvm.Fault_model.Bit_rot { flips = 2 }) ~rng ()
+    Pmem.crash p ~fault:(Nvm.Fault_model.Bit_rot { flips = 2 }) ~rng ()
   in
   Alcotest.(check int) "flips recorded" 2 d.Pmem.bit_flips;
   Alcotest.(check int) "dirty line still rescued" 1 d.Pmem.rescued;
@@ -445,7 +445,7 @@ let test_crash_with_deterministic_rng () =
     done;
     let r = Rng.create ~seed:5 in
     let rng bound = Rng.int r bound in
-    let d = Pmem.crash_with p ~fault ~rng () in
+    let d = Pmem.crash p ~fault ~rng () in
     (d, Pmem.durable_snapshot p)
   in
   List.iter
@@ -460,7 +460,7 @@ let test_crash_with_then_recover () =
   let p = small_pmem () in
   Pmem.store p 0 3L;
   ignore
-    (Pmem.crash_with p ~fault:(Nvm.Fault_model.Torn_lines { prob = 0.5 })
+    (Pmem.crash p ~fault:(Nvm.Fault_model.Torn_lines { prob = 0.5 })
        ~rng:(fun b -> b / 2) ()
       : Pmem.crash_damage);
   Alcotest.check_raises "ops fail while crashed" Pmem.Crashed_device (fun () ->
@@ -477,7 +477,7 @@ let test_pmem_persist_all () =
   done;
   Pmem.persist_all p;
   Alcotest.(check int) "nothing dirty" 0 (Pmem.dirty_line_count p);
-  Pmem.crash p Pmem.Discard;
+  crash p FM.Full_discard;
   Alcotest.check int64 "persisted survives discard" 1L (Pmem.load_durable p 0)
 
 let test_pmem_step_hook () =
@@ -513,7 +513,7 @@ let store_race_survives_rescue clean () =
           end);
       write p;
       Pmem.clear_step_hook p;
-      Pmem.crash p Pmem.Rescue;
+      crash p FM.Full_rescue;
       Alcotest.check int64 (name ^ " durable after the rescue") 42L
         (Pmem.load_durable p 0))
     [
@@ -561,7 +561,7 @@ let test_pmem_eviction_preserves_data () =
   done;
   let st = Pmem.stats p in
   Alcotest.(check bool) "evictions happened" true (st.Stats.writebacks > 0);
-  Pmem.crash p Pmem.Discard;
+  crash p FM.Full_discard;
   let survived = lines - Pmem.lost_store_count p in
   Alcotest.(check bool)
     (Printf.sprintf "most lines survived via eviction (%d/%d)" survived lines)
@@ -598,7 +598,7 @@ let prop_rescue_preserves_everything =
     (fun ops ->
       let p = small_pmem ~journal:true () in
       List.iter (fun (slot, v) -> Pmem.store p (slot * 8) (Int64.of_int v)) ops;
-      Pmem.crash p Pmem.Rescue;
+      crash p FM.Full_rescue;
       Pmem.durable_reflects_all_stores p)
 
 let prop_discard_is_per_word_prefix =
@@ -607,7 +607,7 @@ let prop_discard_is_per_word_prefix =
     (fun ops ->
       let p = small_pmem ~journal:true () in
       List.iter (fun (slot, v) -> Pmem.store p (slot * 8) (Int64.of_int v)) ops;
-      Pmem.crash p Pmem.Discard;
+      crash p FM.Full_discard;
       (* For every touched word, the durable value is either the initial
          zero or one of the values stored to that word. *)
       List.for_all

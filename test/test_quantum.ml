@@ -53,7 +53,7 @@ let test_crash_image_identical () =
     | Scheduler.Crashed { at_step } ->
         Alcotest.(check int) "crash step" 1234 at_step
     | _ -> Alcotest.fail "expected a crash");
-    Pmem.crash pmem Pmem.Rescue;
+    crash pmem FM.Full_rescue;
     Pmem.durable_snapshot pmem
   in
   Alcotest.(check bool)
@@ -257,7 +257,7 @@ let contended_observables (seed, jitter, crash_at_step, progs)
           : int))
     progs;
   let outcome = run_wired ?crash_at_step pmem sched in
-  Pmem.crash pmem Pmem.Rescue;
+  crash pmem FM.Full_rescue;
   (* The rescue leaves every word of the programs' range (plain ops up
      to 2040, sections up to 2072) at its pre-crash value, including a
      store that landed after another thread cleaned its line. *)

@@ -155,7 +155,7 @@ let test_crash_recovery_zero_mechanism () =
   (match outcome with
   | Scheduler.Crashed _ -> ()
   | _ -> Alcotest.fail "expected crash");
-  Pmem.crash pmem Pmem.Rescue;
+  crash pmem FM.Full_rescue;
   Pmem.recover pmem;
   let size = (Pmem.config pmem).Config.region_size in
   let heap' = Heap.attach pmem ~base:0 ~size in

@@ -95,7 +95,9 @@ let test_on_demand_full_touch () =
     (Machine.finish_background_gc b
       : (Heap_gc.stats * Heap_gc.quarantine) option);
   Alcotest.(check bool) "same heap image" true (image a = image b);
-  let dump m = List.sort compare (Machine.dump m) in
+  let dump m =
+    List.sort compare (Machine.dump m ~root:(Heap.get_root m.Machine.heap))
+  in
   Alcotest.(check (list (pair int int64)))
     "same map contents" (dump a) (dump b)
 
@@ -142,6 +144,48 @@ let test_mark_allocation_guard () =
        %.0f words total) — the mark loop is boxing again"
       per_object stats.Heap_gc.live_objects dw
 
+(* The recovery-mode rules on hand-built cells, one broken rule at a
+   time.  The first cell's own audit counts too. *)
+let test_mode_rules () =
+  let cell mode =
+    {
+      RS.variant;
+      objects = 100;
+      mode;
+      outage_cycles = 50;
+      background_cycles = 0;
+      on_demand_touches = 0;
+      phases = [];
+      gc = None;
+      verdict = "clean";
+      heap_audit_ok = true;
+      image_hash = 1;
+    }
+  in
+  let eager = cell Machine.Eager
+  and par1 = cell (Machine.Parallel_gc 1)
+  and par2 = cell (Machine.Parallel_gc 2)
+  and inc = { (cell Machine.Incremental_gc) with RS.outage_cycles = 20 } in
+  let where = Machine.variant_to_string variant ^ "/100: " in
+  let check name expected cells =
+    Alcotest.(check (list string)) name
+      (List.map (fun m -> where ^ m) expected)
+      (RS.violations cells)
+  in
+  check "every rule holds" [] [ eager; par1; par2; inc ];
+  check "a first cell failing its audit is reported"
+    [ "eager failed the heap audit" ]
+    [ { eager with RS.heap_audit_ok = false }; par1; par2; inc ];
+  check "an image mismatch is reported"
+    [ "incremental image 2 differs from eager image 1" ]
+    [ eager; par1; par2; { inc with RS.image_hash = 2 } ];
+  check "parallel cells must match across job counts"
+    [ "parallel cells diverge across job counts (determinism violation)" ]
+    [ eager; par1; { par2 with RS.outage_cycles = 51 }; inc ];
+  check "the incremental outage must be shorter"
+    [ "incremental outage (50 cycles) is not shorter than eager (50 cycles)" ]
+    [ eager; par1; par2; cell Machine.Incremental_gc ]
+
 let suite =
   ( "recovery_scaling",
     [
@@ -152,6 +196,8 @@ let suite =
       Alcotest.test_case "on-demand touches recover the eager image" `Quick
         test_on_demand_full_touch;
       QCheck_alcotest.to_alcotest prop_on_demand_equals_eager;
+      Alcotest.test_case "mode rules report every broken rule" `Quick
+        test_mode_rules;
       Alcotest.test_case "streamed mark minor-allocation guard" `Slow
         test_mark_allocation_guard;
     ] )

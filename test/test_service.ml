@@ -263,6 +263,89 @@ let test_serve_dl_skipped_outside_envelope () =
       Alcotest.(check string) "note names the envelope's reason"
         ("skipped: " ^ reason) rr.Serve.dl_note
 
+(* The exit rule on hand-built reports: a deadlocked shard fails, a lost
+   shard fails only when the model its crash ran promises no loss, and a
+   recovered state the DL check flags fails. *)
+let test_serve_exit_rule () =
+  let module FM = Nvm.Fault_model in
+  let recovery fault dl =
+    {
+      Serve.t_down = 10;
+      t_up = 20;
+      recovery_cycles = 10;
+      rescued_lines = 0;
+      fault;
+      background_gc_cycles = 0;
+      on_demand_recovered = 0;
+      recovery_verdict = Atlas.Recovery.Clean;
+      dl;
+      dl_note = "";
+      recovery_errors = [];
+    }
+  in
+  let shard outcome recovery =
+    {
+      Serve.shard = 0;
+      requests = 1;
+      populated = 1;
+      served = 1;
+      shed = 0;
+      timed_out = 0;
+      retry_attempts = 0;
+      phase2_served = 0;
+      sim_cycles = 30;
+      elapsed_cycles = 30;
+      steps = 3;
+      outcome;
+      recovery;
+      tracer = None;
+    }
+  in
+  let failed shards =
+    Serve.failed
+      {
+        Serve.config = tiny_config;
+        horizon = 30;
+        shards = Array.of_list shards;
+        fates = [||];
+        latencies = [||];
+        windows = [||];
+        latency = [];
+      }
+  in
+  let ok = shard "ok" None in
+  let lost fault = shard "crashed+lost" (Some (recovery fault None)) in
+  let stats =
+    { Check.Dl.ops = 1; completed = 1; pending = 0; keys = 1; capped = 0 }
+  in
+  let recovered dl =
+    shard "crashed+recovered" (Some (recovery FM.Full_rescue (Some dl)))
+  in
+  Alcotest.(check bool) "healthy shards pass" false
+    (failed [ ok; recovered (Check.Dl.Explained stats) ]);
+  Alcotest.(check bool) "a deadlocked shard fails" true
+    (failed [ ok; shard "deadlocked" None ]);
+  Alcotest.(check bool) "loss under full-discard is tolerated" false
+    (failed [ ok; lost FM.Full_discard ]);
+  List.iter
+    (fun fm ->
+      if FM.adversarial fm then
+        Alcotest.(check bool)
+          ("loss under " ^ FM.to_string fm ^ " is tolerated")
+          false
+          (failed [ ok; lost fm ]))
+    FM.reference;
+  Alcotest.(check bool) "loss under full-rescue fails" true
+    (failed [ ok; lost FM.Full_rescue ]);
+  Alcotest.(check bool) "a DL violation fails" true
+    (failed
+       [
+         ok;
+         recovered
+           (Check.Dl.Violation
+              (stats, [ { Check.Dl.key = 7; found = None; detail = "lost" } ]));
+       ])
+
 let test_serve_shed_and_retry () =
   let run mode = Serve.run ~jobs:2 { tiny_config with Serve.degraded = mode } in
   let shed = run Degraded.Shed in
@@ -315,6 +398,8 @@ let suite =
         test_serve_recovery_and_ledger;
       slow_case "serve: DL check skipped outside the rescue envelope"
         test_serve_dl_skipped_outside_envelope;
+      case "serve: exit rule judges loss by the crash's model"
+        test_serve_exit_rule;
       slow_case "serve: shed and retry degraded modes" test_serve_shed_and_retry;
       case "serve: config guards" test_serve_guards;
       case "sweeps: ycsb table reports p999" test_ycsb_table_p999;
