@@ -44,8 +44,8 @@ let words_per_op ~ops f =
   (r, (Gc.minor_words () -. w0) /. float_of_int ops)
 
 (* The hot path in isolation: one simulated thread hammering the device
-   through the scheduler, with uncontended loads/stores charged against
-   batched quanta. *)
+   through the scheduler, every uncontended charge taken against the
+   scheduler's quantum. *)
 let hot_path_loop ~ops =
   let cfg = Nvm.Config.with_region_size Nvm.Config.desktop (1024 * 1024) in
   let pmem = Nvm.Pmem.create cfg in

@@ -19,6 +19,17 @@ let logs_term =
 let conv_of parse print =
   Arg.conv ((fun s -> Result.map_error (fun m -> `Msg m) (parse s)), print)
 
+(* Threads, shards, windows, records, a stride or a mutant rate: a count
+   below one is a usage error naming the flag, raised before any
+   simulation runs. *)
+let count_conv =
+  conv_of
+    (fun s ->
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some _ | None -> Error (Printf.sprintf "%S is not a positive count" s))
+    Fmt.int
+
 let platform_conv =
   conv_of Nvm.Config.of_string (fun ppf p -> Fmt.string ppf p.Nvm.Config.name)
 
@@ -94,12 +105,12 @@ let from_arg =
        & info [ "from" ] ~docv:"STEP" ~doc:"First crash step enumerated.")
 
 let window_arg =
-  Arg.(value & opt int 2000
+  Arg.(value & opt count_conv 2000
        & info [ "window" ] ~docv:"W"
            ~doc:"Number of steps the enumerated window covers.")
 
 let stride_arg default =
-  Arg.(value & opt int default
+  Arg.(value & opt count_conv default
        & info [ "stride" ] ~docv:"S"
            ~doc:"Enumerate every S-th step of the window.")
 
@@ -148,7 +159,7 @@ let iterations_arg default =
          ~doc:"Iterations per worker thread.")
 
 let threads_arg =
-  Arg.(value & opt int 8 & info [ "threads"; "t" ] ~docv:"T"
+  Arg.(value & opt count_conv 8 & info [ "threads"; "t" ] ~docv:"T"
          ~doc:"Number of worker threads.")
 
 let seed_info =
@@ -623,7 +634,7 @@ let check_cmd =
           Fmt.pr "@.Mutant caught: flagged on %d crash point(s).@." flagged
   in
   let mutant =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some count_conv) None
          & info [ "mutant" ] ~docv:"N"
              ~doc:"Plant the seeded non-durable mutant (roughly one in N \
                    writes acknowledged but never issued) and demand the \
@@ -789,7 +800,7 @@ let ycsb_cmd =
          & info [] ~docv:"PRESET" ~doc:"YCSB core workload: A, B, C or F.")
   in
   let records =
-    Arg.(value & opt int 16384
+    Arg.(value & opt count_conv 16384
          & info [ "records" ] ~docv:"N" ~doc:"Pre-loaded record count.")
   in
   Cmd.v
@@ -1089,7 +1100,7 @@ let serve_cmd =
         J.key j "preset";
         J.str j (Workload.Ycsb.preset_to_string cfg.S.preset);
         J.key j "req_cycles";
-        J.int j cfg.S.req_cycles;
+        J.int j S.req_cycles;
         J.key j "crash_shard";
         (match cfg.S.crash_shard with Some s -> J.int j s | None -> J.null j);
         J.key j "crash_at_step";
@@ -1119,7 +1130,7 @@ let serve_cmd =
        on shard 1.  Explicit options still override it."
   in
   let shards =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some count_conv) None
          & info [ "shards" ] ~docv:"N" ~doc:"Number of independent shards.")
   in
   let keys =
@@ -1169,7 +1180,7 @@ let serve_cmd =
              ~doc:"Write a Perfetto trace with one process group per shard.")
   in
   let windows =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some count_conv) None
          & info [ "windows" ] ~docv:"W"
              ~doc:"Availability-timeline resolution (number of windows).")
   in

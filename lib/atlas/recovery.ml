@@ -126,16 +126,7 @@ type scan_mode =
 let run_attached ?(scan = Costed_scan) ~heap ~pmem ~ulog () =
   (* Recovery phases bracket the log scan and the rollback so the trace
      (and the per-phase cycle registry) can attribute recovery time. *)
-  let phase_begin p =
-    match Nvm.Pmem.tracer pmem with
-    | None -> ()
-    | Some tr -> Obs.Tracer.phase_begin tr ~phase:p
-  in
-  let phase_end p =
-    match Nvm.Pmem.tracer pmem with
-    | None -> ()
-    | Some tr -> Obs.Tracer.phase_end tr ~phase:p
-  in
+  let tracer = Nvm.Pmem.tracer pmem in
   let anomalies = ref [] in
   let degradations = ref [] in
   let truncated = ref 0 in
@@ -156,80 +147,84 @@ let run_attached ?(scan = Costed_scan) ~heap ~pmem ~ulog () =
           entries;
         parse_thread ~anomalies ~table entries
   in
-  phase_begin Obs.Event.phase_log_scan;
-  (match scan with
-  | Costed_scan ->
-      let read = Nvm.Pmem.load pmem in
-      for tid = 0 to Undo_log.num_threads ulog - 1 do
-        consume tid (Undo_log.scan_thread ulog ~tid ~read)
-      done
-  | Streamed_scan fanout ->
-      (* Scan all rings with cost-free peeks — in parallel if [fanout]
-         fans out — then merge in tid order and charge one analytic bill:
-         the log is read as a sequential stream, so the cost is one cold
-         miss per cache line of log data rather than per word.  The
-         merge order is fixed, so the report is byte-identical for any
-         fanout. *)
-      let n = Undo_log.num_threads ulog in
-      let results = Array.make n (Ok ([], 0), 0) in
-      let tasks =
-        List.init n (fun tid () ->
-            let words = ref 0 in
-            let read a =
-              incr words;
-              Nvm.Pmem.peek pmem a
-            in
-            let res = Undo_log.scan_thread ulog ~tid ~read in
-            results.(tid) <- (res, !words))
-      in
-      fanout tasks;
-      let words = ref 0 in
-      Array.iteri
-        (fun tid (res, w) ->
-          words := !words + w;
-          consume tid res)
-        results;
-      let cfg = Nvm.Pmem.config pmem in
-      let lines =
-        ((!words * 8) + cfg.Nvm.Config.line_size - 1) / cfg.Nvm.Config.line_size
-      in
-      Nvm.Pmem.charge pmem (lines * cfg.Nvm.Config.load_miss));
-  phase_end Obs.Event.phase_log_scan;
-  phase_begin Obs.Event.phase_rollback;
-  let watermark = Undo_log.watermark ulog in
-  let doomed = rollback_closure ~watermark table in
-  let committed = Hashtbl.fold (fun _ r n -> if r.committed then n + 1 else n) table 0 in
-  let incomplete =
-    Hashtbl.fold (fun _ r n -> if not r.committed then n + 1 else n) table 0
-  in
-  let cascaded =
-    Hashtbl.fold
-      (fun id r n -> if r.committed && Hashtbl.mem doomed id then n + 1 else n)
-      table 0
-  in
-  (* Collect every update of every doomed section and undo them newest
-     first, so overlapping writes unwind in the right order. *)
-  let updates =
-    Hashtbl.fold
-      (fun id r acc -> if Hashtbl.mem doomed id then r.updates @ acc else acc)
-      table []
-    |> List.sort (fun (s1, _, _) (s2, _, _) -> compare s2 s1)
-  in
+  Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_log_scan (fun () ->
+      match scan with
+      | Costed_scan ->
+          let read = Nvm.Pmem.load pmem in
+          for tid = 0 to Undo_log.num_threads ulog - 1 do
+            consume tid (Undo_log.scan_thread ulog ~tid ~read)
+          done
+      | Streamed_scan fanout ->
+          (* Scan all rings with cost-free peeks — in parallel if
+             [fanout] fans out — then merge in tid order and charge one
+             analytic bill: the log is read as a sequential stream, so
+             the cost is one cold miss per cache line of log data rather
+             than per word.  The merge order is fixed, so the report is
+             byte-identical for any fanout. *)
+          let n = Undo_log.num_threads ulog in
+          let results = Array.make n (Ok ([], 0), 0) in
+          let tasks =
+            List.init n (fun tid () ->
+                let words = ref 0 in
+                let read a =
+                  incr words;
+                  Nvm.Pmem.peek pmem a
+                in
+                let res = Undo_log.scan_thread ulog ~tid ~read in
+                results.(tid) <- (res, !words))
+          in
+          fanout tasks;
+          let words = ref 0 in
+          Array.iteri
+            (fun tid (res, w) ->
+              words := !words + w;
+              consume tid res)
+            results;
+          let cfg = Nvm.Pmem.config pmem in
+          let lines =
+            ((!words * 8) + cfg.Nvm.Config.line_size - 1)
+            / cfg.Nvm.Config.line_size
+          in
+          Nvm.Pmem.charge pmem (lines * cfg.Nvm.Config.load_miss));
   let applied = ref 0 and skipped = ref 0 in
-  let lo = Heap.start_addr heap and hi = Heap.end_addr heap in
-  List.iter
-    (fun (_, addr, old) ->
-      if addr land 7 = 0 && addr >= lo && addr < hi then begin
-        Nvm.Pmem.store pmem addr old;
-        incr applied
-      end
-      else begin
-        incr skipped;
-        anomalies := Printf.sprintf "update to invalid address %d" addr :: !anomalies
-      end)
-    updates;
-  Nvm.Pmem.persist_all pmem;
-  phase_end Obs.Event.phase_rollback;
+  let committed, incomplete, cascaded =
+    Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_rollback (fun () ->
+        let watermark = Undo_log.watermark ulog in
+        let doomed = rollback_closure ~watermark table in
+        let count p =
+          Hashtbl.fold (fun id r n -> if p id r then n + 1 else n) table 0
+        in
+        let committed = count (fun _ r -> r.committed) in
+        let incomplete = count (fun _ r -> not r.committed) in
+        let cascaded =
+          count (fun id r -> r.committed && Hashtbl.mem doomed id)
+        in
+        (* Collect every update of every doomed section and undo them
+           newest first, so overlapping writes unwind in the right
+           order. *)
+        let updates =
+          Hashtbl.fold
+            (fun id r acc ->
+              if Hashtbl.mem doomed id then r.updates @ acc else acc)
+            table []
+          |> List.sort (fun (s1, _, _) (s2, _, _) -> compare s2 s1)
+        in
+        let lo = Heap.start_addr heap and hi = Heap.end_addr heap in
+        List.iter
+          (fun (_, addr, old) ->
+            if addr land 7 = 0 && addr >= lo && addr < hi then begin
+              Nvm.Pmem.store pmem addr old;
+              incr applied
+            end
+            else begin
+              incr skipped;
+              anomalies :=
+                Printf.sprintf "update to invalid address %d" addr :: !anomalies
+            end)
+          updates;
+        Nvm.Pmem.persist_all pmem;
+        (committed, incomplete, cascaded))
+  in
   let anomalies = List.rev !anomalies in
   let reasons =
     List.rev !degradations

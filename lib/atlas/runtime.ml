@@ -118,13 +118,6 @@ let append t (ctx : ctx) payload =
   (match ctx.current with
   | Some cur -> cur.seg_last <- addr
   | None -> assert false);
-  (* A log append is a durability boundary: end any batched-execution
-     quantum here so the append's charge — and the crash-point
-     enumeration that rides on scheduler steps — passes through the
-     scheduler even when [log_cycles] is configured to 0.  (With a
-     positive cost the [charge] below would settle anyway; the explicit
-     barrier makes the boundary unconditional.) *)
-  Nvm.Pmem.quantum_barrier (pmem t);
   Nvm.Pmem.charge (pmem t) t.costs.log_cycles;
   trace t ~code:Obs.Event.log_append ~a:seq ~b:0;
   if Mode.flushes t.mode then Undo_log.flush_entry t.ulog ~entry_addr:addr;

@@ -7,7 +7,7 @@ type t = {
   stats : Stats.t;
   mutable hook : (cost:int -> unit) option;
   mutable quantum : Scheduler.quantum;
-      (* burst-charge handle for plain loads/stores; [null_quantum]
+      (* burst-charge handle every charge tries first; [null_quantum]
          (never grants) until a scheduler is wired in, so the hot path
          needs no option match *)
   mutable crashed : bool;
@@ -56,7 +56,6 @@ let set_step_hook t f = t.hook <- Some f
 let clear_step_hook t = t.hook <- None
 let set_quantum t q = t.quantum <- q
 let clear_quantum t = t.quantum <- Scheduler.null_quantum
-let quantum_barrier t = Scheduler.quantum_settle t.quantum
 
 let set_tracer t tr =
   t.tracer := tr;
@@ -82,44 +81,22 @@ let step t cost =
   | Some f -> f ~cost
   | None -> t.stats.Stats.clock <- t.stats.Stats.clock + cost
 
-(* Fused charge for plain accesses: consume the scheduler quantum when
-   one is held and the charge stays short of the horizon — a branch, a
-   comparison and a clock add, no closure call, no effect — and fall
-   back to the full [step] road otherwise.  Only
-   loads and stores come through here; CAS, flush, fence and compute
-   charges are synchronisation points and always take [step], which
-   settles any outstanding quantum first. *)
+(* Every charge: consume the scheduler quantum when one is held and the
+   charge stays short of the horizon — a branch, a comparison and a
+   clock add, no closure call, no effect — and fall back to the full
+   [step] road otherwise. *)
 let[@inline] qstep t cost =
   if not (Scheduler.quantum_try_charge t.quantum ~cost) then step t cost
 
 let charge t cycles =
   if cycles > 0 then begin
     t.stats.Stats.compute_cycles <- t.stats.Stats.compute_cycles + cycles;
-    step t cycles
+    qstep t cycles
   end
 
 let guard t = if t.crashed then raise Crashed_device
 
 let[@inline] touch_hit t ~addr ~dirty = Cache.touch t.cache ~addr ~dirty = Cache.hit
-
-let load t addr =
-  guard t;
-  let st = t.stats in
-  st.Stats.loads <- st.Stats.loads + 1;
-  let cost =
-    if touch_hit t ~addr ~dirty:false then begin
-      st.Stats.load_hits <- st.Stats.load_hits + 1;
-      t.cfg.Config.load_hit
-    end
-    else begin
-      st.Stats.load_misses <- st.Stats.load_misses + 1;
-      t.cfg.Config.load_miss
-    end
-  in
-  st.Stats.load_cycles <- st.Stats.load_cycles + cost;
-  qstep t cost;
-  trace t ~code:Obs.Event.load ~a:addr ~b:cost;
-  Memory.load t.mem addr
 
 let record_store t addr v =
   match t.journal with
@@ -141,64 +118,15 @@ let[@inline] redirty t addr ~since =
   if t.stats.Stats.writebacks <> since && not (Cache.is_dirty t.cache ~addr)
   then ignore (Cache.touch t.cache ~addr ~dirty:true : int)
 
-(* Cost accounting shared by [store]/[store_int]/[cas]/[cas_int]: count
-   the access, touch the cache dirty, return the store cost. *)
-let[@inline] store_cost t ~addr =
-  if touch_hit t ~addr ~dirty:true then begin
-    t.stats.Stats.store_hits <- t.stats.Stats.store_hits + 1;
-    t.cfg.Config.store_cost
-  end
-  else begin
-    t.stats.Stats.store_misses <- t.stats.Stats.store_misses + 1;
-    t.cfg.Config.store_cost + t.cfg.Config.store_miss_extra
-  end
+(* The accounting bodies: each access kind counts the access, touches
+   the cache, charges and traces here, once for its [int64] and its
+   [int] entry point.  The two entry points of a kind differ only in
+   their [Memory] call and their journal boxing, and the int ones keep
+   the word in registers — the 10k-op load/store regression test
+   asserts zero minor allocation.  A store or CAS body returns the
+   write-back count from before its charge, for [redirty]. *)
 
-let store t addr v =
-  guard t;
-  let st = t.stats in
-  st.Stats.stores <- st.Stats.stores + 1;
-  let cost = store_cost t ~addr in
-  st.Stats.store_cycles <- st.Stats.store_cycles + cost;
-  let wb = st.Stats.writebacks in
-  qstep t cost;
-  trace t ~code:Obs.Event.store ~a:addr ~b:cost;
-  Memory.store t.mem addr v;
-  redirty t addr ~since:wb;
-  record_store t addr v
-
-let cas t addr ~expected ~desired =
-  guard t;
-  let st = t.stats in
-  st.Stats.cas_ops <- st.Stats.cas_ops + 1;
-  let base =
-    if touch_hit t ~addr ~dirty:true then t.cfg.Config.store_cost
-    else t.cfg.Config.store_cost + t.cfg.Config.store_miss_extra
-  in
-  (* The step (and hence any scheduler yield) happens before the
-     read-modify-write, which then executes indivisibly: no other thread
-     can run between the comparison and the write. *)
-  st.Stats.cas_cycles <- st.Stats.cas_cycles + base + t.cfg.Config.cas_extra;
-  let wb = st.Stats.writebacks in
-  step t (base + t.cfg.Config.cas_extra);
-  trace t ~code:Obs.Event.cas ~a:addr ~b:(base + t.cfg.Config.cas_extra);
-  let actual = Memory.load t.mem addr in
-  if Int64.equal actual expected then begin
-    Memory.store t.mem addr desired;
-    redirty t addr ~since:wb;
-    record_store t addr desired;
-    true
-  end
-  else begin
-    st.Stats.cas_failures <- st.Stats.cas_failures + 1;
-    false
-  end
-
-(* Int-typed operations: identical accounting and identical stored bytes
-   to [Int64.of_int]/[Int64.to_int] round-trips through the operations
-   above, but the word never leaves the registers — the 10k-op
-   load/store regression test asserts zero minor allocation. *)
-
-let load_int t addr =
+let[@inline] load_charge t addr =
   guard t;
   let st = t.stats in
   st.Stats.loads <- st.Stats.loads + 1;
@@ -214,23 +142,32 @@ let load_int t addr =
   in
   st.Stats.load_cycles <- st.Stats.load_cycles + cost;
   qstep t cost;
-  trace t ~code:Obs.Event.load ~a:addr ~b:cost;
-  Memory.load_int t.mem addr
+  trace t ~code:Obs.Event.load ~a:addr ~b:cost
 
-let store_int t addr v =
+let[@inline] store_charge t addr =
   guard t;
   let st = t.stats in
   st.Stats.stores <- st.Stats.stores + 1;
-  let cost = store_cost t ~addr in
+  let cost =
+    if touch_hit t ~addr ~dirty:true then begin
+      st.Stats.store_hits <- st.Stats.store_hits + 1;
+      t.cfg.Config.store_cost
+    end
+    else begin
+      st.Stats.store_misses <- st.Stats.store_misses + 1;
+      t.cfg.Config.store_cost + t.cfg.Config.store_miss_extra
+    end
+  in
   st.Stats.store_cycles <- st.Stats.store_cycles + cost;
   let wb = st.Stats.writebacks in
   qstep t cost;
   trace t ~code:Obs.Event.store ~a:addr ~b:cost;
-  Memory.store_int t.mem addr v;
-  redirty t addr ~since:wb;
-  record_store_int t addr v
+  wb
 
-let cas_int t addr ~expected ~desired =
+(* The charge (and hence any scheduler yield) happens before the
+   read-modify-write, which then executes indivisibly: no other thread
+   can run between the comparison and the write. *)
+let[@inline] cas_charge t addr =
   guard t;
   let st = t.stats in
   st.Stats.cas_ops <- st.Stats.cas_ops + 1;
@@ -238,17 +175,57 @@ let cas_int t addr ~expected ~desired =
     if touch_hit t ~addr ~dirty:true then t.cfg.Config.store_cost
     else t.cfg.Config.store_cost + t.cfg.Config.store_miss_extra
   in
-  st.Stats.cas_cycles <- st.Stats.cas_cycles + base + t.cfg.Config.cas_extra;
+  let cost = base + t.cfg.Config.cas_extra in
+  st.Stats.cas_cycles <- st.Stats.cas_cycles + cost;
   let wb = st.Stats.writebacks in
-  step t (base + t.cfg.Config.cas_extra);
-  trace t ~code:Obs.Event.cas ~a:addr ~b:(base + t.cfg.Config.cas_extra);
+  qstep t cost;
+  trace t ~code:Obs.Event.cas ~a:addr ~b:cost;
+  wb
+
+let load t addr =
+  load_charge t addr;
+  Memory.load t.mem addr
+
+let load_int t addr =
+  load_charge t addr;
+  Memory.load_int t.mem addr
+
+let store t addr v =
+  let wb = store_charge t addr in
+  Memory.store t.mem addr v;
+  redirty t addr ~since:wb;
+  record_store t addr v
+
+let store_int t addr v =
+  let wb = store_charge t addr in
+  Memory.store_int t.mem addr v;
+  redirty t addr ~since:wb;
+  record_store_int t addr v
+
+let cas_failed t = t.stats.Stats.cas_failures <- t.stats.Stats.cas_failures + 1
+
+let cas t addr ~expected ~desired =
+  let wb = cas_charge t addr in
+  if Int64.equal (Memory.load t.mem addr) expected then begin
+    Memory.store t.mem addr desired;
+    redirty t addr ~since:wb;
+    record_store t addr desired;
+    true
+  end
+  else begin
+    cas_failed t;
+    false
+  end
+
+let cas_int t addr ~expected ~desired =
+  let wb = cas_charge t addr in
   if Memory.cas_int t.mem addr ~expected ~desired then begin
     redirty t addr ~since:wb;
     record_store_int t addr desired;
     true
   end
   else begin
-    st.Stats.cas_failures <- st.Stats.cas_failures + 1;
+    cas_failed t;
     false
   end
 
@@ -256,7 +233,7 @@ let flush t addr =
   guard t;
   t.stats.Stats.flushes <- t.stats.Stats.flushes + 1;
   t.stats.Stats.flush_cycles <- t.stats.Stats.flush_cycles + t.cfg.Config.flush_cost;
-  step t t.cfg.Config.flush_cost;
+  qstep t t.cfg.Config.flush_cost;
   trace t ~code:Obs.Event.flush ~a:addr ~b:t.cfg.Config.flush_cost;
   ignore (Cache.flush_line t.cache ~addr : bool)
 
@@ -264,7 +241,7 @@ let fence t =
   guard t;
   t.stats.Stats.fences <- t.stats.Stats.fences + 1;
   t.stats.Stats.fence_cycles <- t.stats.Stats.fence_cycles + t.cfg.Config.fence_cost;
-  step t t.cfg.Config.fence_cost;
+  qstep t t.cfg.Config.fence_cost;
   trace t ~code:Obs.Event.fence ~a:0 ~b:t.cfg.Config.fence_cost
 
 type crash_damage = {
@@ -281,8 +258,8 @@ let crash t ~fault ?(rescue_limit = max_int) ~rng () =
   (* Crash injection aborts any in-flight burst: whatever the quantum
      had accrued is folded into the scheduler before the device dies
      (normally a no-op — the scheduler settles before abandoning its
-     threads — but crashes forced from harness code hit this). *)
-  quantum_barrier t;
+     threads — but a crash forced from inside a thread hits this). *)
+  Scheduler.quantum_settle t.quantum;
   let st = t.stats in
   st.Stats.crashes <- st.Stats.crashes + 1;
   (* Emitted before the rescue/drop so the event's dirty-line sample is

@@ -5,10 +5,12 @@
     directly against the persistent region, with explicit [flush]/[fence]
     persistence primitives available (and, under TSP, unnecessary).
 
-    Every operation reports its cycle cost through the registered step
-    hook — the scheduler uses this to advance the issuing thread's virtual
-    clock and to interleave threads.  When no hook is installed (setup and
-    recovery code), costs accumulate on {!Stats.t}'s [clock].
+    Every operation reports its cycle cost to the scheduler, which
+    advances the issuing thread's virtual clock and interleaves threads:
+    through the scheduler's quantum while it holds one (see
+    {!set_quantum}), through the registered step hook otherwise.  When
+    no hook is installed (setup and recovery code), costs accumulate on
+    {!Stats.t}'s [clock].
 
     Crash semantics (the heart of the reproduction), as {!crash} runs
     the paper's two {!Fault_model.t} endpoints:
@@ -46,22 +48,16 @@ val set_step_hook : t -> (cost:int -> unit) -> unit
 val clear_step_hook : t -> unit
 
 val set_quantum : t -> Sched.Scheduler.quantum -> unit
-(** Install the scheduler's batched-execution handle: plain loads and
-    stores first try {!Sched.Scheduler.quantum_try_charge} and fall back
-    to the step hook when no quantum is held or the quantum refuses the
-    charge at the horizon.  CAS, flush, fence
-    and {!charge} always go through the hook (they are synchronisation
-    points).  Wired alongside {!set_step_hook}; until then the device
-    holds {!Sched.Scheduler.null_quantum}, which never grants. *)
+(** Install the scheduler's quantum handle: every charge — load, store,
+    CAS, flush, fence and {!charge} — first tries
+    {!Sched.Scheduler.quantum_try_charge} and falls back to the step
+    hook when no quantum is held or the quantum refuses the charge at
+    the horizon.  Wired alongside {!set_step_hook}; until then the
+    device holds {!Sched.Scheduler.null_quantum}, which never grants.
+    {!crash} settles the quantum before the device stops. *)
 
 val clear_quantum : t -> unit
 (** Reinstall {!Sched.Scheduler.null_quantum}. *)
-
-val quantum_barrier : t -> unit
-(** Settle any outstanding quantum ({!Sched.Scheduler.quantum_settle}):
-    the next access charges through the step hook.  Used by runtime
-    layers at durability boundaries (log appends, section begin/commit)
-    and before crash injection. *)
 
 val charge : t -> int -> unit
 (** Account [cycles] of pure computation (hashing, RNG, loop overhead) to

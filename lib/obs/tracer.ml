@@ -116,6 +116,13 @@ let phase_end t ~phase =
     emit t ~code:Event.phase_end ~a:phase ~b:cycles
   end
 
+let in_phase t ~phase f =
+  match t with
+  | None -> f ()
+  | Some tr ->
+      phase_begin tr ~phase;
+      Fun.protect ~finally:(fun () -> phase_end tr ~phase) f
+
 let capacity t = t.cap
 let emitted t = t.head
 let length t = min t.head t.cap

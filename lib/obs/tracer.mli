@@ -46,6 +46,11 @@ val phase_end : t -> phase:int -> unit
     {!phase_begin} and emits a {!Event.phase_end} carrying the delta.
     Unmatched ends are ignored. *)
 
+val in_phase : t option -> phase:int -> (unit -> 'a) -> 'a
+(** [in_phase tracer ~phase f] brackets [f] with {!phase_begin} and
+    {!phase_end} when a tracer is attached, and just runs it otherwise.
+    The phase closes even when [f] raises. *)
+
 (** {1 Ring access} *)
 
 val capacity : t -> int

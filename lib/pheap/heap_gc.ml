@@ -16,15 +16,6 @@ let strip_tag a = a land lnot 7
 
 let clock heap = (Nvm.Pmem.stats (Heap.pmem heap)).Nvm.Stats.clock
 
-(* Bracket [f] with a tracer sub-phase so the mark/sweep split shows up
-   in the observability timeline as well as in [stats]. *)
-let in_phase heap ~phase f =
-  match Nvm.Pmem.tracer (Heap.pmem heap) with
-  | None -> f ()
-  | Some tr ->
-      Obs.Tracer.phase_begin tr ~phase;
-      Fun.protect ~finally:(fun () -> Obs.Tracer.phase_end tr ~phase) f
-
 (* Growable int stack: the mark loops' only per-push cost is an array
    store, so marking a million-object heap stays out of the minor heap.
    It also buffers one object's scanner emissions. *)
@@ -373,15 +364,20 @@ let stats_of disc plan ~mark_cycles ~sweep_cycles =
       reasons = disc.d_reasons @ plan.p_reasons;
     } )
 
+(* The mark and sweep run as tracer sub-phases, so their split shows up
+   in the observability timeline as well as in [stats]. *)
 let collect heap =
-  let read = Nvm.Pmem.load (Heap.pmem heap) in
+  let pmem = Heap.pmem heap in
+  let read = Nvm.Pmem.load pmem in
+  let tracer = Nvm.Pmem.tracer pmem in
   let c0 = clock heap in
   let disc =
-    in_phase heap ~phase:Obs.Event.phase_gc_mark (fun () -> mark heap)
+    Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_gc_mark (fun () ->
+        mark heap)
   in
   let c1 = clock heap in
   let plan =
-    in_phase heap ~phase:Obs.Event.phase_gc_sweep (fun () ->
+    Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_gc_sweep (fun () ->
         let p = plan_sweep heap ~read disc.d_marks in
         Heap.reset_allocator heap ~free:p.p_free_blocks;
         p)
@@ -392,16 +388,17 @@ let collect heap =
 let collect_streamed ?fanout heap =
   let pmem = Heap.pmem heap in
   let miss = load_miss heap in
+  let tracer = Nvm.Pmem.tracer pmem in
   let c0 = clock heap in
   let disc =
-    in_phase heap ~phase:Obs.Event.phase_gc_mark (fun () ->
+    Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_gc_mark (fun () ->
         let d = discover ?fanout heap in
         Nvm.Pmem.charge pmem (d.d_lines * miss);
         d)
   in
   let c1 = clock heap in
   let plan =
-    in_phase heap ~phase:Obs.Event.phase_gc_sweep (fun () ->
+    Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_gc_sweep (fun () ->
         let p, lines = plan_sweep_streamed heap disc.d_marks in
         Nvm.Pmem.charge pmem (lines * miss);
         Heap.reset_allocator heap ~free:p.p_free_blocks;

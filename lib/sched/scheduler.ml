@@ -22,15 +22,6 @@ type t = {
   mutable n_threads : int;
   rng : Sim_rng.t;
   cost_jitter : int;
-  deterministic_slice : int;
-  mutable fast_budget : int;
-      (* remaining steps the current thread may charge inline before the
-         next forced suspension; refilled to [deterministic_slice] each
-         time the scheduler resumes a thread *)
-  mutable horizon : int;
-      (* the running thread stays the pick while its clock is below
-         this; [unset] forces every charge through the pick (see
-         [horizon_from]) *)
   mutable charge : int;
       (* the cost plus jitter [step] drew for the charge it hands to
          the effect handler *)
@@ -49,20 +40,20 @@ type t = {
   quantum : quantum;
 }
 
-(* A batched-execution quantum: permission for the device layer to
-   charge up to [q_budget] steps straight onto the granted thread's
-   clock without calling {!step} at all.  The scheduler grants one only
-   when charges through {!step} could not have suspended the thread,
-   drawn differently, or crashed — the thread would still be the pick,
-   inline budget is left, and the crash window is clamped out of reach
-   — so a quantum-charged burst is observationally identical to the
-   same ops charged one [step] at a time (DESIGN.md, "Batched-quantum
-   execution").
+(* A quantum: permission for the device layer to charge up to
+   [q_budget] steps straight onto the granted thread's clock without
+   calling {!step} at all.  The run loop grants one when it resumes a
+   thread whose horizon is set, so charges through {!step} could not
+   have suspended the thread, drawn differently, or crashed — the
+   thread would still be the pick and the crash window is clamped out
+   of reach — and a quantum-charged burst is observationally identical
+   to the same ops charged one [step] at a time (DESIGN.md, "The
+   scheduler's one fast path").
 
    [q_used] steps are accrued per-op onto [q_thread.vclock] (so clock
-   reads mid-quantum are always settled) but folded into [t.steps] /
-   [t.fast_budget] only at the next settle point: a {!step} entry, a
-   mutex block or hand-off, thread exit, or an explicit barrier. *)
+   reads mid-quantum are always settled) but folded into [t.steps] only
+   at the next settle point: a {!step} entry, a mutex block or
+   hand-off, thread exit, or a device crash. *)
 and quantum = {
   q_sched : t;
   q_rng : Sim_rng.t;  (* alias of [q_sched.rng]: same draw stream *)
@@ -89,10 +80,8 @@ type mutex = {
 
 type _ Effect.t += Step_eff : unit Effect.t | Block_eff : mutex -> unit Effect.t
 
-let default_slice = 4096
-
-(* The horizon value that keeps every charge on the pick's road: no
-   clock is below it. *)
+(* The horizon of a thread the pick's scan would draw for: no quantum
+   is granted, so every charge goes through the pick. *)
 let unset = min_int
 
 (* Placeholder for [q_thread] while no quantum is held.  Never charged:
@@ -107,10 +96,7 @@ let no_thread =
     k = None;
   }
 
-let create ?(seed = 42) ?(cost_jitter = 0) ?(deterministic_slice = default_slice)
-    ?(quantum = true) () =
-  if deterministic_slice < 0 then
-    invalid_arg "Scheduler.create: deterministic_slice must be >= 0";
+let create ?(seed = 42) ?(cost_jitter = 0) ?(quantum = true) () =
   let rng = Sim_rng.create ~seed in
   let rec t =
     {
@@ -119,9 +105,6 @@ let create ?(seed = 42) ?(cost_jitter = 0) ?(deterministic_slice = default_slice
       n_threads = 0;
       rng;
       cost_jitter;
-      deterministic_slice;
-      fast_budget = 0;
-      horizon = unset;
       charge = 0;
       steps = 0;
       crash_at = max_int;
@@ -193,14 +176,13 @@ let now t = (current_thread t).vclock
 (* Revoke the quantum and fold its accrued steps into the scheduler
    counters.  Called at every point where scheduling state could change
    or be observed: [step] entry, thread exit (retc/exnc), mutex block
-   and hand-off, and explicit device barriers.  Idempotent and cheap
-   when no quantum is outstanding (two field tests). *)
+   and hand-off, and a device crash.  Idempotent and cheap when no
+   quantum is outstanding (two field tests). *)
 let[@inline] settle_quantum q =
   q.q_budget <- 0;
   if q.q_used > 0 then begin
     let t = q.q_sched in
     t.steps <- t.steps + q.q_used;
-    t.fast_budget <- t.fast_budget - q.q_used;
     q.q_used <- 0
   end
 
@@ -208,12 +190,12 @@ let quantum_settle q = settle_quantum q
 let quantum_handle t = t.quantum
 
 (* Charge one step against a held quantum: the same clock update and
-   the same jitter draw from the same stream as an inline [step], minus
-   every per-op scheduler check (those were hoisted into the grant).
-   The horizon test comes before the draw, against the largest jitter
-   the draw could return, so a refused charge has drawn nothing and
-   [step] makes its one draw.  Returns false when no quantum is held or
-   the charge is refused, sending the caller down the ordinary [step]
+   the same jitter draw from the same stream as a [step], minus every
+   per-op scheduler check (those were hoisted into the grant).  The
+   horizon test comes before the draw, against the largest jitter the
+   draw could return, so a refused charge has drawn nothing and [step]
+   makes its one draw.  Returns false when no quantum is held or the
+   charge is refused, sending the caller down the ordinary [step]
    road. *)
 let[@inline] quantum_try_charge q ~cost =
   let b = q.q_budget in
@@ -233,66 +215,22 @@ let[@inline] quantum_try_charge q ~cost =
     end
   end
 
-(* Grant [th], the executing thread, a quantum if a burst of inline
-   charges is provably equivalent to charging through [step]: its
-   horizon is set (charges below it cannot change the pick or draw for
-   it), it is within the deterministic slice (same forced-suspension
-   cadence), and the budget is clamped so the step that would open the
-   crash window — and every step after it — still goes through the
-   effect handler. *)
-let[@inline] maybe_grant t th =
-  if t.quantum_on && t.horizon <> unset then begin
-    let d = t.crash_at - t.steps - 1 in
-    let budget = if d < t.fast_budget then d else t.fast_budget in
-    if budget > 0 then begin
-      let q = t.quantum in
-      q.q_thread <- th;
-      q.q_budget <- budget;
-      q.q_limit <- t.horizon - t.cost_jitter
-    end
-  end
-
 (* A quantum handle that never grants: what a [Pmem] charges against
    before a scheduler is wired in.  Owned by a throwaway scheduler that
    never runs, so its budget stays 0 forever. *)
 let null_quantum = (create ()).quantum
 
-(* The hot path of the whole simulator: one call per simulated memory
-   access.  When the calling thread's clock stays below its horizon
-   after the charge, going through [Effect.perform] buys nothing: the
-   handler would charge the cost and the scheduler loop would
-   immediately re-pick the same thread, with no RNG draw, since no
-   other thread ties or beats it.  So in that case the accounting is
-   done inline, with exactly the state updates the handler would have
-   made, and the fiber never suspends.  The jitter is drawn once, here,
-   before deciding; the handler charges the drawn value, so the draw
-   sequence is the same on either road.
-
-   The inline path is skipped when this step could open the crash
-   window, so crash injection always goes through the handler, which
-   abandons the continuation — observable crash states are unchanged. *)
+(* The road every charge a quantum refuses takes: draw the step's
+   jitter and hand the charge to the effect handler, whose run loop
+   picks the next thread.  The jitter is drawn here, once per step,
+   from the stream the quantum draws from. *)
 let step t ~cost =
   settle_quantum t.quantum;
-  let th = current_thread t in
-  let charge =
-    if t.cost_jitter > 0 then cost + Sim_rng.int t.rng (t.cost_jitter + 1)
-    else cost
-  in
-  if th.vclock + charge < t.horizon && t.fast_budget > 0
-     && t.steps + 1 < t.crash_at
-  then begin
-    th.vclock <- th.vclock + charge;
-    t.steps <- t.steps + 1;
-    t.fast_budget <- t.fast_budget - 1
-  end
-  else begin
-    t.charge <- charge;
-    Effect.perform Step_eff
-  end;
-  (* Reaching here means the charge completed without a crash — offer
-     the device layer a fresh burst (this also re-grants right after a
-     resumption, since [perform] returns into this frame). *)
-  maybe_grant t th
+  ignore (current_thread t : thread);
+  t.charge <-
+    (if t.cost_jitter > 0 then cost + Sim_rng.int t.rng (t.cost_jitter + 1)
+     else cost);
+  Effect.perform Step_eff
 
 let yield t = step t ~cost:0
 
@@ -386,7 +324,7 @@ let rec pick_from t i best best_clock ties =
    ahead of [me] draws on every pick; such a prefix tie leaves the
    horizon [unset].  The other threads' clocks and states hold still
    while [me] runs, except when a mutex hand-off wakes one, and that
-   clears the horizon. *)
+   revokes the quantum granted from the horizon. *)
 let rec horizon_from t me i lo =
   if i = Array.length t.threads then lo
   else
@@ -398,6 +336,21 @@ let rec horizon_from t me i lo =
           horizon_from t me (i + 1) (if th.vclock < lo then th.vclock else lo)
     | Fresh | Suspended | Running | Blocked | Done ->
         horizon_from t me (i + 1) lo
+
+(* Grant [th], the thread the run loop is about to resume, a quantum
+   when [horizon] is set: below it, charges cannot change the pick or
+   draw for it.  The budget stops one short of the crash step, so the
+   step that reaches it goes through the effect handler. *)
+let grant t th horizon =
+  if horizon <> unset then begin
+    let budget = t.crash_at - t.steps - 1 in
+    if budget > 0 then begin
+      let q = t.quantum in
+      q.q_thread <- th;
+      q.q_budget <- budget;
+      q.q_limit <- horizon - t.cost_jitter
+    end
+  end
 
 let run ?crash_at_step t =
   if t.started then invalid_arg "Scheduler.run: scheduler already ran";
@@ -422,8 +375,7 @@ let run ?crash_at_step t =
           else begin
             let th = t.threads.(i) in
             t.current <- i;
-            t.fast_budget <- t.deterministic_slice;
-            t.horizon <- horizon_from t i 0 max_int;
+            if t.quantum_on then grant t th (horizon_from t i 0 max_int);
             (match t.tracer with
             | Some tr when i <> t.last_resumed ->
                 t.last_resumed <- i;
@@ -482,11 +434,9 @@ module Mutex = struct
           let th = Queue.take m.waiters in
           let t = m.sched in
           (* The wake makes another thread runnable, at a clock the
-             releaser's horizon never saw: revoke any quantum and clear
-             the horizon, so the releaser's next charge goes back
-             through the pick. *)
+             releaser's horizon never saw: revoke the quantum, so the
+             releaser's next charge goes back through the pick. *)
           settle_quantum t.quantum;
-          t.horizon <- unset;
           m.owner <- Some th.id;
           (* The waiter could not have proceeded before the release, so
              its clock jumps forward to the release instant. *)

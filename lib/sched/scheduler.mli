@@ -18,22 +18,20 @@
     order and the costs reported, so a given (program, seed, crash point)
     triple always produces the same interleaving.
 
-    Horizon fast path: when the scheduler resumes a thread it records
-    the thread's {e horizon}, the smallest clock among the other
-    runnable threads ([max_int] when it runs alone).  While a charge
-    leaves the thread's clock below its horizon, suspending would only
-    re-pick it, so {!step} charges the clock inline instead of
-    suspending the fiber and re-entering the pick loop.  The horizon is
-    left unset when the pick's scan would draw a tie-break before
-    reaching the thread (a runnable thread ahead of it in spawn order
-    ties the smallest clock ahead of that one), and it is cleared when
-    a mutex hand-off wakes a waiter.  {!step} draws each step's jitter
-    once, before it decides, and the effect handler charges that drawn
-    value, so the RNG stream is the same on either road.  The inline
-    path is bypassed when the next step could open the crash window, so
-    every observable — step counts, clocks, interleavings, crash states,
-    trace events — is bit-identical with it on or off; see DESIGN.md,
-    "Scheduler fast path". *)
+    One fast path: when the run loop resumes a thread it computes the
+    thread's {e horizon}, the smallest clock among the other runnable
+    threads ([max_int] when it runs alone), and grants the thread a
+    {!quantum}.  While a charge leaves the thread's clock below its
+    horizon, suspending would only re-pick it, so the device charges
+    the clock through the quantum instead of calling {!step}.  The
+    horizon is left unset, and no quantum granted, when the pick's scan
+    would draw a tie-break before reaching the thread (a runnable thread
+    ahead of it in spawn order ties the smallest clock ahead of that
+    one), and a mutex hand-off that wakes a waiter revokes the quantum.
+    The budget stops short of the crash step.  Every observable — step
+    counts, clocks, interleavings, crash states, trace events — is
+    bit-identical with quanta on or off; see DESIGN.md, "The
+    scheduler's one fast path". *)
 
 type t
 
@@ -44,35 +42,17 @@ type outcome =
   | Deadlocked of { blocked : string list }
       (** no runnable thread, but some are blocked on mutexes *)
 
-val default_slice : int
-(** Default [deterministic_slice]: 4096 inline steps per resumption. *)
-
-val create :
-  ?seed:int ->
-  ?cost_jitter:int ->
-  ?deterministic_slice:int ->
-  ?quantum:bool ->
-  unit ->
-  t
+val create : ?seed:int -> ?cost_jitter:int -> ?quantum:bool -> unit -> t
 (** [cost_jitter] (default 0) adds a uniform random 0..jitter cycles to
     every step, perturbing interleavings between seeds — useful for
     fault-injection diversity.
 
-    [deterministic_slice] (default 4096) bounds how many consecutive
-    steps a thread may charge inline, below its horizon, before control
-    is forced back through the scheduler loop.  [0] disables the fast
-    path altogether, reproducing the historical suspend-per-step
-    execution.  The value never changes simulated results — only how
-    often the host-level loop runs.
-
-    [quantum] (default [true]) lets the scheduler grant batched
-    execution quanta to the device layer (see {!quantum_handle});
-    [false] confines every charge to {!step}.  Like the slice, the flag
-    never changes simulated results.
-
-    Every simulation layer above this one uses the defaults; the two
-    knobs exist so tests can compare against the per-op reference,
-    [~quantum:false ~deterministic_slice:0]. *)
+    [quantum] (default [true]) lets the run loop grant quanta to the
+    device layer (see {!quantum_handle}); [false] sends every charge
+    through {!step}, one suspension per simulated operation.  The flag
+    never changes simulated results: every simulation layer above this
+    one uses the default, and tests compare it against the per-op
+    reference, [~quantum:false]. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> int
 (** Register a thread; returns its id (0, 1, ... in spawn order).  Must be
@@ -86,34 +66,32 @@ val run : ?crash_at_step:int -> t -> outcome
 val step : t -> cost:int -> unit
 (** Charge [cost] cycles to the calling thread and yield.  Must be called
     from inside a simulated thread; this is what gets wired into
-    [Pmem.set_step_hook].  Settles any outstanding quantum on entry and
-    offers a fresh grant on the way out, so interleaving charges through
-    [step] and through a quantum handle is always coherent. *)
+    [Pmem.set_step_hook].  Settles any outstanding quantum on entry, so
+    interleaving charges through [step] and through a quantum handle is
+    always coherent; the run loop grants the next quantum when it
+    resumes the thread. *)
 
-(** {2 Batched-execution quanta}
+(** {2 Quanta}
 
-    The remaining per-op cost of the horizon fast path is the call into
-    [step] itself: a hook-closure invocation plus the horizon, budget
-    and crash checks and the jitter draw, per simulated memory access.
-    A {e quantum} hoists the checks out of the loop: whenever the
-    running thread's horizon is set, the scheduler hands the device
-    layer a bounded burst budget, and each load or store then costs a
+    A quantum is a burst budget the run loop grants the thread it
+    resumes, whenever that thread's horizon is set, so that the device
+    can charge the thread's clock without re-entering the scheduler:
+    each load, store, CAS, flush, fence or compute charge then costs a
     branch, a comparison against the horizon and an add on the thread's
-    clock ({!quantum_try_charge}) with no scheduler re-entry at all.
+    clock ({!quantum_try_charge}), plus the jitter draw.
 
-    Grant/settle invariants (see DESIGN.md, "Batched-quantum
-    execution"): grants happen only while the horizon is set, never
-    extend past the deterministic slice, and are clamped short of the
-    crash window.  A quantum refuses, before drawing its jitter, any
-    charge whose cost plus the maximum jitter could take the clock to
-    the horizon, so the charge that could let another thread win the
-    pick, and the step that would crash, still travel through {!step}.
-    Charges write the granted thread's vclock per-op, so {!now},
-    {!thread_cycles} and {!elapsed_cycles} are exact mid-burst;
-    {!total_steps} folds the unsettled count in.  A quantum is revoked
-    (settled) at every [step] entry, mutex block/hand-off, thread exit,
-    and {!quantum_settle} barrier.  Simulated results are bit-identical
-    with quanta on or off. *)
+    Grant/settle invariants (see DESIGN.md, "The scheduler's one fast
+    path"): grants happen only at resumption, only while the horizon is
+    set, and are clamped short of the crash step.  A quantum refuses,
+    before drawing its jitter, any charge whose cost plus the maximum
+    jitter could take the clock to the horizon, so the charge that could
+    let another thread win the pick, and the step that would crash,
+    still travel through {!step}.  Charges write the granted thread's
+    vclock per-op, so {!now}, {!thread_cycles} and {!elapsed_cycles}
+    are exact mid-burst; {!total_steps} folds the unsettled count in.  A
+    quantum is revoked (settled) at every [step] entry, mutex
+    block/hand-off, thread exit and {!quantum_settle}.  Simulated
+    results are bit-identical with quanta on or off. *)
 
 type quantum
 (** A revocable burst-charge handle owned by one scheduler. *)
@@ -121,8 +99,8 @@ type quantum
 val quantum_handle : t -> quantum
 (** The scheduler's (single, reusable) quantum handle, to be installed
     into the device layer ([Pmem.set_quantum]).  Holding the handle
-    grants nothing: the budget only becomes positive when the scheduler
-    decides a burst is safe. *)
+    grants nothing: the budget only becomes positive when the run loop
+    resumes a thread whose horizon is set. *)
 
 val null_quantum : quantum
 (** A handle that never grants: charging against it always returns
@@ -133,13 +111,12 @@ val quantum_try_charge : quantum -> cost:int -> bool
     quantum.  [false] when no quantum is held, or when [cost] plus the
     maximum jitter could reach the horizon; the charge has then drawn
     nothing, and the caller must charge through {!step}.  Performs the
-    same clock update and RNG draw the [step] fast path would. *)
+    same clock update and RNG draw a charge through {!step} would. *)
 
 val quantum_settle : quantum -> unit
-(** Explicit barrier: revoke the current grant (if any) and fold accrued
-    steps into the scheduler's counters.  Idempotent; safe from harness
-    code.  Device-level synchronisation points (log appends, OCS
-    boundaries) use this to force their charge through {!step}. *)
+(** Revoke the current grant (if any) and fold accrued steps into the
+    scheduler's counters.  Idempotent; safe from harness code.  The
+    device settles before a crash. *)
 
 val yield : t -> unit
 (** [step t ~cost:0]. *)
@@ -167,7 +144,8 @@ val current_id : t -> int
 val set_tracer : t -> Obs.Tracer.t option -> unit
 (** Attach an event tracer: the run loop emits one
     {!Obs.Event.ctx_switch} each time the CPU passes to a different
-    thread (the horizon fast path never switches and emits nothing).
+    thread (charges through a quantum, and a loop pass that resumes the
+    same thread again, emit nothing).
     Reads no RNG and charges no cycles. *)
 
 val elapsed_cycles : t -> int

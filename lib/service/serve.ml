@@ -9,6 +9,8 @@ module Dl = Check.Dl
 module Map_intf = Tsp_maps.Map_intf
 module Heap_gc = Pheap.Heap_gc
 
+let req_cycles = 600
+
 type config = {
   platform : Nvm.Config.t;
   variant : Machine.variant;
@@ -19,7 +21,6 @@ type config = {
   rate_per_mcycle : float;
   theta : float;
   preset : Ycsb.preset;
-  req_cycles : int;
   crash_shard : int option;
   crash_at_step : int option;
   fault_model : Nvm.Fault_model.t option;
@@ -42,7 +43,6 @@ let default_config =
     rate_per_mcycle = 400.;
     theta = 0.99;
     preset = Ycsb.B;
-    req_cycles = 600;
     crash_shard = None;
     crash_at_step = None;
     fault_model = None;
@@ -133,8 +133,6 @@ let validate (cfg : config) =
     Fmt.invalid_arg "Serve: shard count %d must be positive" cfg.shards;
   if cfg.keys < cfg.shards then
     Fmt.invalid_arg "Serve: %d keys cannot cover %d shards" cfg.keys cfg.shards;
-  if cfg.req_cycles < 0 then
-    Fmt.invalid_arg "Serve: per-request cost %d must be >= 0" cfg.req_cycles;
   if cfg.windows <= 0 then
     Fmt.invalid_arg "Serve: availability window count %d must be positive"
       cfg.windows;
@@ -202,7 +200,7 @@ let serve_one (ops : Map_intf.ops) ~key ~op =
    record fate + latency.  The fate/latency arrays are mutated in place,
    so whatever was recorded before a crash abandons the fiber
    survives. *)
-let server_body m (stream : Arrival.stream) idx fates lats ~req_cycles () =
+let server_body m (stream : Arrival.stream) idx fates lats () =
   let pmem = m.Machine.pmem in
   let sched = m.Machine.sched in
   let ops = m.Machine.map.Machine.map_ops in
@@ -288,7 +286,7 @@ let plan_phase2 degraded ~t_up pending =
    the first request touching a key pays that object's on-demand
    recovery surcharge (procrastination moves the cost onto the unlucky
    first reader instead of the outage). *)
-let resume_body m plan idx fates lats ~t_up ~req_cycles ?gc
+let resume_body m plan idx fates lats ~t_up ?gc
     (stream : Arrival.stream) () =
   let pmem = m.Machine.pmem in
   let sched = m.Machine.sched in
@@ -358,7 +356,7 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
   ignore
     (Scheduler.spawn m.Machine.sched
        ~name:(Printf.sprintf "shard-%d" shard)
-       (server_body m stream idx fates lats ~req_cycles:cfg.req_cycles)
+       (server_body m stream idx fates lats)
       : int);
   let outcome = Machine.execute ?crash_at_step:crash_step m in
   let count f = Array.fold_left (fun a c -> if c = f then a + 1 else a) 0 fates in
@@ -421,119 +419,131 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
       let recovered_ok =
         recovery.Machine.heap <> None && recovery.Machine.heap_audit_ok
       in
-      if not recovered_ok then begin
-        (* the shard never comes back: every pending request is shed *)
-        List.iter (fun (li, _) -> fates.(li) <- f_shed) pending;
-        finish ~retry_attempts:0 ~phase2_served:0 ~elapsed:t_up ~steps:steps1
-          ~outcome:"crashed+lost"
-          ~recovery:
-            (Some
-               {
-                 t_down;
-                 t_up;
-                 recovery_cycles;
-                 rescued_lines;
-                 fault;
-                 background_gc_cycles = 0;
-                 on_demand_recovered = 0;
-                 recovery_verdict = recovery.Machine.recovery_verdict;
-                 dl = None;
-                 dl_note = "skipped: the shard state was not recovered";
-                 recovery_errors = recovery.Machine.recovery_errors;
-               })
-      end
-      else begin
-        let root = Machine.reattach m recovery in
-        let recovered_entries = Machine.dump m ~root in
-        let dl, dl_note =
+      (* The victim restarts on the recovered heap and its map is read
+         back under one guard: a damaged image the heap audit passed
+         can still make the restart, the map's audit or its walk
+         raise.  The error carries the reason and what it adds to
+         [recovery_errors]. *)
+      let read =
+        if not recovered_ok then Error ("the shard state was not recovered", [])
+        else
           match
-            ( Workload.Check_campaign.dl_envelope
-                ~hardware:spec.Machine.hardware
-                ~failure:spec.Machine.failure cfg.fault_model,
-              history )
+            Machine.read_back m ~root:(fun () -> Machine.reattach m recovery) ignore
           with
-          | Error reason, _ -> (None, "skipped: " ^ reason)
-          | Ok (), None -> (None, "skipped: no history recorded")
-          | Ok (), Some h ->
-              let initial =
-                Array.to_list (Array.map (fun k -> (k, Int64.of_int k)) owned)
-              in
-              (Some (Dl.check ~initial ~history:h ~recovered:recovered_entries), "")
-        in
-        (* Re-anchor the tracer's clock on the service timeline: the
-           restarted scheduler counts from zero, t_up cycles in. *)
-        (match tracer with
-        | None -> ()
-        | Some tr ->
-            let sched2 = m.Machine.sched in
-            let stats = Nvm.Pmem.stats pmem in
-            Obs.Tracer.set_clock tr (fun () ->
-                if Scheduler.in_thread sched2 then t_up + Scheduler.now sched2
-                else stats.Nvm.Stats.clock));
-        let immediate, plan = plan_phase2 cfg.degraded ~t_up pending in
-        List.iter (fun (li, f) -> fates.(li) <- f) immediate;
-        let retry_attempts =
-          List.fold_left (fun a r -> a + r.extra_attempts) 0 plan
-          + (List.length (List.filter (fun (_, f) -> f = f_timed_out) immediate)
-            * (match cfg.degraded with
-              | Degraded.Retry { max_retries; _ } -> max_retries
-              | Degraded.Shed | Degraded.Queue _ -> 0))
-        in
-        let gc_pending = recovery.Machine.gc_pending in
-        ignore
-          (Scheduler.spawn m.Machine.sched
-             ~name:(Printf.sprintf "shard-%d-recovered" shard)
-             (resume_body m plan idx fates lats ~t_up
-                ~req_cycles:cfg.req_cycles ?gc:gc_pending stream)
-            : int);
-        (match gc_pending with
-        | Some inc ->
-            ignore
-              (Scheduler.spawn m.Machine.sched
-                 ~name:(Printf.sprintf "shard-%d-gc" shard)
-                 (background_gc_body inc)
-                : int)
-        | None -> ());
-        let outcome2 = Machine.execute m in
-        let background_gc_cycles, on_demand_recovered =
-          match gc_pending with
+          | Ok (entries, ()) -> Ok entries
+          | Error msg ->
+              let reason = "map read-back failed: " ^ msg in
+              Error (reason, [ reason ])
+      in
+      match read with
+      | Error (reason, errors) ->
+          (* the shard never comes back: every pending request is shed *)
+          List.iter (fun (li, _) -> fates.(li) <- f_shed) pending;
+          finish ~retry_attempts:0 ~phase2_served:0 ~elapsed:t_up ~steps:steps1
+            ~outcome:"crashed+lost"
+            ~recovery:
+              (Some
+                 {
+                   t_down;
+                   t_up;
+                   recovery_cycles;
+                   rescued_lines;
+                   fault;
+                   background_gc_cycles = 0;
+                   on_demand_recovered = 0;
+                   recovery_verdict = recovery.Machine.recovery_verdict;
+                   dl = None;
+                   dl_note = "skipped: " ^ reason;
+                   recovery_errors = recovery.Machine.recovery_errors @ errors;
+                 })
+      | Ok recovered_entries ->
+          let dl, dl_note =
+            match
+              ( Workload.Check_campaign.dl_envelope
+                  ~hardware:spec.Machine.hardware
+                  ~failure:spec.Machine.failure cfg.fault_model,
+                history )
+            with
+            | Error reason, _ -> (None, "skipped: " ^ reason)
+            | Ok (), None -> (None, "skipped: no history recorded")
+            | Ok (), Some h ->
+                let initial =
+                  Array.to_list (Array.map (fun k -> (k, Int64.of_int k)) owned)
+                in
+                (Some (Dl.check ~initial ~history:h ~recovered:recovered_entries), "")
+          in
+          (* Re-anchor the tracer's clock on the service timeline: the
+             restarted scheduler counts from zero, t_up cycles in. *)
+          (match tracer with
+          | None -> ()
+          | Some tr ->
+              let sched2 = m.Machine.sched in
+              let stats = Nvm.Pmem.stats pmem in
+              Obs.Tracer.set_clock tr (fun () ->
+                  if Scheduler.in_thread sched2 then t_up + Scheduler.now sched2
+                  else stats.Nvm.Stats.clock));
+          let immediate, plan = plan_phase2 cfg.degraded ~t_up pending in
+          List.iter (fun (li, f) -> fates.(li) <- f) immediate;
+          let retry_attempts =
+            List.fold_left (fun a r -> a + r.extra_attempts) 0 plan
+            + (List.length (List.filter (fun (_, f) -> f = f_timed_out) immediate)
+              * (match cfg.degraded with
+                | Degraded.Retry { max_retries; _ } -> max_retries
+                | Degraded.Shed | Degraded.Queue _ -> 0))
+          in
+          let gc_pending = recovery.Machine.gc_pending in
+          ignore
+            (Scheduler.spawn m.Machine.sched
+               ~name:(Printf.sprintf "shard-%d-recovered" shard)
+               (resume_body m plan idx fates lats ~t_up ?gc:gc_pending stream)
+              : int);
+          (match gc_pending with
           | Some inc ->
-              ( Heap_gc.Incremental.total_cycles inc,
-                Heap_gc.Incremental.on_demand_count inc )
-          | None -> (0, 0)
-        in
-        ignore
-          (Machine.finish_background_gc m
-            : (Heap_gc.stats * Heap_gc.quarantine) option);
-        let phase2_served =
-          List.fold_left
-            (fun a r -> if fates.(r.li) = f_served then a + 1 else a)
-            0 plan
-        in
-        finish ~retry_attempts ~phase2_served
-          ~elapsed:(t_up + Scheduler.elapsed_cycles m.Machine.sched)
-          ~steps:(steps1 + Scheduler.total_steps m.Machine.sched)
-          ~outcome:
-            (match outcome2 with
-            | Scheduler.Completed -> "crashed+recovered"
-            | Scheduler.Deadlocked _ -> "deadlocked"
-            | Scheduler.Crashed _ -> "crashed+lost")
-          ~recovery:
-            (Some
-               {
-                 t_down;
-                 t_up;
-                 recovery_cycles;
-                 rescued_lines;
-                 fault;
-                 background_gc_cycles;
-                 on_demand_recovered;
-                 recovery_verdict = recovery.Machine.recovery_verdict;
-                 dl;
-                 dl_note;
-                 recovery_errors = recovery.Machine.recovery_errors;
-               })
-      end
+              ignore
+                (Scheduler.spawn m.Machine.sched
+                   ~name:(Printf.sprintf "shard-%d-gc" shard)
+                   (background_gc_body inc)
+                  : int)
+          | None -> ());
+          let outcome2 = Machine.execute m in
+          let background_gc_cycles, on_demand_recovered =
+            match gc_pending with
+            | Some inc ->
+                ( Heap_gc.Incremental.total_cycles inc,
+                  Heap_gc.Incremental.on_demand_count inc )
+            | None -> (0, 0)
+          in
+          ignore
+            (Machine.finish_background_gc m
+              : (Heap_gc.stats * Heap_gc.quarantine) option);
+          let phase2_served =
+            List.fold_left
+              (fun a r -> if fates.(r.li) = f_served then a + 1 else a)
+              0 plan
+          in
+          finish ~retry_attempts ~phase2_served
+            ~elapsed:(t_up + Scheduler.elapsed_cycles m.Machine.sched)
+            ~steps:(steps1 + Scheduler.total_steps m.Machine.sched)
+            ~outcome:
+              (match outcome2 with
+              | Scheduler.Completed -> "crashed+recovered"
+              | Scheduler.Deadlocked _ -> "deadlocked"
+              | Scheduler.Crashed _ -> "crashed+lost")
+            ~recovery:
+              (Some
+                 {
+                   t_down;
+                   t_up;
+                   recovery_cycles;
+                   rescued_lines;
+                   fault;
+                   background_gc_cycles;
+                   on_demand_recovered;
+                   recovery_verdict = recovery.Machine.recovery_verdict;
+                   dl;
+                   dl_note;
+                   recovery_errors = recovery.Machine.recovery_errors;
+                 })
 
 (* --- Aggregation -------------------------------------------------- *)
 

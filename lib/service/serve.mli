@@ -16,6 +16,9 @@
     untouched shards — across "neighbour crashed" and "nobody crashed"
     runs (the crash parameters never even reach their cells). *)
 
+val req_cycles : int
+(** The fixed dispatch cost charged per request: 600 cycles. *)
+
 type config = {
   platform : Nvm.Config.t;
   variant : Workload.Machine.variant;
@@ -26,7 +29,6 @@ type config = {
   rate_per_mcycle : float;  (** aggregate arrival rate, requests per Mcycle *)
   theta : float;  (** Zipf skew; [0.] = uniform *)
   preset : Workload.Ycsb.preset;  (** read/update/RMW mix *)
-  req_cycles : int;  (** fixed dispatch cost charged per request *)
   crash_shard : int option;
   crash_at_step : int option;
       (** [None] with [crash_shard] set: crash at half the shard's

@@ -219,20 +219,33 @@ let set_plain t ~key ~value =
       done;
       Heap.store_field t.heap t.table b (Int64.of_int node)
 
+(* [visit] every node of the chain starting at [node].  A damaged
+   image can close a cycle through a next link.  No acyclic chain
+   visits more nodes than the allocated heap holds: every object is a
+   header and at least one word, and the heap's end is a volatile
+   field, so the bound costs no load. *)
+let walk_chain heap node visit =
+  let limit = (Heap.end_addr heap - Heap.start_addr heap) / 16 in
+  let rec walk node visited =
+    if node <> Heap.null then begin
+      if visited > limit then raise (Heap.Corrupt "hash chain has a cycle");
+      visit node;
+      walk (Heap.load_field_int heap node 1) (visited + 1)
+    end
+  in
+  walk node 0
+
 let fold_plain heap ~root f acc =
   let n_buckets = Heap.load_field_int heap root 0 in
   let table = Heap.load_field_int heap root 1 in
   let acc = ref acc in
+  let visit node =
+    let key = Heap.load_field_int heap node 0 in
+    let value = Heap.load_field heap node 2 in
+    acc := f key value !acc
+  in
   for b = 0 to n_buckets - 1 do
-    let rec walk node =
-      if node <> Heap.null then begin
-        let key = Heap.load_field_int heap node 0 in
-        let value = Heap.load_field heap node 2 in
-        acc := f key value !acc;
-        walk (Heap.load_field_int heap node 1)
-      end
-    in
-    walk (Heap.load_field_int heap table b)
+    walk_chain heap (Heap.load_field_int heap table b) visit
   done;
   !acc
 
@@ -271,17 +284,14 @@ let fold_wide_plain heap ~root f acc =
   let table = Heap.load_field_int heap root 1 in
   let width = Heap.load_field_int heap root 2 in
   let acc = ref acc in
-  for b = 0 to n_buckets - 1 do
-    let rec walk node =
-      if node <> Heap.null then begin
-        let key = Heap.load_field_int heap node 0 in
-        let values =
-          Array.init width (fun w -> Heap.load_field heap node (2 + w))
-        in
-        acc := f key values !acc;
-        walk (Heap.load_field_int heap node 1)
-      end
+  let visit node =
+    let key = Heap.load_field_int heap node 0 in
+    let values =
+      Array.init width (fun w -> Heap.load_field heap node (2 + w))
     in
-    walk (Heap.load_field_int heap table b)
+    acc := f key values !acc
+  in
+  for b = 0 to n_buckets - 1 do
+    walk_chain heap (Heap.load_field_int heap table b) visit
   done;
   !acc

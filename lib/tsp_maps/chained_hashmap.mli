@@ -73,7 +73,9 @@ val set_plain : t -> key:int -> value:int64 -> unit
 val fold_plain :
   Pheap.Heap.t -> root:Pheap.Heap.addr -> (int -> int64 -> 'a -> 'a) -> 'a -> 'a
 (** Traverse a persistent hash map directly (no locks, no instrumentation):
-    what recovery code and the invariant checker use. *)
+    what recovery code and the invariant checker use.
+    @raise Pheap.Heap.Corrupt if a chain visits more nodes than the
+    allocated heap can hold (a damaged image's cycle). *)
 
 val size_plain : Pheap.Heap.t -> root:Pheap.Heap.addr -> int
 

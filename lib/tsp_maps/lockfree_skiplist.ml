@@ -88,6 +88,9 @@ let create heap ?(max_level = default_max_level) ?(op_cycles = default_op_cycles
     ?(nvtraverse = false) ~num_threads ~seed () =
   if max_level < 1 || max_level > 32 then
     invalid_arg "Lockfree_skiplist.create: max_level out of range";
+  (* [random_level] indexes one level generator per thread by tid. *)
+  if num_threads < 1 then
+    invalid_arg "Lockfree_skiplist.create: num_threads must be >= 1";
   let t =
     { heap; head = Heap.null; max_level; rngs = [||]; op_cycles; nvtraverse }
   in
@@ -111,6 +114,8 @@ let create heap ?(max_level = default_max_level) ?(op_cycles = default_op_cycles
 
 let attach heap ?(op_cycles = default_op_cycles) ?(nvtraverse = false)
     ~num_threads ~seed head =
+  if num_threads < 1 then
+    invalid_arg "Lockfree_skiplist.attach: num_threads must be >= 1";
   if not (Heap.is_object_start heap head)
      || Heap.kind_of heap head <> node_kind
   then invalid_arg "Lockfree_skiplist.attach: root is not a skip-list node";
@@ -292,13 +297,20 @@ let ops t =
 
 let set_plain t ~key ~value = set t ~tid:0 ~key ~value
 
+(* A damaged image can close a cycle through a level-0 link.  No
+   acyclic list visits more nodes than the allocated heap holds: every
+   object is a header and at least one word, and the heap's end is a
+   volatile field, so the bound costs no load. *)
 let fold_plain heap ~root f acc =
   if not (Heap.is_object_start heap root) then
     raise (Heap.Corrupt "skip list head is not an object");
-  let rec walk node acc =
+  let limit = (Heap.end_addr heap - Heap.start_addr heap) / 16 in
+  let rec walk node visited acc =
     if node = Heap.null then acc
     else if not (Heap.is_object_start heap node) then
       raise (Heap.Corrupt (Printf.sprintf "skip node %d invalid" node))
+    else if visited > limit then
+      raise (Heap.Corrupt "skip list level 0 has a cycle")
     else
       let key = Heap.load_field_int heap node 0 in
       if key = max_int then acc (* tail sentinel *)
@@ -308,9 +320,9 @@ let fold_plain heap ~root f acc =
           if is_marked next_raw || key = min_int then acc
           else f key (Heap.load_field heap node 1) acc
         in
-        walk (next_raw land lnot 1) acc
+        walk (next_raw land lnot 1) (visited + 1) acc
   in
-  walk root acc
+  walk root 0 acc
 
 let size_plain heap ~root = fold_plain heap ~root (fun _ _ n -> n + 1) 0
 

@@ -57,7 +57,9 @@ val create :
     and build per-thread level generators from [seed].  With
     [~nvtraverse:true] (default [false]) the sentinels are persisted
     before returning and every operation runs the NVTraverse
-    discipline. *)
+    discipline.
+    @raise Invalid_argument if [max_level] is outside 1..32 or
+    [num_threads] is below 1. *)
 
 val attach :
   Pheap.Heap.t ->
@@ -69,7 +71,8 @@ val attach :
   t
 (** Re-attach after recovery: nothing to repair, by design, under
     either discipline.
-    @raise Invalid_argument if the root is not a skip-list head. *)
+    @raise Invalid_argument if [num_threads] is below 1 or the root is
+    not a skip-list head. *)
 
 val root : t -> Pheap.Heap.addr
 val max_level : t -> int
@@ -80,6 +83,11 @@ val ops : t -> Map_intf.ops
 val set_plain : t -> key:int -> value:int64 -> unit
 val fold_plain :
   Pheap.Heap.t -> root:Pheap.Heap.addr -> (int -> int64 -> 'a -> 'a) -> 'a -> 'a
+(** Fold the live bottom-level entries in key order.
+    @raise Pheap.Heap.Corrupt if a link leaves the heap's objects, or
+    the walk visits more nodes than the allocated heap can hold (a
+    damaged image's cycle). *)
+
 val size_plain : Pheap.Heap.t -> root:Pheap.Heap.addr -> int
 
 val check_plain : Pheap.Heap.t -> root:Pheap.Heap.addr -> (unit, string) result

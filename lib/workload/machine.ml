@@ -133,15 +133,6 @@ let wire_tracer spec pmem sched =
           if Scheduler.in_thread sched then Scheduler.now sched
           else stats.Nvm.Stats.clock)
 
-let in_phase m phase f =
-  match m.spec.tracer with
-  | None -> f ()
-  | Some tr ->
-      Obs.Tracer.phase_begin tr ~phase;
-      let r = f () in
-      Obs.Tracer.phase_end tr ~phase;
-      r
-
 (* The Atlas runtime a mutex-based variant runs under, formatting the
    undo-log region; [first_seq] seeds it after recovery. *)
 let build_atlas ?first_seq spec heap =
@@ -258,7 +249,7 @@ let crash_execute ?fault m =
     let r = Rng.create ~seed:((m.spec.seed * 31) + 17) in
     fun bound -> Rng.int r bound
   in
-  in_phase m Obs.Event.phase_rescue (fun () ->
+  Obs.Tracer.in_phase m.spec.tracer ~phase:Obs.Event.phase_rescue (fun () ->
       Tsp_core.Crash_executor.execute ?fault ~rng:crash_rng m.pmem
         ~hardware:m.spec.hardware ~failure:m.spec.failure)
 
@@ -366,14 +357,14 @@ let recover ?(mode = Eager) m =
         match mode with
         | Eager ->
             let stats, quarantine =
-              in_phase m Obs.Event.phase_heap_gc (fun () ->
-                  Heap_gc.collect heap)
+              Obs.Tracer.in_phase spec.tracer ~phase:Obs.Event.phase_heap_gc
+                (fun () -> Heap_gc.collect heap)
             in
             (Some stats, Some quarantine, None)
         | Parallel_gc _ ->
             let stats, quarantine =
-              in_phase m Obs.Event.phase_heap_gc (fun () ->
-                  Heap_gc.collect_streamed ?fanout heap)
+              Obs.Tracer.in_phase spec.tracer ~phase:Obs.Event.phase_heap_gc
+                (fun () -> Heap_gc.collect_streamed ?fanout heap)
             in
             (Some stats, Some quarantine, None)
         | Incremental_gc ->
@@ -392,7 +383,8 @@ let recover ?(mode = Eager) m =
     | None -> false
     | Some heap -> begin
         match
-          in_phase m Obs.Event.phase_audit (fun () ->
+          Obs.Tracer.in_phase spec.tracer ~phase:Obs.Event.phase_audit
+            (fun () ->
               try Heap_gc.verify heap
               with exn -> Error [ Printexc.to_string exn ])
         with
@@ -487,3 +479,17 @@ let reattach (m : t) (r : recovery) =
 
 let dump (m : t) ~root =
   m.map.fold_root m.heap ~root (fun k v acc -> (k, v) :: acc)
+
+(* A damaged image can make locating the root, the audit or any walk
+   raise: [Heap.Corrupt] from a bounded walk or an audit, or
+   [Invalid_argument] where a garbage word indexes past the device or
+   names no object. *)
+let read_back (m : t) ~root also =
+  match
+    let root = root () in
+    m.map.audit m.heap ~root;
+    let entries = dump m ~root in
+    (entries, also root)
+  with
+  | read -> Ok read
+  | exception (Heap.Corrupt msg | Invalid_argument msg) -> Error msg

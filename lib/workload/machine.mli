@@ -127,10 +127,6 @@ val execute : ?crash_at_step:int -> t -> Sched.Scheduler.outcome
     scheduler, run every spawned thread to completion/deadlock/crash,
     and unwire (even on exceptions). *)
 
-val in_phase : t -> int -> (unit -> 'a) -> 'a
-(** Bracket [f] with {!Obs.Tracer.phase_begin}/[phase_end] events when
-    the spec carries a tracer; just run it otherwise. *)
-
 val crash_execute :
   ?fault:Nvm.Fault_model.t -> t -> Tsp_core.Crash_executor.execution
 (** Execute the crash-time TSP rescue plan (or the adversarial [fault])
@@ -208,3 +204,15 @@ val dump : t -> root:Pheap.Heap.addr -> (int * int64) list
 (** [map.fold_root] over the machine's current heap at [root], which
     the caller already holds (reading it again would be another costed
     load). *)
+
+val read_back :
+  t ->
+  root:(unit -> Pheap.Heap.addr) ->
+  (Pheap.Heap.addr -> 'a) ->
+  ((int * int64) list * 'a, string) result
+(** The guarded read-back of a recovered image: [root ()] locates the
+    map (a costed root load, or {!reattach}), then the map's [audit]
+    runs, then {!dump}, then [also] at the same root.  A damaged image
+    can make any of them raise {!Pheap.Heap.Corrupt} or
+    [Invalid_argument]; the message is then the [Error], so a read-back
+    never raises either. *)

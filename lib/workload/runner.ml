@@ -43,7 +43,6 @@ type config = {
   iter_cycles : int;
   hash_op_cycles : int;
   skip_op_cycles : int;
-  record_latency : bool;
   instrument : (Scheduler.t -> Tsp_maps.Map_intf.ops -> Tsp_maps.Map_intf.ops) option;
   tracer : Obs.Tracer.t option;
 }
@@ -70,7 +69,6 @@ let default_config =
     iter_cycles = 40;
     hash_op_cycles = 30;
     skip_op_cycles = 25;
-    record_latency = false;
     instrument = None;
     tracer = None;
   }
@@ -147,7 +145,7 @@ type result = {
   total_steps : int;
   device_stats : Nvm.Stats.t;
   latencies_cycles : int array;
-      (* per-operation latency samples, empty unless record_latency *)
+      (* per-operation latency samples, empty unless the workload is YCSB *)
 }
 
 let variant_to_string = Machine.variant_to_string
@@ -282,9 +280,7 @@ let ycsb_body config pmem ops ~tid ~rng ~preset ~records ~zipf ~latencies
     | Ycsb.Update -> ops.Tsp_maps.Map_intf.set ~tid ~key:k ~value:(Int64.of_int k)
     | Ycsb.Rmw ->
         ops.Tsp_maps.Map_intf.incr ~tid ~key:k ~by:(Int64.of_int records));
-    (match latencies with
-    | Some store -> store tid (now () - t0)
-    | None -> ());
+    Check.Ivec.push latencies (now () - t0);
     progress.(tid) <- i
   done
 
@@ -362,19 +358,18 @@ let run_full config =
       | Counters _ | Mixed _ | Wide _ | Transfers _ ->
           invalid_arg "zipf: not a YCSB workload")
   in
-  (* Latency samples go into a preallocated flat int vector: one sample
-     per iteration per thread, so sized exactly, the recording path
-     allocates nothing and cannot perturb the zero-allocation hot path
-     (regression in test/test_checker.ml). *)
+  (* The YCSB body, the only one that times its operations, records
+     their latency samples into a preallocated flat int vector: one
+     sample per iteration per thread, so sized exactly, the recording
+     path allocates nothing and cannot perturb the zero-allocation hot
+     path (regression in test/test_checker.ml). *)
   let latency_buf =
     Check.Ivec.create
-      ~capacity:(max 1 (if config.record_latency then config.threads * config.iterations else 1))
+      ~capacity:
+        (match config.workload with
+        | Ycsb _ -> max 1 (config.threads * config.iterations)
+        | Counters _ | Mixed _ | Wide _ | Transfers _ -> 1)
       ()
-  in
-  let latencies =
-    if config.record_latency then
-      Some (fun _tid d -> Check.Ivec.push latency_buf d)
-    else None
   in
   let spawn_worker tid =
     let rng = Rng.create ~seed:(config.seed + (1000 * (tid + 1))) in
@@ -397,7 +392,7 @@ let run_full config =
       | Ycsb { preset; records } ->
           let zipf = Lazy.force zipf in
           ycsb_body config pmem map.Machine.map_ops ~tid ~rng ~preset ~records
-            ~zipf ~latencies
+            ~zipf ~latencies:latency_buf
             ~now:(fun () -> Scheduler.thread_cycles sched tid)
             ~progress
       | Transfers { accounts; _ } -> begin
@@ -466,14 +461,15 @@ let run_full config =
       let entries, invariants =
         match rheap with
         | Some rheap when recovery.Machine.heap_audit_ok -> begin
-            try
-              let root = Heap.get_root rheap in
-              map.Machine.audit rheap ~root;
-              let entries = Machine.dump m ~root in
-              let wide_entries = wide_dump rheap root in
-              (entries, check_invariants config ?wide_entries entries)
-            with Heap.Corrupt msg | Invalid_argument msg ->
-              ([], Invariant.failed ("map traversal failed: " ^ msg))
+            match
+              Machine.read_back m
+                ~root:(fun () -> Heap.get_root rheap)
+                (wide_dump rheap)
+            with
+            | Ok (entries, wide_entries) ->
+                (entries, check_invariants config ?wide_entries entries)
+            | Error msg ->
+                ([], Invariant.failed ("map traversal failed: " ^ msg))
           end
         | Some _ -> ([], Invariant.failed "heap audit failed")
         | None -> ([], Invariant.failed "heap unrecoverable")

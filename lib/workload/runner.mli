@@ -84,8 +84,6 @@ type config = {
   iter_cycles : int;  (** charged per workload iteration (loop overhead) *)
   hash_op_cycles : int;  (** per-operation charge of the hash map *)
   skip_op_cycles : int;  (** per-operation charge of the skip list *)
-  record_latency : bool;
-      (** collect per-operation latency samples (YCSB workload only) *)
   instrument :
     (Sched.Scheduler.t -> Tsp_maps.Map_intf.ops -> Tsp_maps.Map_intf.ops)
     option;
@@ -179,8 +177,8 @@ type result = {
       (** operation counters of the simulated device (loads, flushes,
           write-backs, rescued/dropped lines, ...) *)
   latencies_cycles : int array;
-      (** per-operation latency samples in simulated cycles; empty unless
-          [record_latency] *)
+      (** per-operation latency samples in simulated cycles, recorded by
+          the YCSB workload only; empty for every other workload *)
 }
 
 val run : config -> result

@@ -326,7 +326,6 @@ let ycsb_table ?(iterations = 1500) ?(records = 16384) ?jobs preset =
             Runner.variant;
             iterations;
             workload = Runner.Ycsb { preset; records };
-            record_latency = true;
           }
         in
         let r = run_config cfg in

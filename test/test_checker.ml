@@ -94,7 +94,6 @@ let test_runner_latency_recording () =
       workload = Runner.Ycsb { preset = Workload.Ycsb.A; records = 128 };
       n_buckets = 128;
       log_mib = 1;
-      record_latency = true;
     }
   in
   let r = Runner.run config in

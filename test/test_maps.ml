@@ -325,6 +325,17 @@ let test_skip_attach () =
   check_raises_invalid "attach to a non-node" (fun () ->
       ignore (Skiplist.attach heap ~num_threads:2 ~seed:9 64))
 
+(* [random_level] indexes one level generator per thread: a list for no
+   thread is refused before it allocates anything. *)
+let test_skip_needs_a_thread () =
+  let _, heap, sl = skip_env () in
+  let root = Skiplist.root sl in
+  check_raises_invalid "create for no thread" (fun () ->
+      ignore (Skiplist.create heap ~num_threads:0 ~seed:3 ()));
+  check_raises_invalid "attach for no thread" (fun () ->
+      ignore (Skiplist.attach heap ~num_threads:0 ~seed:3 root));
+  Alcotest.(check int) "root untouched" root (Heap.get_root heap)
+
 let test_skip_concurrent_inserts () =
   let pmem, heap, sl = skip_env ~threads:8 () in
   let ops = Skiplist.ops sl in
@@ -763,6 +774,35 @@ let test_delayfree_crash_repair () =
   Alcotest.(check int) "idempotent: nothing acked" 0 r2.Delayfree.acked;
   Alcotest.(check int) "idempotent: nothing aborted" 0 r2.Delayfree.aborted
 
+(* --- Damaged images: the plain walks end --- *)
+
+(* A bit flip in a recovered image can turn a next link back onto its
+   own chain.  The plain folds, which recovery's read-back runs, must
+   raise [Heap.Corrupt] instead of walking the cycle until memory runs
+   out. *)
+let test_hash_fold_cycle () =
+  let _, heap, _, _, hm = hash_env ~n_buckets:1 () in
+  List.iter (fun k -> Hashmap.set_plain hm ~key:k ~value:1L) [ 1; 2; 3 ];
+  let root = Hashmap.root hm in
+  let table = Heap.load_field_int heap root 1 in
+  let head = Heap.load_field_int heap table 0 in
+  (* field 1 of a chain node is its next link *)
+  Heap.store_field_int heap head 1 head;
+  check_raises_corrupt "hash chain cycle" (fun () ->
+      Hashmap.size_plain heap ~root);
+  check_raises_corrupt "wide fold over the cycle" (fun () ->
+      Hashmap.fold_wide_plain heap ~root (fun _ _ n -> n + 1) 0)
+
+let test_skip_fold_cycle () =
+  let _, heap, sl = skip_env () in
+  List.iter (fun k -> Skiplist.set_plain sl ~key:k ~value:1L) [ 1; 2; 3 ];
+  let root = Skiplist.root sl in
+  let level0 = 3 (* word index of a skip node's level-0 next link *) in
+  let first = Heap.load_field_int heap root level0 in
+  Heap.store_field_int heap first level0 first;
+  check_raises_corrupt "skip list level-0 cycle" (fun () ->
+      Skiplist.size_plain heap ~root)
+
 let suite =
   ( "maps",
     [
@@ -785,6 +825,11 @@ let suite =
       case "skiplist: concurrent distinct inserts" test_skip_concurrent_inserts;
       case "skiplist: concurrent same-key race" test_skip_concurrent_same_key;
       case "skiplist: level distribution" test_skip_level_distribution;
+      case "skiplist: create and attach need a thread" test_skip_needs_a_thread;
+      case "hashmap: a cyclic chain makes the plain folds raise"
+        test_hash_fold_cycle;
+      case "skiplist: a level-0 cycle makes the plain fold raise"
+        test_skip_fold_cycle;
       prop_skip_vs_model;
       prop_nvt_vs_model;
       prop_skip_disciplines;

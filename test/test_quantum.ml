@@ -1,13 +1,13 @@
-(* Batched-quantum execution must be a pure host-speed optimisation:
-   with quanta granted, bursts of loads/stores that cannot change the
-   pick charge the thread clock without re-entering the scheduler, yet
-   every simulated observable — cycles, step counts, interleavings,
-   crash points, durable images, traces, mid-burst clock reads — stays
-   bit-identical to the suspend-per-step reference ([~quantum:false
-   ~deterministic_slice:0]).  Quanta are always on above the scheduler,
-   so the reference leg lives here, at the scheduler level; the
-   workload-level witnesses are the pinned sim cycles in
-   bench/baseline.json, first recorded before quanta existed. *)
+(* Quanta must be a pure host-speed optimisation: with quanta granted,
+   bursts of charges that cannot change the pick charge the thread
+   clock without re-entering the scheduler, yet every simulated
+   observable — cycles, step counts, interleavings, crash points,
+   durable images, traces, mid-burst clock reads — stays bit-identical
+   to the suspend-per-step reference ([~quantum:false]).  Quanta are
+   always on above the scheduler, so the reference leg lives here, at
+   the scheduler level; the workload-level witnesses are the pinned sim
+   cycles in bench/baseline.json, first recorded before quanta
+   existed. *)
 
 open Helpers
 module Tracer = Obs.Tracer
@@ -61,16 +61,12 @@ let test_crash_image_identical () =
     (String.equal (crashed ~quantum:true) (crashed ~quantum:false))
 
 (* The scheduler-level harness: a contended-then-uncontended two-thread
-   workload at an arbitrary slice (which also bounds the quantum size).
-   Returns every simulated observable plus the [Scheduler.now] read
-   after each store — mid-burst whenever a quantum is held.  A [tracer]
-   is wired by [wire_tracer].  The mode is the scheduler's [(quantum,
-   deterministic_slice)] pair. *)
-let mini_observables ?tracer ~seed (quantum, slice) =
+   workload.  Returns every simulated observable plus the
+   [Scheduler.now] read after each store — mid-burst whenever a quantum
+   is held.  A [tracer] is wired by [wire_tracer]. *)
+let mini_observables ?tracer ~seed quantum =
   let pmem = desktop_pmem ~region_mib:1 () in
-  let sched =
-    Scheduler.create ~seed ~cost_jitter:3 ~deterministic_slice:slice ~quantum ()
-  in
+  let sched = Scheduler.create ~seed ~cost_jitter:3 ~quantum () in
   Option.iter (wire_tracer pmem sched) tracer;
   let m = Mutex.create sched in
   let nows = ref [] in
@@ -90,7 +86,7 @@ let mini_observables ?tracer ~seed (quantum, slice) =
       end;
       Mutex.unlock m
     done;
-    (* Uncontended tail for thread 0: quanta last the whole slice. *)
+    (* Uncontended tail for thread 0: one quantum covers it. *)
     if tid = 0 then
       for i = 0 to 999 do
         store ((i * 8) land 0xFFFF) i
@@ -107,8 +103,8 @@ let mini_observables ?tracer ~seed (quantum, slice) =
     Scheduler.total_steps sched,
     List.rev !nows )
 
-let reference = (false, 0)
-let with_quanta = (true, Scheduler.default_slice)
+let reference = false
+let with_quanta = true
 
 (* 2. The tracer under quanta: emitted events (codes, tids, virtual
    timestamps, payloads, dirty samples) must match the reference byte
@@ -141,24 +137,23 @@ let test_history_timestamps_identical () =
   Alcotest.(check int) "clock reads" (List.length off) (List.length on);
   Alcotest.(check (list int)) "Scheduler.now after every store" off on
 
-(* 4. Randomised equivalence at arbitrary slice/quantum settings. *)
+(* 4. Randomised equivalence over seeds. *)
 let qcheck_quantum_equiv =
-  qcheck ~count:25 "random slice/quantum matches the slow path"
-    QCheck2.Gen.(triple (int_bound 9_999) (int_bound 64) bool)
-    (fun (seed, slice, quantum) ->
-      mini_observables ~seed (quantum, slice)
-      = mini_observables ~seed reference)
+  qcheck ~count:25 "random seeds: quanta match the per-op reference"
+    QCheck2.Gen.(int_bound 9_999)
+    (fun seed ->
+      mini_observables ~seed with_quanta = mini_observables ~seed reference)
 
 (* 5. Contended equivalence.  With several threads runnable, a thread
-   keeps charging inline, and holds quanta, while its clock stays below
-   its horizon: the smallest clock among the other runnable threads,
-   left unset when the pick's scan would draw before reaching it.
-   Random programs of 2-8 threads, with costs that repeat and charges
-   of zero so that clocks tie, no jitter or jitter 3, an optional mutex
-   section (whose hand-off wakes a waiter mid-horizon) and an optional
-   crash, must match the reference on every observable, both with
-   quanta and with [step]'s horizon path alone ([~quantum:false] at the
-   default slice). *)
+   holds a quantum while its clock stays below its horizon: the
+   smallest clock among the other runnable threads, left unset when the
+   pick's scan would draw before reaching it.  Random programs of 2-8
+   threads, with costs that repeat and charges of zero so that clocks
+   tie, no jitter or jitter 3, an optional mutex section (whose
+   hand-off wakes a waiter mid-horizon) and an optional crash, must
+   match the reference on every observable under quanta.  The programs
+   mix loads, stores, CAS, flushes, fences, compute charges and yields,
+   so every kind of device charge rides the quantum. *)
 type dop =
   | D_load of int
   | D_store of int
@@ -218,13 +213,9 @@ let print_contended (seed, jitter, crash_at_step, progs) =
             Printf.sprintf "t%d: %s" i (String.concat " " (List.map op p)))
           progs))
 
-let contended_observables (seed, jitter, crash_at_step, progs)
-    (quantum, slice) =
+let contended_observables (seed, jitter, crash_at_step, progs) quantum =
   let pmem = desktop_pmem ~region_mib:1 () in
-  let sched =
-    Scheduler.create ~seed ~cost_jitter:jitter ~deterministic_slice:slice
-      ~quantum ()
-  in
+  let sched = Scheduler.create ~seed ~cost_jitter:jitter ~quantum () in
   let tr = Tracer.create ~ring_cap:65536 () in
   wire_tracer pmem sched tr;
   let m = Mutex.create sched in
@@ -282,10 +273,8 @@ let qcheck_contended_equiv =
     (QCheck2.Test.make ~count:400 ~print:print_contended
        ~name:"contended threads under horizons match the per-op reference"
        contended_gen (fun case ->
-         let expected = contended_observables case reference in
-         contended_observables case with_quanta = expected
-         && contended_observables case (false, Scheduler.default_slice)
-            = expected))
+         contended_observables case with_quanta
+         = contended_observables case reference))
 
 (* 6. The allocation-free Sim_rng rewrite that feeds per-op jitter draws
    inside quanta: its two-limb native-int stream must match the boxed

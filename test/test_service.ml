@@ -361,6 +361,35 @@ let test_serve_shed_and_retry () =
   let v = starved.Serve.shards.(1) in
   Alcotest.(check bool) "starved retry budget times out" true (v.Serve.timed_out > 0)
 
+(* A damaged image the heap audit passes can still break the victim's
+   map: under eight bit flips this seed's recovered B-tree fails its own
+   audit.  The victim comes back lost, its pending requests shed and
+   the reason reported, instead of the run raising. *)
+let test_serve_damaged_victim_lost () =
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let cfg =
+    {
+      Serve.smoke_config with
+      Serve.variant = ok (Workload.Machine.variant_of_string "btree");
+      fault_model = Some (ok (Nvm.Fault_model.of_string "bit-rot:8"));
+      seed = 11;
+    }
+  in
+  let victim = (Serve.run ~jobs:1 cfg).Serve.shards.(1) in
+  Alcotest.(check string) "victim lost" "crashed+lost" victim.Serve.outcome;
+  Alcotest.(check int) "every request served or shed" victim.Serve.requests
+    (victim.Serve.served + victim.Serve.shed);
+  Alcotest.(check bool) "pending requests shed" true (victim.Serve.shed > 0);
+  let reason = "map read-back failed: btree audit" in
+  match victim.Serve.recovery with
+  | None -> Alcotest.fail "victim shard has no recovery report"
+  | Some rr ->
+      Alcotest.(check bool) "no DL verdict" true (rr.Serve.dl = None);
+      Alcotest.(check bool) "DL note gives the reason" true
+        (String.starts_with ~prefix:("skipped: " ^ reason) rr.Serve.dl_note);
+      Alcotest.(check bool) "recovery errors carry the reason" true
+        (List.exists (String.starts_with ~prefix:reason) rr.Serve.recovery_errors)
+
 let test_serve_guards () =
   check_raises_invalid "0 shards" (fun () ->
       ignore (Serve.run { tiny_config with Serve.shards = 0 } : Serve.report));
@@ -401,6 +430,8 @@ let suite =
       case "serve: exit rule judges loss by the crash's model"
         test_serve_exit_rule;
       slow_case "serve: shed and retry degraded modes" test_serve_shed_and_retry;
+      slow_case "serve: a damaged victim comes back lost"
+        test_serve_damaged_victim_lost;
       case "serve: config guards" test_serve_guards;
       case "sweeps: ycsb table reports p999" test_ycsb_table_p999;
     ] )

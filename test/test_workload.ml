@@ -570,7 +570,6 @@ let ycsb_config preset =
     small_config with
     Runner.workload = Runner.Ycsb { preset; records = 1024 };
     iterations = 200;
-    record_latency = true;
   }
 
 let test_ycsb_runs_consistent () =
