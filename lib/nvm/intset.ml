@@ -52,26 +52,26 @@ let create ?(capacity = 64) () =
 
 let cardinal t = t.live
 
-let mem t x =
-  let slots = t.slots in
-  let rec probe i =
-    let v = Array.unsafe_get slots i in
-    if v = x then true
-    else if v < 0 then false
-    else probe ((i + 1) land t.mask)
-  in
-  probe (slot_of t x)
+(* The probe walks are top-level functions, as [Cache.find_from] is: a
+   local [let rec] that captures [t] or [x] compiles to a minor-heap
+   closure under the non-flambda backend, built on every call. *)
+let rec mem_from slots mask x i =
+  let v = Array.unsafe_get slots i in
+  if v = x then true
+  else if v < 0 then false
+  else mem_from slots mask x ((i + 1) land mask)
+
+let mem t x = mem_from t.slots t.mask x (slot_of t x)
 
 (* Insert [x] into [slots] only (no [elems]/[pos] upkeep), for rebuild. *)
-let reinsert t x =
-  let rec probe i =
-    if t.slots.(i) < 0 then begin
-      t.slots.(i) <- x;
-      i
-    end
-    else probe ((i + 1) land t.mask)
-  in
-  probe (slot_of t x)
+let rec reinsert_from t x i =
+  if t.slots.(i) < 0 then begin
+    t.slots.(i) <- x;
+    i
+  end
+  else reinsert_from t x ((i + 1) land t.mask)
+
+let reinsert t x = reinsert_from t x (slot_of t x)
 
 let grow t =
   let cap = (t.mask + 1) * 2 in
@@ -91,21 +91,20 @@ let grow t =
    The single probe walk answers the membership question and finds the
    insertion slot at once, so the runtime's "first store to this word in
    the OCS?" test is one walk, not two. *)
-let add t x =
-  let rec probe i =
-    let v = Array.unsafe_get t.slots i in
-    if v = x then false
-    else if v < 0 then begin
-      t.slots.(i) <- x;
-      t.elems.(t.live) <- x;
-      t.pos.(t.live) <- i;
-      t.live <- t.live + 1;
-      if t.live * 2 > t.mask + 1 then grow t;
-      true
-    end
-    else probe ((i + 1) land t.mask)
-  in
-  probe (slot_of t x)
+let rec add_from t x i =
+  let v = Array.unsafe_get t.slots i in
+  if v = x then false
+  else if v < 0 then begin
+    t.slots.(i) <- x;
+    t.elems.(t.live) <- x;
+    t.pos.(t.live) <- i;
+    t.live <- t.live + 1;
+    if t.live * 2 > t.mask + 1 then grow t;
+    true
+  end
+  else add_from t x ((i + 1) land t.mask)
+
+let add t x = add_from t x (slot_of t x)
 
 let iter f t =
   for k = 0 to t.live - 1 do

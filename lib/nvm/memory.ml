@@ -123,6 +123,11 @@ let load_durable t addr =
   check t addr;
   get t.durable addr
 
+let page_untouched t addr =
+  check t addr;
+  let i = addr lsr page_bits in
+  (i + 1) lsl page_bits <= t.size && Array.unsafe_get t.current i == zero_page
+
 (* Copy [len] bytes at [addr] from current to durable.  The range must
    be in bounds and inside one page: [Config.validate] caps [line_size]
    at [page_size], so an aligned line never straddles two pages. *)

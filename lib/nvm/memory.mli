@@ -58,6 +58,13 @@ val load_durable : t -> int -> int64
 (** Read a word from the durable image, bypassing the current image.  Used
     by tests and by the recovery observer. *)
 
+val page_untouched : t -> int -> bool
+(** [page_untouched t addr] is [true] iff the current-image page holding
+    the word at [addr] lies wholly inside the region and is still the
+    shared zero page, so every word of it reads zero.  [false] says
+    nothing: a page written back to all zeros is private and reads zero
+    too.  [addr] is checked as {!load} checks it.  Allocation-free. *)
+
 val write_back : t -> line_addr:int -> len:int -> unit
 (** Copy [len] bytes at [line_addr] from current to durable: the effect of
     a cache-line write-back.  The range must lie inside the region and

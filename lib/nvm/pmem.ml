@@ -360,6 +360,7 @@ let persist_all t =
 let load_durable t addr = Memory.load_durable t.mem addr
 let peek t addr = Memory.load t.mem addr
 let peek_int t addr = Memory.load_int t.mem addr
+let peek_page_untouched t addr = Memory.page_untouched t.mem addr
 let durable_snapshot t = Memory.durable_snapshot t.mem
 let dirty_line_count t = Cache.dirty_count t.cache
 

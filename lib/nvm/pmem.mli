@@ -170,6 +170,13 @@ val peek_int : t -> int -> int
     in {!load_int}).  The allocation-free peek the streamed recovery
     scanners are built on. *)
 
+val peek_page_untouched : t -> int -> bool
+(** Whether the current-image page holding [addr] is still the shared,
+    never-written zero page ({!Memory.page_untouched}): [true] means all
+    {!Memory.page_size} bytes of it read zero.  Like {!peek}, it costs
+    nothing and touches neither the cache model nor the statistics, so
+    an image digest can skip such pages without reading them. *)
+
 val dirty_line_count : t -> int
 (** Number of dirty lines in the simulated cache right now.  O(1): the
     cache maintains the count incrementally. *)

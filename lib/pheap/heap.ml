@@ -74,8 +74,11 @@ let is_object_start t a =
 
 let load_header t a = Nvm.Pmem.load t.pmem (Layout.obj_header_addr a)
 
-let kind_of t a = Layout.header_kind (load_header t a)
-let words_of t a = Layout.header_words (load_header t a)
+(* The same costed load as [load_header], read unboxed: kind and size
+   never use bit 63, which [load_int] drops. *)
+let load_header_int t a = Nvm.Pmem.load_int t.pmem (Layout.obj_header_addr a)
+let kind_of t a = Layout.header_kind_i (load_header_int t a)
+let words_of t a = Layout.header_words_i (load_header_int t a)
 
 let write_header t a ~kind ~words =
   Nvm.Pmem.store t.pmem (Layout.obj_header_addr a)

@@ -501,17 +501,30 @@ module Incremental = struct
     (t.stats, t.quarantine)
 end
 
+(* The audit keeps one tag byte per heap word of [start_addr, end_addr),
+   indexed by word offset: pass 1 tags the data address of every
+   non-free block it walks, and pass 2 re-tags an object visited when it
+   first reaches it.  It stays a traversal of its own rather than a
+   reader over [mark]: its object-start test (a block the chain walk
+   reached) is stricter than the mark's [Heap.is_object_start], and the
+   mark's charge sequence is pinned.  Headers are read twice — pass 1
+   checks each (a boxed peek, since validity includes bit 63), pass 2
+   re-reads a valid one unboxed at visit time — so per-object state is
+   the tag byte alone. *)
+let tag_block = '\001'
+let tag_visited = '\002'
+
 let verify heap =
   let pmem = Heap.pmem heap in
   let errors = ref [] in
   let err fmt = Fmt.kstr (fun s -> errors := s :: !errors) fmt in
-  let peek a = Nvm.Pmem.peek pmem a in
   let peek_int a = Nvm.Pmem.peek_int pmem a in
+  let start = Heap.start_addr heap and stop = Heap.end_addr heap in
+  let tags = Bytes.make ((stop - start) / Layout.word_size) '\000' in
   (* Pass 1: the block chain must tile the allocated span exactly. *)
-  let objects = Hashtbl.create 1024 in
   let rec walk header_addr =
-    if header_addr < Heap.end_addr heap then begin
-      let h = peek header_addr in
+    if header_addr < stop then begin
+      let h = Nvm.Pmem.peek pmem header_addr in
       if not (Layout.header_valid h) then
         err "invalid header at %d: %Lx" header_addr h
       else begin
@@ -519,49 +532,48 @@ let verify heap =
         let kind = Layout.header_kind h in
         let a = header_addr + Layout.word_size in
         let next = a + (words * Layout.word_size) in
-        if next > Heap.end_addr heap then
-          err "block at %d overruns heap end" a
+        if next > stop then err "block at %d overruns heap end" a
         else begin
           if kind <> Layout.kind_free then begin
             if not (Kind.is_registered kind) then
               err "object at %d has unregistered kind %d" a kind;
-            Hashtbl.replace objects a (kind, words)
+            Bytes.set tags ((a - start) / Layout.word_size) tag_block
           end;
           walk next
         end
       end
     end
   in
-  walk (Heap.start_addr heap);
+  walk start;
   (* Pass 2: pointers from reachable objects must target valid objects. *)
   if !errors = [] then begin
-    let seen = Hashtbl.create 1024 in
-    let stack = Stack.create () in
+    let stack = Istack.create () in
     let emitted = Istack.create () in
     let emit p = Istack.push emitted p in
     let push src a =
       let a = strip_tag a in
-      if a <> Heap.null && not (Hashtbl.mem seen a) then
-        if Hashtbl.mem objects a then begin
-          Hashtbl.replace seen a ();
-          Stack.push a stack
+      if a <> Heap.null then begin
+        let i = (a - start) / Layout.word_size in
+        let tag = if a >= start && a < stop then Bytes.get tags i else '\000' in
+        if tag = tag_block then begin
+          Bytes.set tags i tag_visited;
+          Istack.push stack a
         end
-        else err "object %d references invalid address %d" src a
+        else if tag <> tag_visited then
+          err "object %d references invalid address %d" src a
+      end
     in
-    let root = Int64.to_int (peek (Heap.base heap + Layout.root_offset)) in
-    push 0 root;
-    while not (Stack.is_empty stack) do
-      let a = Stack.pop stack in
-      match Hashtbl.find_opt objects a with
-      | None -> ()
-      | Some (kind, words) when Kind.is_registered kind ->
-          (* Emissions pushed last to first, as in [mark]. *)
-          Istack.clear emitted;
-          Kind.scan_object ~kind ~load:peek_int ~addr:a ~words ~emit;
-          while not (Istack.is_empty emitted) do
-            push a (Istack.pop emitted)
-          done
-      | Some _ -> ()
+    push 0 (peek_int (Heap.base heap + Layout.root_offset));
+    while not (Istack.is_empty stack) do
+      let a = Istack.pop stack in
+      let h = peek_int (Layout.obj_header_addr a) in
+      (* Emissions pushed last to first, as in [mark]. *)
+      Istack.clear emitted;
+      Kind.scan_object ~kind:(Layout.header_kind_i h) ~load:peek_int ~addr:a
+        ~words:(Layout.header_words_i h) ~emit;
+      while not (Istack.is_empty emitted) do
+        push a (Istack.pop emitted)
+      done
     done
   end;
   match !errors with [] -> Ok () | es -> Error (List.rev es)

@@ -153,6 +153,9 @@ end
 val verify : Heap.t -> (unit, string list) result
 (** Cost-free structural audit (used by tests and the fault-injection
     verdict): block chain parses, kinds are registered, live pointers
-    target valid objects.  Returns all problems found. *)
+    target valid objects.  Returns all problems found, in walk order;
+    an exception a scanner raises propagates.  Its host memory is one
+    tag byte per heap word, and a live object costs it one boxed header
+    read (3 minor words). *)
 
 val pp_stats : stats Fmt.t

@@ -14,16 +14,40 @@ type cell = {
   image_hash : int;
 }
 
+let fnv_prime = 0x100000001b3
+
+(* For a zero word the FNV-1a step is [h <- h * p mod 2^62], so the 512
+   zero words of an untouched page fold into one multiply by
+   [p^512 mod 2^62]. *)
+let zero_page_factor =
+  let q = ref 1 in
+  for _ = 1 to Nvm.Memory.page_size / 8 do
+    q := !q * fnv_prime land max_int
+  done;
+  !q
+
 (* FNV-1a over every heap word (peeks: free, no cache effects).  Two
    recoveries that leave byte-identical heap images hash equal; any
-   divergence — stats aside — shows up here. *)
+   divergence — stats aside — shows up here.  A whole page in range that
+   was never written is folded in one step, without reading it. *)
 let image_hash pmem ~lo ~hi =
+  let page = Nvm.Memory.page_size in
   let h = ref 0x3bf29ce484222325 (* FNV offset basis, truncated to 62 bits *) in
   let a = ref lo in
   while !a < hi do
-    let w = Nvm.Pmem.peek_int pmem !a in
-    h := (!h lxor w) * 0x100000001b3 land max_int;
-    a := !a + 8
+    if
+      !a land (page - 1) = 0
+      && !a + page <= hi
+      && Nvm.Pmem.peek_page_untouched pmem !a
+    then begin
+      h := !h * zero_page_factor land max_int;
+      a := !a + page
+    end
+    else begin
+      let w = Nvm.Pmem.peek_int pmem !a in
+      h := (!h lxor w) * fnv_prime land max_int;
+      a := !a + 8
+    end
   done;
   !h
 

@@ -32,7 +32,13 @@ type cell = {
 }
 
 val image_hash : Nvm.Pmem.t -> lo:int -> hi:int -> int
-(** FNV-1a over the words of [\[lo, hi)] via cost-free peeks. *)
+(** FNV-1a over the words of [\[lo, hi)] via cost-free peeks.  Its value
+    is the word-by-word fold's, but its host cost follows what a run
+    wrote: a whole page of the range that is still the shared zero page
+    ({!Nvm.Pmem.peek_page_untouched}) costs one multiply, so hashing the
+    56 MiB below a 60k-object heap's log reads only the few MiB the
+    heap touched.  Words of pages that were written, and of the partial
+    pages at [lo] and [hi], are read one by one. *)
 
 val default_spec : variant:Machine.variant -> seed:int -> Machine.spec
 (** {!Runner.default_config}'s machine with [variant], [seed] and four

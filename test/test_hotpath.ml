@@ -219,6 +219,56 @@ let prop_intset_matches_hashtbl =
               Intset.cardinal s = 0)
         ops)
 
+(* Membership and insertion allocate nothing: 10k calls of each, on
+   fresh and present members alike, into a set sized so that no call
+   grows it.  A probe loop written as a local [let rec] builds its
+   closure on every call (5-6 words). *)
+let test_intset_alloc () =
+  let n = 10_000 in
+  let s = Intset.create ~capacity:(4 * n) () in
+  let body base =
+    let hits = ref 0 in
+    for i = 0 to n - 1 do
+      let x = base + (i * 64) in
+      if Intset.add s x then incr hits;
+      if Intset.mem s x then incr hits
+    done;
+    !hits
+  in
+  let before = Gc.minor_words () in
+  let fresh = body 0 in
+  let present = body 0 in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "fresh adds and hits" (2 * n) fresh;
+  Alcotest.(check int) "present: mem hits only" n present;
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words for %d add + %d mem calls: %.0f" (2 * n)
+       (2 * n) words)
+    true (words < 100.)
+
+(* One full [Kind.scan_object] call per object is what every recovery
+   scan makes.  The lookup and the call allocate nothing, so 10k calls
+   of a builtin scanner stay under the usual 100-word slack. *)
+let test_scan_object_alloc () =
+  let n = 10_000 in
+  let sum = ref 0 in
+  let load a = a lsr 3 in
+  let emit p = sum := !sum + p in
+  let body () =
+    for i = 0 to n - 1 do
+      Pheap.Kind.scan_object ~kind:Pheap.Kind.all_pointers ~load ~addr:(8 * i)
+        ~words:4 ~emit
+    done
+  in
+  body ();
+  let before = Gc.minor_words () in
+  body ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words for %d scan_object calls: %.0f (sum %d)" n
+       words !sum)
+    true (words < 100.)
+
 let suite =
   ( "hotpath",
     [
@@ -229,4 +279,7 @@ let suite =
       case "intset: add/mem/clear" test_intset_basics;
       case "intset: growth keeps members and order" test_intset_growth_and_order;
       prop_intset_matches_hashtbl;
+      case "intset: add and mem allocate nothing" test_intset_alloc;
+      case "kind: a full scan_object call allocates nothing"
+        test_scan_object_alloc;
     ] )

@@ -440,6 +440,181 @@ let prop_gc_preserves_exactly_reachable =
       stats.Heap_gc.live_objects = List.length (List.sort_uniq compare live)
       && stats.Heap_gc.freed_objects = n - List.length (List.sort_uniq compare live))
 
+(* --- verify against the reference audit --- *)
+
+(* A kind whose scanner raises when its first word is 7 and otherwise
+   treats every later word as a pointer: a scanner handed an object it
+   cannot parse.  The message names the object, so the first one the
+   walk reaches decides it. *)
+let fussy_kind =
+  Kind.register ~name:"test_fussy"
+    ~scan:(fun ~load ~addr ~words ~emit ->
+      if load addr = 7 then Fmt.invalid_arg "test_fussy: object %d" addr;
+      for i = 1 to words - 1 do
+        let v = load (addr + (8 * i)) in
+        if v <> 0 then emit v
+      done)
+    ()
+
+(* What a heap word or the root holds, by object index. *)
+type link =
+  | Null
+  | Obj of int * int  (* object, tag bits in the low three *)
+  | Interior of int  (* one word past the object's start *)
+  | Past_end of int  (* that many words past [heap_end] *)
+  | Wild of int
+
+type damage =
+  | Flip of int * int  (* object, header bit (63 included) *)
+  | Unregistered of int  (* object's header gets kind 200 *)
+  | Overrun of int  (* the last block claims that many words too many *)
+
+type recipe = {
+  objs : (int * int * link list * bool) list;
+      (* kind index, words, one link per word, freed *)
+  root : link;
+  damages : damage list;
+}
+
+(* Three shapes in one generator: well-formed heaps whose links reach
+   only live objects (mostly [Ok]); well-formed heaps whose fussy
+   objects may hold a 7 (a scanner raises); and heaps with bad links
+   and damaged headers (error lists). *)
+let gen_recipe =
+  let open QCheck2.Gen in
+  let* shape =
+    frequency
+      [ (4, return `Clean); (2, return `Raising); (4, return `Damaged) ]
+  in
+  let* n = int_range 1 24 in
+  let* shapes =
+    list_repeat n
+      (triple
+         (frequency
+            [ (1, return 0); (3, return 1); (3, return 2); (2, return 3) ])
+         (int_range 1 5)
+         (frequency [ (5, return false); (1, return true) ]))
+  in
+  let live =
+    List.concat
+      (List.mapi (fun i (_, _, freed) -> if freed then [] else [ i ]) shapes)
+  in
+  let good =
+    if live = [] then return Null
+    else
+      frequency
+        [
+          (1, return Null);
+          (4, map2 (fun i t -> Obj (i, t)) (oneofl live) (int_range 0 7));
+        ]
+  in
+  let obj_ix = int_range 0 (n - 1) in
+  let any =
+    frequency
+      [
+        (3, return Null);
+        (10, map2 (fun i t -> Obj (i, t)) obj_ix (int_range 0 7));
+        (1, map (fun i -> Interior i) obj_ix);
+        (1, map (fun k -> Past_end k) (int_range 0 3));
+        (1, map (fun x -> Wild x) (oneof [ return 7; int ]));
+      ]
+  in
+  let link = if shape = `Damaged then any else good in
+  let first kind =
+    if shape = `Raising && kind = 3 then
+      frequency [ (1, return (Wild 7)); (1, link) ]
+    else link
+  in
+  let* objs =
+    flatten_l
+      (List.map
+         (fun (kind, words, freed) ->
+           let* l0 = first kind in
+           let+ rest = list_repeat (words - 1) link in
+           (kind, words, l0 :: rest, freed))
+         shapes)
+  in
+  let* root = link in
+  let damage =
+    frequency
+      [
+        (3, map2 (fun i b -> Flip (i, b)) obj_ix (int_range 0 63));
+        (1, map (fun i -> Unregistered i) obj_ix);
+        (1, map (fun k -> Overrun k) (int_range 1 3));
+      ]
+  in
+  let+ damages =
+    if shape = `Damaged then list_size (int_range 0 3) damage else return []
+  in
+  { objs; root; damages }
+
+let build_recipe r =
+  let pmem, heap = small_heap () in
+  let kinds = [| Kind.raw; Kind.all_pointers; pair_kind; fussy_kind |] in
+  let objs = Array.of_list r.objs in
+  let addrs =
+    Array.map
+      (fun (k, words, _, _) -> Heap.alloc heap ~kind:kinds.(k) ~words)
+      objs
+  in
+  let value = function
+    | Null -> Heap.null
+    | Obj (i, tag) -> addrs.(i) lor tag
+    | Interior i -> addrs.(i) + 8
+    | Past_end k -> Heap.end_addr heap + (8 * k)
+    | Wild x -> x
+  in
+  Array.iteri
+    (fun i (_, _, links, _) ->
+      List.iteri
+        (fun j l -> Heap.store_field_int heap addrs.(i) j (value l))
+        links)
+    objs;
+  Array.iteri
+    (fun i (_, _, _, freed) -> if freed then Heap.free heap addrs.(i))
+    objs;
+  Heap.set_root heap (value r.root);
+  let header i = Layout.obj_header_addr addrs.(i) in
+  List.iter
+    (function
+      | Flip (i, bit) ->
+          Pmem.store pmem (header i)
+            (Int64.logxor (Pmem.peek pmem (header i)) (Int64.shift_left 1L bit))
+      | Unregistered i ->
+          let _, words, _, _ = objs.(i) in
+          Pmem.store pmem (header i) (Layout.encode_header ~kind:200 ~words)
+      | Overrun k ->
+          let last = Array.length objs - 1 in
+          let kind, words, _, freed = objs.(last) in
+          let kind = if freed then Layout.kind_free else kinds.(kind) in
+          Pmem.store pmem (header last)
+            (Layout.encode_header ~kind ~words:(words + k)))
+    r.damages;
+  heap
+
+let verify_outcome verify heap =
+  match verify heap with
+  | r -> Ok r
+  | exception e -> Error (Printexc.to_string e)
+
+(* The flat audit must answer exactly as the original one on random
+   heaps, damaged or not: the same [Ok], the same errors in the same
+   order, or the same exception from a scanner. *)
+let prop_verify_matches_reference =
+  qcheck ~count:500 "verify == reference audit on random damaged heaps"
+    gen_recipe (fun r ->
+      let heap = build_recipe r in
+      let got = verify_outcome Heap_gc.verify heap in
+      let want = verify_outcome Reference_verify.verify heap in
+      let show = function
+        | Ok (Ok ()) -> "Ok"
+        | Ok (Error es) -> "Error [" ^ String.concat "; " es ^ "]"
+        | Error e -> "raised " ^ e
+      in
+      got = want
+      || QCheck2.Test.fail_reportf "verify: %s@.reference: %s" (show got)
+           (show want))
+
 let suite =
   ( "pheap",
     [
@@ -479,4 +654,5 @@ let suite =
         (check_modes_agree (fun _ -> 0xDEADL));
       prop_blocks_tile_heap;
       prop_gc_preserves_exactly_reachable;
+      prop_verify_matches_reference;
     ] )

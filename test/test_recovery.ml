@@ -1,7 +1,9 @@
 (* Recovery at scale (E22): determinism of the parallel mark across job
    counts, crash-idempotence of incremental recovery (no stores before
    [Incremental.finish]), equivalence of on-demand and eager recovery,
-   and an allocation-rate guard on the streamed mark loop. *)
+   allocation-rate guards on the recovery scans, and the image digest:
+   its page-skipping fold against the plain one, and the smoke's
+   recovered images pinned. *)
 
 module RS = Workload.Recovery_scaling
 module Machine = Workload.Machine
@@ -118,31 +120,116 @@ let prop_on_demand_equals_eager =
       && eager.RS.heap_audit_ok && inc.RS.heap_audit_ok
       && inc.RS.outage_cycles < eager.RS.outage_cycles)
 
-(* Allocation guard for the streamed mark loop: the Intset mark set and
-   int-indexed frontier chunks keep the per-object minor-heap traffic
-   bounded — a regression to boxed visited-sets or per-object closures
-   shows up as words-per-object here long before it shows up in wall
-   clock. *)
-let test_mark_allocation_guard () =
-  let objects = 20_000 in
-  let m = crashed ~objects ~seed:31 in
-  let r = Machine.recover ~mode:Machine.Incremental_gc m in
-  let heap = Option.get r.Machine.heap in
-  ignore
-    (Machine.finish_background_gc m
-      : (Heap_gc.stats * Heap_gc.quarantine) option);
-  (* Steady-state measurement on the recovered heap: everything the
-     collector needs is already faulted in. *)
-  ignore (Heap_gc.collect_streamed heap : Heap_gc.stats * Heap_gc.quarantine);
+(* Allocation guards for the recovery scans: flat mark sets, int stacks
+   and frontier chunks, full-arity scanner calls and unboxed header
+   decodes keep the per-object minor-heap traffic bounded — a
+   regression to boxed visited-sets, per-object closures or
+   over-applied scanners shows up as words per live object here long
+   before it shows up in wall clock.  All three measure the same
+   recovered 20k-object heap, once warm (everything the scan needs is
+   already faulted in). *)
+let guard_heap =
+  lazy
+    (let m = crashed ~objects:20_000 ~seed:31 in
+     let r = Machine.recover ~mode:Machine.Incremental_gc m in
+     ignore
+       (Machine.finish_background_gc m
+         : (Heap_gc.stats * Heap_gc.quarantine) option);
+     let heap = Option.get r.Machine.heap in
+     let stats, _ = Heap_gc.collect_streamed heap in
+     (heap, stats.Heap_gc.live_objects))
+
+let allocation_guard ~what ~bound scan =
+  let heap, live = Lazy.force guard_heap in
+  scan heap;
   let w0 = Gc.minor_words () in
-  let stats, _ = Heap_gc.collect_streamed heap in
+  scan heap;
   let dw = Gc.minor_words () -. w0 in
-  let per_object = dw /. float_of_int (max 1 stats.Heap_gc.live_objects) in
-  if per_object > 48. then
+  let per_object = dw /. float_of_int (max 1 live) in
+  if per_object > bound then
     Alcotest.failf
-      "streamed mark allocates %.1f minor words per live object (%d live, \
-       %.0f words total) — the mark loop is boxing again"
-      per_object stats.Heap_gc.live_objects dw
+      "%s allocates %.1f minor words per live object (bound %.0f; %d live, \
+       %.0f words total)"
+      what per_object bound live dw
+
+let test_mark_allocation_guard () =
+  allocation_guard ~what:"streamed collection" ~bound:20. (fun heap ->
+      ignore
+        (Heap_gc.collect_streamed heap : Heap_gc.stats * Heap_gc.quarantine))
+
+let test_eager_allocation_guard () =
+  allocation_guard ~what:"eager collection" ~bound:24. (fun heap ->
+      ignore (Heap_gc.collect heap : Heap_gc.stats * Heap_gc.quarantine))
+
+(* The audit keeps one tag byte per heap word; its only per-object
+   allocation is pass 1's boxed header peek (3 words). *)
+let test_verify_allocation_guard () =
+  allocation_guard ~what:"heap audit" ~bound:4. (fun heap ->
+      match Heap_gc.verify heap with
+      | Ok () -> ()
+      | Error es -> Alcotest.failf "audit failed: %s" (String.concat "; " es))
+
+(* [image_hash] folds an untouched page in one multiply; its value must
+   still be the word-by-word FNV-1a fold below, on devices with written
+   pages, pages written back to all zeros (private, yet reading zero),
+   ranges that start or end mid-page, and empty ranges. *)
+let fold_hash pmem ~lo ~hi =
+  let h = ref 0x3bf29ce484222325 in
+  let a = ref lo in
+  while !a < hi do
+    h := (!h lxor Nvm.Pmem.peek_int pmem !a) * 0x100000001b3 land max_int;
+    a := !a + 8
+  done;
+  !h
+
+let prop_image_hash_matches_fold =
+  let page_words = Nvm.Memory.page_size / 8 in
+  let pages =
+    Nvm.Config.test_small.Nvm.Config.region_size / Nvm.Memory.page_size
+  in
+  let words = pages * page_words in
+  QCheck2.Test.make ~count:200 ~name:"image_hash == word-by-word FNV-1a fold"
+    QCheck2.Gen.(
+      let write =
+        triple (int_range 0 (pages - 1)) (int_range 0 (page_words - 1))
+          (frequency [ (1, return 0); (3, int) ])
+      in
+      let range =
+        let* lo = int_range 0 words in
+        let+ hi = frequency [ (1, return lo); (6, int_range lo words) ] in
+        (lo, hi)
+      in
+      pair (list_size (int_range 0 40) write) range)
+    (fun (writes, (lo, hi)) ->
+      let pmem = Nvm.Pmem.create Nvm.Config.test_small in
+      List.iter
+        (fun (page, word, v) ->
+          let addr = 8 * ((page * page_words) + word) in
+          (* A zero written over a nonzero leaves a private page that
+             reads zero. *)
+          if v = 0 then Nvm.Pmem.store_int pmem addr 1;
+          Nvm.Pmem.store_int pmem addr v)
+        writes;
+      let lo = 8 * lo and hi = 8 * hi in
+      RS.image_hash pmem ~lo ~hi = fold_hash pmem ~lo ~hi)
+
+(* The recovered images of [tsp recovery --smoke] (seed 11), pinned: the
+   smoke itself only compares a replay with its own run, so a drift in
+   [image_hash]'s value would pass it. *)
+let test_smoke_image_hashes () =
+  List.iter
+    (fun (variant, objects, want) ->
+      let c = RS.run_cell ~variant ~objects ~mode:Machine.Eager ~seed:11 () in
+      Alcotest.(check string)
+        (Printf.sprintf "%s/%d" (Machine.variant_to_string variant) objects)
+        want
+        (Printf.sprintf "%016x" c.RS.image_hash))
+    [
+      (variant, 1_000, "1d868481ca8dc52c");
+      (variant, 4_000, "35d111540186615c");
+      (Machine.Nonblocking_map, 1_000, "34d661413b47fd77");
+      (Machine.Nonblocking_map, 4_000, "04dd27e38d67a9f5");
+    ]
 
 (* The recovery-mode rules on hand-built cells, one broken rule at a
    time.  The first cell's own audit counts too. *)
@@ -200,4 +287,11 @@ let suite =
         test_mode_rules;
       Alcotest.test_case "streamed mark minor-allocation guard" `Slow
         test_mark_allocation_guard;
+      Alcotest.test_case "eager collection minor-allocation guard" `Slow
+        test_eager_allocation_guard;
+      Alcotest.test_case "heap audit minor-allocation guard" `Slow
+        test_verify_allocation_guard;
+      QCheck_alcotest.to_alcotest prop_image_hash_matches_fold;
+      Alcotest.test_case "smoke image hashes are pinned" `Quick
+        test_smoke_image_hashes;
     ] )
