@@ -19,6 +19,8 @@ let logs_term =
 let conv_of parse print =
   Arg.conv ((fun s -> Result.map_error (fun m -> `Msg m) (parse s)), print)
 
+let ( let* ) = Result.bind
+
 (* Threads, shards, windows, records, a stride or a mutant rate: a count
    below one is a usage error naming the flag, raised before any
    simulation runs. *)
@@ -128,6 +130,17 @@ let transfers_arg =
 
 let transfers_workload =
   Workload.Runner.Transfers { accounts = 512; initial_balance = 1000 }
+
+(* A workload the chosen variant cannot run ([Runner.validate]) is a
+   usage error naming both flags, reported before any simulation runs:
+   the subcommand's term evaluates to the [Error] and exits 124. *)
+let check_workload ~flag config =
+  Result.map_error
+    (fun why ->
+      Printf.sprintf "%s with --variant %s: %s" flag
+        (Workload.Machine.variant_to_cli_string config.Workload.Runner.variant)
+        why)
+    (Workload.Runner.validate config)
 
 let populate_arg =
   Arg.(value & opt int 0
@@ -351,6 +364,11 @@ let faults_cmd =
         }
       else base
     in
+    let* () =
+      check_workload base
+        ~flag:
+          (if transfers then "--transfers" else Printf.sprintf "--wide %d" wide)
+    in
     let fault_models =
       if smoke && fault_models = [] then
         List.map Option.some Nvm.Fault_model.reference
@@ -374,13 +392,18 @@ let faults_cmd =
            after preload (recovery robustness while logs are short) and a
            dense window mid-workload, where the cache has evicted enough
            for discard semantics to actually bite.  Besides the requested
-           variant, both commit-free newcomers face the same spectrum —
-           their recovery paths (re-attachment, recoverable-CAS repair)
-           must stay graceful under every adversarial model. *)
+           variant, both commit-free newcomers face the same spectrum
+           where they can run the workload — their recovery paths
+           (re-attachment, recoverable-CAS repair) must stay graceful
+           under every adversarial model. *)
         let smoke_variants =
           variant
           :: List.filter
-               (fun v -> v <> variant)
+               (fun v ->
+                 v <> variant
+                 && Result.is_ok
+                      (Workload.Runner.validate
+                         { base with Workload.Runner.variant = v }))
                [ Workload.Runner.Nvtraverse_map; Workload.Runner.Delayfree_map ]
         in
         List.concat_map
@@ -453,7 +476,8 @@ let faults_cmd =
         "@.NOTE: the violations above are expected — they demonstrate a \
          failure class the chosen configuration does not tolerate.@.";
       if not smoke then exit 1
-    end
+    end;
+    Ok ()
   in
   let runs =
     Arg.(value & opt int 100 & info [ "runs" ] ~docv:"N"
@@ -522,12 +546,13 @@ let faults_cmd =
           conventional-server --failure power-outage --variant log-only it \
           becomes the E9 negative control; with --fault-model/--exhaustive \
           the adversarial crash-fidelity campaign E16).")
-    Term.(const run $ logs_term $ variant_arg () $ hardware_arg ()
-          $ failure_arg $ platform_arg $ runs $ iterations_arg 800
-          $ threads_arg $ transfers_arg $ wide $ journal_arg $ fault_models
-          $ exhaustive $ from_arg $ window_arg $ stride_arg 1 $ run_seed
-          $ campaign_seed $ shrink $ smoke $ smoke_base $ jobs_arg
-          $ artifact_dir_arg $ replay_arg)
+    Term.(term_result' ~usage:true
+            (const run $ logs_term $ variant_arg () $ hardware_arg ()
+             $ failure_arg $ platform_arg $ runs $ iterations_arg 800
+             $ threads_arg $ transfers_arg $ wide $ journal_arg
+             $ fault_models $ exhaustive $ from_arg $ window_arg
+             $ stride_arg 1 $ run_seed $ campaign_seed $ shrink $ smoke
+             $ smoke_base $ jobs_arg $ artifact_dir_arg $ replay_arg))
 
 (* check *)
 
@@ -755,6 +780,7 @@ let run_cmd =
         journal;
       }
     in
+    let* () = check_workload config ~flag:"--transfers" in
     if resume then begin
       let r = Workload.Runner.run_with_resume config in
       Fmt.pr "%a@." Workload.Runner.pp_resume_report r;
@@ -770,7 +796,8 @@ let run_cmd =
         Fmt.pr "@.device cycle breakdown:@.%a@." Nvm.Stats.pp_breakdown
           r.Workload.Runner.device_stats;
       if not (Workload.Runner.consistent r) then exit 1
-    end
+    end;
+    Ok ()
   in
   let resume =
     Arg.(value & flag
@@ -781,11 +808,12 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one configuration and print the full report.")
-    Term.(const run $ logs_term $ platform_arg $ variant_arg ()
-          $ iterations_arg 2000 $ threads_arg $ seed_arg
-          $ crash_at_arg crash_at_doc $ hardware_arg () $ failure_arg
-          $ transfers_arg $ journal_arg $ resume $ breakdown_arg $ populate_arg
-          $ recovery_mode_arg)
+    Term.(term_result' ~usage:true
+            (const run $ logs_term $ platform_arg $ variant_arg ()
+             $ iterations_arg 2000 $ threads_arg $ seed_arg
+             $ crash_at_arg crash_at_doc $ hardware_arg () $ failure_arg
+             $ transfers_arg $ journal_arg $ resume $ breakdown_arg
+             $ populate_arg $ recovery_mode_arg))
 
 (* ycsb *)
 

@@ -385,28 +385,6 @@ let collect heap =
   let c2 = clock heap in
   stats_of disc plan ~mark_cycles:(c1 - c0) ~sweep_cycles:(c2 - c1)
 
-let collect_streamed ?fanout heap =
-  let pmem = Heap.pmem heap in
-  let miss = load_miss heap in
-  let tracer = Nvm.Pmem.tracer pmem in
-  let c0 = clock heap in
-  let disc =
-    Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_gc_mark (fun () ->
-        let d = discover ?fanout heap in
-        Nvm.Pmem.charge pmem (d.d_lines * miss);
-        d)
-  in
-  let c1 = clock heap in
-  let plan =
-    Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_gc_sweep (fun () ->
-        let p, lines = plan_sweep_streamed heap disc.d_marks in
-        Nvm.Pmem.charge pmem (lines * miss);
-        Heap.reset_allocator heap ~free:p.p_free_blocks;
-        p)
-  in
-  let c2 = clock heap in
-  stats_of disc plan ~mark_cycles:(c1 - c0) ~sweep_cycles:(c2 - c1)
-
 module Incremental = struct
   type gc = {
     heap : Heap.t;
@@ -500,6 +478,18 @@ module Incremental = struct
     end;
     (t.stats, t.quarantine)
 end
+
+(* The streamed collection is the incremental plan paid at once:
+   discovery and planning only peek, so running them before the mark
+   bill moves no cycle and no tracer event. *)
+let collect_streamed ?fanout heap =
+  let tracer = Nvm.Pmem.tracer (Heap.pmem heap) in
+  let inc = Incremental.start ?fanout heap in
+  let stats, _ = Incremental.plan inc in
+  Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_gc_mark (fun () ->
+      ignore (Incremental.advance inc ~budget:stats.mark_cycles : int));
+  Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_gc_sweep (fun () ->
+      Incremental.finish inc)
 
 (* The audit keeps one tag byte per heap word of [start_addr, end_addr),
    indexed by word offset: pass 1 tags the data address of every

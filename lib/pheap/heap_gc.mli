@@ -91,7 +91,9 @@ val collect_streamed :
     counts, the quarantine (up to the order of its reasons) and the
     swept heap image match the eager {!collect}'s exactly; only the
     simulated cycle accounting differs (counted lines × cold-miss
-    instead of per-word cache simulation). *)
+    instead of per-word cache simulation).  It is the {!Incremental}
+    plan paid at once: {!Incremental.start}, the mark bill charged in
+    the GC mark phase, then {!Incremental.finish} in the sweep phase. *)
 
 (** Incremental collection: plan everything up front with peeks (no
     stores, no charges — a crash at any point before {!Incremental.finish}

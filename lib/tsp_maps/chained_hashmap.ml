@@ -29,7 +29,6 @@ type t = {
   table : Heap.addr;
   n_buckets : int;
   value_words : int;
-  bpm : int;  (* buckets per mutex *)
   mutexes : Rt.amutex array;
   op_cycles : int;
       (* charged per operation: hash computation, call overhead and the
@@ -45,12 +44,17 @@ let hash key n =
 let root t = t.header
 let n_buckets t = t.n_buckets
 
-let make_mutexes atlas sched ~n_buckets ~bpm =
-  let n = (n_buckets + bpm - 1) / bpm in
+(* Moderate-grain locking, as in the paper (§5.1): one mutex per 1000
+   buckets.  A constant, so a restart regroups the buckets exactly as
+   the crashed run did. *)
+let buckets_per_mutex = 1000
+
+let make_mutexes atlas sched ~n_buckets =
+  let n = (n_buckets + buckets_per_mutex - 1) / buckets_per_mutex in
   Array.init n (fun _ -> Rt.make_mutex atlas sched)
 
-let create heap ~atlas ~sched ~n_buckets ?(buckets_per_mutex = 1000)
-    ?(op_cycles = default_op_cycles) ?(value_words = 1) () =
+let create heap ~atlas ~sched ~n_buckets ?(op_cycles = default_op_cycles)
+    ?(value_words = 1) () =
   if n_buckets <= 0 then invalid_arg "Chained_hashmap.create: no buckets";
   if value_words < 1 then invalid_arg "Chained_hashmap.create: value_words";
   let header = Heap.alloc heap ~kind:header_kind ~words:3 in
@@ -69,13 +73,11 @@ let create heap ~atlas ~sched ~n_buckets ?(buckets_per_mutex = 1000)
     table;
     n_buckets;
     value_words;
-    bpm = buckets_per_mutex;
-    mutexes = make_mutexes atlas sched ~n_buckets ~bpm:buckets_per_mutex;
+    mutexes = make_mutexes atlas sched ~n_buckets;
     op_cycles;
   }
 
-let attach heap ~atlas ~sched ?(buckets_per_mutex = 1000)
-    ?(op_cycles = default_op_cycles) header =
+let attach heap ~atlas ~sched ?(op_cycles = default_op_cycles) header =
   if not (Heap.is_object_start heap header)
      || Heap.kind_of heap header <> header_kind
   then invalid_arg "Chained_hashmap.attach: root is not a hash map header";
@@ -89,8 +91,7 @@ let attach heap ~atlas ~sched ?(buckets_per_mutex = 1000)
     table;
     n_buckets;
     value_words;
-    bpm = buckets_per_mutex;
-    mutexes = make_mutexes atlas sched ~n_buckets ~bpm:buckets_per_mutex;
+    mutexes = make_mutexes atlas sched ~n_buckets;
     op_cycles;
   }
 
@@ -104,7 +105,7 @@ let find_node t bucket key =
   in
   walk (Heap.load_field_int t.heap t.table bucket)
 
-let mutex_for t bucket = t.mutexes.(bucket / t.bpm)
+let mutex_for t bucket = t.mutexes.(bucket / buckets_per_mutex)
 
 (* [values] supplies each value word; missing words are zeroed. *)
 let insert_locked t ctx bucket ~key ~values =

@@ -1,7 +1,7 @@
 (** The mutex-based map of Section 5.1: a separate-chaining hash table
-    with moderate-grain locking — one mutex per [buckets_per_mutex]
-    buckets (the paper uses one per 1000) — whose mutating operations run
-    as Atlas outermost critical sections.
+    with moderate-grain locking — one mutex per 1000 buckets, as in the
+    paper — whose mutating operations run as Atlas outermost critical
+    sections.
 
     Persistent layout (all in the heap, reachable from the root):
     - header object (3 words): bucket count, table address, value width
@@ -28,20 +28,17 @@ val create :
   atlas:Atlas.Runtime.t ->
   sched:Sched.Scheduler.t ->
   n_buckets:int ->
-  ?buckets_per_mutex:int ->
   ?op_cycles:int ->
   ?value_words:int ->
   unit ->
   t
 (** Allocate the persistent structure, point the heap root at it, and
-    build the volatile mutex array.  [buckets_per_mutex] defaults to
-    1000, as in the paper. *)
+    build the volatile mutex array. *)
 
 val attach :
   Pheap.Heap.t ->
   atlas:Atlas.Runtime.t ->
   sched:Sched.Scheduler.t ->
-  ?buckets_per_mutex:int ->
   ?op_cycles:int ->
   Pheap.Heap.addr ->
   t

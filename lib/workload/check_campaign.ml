@@ -50,32 +50,23 @@ let capped_of p =
   match p.dl with
   | Check.Dl.Explained s | Check.Dl.Violation (s, _) -> s.Check.Dl.capped
 
-(* Population (Runner.populate) is single-threaded, unrecorded and a
-   pure function of the config, so the recording baseline can be
-   re-derived instead of dumped — dumping would touch the simulated
-   cache and perturb the run under test. *)
-let initial_entries config =
-  let counters () =
-    List.concat_map
-      (fun tid -> [ (Key_space.c1 ~tid, 0L); (Key_space.c2 ~tid, 0L) ])
-      (List.init config.Runner.threads Fun.id)
-  in
-  let h_range n value_of =
-    List.init n (fun i ->
-        let k = Key_space.h_key i in
-        (k, value_of k))
-  in
+(* Wide values and transfers go through [set_wide]/[transfer], which the
+   recorder does not see. *)
+let recorded_workload config =
   match config.Runner.workload with
-  | Runner.Counters { h_keys; preload = true } ->
-      counters () @ h_range h_keys (fun _ -> 0L)
-  | Runner.Counters { h_keys = _; preload = false } -> counters ()
-  | Runner.Mixed { h_keys; _ } -> counters () @ h_range h_keys (fun _ -> 0L)
-  | Runner.Ycsb { records; _ } -> h_range records Int64.of_int
+  | Runner.Counters _ | Runner.Mixed _ | Runner.Ycsb _ -> ()
   | Runner.Wide _ | Runner.Transfers _ ->
       invalid_arg
         "Check_campaign: wide-value and transfer workloads bypass the \
          recorded operation interface (set_wide / transfer); use counters, \
          mixed or YCSB"
+
+(* The recording baseline is what the run stored before its threads
+   started, derived from the config: dumping it would touch the
+   simulated cache and perturb the run under test. *)
+let initial_entries config =
+  recorded_workload config;
+  Runner.initial_entries config
 
 (* Strict durable linearizability — completed operations must survive —
    is only a sound expectation when the crash executes rescue semantics:
@@ -96,7 +87,7 @@ let dl_envelope ~hardware ~failure fault =
 
 let validate spec =
   let b = spec.base in
-  ignore (initial_entries b : (int * int64) list);
+  recorded_workload b;
   dl_envelope ~hardware:b.Runner.hardware ~failure:b.Runner.failure
     b.Runner.fault_model
   |> Result.iter_error (fun why -> invalid_arg ("Check_campaign: " ^ why));

@@ -68,8 +68,8 @@ type summary = {
 }
 
 val initial_entries : Runner.config -> (int * int64) list
-(** The map contents after {!Runner}'s pre-run population, derived from
-    the config alone (population is deterministic and unrecorded).
+(** The recording baseline: {!Runner.initial_entries}, the map a run
+    holds when its threads start, [populate_objects] ballast included.
     @raise Invalid_argument for workloads the checker does not support
     (wide values and transfers bypass the recorded op interface). *)
 

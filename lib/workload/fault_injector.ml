@@ -311,6 +311,9 @@ let tally ~model outcomes =
   }
 
 let run ?jobs spec =
+  Result.iter_error
+    (fun why -> invalid_arg ("Fault_injector: " ^ why))
+    (Runner.validate spec.base);
   let models =
     match spec.fault_models with [] -> [ None ] | ms -> ms
   in

@@ -142,7 +142,9 @@ val run : ?jobs:int -> spec -> summary
 (** Execute the campaign.  Crash points and per-run seeds are drawn from
     the campaign RNG up front, so the schedule — and every outcome — is
     a pure function of [spec] regardless of [jobs] (default: host core
-    count), which only fans the independent runs across domains. *)
+    count), which only fans the independent runs across domains.
+    @raise Invalid_argument when {!Runner.validate} rejects the base
+    config. *)
 
 val all_consistent : summary -> bool
 (** No violations, and every run (crashed or not) passed its

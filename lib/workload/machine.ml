@@ -8,85 +8,14 @@ module Skiplist = Tsp_maps.Lockfree_skiplist
 module Btree = Tsp_maps.Btree
 module Delayfree = Tsp_maps.Delayfree_map
 
-type variant =
-  | Mutex_map of Atlas.Mode.t
-  | Mutex_btree of Atlas.Mode.t
-  | Nonblocking_map
-  | Nvtraverse_map
-  | Delayfree_map
+include Run_config
 
-let variant_to_string = function
-  | Mutex_map m -> "mutex/" ^ Atlas.Mode.to_string m
-  | Mutex_btree m -> "btree/" ^ Atlas.Mode.to_string m
-  | Nonblocking_map -> "non-blocking"
-  | Nvtraverse_map -> "nvtraverse"
-  | Delayfree_map -> "delay-free"
+type spec = config
 
-(* Canonical CLI spelling of each variant.  This is the single source of
-   truth shared by the `tsp` argument parser and the fault injector's
-   copy-pasteable reproducers; [variant_of_string] accepts these plus
-   historical aliases, and the two functions round-trip for every
-   variant. *)
-let variant_to_cli_string = function
-  | Mutex_map Atlas.Mode.No_log -> "no-log"
-  | Mutex_map Atlas.Mode.Log_only -> "log-only"
-  | Mutex_map Atlas.Mode.Log_flush -> "log-flush"
-  | Mutex_map Atlas.Mode.Log_flush_async -> "log-flush-async"
-  | Mutex_btree Atlas.Mode.No_log -> "btree-no-log"
-  | Mutex_btree Atlas.Mode.Log_only -> "btree"
-  | Mutex_btree Atlas.Mode.Log_flush -> "btree-flush"
-  | Mutex_btree Atlas.Mode.Log_flush_async -> "btree-flush-async"
-  | Nonblocking_map -> "non-blocking"
-  | Nvtraverse_map -> "nvtraverse"
-  | Delayfree_map -> "delay-free"
-
-let variant_of_string = function
-  | "no-log" | "native" -> Ok (Mutex_map Atlas.Mode.No_log)
-  | "log-only" | "log" | "tsp" -> Ok (Mutex_map Atlas.Mode.Log_only)
-  | "log-flush" | "flush" -> Ok (Mutex_map Atlas.Mode.Log_flush)
-  | "log-flush-async" | "async" -> Ok (Mutex_map Atlas.Mode.Log_flush_async)
-  | "non-blocking" | "skiplist" -> Ok Nonblocking_map
-  | "nvtraverse" | "nv-traverse" -> Ok Nvtraverse_map
-  | "delay-free" | "delayfree" | "rcas" -> Ok Delayfree_map
-  | "btree" | "btree-log" -> Ok (Mutex_btree Atlas.Mode.Log_only)
-  | "btree-no-log" -> Ok (Mutex_btree Atlas.Mode.No_log)
-  | "btree-flush" -> Ok (Mutex_btree Atlas.Mode.Log_flush)
-  | "btree-flush-async" | "btree-async" ->
-      Ok (Mutex_btree Atlas.Mode.Log_flush_async)
-  | s -> Error (Printf.sprintf "unknown variant %S" s)
-
-let all_variants =
-  [
-    Mutex_map Atlas.Mode.No_log;
-    Mutex_map Atlas.Mode.Log_only;
-    Mutex_map Atlas.Mode.Log_flush;
-    Mutex_map Atlas.Mode.Log_flush_async;
-    Mutex_btree Atlas.Mode.No_log;
-    Mutex_btree Atlas.Mode.Log_only;
-    Mutex_btree Atlas.Mode.Log_flush;
-    Mutex_btree Atlas.Mode.Log_flush_async;
-    Nonblocking_map;
-    Nvtraverse_map;
-    Delayfree_map;
-  ]
-
-type spec = {
-  platform : Nvm.Config.t;
-  variant : variant;
-  threads : int;
-  seed : int;
-  journal : bool;
-  n_buckets : int;
-  log_mib : int;
-  atlas_costs : Atlas.Runtime.costs;
-  cost_jitter : int;
-  hash_op_cycles : int;
-  skip_op_cycles : int;
-  value_words : int;
-  tracer : Obs.Tracer.t option;
-  hardware : Tsp_core.Hardware.t;
-  failure : Tsp_core.Failure_class.t;
-}
+let value_words spec =
+  match spec.workload with
+  | Wide { value_words; _ } -> value_words
+  | Counters _ | Mixed _ | Ycsb _ | Transfers _ -> 1
 
 type map = {
   map_ops : Tsp_maps.Map_intf.ops;
@@ -175,7 +104,7 @@ let build_map spec heap atlas sched ~root =
         match root with
         | None ->
             Hashmap.create heap ~atlas ~sched ~n_buckets:spec.n_buckets
-              ~op_cycles ~value_words:spec.value_words ()
+              ~op_cycles ~value_words:(value_words spec) ()
         | Some root -> Hashmap.attach heap ~atlas ~sched ~op_cycles root
       in
       map (Hashmap.ops hm) (Hashmap.set_plain hm) Hashmap.fold_plain unaudited
@@ -252,27 +181,6 @@ let crash_execute ?fault m =
   Obs.Tracer.in_phase m.spec.tracer ~phase:Obs.Event.phase_rescue (fun () ->
       Tsp_core.Crash_executor.execute ?fault ~rng:crash_rng m.pmem
         ~hardware:m.spec.hardware ~failure:m.spec.failure)
-
-type recovery_mode = Eager | Parallel_gc of int | Incremental_gc
-
-let recovery_mode_to_string = function
-  | Eager -> "eager"
-  | Parallel_gc jobs -> Fmt.str "parallel:%d" jobs
-  | Incremental_gc -> "incremental"
-
-let recovery_mode_of_string s =
-  match String.lowercase_ascii s with
-  | "eager" -> Ok Eager
-  | "parallel" -> Ok (Parallel_gc 2)
-  | "incremental" | "lazy" -> Ok Incremental_gc
-  | s when String.starts_with ~prefix:"parallel:" s -> (
-      match int_of_string_opt (String.sub s 9 (String.length s - 9)) with
-      | Some j when j >= 1 -> Ok (Parallel_gc j)
-      | _ -> Error (Printf.sprintf "invalid parallel job count in %S" s))
-  | s ->
-      Error
-        (Printf.sprintf
-           "unknown recovery mode %S (eager, parallel[:N], incremental)" s)
 
 type recovery = {
   heap : Heap.t option;

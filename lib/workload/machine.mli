@@ -17,61 +17,25 @@
     {!Atlas.Runtime} and the maps live inside their machine's heap.
     The only cross-instance values are {!Sched.Scheduler.null_quantum}
     — a deliberately shared sentinel whose budget can never become
-    positive (its owning scheduler never runs) — and the tracer a spec
+    positive (its owning scheduler never runs) — and the tracer a config
     may carry.  A {!Obs.Tracer.t} registers per-ring context closures
     ([set_clock]/[set_tid]/[set_dirty]), and {!create}/{!reattach}
     point them at {e this} machine's scheduler and device: sharing one
     tracer between two live machines would cross-wire those closures,
     so every machine must be given its own tracer (or none).  *)
 
-type variant =
-  | Mutex_map of Atlas.Mode.t
-  | Mutex_btree of Atlas.Mode.t
-  | Nonblocking_map
-  | Nvtraverse_map
-      (** {!Tsp_maps.Lockfree_skiplist} under its NVTraverse discipline:
-          traversal unflushed, O(1) flushes in the critical update
-          window *)
-  | Delayfree_map
-      (** {!Tsp_maps.Delayfree_map}: recoverable CAS, announce/ack
-          protocol re-executed exactly once by recovery *)
+include module type of struct
+  include Run_config
+end
+(** The run configuration; the [struct include] form keeps the type
+    equations, so [Machine.config] is [Runner.config]. *)
 
-val variant_to_string : variant -> string
-(** Display form ("mutex/log-only", "non-blocking", "nvtraverse", ...). *)
+type spec = config
+(** A machine's own configuration: the type of its [spec] field. *)
 
-val variant_to_cli_string : variant -> string
-(** Canonical `tsp --variant` spelling; the single source of truth for
-    the CLI parser and the fault injector's reproducer lines. *)
-
-val variant_of_string : string -> (variant, string) result
-(** Parse a CLI spelling (canonical or alias).  Round-trips with
-    {!variant_to_cli_string} for every variant in {!all_variants}. *)
-
-val all_variants : variant list
-(** Every constructor (mutex and btree maps at each Atlas mode, plus the
-    three commit-free designs), for frontier sweeps and round-trip
-    tests. *)
-
-type spec = {
-  platform : Nvm.Config.t;
-  variant : variant;
-  threads : int;
-      (** simulated threads the map must support (Atlas per-thread logs,
-          skip-list tower RNGs) *)
-  seed : int;
-  journal : bool;
-  n_buckets : int;
-  log_mib : int;
-  atlas_costs : Atlas.Runtime.costs;
-  cost_jitter : int;
-  hash_op_cycles : int;
-  skip_op_cycles : int;
-  value_words : int;  (** hash-map value width; 1 for every workload but Wide *)
-  tracer : Obs.Tracer.t option;
-      (** must be private to this machine — see the module header *)
-  hardware : Tsp_core.Hardware.t;
-  failure : Tsp_core.Failure_class.t;
-}
+val value_words : config -> int
+(** The hash map's value width: a [Wide] workload's [value_words], else
+    1. *)
 
 (** The map under test with the handles recovery-time verification
     needs: [fold_root] dumps the persistent structure and [audit] checks
@@ -109,13 +73,15 @@ type t = {
           {!finish_background_gc} *)
 }
 
-val log_base : spec -> int
+val log_base : config -> int
 (** First byte of the undo-log region (= heap size). *)
 
-val create : spec -> t
-(** Build the machine: device, heap, scheduler (with the spec's tracer
-    wired), Atlas runtime (mutex variants) and an empty map.  Population
-    and thread spawning are the caller's business. *)
+val create : config -> t
+(** Build the machine the run config describes: device, heap, scheduler
+    (with the config's tracer wired), Atlas runtime (mutex variants) and
+    an empty map.  Population, thread spawning and the fields only a run
+    reads ([iterations], [crash_at_step], [populate_objects],
+    [instrument], ...) are the caller's business. *)
 
 val instrument :
   t -> (Tsp_maps.Map_intf.ops -> Tsp_maps.Map_intf.ops) -> unit
@@ -133,31 +99,6 @@ val crash_execute :
     for the spec's hardware and failure class.  The crash draws come
     from their own seed-derived stream, so a given (spec, crash step)
     is bit-reproducible regardless of what the workload drew. *)
-
-(** How {!recover} runs the expensive phases (log scan + heap GC):
-
-    - [Eager]: the historical path — every word through the costed cache
-      simulation, GC completes before {!recover} returns.  This is the
-      charge sequence the committed benchmark snapshots pin.
-    - [Parallel_gc jobs]: the streamed engines — log rings and GC mark
-      chunks scanned with cost-free peeks on up to [jobs] domains, one
-      analytic cold-miss bill.  Stats, verdicts and the recovered heap
-      image are byte-identical for {e any} [jobs] (including 1); only
-      host wall-clock changes.
-    - [Incremental_gc]: streamed discovery, deferred application.
-      {!recover} returns as soon as rollback and GC {e planning} are
-      done; the collection bill sits in [gc_pending] for a background
-      fiber to drain ({!Pheap.Heap_gc.Incremental.advance}/[touch]),
-      and {!finish_background_gc} applies the allocator reset.  The
-      planned [gc] stats and [gc_quarantine] — and hence the verdict —
-      are already final. *)
-type recovery_mode = Eager | Parallel_gc of int | Incremental_gc
-
-val recovery_mode_to_string : recovery_mode -> string
-
-val recovery_mode_of_string : string -> (recovery_mode, string) result
-(** [eager], [parallel] (2 jobs), [parallel:N] or [incremental] (alias
-    [lazy]), in any case; round-trips with {!recovery_mode_to_string}. *)
 
 type recovery = {
   heap : Pheap.Heap.t option;  (** [None]: attach failed (unrecoverable) *)

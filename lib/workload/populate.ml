@@ -19,9 +19,9 @@ let keys ~objects ~seed =
    slack): hash node = header + key + next + value words; btree ~120 B
    per key amortised over order-7 nodes at worst-case fill; skip node =
    header + 3 fixed words + a geometric tower. *)
-let bytes_per_object (spec : Machine.spec) =
+let bytes_per_object (spec : Machine.config) =
   match spec.Machine.variant with
-  | Machine.Mutex_map _ -> (4 + spec.Machine.value_words) * 8
+  | Machine.Mutex_map _ -> (4 + Machine.value_words spec) * 8
   | Machine.Mutex_btree _ -> 120
   | Machine.Nonblocking_map | Machine.Nvtraverse_map -> 96
   | Machine.Delayfree_map ->
@@ -29,7 +29,7 @@ let bytes_per_object (spec : Machine.spec) =
          footprint is counted by [table_bytes] below. *)
       0
 
-let buckets_for (spec : Machine.spec) ~objects =
+let buckets_for (spec : Machine.config) ~objects =
   match spec.Machine.variant with
   | Machine.Mutex_map _ ->
       (* Keep chains O(1) so population stays linear in [objects]. *)
@@ -42,13 +42,13 @@ let buckets_for (spec : Machine.spec) ~objects =
   | _ -> spec.Machine.n_buckets
 
 (* Bucket-array (chained map) or whole-table (delay-free) footprint. *)
-let table_bytes (spec : Machine.spec) ~n_buckets =
+let table_bytes (spec : Machine.config) ~n_buckets =
   match spec.Machine.variant with
   | Machine.Delayfree_map ->
       Tsp_maps.Delayfree_map.capacity_for ~n_buckets * 8 * 8
   | _ -> n_buckets * 8
 
-let sized_spec (spec : Machine.spec) ~objects =
+let sized_spec (spec : Machine.config) ~objects =
   if objects < 0 then invalid_arg "Populate.sized_spec: negative count";
   let n_buckets = buckets_for spec ~objects in
   let needed =

@@ -14,8 +14,8 @@ val keys : objects:int -> seed:int -> int array
     stream.  Values are the keys themselves ([Int64.of_int key]), so
     every read-back is self-checking. *)
 
-val sized_spec : Machine.spec -> objects:int -> Machine.spec
-(** Grow the spec's region (never shrink) to fit [objects] map entries
+val sized_spec : Machine.config -> objects:int -> Machine.config
+(** Grow the config's region (never shrink) to fit [objects] map entries
     plus log and slack, and — for the hash-map variant — scale the
     bucket count with the population so insertion stays linear. *)
 
@@ -24,5 +24,5 @@ val fill : Machine.t -> objects:int -> seed:int -> unit
     device.  The machine must have been created with a {!sized_spec}
     (or an otherwise large-enough region). *)
 
-val build : Machine.spec -> objects:int -> seed:int -> Machine.t
+val build : Machine.config -> objects:int -> seed:int -> Machine.t
 (** [create (sized_spec spec ~objects)] + {!fill}. *)

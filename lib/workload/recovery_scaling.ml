@@ -52,7 +52,7 @@ let image_hash pmem ~lo ~hi =
   !h
 
 let default_spec ~variant ~seed =
-  Runner.machine_spec { Runner.default_config with variant; threads = 4; seed }
+  { Runner.default_config with variant; threads = 4; seed }
 
 (* One measurement: build a heap of [objects] entries, crash it, recover
    in [mode], and account every phase.  The pre-crash image is a pure

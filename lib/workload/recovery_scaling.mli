@@ -40,12 +40,12 @@ val image_hash : Nvm.Pmem.t -> lo:int -> hi:int -> int
     heap touched.  Words of pages that were written, and of the partial
     pages at [lo] and [hi], are read one by one. *)
 
-val default_spec : variant:Machine.variant -> seed:int -> Machine.spec
-(** {!Runner.default_config}'s machine with [variant], [seed] and four
-    threads: the heap every recovery cell populates. *)
+val default_spec : variant:Machine.variant -> seed:int -> Machine.config
+(** {!Runner.default_config} with [variant], [seed] and four threads: the
+    machine every recovery cell populates. *)
 
 val run_cell :
-  ?spec:Machine.spec option ->
+  ?spec:Machine.config option ->
   variant:Machine.variant ->
   objects:int ->
   mode:Machine.recovery_mode ->

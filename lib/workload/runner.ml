@@ -5,47 +5,7 @@ module Scheduler = Sched.Scheduler
 module Rng = Sched.Sim_rng
 module Hashmap = Tsp_maps.Chained_hashmap
 
-type variant = Machine.variant =
-  | Mutex_map of Atlas.Mode.t
-  | Mutex_btree of Atlas.Mode.t
-  | Nonblocking_map
-  | Nvtraverse_map
-  | Delayfree_map
-
-type workload =
-  | Counters of { h_keys : int; preload : bool }
-  | Mixed of { h_keys : int; read_pct : int }
-  | Wide of { h_keys : int; value_words : int }
-  | Ycsb of { preset : Ycsb.preset; records : int }
-  | Transfers of { accounts : int; initial_balance : int }
-
-type config = {
-  platform : Nvm.Config.t;
-  variant : variant;
-  workload : workload;
-  threads : int;
-  iterations : int;
-  seed : int;
-  crash_at_step : int option;
-  populate_objects : int;
-      (* extra map entries pre-loaded via {!Populate} before the workload
-         runs (0 = none): ballast the recovery pipeline must scan, for
-         the recovery-at-scale experiments *)
-  recovery_mode : Machine.recovery_mode;
-  hardware : Tsp_core.Hardware.t;
-  failure : Tsp_core.Failure_class.t;
-  fault_model : Nvm.Fault_model.t option;
-  journal : bool;
-  n_buckets : int;
-  log_mib : int;
-  atlas_costs : Atlas.Runtime.costs;
-  cost_jitter : int;
-  iter_cycles : int;
-  hash_op_cycles : int;
-  skip_op_cycles : int;
-  instrument : (Scheduler.t -> Tsp_maps.Map_intf.ops -> Tsp_maps.Map_intf.ops) option;
-  tracer : Obs.Tracer.t option;
-}
+include Run_config
 
 let default_config =
   {
@@ -57,7 +17,7 @@ let default_config =
     seed = 1;
     crash_at_step = None;
     populate_objects = 0;
-    recovery_mode = Machine.Eager;
+    recovery_mode = Eager;
     hardware = Tsp_core.Hardware.nvram_machine;
     failure = Tsp_core.Failure_class.Process_crash;
     fault_model = None;
@@ -148,8 +108,6 @@ type result = {
       (* per-operation latency samples, empty unless the workload is YCSB *)
 }
 
-let variant_to_string = Machine.variant_to_string
-
 (* Map operations each workload iteration performs through the recorded
    operation interface; the denominator of the per-op psync rates. *)
 let ops_per_iteration = function
@@ -158,61 +116,61 @@ let ops_per_iteration = function
 
 let completed_ops r = r.iterations_done * ops_per_iteration r.config.workload
 
-(* The per-shard "machine" (device + scheduler + atlas + map) this
-   driver runs the workload on; the construction, crash, recovery and
-   reattach logic lives in {!Machine} so the sharded service layer can
-   instantiate many of them. *)
-let machine_spec config =
-  {
-    Machine.platform = config.platform;
-    variant = config.variant;
-    threads = config.threads;
-    seed = config.seed;
-    journal = config.journal;
-    n_buckets = config.n_buckets;
-    log_mib = config.log_mib;
-    atlas_costs = config.atlas_costs;
-    cost_jitter = config.cost_jitter;
-    hash_op_cycles = config.hash_op_cycles;
-    skip_op_cycles = config.skip_op_cycles;
-    value_words =
-      (match config.workload with Wide { value_words; _ } -> value_words | _ -> 1);
-    tracer = config.tracer;
-    hardware = config.hardware;
-    failure = config.failure;
-  }
+(* The wide-value and transfer bodies call the hash map's own
+   multi-store operations ([set_wide], [transfer]). *)
+let validate config =
+  let needs_hash_map workload =
+    match config.variant with
+    | Mutex_map _ -> Ok ()
+    | Mutex_btree _ | Nonblocking_map | Nvtraverse_map | Delayfree_map ->
+        Fmt.error "the %s workload runs on the hash map only (%s)" workload
+          (String.concat ", "
+             (List.map
+                (fun mode -> variant_to_cli_string (Mutex_map mode))
+                Atlas.Mode.all))
+  in
+  match config.workload with
+  | Counters _ | Mixed _ | Ycsb _ -> Ok ()
+  | Wide _ -> needs_hash_map "wide-value"
+  | Transfers _ -> needs_hash_map "transfer"
 
-let populate config map =
-  (match config.workload with
-  | Mixed { h_keys; _ } | Counters { h_keys; preload = true } ->
-      for tid = 0 to config.threads - 1 do
-        map.Machine.set_plain ~key:(Key_space.c1 ~tid) ~value:0L;
-        map.Machine.set_plain ~key:(Key_space.c2 ~tid) ~value:0L
-      done;
-      for i = 0 to h_keys - 1 do
-        map.Machine.set_plain ~key:(Key_space.h_key i) ~value:0L
-      done
-  | Counters { h_keys = _; preload = false } ->
-      for tid = 0 to config.threads - 1 do
-        map.Machine.set_plain ~key:(Key_space.c1 ~tid) ~value:0L;
-        map.Machine.set_plain ~key:(Key_space.c2 ~tid) ~value:0L
-      done
-  | Wide { h_keys; _ } ->
-      for i = 0 to h_keys - 1 do
-        map.Machine.set_plain ~key:(Key_space.h_key i) ~value:0L
-      done
+let iter_preload config f =
+  let counters () =
+    for tid = 0 to config.threads - 1 do
+      f ~key:(Key_space.c1 ~tid) ~value:0L;
+      f ~key:(Key_space.c2 ~tid) ~value:0L
+    done
+  in
+  let h_range n value_of =
+    for i = 0 to n - 1 do
+      let k = Key_space.h_key i in
+      f ~key:k ~value:(value_of k)
+    done
+  in
+  match config.workload with
+  | Counters { h_keys; preload = true } | Mixed { h_keys; _ } ->
+      counters ();
+      h_range h_keys (fun _ -> 0L)
+  | Counters { h_keys = _; preload = false } -> counters ()
+  | Wide { h_keys; _ } -> h_range h_keys (fun _ -> 0L)
   | Ycsb { records; _ } ->
       (* Records are self-describing: value congruent to key modulo the
          record count, an invariant every read-back can check. *)
-      for i = 0 to records - 1 do
-        let k = Key_space.h_key i in
-        map.Machine.set_plain ~key:k ~value:(Int64.of_int k)
-      done
+      h_range records Int64.of_int
   | Transfers { accounts; initial_balance } ->
-      for i = 0 to accounts - 1 do
-        map.Machine.set_plain ~key:(Key_space.h_key i)
-          ~value:(Int64.of_int initial_balance)
-      done)
+      let balance = Int64.of_int initial_balance in
+      h_range accounts (fun _ -> balance)
+
+let initial_entries config =
+  let map = Hashtbl.create 1024 in
+  let store ~key ~value = Hashtbl.replace map key value in
+  if config.populate_objects > 0 then
+    Array.iter
+      (fun k -> store ~key:k ~value:(Int64.of_int k))
+      (Populate.keys ~objects:config.populate_objects ~seed:config.seed);
+  iter_preload config store;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) map []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let counter_body config pmem ops ~tid ~rng ~h_keys ~progress () =
   for i = 1 to config.iterations do
@@ -324,13 +282,15 @@ let crash_report_of pmem ~verdict ~(recovery : Machine.recovery) ~clock_before
   }
 
 let run_full config =
-  let spec = machine_spec config in
-  let spec =
-    if config.populate_objects > 0 then
-      Populate.sized_spec spec ~objects:config.populate_objects
-    else spec
+  Result.iter_error
+    (fun why -> invalid_arg ("Runner: " ^ why))
+    (validate config);
+  let m =
+    Machine.create
+      (if config.populate_objects > 0 then
+         Populate.sized_spec config ~objects:config.populate_objects
+       else config)
   in
-  let m = Machine.create spec in
   let pmem = m.Machine.pmem in
   let sched = m.Machine.sched in
   let heap = m.Machine.heap in
@@ -348,7 +308,7 @@ let run_full config =
      still has the full population to scan. *)
   if config.populate_objects > 0 then
     Populate.fill m ~objects:config.populate_objects ~seed:config.seed;
-  populate config map;
+  iter_preload config map.Machine.set_plain;
   Nvm.Pmem.persist_all pmem;
   let progress = Array.make config.threads 0 in
   let zipf =
@@ -381,27 +341,18 @@ let run_full config =
       | Mixed { h_keys; read_pct } ->
           mixed_body config pmem map.Machine.map_ops ~tid ~rng ~h_keys
             ~read_pct ~progress
-      | Wide { h_keys; value_words } -> begin
-          match map.Machine.hashmap with
-          | Some hm ->
-              wide_body config pmem hm ~tid ~rng ~h_keys ~value_words ~progress
-          | None ->
-              invalid_arg
-                "Runner: the wide-value workload requires the mutex-based map"
-        end
+      | Wide { h_keys; value_words } ->
+          wide_body config pmem (Option.get map.Machine.hashmap) ~tid ~rng
+            ~h_keys ~value_words ~progress
       | Ycsb { preset; records } ->
           let zipf = Lazy.force zipf in
           ycsb_body config pmem map.Machine.map_ops ~tid ~rng ~preset ~records
             ~zipf ~latencies:latency_buf
             ~now:(fun () -> Scheduler.thread_cycles sched tid)
             ~progress
-      | Transfers { accounts; _ } -> begin
-          match map.Machine.hashmap with
-          | Some hm -> transfer_body config pmem hm ~tid ~rng ~accounts ~progress
-          | None ->
-              invalid_arg
-                "Runner: the transfer workload requires a mutex-based map"
-        end
+      | Transfers { accounts; _ } ->
+          transfer_body config pmem (Option.get map.Machine.hashmap) ~tid ~rng
+            ~accounts ~progress
     in
     ignore (Scheduler.spawn sched ~name:(Printf.sprintf "worker-%d" tid) body : int)
   in

@@ -15,94 +15,10 @@
       variants), run the recovery GC, and audit the heap;
     + dump the map and check the workload's invariants. *)
 
-type variant = Machine.variant =
-  | Mutex_map of Atlas.Mode.t  (** the separate-chaining hash table *)
-  | Mutex_btree of Atlas.Mode.t
-      (** the Atlas-fortified B+-tree: an extension beyond the paper's
-          two structures, whose node splits are large critical sections *)
-  | Nonblocking_map  (** the lock-free skip list *)
-  | Nvtraverse_map
-      (** the same skip list under its NVTraverse discipline: unflushed
-          traversal, O(1) flushes in the critical update window *)
-  | Delayfree_map
-      (** the delay-free recoverable-CAS table: announced CASes a crash
-          leaves re-executable exactly once *)
-
-type workload =
-  | Counters of { h_keys : int; preload : bool }
-      (** the 3-step iteration of Section 5.1 *)
-  | Mixed of { h_keys : int; read_pct : int }
-      (** Section 5.1 iterations diluted with read-only iterations:
-          [read_pct]%% of iterations perform three gets instead of three
-          stores.  Reads are never logged or flushed, so fortification
-          overhead falls with the write density (experiment E12). *)
-  | Wide of { h_keys : int; value_words : int }
-      (** every iteration rewrites all [value_words] words of one value:
-          a multi-store update that can tear without rollback even under
-          a TSP crash — durability of the store prefix is not atomicity
-          (experiment E13; mutex variants only) *)
-  | Ycsb of { preset : Ycsb.preset; records : int }
-      (** YCSB core mixes (A/B/C/F) with a Zipfian request distribution
-          over a pre-loaded record set; records are value-congruent to
-          their keys so crashes are detectable *)
-  | Transfers of { accounts : int; initial_balance : int }
-      (** bank transfers: multi-store critical sections (mutex variants
-          only) *)
-
-type config = {
-  platform : Nvm.Config.t;
-  variant : variant;
-  workload : workload;
-  threads : int;
-  iterations : int;  (** per thread *)
-  seed : int;
-  crash_at_step : int option;
-  populate_objects : int;
-      (** extra map entries pre-loaded via {!Populate} before the
-          workload runs (0 = none) — ballast for the recovery-at-scale
-          experiments.  The workload preload overwrites its own keys
-          afterwards, so invariants are unaffected; the region is grown
-          to fit ({!Populate.sized_spec}). *)
-  recovery_mode : Machine.recovery_mode;
-      (** how a crashed run recovers; non-eager modes use the streamed
-          analytic cost model.  The driver always drives an incremental
-          collection to completion before dumping, so results are final
-          whatever the mode. *)
-  hardware : Tsp_core.Hardware.t;
-  failure : Tsp_core.Failure_class.t;
-  fault_model : Nvm.Fault_model.t option;
-      (** [None]: the crash follows the TSP verdict (rescue or discard),
-          exactly the paper's binary semantics.  [Some fm]: the crash is
-          executed under the adversarial model [fm] instead, with its
-          randomness drawn from a seed-derived stream so the run stays
-          reproducible. *)
-  journal : bool;  (** record store history for the recovery observer *)
-  n_buckets : int;
-  log_mib : int;  (** undo-log region size *)
-  atlas_costs : Atlas.Runtime.costs;
-  cost_jitter : int;  (** per-step cost jitter, for interleaving diversity *)
-  iter_cycles : int;  (** charged per workload iteration (loop overhead) *)
-  hash_op_cycles : int;  (** per-operation charge of the hash map *)
-  skip_op_cycles : int;  (** per-operation charge of the skip list *)
-  instrument :
-    (Sched.Scheduler.t -> Tsp_maps.Map_intf.ops -> Tsp_maps.Map_intf.ops)
-    option;
-      (** interpose on the map's operation interface after construction —
-          the hook point for the durable-linearizability history recorder
-          ({!Check.History.wrap}) and for mutation harnesses.  The wrapped
-          ops are invoked only from inside simulated threads; population
-          ([set_plain]) and recovery-time dumps bypass it.  [None] (the
-          default) leaves the run bit-identical to an uninstrumented
-          build. *)
-  tracer : Obs.Tracer.t option;
-      (** attach an {!Obs.Tracer} to the run: device ops, undo-log
-          appends, OCS boundaries, context switches, the crash and each
-          recovery phase emit packed events with virtual-clock
-          timestamps and dirty-line exposure samples.  Tracing reads
-          simulation state but never mutates it — no RNG draws, no
-          cycles, no allocation — so a traced run's simulated cycles
-          are byte-identical to an untraced one's. *)
-}
+include module type of struct
+  include Run_config
+end
+(** The run configuration, the same type as [Machine.config]. *)
 
 val default_config : config
 (** Desktop platform, unfortified mutex map, counter workload, 8 threads,
@@ -115,11 +31,28 @@ val calibrated_config : Nvm.Config.t -> config
     variant ordering and every qualitative claim hold with uncalibrated
     charges too; calibration only matches the absolute numbers. *)
 
-val machine_spec : config -> Machine.spec
-(** The {!Machine.spec} a run of [config] builds its machine from: the
-    one place run configs become machine specs, so callers that build
-    machines directly derive theirs from [default_config] or
-    [calibrated_config] with record overrides. *)
+val validate : config -> (unit, string) result
+(** The one validity rule: the wide-value and transfer workloads call the
+    hash map's own multi-store operations, so they need a [Mutex_map]
+    variant; every other workload runs on every variant.  [Error] says
+    why, naming the variants that would do.  {!run} checks it before it
+    builds a machine. *)
+
+(** {1 What a run stores before its threads start} *)
+
+val iter_preload : config -> (key:int -> value:int64 -> unit) -> unit
+(** The workload's preload in store order: each thread's c1/c2 counters
+    at 0 (counters with preload, mixed, counters without), the H range at
+    0 (counters with preload, mixed, wide), each YCSB record at its own
+    key, each transfer account at [initial_balance].  {!run} stores
+    through it with the map's [set_plain], after the ballast. *)
+
+val initial_entries : config -> (int * int64) list
+(** The map a run holds when its threads start, sorted by key: the
+    {!Populate.keys} ballast (value = key), then {!iter_preload}, the
+    last value written to each key kept.  Population is single-threaded,
+    unrecorded and a pure function of the config, so this is the
+    durable-linearizability baseline without a dump. *)
 
 (** {1 The crash-campaign smoke shape}
 
@@ -182,6 +115,7 @@ type result = {
 }
 
 val run : config -> result
+(** @raise Invalid_argument when {!validate} rejects the config. *)
 
 val consistent : result -> bool
 (** Invariants hold and (after a crash) the heap audit passed. *)
@@ -215,8 +149,6 @@ val run_with_resume : config -> resume_report
     trivially conservation-preserving and thus unobservable). *)
 
 val pp_resume_report : resume_report Fmt.t
-
-val variant_to_string : variant -> string
 
 val ops_per_iteration : workload -> int
 (** Map operations per workload iteration (3 for counters/mixed, 1

@@ -461,6 +461,54 @@ let test_campaign_rejects_unsound () =
       in
       ignore (CC.run ~jobs:1 (CC.default_spec base)))
 
+(* The baseline is what the run stored, populate_objects ballast
+   included: a populated campaign is clean on every design the smoke
+   checks, and a planted mutant is still caught, on workload keys only
+   (the ballast-only keys start at h_key 64). *)
+let test_campaign_populate_clean () =
+  let spec ?mutate variant =
+    {
+      (CC.default_spec
+         { (smoke_base variant) with Runner.populate_objects = 300 })
+      with
+      CC.from_step = 600;
+      window = 400;
+      stride = 200;
+      mutate;
+    }
+  in
+  List.iter
+    (fun variant ->
+      let s = CC.run ~jobs:1 (spec variant) in
+      Alcotest.(check int) "both points crash" 2 s.CC.crashes;
+      Alcotest.(check bool)
+        (Fmt.str "clean, got %a" CC.pp_summary s)
+        true (CC.clean s))
+    [
+      Runner.Nonblocking_map;
+      Runner.Mutex_map Atlas.Mode.Log_only;
+      Runner.Nvtraverse_map;
+      Runner.Delayfree_map;
+    ];
+  let s =
+    CC.run ~jobs:1
+      (spec ~mutate:(CC.non_durable ~seed:11 ~every:3) Runner.Nonblocking_map)
+  in
+  Alcotest.(check bool) "mutant flagged" true (s.CC.flagged >= 1);
+  List.iter
+    (fun p ->
+      match p.CC.dl with
+      | Dl.Violation (_, keys) ->
+          List.iter
+            (fun k ->
+              Alcotest.(check bool)
+                (Fmt.str "flagged key %d is a workload key" k.Dl.key)
+                true
+                (k.Dl.key < Workload.Key_space.h_key 64))
+            keys
+      | Dl.Explained _ -> ())
+    s.CC.points
+
 let suite =
   ( "checker",
     [
@@ -488,4 +536,5 @@ let suite =
       slow_case "campaign/mutant-flagged" test_campaign_mutant_flagged;
       slow_case "campaign/jobs-deterministic" test_campaign_jobs_deterministic;
       case "campaign/rejects-unsound" test_campaign_rejects_unsound;
+      slow_case "campaign/populate-clean" test_campaign_populate_clean;
     ] )

@@ -711,6 +711,117 @@ let test_report_ratio_pct () =
   Alcotest.(check string) "pct" "-50%" (Report.pct_change ~base:4. 2.);
   Alcotest.(check string) "pct up" "+25%" (Report.pct_change ~base:4. 5.)
 
+(* --- One run configuration: its preload and its validity --- *)
+
+(* Compile-time witness: the run config and the machine's spec are one
+   type, so neither needs converting into the other. *)
+let (_ : Runner.config -> Workload.Machine.spec) = Fun.id
+
+let every_workload =
+  [
+    Runner.Counters { h_keys = 64; preload = true };
+    Runner.Counters { h_keys = 64; preload = false };
+    Runner.Mixed { h_keys = 64; read_pct = 50 };
+    Runner.Wide { h_keys = 64; value_words = 4 };
+    Runner.Ycsb { preset = Workload.Ycsb.B; records = 200 };
+    Runner.Transfers { accounts = 50; initial_balance = 1000 };
+  ]
+
+let workload_label = function
+  | Runner.Counters { preload = true; _ } -> "counters"
+  | Runner.Counters { preload = false; _ } -> "counters without preload"
+  | Runner.Mixed _ -> "mixed"
+  | Runner.Wide _ -> "wide"
+  | Runner.Ycsb _ -> "ycsb"
+  | Runner.Transfers _ -> "transfers"
+
+(* What a run stores before its threads start is what the checker takes
+   as its baseline: a crash-free run that performs no iteration dumps
+   exactly [Runner.initial_entries], the populate_objects ballast
+   included, on every structure that can run the workload. *)
+let test_initial_entries_are_stored () =
+  let by_key = List.sort (fun (a, _) (b, _) -> Int.compare a b) in
+  List.iter
+    (fun variant ->
+      List.iter
+        (fun workload ->
+          List.iter
+            (fun populate_objects ->
+              let config =
+                {
+                  small_config with
+                  Runner.variant;
+                  workload;
+                  populate_objects;
+                  threads = 4;
+                  iterations = 0;
+                }
+              in
+              if Result.is_ok (Runner.validate config) then begin
+                let r = Runner.run config in
+                Alcotest.(check (list (pair int int64)))
+                  (Printf.sprintf "%s, %s, %d ballast"
+                     (Runner.variant_to_cli_string variant)
+                     (workload_label workload) populate_objects)
+                  (Runner.initial_entries config)
+                  (by_key r.Runner.entries)
+              end)
+            [ 0; 700 ])
+        every_workload)
+    [
+      Runner.Mutex_map Mode.Log_only;
+      Runner.Mutex_btree Mode.Log_only;
+      Runner.Nonblocking_map;
+      Runner.Nvtraverse_map;
+      Runner.Delayfree_map;
+    ]
+
+(* Wide values and transfers need the hash map, at any Atlas mode; every
+   other workload runs anywhere.  A rejected config is refused before a
+   machine is built, by a run and by a fault campaign alike. *)
+let test_validate () =
+  let config variant workload =
+    { small_config with Runner.variant; workload }
+  in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun workload ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s runs %s" (Mode.to_string mode)
+               (workload_label workload))
+            true
+            (Result.is_ok
+               (Runner.validate (config (Runner.Mutex_map mode) workload))))
+        every_workload)
+    Mode.all;
+  List.iter
+    (fun variant ->
+      let name = Runner.variant_to_cli_string variant in
+      List.iter
+        (fun workload ->
+          let c = config variant workload in
+          let label = Printf.sprintf "%s, %s" name (workload_label workload) in
+          match workload with
+          | Runner.Wide _ | Runner.Transfers _ ->
+              Alcotest.(check bool) (label ^ " rejected") true
+                (Result.is_error (Runner.validate c));
+              check_raises_invalid (label ^ ": run refuses") (fun () ->
+                  ignore (Runner.run c));
+              check_raises_invalid (label ^ ": campaign refuses") (fun () ->
+                  ignore
+                    (FI.run ~jobs:1 { (FI.default_spec c) with FI.runs = 1 }))
+          | Runner.Counters _ | Runner.Mixed _ | Runner.Ycsb _ ->
+              Alcotest.(check bool) (label ^ " accepted") true
+                (Result.is_ok (Runner.validate c)))
+        every_workload)
+    [
+      Runner.Mutex_btree Mode.Log_only;
+      Runner.Nonblocking_map;
+      Runner.Nvtraverse_map;
+      Runner.Delayfree_map;
+    ]
+
 let suite =
   ( "workload",
     [
@@ -777,4 +888,7 @@ let suite =
         test_sweep_log_cost_raises_overhead;
       case "report: table rendering" test_report_table;
       case "report: ratio and percentage" test_report_ratio_pct;
+      case "runner: a run stores exactly its initial entries"
+        test_initial_entries_are_stored;
+      case "runner: wide values and transfers need the hash map" test_validate;
     ] )
