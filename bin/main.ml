@@ -781,6 +781,13 @@ let run_cmd =
       }
     in
     let* () = check_workload config ~flag:"--transfers" in
+    let* () =
+      if resume then
+        Result.map_error
+          (fun why -> "--resume with --transfers: " ^ why)
+          (Workload.Runner.validate_resume config)
+      else Ok ()
+    in
     if resume then begin
       let r = Workload.Runner.run_with_resume config in
       Fmt.pr "%a@." Workload.Runner.pp_resume_report r;

@@ -4,6 +4,8 @@
    bitset, returns unboxed int codes, and allocates nothing.  The way
    holding line [l] in set [s] lives at flat index [s * ways + w]. *)
 
+open Sched.Int_compare
+
 type t = {
   tags : int array;  (* n_sets * ways; the line number, or -1 when empty *)
   stamps : int array;  (* LRU clocks, same indexing; lower = older *)
@@ -70,7 +72,9 @@ let[@inline] clear_dirty_idx t i =
    The search loop is a top-level function on purpose: a local [let rec]
    with free variables compiles to a minor-heap closure under the
    non-flambda backend, which would put an allocation back on every
-   access. *)
+   access.  Its parameters carry no type annotation, so without the
+   [Int_compare] opened above they would generalise to ['a array] and
+   every way probed would call the polymorphic [caml_equal]. *)
 let rec find_from tags line i stop =
   if i >= stop then -1
   else if Array.unsafe_get tags i = line then i
@@ -144,7 +148,7 @@ let dirty_lines t =
      monomorphic [Int.compare]: this runs inside [Pmem.crash] for
      every partial-rescue and torn campaign step, where the historical
      polymorphic [List.sort compare] dominated the crash cost. *)
-  let out = Array.make (max 1 t.n_dirty) 0 in
+  let out = Array.make (Int.max 1 t.n_dirty) 0 in
   let k = ref 0 in
   Array.iteri
     (fun i tag ->

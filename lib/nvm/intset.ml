@@ -16,6 +16,8 @@
    - insertion order is retained in [elems], so [iter] is deterministic
      (commit-time flush order must not depend on hash internals). *)
 
+open Sched.Int_compare
+
 type t = {
   mutable slots : int array;  (* -1 = empty; values are >= 0 *)
   mutable elems : int array;  (* members, insertion order; first [live] *)
@@ -46,7 +48,7 @@ let create_cap cap =
   }
 
 let create ?(capacity = 64) () =
-  let cap = max 8 capacity in
+  let cap = Int.max 8 capacity in
   let cap = if is_power_of_two cap then cap else 1 lsl log2_exact cap in
   create_cap cap
 

@@ -7,6 +7,8 @@
    [page_size]; the bytes past [size] in the last page are unreachable,
    because every access is bounds-checked against [size]. *)
 
+open Sched.Int_compare
+
 let page_bits = 12
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
@@ -169,6 +171,6 @@ let durable_snapshot t =
   Array.iteri
     (fun i p ->
       let off = i lsl page_bits in
-      Bytes.blit p 0 b off (min page_size (t.size - off)))
+      Bytes.blit p 0 b off (Int.min page_size (t.size - off)))
     t.durable;
   Bytes.unsafe_to_string b

@@ -1,3 +1,4 @@
+open Sched.Int_compare
 module Scheduler = Sched.Scheduler
 
 type t = {
@@ -376,7 +377,7 @@ let last_values t =
       (* Distinct addresses <= journal entries; sizing from the journal
          avoids rehash-on-grow for long histories and over-allocation
          for short ones. *)
-      let last = Hashtbl.create (max 16 (Queue.length q)) in
+      let last = Hashtbl.create (Int.max 16 (Queue.length q)) in
       Queue.iter (fun (addr, v) -> Hashtbl.replace last addr v) q;
       last
 

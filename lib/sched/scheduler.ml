@@ -1,3 +1,5 @@
+open Int_compare
+
 (* A thread is runnable when [Fresh] (its [body] has not started) or
    [Suspended] (its fiber waits in [k]).  The constant states keep a
    context switch from allocating a state block. *)
@@ -38,6 +40,7 @@ type t = {
          events fire only when it changes, not on every loop pass *)
   quantum_on : bool;
   quantum : quantum;
+  mutable horizon : int;  (* the last [pick]'s horizon *)
 }
 
 (* A quantum: permission for the device layer to charge up to
@@ -117,6 +120,7 @@ let create ?(seed = 42) ?(cost_jitter = 0) ?(quantum = true) () =
       last_resumed = -1;
       quantum_on = quantum;
       quantum = q;
+      horizon = unset;
     }
   and q =
     {
@@ -132,11 +136,11 @@ let create ?(seed = 42) ?(cost_jitter = 0) ?(quantum = true) () =
   t
 
 let freeze t =
-  if t.pending_rev <> [] then begin
-    t.threads <-
-      Array.append t.threads (Array.of_list (List.rev t.pending_rev));
-    t.pending_rev <- []
-  end
+  match t.pending_rev with
+  | [] -> ()
+  | pending ->
+      t.threads <- Array.append t.threads (Array.of_list (List.rev pending));
+      t.pending_rev <- []
 
 let thread_count t = t.n_threads
 
@@ -236,7 +240,7 @@ let yield t = step t ~cost:0
 
 let elapsed_cycles t =
   freeze t;
-  Array.fold_left (fun acc th -> max acc th.vclock) 0 t.threads
+  Array.fold_left (fun acc th -> Int.max acc th.vclock) 0 t.threads
 
 let total_steps t = t.steps + t.quantum.q_used
 
@@ -275,7 +279,7 @@ let handler t th =
       (fun e ->
         settle_quantum t.quantum;
         th.state <- Done;
-        if t.failure = None then
+        if Option.is_none t.failure then
           t.failure <- Some (e, Printexc.get_raw_backtrace ()));
     effc =
       (fun (type a) (eff : a Effect.t) :
@@ -294,48 +298,70 @@ let handler t th =
         | _ -> None);
   }
 
-(* The runnable thread with the smallest clock, as an index into
-   [t.threads] (-1 if none), scanning from [i] with [best] the pick so
-   far, [best_clock] its clock and [ties] how many scanned threads share
-   that clock.  Clock ties are reservoir-sampled, one draw per tie, so
-   that equal-time threads interleave differently across seeds. *)
-let rec pick_from t i best best_clock ties =
-  if i = Array.length t.threads then best
+(* The run loop's one scan of the thread table: the runnable thread
+   with the smallest clock, as an index into [t.threads] (-1 if none),
+   with that thread's horizon left in [t.horizon].
+
+   The pick: [best] is the pick so far, [best_clock] its clock and
+   [ties] how many scanned threads share that clock.  Clock ties are
+   reservoir-sampled, one draw per tie, so that equal-time threads
+   interleave differently across seeds.
+
+   The horizon: the smallest clock among the other runnable threads.
+   While the pick's clock stays below it, the pick is the scan's unique
+   minimum.  That alone does not keep the scan from drawing: it draws
+   whenever a thread ties the smallest clock scanned before it.  Past
+   the pick no thread can, as the pick's clock is smaller than theirs,
+   but a tie among the threads ahead of it draws on every scan; a draw
+   at an index below the pick ([first_draw], the index of the scan's
+   first draw, [max_int] when none) leaves the horizon [unset].  [rest]
+   is the smallest clock among the scanned runnable threads other than
+   [best]: a tie puts a thread of [best_clock] outside [best] whichever
+   the draw keeps, and a new minimum puts the old [best] there.  The
+   other threads' clocks and states hold still while the pick runs,
+   except when a mutex hand-off wakes one, and that revokes the quantum
+   granted from the horizon.
+
+   Two scans used to compute the pick and then the horizon.  They
+   differ from this one only for a runnable clock equal to [max_int],
+   which the horizon scan took for a tie; no run reaches that clock. *)
+let rec scan t i best best_clock ties first_draw rest =
+  let threads = t.threads in
+  if i = Array.length threads then begin
+    t.horizon <- (if first_draw < best then unset else rest);
+    best
+  end
   else
-    let th = t.threads.(i) in
+    let th = Array.unsafe_get threads i in
     match th.state with
     | Fresh | Suspended ->
-        if best < 0 || th.vclock < best_clock then
-          pick_from t (i + 1) i th.vclock 1
-        else if th.vclock = best_clock then
+        let c = th.vclock in
+        if best < 0 then scan t (i + 1) i c 1 first_draw rest
+        else if c < best_clock then
+          scan t (i + 1) i c 1 first_draw best_clock
+        else if c = best_clock then
           let ties = ties + 1 in
           let best = if Sim_rng.int t.rng ties = 0 then i else best in
-          pick_from t (i + 1) best best_clock ties
-        else pick_from t (i + 1) best best_clock ties
-    | Running | Blocked | Done -> pick_from t (i + 1) best best_clock ties
-
-(* The horizon of thread [me], scanning from [i] with [lo] the smallest
-   runnable clock seen so far other than [me]'s.  It is the smallest
-   clock among the other runnable threads: while [me]'s clock stays
-   below it, [me] is the pick's unique minimum.  That alone does not
-   keep the pick from drawing: its scan draws whenever a thread ties
-   the smallest clock scanned before it.  Past [me] no thread can, as
-   [me]'s clock is smaller than theirs, but a tie among the threads
-   ahead of [me] draws on every pick; such a prefix tie leaves the
-   horizon [unset].  The other threads' clocks and states hold still
-   while [me] runs, except when a mutex hand-off wakes one, and that
-   revokes the quantum granted from the horizon. *)
-let rec horizon_from t me i lo =
-  if i = Array.length t.threads then lo
-  else
-    let th = t.threads.(i) in
-    match th.state with
-    | (Fresh | Suspended) when i <> me ->
-        if i < me && th.vclock = lo then unset
+          let first_draw = if first_draw < i then first_draw else i in
+          scan t (i + 1) best best_clock ties first_draw best_clock
         else
-          horizon_from t me (i + 1) (if th.vclock < lo then th.vclock else lo)
-    | Fresh | Suspended | Running | Blocked | Done ->
-        horizon_from t me (i + 1) lo
+          scan t (i + 1) best best_clock ties first_draw
+            (if c < rest then c else rest)
+    | Running | Blocked | Done ->
+        scan t (i + 1) best best_clock ties first_draw rest
+
+let pick t = scan t 0 (-1) 0 0 max_int max_int
+
+let scan_table rng table =
+  let threads =
+    Array.mapi
+      (fun id (state, vclock) ->
+        { id; name = ""; vclock; state; body = ignore; k = None })
+      table
+  in
+  let t = { (create ()) with rng; threads } in
+  let i = pick t in
+  (i, t.horizon)
 
 (* Grant [th], the thread the run loop is about to resume, a quantum
    when [horizon] is set: below it, charges cannot change the pick or
@@ -363,19 +389,24 @@ let run ?crash_at_step t =
       match t.failure with
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
       | None ->
-          let i = pick_from t 0 (-1) 0 0 in
+          let i = pick t in
           if i < 0 then begin
             let blocked =
-              Array.to_list t.threads
-              |> List.filter (fun th -> th.state = Blocked)
-              |> List.map (fun th -> th.name)
+              Array.fold_right
+                (fun th names ->
+                  match th.state with
+                  | Blocked -> th.name :: names
+                  | Fresh | Suspended | Running | Done -> names)
+                t.threads []
             in
-            if blocked = [] then Completed else Deadlocked { blocked }
+            match blocked with
+            | [] -> Completed
+            | _ :: _ -> Deadlocked { blocked }
           end
           else begin
             let th = t.threads.(i) in
             t.current <- i;
-            if t.quantum_on then grant t th (horizon_from t i 0 max_int);
+            if t.quantum_on then grant t th t.horizon;
             (match t.tracer with
             | Some tr when i <> t.last_resumed ->
                 t.last_resumed <- i;
@@ -389,7 +420,7 @@ let run ?crash_at_step t =
                 th.state <- Running;
                 Effect.Deep.continue k ()
             | (Suspended | Running | Blocked | Done), _ ->
-                (* [pick_from] only ever returns runnable threads, and a
+                (* [pick] only ever returns runnable threads, and a
                    suspended thread holds its fiber; anything else means
                    the thread table was mutated behind the run loop's
                    back (e.g. two schedulers wired to one device). *)
@@ -440,7 +471,7 @@ module Mutex = struct
           m.owner <- Some th.id;
           (* The waiter could not have proceeded before the release, so
              its clock jumps forward to the release instant. *)
-          th.vclock <- max th.vclock me.vclock;
+          th.vclock <- Int.max th.vclock me.vclock;
           th.state <- Suspended
         end
     | Some _ | None ->

@@ -18,16 +18,17 @@
     order and the costs reported, so a given (program, seed, crash point)
     triple always produces the same interleaving.
 
-    One fast path: when the run loop resumes a thread it computes the
-    thread's {e horizon}, the smallest clock among the other runnable
-    threads ([max_int] when it runs alone), and grants the thread a
-    {!quantum}.  While a charge leaves the thread's clock below its
-    horizon, suspending would only re-pick it, so the device charges
-    the clock through the quantum instead of calling {!step}.  The
-    horizon is left unset, and no quantum granted, when the pick's scan
-    would draw a tie-break before reaching the thread (a runnable thread
-    ahead of it in spawn order ties the smallest clock ahead of that
-    one), and a mutex hand-off that wakes a waiter revokes the quantum.
+    One fast path: the scan that picks the thread to resume also yields
+    the thread's {e horizon}, the smallest clock among the other
+    runnable threads ([max_int] when it runs alone), and the run loop
+    grants the thread a {!quantum}.  While a charge leaves the thread's
+    clock below its horizon, suspending would only re-pick it, so the
+    device charges the clock through the quantum instead of calling
+    {!step}.  The horizon is left unset, and no quantum granted, when
+    the scan draws a tie-break before reaching the thread (a runnable
+    thread ahead of it in spawn order ties the smallest clock ahead of
+    that one), and a mutex hand-off that wakes a waiter revokes the
+    quantum.
     The budget stops short of the crash step.  Every observable — step
     counts, clocks, interleavings, crash states, trace events — is
     bit-identical with quanta on or off; see DESIGN.md, "The
@@ -147,6 +148,22 @@ val set_tracer : t -> Obs.Tracer.t option -> unit
     thread (charges through a quantum, and a loop pass that resumes the
     same thread again, emit nothing).
     Reads no RNG and charges no cycles. *)
+
+(** {2 The pick}
+
+    Each pass of the run loop makes one scan of the thread table.  It
+    picks the runnable thread with the smallest clock, breaking ties
+    with one draw per tied thread, and yields the pick's horizon. *)
+
+type thread_state = Fresh | Suspended | Running | Blocked | Done
+(** [Fresh] (not started) and [Suspended] threads are runnable. *)
+
+val scan_table : Sim_rng.t -> (thread_state * int) array -> int * int
+(** [scan_table rng table] runs the run loop's scan over a thread table
+    of (state, clock) pairs, drawing its tie-breaks from [rng]: the pick
+    (-1 when no thread is runnable) and the pick's horizon ([min_int]
+    when unset).  The run loop's scan, exposed for the differential
+    test against the former two-scan pick. *)
 
 val elapsed_cycles : t -> int
 (** Simulated duration so far: the maximum per-thread virtual clock. *)

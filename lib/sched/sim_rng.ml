@@ -1,116 +1,75 @@
-(* Splitmix64, carried as two 32-bit halves in native ints.
+(* Splitmix64, with its state stored as two 32-bit halves in native ints.
 
-   The straightforward implementation over boxed [int64] allocates ~9
-   Int64 boxes per draw; with per-step cost jitter enabled that made the
-   RNG the single largest minor-heap allocator in the whole simulator
-   (BENCH_4: ~3.9M minor words on the hot single-thread cell, almost all
-   of it jitter draws).  Splitting the 64-bit state into [hi]/[lo] native
-   ints makes every draw allocation-free while producing bit-identical
-   output: each operation below is the exact mod-2^64 arithmetic of the
-   reference splitmix64, decomposed into 32-bit limbs.
+   A draw rebuilds the 64-bit state as an [int64] local, advances it and
+   mixes it on [int64] locals, and stores the new state back into the
+   halves.  The native compiler keeps [int64] values that flow between
+   primitives inside one function in registers, so a draw allocates
+   nothing; only a stored [int64] boxes, which is why the state lives in
+   two ints rather than one [int64] field (a mutable [int64] field
+   allocates a fresh box on every write).  [advance] is inlined into
+   each caller, so [int], [bool], [float] and [split] never box its
+   result; only [next] returns it boxed.
 
-   Native ints are 63-bit, so a product of two 32-bit limbs can exceed
-   the native range and wrap mod 2^63.  That wrap is harmless wherever
-   only the low 32 bits of the product are kept, because 2^32 divides
-   2^63; full 64-bit products are assembled from 16-bit limbs instead.
+   The output stream is bit-identical to the boxed reference splitmix64
+   (the test suite compares them draw by draw). *)
 
-   The mixed output of a draw is left in [out_hi]/[out_lo] (pure scratch,
-   always written before read) so that [advance] needs no return-value
-   boxing. *)
+open Int_compare
 
 type t = {
   mutable hi : int;  (* bits 32..63 of the splitmix64 state *)
   mutable lo : int;  (* bits 0..31 *)
-  mutable out_hi : int;  (* bits 32..63 of the last mixed output *)
-  mutable out_lo : int;  (* bits 0..31 *)
 }
 
 let mask32 = 0xFFFFFFFF
 
-(* golden_gamma = 0x9E3779B97F4A7C15; mix multipliers per Steele et al. *)
-let gamma_hi = 0x9E3779B9
-let gamma_lo = 0x7F4A7C15
-let m1_hi = 0xBF58476D
-let m1_lo = 0x1CE4E5B9
-let m2_hi = 0x94D049BB
-let m2_lo = 0x133111EB
-
-(* High 32 bits of the exact 64-bit product of two 32-bit values,
-   via 16-bit limbs (the low 32 bits are just [(a * b) land mask32]). *)
-let[@inline] umul_hi32 a b =
-  let al = a land 0xFFFF and ah = a lsr 16 in
-  let bl = b land 0xFFFF and bh = b lsr 16 in
-  let ll = al * bl in
-  let mid = (al * bh) + (ah * bl) in
-  let lo = ll + ((mid land 0xFFFF) lsl 16) in
-  ((ah * bh) + (mid lsr 16) + (lo lsr 32)) land mask32
+(* golden_gamma; the mix multipliers are Steele et al.'s *)
+let gamma = 0x9E3779B97F4A7C15L
 
 (* One splitmix64 draw: state += gamma, then the 30/27/31 xorshift-
-   multiply finalizer.  Leaves the output in [out_hi]/[out_lo]. *)
+   multiply finalizer over the new state, which it returns. *)
 let[@inline] advance t =
-  let slo = t.lo + gamma_lo in
-  let shi = (t.hi + gamma_hi + (slo lsr 32)) land mask32 in
-  let slo = slo land mask32 in
-  t.hi <- shi;
-  t.lo <- slo;
-  (* z ^= z >>> 30 *)
-  let zlo = slo lxor (((shi lsl 2) lor (slo lsr 30)) land mask32) in
-  let zhi = shi lxor (shi lsr 30) in
-  (* z *= m1 *)
-  let mlo = (zlo * m1_lo) land mask32 in
-  let mhi = (umul_hi32 zlo m1_lo + (zlo * m1_hi) + (zhi * m1_lo)) land mask32 in
-  (* z ^= z >>> 27 *)
-  let zlo = mlo lxor (((mhi lsl 5) lor (mlo lsr 27)) land mask32) in
-  let zhi = mhi lxor (mhi lsr 27) in
-  (* z *= m2 *)
-  let mlo = (zlo * m2_lo) land mask32 in
-  let mhi = (umul_hi32 zlo m2_lo + (zlo * m2_hi) + (zhi * m2_lo)) land mask32 in
-  (* z ^= z >>> 31 *)
-  t.out_lo <- mlo lxor (((mhi lsl 1) lor (mlo lsr 31)) land mask32);
-  t.out_hi <- mhi lxor (mhi lsr 31)
+  let s =
+    Int64.add
+      (Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo))
+      gamma
+  in
+  t.hi <- Int64.to_int (Int64.shift_right_logical s 32);
+  t.lo <- Int64.to_int s land mask32;
+  let z =
+    Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L
+  in
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
+  in
+  Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* Matches [Int64.of_int seed]: [asr] sign-extends, so bit 63 of the
    widened seed lands in bit 31 of [hi]. *)
-let create ~seed =
-  { hi = (seed asr 32) land mask32; lo = seed land mask32; out_hi = 0; out_lo = 0 }
-
-let copy t = { hi = t.hi; lo = t.lo; out_hi = t.out_hi; out_lo = t.out_lo }
-
-let next t =
-  advance t;
-  Int64.logor
-    (Int64.shift_left (Int64.of_int t.out_hi) 32)
-    (Int64.of_int t.out_lo)
+let create ~seed = { hi = (seed asr 32) land mask32; lo = seed land mask32 }
+let copy t = { hi = t.hi; lo = t.lo }
+let next t = advance t
 
 let split t =
-  advance t;
-  { hi = t.out_hi; lo = t.out_lo; out_hi = 0; out_lo = 0 }
+  let z = advance t in
+  {
+    hi = Int64.to_int (Int64.shift_right_logical z 32);
+    lo = Int64.to_int z land mask32;
+  }
 
+(* [v mod n] for [v] the output shifted right by one: a 63-bit value,
+   non-negative as an [int64] though one bit too wide for an [int].  A
+   power-of-two bound (the jitter bound 4, most pick ties) needs only
+   [v]'s low bits, which [Int64.to_int] keeps; any other bound takes
+   one 64-bit remainder. *)
 let int t n =
   if n <= 0 then Fmt.invalid_arg "Sim_rng.int: bound %d must be positive" n;
-  advance t;
-  (* v = output >>> 1, a 63-bit value split as vhi * 2^32 + vlo. *)
-  let vhi = t.out_hi lsr 1 in
-  let vlo = ((t.out_hi land 1) lsl 31) lor (t.out_lo lsr 1) in
-  if n <= 0x40000000 then
-    (* v mod n limb-wise: vhi*2^32 ≡ (vhi mod n)*(2^32 mod n) (mod n);
-       the product is < 2^60, so the sum stays in native range. *)
-    (((vhi mod n) * (0x100000000 mod n)) + (vlo mod n)) mod n
-  else
-    (* Bounds this large never occur on hot paths; take the boxed road. *)
-    Int64.to_int
-      (Int64.rem
-         (Int64.logor
-            (Int64.shift_left (Int64.of_int vhi) 32)
-            (Int64.of_int vlo))
-         (Int64.of_int n))
+  let v = Int64.shift_right_logical (advance t) 1 in
+  if n land (n - 1) = 0 then Int64.to_int v land (n - 1)
+  else Int64.to_int (Int64.rem v (Int64.of_int n))
 
-let bool t =
-  advance t;
-  t.out_lo land 1 = 1
+let bool t = Int64.to_int (advance t) land 1 = 1
 
 let float t x =
-  advance t;
   (* output >>> 11 is < 2^53: exact as a float and within native range. *)
-  let u = float_of_int ((t.out_hi lsl 21) lor (t.out_lo lsr 11)) in
-  x *. (u /. 9007199254740992.0 (* 2^53 *))
+  let u = Int64.to_int (Int64.shift_right_logical (advance t) 11) in
+  x *. (float_of_int u /. 9007199254740992.0 (* 2^53 *))

@@ -4,10 +4,12 @@
     these, seeded explicitly, so a run is a pure function of its seed —
     which is what makes fault-injection campaigns reproducible.
 
-    The state is carried as two 32-bit native-int halves, so {!int},
-    {!bool} and {!float} draw without allocating — the per-step cost
-    jitter draw sits on the simulator's hottest path.  The output stream
-    is bit-identical to the boxed [int64] reference implementation (the
+    The state is stored as two 32-bit native-int halves and each draw
+    computes on unboxed [int64] locals, so {!int}, {!bool} and {!float}
+    draw without allocating — the per-step cost jitter draw sits on the
+    simulator's hottest path.  {!int} masks a power-of-two bound and
+    takes one 64-bit remainder for any other.  The output stream is
+    bit-identical to the boxed [int64] reference implementation (the
     test suite checks them against each other draw by draw). *)
 
 type t

@@ -3,17 +3,33 @@ type result = { ok : bool; checks : check list }
 
 let make checks = { ok = List.for_all (fun (c : check) -> c.ok) checks; checks }
 
-let counter_sums ~entries ~threads =
-  let c1 = Array.make threads 0L in
-  let c2 = Array.make threads 0L in
-  let sum_h = ref 0L in
+(* What the workload added to the H keys: each H key's value less its
+   value in [initial], where a key [initial] leaves out started at 0. *)
+let sum_h_added ~initial entries =
+  let before = Hashtbl.create 64 in
   List.iter
     (fun (key, v) ->
-      if Key_space.is_h key then sum_h := Int64.add !sum_h v
-      else if Key_space.is_counter ~threads key then
+      if Key_space.is_h key && not (Int64.equal v 0L) then
+        Hashtbl.replace before key v)
+    initial;
+  List.fold_left
+    (fun sum (key, v) ->
+      if Key_space.is_h key then
+        Int64.add sum
+          (Int64.sub v
+             (Option.value (Hashtbl.find_opt before key) ~default:0L))
+      else sum)
+    0L entries
+
+let counter_sums ~initial ~entries ~threads =
+  let c1 = Array.make threads 0L in
+  let c2 = Array.make threads 0L in
+  List.iter
+    (fun (key, v) ->
+      if (not (Key_space.is_h key)) && Key_space.is_counter ~threads key then
         if key land 1 = 0 then c1.(key / 2) <- v else c2.(key / 2) <- v)
     entries;
-  (c1, c2, !sum_h)
+  (c1, c2, sum_h_added ~initial entries)
 
 let per_thread_check ~threads c1 c2 =
   let bad = ref [] in
@@ -32,8 +48,8 @@ let per_thread_check ~threads c1 c2 =
             (String.concat "," (List.map string_of_int l)));
   }
 
-let counters ~entries ~threads =
-  let c1, c2, sum_h = counter_sums ~entries ~threads in
+let counters ~initial ~entries ~threads =
+  let c1, c2, sum_h = counter_sums ~initial ~entries ~threads in
   let sum_h = ref sum_h in
   let sum a = Array.fold_left Int64.add 0L a in
   let sum_c1 = sum c1 and sum_c2 = sum c2 in
@@ -59,8 +75,8 @@ let counters ~entries ~threads =
   let per_thread = per_thread_check ~threads c1 c2 in
   make [ eq1; eq2; per_thread ]
 
-let counters_resumed ~entries ~threads =
-  let c1, c2, sum_h = counter_sums ~entries ~threads in
+let counters_resumed ~initial ~entries ~threads =
+  let c1, c2, sum_h = counter_sums ~initial ~entries ~threads in
   let sum a = Array.fold_left Int64.add 0L a in
   let sum_c1 = sum c1 and sum_c2 = sum c2 in
   let t64 = Int64.of_int threads in

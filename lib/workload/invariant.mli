@@ -4,15 +4,32 @@
 type check = { name : string; ok : bool; detail : string }
 type result = { ok : bool; checks : check list }
 
-val counters : entries:(int * int64) list -> threads:int -> result
+val sum_h_added :
+  initial:(int * int64) list -> (int * int64) list -> int64
+(** [sum_h_added ~initial entries]: what a run added to the H keys, the
+    sum over the H keys of [entries] of each key's value less its value
+    in [initial] (the map before the run's threads started; a key
+    [initial] leaves out started at 0).  Ballast ([populate_objects])
+    keeps its initial values, so it adds nothing. *)
+
+val counters :
+  initial:(int * int64) list ->
+  entries:(int * int64) list ->
+  threads:int ->
+  result
 (** The two inequalities of Section 5.1 over a dump of the map, plus the
     per-thread refinement they are derived from:
 
     - Eq. (1): [0 <= sum c1 - sum c2 <= T]
-    - Eq. (2): [sum c1 >= sum over H of map value >= sum c2]
+    - Eq. (2): [sum c1 >= sum(H) >= sum c2], where [sum(H)] is
+      {!sum_h_added}
     - per thread: [c2 <= c1 <= c2 + 1] *)
 
-val counters_resumed : entries:(int * int64) list -> threads:int -> result
+val counters_resumed :
+  initial:(int * int64) list ->
+  entries:(int * int64) list ->
+  threads:int ->
+  result
 (** The counter invariants adjusted for a run that resumed after a
     crash: because each iteration's three steps are separate atomic
     operations, resumption may redo at most one data increment per

@@ -159,6 +159,11 @@ let create spec =
   let map = build_map spec heap atlas sched ~root:None in
   { spec; pmem; heap; sched; atlas; map; gc_pending = None }
 
+let with_tracer m tr =
+  let spec = { m.spec with tracer = Some tr } in
+  wire_tracer spec m.pmem m.sched;
+  { m with spec }
+
 let instrument m wrap = m.map <- { m.map with map_ops = wrap m.map.map_ops }
 
 let execute ?crash_at_step m =

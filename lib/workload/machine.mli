@@ -83,6 +83,12 @@ val create : config -> t
     reads ([iterations], [crash_at_step], [populate_objects],
     [instrument], ...) are the caller's business. *)
 
+val with_tracer : t -> Obs.Tracer.t -> t
+(** [with_tracer m tr] is [m] with [tr] as its config's tracer, wired to
+    its device and scheduler as {!create} wires one: what the machine
+    does from then on is traced, and nothing before.  The tracer must be
+    private to this machine; use the returned machine, not [m]. *)
+
 val instrument :
   t -> (Tsp_maps.Map_intf.ops -> Tsp_maps.Map_intf.ops) -> unit
 (** Interpose on the map's operation record (history recorders, mutation

@@ -61,10 +61,16 @@ let default_spec ~variant ~seed =
    incremental mode (simulating the requests that arrive mid-recovery)
    before the background collection is driven to completion. *)
 let run_cell ?(spec = None) ~variant ~objects ~mode ~seed ?(touches = 0) () =
-  let tracer = Obs.Tracer.create ~ring_cap:4096 () in
   let base = match spec with Some s -> s | None -> default_spec ~variant ~seed in
-  let base = { base with Machine.tracer = Some tracer } in
-  let m = Populate.build base ~objects ~seed in
+  (* The cell reports only the recovery phases, so the tracer is
+     attached after populating: tracing every populate op would cost
+     host time and show nothing the cell reads. *)
+  let tracer = Obs.Tracer.create ~ring_cap:4096 () in
+  let m =
+    Machine.with_tracer
+      (Populate.build { base with Machine.tracer = None } ~objects ~seed)
+      tracer
+  in
   let pmem = m.Machine.pmem in
   let stats = Nvm.Pmem.stats pmem in
   ignore (Machine.crash_execute m : Tsp_core.Crash_executor.execution);

@@ -134,6 +134,18 @@ let validate config =
   | Wide _ -> needs_hash_map "wide-value"
   | Transfers _ -> needs_hash_map "transfer"
 
+(* The resume driver's rule: a counter run's completion target makes
+   its resumption observable. *)
+let resume_rule =
+  "only the counter workload resumes; any number of further transfers, \
+   reads or overwrites preserves the other workloads' invariants, so \
+   their resumption shows nothing"
+
+let validate_resume config =
+  match config.workload with
+  | Counters _ -> Ok ()
+  | Mixed _ | Wide _ | Ycsb _ | Transfers _ -> Error resume_rule
+
 let iter_preload config f =
   let counters () =
     for tid = 0 to config.threads - 1 do
@@ -255,14 +267,34 @@ let transfer_body config pmem hm ~tid ~rng ~accounts ~progress () =
     progress.(tid) <- i
   done
 
+(* The baseline [sum(H)] is counted from.  Without ballast it can be
+   empty, because every H key the preload stores starts at 0. *)
+let invariant_initial config =
+  if config.populate_objects > 0 then initial_entries config else []
+
+(* Ballast is not workload data.  Its keys are [h_key 0] to
+   [h_key (populate_objects - 1)] and a workload's own H keys [h_key 0]
+   to [h_key (n - 1)]: [sum(H)] counts what the workload added to its
+   initial entries, and the other invariants skip the keys only the
+   ballast stored. *)
 let check_invariants config ?wide_entries entries =
+  let workload_keys n =
+    List.filter (fun (k, _) ->
+        k < Key_space.h_key n || k >= Key_space.h_key config.populate_objects)
+  in
   match config.workload with
-  | Counters _ | Mixed _ -> Invariant.counters ~entries ~threads:config.threads
-  | Wide _ ->
-      Invariant.untorn ~wide_entries:(Option.value wide_entries ~default:[])
-  | Ycsb { records; _ } -> Invariant.ycsb ~entries ~records
+  | Counters _ | Mixed _ ->
+      Invariant.counters ~initial:(invariant_initial config) ~entries
+        ~threads:config.threads
+  | Wide { h_keys; _ } ->
+      Invariant.untorn
+        ~wide_entries:
+          (workload_keys h_keys (Option.value wide_entries ~default:[]))
+  | Ycsb { records; _ } ->
+      Invariant.ycsb ~entries:(workload_keys records entries) ~records
   | Transfers { accounts; initial_balance } ->
-      Invariant.transfers ~entries
+      Invariant.transfers
+        ~entries:(workload_keys accounts entries)
         ~expected_total:(Int64.of_int (accounts * initial_balance))
 
 let crash_report_of pmem ~verdict ~(recovery : Machine.recovery) ~clock_before
@@ -551,10 +583,7 @@ let run_with_resume config =
     match config.workload with
     | Counters { h_keys; _ } -> h_keys
     | Mixed _ | Wide _ | Ycsb _ | Transfers _ ->
-        invalid_arg
-          "Runner.run_with_resume: transfers resume trivially (any number of \
-           further transfers preserves conservation); use the counter \
-           workload, whose completion target makes resumption observable"
+        invalid_arg ("Runner.run_with_resume: " ^ resume_rule)
   in
   let first, m, recovery = run_full config in
   let no_resume completion_ok =
@@ -578,15 +607,12 @@ let run_with_resume config =
         let outcome, resume_iterations, final_entries =
           resume_counters config m ~h_keys recovery
         in
+        let initial = invariant_initial config in
         let final_invariants =
-          Invariant.counters_resumed ~entries:final_entries
+          Invariant.counters_resumed ~initial ~entries:final_entries
             ~threads:config.threads
         in
-        let sum_h =
-          List.fold_left
-            (fun acc (k, v) -> if Key_space.is_h k then Int64.add acc v else acc)
-            0L final_entries
-        in
+        let sum_h = Invariant.sum_h_added ~initial final_entries in
         let expected = config.threads * config.iterations in
         let duplicated = Int64.to_int sum_h - expected in
         let counters_done =

@@ -32,11 +32,17 @@ val calibrated_config : Nvm.Config.t -> config
     charges too; calibration only matches the absolute numbers. *)
 
 val validate : config -> (unit, string) result
-(** The one validity rule: the wide-value and transfer workloads call the
-    hash map's own multi-store operations, so they need a [Mutex_map]
-    variant; every other workload runs on every variant.  [Error] says
-    why, naming the variants that would do.  {!run} checks it before it
-    builds a machine. *)
+(** The one rule for which variants run which workloads: the wide-value
+    and transfer workloads call the hash map's own multi-store
+    operations, so they need a [Mutex_map] variant; every other workload
+    runs on every variant.  [Error] says why, naming the variants that
+    would do.  {!run} checks it before it builds a machine. *)
+
+val validate_resume : config -> (unit, string) result
+(** The resume rule, checked before any simulation: only the counter
+    workload resumes, because its completion target makes resumption
+    observable (any number of further transfers preserves conservation,
+    for one).  [Error] says why. *)
 
 (** {1 What a run stores before its threads start} *)
 
@@ -145,8 +151,8 @@ type resume_report = {
 }
 
 val run_with_resume : config -> resume_report
-(** @raise Invalid_argument for the transfer workload (its resumption is
-    trivially conservation-preserving and thus unobservable). *)
+(** @raise Invalid_argument when {!validate} or {!validate_resume}
+    rejects the config. *)
 
 val pp_resume_report : resume_report Fmt.t
 

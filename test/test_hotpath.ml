@@ -164,6 +164,29 @@ let test_switch_alloc () =
     (Printf.sprintf "minor words per switching step: %.1f" per_step)
     true (per_step <= 8.)
 
+(* The jitter draw every charge makes, and the tie draws of the pick,
+   allocate nothing: 100k draws each of [Sim_rng.int] at a power-of-two
+   bound (the jitter bound 4) and at another bound (7), and of
+   [Sim_rng.bool], stay under the usual 100-word slack. *)
+let test_rng_draw_alloc () =
+  let n = 100_000 in
+  let r = Sched.Sim_rng.create ~seed:17 in
+  let body () =
+    let acc = ref 0 in
+    for _ = 1 to n do
+      acc := !acc + Sched.Sim_rng.int r 4 + Sched.Sim_rng.int r 7;
+      if Sched.Sim_rng.bool r then incr acc
+    done;
+    !acc
+  in
+  ignore (body () : int);
+  let before = Gc.minor_words () in
+  let acc = body () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words for %d draws: %.0f (acc %d)" (3 * n) words acc)
+    true (words < 100.)
+
 (* --- Intset --- *)
 
 let test_intset_basics () =
@@ -276,6 +299,7 @@ let suite =
       case "device int ops allocate nothing" test_zero_alloc_loop;
       case "context switches allocate at most 8 words a step"
         test_switch_alloc;
+      case "rng draws allocate nothing" test_rng_draw_alloc;
       case "intset: add/mem/clear" test_intset_basics;
       case "intset: growth keeps members and order" test_intset_growth_and_order;
       prop_intset_matches_hashtbl;

@@ -276,11 +276,14 @@ let qcheck_contended_equiv =
          contended_observables case with_quanta
          = contended_observables case reference))
 
-(* 6. The allocation-free Sim_rng rewrite that feeds per-op jitter draws
-   inside quanta: its two-limb native-int stream must match the boxed
-   int64 splitmix64 reference draw by draw, across every public
-   operation and both [int] bound regimes (limb-wise modulo below
-   2^30, the int64 fallback above). *)
+(* 6. The allocation-free Sim_rng that feeds per-op jitter draws inside
+   quanta: its stream, stored as two native-int halves and drawn on
+   unboxed int64 locals, must match the boxed int64 splitmix64 reference
+   draw by draw, across every public operation and both [int] bound
+   regimes (a power of two masks, any other bound takes one 64-bit
+   remainder).  The bounds include the jitter bound 4 and the tie
+   bounds up to 8 that the hot path draws, and each side of 2^29 and
+   2^32. *)
 module Rng_ref = struct
   type t = { mutable state : int64 }
 
@@ -312,8 +315,9 @@ module Rng_ref = struct
 end
 
 let rng_bounds =
-  [ 1; 2; 3; 7; 100; 12_289; 1 lsl 20; 0x3FFFFFFF; 0x40000000; 0x40000001;
-    1 lsl 40; max_int ]
+  [ 1; 2; 3; 4; 5; 6; 7; 8; 100; 12_289; 1 lsl 20; 1 lsl 29; (1 lsl 29) + 1;
+    0x3FFFFFFF; 0x40000000; 0x40000001; 1 lsl 32; (1 lsl 32) + 1; 1 lsl 40;
+    max_int ]
 
 let qcheck_rng_reference =
   qcheck ~count:500 "Sim_rng matches the boxed int64 reference"
@@ -336,6 +340,63 @@ let qcheck_rng_reference =
       ok := !ok && Int64.equal (Rng.next rd) (Rng.next r);
       !ok)
 
+(* 7. The run loop's one scan (the pick and its horizon) against the
+   two scans it replaced, [Reference_pick]: random tables of 1-8 threads
+   in every state, with clocks from a small range so that ties at the
+   minimum and prefix ties above it ([5; 5; 3]: the scan draws at index
+   1, then picks index 2) are common.  Same pick, same horizon (for a
+   pick) and the same position of the draw stream afterwards. *)
+let state_gen =
+  QCheck2.Gen.oneofl
+    Scheduler.[ Fresh; Suspended; Suspended; Running; Blocked; Done ]
+
+let table_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 8 in
+    let* seed = int_bound 9_999 in
+    let+ table = array_repeat n (pair state_gen (int_range 0 4)) in
+    (seed, table))
+
+let print_table (seed, table) =
+  let state = function
+    | Scheduler.Fresh -> "fresh"
+    | Suspended -> "suspended"
+    | Running -> "running"
+    | Blocked -> "blocked"
+    | Done -> "done"
+  in
+  Printf.sprintf "seed %d: %s" seed
+    (String.concat "; "
+       (Array.to_list
+          (Array.map (fun (s, c) -> Printf.sprintf "%s@%d" (state s) c) table)))
+
+let scan_matches_reference (seed, table) =
+  let r = Rng.create ~seed and f = Rng.create ~seed in
+  let pick, horizon = Scheduler.scan_table r table in
+  let ref_pick, ref_horizon = Reference_pick.scan_table f table in
+  pick = ref_pick
+  && (pick < 0 || horizon = ref_horizon)
+  && Int64.equal (Rng.next r) (Rng.next f)
+
+let test_scan_prefix_ties () =
+  let runnable clocks =
+    Array.of_list (List.map (fun c -> (Scheduler.Suspended, c)) clocks)
+  in
+  List.iter
+    (fun clocks ->
+      for seed = 0 to 31 do
+        if not (scan_matches_reference (seed, runnable clocks)) then
+          Alcotest.failf "%s" (print_table (seed, runnable clocks))
+      done)
+    [ [ 5; 5; 3 ]; [ 3; 5; 5 ]; [ 5; 3; 5 ]; [ 3; 3 ]; [ 3; 3; 3 ];
+      [ 4; 6; 6; 2; 2 ]; [ 7 ] ]
+
+let qcheck_scan_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~print:print_table
+       ~name:"one-scan pick and horizon match the two-scan reference"
+       table_gen scan_matches_reference)
+
 let suite =
   ( "quantum",
     [
@@ -347,4 +408,7 @@ let suite =
       qcheck_quantum_equiv;
       qcheck_contended_equiv;
       qcheck_rng_reference;
+      case "one scan: prefix ties above the minimum"
+        test_scan_prefix_ties;
+      qcheck_scan_reference;
     ] )

@@ -54,7 +54,7 @@ let test_invariant_counters_pass () =
     entries_of_counters ~threads:2 ~c1:[ 5L; 4L ] ~c2:[ 5L; 3L ]
       ~h:[ 4L; 4L; 1L ]
   in
-  let r = Invariant.counters ~entries ~threads:2 in
+  let r = Invariant.counters ~initial:[] ~entries ~threads:2 in
   Alcotest.(check bool) "ok" true r.Invariant.ok
 
 let test_invariant_counters_eq1_fail () =
@@ -62,14 +62,14 @@ let test_invariant_counters_eq1_fail () =
   let entries =
     entries_of_counters ~threads:2 ~c1:[ 5L; 4L ] ~c2:[ 2L; 2L ] ~h:[ 5L ]
   in
-  let r = Invariant.counters ~entries ~threads:2 in
+  let r = Invariant.counters ~initial:[] ~entries ~threads:2 in
   Alcotest.(check bool) "fails" false r.Invariant.ok
 
 let test_invariant_counters_eq2_fail () =
   let entries =
     entries_of_counters ~threads:2 ~c1:[ 5L; 5L ] ~c2:[ 5L; 5L ] ~h:[ 20L ]
   in
-  let r = Invariant.counters ~entries ~threads:2 in
+  let r = Invariant.counters ~initial:[] ~entries ~threads:2 in
   Alcotest.(check bool) "sum H above c1" false r.Invariant.ok
 
 let test_invariant_counters_per_thread_fail () =
@@ -77,7 +77,7 @@ let test_invariant_counters_per_thread_fail () =
   let entries =
     entries_of_counters ~threads:2 ~c1:[ 6L; 3L ] ~c2:[ 5L; 4L ] ~h:[ 9L ]
   in
-  let r = Invariant.counters ~entries ~threads:2 in
+  let r = Invariant.counters ~initial:[] ~entries ~threads:2 in
   Alcotest.(check bool) "per-thread check catches it" false r.Invariant.ok
 
 let test_invariant_transfers () =
@@ -387,19 +387,6 @@ let test_resume_without_crash_is_identity () =
   Alcotest.(check bool) "no resume phase" false r.Runner.resumed;
   Alcotest.(check bool) "completed" true r.Runner.completion_ok;
   Alcotest.(check int) "no duplicates" 0 r.Runner.duplicated_increments
-
-let test_resume_rejects_transfers () =
-  Alcotest.(check bool) "transfers rejected" true
-    (match
-       Runner.run_with_resume
-         {
-           small_config with
-           Runner.workload =
-             Runner.Transfers { accounts = 8; initial_balance = 10 };
-         }
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
 
 let test_procrastination_ledger () =
   let l =
@@ -822,6 +809,91 @@ let test_validate () =
       Runner.Delayfree_map;
     ]
 
+(* Only counters resume.  The rule is checked before any simulation
+   ([tsp run --resume --transfers] reports it as a usage error), and
+   the resume driver refuses a transfer run. *)
+let test_resume_rejects_transfers () =
+  List.iter
+    (fun workload ->
+      let counters =
+        match workload with Runner.Counters _ -> true | _ -> false
+      in
+      Alcotest.(check bool)
+        (workload_label workload ^ " resumes")
+        counters
+        (Result.is_ok
+           (Runner.validate_resume { small_config with Runner.workload })))
+    every_workload;
+  Alcotest.(check bool) "transfers rejected" true
+    (match
+       Runner.run_with_resume
+         {
+           small_config with
+           Runner.workload =
+             Runner.Transfers { accounts = 8; initial_balance = 10 };
+         }
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* Ballast is not workload data.  With more ballast keys than the
+   workload has H keys, a crash-free run passes its invariants, on every
+   workload: sum(H) counts only what the workload added, and untorn,
+   record-count and conservation skip the ballast-only keys.  A lost
+   increment planted on a workload key, or a write planted on a
+   ballast-only key, still fails eq2. *)
+let test_ballast_is_not_workload_data () =
+  List.iter
+    (fun workload ->
+      let config =
+        {
+          small_config with
+          Runner.variant = Runner.Mutex_map Mode.Log_only;
+          workload;
+          populate_objects = 300;
+          threads = 2;
+          iterations = 40;
+        }
+      in
+      let r = Runner.run config in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s with ballast: %s" (workload_label workload)
+           (Format.asprintf "%a" Invariant.pp r.Runner.invariants))
+        true (Runner.consistent r))
+    every_workload;
+  let config =
+    {
+      small_config with
+      Runner.variant = Runner.Mutex_map Mode.Log_only;
+      workload = Runner.Counters { h_keys = 64; preload = true };
+      populate_objects = 300;
+      threads = 2;
+      iterations = 40;
+    }
+  in
+  let r = Runner.run config in
+  let initial = Runner.initial_entries config in
+  let threads = config.Runner.threads in
+  let eq2_ok entries =
+    List.exists
+      (fun (c : Invariant.check) ->
+        String.starts_with ~prefix:"eq2" c.Invariant.name && c.Invariant.ok)
+      (Invariant.counters ~initial ~entries ~threads).Invariant.checks
+  in
+  Alcotest.(check bool) "eq2 holds on the run" true (eq2_ok r.Runner.entries);
+  let plant key f =
+    List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) r.Runner.entries
+  in
+  let incremented =
+    List.find
+      (fun (k, v) -> Key_space.is_h k && k < Key_space.h_key 64 && v > 0L)
+      r.Runner.entries
+  in
+  Alcotest.(check bool) "a lost increment on a workload key fails eq2" false
+    (eq2_ok (plant (fst incremented) Int64.pred));
+  Alcotest.(check bool) "a write on a ballast-only key fails eq2" false
+    (eq2_ok (plant (Key_space.h_key 200) Int64.succ))
+
 let suite =
   ( "workload",
     [
@@ -861,6 +933,8 @@ let suite =
       case "resume: no crash means no resume phase"
         test_resume_without_crash_is_identity;
       case "resume: transfers rejected" test_resume_rejects_transfers;
+      case "runner: ballast is not workload data"
+        test_ballast_is_not_workload_data;
       slow_case "procrastination ledger (E11)" test_procrastination_ledger;
       slow_case "wide values tear without rollback, not with it (E13)"
         test_wide_torn_without_rollback;
