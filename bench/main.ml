@@ -598,9 +598,11 @@ let usage () =
     "usage: bench [--jobs N|auto] [--out FILE]\n\
      \  runs every quick cell and its checks, writes the deterministic\n\
      \  JSON snapshot\n\
-     \  --jobs N|auto   fan independent cells across N domains; auto (the\n\
-     \                  default) clamps to the host's cores and runs\n\
-     \                  sequentially when that is 1\n\
+     \  --jobs N|auto   domains for the cells that fan out inside\n\
+     \                  themselves (crash campaign, shard service,\n\
+     \                  frontier); the cells run one after another.\n\
+     \                  auto (the default) is the host's recommended\n\
+     \                  domain count\n\
      \  --out FILE      where to write the JSON (default bench_quick.json)";
   exit 2
 

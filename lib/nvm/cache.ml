@@ -101,7 +101,7 @@ let rec lru_from stamps i stop best best_stamp =
 let[@inline] lru_idx t base =
   lru_from t.stamps (base + 1) (base + t.ways) base t.stamps.(base)
 
-let touch t ~addr ~dirty =
+let[@inline] touch t ~addr ~dirty =
   let line = line_of t addr in
   let i = find_idx t line in
   if i >= 0 then begin

@@ -84,11 +84,11 @@ let[@inline] get pages addr =
 let[@inline] set pages addr v =
   unsafe_set_int64_le (wr pages addr) (addr land page_mask) v
 
-let load t addr =
+let[@inline] load t addr =
   check t addr;
   get t.current addr
 
-let store t addr v =
+let[@inline] store t addr v =
   check t addr;
   set t.current addr v
 
@@ -98,11 +98,11 @@ let store t addr v =
    primitives inside one function, so the native compiler keeps the wide
    value in a register.  These carry the simulator's hot loops. *)
 
-let load_int t addr =
+let[@inline] load_int t addr =
   check t addr;
   Int64.to_int (get t.current addr)
 
-let store_int t addr v =
+let[@inline] store_int t addr v =
   check t addr;
   set t.current addr (Int64.of_int v)
 
@@ -111,7 +111,7 @@ let store_int t addr v =
    match ([Int64.to_int actual = expected]) and bit 63 equals bit 62
    (i.e. the top two bits are 00 or 11, as sign extension produces).  A
    failed CAS writes nothing, so it leaves a zero page shared. *)
-let cas_int t addr ~expected ~desired =
+let[@inline] cas_int t addr ~expected ~desired =
   check t addr;
   let actual = get t.current addr in
   let top2 = Int64.to_int (Int64.shift_right actual 62) land 3 in

@@ -99,7 +99,9 @@ let guard t = if t.crashed then raise Crashed_device
 
 let[@inline] touch_hit t ~addr ~dirty = Cache.touch t.cache ~addr ~dirty = Cache.hit
 
-let record_store t addr v =
+(* Inlined into the [int64] entry points, so the word is boxed only
+   when a journal exists, not to make the call. *)
+let[@inline] record_store t addr v =
   match t.journal with
   | None -> ()
   | Some q -> Queue.add (addr, v) q
@@ -183,21 +185,21 @@ let[@inline] cas_charge t addr =
   trace t ~code:Obs.Event.cas ~a:addr ~b:cost;
   wb
 
-let load t addr =
+let[@inline] load t addr =
   load_charge t addr;
   Memory.load t.mem addr
 
-let load_int t addr =
+let[@inline] load_int t addr =
   load_charge t addr;
   Memory.load_int t.mem addr
 
-let store t addr v =
+let[@inline] store t addr v =
   let wb = store_charge t addr in
   Memory.store t.mem addr v;
   redirty t addr ~since:wb;
   record_store t addr v
 
-let store_int t addr v =
+let[@inline] store_int t addr v =
   let wb = store_charge t addr in
   Memory.store_int t.mem addr v;
   redirty t addr ~since:wb;
@@ -205,7 +207,7 @@ let store_int t addr v =
 
 let cas_failed t = t.stats.Stats.cas_failures <- t.stats.Stats.cas_failures + 1
 
-let cas t addr ~expected ~desired =
+let[@inline] cas t addr ~expected ~desired =
   let wb = cas_charge t addr in
   if Int64.equal (Memory.load t.mem addr) expected then begin
     Memory.store t.mem addr desired;
@@ -218,7 +220,7 @@ let cas t addr ~expected ~desired =
     false
   end
 
-let cas_int t addr ~expected ~desired =
+let[@inline] cas_int t addr ~expected ~desired =
   let wb = cas_charge t addr in
   if Memory.cas_int t.mem addr ~expected ~desired then begin
     redirty t addr ~since:wb;
@@ -359,8 +361,8 @@ let persist_all t =
   List.iter (fun addr -> flush t addr) dirty;
   fence t
 let load_durable t addr = Memory.load_durable t.mem addr
-let peek t addr = Memory.load t.mem addr
-let peek_int t addr = Memory.load_int t.mem addr
+let[@inline] peek t addr = Memory.load t.mem addr
+let[@inline] peek_int t addr = Memory.load_int t.mem addr
 let peek_page_untouched t addr = Memory.page_untouched t.mem addr
 let durable_snapshot t = Memory.durable_snapshot t.mem
 let dirty_line_count t = Cache.dirty_count t.cache

@@ -49,17 +49,17 @@ let pop_bucket t size =
           Some (addr, size)
     end
 
+(* Smallest splittable size: needs room for the object plus a free
+   remainder of header + >= 1 word.  Top-level, so a [take] builds no
+   closure. *)
+let rec take_split t words = function
+  | [] -> None
+  | s :: rest -> if s >= words + 2 then pop_bucket t s else take_split t words rest
+
 let take t ~words =
   match pop_bucket t words with
   | Some _ as r -> r
-  | None ->
-      (* Smallest splittable size: needs room for the object plus a free
-         remainder of header + >= 1 word. *)
-      let rec find = function
-        | [] -> None
-        | s :: rest -> if s >= words + 2 then pop_bucket t s else find rest
-      in
-      find t.sizes
+  | None -> take_split t words t.sizes
 
 let total_free_words t = t.free_words
 let block_count t = t.blocks

@@ -63,7 +63,10 @@ let set_root t a = Nvm.Pmem.store_int t.pmem (t.base + Layout.root_offset) a
 let contains t a =
   a land 7 = 0 && a >= start_addr t + Layout.word_size && a < t.heap_end
 
-let peek_header t a =
+(* A header is read as a full [int64] (validity includes bit 63) and
+   decoded where it is read: [Pmem.peek] and the [Layout] decoders are
+   inlined, so the word never leaves a register. *)
+let[@inline] peek_header t a =
   Nvm.Pmem.peek t.pmem (Layout.obj_header_addr a)
 
 let is_object_start t a =
@@ -134,39 +137,45 @@ let reset_allocator t ~free =
       Freelist.add t.freelist ~addr:a ~words)
     free
 
-let check_field t a i =
-  if !debug_checks then begin
-    let h = peek_header t a in
-    if not (Layout.header_valid h) then
-      corrupt "field access to non-object %d" a;
-    let words = Layout.header_words h in
-    if i < 0 || i >= words then
-      Fmt.invalid_arg "Heap: field %d out of bounds for %d-word object at %d"
-        i words a
-  end
+let[@inline never] check_field_debug t a i =
+  let h = peek_header t a in
+  if not (Layout.header_valid h) then
+    corrupt "field access to non-object %d" a;
+  let words = Layout.header_words h in
+  if i < 0 || i >= words then
+    Fmt.invalid_arg "Heap: field %d out of bounds for %d-word object at %d" i
+      words a
 
-let field_addr t a i =
-  check_field t a i;
+(* The field accessors are the map structures' every device access:
+   inlined, with the debug check a cold call, they compile to the
+   [Pmem] entry point inlined in turn. *)
+let[@inline] field_addr t a i =
+  if !debug_checks then check_field_debug t a i;
   a + (i * Layout.word_size)
 
-let load_field t a i = Nvm.Pmem.load t.pmem (field_addr t a i)
-let store_field t a i v = Nvm.Pmem.store t.pmem (field_addr t a i) v
+let[@inline] load_field t a i = Nvm.Pmem.load t.pmem (field_addr t a i)
+let[@inline] store_field t a i v = Nvm.Pmem.store t.pmem (field_addr t a i) v
 
-let cas_field t a i ~expected ~desired =
+let[@inline] cas_field t a i ~expected ~desired =
   Nvm.Pmem.cas t.pmem (field_addr t a i) ~expected ~desired
 
-let load_field_int t a i = Nvm.Pmem.load_int t.pmem (field_addr t a i)
-let store_field_int t a i v = Nvm.Pmem.store_int t.pmem (field_addr t a i) v
+let[@inline] load_field_int t a i = Nvm.Pmem.load_int t.pmem (field_addr t a i)
 
-let cas_field_int t a i ~expected ~desired =
+let[@inline] store_field_int t a i v =
+  Nvm.Pmem.store_int t.pmem (field_addr t a i) v
+
+let[@inline] cas_field_int t a i ~expected ~desired =
   Nvm.Pmem.cas_int t.pmem (field_addr t a i) ~expected ~desired
 
-let fold_blocks_checked t ~read f =
+let fold_blocks_checked t ~costed f =
   let stop = t.heap_end in
   let rec go header_addr =
     if header_addr >= stop then Ok ()
     else begin
-      let h = read header_addr in
+      let h =
+        if costed then Nvm.Pmem.load t.pmem header_addr
+        else Nvm.Pmem.peek t.pmem header_addr
+      in
       if not (Layout.header_valid h) then
         Error
           (header_addr, Fmt.str "invalid block header at %d: %Lx" header_addr h)
@@ -189,6 +198,6 @@ let fold_blocks_checked t ~read f =
   go (start_addr t)
 
 let iter_blocks t f =
-  match fold_blocks_checked t ~read:(Nvm.Pmem.load t.pmem) f with
+  match fold_blocks_checked t ~costed:true f with
   | Ok () -> ()
   | Error (_, msg) -> raise (Corrupt msg)

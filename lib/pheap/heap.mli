@@ -105,16 +105,19 @@ val is_object_start : t -> addr -> bool
 
 val fold_blocks_checked :
   t ->
-  read:(int -> int64) ->
+  costed:bool ->
   (addr:addr -> kind:int -> words:int -> unit) ->
   (unit, int * string) result
 (** Walk every block (live and free) in address order, reading each
-    full 64-bit header word with [read] — a costed {!Nvm.Pmem.load} for
-    the eager collector (recovery work is real work), a counting peek
-    for the streamed ones.  On the first invalid or overrunning header
-    it stops and returns [Error (header_addr, diagnosis)]: everything
-    before [header_addr] was walked normally, everything from it to the
-    heap end is unparseable and should be quarantined, not reused. *)
+    full 64-bit header word with a costed {!Nvm.Pmem.load} when
+    [costed] (the eager collector: recovery work is real work) and a
+    cost-free {!Nvm.Pmem.peek} otherwise (the streamed ones, which bill
+    the lines the walk touched).  The header is decoded where it is
+    read, so the walk boxes no [int64].  On the first invalid or
+    overrunning header it stops and returns
+    [Error (header_addr, diagnosis)]: everything before [header_addr]
+    was walked normally, everything from it to the heap end is
+    unparseable and should be quarantined, not reused. *)
 
 val iter_blocks : t -> (addr:addr -> kind:int -> words:int -> unit) -> unit
 (** {!fold_blocks_checked} over costed loads, raising instead of

@@ -261,12 +261,19 @@ let discover ?(fanout = seq_fanout) heap =
 
 (* ------------------------------------------------------------------ *)
 (* The sweep, planned once for every mode.  The walk reads each header
-   with [read] and stores nothing; applying the plan is the one
-   [Heap.reset_allocator] call.  Runs of contiguous dead/free blocks
-   coalesce into one free block whose data address is the run's first
-   and whose size swallows the headers of all merged blocks but the
-   first.  If the block chain stops parsing, the blocks before the
-   damage sweep normally and the tail is withheld from the allocator. *)
+   with a costed load or, for the streamed modes, a peek, and stores
+   nothing; applying the plan is the one [Heap.reset_allocator] call.
+   It also counts the distinct cache lines its header reads touch, the
+   streamed sweep's bill: the walk is monotonic, so adjacent
+   small-object headers sharing a line cost one fetch — the streaming
+   sweep's sequential win.  Every header read is a walked block's or,
+   when the chain stops parsing, the damaged one's, so the count is
+   taken from those addresses rather than inside the read.  Runs of
+   contiguous dead/free blocks coalesce into one free block whose data
+   address is the run's first and whose size swallows the headers of
+   all merged blocks but the first.  If the block chain stops parsing,
+   the blocks before the damage sweep normally and the tail is
+   withheld from the allocator. *)
 
 type sweep_plan = {
   p_live_objects : int;
@@ -276,9 +283,20 @@ type sweep_plan = {
   p_free_blocks : (int * int) list;  (* highest address first *)
   p_quarantined_words : int;
   p_reasons : string list;
+  p_header_lines : int;
 }
 
-let plan_sweep heap ~read marks =
+let plan_sweep heap ~costed marks =
+  let line_size = (Nvm.Pmem.config (Heap.pmem heap)).Nvm.Config.line_size in
+  let lines = ref 0 in
+  let last_line = ref (-1) in
+  let count_line header_addr =
+    let ln = header_addr / line_size in
+    if ln <> !last_line then begin
+      incr lines;
+      last_line := ln
+    end
+  in
   let live_objects = ref 0 in
   let live_words = ref 0 in
   let freed_objects = ref 0 in
@@ -295,7 +313,8 @@ let plan_sweep heap ~read marks =
     end
   in
   let walk =
-    Heap.fold_blocks_checked heap ~read (fun ~addr ~kind ~words ->
+    Heap.fold_blocks_checked heap ~costed (fun ~addr ~kind ~words ->
+        count_line (Layout.obj_header_addr addr);
         if Nvm.Intset.mem marks addr then begin
           flush_run ();
           incr live_objects;
@@ -312,6 +331,7 @@ let plan_sweep heap ~read marks =
     match walk with
     | Ok () -> (0, [])
     | Error (header_addr, msg) ->
+        count_line header_addr;
         ( (Heap.end_addr heap - header_addr) / Layout.word_size,
           [ Fmt.str "heap tail quarantined: %s" msg ] )
   in
@@ -323,27 +343,8 @@ let plan_sweep heap ~read marks =
     p_free_blocks = !free_blocks;
     p_quarantined_words = quarantined_words;
     p_reasons = reasons;
+    p_header_lines = !lines;
   }
-
-(* The streamed sweep reader: a peek that counts the distinct cache
-   lines the header walk touches.  The walk is monotonic, so adjacent
-   small-object headers sharing a line cost one fetch — the streaming
-   sweep's sequential win. *)
-let plan_sweep_streamed heap marks =
-  let pmem = Heap.pmem heap in
-  let line_size = (Nvm.Pmem.config pmem).Nvm.Config.line_size in
-  let lines = ref 0 in
-  let last_line = ref (-1) in
-  let read a =
-    let ln = a / line_size in
-    if ln <> !last_line then begin
-      incr lines;
-      last_line := ln
-    end;
-    Nvm.Pmem.peek pmem a
-  in
-  let plan = plan_sweep heap ~read marks in
-  (plan, !lines)
 
 let load_miss heap = (Nvm.Pmem.config (Heap.pmem heap)).Nvm.Config.load_miss
 
@@ -367,9 +368,7 @@ let stats_of disc plan ~mark_cycles ~sweep_cycles =
 (* The mark and sweep run as tracer sub-phases, so their split shows up
    in the observability timeline as well as in [stats]. *)
 let collect heap =
-  let pmem = Heap.pmem heap in
-  let read = Nvm.Pmem.load pmem in
-  let tracer = Nvm.Pmem.tracer pmem in
+  let tracer = Nvm.Pmem.tracer (Heap.pmem heap) in
   let c0 = clock heap in
   let disc =
     Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_gc_mark (fun () ->
@@ -378,7 +377,7 @@ let collect heap =
   let c1 = clock heap in
   let plan =
     Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_gc_sweep (fun () ->
-        let p = plan_sweep heap ~read disc.d_marks in
+        let p = plan_sweep heap ~costed:true disc.d_marks in
         Heap.reset_allocator heap ~free:p.p_free_blocks;
         p)
   in
@@ -404,10 +403,10 @@ module Incremental = struct
 
   let start ?fanout heap =
     let disc = discover ?fanout heap in
-    let plan, sweep_lines = plan_sweep_streamed heap disc.d_marks in
+    let plan = plan_sweep heap ~costed:false disc.d_marks in
     let miss = load_miss heap in
     let mark_cycles = disc.d_lines * miss in
-    let sweep_cycles = sweep_lines * miss in
+    let sweep_cycles = plan.p_header_lines * miss in
     let stats, quarantine = stats_of disc plan ~mark_cycles ~sweep_cycles in
     {
       heap;
@@ -498,9 +497,9 @@ let collect_streamed ?fanout heap =
    reader over [mark]: its object-start test (a block the chain walk
    reached) is stricter than the mark's [Heap.is_object_start], and the
    mark's charge sequence is pinned.  Headers are read twice — pass 1
-   checks each (a boxed peek, since validity includes bit 63), pass 2
-   re-reads a valid one unboxed at visit time — so per-object state is
-   the tag byte alone. *)
+   checks each (a full-word peek, since validity includes bit 63,
+   decoded in a register), pass 2 re-reads a valid one as an [int] at
+   visit time — so per-object state is the tag byte alone. *)
 let tag_block = '\001'
 let tag_visited = '\002'
 

@@ -5,9 +5,10 @@
    any other type there is a type error instead of a silent C call into
    the polymorphic [compare_val].
 
-   They are [external]s, not functions, because the [dev] profile
-   compiles with [-opaque]: no function is inlined across modules, but a
-   [%]-primitive is expanded wherever it is used. *)
+   They are [external]s, not functions, so they expand inline in any
+   build: a function is inlined across modules only without [-opaque]
+   (the release profile dune-workspace selects), a [%]-primitive
+   wherever it is used, [--profile dev] included. *)
 
 external ( = ) : int -> int -> bool = "%equal"
 external ( <> ) : int -> int -> bool = "%notequal"

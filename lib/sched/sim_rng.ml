@@ -56,13 +56,16 @@ let split t =
     lo = Int64.to_int z land mask32;
   }
 
+let[@inline never] bad_bound n =
+  Fmt.invalid_arg "Sim_rng.int: bound %d must be positive" n
+
 (* [v mod n] for [v] the output shifted right by one: a 63-bit value,
    non-negative as an [int64] though one bit too wide for an [int].  A
    power-of-two bound (the jitter bound 4, most pick ties) needs only
    [v]'s low bits, which [Int64.to_int] keeps; any other bound takes
    one 64-bit remainder. *)
-let int t n =
-  if n <= 0 then Fmt.invalid_arg "Sim_rng.int: bound %d must be positive" n;
+let[@inline] int t n =
+  if n <= 0 then bad_bound n;
   let v = Int64.shift_right_logical (advance t) 1 in
   if n land (n - 1) = 0 then Int64.to_int v land (n - 1)
   else Int64.to_int (Int64.rem v (Int64.of_int n))

@@ -96,14 +96,16 @@ let attach heap ~atlas ~sched ?(op_cycles = default_op_cycles) header =
   }
 
 (* Chain search with plain loads: reads need no instrumentation, and the
-   caller already holds the bucket's mutex. *)
+   caller already holds the bucket's mutex.  The node holding [key], or
+   [Heap.null]: a top-level loop returning an address builds neither a
+   closure nor an option per search. *)
+let rec find_from t key node =
+  if node = Heap.null then Heap.null
+  else if Heap.load_field_int t.heap node 0 = key then node
+  else find_from t key (Heap.load_field_int t.heap node 1)
+
 let find_node t bucket key =
-  let rec walk node =
-    if node = Heap.null then None
-    else if Heap.load_field_int t.heap node 0 = key then Some node
-    else walk (Heap.load_field_int t.heap node 1)
-  in
-  walk (Heap.load_field_int t.heap t.table bucket)
+  find_from t key (Heap.load_field_int t.heap t.table bucket)
 
 let mutex_for t bucket = t.mutexes.(bucket / buckets_per_mutex)
 
@@ -123,27 +125,29 @@ let set t ~tid ~key ~value =
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
   let b = hash key t.n_buckets in
   Rt.with_lock t.atlas ctx (mutex_for t b) (fun () ->
-      match find_node t b key with
-      | Some node -> Rt.store_field t.atlas ctx node 2 value
-      | None -> insert_locked t ctx b ~key ~values:(fun _ -> value))
+      let node = find_node t b key in
+      if node <> Heap.null then Rt.store_field t.atlas ctx node 2 value
+      else insert_locked t ctx b ~key ~values:(fun _ -> value))
 
 let get t ~tid ~key =
   let ctx = Rt.thread_ctx t.atlas ~tid in
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
   let b = hash key t.n_buckets in
   Rt.with_lock t.atlas ctx (mutex_for t b) (fun () ->
-      Option.map (fun node -> Heap.load_field t.heap node 2) (find_node t b key))
+      let node = find_node t b key in
+      if node <> Heap.null then Some (Heap.load_field t.heap node 2) else None)
 
 let incr t ~tid ~key ~by =
   let ctx = Rt.thread_ctx t.atlas ~tid in
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
   let b = hash key t.n_buckets in
   Rt.with_lock t.atlas ctx (mutex_for t b) (fun () ->
-      match find_node t b key with
-      | Some node ->
-          let v = Heap.load_field t.heap node 2 in
-          Rt.store_field t.atlas ctx node 2 (Int64.add v by)
-      | None -> insert_locked t ctx b ~key ~values:(fun _ -> by))
+      let node = find_node t b key in
+      if node <> Heap.null then begin
+        let v = Heap.load_field t.heap node 2 in
+        Rt.store_field t.atlas ctx node 2 (Int64.add v by)
+      end
+      else insert_locked t ctx b ~key ~values:(fun _ -> by))
 
 let remove t ~tid ~key =
   let ctx = Rt.thread_ctx t.atlas ~tid in
@@ -182,15 +186,15 @@ let transfer t ~tid ~debit ~credit ~amount =
     Rt.store_field t.atlas ctx node 2 (Int64.add v delta)
   in
   let body () =
-    match (find_node t b1 debit, find_node t b2 credit) with
-    | Some from_node, Some to_node ->
-        if Heap.load_field t.heap from_node 2 < amount then false
-        else begin
-          update from_node (Int64.neg amount);
-          update to_node amount;
-          true
-        end
-    | None, _ | _, None -> false
+    let from_node = find_node t b1 debit in
+    let to_node = find_node t b2 credit in
+    if from_node = Heap.null || to_node = Heap.null then false
+    else if Heap.load_field t.heap from_node 2 < amount then false
+    else begin
+      update from_node (Int64.neg amount);
+      update to_node amount;
+      true
+    end
   in
   Rt.with_lock t.atlas ctx outer (fun () ->
       if Rt.mutex_id outer = Rt.mutex_id inner then body ()
@@ -207,18 +211,19 @@ let ops t =
 
 let set_plain t ~key ~value =
   let b = hash key t.n_buckets in
-  match find_node t b key with
-  | Some node -> Heap.store_field t.heap node 2 value
-  | None ->
-      let head = Heap.load_field t.heap t.table b in
-      let node = Heap.alloc t.heap ~kind:node_kind ~words:(2 + t.value_words) in
-      Heap.store_field t.heap node 0 (Int64.of_int key);
-      Heap.store_field t.heap node 1 head;
-      Heap.store_field t.heap node 2 value;
-      for w = 1 to t.value_words - 1 do
-        Heap.store_field t.heap node (2 + w) 0L
-      done;
-      Heap.store_field t.heap t.table b (Int64.of_int node)
+  let node = find_node t b key in
+  if node <> Heap.null then Heap.store_field t.heap node 2 value
+  else begin
+    let head = Heap.load_field t.heap t.table b in
+    let node = Heap.alloc t.heap ~kind:node_kind ~words:(2 + t.value_words) in
+    Heap.store_field t.heap node 0 (Int64.of_int key);
+    Heap.store_field t.heap node 1 head;
+    Heap.store_field t.heap node 2 value;
+    for w = 1 to t.value_words - 1 do
+      Heap.store_field t.heap node (2 + w) 0L
+    done;
+    Heap.store_field t.heap t.table b (Int64.of_int node)
+  end
 
 (* [visit] every node of the chain starting at [node].  A damaged
    image can close a cycle through a next link.  No acyclic chain
@@ -261,24 +266,25 @@ let set_wide t ~tid ~key ~values =
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
   let b = hash key t.n_buckets in
   Rt.with_lock t.atlas ctx (mutex_for t b) (fun () ->
-      match find_node t b key with
-      | Some node ->
-          (* The multi-store update Atlas exists for: interrupting this
-             loop mid-way tears the value unless the section rolls back. *)
-          for w = 0 to t.value_words - 1 do
-            Rt.store_field t.atlas ctx node (2 + w) values.(w)
-          done
-      | None -> insert_locked t ctx b ~key ~values:(fun w -> values.(w)))
+      let node = find_node t b key in
+      if node <> Heap.null then
+        (* The multi-store update Atlas exists for: interrupting this
+           loop mid-way tears the value unless the section rolls back. *)
+        for w = 0 to t.value_words - 1 do
+          Rt.store_field t.atlas ctx node (2 + w) values.(w)
+        done
+      else insert_locked t ctx b ~key ~values:(fun w -> values.(w)))
 
 let get_wide t ~tid ~key =
   let ctx = Rt.thread_ctx t.atlas ~tid in
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
   let b = hash key t.n_buckets in
   Rt.with_lock t.atlas ctx (mutex_for t b) (fun () ->
-      Option.map
-        (fun node ->
-          Array.init t.value_words (fun w -> Heap.load_field t.heap node (2 + w)))
-        (find_node t b key))
+      let node = find_node t b key in
+      if node <> Heap.null then
+        Some
+          (Array.init t.value_words (fun w -> Heap.load_field t.heap node (2 + w)))
+      else None)
 
 let fold_wide_plain heap ~root f acc =
   let n_buckets = Heap.load_field_int heap root 0 in

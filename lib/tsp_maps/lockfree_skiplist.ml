@@ -22,6 +22,11 @@ type t = {
   head : Heap.addr;
   max_level : int;
   rngs : Rng.t array;  (* one deterministic level generator per thread *)
+  preds : int array array;
+  succs : int array array;
+      (* one [find] scratch pair per thread, indexed by tid as [rngs] is:
+         a thread runs one operation at a time, so its pair is never
+         shared, and a search allocates nothing *)
   op_cycles : int;
       (* charged per operation: level generation, call overhead and the
          per-access CPU work a flat word-level simulation underestimates *)
@@ -84,6 +89,12 @@ let make_rngs ~num_threads ~seed =
   let master = Rng.create ~seed in
   Array.init num_threads (fun _ -> Rng.split master)
 
+(* A damaged image's head can carry fewer than one level; its pairs are
+   then empty, and an update raises [Invalid_argument] as the per-call
+   arrays made it do. *)
+let make_scratch ~num_threads ~max_level =
+  Array.init num_threads (fun _ -> Array.make (Int.max 0 max_level) Heap.null)
+
 let create heap ?(max_level = default_max_level) ?(op_cycles = default_op_cycles)
     ?(nvtraverse = false) ~num_threads ~seed () =
   if max_level < 1 || max_level > 32 then
@@ -92,7 +103,16 @@ let create heap ?(max_level = default_max_level) ?(op_cycles = default_op_cycles
   if num_threads < 1 then
     invalid_arg "Lockfree_skiplist.create: num_threads must be >= 1";
   let t =
-    { heap; head = Heap.null; max_level; rngs = [||]; op_cycles; nvtraverse }
+    {
+      heap;
+      head = Heap.null;
+      max_level;
+      rngs = [||];
+      preds = [||];
+      succs = [||];
+      op_cycles;
+      nvtraverse;
+    }
   in
   let tail = alloc_node t ~key:max_int ~value:0L ~level:max_level in
   for lv = 0 to max_level - 1 do
@@ -103,7 +123,15 @@ let create heap ?(max_level = default_max_level) ?(op_cycles = default_op_cycles
     Heap.store_field_int heap head (next_base + lv) tail
   done;
   Heap.set_root heap head;
-  let t = { t with head; rngs = make_rngs ~num_threads ~seed } in
+  let t =
+    {
+      t with
+      head;
+      rngs = make_rngs ~num_threads ~seed;
+      preds = make_scratch ~num_threads ~max_level;
+      succs = make_scratch ~num_threads ~max_level;
+    }
+  in
   if nvtraverse then begin
     (* The empty structure is durable before any operation runs. *)
     flush_span t tail;
@@ -122,54 +150,65 @@ let attach heap ?(op_cycles = default_op_cycles) ?(nvtraverse = false)
   if Heap.load_field_int heap head 0 <> min_int then
     invalid_arg "Lockfree_skiplist.attach: root is not the head sentinel";
   let max_level = Heap.words_of heap head - next_base in
-  let rngs = make_rngs ~num_threads ~seed in
-  { heap; head; max_level; rngs; op_cycles; nvtraverse }
+  {
+    heap;
+    head;
+    max_level;
+    rngs = make_rngs ~num_threads ~seed;
+    preds = make_scratch ~num_threads ~max_level;
+    succs = make_scratch ~num_threads ~max_level;
+    op_cycles;
+    nvtraverse;
+  }
 
-let random_level t tid =
-  let rng = t.rngs.(tid) in
-  let rec toss lv =
-    if lv >= t.max_level then t.max_level else if Rng.bool rng then toss (lv + 1) else lv
-  in
-  toss 1
+let rec toss rng max_level lv =
+  if lv >= max_level then max_level
+  else if Rng.bool rng then toss rng max_level (lv + 1)
+  else lv
+
+let random_level t tid = toss t.rngs.(tid) t.max_level 1
 
 (* Herlihy-Shavit [find]: descend levels keeping, per level, the last
    node with key < [key] ([preds]) and its successor ([succs]); snip any
    marked node encountered.  A failed snip CAS means the picture changed
-   under us: restart from the top. *)
-let rec find t key ~preds ~succs =
-  let rec down pred lv =
-    if lv < 0 then true
-    else
-      let rec scan pred curr =
-        let succ_raw = read_next t curr lv in
-        if is_marked succ_raw then
-          if cas_next t pred lv ~expected:curr ~desired:(unmark succ_raw) then
-            scan pred (unmark succ_raw)
-          else false
-        else if key_of t curr < key then scan curr (unmark succ_raw)
-        else begin
-          preds.(lv) <- pred;
-          succs.(lv) <- curr;
-          true
-        end
-      in
-      if scan pred (unmark (read_next t pred lv)) then down preds.(lv) (lv - 1)
-      else false
-  in
-  if down t.head (t.max_level - 1) then ()
-  else find t key ~preds ~succs
+   under us: restart from the top.
 
-let find_arrays t key =
-  let preds = Array.make t.max_level Heap.null in
-  let succs = Array.make t.max_level Heap.null in
-  find t key ~preds ~succs;
-  (preds, succs)
+   The searches are top-level loops over the calling thread's scratch
+   pair, not local [let rec]s: under the non-flambda compiler a local
+   function closing over the key and the level is a fresh closure on
+   every call, one per level per search.  [find_from] scans level [lv]
+   from [pred] and [curr], records the level's pair, and goes on at
+   [lv - 1] from that level's predecessor. *)
+let rec find_from t key preds succs lv pred curr =
+  let succ_raw = read_next t curr lv in
+  if is_marked succ_raw then
+    cas_next t pred lv ~expected:curr ~desired:(unmark succ_raw)
+    && find_from t key preds succs lv pred (unmark succ_raw)
+  else if key_of t curr < key then
+    find_from t key preds succs lv curr (unmark succ_raw)
+  else begin
+    preds.(lv) <- pred;
+    succs.(lv) <- curr;
+    lv = 0
+    || find_from t key preds succs (lv - 1) pred
+         (unmark (read_next t pred (lv - 1)))
+  end
+
+(* A head with no level (a damaged image's) leaves nothing to search. *)
+let rec find t key preds succs =
+  let top = t.max_level - 1 in
+  if
+    top >= 0
+    && not
+         (find_from t key preds succs top t.head
+            (unmark (read_next t t.head top)))
+  then find t key preds succs
 
 (* Link the upper levels of a freshly inserted node, helping-friendly:
    abandon a level as soon as the node is found marked or unlinked. *)
-let rec link_upper t node level key lv =
+let rec link_upper t preds succs node level key lv =
   if lv < level then begin
-    let preds, succs = find_arrays t key in
+    find t key preds succs;
     if succs.(0) <> node then () (* deleted or superseded: stop *)
     else
       let cur = read_next t node lv in
@@ -177,19 +216,38 @@ let rec link_upper t node level key lv =
       else if
         cur <> succs.(lv)
         && not (cas_next t node lv ~expected:cur ~desired:succs.(lv))
-      then link_upper t node level key lv
+      then link_upper t preds succs node level key lv
       else if cas_next t preds.(lv) lv ~expected:succs.(lv) ~desired:node then
-        link_upper t node level key (lv + 1)
-      else link_upper t node level key lv
+        link_upper t preds succs node level key (lv + 1)
+      else link_upper t preds succs node level key lv
+  end
+
+(* What an upsert does to a present key's node: overwrite the value
+   ([~incr:false], a single word store is atomic, no CAS needed) or add
+   [v] to it with one CAS.  Returning [false] requests a retry (the CAS
+   lost a race). *)
+let on_found t node ~incr v =
+  if incr then begin
+    let old = value_of t node in
+    let ok =
+      Heap.cas_field t.heap node 1 ~expected:old ~desired:(Int64.add old v)
+    in
+    if ok && t.nvtraverse then persist_field t node 1;
+    ok
+  end
+  else begin
+    Heap.store_field t.heap node 1 v;
+    if t.nvtraverse then persist_field t node 1;
+    true
   end
 
 (* Insert-or-act: if [key] is present run [on_found] on its node,
-   otherwise try to link a fresh node carrying [value].  [on_found]
-   returning [false] requests a retry (its CAS lost a race). *)
-let rec upsert t tid key ~value ~on_found =
-  let preds, succs = find_arrays t key in
+   otherwise try to link a fresh node carrying [value]. *)
+let rec upsert t tid key ~value ~incr =
+  let preds = t.preds.(tid) and succs = t.succs.(tid) in
+  find t key preds succs;
   if key_of t succs.(0) = key then begin
-    if not (on_found succs.(0)) then upsert t tid key ~value ~on_found
+    if not (on_found t succs.(0) ~incr value) then upsert t tid key ~value ~incr
   end
   else begin
     let level = random_level t tid in
@@ -206,83 +264,79 @@ let rec upsert t tid key ~value ~on_found =
     end;
     if cas_next t preds.(0) 0 ~expected:succs.(0) ~desired:node then begin
       if t.nvtraverse then persist_field t preds.(0) next_base;
-      link_upper t node level key 1
+      link_upper t preds succs node level key 1
     end
     else begin
       (* Lost the race; the node was never published, so reclaim it
          immediately rather than waiting for the recovery GC. *)
       Heap.free t.heap node;
-      upsert t tid key ~value ~on_found
+      upsert t tid key ~value ~incr
     end
   end
 
 let set t ~tid ~key ~value =
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
-  upsert t tid key ~value ~on_found:(fun node ->
-      (* A single word store is atomic; overwrite needs no CAS. *)
-      Heap.store_field t.heap node 1 value;
-      if t.nvtraverse then persist_field t node 1;
-      true)
+  upsert t tid key ~value ~incr:false
 
 let incr t ~tid ~key ~by =
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
-  upsert t tid key ~value:by ~on_found:(fun node ->
-      let old = value_of t node in
-      let ok =
-        Heap.cas_field t.heap node 1 ~expected:old ~desired:(Int64.add old by)
-      in
-      if ok && t.nvtraverse then persist_field t node 1;
-      ok)
+  upsert t tid key ~value:by ~incr:true
 
-(* Wait-free membership test: traverse without snipping. *)
+(* The wait-free membership test's descent: [find_from] without the
+   snips, so a marked node is stepped over, and without the pairs; it
+   returns the level-0 node it stops at. *)
+let rec get_from t key lv pred curr =
+  let succ_raw = read_next t curr lv in
+  if is_marked succ_raw then get_from t key lv pred (unmark succ_raw)
+  else if key_of t curr < key then get_from t key lv curr (unmark succ_raw)
+  else if lv = 0 then curr
+  else get_from t key (lv - 1) pred (unmark (read_next t pred (lv - 1)))
+
 let get t ~tid:_ ~key =
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
-  let rec down pred lv curr_final =
-    if lv < 0 then curr_final
-    else
-      let rec scan pred curr =
-        let succ_raw = read_next t curr lv in
-        if is_marked succ_raw then scan pred (unmark succ_raw)
-        else if key_of t curr < key then scan curr (unmark succ_raw)
-        else (pred, curr)
-      in
-      let pred, curr = scan pred (unmark (read_next t pred lv)) in
-      down pred (lv - 1) curr
+  let top = t.max_level - 1 in
+  let curr =
+    if top < 0 then Heap.null
+    else get_from t key top t.head (unmark (read_next t t.head top))
   in
-  let curr = down t.head (t.max_level - 1) Heap.null in
   if curr <> Heap.null && key_of t curr = key then Some (value_of t curr)
   else None
 
-let remove t ~tid:_ ~key =
+(* Mark [node]'s link at level [lv] unless it already is, retrying a
+   CAS that lost to a concurrent update of the link. *)
+let rec mark_level t node lv =
+  let nxt = read_next t node lv in
+  if
+    (not (is_marked nxt))
+    && not (cas_next t node lv ~expected:nxt ~desired:(with_mark nxt))
+  then mark_level t node lv
+
+(* The bottom-level mark, the linearisation point: [false] if another
+   remove marked it first. *)
+let rec mark_bottom t preds succs key node =
+  let nxt = read_next t node 0 in
+  if is_marked nxt then false
+  else if cas_next t node 0 ~expected:nxt ~desired:(with_mark nxt) then begin
+    (* NVTraverse persists the mark before reporting success; the
+       physical unlink that follows is index maintenance. *)
+    if t.nvtraverse then persist_field t node next_base;
+    find t key preds succs (* physically unlink *);
+    true
+  end
+  else mark_bottom t preds succs key node
+
+let remove t ~tid ~key =
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
-  let _, succs = find_arrays t key in
+  let preds = t.preds.(tid) and succs = t.succs.(tid) in
+  find t key preds succs;
   if key_of t succs.(0) <> key then false
   else begin
     let node = succs.(0) in
-    let level = level_of t node in
     (* Mark top-down; the bottom-level mark is the linearisation point. *)
-    for lv = level - 1 downto 1 do
-      let rec mark_level () =
-        let nxt = read_next t node lv in
-        if not (is_marked nxt) then
-          if not (cas_next t node lv ~expected:nxt ~desired:(with_mark nxt))
-          then mark_level ()
-      in
-      mark_level ()
+    for lv = level_of t node - 1 downto 1 do
+      mark_level t node lv
     done;
-    let rec bottom () =
-      let nxt = read_next t node 0 in
-      if is_marked nxt then false
-      else if cas_next t node 0 ~expected:nxt ~desired:(with_mark nxt) then begin
-        (* NVTraverse persists the mark before reporting success; the
-           physical unlink that follows is index maintenance. *)
-        if t.nvtraverse then persist_field t node next_base;
-        ignore (find_arrays t key);  (* physically unlink *)
-        true
-      end
-      else bottom ()
-    in
-    bottom ()
+    mark_bottom t preds succs key node
   end
 
 let ops t =

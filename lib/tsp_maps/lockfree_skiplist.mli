@@ -54,7 +54,9 @@ val create :
   unit ->
   t
 (** Allocate head and tail sentinels, point the heap root at the head,
-    and build per-thread level generators from [seed].  With
+    and build per-thread level generators from [seed] and per-thread
+    search scratch arrays; an operation's [tid] must be below
+    [num_threads].  With
     [~nvtraverse:true] (default [false]) the sentinels are persisted
     before returning and every operation runs the NVTraverse
     discipline.

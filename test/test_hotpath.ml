@@ -123,6 +123,35 @@ let test_zero_alloc_loop () =
     true
     (words < 100.)
 
+(* Cross-module inlining, checked by what it saves: [Pmem.load]
+   returns an [int64], which crosses a function boundary boxed (3
+   words) unless [Memory.load] is inlined into [Pmem.load] and
+   [Pmem.load] into this loop.  That takes the build without [-opaque]
+   (dune-workspace selects the release profile) and both functions'
+   [[@inline]]; with either gone, 10k reads allocate 30,000 words.  So
+   this case fails under [--profile dev], on purpose. *)
+let test_boxed_load_inlined () =
+  let p = desktop_pmem ~region_mib:1 () in
+  let ops = 10_000 in
+  for i = 0 to 511 do
+    Pmem.store_int p (i * 8) i
+  done;
+  let body () =
+    let acc = ref 0 in
+    for i = 0 to ops - 1 do
+      acc := !acc + Int64.to_int (Pmem.load p (i * 8 land 0xFF8))
+    done;
+    !acc
+  in
+  ignore (body () : int);
+  let before = Gc.minor_words () in
+  let acc = body () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words for %d boxed-load reads: %.0f (acc %d)" ops
+       words acc)
+    true (words < 100.)
+
 (* A context switch must not allocate per step either: eight threads
    whose charges hand the CPU to another thread (costs 1000 + tid with
    no jitter keep the clocks within one charge of each other for the
@@ -186,6 +215,84 @@ let test_rng_draw_alloc () =
   Alcotest.(check bool)
     (Printf.sprintf "minor words for %d draws: %.0f (acc %d)" (3 * n) words acc)
     true (words < 100.)
+
+(* --- map searches --- *)
+
+(* The map searches allocate nothing: the skip list's [find] and
+   [link_upper] are top-level loops over the thread's scratch pair, and
+   the hash map's chain search returns an address, not an option.  With
+   the per-call search arrays and closures, an insert allocated 396
+   words and a hash-map [get] or [incr] 23.5. *)
+
+(* 4,096 fresh keys in a scattered order, each an insert with a random
+   tower: one [find] plus one per upper level it links.  The value is a
+   constant, so the loop itself boxes nothing.  A fresh key cannot be
+   inserted twice, so the one measured pass is not warmed up; the pages
+   it materialises are major-heap blocks. *)
+let test_skiplist_insert_alloc () =
+  let keys = 4_096 in
+  let pmem = desktop_pmem ~region_mib:2 () in
+  let size = (Pmem.config pmem).Config.region_size in
+  let heap = Heap.create pmem ~base:0 ~size in
+  let sl = Tsp_maps.Lockfree_skiplist.create heap ~num_threads:1 ~seed:5 () in
+  let before = Gc.minor_words () in
+  for i = 0 to keys - 1 do
+    Tsp_maps.Lockfree_skiplist.set_plain sl ~key:(i * 2_654_435 land 0xFFFFF)
+      ~value:1L
+  done;
+  let per_insert = (Gc.minor_words () -. before) /. float_of_int keys in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per skip-list insert: %.1f" per_insert)
+    true (per_insert < 1.)
+
+(* [get] and [incr] on present keys of a log-free hash map, inside a
+   simulated thread (the operations take the bucket's mutex).  What
+   they still allocate, 13 words an operation on average, is outside
+   the search: the critical-section closure, the option and boxed value
+   a [get] returns, and the boxed sum an [incr] hands to Atlas. *)
+let test_hashmap_get_incr_alloc () =
+  let keys = 2_048 and rounds = 4 in
+  let pmem = desktop_pmem ~region_mib:4 () in
+  let size = (Pmem.config pmem).Config.region_size in
+  let log_base = size - (512 * 1024) in
+  let heap = Heap.create pmem ~base:0 ~size:log_base in
+  let atlas =
+    Atlas.Runtime.create ~mode:Atlas.Mode.No_log ~heap ~log_base
+      ~log_size:(512 * 1024) ~num_threads:1 ()
+  in
+  let sched = Scheduler.create ~seed:5 () in
+  let hm = Tsp_maps.Chained_hashmap.create heap ~atlas ~sched ~n_buckets:512 () in
+  for k = 0 to keys - 1 do
+    Tsp_maps.Chained_hashmap.set_plain hm ~key:k ~value:0L
+  done;
+  let ops = Tsp_maps.Chained_hashmap.ops hm in
+  let body () =
+    for _ = 1 to rounds do
+      for k = 0 to keys - 1 do
+        ignore (ops.Tsp_maps.Map_intf.get ~tid:0 ~key:k : int64 option);
+        ops.Tsp_maps.Map_intf.incr ~tid:0 ~key:k ~by:1L
+      done
+    done
+  in
+  let per_op = ref nan in
+  ignore
+    (Scheduler.spawn sched (fun () ->
+         body ();
+         let before = Gc.minor_words () in
+         body ();
+         per_op :=
+           (Gc.minor_words () -. before) /. float_of_int (2 * keys * rounds))
+      : int);
+  Pmem.set_step_hook pmem (fun ~cost -> Scheduler.step sched ~cost);
+  Pmem.set_quantum pmem (Scheduler.quantum_handle sched);
+  (match Scheduler.run sched with
+  | Scheduler.Completed -> ()
+  | _ -> Alcotest.fail "expected completion");
+  Pmem.clear_quantum pmem;
+  Pmem.clear_step_hook pmem;
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per hash-map get or incr: %.1f" !per_op)
+    true (!per_op < 16.)
 
 (* --- Intset --- *)
 
@@ -297,9 +404,15 @@ let suite =
     [
       prop_soa_matches_reference;
       case "device int ops allocate nothing" test_zero_alloc_loop;
+      case "an inlined Pmem.load read as an int allocates nothing"
+        test_boxed_load_inlined;
       case "context switches allocate at most 8 words a step"
         test_switch_alloc;
       case "rng draws allocate nothing" test_rng_draw_alloc;
+      case "skip-list inserts: the searches allocate nothing"
+        test_skiplist_insert_alloc;
+      case "hash-map get and incr allocate under 16 words an op"
+        test_hashmap_get_incr_alloc;
       case "intset: add/mem/clear" test_intset_basics;
       case "intset: growth keeps members and order" test_intset_growth_and_order;
       prop_intset_matches_hashtbl;

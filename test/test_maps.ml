@@ -377,6 +377,88 @@ let test_skip_concurrent_same_key () =
   let v = Skiplist.fold_plain heap ~root (fun _ v _ -> v) 0L in
   Alcotest.check int64 "no lost updates" 200L v
 
+(* The device-op counts of a contended 4-thread run, pinned.  Each
+   thread sets, increments, reads and removes keys from a range the
+   others share, under cost jitter, so snips, lost CASes, restarted
+   finds and helped unlinks all happen.  The figures were taken from
+   the implementation whose every search allocated fresh preds/succs
+   arrays; the per-thread scratch arrays must reproduce each load,
+   store, CAS, CAS failure, flush and fence, the elapsed cycles and the
+   final contents, in both disciplines. *)
+let skip_contended_run ~nvtraverse =
+  let pmem, heap, sl = skip_env ~threads:4 ~nvtraverse () in
+  let ops = Skiplist.ops sl in
+  let sched = Scheduler.create ~seed:29 ~cost_jitter:3 () in
+  for tid = 0 to 3 do
+    ignore
+      (Scheduler.spawn sched (fun () ->
+           for i = 0 to 59 do
+             let key = ((i * 7) + (tid * 13)) mod 48 in
+             match (i + tid) mod 4 with
+             | 0 -> ops.Map_intf.set ~tid ~key ~value:(Int64.of_int i)
+             | 1 -> ops.Map_intf.incr ~tid ~key ~by:1L
+             | 2 -> ignore (ops.Map_intf.get ~tid ~key : int64 option)
+             | _ -> ignore (ops.Map_intf.remove ~tid ~key : bool)
+           done)
+        : int)
+  done;
+  Pmem.set_step_hook pmem (fun ~cost -> Scheduler.step sched ~cost);
+  Pmem.set_quantum pmem (Scheduler.quantum_handle sched);
+  (* The run takes about 20k steps; the crash step turns a search that
+     never ends (threads sharing one scratch pair) into a failure. *)
+  (match Scheduler.run ~crash_at_step:200_000 sched with
+  | Scheduler.Completed -> ()
+  | _ -> Alcotest.fail "expected completion");
+  Pmem.clear_quantum pmem;
+  Pmem.clear_step_hook pmem;
+  let st = Pmem.stats pmem in
+  let root = Skiplist.root sl in
+  let digest =
+    Skiplist.fold_plain heap ~root
+      (fun k v acc -> (acc * 31) + (k * 1000) + Int64.to_int v)
+      (Skiplist.size_plain heap ~root)
+  in
+  Nvm.Stats.
+    [
+      ("loads", st.loads);
+      ("stores", st.stores);
+      ("cas", st.cas_ops);
+      ("cas failures", st.cas_failures);
+      ("flushes", st.flushes);
+      ("fences", st.fences);
+      ("elapsed", Scheduler.elapsed_cycles sched);
+      ("contents", digest);
+    ]
+
+let test_skip_contended_counts () =
+  let check name expected actual =
+    Alcotest.(check (list (pair string int))) name expected actual
+  in
+  check "lock-free"
+    [
+      ("loads", 19497);
+      ("stores", 621);
+      ("cas", 274);
+      ("cas failures", 12);
+      ("flushes", 1);
+      ("fences", 1);
+      ("elapsed", 35284);
+      ("contents", 1751396275625420554);
+    ]
+    (skip_contended_run ~nvtraverse:false);
+  check "nvtraverse"
+    [
+      ("loads", 20122);
+      ("stores", 698);
+      ("cas", 284);
+      ("cas failures", 22);
+      ("flushes", 294);
+      ("fences", 247);
+      ("elapsed", 56995);
+      ("contents", 3275011944046726046);
+    ]
+    (skip_contended_run ~nvtraverse:true)
+
 let test_skip_level_distribution () =
   (* Geometric levels with p = 1/2: the mean should be near 2 and the
      maximum bounded by max_level. *)
@@ -825,6 +907,8 @@ let suite =
       case "skiplist: concurrent distinct inserts" test_skip_concurrent_inserts;
       case "skiplist: concurrent same-key race" test_skip_concurrent_same_key;
       case "skiplist: level distribution" test_skip_level_distribution;
+      case "skiplist: contended device-op counts are pinned"
+        test_skip_contended_counts;
       case "skiplist: create and attach need a thread" test_skip_needs_a_thread;
       case "hashmap: a cyclic chain makes the plain folds raise"
         test_hash_fold_cycle;
