@@ -859,9 +859,7 @@ let trace_cmd =
          recovery verdict.  Fails loudly if the tentpole ordering —
          NVTraverse strictly under log-flush on flushes/op at equal or
          better throughput — does not hold. *)
-      let rows =
-        Workload.Frontier.run ?jobs ~threads:4 ~seed ~platform ()
-      in
+      let rows = Workload.Frontier.run ?jobs ~seed ~platform () in
       Fmt.pr "%a@." Workload.Frontier.pp rows;
       emit_artifacts artifact_dir ~subcommand:"trace"
         ~config:(fun j ->

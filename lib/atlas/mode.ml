@@ -15,8 +15,6 @@ let of_string = function
   | "log-flush-async" | "async" | "deferred" -> Ok Log_flush_async
   | s -> Error (Printf.sprintf "unknown Atlas mode %S" s)
 
-let pp ppf t = Fmt.string ppf (to_string t)
-
 let logs = function
   | No_log -> false
   | Log_only | Log_flush | Log_flush_async -> true

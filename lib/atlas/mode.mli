@@ -26,7 +26,6 @@ type t =
 val all : t list
 val to_string : t -> string
 val of_string : string -> (t, string) result
-val pp : t Fmt.t
 
 val logs : t -> bool
 (** Whether the mode maintains an undo log at all. *)

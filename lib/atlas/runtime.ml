@@ -85,8 +85,6 @@ let create ?(costs = default_costs) ?(first_seq = 1) ?(checkpoint_every = 32)
   }
 
 let mode t = t.mode
-let heap t = t.heap
-let log t = t.ulog
 
 let thread_ctx t ~tid =
   if tid < 0 || tid >= Array.length t.ctxs then
@@ -332,13 +330,9 @@ let store t ctx addr v =
             ignore (Nvm.Intset.add ctx.dirtied (line_addr t addr) : bool)
     end
 
-let load t addr = Nvm.Pmem.load (pmem t) addr
-
 let store_field t ctx obj i v = store t ctx (Heap.field_addr t.heap obj i) v
 
-let store_field_int t ctx obj i v = store_field t ctx obj i (Int64.of_int v)
 let load_field t obj i = Heap.load_field t.heap obj i
-let load_field_int t obj i = Heap.load_field_int t.heap obj i
 
 let ocs_depth ctx = ctx.depth
 let current_ocs ctx = Option.map (fun (o : ocs_info) -> o.id) ctx.current

@@ -60,8 +60,6 @@ val create :
     sequence when restarting after a crash). *)
 
 val mode : t -> Mode.t
-val heap : t -> Pheap.Heap.t
-val log : t -> Undo_log.t
 val thread_ctx : t -> tid:int -> ctx
 val make_mutex : t -> Sched.Scheduler.t -> amutex
 val mutex_id : amutex -> int
@@ -82,13 +80,8 @@ val store : t -> ctx -> int -> int64 -> unit
     section — shared persistent data may only be modified under a
     mutex. *)
 
-val load : t -> int -> int64
-(** Plain load (reads need no instrumentation). *)
-
 val store_field : t -> ctx -> Pheap.Heap.addr -> int -> int64 -> unit
-val store_field_int : t -> ctx -> Pheap.Heap.addr -> int -> int -> unit
 val load_field : t -> Pheap.Heap.addr -> int -> int64
-val load_field_int : t -> Pheap.Heap.addr -> int -> int
 
 (** {1 Introspection (tests and reports)} *)
 

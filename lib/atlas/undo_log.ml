@@ -138,8 +138,6 @@ let advance_tail t ~tid ~new_tail ~flush =
     Nvm.Pmem.fence t.pmem
   end
 
-let tail t ~tid = t.tails.(tid)
-
 let live_entries t ~tid =
   let head = t.heads.(tid) and tail = t.tails.(tid) in
   let d = if head >= tail then head - tail else head - tail + t.buf_bytes in

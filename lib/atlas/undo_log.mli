@@ -69,7 +69,6 @@ val advance_tail : t -> tid:int -> new_tail:int -> flush:bool -> unit
 val next_slot : t -> int -> int
 (** Ring successor of an entry address. *)
 
-val tail : t -> tid:int -> int
 val live_entries : t -> tid:int -> int
 (** Entries currently between tail and head of [tid]'s ring. *)
 

@@ -36,10 +36,6 @@ type t = {
 val conventional_server : t
 (** Volatile DRAM, block storage, stock kernel: the pre-NVM baseline. *)
 
-val mmap_posix_server : t
-(** As {!conventional_server} — named to emphasise that POSIX file-backed
-    mappings alone already make process crashes a TSP case. *)
-
 val panic_hardened_server : t
 (** Conventional hardware plus the patched panic handler that flushes
     caches and dumps memory to storage. *)

@@ -69,8 +69,6 @@ val crash_model :
 
 val is_tsp : verdict -> bool
 val pp_verdict : verdict Fmt.t
-val pp_runtime_obligation : runtime_obligation Fmt.t
-val pp_crash_action : crash_action Fmt.t
 
 val decision_matrix : unit -> (string * (Failure_class.t * verdict) list) list
 (** The full platform x failure-class matrix over {!Hardware.all} — the

@@ -17,17 +17,3 @@ let mechanism t =
   match t.integrity with
   | Fail_stop -> `Non_blocking_suffices
   | Corrupting_sections -> `Needs_rollback
-
-let scope_to_string = function
-  | Persistent_heap -> "persistent-heap"
-  | Whole_process -> "whole-process"
-
-let integrity_to_string = function
-  | Fail_stop -> "fail-stop"
-  | Corrupting_sections -> "corrupting-sections"
-
-let pp ppf t =
-  Fmt.pf ppf "tolerate {%a}, scope %s, %s"
-    Fmt.(list ~sep:comma Failure_class.pp)
-    t.tolerated (scope_to_string t.scope)
-    (integrity_to_string t.integrity)

@@ -38,5 +38,3 @@ val mechanism : t -> [ `Non_blocking_suffices | `Needs_rollback ]
     admits: with {!Corrupting_sections} tolerance, only the Atlas
     approach works (Section 4.2); under {!Fail_stop}, a non-blocking
     structure plus TSP needs no mechanism at all (Section 4.1). *)
-
-val pp : t Fmt.t

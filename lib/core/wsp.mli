@@ -35,7 +35,6 @@ type outcome = {
 }
 
 val run_stage : stage -> stage_result
-val simulate : stage list -> outcome
 
 val plan_for : Hardware.t -> stage list
 (** The two WSP stages instantiated with a platform's cache and DRAM
@@ -44,7 +43,7 @@ val plan_for : Hardware.t -> stage list
     non-volatile caches get an empty plan. *)
 
 val of_hardware : Hardware.t -> outcome
-(** [simulate (plan_for h)]. *)
+(** {!run_stage} over the stages of [plan_for h], with their totals. *)
 
 val line_rescue_budget : Hardware.t -> budget_j:float -> line_size:int -> int
 (** How many cache lines a stage-1 rescue can move before [budget_j]

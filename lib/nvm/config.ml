@@ -129,8 +129,3 @@ let validate t =
   go checks
 
 let n_sets t = t.cache_lines / t.cache_ways
-
-let pp ppf t =
-  Fmt.pf ppf "%s @@ %.1f GHz (%d hw threads, %s, %d MiB region)" t.name t.ghz
-    t.hw_threads t.dram_desc
-    (t.region_size / (1024 * 1024))

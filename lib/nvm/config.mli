@@ -57,5 +57,3 @@ val validate : t -> (unit, string) result
 
 val n_sets : t -> int
 (** Number of cache sets, [cache_lines / cache_ways]. *)
-
-val pp : t Fmt.t

@@ -83,10 +83,6 @@ let hit_rate t =
   if accesses = 0 then nan
   else float_of_int (t.load_hits + t.store_hits) /. float_of_int accesses
 
-let total_cycles t =
-  t.load_cycles + t.store_cycles + t.cas_cycles + t.flush_cycles
-  + t.fence_cycles + t.compute_cycles
-
 let cycle_category_names =
   [| "loads"; "stores"; "cas"; "flushes"; "fences"; "compute" |]
 
@@ -113,13 +109,3 @@ let pp_breakdown_totals ppf totals =
   Fmt.pf ppf "total    %12d cycles@]" sum
 
 let pp_breakdown ppf t = pp_breakdown_totals ppf (cycle_totals t)
-
-let pp ppf t =
-  Fmt.pf ppf
-    "@[<v>loads %d (hits %d, misses %d)@ stores %d (hits %d, misses %d)@ \
-     cas %d (failed %d)@ flushes %d, fences %d, writebacks %d@ crashes %d \
-     (rescued %d lines, dropped %d, torn %d; %d bits flipped)@ clock %d \
-     cycles@]"
-    t.loads t.load_hits t.load_misses t.stores t.store_hits t.store_misses
-    t.cas_ops t.cas_failures t.flushes t.fences t.writebacks t.crashes
-    t.rescued_lines t.dropped_lines t.torn_lines t.flipped_bits t.clock

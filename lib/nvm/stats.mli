@@ -46,10 +46,6 @@ val total_ops : t -> int
 val hit_rate : t -> float
 (** Fraction of loads and stores that hit the cache; [nan] if none. *)
 
-val total_cycles : t -> int
-(** Sum of all per-category cycle counters: everything the device ever
-    charged, wherever the charge landed (thread clocks or [clock]). *)
-
 val cycle_category_names : string array
 (** Display names of the per-category cycle counters, in the order
     {!cycle_totals} reports them. *)
@@ -64,10 +60,8 @@ val sum_cycle_totals : int array list -> int array
 (** Element-wise sum of {!cycle_totals} arrays: a campaign's ledger over
     its runs, independent of the domain each run executed in. *)
 
-val pp : t Fmt.t
-
 val pp_breakdown : t Fmt.t
-(** One line per cycle category with its share of {!total_cycles} —
+(** One line per cycle category with its share of the total —
     the "where did the time go" view used by the overhead-decomposition
     report. *)
 

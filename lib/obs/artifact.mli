@@ -13,9 +13,6 @@
     counts.  The [git]/[host] stamps are constant within a
     checkout/host.  No timestamps anywhere. *)
 
-val manifest_schema : string
-(** ["tsp-manifest-v1"]. *)
-
 val results_schema : string
 (** ["tsp-results-v1"]. *)
 

@@ -1,7 +1,3 @@
-(* String-body escaping now lives in the shared JSON layer; the alias
-   keeps this module's exporter self-contained for callers. *)
-let escape = Json.escape
-
 let default_thread_name tid =
   if tid < 0 then "device" else Printf.sprintf "thread-%d" tid
 
@@ -22,7 +18,7 @@ let emit_track ?(thread_name = default_thread_name) ~pid ~event tr =
           (Printf.sprintf
              "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
              pid (chrome_tid e.tid)
-             (escape (thread_name e.tid)))
+             (Json.escape (thread_name e.tid)))
       end);
   (* Span state per chrome tid: open-depth guards against "E" events
      whose "B" was lost to ring wrap-around. *)
@@ -60,9 +56,9 @@ let emit_track ?(thread_name = default_thread_name) ~pid ~event tr =
         begin_span ct e.ts (Printf.sprintf "ocs-%d" e.a)
       else if code = Event.ocs_commit then end_span ct e.ts
       else if code = Event.phase_begin then
-        begin_span ct e.ts (escape (Event.phase_name e.a))
+        begin_span ct e.ts (Json.escape (Event.phase_name e.a))
       else if code = Event.phase_end then end_span ct e.ts
-      else instant (escape (Event.name code));
+      else instant (Json.escape (Event.name code));
       if e.dirty <> !last_dirty then begin
         last_dirty := e.dirty;
         event
@@ -124,7 +120,7 @@ let to_buffer_multi ?thread_name buf tracks =
           event
             (Printf.sprintf
                "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"%s\"}}"
-               pid (escape label));
+               pid (Json.escape label));
           emit_track ?thread_name ~pid ~event tr)
         tracks)
 

@@ -19,15 +19,10 @@
     drops unmatched ends, then closes any still-open spans at the last
     timestamp, so the output is always well-formed. *)
 
-val escape : string -> string
-(** JSON string-body escaping (quotes, backslashes, control
-    characters); the result is the contents between the quotes. *)
-
-val to_buffer : ?thread_name:(int -> string) -> Buffer.t -> Tracer.t -> unit
+val to_string : ?thread_name:(int -> string) -> Tracer.t -> string
 (** [thread_name] maps a simulated thread id (or [-1] for the device
     track) to a display name; names are escaped by the exporter. *)
 
-val to_string : ?thread_name:(int -> string) -> Tracer.t -> string
 val write_file : ?thread_name:(int -> string) -> string -> Tracer.t -> unit
 
 (** {1 Multi-tracer export}
@@ -39,9 +34,6 @@ val write_file : ?thread_name:(int -> string) -> string -> Tracer.t -> unit
     named group per shard, with that shard's thread and device tracks
     (and dirty-line counter) inside it.  [thread_name] applies within
     every shard. *)
-
-val to_buffer_multi :
-  ?thread_name:(int -> string) -> Buffer.t -> (string * Tracer.t) list -> unit
 
 val write_file_multi :
   ?thread_name:(int -> string) -> string -> (string * Tracer.t) list -> unit

@@ -30,13 +30,6 @@ type t = {
 let create () =
   { buckets = Array.make bucket_count 0; n = 0; sum = 0; vmin = 0; vmax = 0 }
 
-let reset t =
-  Array.fill t.buckets 0 bucket_count 0;
-  t.n <- 0;
-  t.sum <- 0;
-  t.vmin <- 0;
-  t.vmax <- 0
-
 (* Top-bit index for v >= 16, accumulator-passing so no ref cell is
    allocated on the emit path. *)
 let rec top_bit v k = if v < 32 then k else top_bit (v lsr 1) (k + 1)
@@ -113,13 +106,6 @@ let sparkline ?(width = 32) t =
       acc;
     Buffer.contents buf
   end
-
-let pp ppf t =
-  if t.n = 0 then Fmt.pf ppf "(empty)"
-  else
-    Fmt.pf ppf "n=%d mean=%.1f min=%d p50=%d p99=%d p999=%d max=%d  %s" t.n
-      (mean t) t.vmin (quantile t 0.5) (quantile t 0.99) (quantile t 0.999)
-      t.vmax (sparkline t)
 
 let to_json j t =
   Json.obj_open j;

@@ -21,14 +21,10 @@ val create : unit -> t
 val add : t -> int -> unit
 (** Record one value; negatives are clamped to 0.  Allocation-free. *)
 
-val reset : t -> unit
-
 (** {1 Exact statistics} *)
 
 val count : t -> int
 val sum : t -> int
-val mean : t -> float
-
 val is_empty : t -> bool
 
 (** {1 Bucketed statistics} *)
@@ -43,9 +39,6 @@ val sparkline : ?width:int -> t -> string
 (** Log-bucket shape compressed to at most [width] (default 32) cells,
     eight UTF-8 block levels scaled to the peak bucket; ['.'] for empty
     cells, [""] when the histogram is empty. *)
-
-val pp : t Fmt.t
-(** One line: n, mean, min, p50/p99/p999, max and the sparkline. *)
 
 val to_json : Json.t -> t -> unit
 (** Emit [{n, sum, min, max, mean, p50, p99, p999, sparkline}]. *)

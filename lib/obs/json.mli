@@ -1,6 +1,7 @@
-(** The one JSON writer (and minimal reader) shared by every emitter in
-    the tree: Chrome traces, bench snapshots and the campaign
-    manifest/results artifacts.
+(** The one JSON writer (and minimal reader) shared by the bench
+    snapshots and the campaign manifest/results artifacts.  Chrome
+    traces are printed event by event with [Printf] and share only
+    {!escape}.
 
     The writer is a thin layer over a {!Buffer.t}: besides the buffer it
     keeps three scalar fields, and the between-element comma state lives
@@ -57,7 +58,7 @@ val raw : t -> string -> unit
 
 val escape : string -> string
 (** JSON string-body escaping (['"'], backslash, control characters);
-    shared with {!Chrome}. *)
+    also used by {!Chrome}'s event printer. *)
 
 (** {1 Reader}
 

@@ -65,7 +65,6 @@ let make ~klass ~phase ~invariant ~shape =
   { klass; phase; invariant; shape; hash = Printf.sprintf "%016x" h }
 
 let equal a b = String.equal a.hash b.hash
-let compare a b = String.compare a.hash b.hash
 
 let tally sigs =
   List.fold_left

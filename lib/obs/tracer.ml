@@ -123,7 +123,6 @@ let in_phase t ~phase f =
       phase_begin tr ~phase;
       Fun.protect ~finally:(fun () -> phase_end tr ~phase) f
 
-let capacity t = t.cap
 let emitted t = t.head
 let length t = min t.head t.cap
 let dropped t = max 0 (t.head - t.cap)

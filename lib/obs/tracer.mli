@@ -53,8 +53,6 @@ val in_phase : t option -> phase:int -> (unit -> 'a) -> 'a
 
 (** {1 Ring access} *)
 
-val capacity : t -> int
-
 val emitted : t -> int
 (** Total events ever emitted. *)
 

@@ -48,8 +48,6 @@ val start_addr : t -> int
 val end_addr : t -> int
 (** Bump high-water mark: one past the last block. *)
 
-val capacity_end : t -> int
-
 (** {1 Root pointer} *)
 
 val get_root : t -> addr
@@ -95,9 +93,6 @@ val cas_field_int : t -> addr -> int -> expected:int -> desired:int -> bool
 
 val kind_of : t -> addr -> int
 val words_of : t -> addr -> int
-
-val contains : t -> addr -> bool
-(** Whether [addr] lies inside the allocated span and is word-aligned. *)
 
 val is_object_start : t -> addr -> bool
 (** Cost-free check that a valid, non-free object header precedes

@@ -393,7 +393,6 @@ module Incremental = struct
     free_blocks : (int * int) list;
     total : int;
     miss : int;
-    touched : Nvm.Intset.t;
     mutable consumed : int;
     mutable on_demand_count : int;
     mutable applied : bool;
@@ -416,7 +415,6 @@ module Incremental = struct
       free_blocks = plan.p_free_blocks;
       total = mark_cycles + sweep_cycles;
       miss;
-      touched = Nvm.Intset.create ~capacity:1024 ();
       consumed = 0;
       on_demand_count = 0;
       applied = false;
@@ -425,7 +423,6 @@ module Incremental = struct
   let total_cycles t = t.total
   let remaining_cycles t = t.total - t.consumed
   let plan t = (t.stats, t.quarantine)
-  let finished t = t.applied
 
   let advance t ~budget =
     if t.applied then 0
@@ -450,20 +447,6 @@ module Incremental = struct
     end
 
   let on_demand_count t = t.on_demand_count
-
-  let touch t ~addr =
-    let a = strip_tag addr in
-    if a <> Heap.null && Nvm.Intset.mem t.marks a && Nvm.Intset.add t.touched a
-    then begin
-      let h = Nvm.Pmem.peek_int (Heap.pmem t.heap) (a - Layout.word_size) in
-      let words = Layout.header_words_i h in
-      let lw = (Nvm.Pmem.config (Heap.pmem t.heap)).Nvm.Config.line_size / 8 in
-      let cost = (words + 1 + lw - 1) / lw * t.miss in
-      Nvm.Pmem.charge (Heap.pmem t.heap) cost;
-      t.consumed <- min t.total (t.consumed + cost);
-      cost
-    end
-    else 0
 
   let finish t =
     if not t.applied then begin

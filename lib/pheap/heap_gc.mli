@@ -100,9 +100,9 @@ val collect_streamed :
     leaves the heap image untouched, so recovery simply restarts), then
     pay for it in slices.  The service layer drains the budget from a
     background fiber via {!Incremental.advance} while serving requests,
-    charging on-demand recovery of individual objects via
-    {!Incremental.touch}; {!Incremental.finish} pays any remainder and
-    applies the one mutating step, the allocator reset. *)
+    charging each key's first touch via {!Incremental.on_demand};
+    {!Incremental.finish} pays any remainder and applies the one
+    mutating step, the allocator reset. *)
 module Incremental : sig
   type t
 
@@ -122,8 +122,6 @@ module Incremental : sig
 
   val remaining_cycles : t -> int
 
-  val finished : t -> bool
-
   val advance : t -> budget:int -> int
   (** Charge up to [budget] cycles of background collection work and
       return the amount actually consumed (0 once drained or
@@ -132,19 +130,12 @@ module Incremental : sig
   val on_demand : t -> int
   (** Charge the {e average} per-object recovery cost for one
       first-touch — for callers (the request path of a recovering
-      service) that track touched keys themselves and have no object
-      address in hand.  At least one cold miss; counts toward the
-      budget; 0 once finished.  Returns the cost charged. *)
+      service) that track touched keys themselves.  At least one cold
+      miss; counts toward the budget; 0 once finished.  Returns the
+      cost charged. *)
 
   val on_demand_count : t -> int
   (** {!on_demand} calls so far. *)
-
-  val touch : t -> addr:int -> int
-  (** On-demand recovery of the object at [addr] (tag bits tolerated):
-      the first touch of a marked object charges one cold miss per cache
-      line of its span — re-reading its header and fields — counts it
-      against the remaining budget, and returns the cost. Repeat touches,
-      unmarked or null addresses cost and return 0. *)
 
   val finish : t -> stats * quarantine
   (** Pay any remaining budget and apply the allocator reset.
@@ -157,7 +148,8 @@ val verify : Heap.t -> (unit, string list) result
     verdict): block chain parses, kinds are registered, live pointers
     target valid objects.  Returns all problems found, in walk order;
     an exception a scanner raises propagates.  Its host memory is one
-    tag byte per heap word, and a live object costs it one boxed header
-    read (3 minor words). *)
+    tag byte per heap word; headers are decoded in a register, so a live
+    object costs it no allocation (under one minor word, as a test
+    guards). *)
 
 val pp_stats : stats Fmt.t

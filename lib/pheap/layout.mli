@@ -19,7 +19,6 @@
     {v  [ magic:8 | kind:8 | reserved:16 | size_words:32 ]  v} *)
 
 val word_size : int
-val header_magic : int
 val heap_magic : int64
 val header_bytes : int  (** bytes from base to the first object header *)
 

@@ -24,7 +24,6 @@ type stream = {
 
 val op_read : int
 val op_update : int
-val op_rmw : int
 
 val generate :
   seed:int ->

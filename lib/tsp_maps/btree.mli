@@ -74,6 +74,3 @@ val check_plain : Pheap.Heap.t -> root:Pheap.Heap.addr -> (unit, string) result
     enumerates the same keys as the tree descent, in order. *)
 
 val height : Pheap.Heap.t -> root:Pheap.Heap.addr -> int
-
-val header_kind : int
-val node_kind : int

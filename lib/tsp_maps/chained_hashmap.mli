@@ -92,6 +92,3 @@ val fold_wide_plain :
   (int -> int64 array -> 'a -> 'a) ->
   'a ->
   'a
-
-val header_kind : int
-val node_kind : int

@@ -40,7 +40,6 @@ type t = {
 }
 
 let root t = t.table
-let capacity t = t.capacity
 let pmem t = Heap.pmem t.heap
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -302,8 +301,6 @@ let fold_plain heap ~root f acc =
     end
   done;
   !acc
-
-let size_plain heap ~root = fold_plain heap ~root (fun _ _ n -> n + 1) 0
 
 let check_plain heap ~root =
   try

@@ -21,8 +21,6 @@
 
 type t
 
-val default_op_cycles : int
-
 val capacity_for : n_buckets:int -> int
 (** Power-of-two slot count giving the same keyspace headroom the
     chained map gets from [n_buckets] buckets (8 slots per bucket). *)
@@ -36,7 +34,6 @@ val attach : Pheap.Heap.t -> ?op_cycles:int -> Pheap.Heap.addr -> t
     @raise Invalid_argument if the root is not a delay-free table. *)
 
 val root : t -> Pheap.Heap.addr
-val capacity : t -> int
 val ops : t -> Map_intf.ops
 
 (** {1 Recovery} *)
@@ -61,9 +58,5 @@ val set_plain : t -> key:int -> value:int64 -> unit
 val fold_plain :
   Pheap.Heap.t -> root:Pheap.Heap.addr -> (int -> int64 -> 'a -> 'a) -> 'a -> 'a
 
-val size_plain : Pheap.Heap.t -> root:Pheap.Heap.addr -> int
-
 val check_plain : Pheap.Heap.t -> root:Pheap.Heap.addr -> (unit, string) result
 (** Structural sanity: no duplicate keys among occupied slots. *)
-
-val table_kind : int

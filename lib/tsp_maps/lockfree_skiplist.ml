@@ -3,7 +3,7 @@ module Kind = Pheap.Kind
 module Pmem = Nvm.Pmem
 module Rng = Sched.Sim_rng
 
-let default_max_level = 16
+let sentinel_levels = 16 (* [attach] reads the height back from the head *)
 let next_base = 3 (* word index of the level-0 next pointer *)
 let default_op_cycles = 25
 
@@ -95,10 +95,9 @@ let make_rngs ~num_threads ~seed =
 let make_scratch ~num_threads ~max_level =
   Array.init num_threads (fun _ -> Array.make (Int.max 0 max_level) Heap.null)
 
-let create heap ?(max_level = default_max_level) ?(op_cycles = default_op_cycles)
-    ?(nvtraverse = false) ~num_threads ~seed () =
-  if max_level < 1 || max_level > 32 then
-    invalid_arg "Lockfree_skiplist.create: max_level out of range";
+let create heap ?(op_cycles = default_op_cycles) ?(nvtraverse = false)
+    ~num_threads ~seed () =
+  let max_level = sentinel_levels in
   (* [random_level] indexes one level generator per thread by tid. *)
   if num_threads < 1 then
     invalid_arg "Lockfree_skiplist.create: num_threads must be >= 1";

@@ -42,26 +42,22 @@
 
 type t
 
-val default_max_level : int
-
 val create :
   Pheap.Heap.t ->
-  ?max_level:int ->
   ?op_cycles:int ->
   ?nvtraverse:bool ->
   num_threads:int ->
   seed:int ->
   unit ->
   t
-(** Allocate head and tail sentinels, point the heap root at the head,
-    and build per-thread level generators from [seed] and per-thread
-    search scratch arrays; an operation's [tid] must be below
+(** Allocate 16-level head and tail sentinels, point the heap root at
+    the head, and build per-thread level generators from [seed] and
+    per-thread search scratch arrays; an operation's [tid] must be below
     [num_threads].  With
     [~nvtraverse:true] (default [false]) the sentinels are persisted
     before returning and every operation runs the NVTraverse
     discipline.
-    @raise Invalid_argument if [max_level] is outside 1..32 or
-    [num_threads] is below 1. *)
+    @raise Invalid_argument if [num_threads] is below 1. *)
 
 val attach :
   Pheap.Heap.t ->

@@ -105,13 +105,6 @@ val pp_summary : summary Fmt.t
     with the per-key diagnoses.  Deterministic: independent of [jobs]
     and of wall-clock. *)
 
-val signature_of_point : spec:spec -> point -> Obs.Signature.t option
-(** Normalized failure signature of a flagged point ([None] when the
-    point is explained): DL-violation class x variant x normalized
-    first per-key diagnosis x flagged-key shape.  Crash steps, op
-    counts and recovered values normalize out, so the same planted bug
-    at two crash points yields the same signature. *)
-
 val to_json : Obs.Json.t -> summary -> unit
 (** Emit this campaign's results-artifact object: spec echo, totals,
     deduped signatures and per-point outcome rows.  Byte-identical

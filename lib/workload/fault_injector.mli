@@ -158,22 +158,12 @@ val pp_summary : summary Fmt.t
     signatures, one line per violation with its reproducer (first 20),
     and the shrinking result if any. *)
 
-val failure_detail : run_outcome -> string
-(** The deterministic one-line diagnosis of a violating outcome (first
-    failing invariant, first recovery error, or the inconsistency
-    class), shared by {!pp_summary}, {!signature_of} and the artifact. *)
-
 val signature_of : run_outcome -> Obs.Signature.t option
 (** Normalized failure signature of a violating outcome ([None] for
     clean runs): failure class x fault model x normalized diagnosis x
     failing-check shape.  Stable across seeds, crash steps and cycle
     counts — the same bug at two crash points yields the same
     signature. *)
-
-val ledger_row : model_tally -> string
-(** The exact verdict-ledger line {!pp_summary} prints for this model —
-    also embedded verbatim in the results artifact, so the replay
-    gate's byte-identity covers the same bytes a human reads. *)
 
 val to_json : Obs.Json.t -> summary -> unit
 (** Emit this campaign's results-artifact object: spec echo, totals,

@@ -39,16 +39,16 @@ let default_variants =
     Machine.Delayfree_map;
   ]
 
-let base_config ~platform ~threads ~iterations ~seed =
+let base_config ~platform ~seed =
   {
     (Runner.smoke_workload Runner.default_config) with
     Runner.platform;
-    threads;
-    iterations;
+    threads = 4;
+    iterations = 2000;
     seed;
   }
 
-let measure ~config ~crash_step variant =
+let measure ~config variant =
   let config = { config with Runner.variant } in
   (* Leg 1: traced crash-free run.  The tracer is private to this
      machine; only its exact counters are read, so the small ring is
@@ -61,7 +61,7 @@ let measure ~config ~crash_step variant =
   let spec =
     {
       (Check_campaign.default_spec config) with
-      Check_campaign.from_step = crash_step;
+      Check_campaign.from_step = 40_000;
       window = 1;
       stride = 1;
     }
@@ -82,12 +82,11 @@ let measure ~config ~crash_step variant =
     recovery_verdict = point.Check_campaign.recovery_verdict;
   }
 
-let run ?jobs ?(variants = default_variants) ?(threads = 4)
-    ?(iterations = 2000) ?(crash_step = 40_000) ?(seed = 42) ~platform () =
+let run ?jobs ?(variants = default_variants) ?(seed = 42) ~platform () =
   (* All parameters are fixed before the fan-out, so the rows are
      byte-identical for any [jobs]. *)
-  let config = base_config ~platform ~threads ~iterations ~seed in
-  Parallel.map ?jobs (measure ~config ~crash_step) variants
+  let config = base_config ~platform ~seed in
+  Parallel.map ?jobs (measure ~config) variants
 
 let find rows variant =
   List.find_opt (fun r -> r.variant = variant) rows

@@ -25,20 +25,15 @@ type row = {
   recovery_verdict : Atlas.Recovery.verdict option;
 }
 
-val default_variants : Machine.variant list
-(** The six frontier designs: no-log, log-only, log-flush, non-blocking,
-    nvtraverse, delay-free. *)
-
 val run :
   ?jobs:int ->
   ?variants:Machine.variant list ->
-  ?threads:int ->
-  ?iterations:int ->
-  ?crash_step:int ->
   ?seed:int ->
   platform:Nvm.Config.t ->
   unit ->
   row list
+(** Each of [variants] (default: the six designs) runs 4 threads x 2000
+    iterations; its crash point is step 40,000. *)
 
 val find : row list -> Machine.variant -> row option
 

@@ -11,9 +11,6 @@ val c2 : tid:int -> int
 
 val l_size : threads:int -> int
 
-val h_start : int
-(** First key of the data range [H]; well above any counter key. *)
-
 val h_key : int -> int
 (** [h_key i] is the [i]-th data key. *)
 

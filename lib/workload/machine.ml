@@ -10,8 +10,6 @@ module Delayfree = Tsp_maps.Delayfree_map
 
 include Run_config
 
-type spec = config
-
 let value_words spec =
   match spec.workload with
   | Wide { value_words; _ } -> value_words
@@ -30,7 +28,7 @@ type map = {
 }
 
 type t = {
-  spec : spec;
+  spec : config;
   pmem : Nvm.Pmem.t;
   mutable heap : Heap.t;
   mutable sched : Scheduler.t;

@@ -30,9 +30,6 @@ end
 (** The run configuration; the [struct include] form keeps the type
     equations, so [Machine.config] is [Runner.config]. *)
 
-type spec = config
-(** A machine's own configuration: the type of its [spec] field. *)
-
 val value_words : config -> int
 (** The hash map's value width: a [Wide] workload's [value_words], else
     1. *)
@@ -60,7 +57,7 @@ type map = {
 }
 
 type t = {
-  spec : spec;
+  spec : config;  (** the configuration the machine was built from *)
   pmem : Nvm.Pmem.t;
   mutable heap : Pheap.Heap.t;
       (** re-pointed at the recovered heap by a successful {!recover} *)

@@ -2,7 +2,7 @@
     design x Atlas mode x platform x failure class x workload) and
     everything a run needs to build its machine, drive its threads,
     crash and recover.  {!Machine} and {!Runner} both include this
-    module, so [Runner.config] and [Machine.spec] are one type.  What a
+    module, so [Runner.config] and [Machine.config] are one type.  What a
     configuration stores before its threads start, and whether it can
     run, are {!Runner.iter_preload} and {!Runner.validate}. *)
 
@@ -73,7 +73,7 @@ type workload =
       [Machine.recover] returns as soon as rollback and GC {e planning}
       are done; the collection bill sits in the machine's [gc_pending]
       for a background fiber to drain
-      ({!Pheap.Heap_gc.Incremental.advance}/[touch]), and
+      ({!Pheap.Heap_gc.Incremental.advance}/[on_demand]), and
       [Machine.finish_background_gc] applies the allocator reset.  The
       planned [gc] stats and [gc_quarantine] — and hence the verdict —
       are already final. *)

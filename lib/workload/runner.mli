@@ -156,12 +156,9 @@ val run_with_resume : config -> resume_report
 
 val pp_resume_report : resume_report Fmt.t
 
-val ops_per_iteration : workload -> int
-(** Map operations per workload iteration (3 for counters/mixed, 1
-    otherwise): the denominator of the per-op psync rates. *)
-
 val completed_ops : result -> int
-(** [iterations_done * ops_per_iteration]: what to pass to
+(** [iterations_done] times the map operations per iteration (3 for
+    counters/mixed, 1 otherwise): what to pass to
     {!Obs.Metrics.of_tracer} so commit-free variants report per-op psync
     rates. *)
 

@@ -53,8 +53,7 @@ let flush_latency ?(iterations = 1500)
     points = Parallel.map ?jobs point latencies;
   }
 
-let thread_scaling ?(iterations = 1500) ?(thread_counts = [ 1; 2; 4; 8; 16 ])
-    ?jobs () =
+let thread_scaling ?(iterations = 1500) ?jobs () =
   let point threads =
     let cfg variant =
       {
@@ -80,7 +79,7 @@ let thread_scaling ?(iterations = 1500) ?(thread_counts = [ 1; 2; 4; 8; 16 ])
     title = "E8: throughput scaling with worker threads (desktop)";
     x_label = "threads";
     series_names = [ "no Atlas"; "log only"; "log+flush"; "non-blocking" ];
-    points = Parallel.map ?jobs point thread_counts;
+    points = Parallel.map ?jobs point [ 1; 2; 4; 8; 16 ];
   }
 
 let log_cost_ablation ?(iterations = 1500)
@@ -114,8 +113,7 @@ let log_cost_ablation ?(iterations = 1500)
     points = Parallel.map ?jobs point log_cycles;
   }
 
-let cache_ablation ?(iterations = 1500)
-    ?(cache_lines = [ 512; 2048; 8192; 32768 ]) ?jobs () =
+let cache_ablation ?(iterations = 1500) ?jobs () =
   let point lines =
     let base = Runner.calibrated_config Nvm.Config.desktop in
     let platform =
@@ -160,7 +158,7 @@ let cache_ablation ?(iterations = 1500)
     x_label = "cache lines";
     series_names =
       [ "log-only Miter/s"; "hit rate %"; "dirty lines lost at crash" ];
-    points = Parallel.map ?jobs point cache_lines;
+    points = Parallel.map ?jobs point [ 512; 2048; 8192; 32768 ];
   }
 
 let render t ppf =
@@ -180,8 +178,7 @@ let render t ppf =
   Format.fprintf ppf "%s@.@." t.title;
   Report.table ~header ~rows ppf
 
-let read_ratio ?(iterations = 1500) ?(read_pcts = [ 0; 25; 50; 75; 90 ]) ?jobs
-    () =
+let read_ratio ?(iterations = 1500) ?jobs () =
   let point read_pct =
     let base = Runner.calibrated_config Nvm.Config.desktop in
     let cfg variant =
@@ -220,7 +217,7 @@ let read_ratio ?(iterations = 1500) ?(read_pcts = [ 0; 25; 50; 75; 90 ]) ?jobs
         "overhead log-only";
         "overhead log+flush";
       ];
-    points = Parallel.map ?jobs point read_pcts;
+    points = Parallel.map ?jobs point [ 0; 25; 50; 75; 90 ];
   }
 
 (* E11: the procrastinator's ledger.  TSP trades failure-free flushes

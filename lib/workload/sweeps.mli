@@ -24,9 +24,8 @@ val flush_latency :
     this latency, so the gap must widen — quantifying "emerging
     architectures sometimes reward procrastination handsomely". *)
 
-val thread_scaling :
-  ?iterations:int -> ?thread_counts:int list -> ?jobs:int -> unit -> series_table
-(** E8: all four Table 1 variants from 1 to 16 threads. *)
+val thread_scaling : ?iterations:int -> ?jobs:int -> unit -> series_table
+(** E8: all four Table 1 variants at 1, 2, 4, 8 and 16 threads. *)
 
 val log_cost_ablation :
   ?iterations:int -> ?log_cycles:int list -> ?jobs:int -> unit -> series_table
@@ -34,20 +33,19 @@ val log_cost_ablation :
     the per-entry logging cost grows.  Locates the regime in which the
     paper's earlier application study saw 3x (log) and 5x (log+flush). *)
 
-val cache_ablation :
-  ?iterations:int -> ?cache_lines:int list -> ?jobs:int -> unit -> series_table
+val cache_ablation : ?iterations:int -> ?jobs:int -> unit -> series_table
 (** Design ablation: a smaller cache evicts (and thus writes back) dirty
     lines sooner, narrowing the window TSP must rescue — but also raising
     miss costs.  Reports log-only throughput and the dirty lines left at
-    a crash point per cache size. *)
+    a crash point per cache size (512, 2048, 8192 and 32768 lines). *)
 
 val render : series_table -> Format.formatter -> unit
 
-val read_ratio :
-  ?iterations:int -> ?read_pcts:int list -> ?jobs:int -> unit -> series_table
-(** E12: fortification overhead vs the share of read-only iterations.
-    Undo logging and flushing act only on stores, so both overheads must
-    fall monotonically as reads dominate. *)
+val read_ratio : ?iterations:int -> ?jobs:int -> unit -> series_table
+(** E12: fortification overhead vs the share of read-only iterations
+    (0, 25, 50, 75 and 90%).  Undo logging and flushing act only on
+    stores, so both overheads must fall monotonically as reads
+    dominate. *)
 
 (** {1 E11: the procrastinator's ledger}
 

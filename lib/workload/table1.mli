@@ -15,9 +15,6 @@ type row = { platform : Nvm.Config.t; cells : cell list }
 val paper_desktop : float list
 (** no-Atlas, log-only, log+flush, non-blocking: 3.66; 2.36; 1.58; 2.54 *)
 
-val paper_server : float list
-(** 2.13; 1.50; 1.06; 2.00 *)
-
 val variants : Runner.variant list
 (** The four columns, in Table 1 order. *)
 

@@ -60,9 +60,6 @@ module Zipf = struct
       in
       let r = int_of_float rank in
       if r >= t.n then t.n - 1 else if r < 0 then 0 else r
-
-  let n t = t.n
-  let theta t = t.theta
 end
 
 type op = Read | Update | Rmw

@@ -20,9 +20,6 @@ val preset_to_string : preset -> string
 val preset_of_string : string -> (preset, string) result
 val all_presets : preset list
 
-val read_fraction : preset -> float
-val rmw_fraction : preset -> float
-
 (** {1 Zipfian request distribution}
 
     The standard Gray et al. rejection-free generator with
@@ -39,9 +36,6 @@ module Zipf : sig
 
   val sample : t -> Sched.Sim_rng.t -> int
   (** A rank in [\[0, n)], skewed toward small ranks. *)
-
-  val n : t -> int
-  val theta : t -> float
 end
 
 type op = Read | Update | Rmw

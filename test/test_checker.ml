@@ -7,7 +7,6 @@ open Helpers
 module History = Check.History
 module Dl = Check.Dl
 module Ivec = Check.Ivec
-module Model = Tsp_maps.Model
 module Map_intf = Tsp_maps.Map_intf
 module Skiplist = Tsp_maps.Lockfree_skiplist
 module Recovery = Atlas.Recovery

@@ -122,12 +122,13 @@ let test_exposure_budget () =
 
 let test_chrome_escape () =
   Alcotest.(check string) "quotes/backslash" "a\\\"b\\\\c"
-    (Chrome.escape "a\"b\\c");
-  Alcotest.(check string) "newline/tab" "x\\ny\\tz" (Chrome.escape "x\ny\tz");
+    (Obs.Json.escape "a\"b\\c");
+  Alcotest.(check string) "newline/tab" "x\\ny\\tz"
+    (Obs.Json.escape "x\ny\tz");
   Alcotest.(check string) "control chars" "\\u0001\\u001f"
-    (Chrome.escape "\x01\x1f");
+    (Obs.Json.escape "\x01\x1f");
   Alcotest.(check string) "plain passthrough" "worker-3 [ocs]"
-    (Chrome.escape "worker-3 [ocs]")
+    (Obs.Json.escape "worker-3 [ocs]")
 
 (* A minimal structural JSON scanner: strings must contain no raw
    control characters and only legal escapes; braces and brackets must

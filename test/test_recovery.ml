@@ -8,7 +8,6 @@
 module RS = Workload.Recovery_scaling
 module Machine = Workload.Machine
 module Populate = Workload.Populate
-module Heap = Pheap.Heap
 module Heap_gc = Pheap.Heap_gc
 
 let variant = Machine.Mutex_map Atlas.Mode.Log_only
@@ -44,8 +43,8 @@ let test_jobs_identity () =
     "audits pass" true
     (eager.RS.heap_audit_ok && c1.RS.heap_audit_ok && c2.RS.heap_audit_ok)
 
-(* Crash during incremental recovery: planning, [advance], [on_demand]
-   and [touch] issue no stores, so a collector that dies before [finish]
+(* Crash during incremental recovery: planning, [advance] and
+   [on_demand] issue no stores, so a collector that dies before [finish]
    leaves the image exactly as recovery left it — and a restarted
    collection lands on the same final image and stats as one that was
    never interrupted. *)
@@ -58,11 +57,6 @@ let test_incremental_crash_idempotent () =
   let heap_a = Option.get ra.Machine.heap in
   ignore (Heap_gc.Incremental.advance inc_a ~budget:2_000 : int);
   ignore (Heap_gc.Incremental.on_demand inc_a : int);
-  let n = ref 0 in
-  Heap.iter_blocks heap_a (fun ~addr ~kind:_ ~words:_ ->
-      if !n < 16 then (
-        incr n;
-        ignore (Heap_gc.Incremental.touch inc_a ~addr : int)));
   Alcotest.(check bool)
     "partial collection issued no stores" true
     (image a = image b);
@@ -78,30 +72,6 @@ let test_incremental_crash_idempotent () =
   Alcotest.(check bool) "same final image" true (image a = image b);
   Alcotest.(check bool) "same gc stats" true (stats_a = stats_b);
   Alcotest.(check bool) "same quarantine" true (quar_a = quar_b)
-
-(* Touching every object on demand before the background collector gets
-   to it must recover exactly what eager recovery recovers: same map
-   contents, same heap image. *)
-let test_on_demand_full_touch () =
-  let a = crashed ~objects:2_000 ~seed:23 in
-  let b = crashed ~objects:2_000 ~seed:23 in
-  ignore (Machine.recover ~mode:Machine.Eager a : Machine.recovery);
-  let rb = Machine.recover ~mode:Machine.Incremental_gc b in
-  let inc = Option.get rb.Machine.gc_pending in
-  let heap_b = Option.get rb.Machine.heap in
-  let touched = ref 0 in
-  Heap.iter_blocks heap_b (fun ~addr ~kind:_ ~words:_ ->
-      if Heap_gc.Incremental.touch inc ~addr > 0 then incr touched);
-  Alcotest.(check bool) "some objects recovered on demand" true (!touched > 0);
-  ignore
-    (Machine.finish_background_gc b
-      : (Heap_gc.stats * Heap_gc.quarantine) option);
-  Alcotest.(check bool) "same heap image" true (image a = image b);
-  let dump m =
-    List.sort compare (Machine.dump m ~root:(Heap.get_root m.Machine.heap))
-  in
-  Alcotest.(check (list (pair int int64)))
-    "same map contents" (dump a) (dump b)
 
 (* qcheck: for any (seed, size, on-demand sample), incremental recovery
    finishes on the eager image with a clean audit and the same verdict. *)
@@ -282,8 +252,6 @@ let suite =
         test_jobs_identity;
       Alcotest.test_case "crash during incremental recovery is idempotent"
         `Quick test_incremental_crash_idempotent;
-      Alcotest.test_case "on-demand touches recover the eager image" `Quick
-        test_on_demand_full_touch;
       QCheck_alcotest.to_alcotest prop_on_demand_equals_eager;
       Alcotest.test_case "mode rules report every broken rule" `Quick
         test_mode_rules;

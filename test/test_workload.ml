@@ -684,6 +684,27 @@ let test_sweep_log_cost_raises_overhead () =
         (ov dear > ov cheap)
   | _ -> Alcotest.fail "two points expected"
 
+(* E12: undo logging and flushing act only on stores, so both overheads
+   fall strictly at each step from 0% to 90% read-only iterations. *)
+let test_sweep_read_ratio_lowers_overhead () =
+  let t = Sweeps.read_ratio ~iterations:40 ~jobs:1 () in
+  let falls name =
+    let ovs =
+      List.map (fun p -> List.assoc name p.Sweeps.values) t.Sweeps.points
+    in
+    let rec strictly = function
+      | a :: (b :: _ as rest) -> b < a && strictly rest
+      | _ -> true
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s falls: %s" name
+         (String.concat " -> " (List.map (Printf.sprintf "%.2f") ovs)))
+      true
+      (List.length ovs = 5 && strictly ovs)
+  in
+  falls "overhead log-only";
+  falls "overhead log+flush"
+
 let test_report_table () =
   let out =
     Format.asprintf "%t"
@@ -700,9 +721,9 @@ let test_report_ratio_pct () =
 
 (* --- One run configuration: its preload and its validity --- *)
 
-(* Compile-time witness: the run config and the machine's spec are one
+(* Compile-time witness: the run config and the machine's config are one
    type, so neither needs converting into the other. *)
-let (_ : Runner.config -> Workload.Machine.spec) = Fun.id
+let (_ : Runner.config -> Workload.Machine.config) = Fun.id
 
 let every_workload =
   [
@@ -960,6 +981,8 @@ let suite =
         test_sweep_flush_latency_widens_gap;
       slow_case "sweep: log cost raises overhead"
         test_sweep_log_cost_raises_overhead;
+      case "sweep: read share lowers both overheads"
+        test_sweep_read_ratio_lowers_overhead;
       case "report: table rendering" test_report_table;
       case "report: ratio and percentage" test_report_ratio_pct;
       case "runner: a run stores exactly its initial entries"
