@@ -848,11 +848,37 @@ let ycsb_cmd =
 
 (* trace *)
 
+(* [term] paired with whether the command line gave its flag, as
+   opposed to the value being the default. *)
+let given term =
+  Term.(const (fun (v, used) -> (v, used <> [])) $ with_used_args term)
+
 let trace_cmd =
-  let run () platform variant iterations threads seed crash_at hardware
+  let run () platform variant (iterations, iterations_given)
+      (threads, threads_given) seed (crash_at, crash_at_given) hardware
       failure fault_model out exposure ring_cap budget_lines smoke frontier
       jobs artifact_dir replay =
     handle_replay ~artifact_dir ~jobs replay;
+    (* The frontier fixes its runs' shape (Frontier.run): a flag that
+       would set it is a usage error, not silently dropped. *)
+    let fixed =
+      List.filter_map
+        (fun (flag, given) -> if given then Some flag else None)
+        [
+          ("--threads", threads_given);
+          ("--iterations", iterations_given);
+          ("--crash-at", crash_at_given);
+        ]
+    in
+    let* () =
+      if frontier && fixed <> [] then
+        Error
+          (Printf.sprintf
+             "%s: not settable under --frontier, which runs every design \
+              with 4 threads x 2000 iterations and crashes at step 40000"
+             (String.concat ", " fixed))
+      else Ok ()
+    in
     if frontier then begin
       (* The fence-complexity frontier (EXPERIMENTS E23): every design on
          one identical counter workload, psync-per-op vs throughput vs
@@ -875,7 +901,8 @@ let trace_cmd =
         ~body:(fun j ->
           Obs.Json.key j "frontier";
           Workload.Frontier.to_json j rows);
-      if not (Workload.Frontier.nvtraverse_beats_logflush rows) then exit 1
+      if not (Workload.Frontier.nvtraverse_beats_logflush rows) then exit 1;
+      Ok ()
     end
     else
     (* The smoke preset is the crash-campaign smoke shape with one crash
@@ -1014,7 +1041,8 @@ let trace_cmd =
           (Obs.Metrics.of_tracer
              ~completed_ops:(Workload.Runner.completed_ops r)
              tracer));
-    if not (Workload.Runner.consistent r) then exit 1
+    if not (Workload.Runner.consistent r) then exit 1;
+    Ok ()
   in
   let out =
     Arg.(value & opt string "trace.json"
@@ -1054,7 +1082,11 @@ let trace_cmd =
                    workload — psync complexity per completed operation vs \
                    throughput vs durable-linearizability and recovery \
                    verdicts.  Exits 1 unless NVTraverse strictly beats \
-                   log-flush on flushes/op at equal or better throughput.")
+                   log-flush on flushes/op at equal or better throughput.  \
+                   Every design runs 4 threads x 2000 iterations and \
+                   crashes at step 40000, so $(b,--threads), \
+                   $(b,--iterations) and $(b,--crash-at) are usage errors \
+                   here.")
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1064,11 +1096,13 @@ let trace_cmd =
           persistence-exposure and psync-complexity summaries.  With \
           $(b,--frontier), chart every design's psync-per-op cost against \
           throughput and recovery instead.")
-    Term.(const run $ logs_term $ platform_arg $ variant_arg ()
-          $ iterations_arg 2000 $ threads_arg $ seed_arg
-          $ crash_at_arg crash_at_doc $ hardware_arg () $ failure_arg
-          $ fault_model_arg $ out $ exposure $ ring_cap $ budget_lines $ smoke
-          $ frontier $ jobs_arg $ artifact_dir_arg $ replay_arg)
+    Term.(term_result' ~usage:true
+            (const run $ logs_term $ platform_arg $ variant_arg ()
+             $ given (iterations_arg 2000) $ given threads_arg $ seed_arg
+             $ given (crash_at_arg crash_at_doc) $ hardware_arg ()
+             $ failure_arg $ fault_model_arg $ out $ exposure $ ring_cap
+             $ budget_lines $ smoke $ frontier $ jobs_arg $ artifact_dir_arg
+             $ replay_arg))
 
 (* serve *)
 

@@ -106,6 +106,15 @@ let[@inline] store_int t addr v =
   check t addr;
   set t.current addr (Int64.of_int v)
 
+(* A store that is durable the moment it lands: the word goes to both
+   images, so no write-back will ever need to carry it. *)
+let[@inline] store_through t addr v =
+  check t addr;
+  set t.current addr v;
+  set t.durable addr v
+
+let[@inline] store_int_through t addr v = store_through t addr (Int64.of_int v)
+
 (* 64-bit compare-and-swap against an int-expressible expected value,
    without boxing.  [actual = Int64.of_int expected] iff the low 63 bits
    match ([Int64.to_int actual = expected]) and bit 63 equals bit 62

@@ -47,6 +47,14 @@ val store_int : t -> int -> int -> unit
 (** Writes the same bytes as [store t addr (Int64.of_int v)], without
     boxing the intermediate [int64].  Allocation-free. *)
 
+val store_through : t -> int -> int64 -> unit
+(** Write a word to the current and the durable image at once, as a
+    store followed by a write-back of just that word would. *)
+
+val store_int_through : t -> int -> int -> unit
+(** [store_through t addr (Int64.of_int v)] without the box.
+    Allocation-free. *)
+
 val cas_int : t -> int -> expected:int -> desired:int -> bool
 (** Full 64-bit compare-and-swap of the word at [addr] against
     [Int64.of_int expected] (the comparison observes all 64 stored bits,

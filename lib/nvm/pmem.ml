@@ -11,7 +11,9 @@ type t = {
       (* burst-charge handle every charge tries first; [null_quantum]
          (never grants) until a scheduler is wired in, so the hot path
          needs no option match *)
-  mutable crashed : bool;
+  mutable state : int;
+      (* [live], [crashed] or [cost_free_state]: the one field every op
+         tests before it charges *)
   journal : (int * int64) Queue.t option;
   tracer : Obs.Tracer.t option ref;
       (* a ref cell rather than a mutable field because the [write_back]
@@ -20,6 +22,11 @@ type t = {
 }
 
 exception Crashed_device
+
+(* The device states [costed] tells apart. *)
+let live = 0
+let crashed = 1
+let cost_free_state = 2
 
 let create ?(journal = false) cfg =
   (match Config.validate cfg with
@@ -46,7 +53,7 @@ let create ?(journal = false) cfg =
     stats;
     hook = None;
     quantum = Scheduler.null_quantum;
-    crashed = false;
+    state = live;
     journal = (if journal then Some (Queue.create ()) else None);
     tracer;
   }
@@ -90,12 +97,18 @@ let[@inline] qstep t cost =
   if not (Scheduler.quantum_try_charge t.quantum ~cost) then step t cost
 
 let charge t cycles =
-  if cycles > 0 then begin
+  if cycles > 0 && t.state <> cost_free_state then begin
     t.stats.Stats.compute_cycles <- t.stats.Stats.compute_cycles + cycles;
     qstep t cycles
   end
 
-let guard t = if t.crashed then raise Crashed_device
+(* The one device-state test every op makes before it charges: [true]
+   on a live device, [false] inside [cost_free], [Crashed_device]
+   between a crash and its recovery. *)
+let[@inline] costed t =
+  if t.state = live then true
+  else if t.state = crashed then raise Crashed_device
+  else false
 
 let[@inline] touch_hit t ~addr ~dirty = Cache.touch t.cache ~addr ~dirty = Cache.hit
 
@@ -127,10 +140,12 @@ let[@inline] redirty t addr ~since =
    their [Memory] call and their journal boxing, and the int ones keep
    the word in registers — the 10k-op load/store regression test
    asserts zero minor allocation.  A store or CAS body returns the
-   write-back count from before its charge, for [redirty]. *)
+   write-back count from before its charge, for [redirty].  The entry
+   points run a body only when [costed] says so; inside [cost_free] a
+   store or successful CAS writes both images instead, so the word is
+   durable the moment it lands and no cache line holds it. *)
 
 let[@inline] load_charge t addr =
-  guard t;
   let st = t.stats in
   st.Stats.loads <- st.Stats.loads + 1;
   let cost =
@@ -148,7 +163,6 @@ let[@inline] load_charge t addr =
   trace t ~code:Obs.Event.load ~a:addr ~b:cost
 
 let[@inline] store_charge t addr =
-  guard t;
   let st = t.stats in
   st.Stats.stores <- st.Stats.stores + 1;
   let cost =
@@ -171,7 +185,6 @@ let[@inline] store_charge t addr =
    read-modify-write, which then executes indivisibly: no other thread
    can run between the comparison and the write. *)
 let[@inline] cas_charge t addr =
-  guard t;
   let st = t.stats in
   st.Stats.cas_ops <- st.Stats.cas_ops + 1;
   let base =
@@ -186,66 +199,107 @@ let[@inline] cas_charge t addr =
   wb
 
 let[@inline] load t addr =
-  load_charge t addr;
+  if costed t then load_charge t addr;
   Memory.load t.mem addr
 
 let[@inline] load_int t addr =
-  load_charge t addr;
+  if costed t then load_charge t addr;
   Memory.load_int t.mem addr
 
 let[@inline] store t addr v =
-  let wb = store_charge t addr in
-  Memory.store t.mem addr v;
-  redirty t addr ~since:wb;
+  if costed t then begin
+    let wb = store_charge t addr in
+    Memory.store t.mem addr v;
+    redirty t addr ~since:wb
+  end
+  else Memory.store_through t.mem addr v;
   record_store t addr v
 
 let[@inline] store_int t addr v =
-  let wb = store_charge t addr in
-  Memory.store_int t.mem addr v;
-  redirty t addr ~since:wb;
+  if costed t then begin
+    let wb = store_charge t addr in
+    Memory.store_int t.mem addr v;
+    redirty t addr ~since:wb
+  end
+  else Memory.store_int_through t.mem addr v;
   record_store_int t addr v
 
 let cas_failed t = t.stats.Stats.cas_failures <- t.stats.Stats.cas_failures + 1
 
 let[@inline] cas t addr ~expected ~desired =
-  let wb = cas_charge t addr in
-  if Int64.equal (Memory.load t.mem addr) expected then begin
-    Memory.store t.mem addr desired;
-    redirty t addr ~since:wb;
+  if costed t then begin
+    let wb = cas_charge t addr in
+    if Int64.equal (Memory.load t.mem addr) expected then begin
+      Memory.store t.mem addr desired;
+      redirty t addr ~since:wb;
+      record_store t addr desired;
+      true
+    end
+    else begin
+      cas_failed t;
+      false
+    end
+  end
+  else if Int64.equal (Memory.load t.mem addr) expected then begin
+    Memory.store_through t.mem addr desired;
     record_store t addr desired;
     true
   end
-  else begin
-    cas_failed t;
-    false
-  end
+  else false
 
 let[@inline] cas_int t addr ~expected ~desired =
-  let wb = cas_charge t addr in
-  if Memory.cas_int t.mem addr ~expected ~desired then begin
-    redirty t addr ~since:wb;
+  if costed t then begin
+    let wb = cas_charge t addr in
+    if Memory.cas_int t.mem addr ~expected ~desired then begin
+      redirty t addr ~since:wb;
+      record_store_int t addr desired;
+      true
+    end
+    else begin
+      cas_failed t;
+      false
+    end
+  end
+  else if Memory.cas_int t.mem addr ~expected ~desired then begin
+    Memory.store_int_through t.mem addr desired;
     record_store_int t addr desired;
     true
   end
-  else begin
-    cas_failed t;
-    false
-  end
+  else false
 
 let flush t addr =
-  guard t;
-  t.stats.Stats.flushes <- t.stats.Stats.flushes + 1;
-  t.stats.Stats.flush_cycles <- t.stats.Stats.flush_cycles + t.cfg.Config.flush_cost;
-  qstep t t.cfg.Config.flush_cost;
-  trace t ~code:Obs.Event.flush ~a:addr ~b:t.cfg.Config.flush_cost;
-  ignore (Cache.flush_line t.cache ~addr : bool)
+  if costed t then begin
+    t.stats.Stats.flushes <- t.stats.Stats.flushes + 1;
+    t.stats.Stats.flush_cycles <-
+      t.stats.Stats.flush_cycles + t.cfg.Config.flush_cost;
+    qstep t t.cfg.Config.flush_cost;
+    trace t ~code:Obs.Event.flush ~a:addr ~b:t.cfg.Config.flush_cost;
+    ignore (Cache.flush_line t.cache ~addr : bool)
+  end
 
 let fence t =
-  guard t;
-  t.stats.Stats.fences <- t.stats.Stats.fences + 1;
-  t.stats.Stats.fence_cycles <- t.stats.Stats.fence_cycles + t.cfg.Config.fence_cost;
-  qstep t t.cfg.Config.fence_cost;
-  trace t ~code:Obs.Event.fence ~a:0 ~b:t.cfg.Config.fence_cost
+  if costed t then begin
+    t.stats.Stats.fences <- t.stats.Stats.fences + 1;
+    t.stats.Stats.fence_cycles <-
+      t.stats.Stats.fence_cycles + t.cfg.Config.fence_cost;
+    qstep t t.cfg.Config.fence_cost;
+    trace t ~code:Obs.Event.fence ~a:0 ~b:t.cfg.Config.fence_cost
+  end
+
+(* [Crashed_device] on a crashed device, [Invalid_argument] inside a
+   cost-free scope: [crash] and [persist_all] act on the cache and the
+   clock, which the scope leaves behind, and scopes do not nest. *)
+let check_live t what =
+  if not (costed t) then Fmt.invalid_arg "Pmem.%s: inside cost_free" what
+
+(* A step hook means a scheduler is running threads, whose yields live
+   in the charges this scope skips. *)
+let cost_free t f =
+  check_live t "cost_free";
+  if Option.is_some t.hook then
+    invalid_arg "Pmem.cost_free: a step hook is installed";
+  t.state <- cost_free_state;
+  Fun.protect ~finally:(fun () -> t.state <- live) f
 
 type crash_damage = {
   rescued : int;
@@ -257,7 +311,7 @@ type crash_damage = {
 let no_damage = { rescued = 0; torn = 0; dropped = 0; bit_flips = 0 }
 
 let crash t ~fault ?(rescue_limit = max_int) ~rng () =
-  guard t;
+  check_live t "crash";
   (* Crash injection aborts any in-flight burst: whatever the quantum
      had accrued is folded into the scheduler before the device dies
      (normally a no-op — the scheduler settles before abandoning its
@@ -342,21 +396,21 @@ let crash t ~fault ?(rescue_limit = max_int) ~rng () =
   st.Stats.torn_lines <- st.Stats.torn_lines + damage.torn;
   st.Stats.dropped_lines <- st.Stats.dropped_lines + damage.dropped;
   st.Stats.flipped_bits <- st.Stats.flipped_bits + damage.bit_flips;
-  t.crashed <- true;
+  t.state <- crashed;
   damage
 
 let recover t =
-  if not t.crashed then invalid_arg "Pmem.recover: device has not crashed";
+  if t.state <> crashed then invalid_arg "Pmem.recover: device has not crashed";
   Memory.discard_current t.mem;
   ignore (Cache.drop_all t.cache : int);
   Option.iter Queue.clear t.journal;
-  t.crashed <- false;
+  t.state <- live;
   trace t ~code:Obs.Event.recover ~a:0 ~b:0
 
-let is_crashed t = t.crashed
+let is_crashed t = t.state = crashed
 
 let persist_all t =
-  guard t;
+  check_live t "persist_all";
   let dirty = Cache.dirty_lines t.cache in
   List.iter (fun addr -> flush t addr) dirty;
   fence t

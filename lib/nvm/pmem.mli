@@ -10,7 +10,7 @@
     through the scheduler's quantum while it holds one (see
     {!set_quantum}), through the registered step hook otherwise.  When
     no hook is installed (setup and recovery code), costs accumulate on
-    {!Stats.t}'s [clock].
+    {!Stats.t}'s [clock].  Inside {!cost_free} nothing is charged.
 
     Crash semantics (the heart of the reproduction), as {!crash} runs
     the paper's two {!Fault_model.t} endpoints:
@@ -109,6 +109,26 @@ val fence : t -> unit
     immediate, so the fence only costs cycles — but callers must still
     issue it where a real persistence protocol would, and tests assert
     that they do. *)
+
+val cost_free : t -> (unit -> 'a) -> 'a
+(** [cost_free t f] runs [f] with the device working on its images alone,
+    the write-side twin of {!peek}: a load reads the current image, a
+    store or successful CAS writes the current and the durable image,
+    and {!flush}, {!fence} and {!charge} do nothing.  Nothing is cached,
+    counted in {!Stats.t}, charged to the clock or traced; the journal
+    still records every store, as the costed path does.  So after [f]
+    the durable image holds every store [f] made, and the cache, stats
+    and clock are what they were before it.
+
+    For building a state whose only use is its image: a heap that is
+    then crashed and recovered ([Pmem.recover] leaves the durable image
+    and a cold cache, whatever came before).  The device is live again
+    when [f] returns or raises.
+    @raise Crashed_device on a crashed device.
+    @raise Invalid_argument while a step hook is installed (threads are
+    running, and a cost-free op would never yield) or inside another
+    [cost_free]; {!crash}, {!recover} and {!persist_all} raise it inside
+    [f]. *)
 
 (** {1 Crash and recovery} *)
 

@@ -120,55 +120,106 @@ let insert_locked t ctx bucket ~key ~values =
   done;
   Rt.store_field t.atlas ctx t.table bucket (Int64.of_int node)
 
+(* Each operation below is [Rt.with_lock] written out: lock, run the
+   section, unlock, and on an exception unlock before re-raising.  A
+   section passed as a closure would be built afresh on every call. *)
+
 let set t ~tid ~key ~value =
   let ctx = Rt.thread_ctx t.atlas ~tid in
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
   let b = hash key t.n_buckets in
-  Rt.with_lock t.atlas ctx (mutex_for t b) (fun () ->
-      let node = find_node t b key in
-      if node <> Heap.null then Rt.store_field t.atlas ctx node 2 value
-      else insert_locked t ctx b ~key ~values:(fun _ -> value))
+  let m = mutex_for t b in
+  Rt.lock t.atlas ctx m;
+  match
+    let node = find_node t b key in
+    if node <> Heap.null then Rt.store_field t.atlas ctx node 2 value
+    else insert_locked t ctx b ~key ~values:(fun _ -> value)
+  with
+  | () -> Rt.unlock t.atlas ctx m
+  | exception e ->
+      Rt.unlock t.atlas ctx m;
+      raise e
 
 let get t ~tid ~key =
   let ctx = Rt.thread_ctx t.atlas ~tid in
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
   let b = hash key t.n_buckets in
-  Rt.with_lock t.atlas ctx (mutex_for t b) (fun () ->
-      let node = find_node t b key in
-      if node <> Heap.null then Some (Heap.load_field t.heap node 2) else None)
+  let m = mutex_for t b in
+  Rt.lock t.atlas ctx m;
+  match
+    let node = find_node t b key in
+    if node <> Heap.null then Some (Heap.load_field t.heap node 2) else None
+  with
+  | v ->
+      Rt.unlock t.atlas ctx m;
+      v
+  | exception e ->
+      Rt.unlock t.atlas ctx m;
+      raise e
 
 let incr t ~tid ~key ~by =
   let ctx = Rt.thread_ctx t.atlas ~tid in
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
   let b = hash key t.n_buckets in
-  Rt.with_lock t.atlas ctx (mutex_for t b) (fun () ->
-      let node = find_node t b key in
-      if node <> Heap.null then begin
-        let v = Heap.load_field t.heap node 2 in
-        Rt.store_field t.atlas ctx node 2 (Int64.add v by)
-      end
-      else insert_locked t ctx b ~key ~values:(fun _ -> by))
+  let m = mutex_for t b in
+  Rt.lock t.atlas ctx m;
+  match
+    let node = find_node t b key in
+    if node <> Heap.null then begin
+      let v = Heap.load_field t.heap node 2 in
+      Rt.store_field t.atlas ctx node 2 (Int64.add v by)
+    end
+    else insert_locked t ctx b ~key ~values:(fun _ -> by)
+  with
+  | () -> Rt.unlock t.atlas ctx m
+  | exception e ->
+      Rt.unlock t.atlas ctx m;
+      raise e
+
+(* Unlink and free [key]'s node from bucket [b]'s chain; [prev] is the
+   node before [node], or [Heap.null] at the head. *)
+let rec remove_from t ctx b key prev node =
+  if node = Heap.null then false
+  else
+    let next = Heap.load_field t.heap node 1 in
+    if Heap.load_field_int t.heap node 0 = key then begin
+      if prev = Heap.null then Rt.store_field t.atlas ctx t.table b next
+      else Rt.store_field t.atlas ctx prev 1 next;
+      Heap.free_via t.heap node ~store:(fun a v -> Rt.store t.atlas ctx a v);
+      true
+    end
+    else remove_from t ctx b key node (Int64.to_int next)
 
 let remove t ~tid ~key =
   let ctx = Rt.thread_ctx t.atlas ~tid in
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
   let b = hash key t.n_buckets in
-  Rt.with_lock t.atlas ctx (mutex_for t b) (fun () ->
-      let rec walk prev node =
-        if node = Heap.null then false
-        else
-          let next = Heap.load_field t.heap node 1 in
-          if Heap.load_field_int t.heap node 0 = key then begin
-            (match prev with
-            | None -> Rt.store_field t.atlas ctx t.table b next
-            | Some p -> Rt.store_field t.atlas ctx p 1 next);
-            Heap.free_via t.heap node ~store:(fun a v ->
-                Rt.store t.atlas ctx a v);
-            true
-          end
-          else walk (Some node) (Int64.to_int next)
-      in
-      walk None (Heap.load_field_int t.heap t.table b))
+  let m = mutex_for t b in
+  Rt.lock t.atlas ctx m;
+  match
+    remove_from t ctx b key Heap.null (Heap.load_field_int t.heap t.table b)
+  with
+  | found ->
+      Rt.unlock t.atlas ctx m;
+      found
+  | exception e ->
+      Rt.unlock t.atlas ctx m;
+      raise e
+
+let add_to t ctx node delta =
+  let v = Heap.load_field t.heap node 2 in
+  Rt.store_field t.atlas ctx node 2 (Int64.add v delta)
+
+let transfer_locked t ctx ~b1 ~b2 ~debit ~credit ~amount =
+  let from_node = find_node t b1 debit in
+  let to_node = find_node t b2 credit in
+  if from_node = Heap.null || to_node = Heap.null then false
+  else if Heap.load_field t.heap from_node 2 < amount then false
+  else begin
+    add_to t ctx from_node (Int64.neg amount);
+    add_to t ctx to_node amount;
+    true
+  end
 
 let transfer t ~tid ~debit ~credit ~amount =
   let ctx = Rt.thread_ctx t.atlas ~tid in
@@ -181,24 +232,27 @@ let transfer t ~tid ~debit ~credit ~amount =
   let outer, inner =
     if Rt.mutex_id m1 <= Rt.mutex_id m2 then (m1, m2) else (m2, m1)
   in
-  let update node delta =
-    let v = Heap.load_field t.heap node 2 in
-    Rt.store_field t.atlas ctx node 2 (Int64.add v delta)
-  in
-  let body () =
-    let from_node = find_node t b1 debit in
-    let to_node = find_node t b2 credit in
-    if from_node = Heap.null || to_node = Heap.null then false
-    else if Heap.load_field t.heap from_node 2 < amount then false
+  Rt.lock t.atlas ctx outer;
+  match
+    if Rt.mutex_id outer = Rt.mutex_id inner then
+      transfer_locked t ctx ~b1 ~b2 ~debit ~credit ~amount
     else begin
-      update from_node (Int64.neg amount);
-      update to_node amount;
-      true
+      Rt.lock t.atlas ctx inner;
+      match transfer_locked t ctx ~b1 ~b2 ~debit ~credit ~amount with
+      | moved ->
+          Rt.unlock t.atlas ctx inner;
+          moved
+      | exception e ->
+          Rt.unlock t.atlas ctx inner;
+          raise e
     end
-  in
-  Rt.with_lock t.atlas ctx outer (fun () ->
-      if Rt.mutex_id outer = Rt.mutex_id inner then body ()
-      else Rt.with_lock t.atlas ctx inner body)
+  with
+  | moved ->
+      Rt.unlock t.atlas ctx outer;
+      moved
+  | exception e ->
+      Rt.unlock t.atlas ctx outer;
+      raise e
 
 let ops t =
   {
@@ -265,26 +319,42 @@ let set_wide t ~tid ~key ~values =
   let ctx = Rt.thread_ctx t.atlas ~tid in
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
   let b = hash key t.n_buckets in
-  Rt.with_lock t.atlas ctx (mutex_for t b) (fun () ->
-      let node = find_node t b key in
-      if node <> Heap.null then
-        (* The multi-store update Atlas exists for: interrupting this
-           loop mid-way tears the value unless the section rolls back. *)
-        for w = 0 to t.value_words - 1 do
-          Rt.store_field t.atlas ctx node (2 + w) values.(w)
-        done
-      else insert_locked t ctx b ~key ~values:(fun w -> values.(w)))
+  let m = mutex_for t b in
+  Rt.lock t.atlas ctx m;
+  match
+    let node = find_node t b key in
+    if node <> Heap.null then
+      (* The multi-store update Atlas exists for: interrupting this
+         loop mid-way tears the value unless the section rolls back. *)
+      for w = 0 to t.value_words - 1 do
+        Rt.store_field t.atlas ctx node (2 + w) values.(w)
+      done
+    else insert_locked t ctx b ~key ~values:(fun w -> values.(w))
+  with
+  | () -> Rt.unlock t.atlas ctx m
+  | exception e ->
+      Rt.unlock t.atlas ctx m;
+      raise e
 
 let get_wide t ~tid ~key =
   let ctx = Rt.thread_ctx t.atlas ~tid in
   Nvm.Pmem.charge (Heap.pmem t.heap) t.op_cycles;
   let b = hash key t.n_buckets in
-  Rt.with_lock t.atlas ctx (mutex_for t b) (fun () ->
-      let node = find_node t b key in
-      if node <> Heap.null then
-        Some
-          (Array.init t.value_words (fun w -> Heap.load_field t.heap node (2 + w)))
-      else None)
+  let m = mutex_for t b in
+  Rt.lock t.atlas ctx m;
+  match
+    let node = find_node t b key in
+    if node <> Heap.null then
+      Some
+        (Array.init t.value_words (fun w -> Heap.load_field t.heap node (2 + w)))
+    else None
+  with
+  | v ->
+      Rt.unlock t.atlas ctx m;
+      v
+  | exception e ->
+      Rt.unlock t.atlas ctx m;
+      raise e
 
 let fold_wide_plain heap ~root f acc =
   let n_buckets = Heap.load_field_int heap root 0 in

@@ -20,9 +20,18 @@ val sized_spec : Machine.config -> objects:int -> Machine.config
     bucket count with the population so insertion stays linear. *)
 
 val fill : Machine.t -> objects:int -> seed:int -> unit
-(** Insert the {!keys} population via [set_plain] and persist the
-    device.  The machine must have been created with a {!sized_spec}
-    (or an otherwise large-enough region). *)
+(** Insert the {!keys} population via [set_plain], costed, and persist
+    the device.  The machine must have been created with a {!sized_spec}
+    (or an otherwise large-enough region).  For a machine whose workload
+    then runs on the populated cache, stats and clock. *)
 
 val build : Machine.config -> objects:int -> seed:int -> Machine.t
-(** [create (sized_spec spec ~objects)] + {!fill}. *)
+(** [create (sized_spec spec ~objects)], then the {!keys} population
+    inserted inside {!Nvm.Pmem.cost_free} and the device persisted.  The
+    durable image is the one {!fill} leaves; the cache, stats, clock and
+    any tracer show only [create] and the final [persist_all].  So a
+    caller must crash the machine before it reads anything but the
+    image.  After {!Nvm.Pmem.crash} and {!Nvm.Pmem.recover} it differs
+    from the machine [create] + {!fill} would leave only in its stats'
+    running totals and clock, which every recovery measurement reads as
+    deltas. *)

@@ -54,23 +54,15 @@ let image_hash pmem ~lo ~hi =
 let default_spec ~variant ~seed =
   { Runner.default_config with variant; threads = 4; seed }
 
-(* One measurement: build a heap of [objects] entries, crash it, recover
-   in [mode], and account every phase.  The pre-crash image is a pure
-   function of (variant, objects, seed), so cells are comparable across
-   modes and job counts.  [touch] keys are recovered on demand first in
-   incremental mode (simulating the requests that arrive mid-recovery)
-   before the background collection is driven to completion. *)
-let run_cell ?(spec = None) ~variant ~objects ~mode ~seed ?(touches = 0) () =
-  let base = match spec with Some s -> s | None -> default_spec ~variant ~seed in
-  (* The cell reports only the recovery phases, so the tracer is
-     attached after populating: tracing every populate op would cost
-     host time and show nothing the cell reads. *)
+(* One measurement on a populated machine: crash it, recover in [mode],
+   and account every phase.  [touch] keys are recovered on demand first
+   in incremental mode (simulating the requests that arrive
+   mid-recovery) before the background collection is driven to
+   completion.  The cell reports only the recovery phases, so the
+   tracer is attached here, after populating. *)
+let recover_cell (m : Machine.t) ~objects ~mode ?(touches = 0) () =
   let tracer = Obs.Tracer.create ~ring_cap:4096 () in
-  let m =
-    Machine.with_tracer
-      (Populate.build { base with Machine.tracer = None } ~objects ~seed)
-      tracer
-  in
+  let m = Machine.with_tracer m tracer in
   let pmem = m.Machine.pmem in
   let stats = Nvm.Pmem.stats pmem in
   ignore (Machine.crash_execute m : Tsp_core.Crash_executor.execution);
@@ -104,7 +96,7 @@ let run_cell ?(spec = None) ~variant ~objects ~mode ~seed ?(touches = 0) () =
     |> List.filter (fun (_, c) -> c > 0)
   in
   {
-    variant;
+    variant = m.Machine.spec.Machine.variant;
     objects;
     mode;
     outage_cycles;
@@ -116,6 +108,14 @@ let run_cell ?(spec = None) ~variant ~objects ~mode ~seed ?(touches = 0) () =
     heap_audit_ok = r.Machine.heap_audit_ok;
     image_hash = image_hash pmem ~lo:0 ~hi:(Machine.log_base m.Machine.spec);
   }
+
+(* The pre-crash image is a pure function of (variant, objects, seed),
+   so cells are comparable across modes and job counts. *)
+let run_cell ?(spec = None) ~variant ~objects ~mode ~seed ?touches () =
+  let base = match spec with Some s -> s | None -> default_spec ~variant ~seed in
+  recover_cell
+    (Populate.build { base with Machine.tracer = None } ~objects ~seed)
+    ~objects ~mode ?touches ()
 
 (* Structural identity minus [mode]: jobs-identity compares parallel:1
    against parallel:N. *)

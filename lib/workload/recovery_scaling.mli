@@ -44,6 +44,21 @@ val default_spec : variant:Machine.variant -> seed:int -> Machine.config
 (** {!Runner.default_config} with [variant], [seed] and four threads: the
     machine every recovery cell populates. *)
 
+val recover_cell :
+  Machine.t ->
+  objects:int ->
+  mode:Machine.recovery_mode ->
+  ?touches:int ->
+  unit ->
+  cell
+(** Crash a machine populated with [objects] entries, recover it in
+    [mode] and account the recovery.  [touches] (incremental mode only)
+    charges that many on-demand first-touch recoveries before the
+    background collection is driven to completion; the collection is
+    always finished — and its allocator reset applied — before the
+    image digest is taken.  Every field is read from the recovered
+    image, the recovery's report or a clock delta. *)
+
 val run_cell :
   ?spec:Machine.config option ->
   variant:Machine.variant ->
@@ -53,11 +68,8 @@ val run_cell :
   ?touches:int ->
   unit ->
   cell
-(** Build, crash, recover, account.  [touches] (incremental mode only)
-    charges that many on-demand first-touch recoveries before the
-    background collection is driven to completion; the collection is
-    always finished — and its allocator reset applied — before the
-    image digest is taken. *)
+(** {!Populate.build} the heap of [spec] (default: {!default_spec} of
+    [variant] and [seed]), then {!recover_cell}. *)
 
 val cells_match : cell -> cell -> bool
 (** Structural identity of two cells, ignoring [mode] —

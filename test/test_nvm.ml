@@ -541,6 +541,148 @@ let test_pmem_peek_costless () =
   Alcotest.check int64 "peek value" 3L (Pmem.peek p 0);
   Alcotest.(check int) "no ops recorded" before (Stats.total_ops (Pmem.stats p))
 
+(* --- Cost-free scope --- *)
+
+(* One device op of a random trace; addresses cover 24 lines of the
+   16-line test cache, so the costed twin evicts as it goes. *)
+type dev_op =
+  | D_load of int
+  | D_store of int * int64
+  | D_store_int of int * int
+  | D_cas of int * bool * int64
+  | D_cas_int of int * bool * int
+  | D_flush of int
+  | D_fence
+  | D_charge of int
+
+let dev_op_gen =
+  QCheck2.Gen.(
+    let addr = map (fun w -> w * 8) (int_range 0 191) in
+    let small = int_range (-3) 3 in
+    frequency
+      [
+        (4, map (fun a -> D_load a) addr);
+        (3, map2 (fun a v -> D_store (a, Int64.of_int v)) addr small);
+        (3, map2 (fun a v -> D_store_int (a, v)) addr small);
+        (2, map3 (fun a m v -> D_cas (a, m, Int64.of_int v)) addr bool small);
+        (2, map3 (fun a m v -> D_cas_int (a, m, v)) addr bool small);
+        (1, map (fun a -> D_flush a) addr);
+        (1, return D_fence);
+        (1, map (fun c -> D_charge c) (int_range 0 50));
+      ])
+
+(* Run [op] on [p]; a CAS is told to match ([m]) or to miss the word it
+   finds.  Loads and CAS outcomes are returned for comparison. *)
+let run_dev_op p = function
+  | D_load a -> Int64.to_int (Pmem.load p a)
+  | D_store (a, v) -> Pmem.store p a v; 0
+  | D_store_int (a, v) -> Pmem.store_int p a v; 0
+  | D_cas (a, m, v) ->
+      let cur = Pmem.peek p a in
+      let expected = if m then cur else Int64.succ cur in
+      Bool.to_int (Pmem.cas p a ~expected ~desired:v)
+  | D_cas_int (a, m, v) ->
+      let cur = Pmem.peek_int p a in
+      let expected = if m then cur else cur + 1 in
+      Bool.to_int (Pmem.cas_int p a ~expected ~desired:v)
+  | D_flush a -> Pmem.flush p a; 0
+  | D_fence -> Pmem.fence p; 0
+  | D_charge c -> Pmem.charge p c; 0
+
+(* The scope against the costed path, op by op: every load and CAS
+   answers alike, the journal records the same history, and the
+   durable image already equals the current one, which is where the
+   costed twin's durable image lands once [persist_all] has run.  The
+   cost-free device counts, clocks, caches and traces nothing. *)
+let prop_cost_free_matches_costed =
+  qcheck ~count:200 "cost_free == the costed path, persisted"
+    QCheck2.Gen.(list_size (int_range 1 200) dev_op_gen)
+    (fun ops ->
+      let costed = small_pmem ~journal:true () in
+      let free = small_pmem ~journal:true () in
+      let tracer = Obs.Tracer.create ~ring_cap:64 () in
+      Pmem.set_tracer free (Some tracer);
+      let answers =
+        Pmem.cost_free free (fun () ->
+            List.map
+              (fun op ->
+                let a = run_dev_op free op in
+                (* Loads read the current image, as [peek] does. *)
+                (match op with
+                | D_load w when Int64.to_int (Pmem.peek free w) <> a ->
+                    QCheck2.Test.fail_reportf "load %d differs from peek" w
+                | _ -> ());
+                a)
+              ops)
+      in
+      let reference = List.map (run_dev_op costed) ops in
+      Pmem.persist_all costed;
+      let st = Pmem.stats free in
+      if answers <> reference then QCheck2.Test.fail_report "answers differ";
+      if Pmem.store_history free <> Pmem.store_history costed then
+        QCheck2.Test.fail_report "journals differ";
+      if Pmem.durable_snapshot free <> Pmem.durable_snapshot costed then
+        QCheck2.Test.fail_report "durable images differ";
+      List.iter
+        (fun w ->
+          if not (Int64.equal (Pmem.peek free (w * 8)) (Pmem.load_durable free (w * 8)))
+          then QCheck2.Test.fail_reportf "word %d not durable" w)
+        (List.init 192 Fun.id);
+      st = Stats.create ()
+      && Pmem.dirty_line_count free = 0
+      && Obs.Tracer.emitted tracer = 0)
+
+(* What the scope leaves: the stats, clock, cache residency and dirty
+   lines of before it, a live device, and a costed path that counts
+   again.  Line 0 is cached and dirty going in; line 256 is first
+   touched inside the scope, so a costed load of it afterwards misses. *)
+let test_cost_free_leaves_no_trace () =
+  let p = small_pmem () in
+  Pmem.store p 0 1L;
+  let st = Pmem.stats p in
+  let before = { st with Stats.loads = st.Stats.loads } in
+  Pmem.cost_free p (fun () ->
+      Pmem.store p 256 5L;
+      Pmem.store p 0 2L;
+      ignore (Pmem.load p 512 : int64);
+      Pmem.flush p 0;
+      Pmem.fence p;
+      Pmem.charge p 100);
+  Alcotest.(check bool) "stats and clock untouched" true (st = before);
+  Alcotest.(check int) "dirty lines untouched" 1 (Pmem.dirty_line_count p);
+  Alcotest.check int64 "store landed durable" 5L (Pmem.load_durable p 256);
+  Alcotest.check int64 "over a dirty line too" 2L (Pmem.load_durable p 0);
+  ignore (Pmem.load p 0 : int64);
+  ignore (Pmem.load p 256 : int64);
+  Alcotest.(check (pair int int))
+    "line 0 still cached, line 256 never was" (1, 1)
+    (st.Stats.load_hits, st.Stats.load_misses)
+
+let test_cost_free_refusals () =
+  let p = small_pmem () in
+  Alcotest.check_raises "the state is restored when f raises" (Failure "f")
+    (fun () -> Pmem.cost_free p (fun () -> failwith "f"));
+  Pmem.store p 0 1L;
+  Alcotest.(check int) "costed again" 1 (Pmem.stats p).Stats.stores;
+  check_raises_invalid "nested" (fun () ->
+      Pmem.cost_free p (fun () -> Pmem.cost_free p ignore));
+  check_raises_invalid "crash inside" (fun () ->
+      Pmem.cost_free p (fun () -> crash p FM.Full_rescue));
+  check_raises_invalid "persist_all inside" (fun () ->
+      Pmem.cost_free p (fun () -> Pmem.persist_all p));
+  check_raises_invalid "recover inside" (fun () ->
+      Pmem.cost_free p (fun () -> Pmem.recover p));
+  Pmem.set_step_hook p (fun ~cost:_ -> ());
+  check_raises_invalid "with a step hook installed" (fun () ->
+      Pmem.cost_free p ignore);
+  Pmem.clear_step_hook p;
+  Pmem.cost_free p ignore;
+  crash p FM.Full_rescue;
+  Alcotest.check_raises "on a crashed device" Pmem.Crashed_device (fun () ->
+      Pmem.cost_free p ignore);
+  Pmem.recover p;
+  Alcotest.check int64 "live after the refusals" 1L (Pmem.load p 0)
+
 let test_pmem_journal_history () =
   let p = small_pmem ~journal:true () in
   Pmem.store p 0 1L;
@@ -767,6 +909,10 @@ let suite =
         test_pmem_store_race_evict;
       case "pmem: peek is free" test_pmem_peek_costless;
       case "pmem: journal records history in order" test_pmem_journal_history;
+      prop_cost_free_matches_costed;
+      case "pmem: cost_free leaves stats, clock and cache as they were"
+        test_cost_free_leaves_no_trace;
+      case "pmem: cost_free refusals and state restore" test_cost_free_refusals;
       case "pmem: natural eviction preserves data across Discard"
         test_pmem_eviction_preserves_data;
       case "stats: reset and hit rate" test_stats_reset_and_hit_rate;

@@ -90,6 +90,45 @@ let prop_on_demand_equals_eager =
       && eager.RS.heap_audit_ok && inc.RS.heap_audit_ok
       && inc.RS.outage_cycles < eager.RS.outage_cycles)
 
+(* [Populate.build] inserts its keys cost-free; [Machine.create] plus
+   the costed [Populate.fill] is the reference.  Both machines are
+   crashed and recovered in every mode, and every cell field must agree:
+   outage and background cycles, phases, GC stats, verdict, audit and
+   image hash.  Nothing recovery reports may depend on the cache, stats
+   or clock a populate leaves, only on its image. *)
+let test_cost_free_build_matches_costed () =
+  let costed spec ~objects ~seed =
+    let m = Machine.create (Populate.sized_spec spec ~objects) in
+    Populate.fill m ~objects ~seed;
+    m
+  in
+  List.iter
+    (fun variant ->
+      List.iter
+        (fun (objects, seed) ->
+          (* Few buckets: the delay-free table's size, and with it the
+             cost of creating and repairing it, follows the count. *)
+          let spec = { (RS.default_spec ~variant ~seed) with n_buckets = 512 } in
+          List.iter
+            (fun mode ->
+              let cell m = RS.recover_cell m ~objects ~mode ~touches:16 () in
+              let free = cell (Populate.build spec ~objects ~seed) in
+              let reference = cell (costed spec ~objects ~seed) in
+              if free <> reference then
+                Alcotest.failf "%s/%d seed %d %s: cost-free build differs"
+                  (Machine.variant_to_string variant)
+                  objects seed
+                  (Machine.recovery_mode_to_string mode))
+            [ Machine.Eager; Machine.Parallel_gc 2; Machine.Incremental_gc ])
+        [ (700, 5); (2_500, 17) ])
+    [
+      variant;
+      Machine.Mutex_btree Atlas.Mode.Log_only;
+      Machine.Nonblocking_map;
+      Machine.Nvtraverse_map;
+      Machine.Delayfree_map;
+    ]
+
 (* Allocation guards for the recovery scans: flat mark sets, int stacks
    and frontier chunks, full-arity scanner calls and header words
    decoded where they are read keep the per-object minor-heap traffic
@@ -255,6 +294,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_on_demand_equals_eager;
       Alcotest.test_case "mode rules report every broken rule" `Quick
         test_mode_rules;
+      Alcotest.test_case "a cost-free build recovers as the costed one"
+        `Quick test_cost_free_build_matches_costed;
       Alcotest.test_case "streamed mark minor-allocation guard" `Slow
         test_mark_allocation_guard;
       Alcotest.test_case "eager collection minor-allocation guard" `Slow
