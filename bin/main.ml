@@ -1,8 +1,10 @@
 (* tsp — command-line front end for the TSP reproduction.
 
-   Subcommands map one-to-one onto the experiment index of DESIGN.md:
-   table1 (E1/E2), faults (E3/E9), sweeps (E4/E7/E8 + cache ablation),
-   policy (E5), wsp (E6), and run for one-off configurations. *)
+   The eleven subcommands map onto the experiment index of DESIGN.md:
+   table1 (E1/E2), faults (E3/E9/E14/E16), sweeps (E4/E7/E8/E11/E12 and
+   the cache ablation), policy (E5), wsp (E6), run (E10 with --resume,
+   else one-off configurations), ycsb (E15), check (E18), trace (E19,
+   or E23 with --frontier), serve (E21) and recovery (E22). *)
 
 open Cmdliner
 
@@ -21,16 +23,22 @@ let conv_of parse print =
 
 let ( let* ) = Result.bind
 
-(* Threads, shards, windows, records, a stride or a mutant rate: a count
-   below one is a usage error naming the flag, raised before any
-   simulation runs. *)
-let count_conv =
+(* An integer flag below its least value is a usage error naming the
+   flag, raised before any simulation runs. *)
+let int_from least ~what =
   conv_of
     (fun s ->
       match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (Printf.sprintf "%S is not a positive count" s))
+      | Some n when n >= least -> Ok n
+      | Some _ | None -> Error (Printf.sprintf "%S is not a %s" s what))
     Fmt.int
+
+(* Threads, iterations, runs, repeats, heap sizes, a crash step, a
+   window or a stride, a mutant rate. *)
+let count_conv = int_from 1 ~what:"positive count"
+
+(* Ballast entries and on-demand touches, where none is a choice. *)
+let size_conv = int_from 0 ~what:"non-negative count"
 
 let platform_conv =
   conv_of Nvm.Config.of_string (fun ppf p -> Fmt.string ppf p.Nvm.Config.name)
@@ -88,7 +96,8 @@ let failure_arg =
                  power-outage.")
 
 let crash_at_arg doc =
-  Arg.(value & opt (some int) None & info [ "crash-at" ] ~docv:"STEP" ~doc)
+  Arg.(value & opt (some count_conv) None
+       & info [ "crash-at" ] ~docv:"STEP" ~doc)
 
 let crash_at_doc = "Inject a crash after STEP simulated memory operations."
 
@@ -103,7 +112,7 @@ let fault_model_arg =
             failure class.")
 
 let from_arg =
-  Arg.(value & opt int 500
+  Arg.(value & opt count_conv 500
        & info [ "from" ] ~docv:"STEP" ~doc:"First crash step enumerated.")
 
 let window_arg =
@@ -143,7 +152,7 @@ let check_workload ~flag config =
     (Workload.Runner.validate config)
 
 let populate_arg =
-  Arg.(value & opt int 0
+  Arg.(value & opt size_conv 0
        & info [ "populate" ] ~docv:"N"
            ~doc:"Pre-load N extra map entries (deterministic, seeded) \
                  before the workload runs — heap ballast the recovery \
@@ -162,13 +171,13 @@ let recovery_mode_arg =
        & opt recovery_mode_conv Workload.Machine.Eager
        & info [ "recovery-mode" ] ~docv:"MODE"
            ~doc:"How a crashed heap recovers: $(b,eager) (the costed \
-                 legacy pipeline), $(b,parallel[:N]) (streamed log scan \
-                 and mark fanned over N domains; byte-identical results \
-                 for any N), or $(b,incremental) (reattach after rescue + \
-                 log scan and collect in the background).")
+                 legacy pipeline), $(b,parallel[:N]) (streamed log scan, \
+                 then a streamed mark fanned over N domains; byte-identical \
+                 results for any N), or $(b,incremental) (reattach after \
+                 rescue + log scan and collect in the background).")
 
 let iterations_arg default =
-  Arg.(value & opt int default & info [ "iterations"; "n" ] ~docv:"N"
+  Arg.(value & opt count_conv default & info [ "iterations"; "n" ] ~docv:"N"
          ~doc:"Iterations per worker thread.")
 
 let threads_arg =
@@ -324,7 +333,7 @@ let table1_cmd =
           platforms (experiments E1 and E2).")
     Term.(
       const run $ logs_term $ iterations_arg 4000 $ threads_arg $ seed_arg
-      $ Arg.(value & opt int 1
+      $ Arg.(value & opt count_conv 1
              & info [ "repeats" ] ~docv:"R"
                  ~doc:"Rerun each cell with R distinct seeds; report mean \
                        and half-spread.")
@@ -409,15 +418,10 @@ let faults_cmd =
         List.concat_map
           (fun v ->
             let base = { base with Workload.Runner.variant = v } in
-            let mid_from = Workload.Runner.smoke_mid_from v in
-            [
-              FI.run ?jobs
-                (spec_with ~base
-                   (Some { FI.from_step = 400; window = 2000; stride = 50 }));
-              FI.run ?jobs
-                (spec_with ~base
-                   (Some { FI.from_step = mid_from; window = 400; stride = 40 }));
-            ])
+            List.map
+              (fun w -> FI.run ?jobs (spec_with ~base (Some w)))
+              (Workload.Runner.smoke_windows ~early_window:2000
+                 ~early_stride:50 ~mid_stride:40 v))
           smoke_variants
       else
         [
@@ -480,7 +484,7 @@ let faults_cmd =
     Ok ()
   in
   let runs =
-    Arg.(value & opt int 100 & info [ "runs" ] ~docv:"N"
+    Arg.(value & opt count_conv 100 & info [ "runs" ] ~docv:"N"
            ~doc:"Number of injected crashes.")
   in
   let wide =
@@ -583,7 +587,7 @@ let check_cmd =
           ( Some (CC.non_durable ~seed ~every),
             Printf.sprintf "non-durable, drops ~1/%d writes" every )
     in
-    let spec_with base from_step window stride =
+    let spec_with base { Workload.Runner.from_step; window; stride } =
       { (CC.default_spec base) with CC.from_step; window; stride; mutate;
         mutate_label }
     in
@@ -594,18 +598,17 @@ let check_cmd =
            mid-workload window (long histories, evicted cache lines). *)
         List.concat_map
           (fun variant ->
-            let base = { base with Workload.Runner.variant } in
-            [
-              spec_with base 400 1200 100;
-              spec_with base (Workload.Runner.smoke_mid_from variant) 400 100;
-            ])
+            List.map
+              (spec_with { base with Workload.Runner.variant })
+              (Workload.Runner.smoke_windows ~early_window:1200
+                 ~early_stride:100 ~mid_stride:100 variant))
           [
             Workload.Runner.Nonblocking_map;
             Workload.Runner.Mutex_map Atlas.Mode.Log_only;
             Workload.Runner.Nvtraverse_map;
             Workload.Runner.Delayfree_map;
           ]
-      else [ spec_with base from_step window stride ]
+      else [ spec_with base { Workload.Runner.from_step; window; stride } ]
     in
     let summaries = List.map (fun s -> CC.run ?jobs s) specs in
     List.iter (fun s -> Fmt.pr "%a@." CC.pp_summary s) summaries;
@@ -690,24 +693,25 @@ let check_cmd =
 
 let sweeps_cmd =
   let run () which iterations jobs =
-    let t =
-      match which with
-      | "flush-latency" -> Workload.Sweeps.flush_latency ~iterations ?jobs ()
-      | "threads" -> Workload.Sweeps.thread_scaling ~iterations ?jobs ()
-      | "log-cost" -> Workload.Sweeps.log_cost_ablation ~iterations ?jobs ()
-      | "cache" -> Workload.Sweeps.cache_ablation ~iterations ?jobs ()
-      | "read-ratio" -> Workload.Sweeps.read_ratio ~iterations ?jobs ()
-      | "ledger" ->
-          let l = Workload.Sweeps.procrastination_ledger ~iterations ?jobs () in
-          Fmt.pr "%a@." Workload.Sweeps.pp_ledger l;
-          exit 0
-      | s -> Fmt.failwith "unknown sweep %S" s
-    in
-    Workload.Sweeps.render t Format.std_formatter
+    let module S = Workload.Sweeps in
+    let table t = S.render t Format.std_formatter in
+    match which with
+    | `Flush_latency -> table (S.flush_latency ~iterations ?jobs ())
+    | `Threads -> table (S.thread_scaling ~iterations ?jobs ())
+    | `Log_cost -> table (S.log_cost_ablation ~iterations ?jobs ())
+    | `Cache -> table (S.cache_ablation ~iterations ?jobs ())
+    | `Read_ratio -> table (S.read_ratio ~iterations ?jobs ())
+    | `Ledger ->
+        Fmt.pr "%a@." S.pp_ledger
+          (S.procrastination_ledger ~iterations ?jobs ())
   in
   let which =
-    Arg.(required
-         & pos 0 (some string) None
+    let sweeps =
+      [ ("flush-latency", `Flush_latency); ("threads", `Threads);
+        ("log-cost", `Log_cost); ("cache", `Cache);
+        ("read-ratio", `Read_ratio); ("ledger", `Ledger) ]
+    in
+    Arg.(required & pos 0 (some (enum sweeps)) None
          & info [] ~docv:"SWEEP"
              ~doc:"One of: flush-latency (E7), threads (E8), log-cost (E4), \
                    cache, read-ratio (E12), ledger (E11).")
@@ -853,6 +857,13 @@ let ycsb_cmd =
 let given term =
   Term.(const (fun (v, used) -> (v, used <> [])) $ with_used_args term)
 
+(* The frontier's fixed run shape, for its usage error and its doc. *)
+let frontier_shape =
+  Printf.sprintf
+    "runs every design with %d threads x %d iterations and crashes at step %d"
+    Workload.Frontier.threads Workload.Frontier.iterations
+    Workload.Frontier.crash_step
+
 let trace_cmd =
   let run () platform variant (iterations, iterations_given)
       (threads, threads_given) seed (crash_at, crash_at_given) hardware
@@ -873,10 +884,8 @@ let trace_cmd =
     let* () =
       if frontier && fixed <> [] then
         Error
-          (Printf.sprintf
-             "%s: not settable under --frontier, which runs every design \
-              with 4 threads x 2000 iterations and crashes at step 40000"
-             (String.concat ", " fixed))
+          (Printf.sprintf "%s: not settable under --frontier, which %s"
+             (String.concat ", " fixed) frontier_shape)
       else Ok ()
     in
     if frontier then begin
@@ -895,7 +904,7 @@ let trace_cmd =
           J.key j "platform";
           J.str j platform.Nvm.Config.name;
           J.key j "threads";
-          J.int j 4;
+          J.int j Workload.Frontier.threads;
           J.key j "seed";
           J.int j seed)
         ~body:(fun j ->
@@ -1077,16 +1086,15 @@ let trace_cmd =
   let frontier =
     Arg.(value & flag
          & info [ "frontier" ]
-             ~doc:"Instead of tracing one run, chart the fence-complexity \
-                   frontier: every map design on one identical counter \
-                   workload — psync complexity per completed operation vs \
-                   throughput vs durable-linearizability and recovery \
-                   verdicts.  Exits 1 unless NVTraverse strictly beats \
-                   log-flush on flushes/op at equal or better throughput.  \
-                   Every design runs 4 threads x 2000 iterations and \
-                   crashes at step 40000, so $(b,--threads), \
-                   $(b,--iterations) and $(b,--crash-at) are usage errors \
-                   here.")
+             ~doc:("Instead of tracing one run, chart the fence-complexity \
+                    frontier: every map design on one identical counter \
+                    workload — psync complexity per completed operation vs \
+                    throughput vs durable-linearizability and recovery \
+                    verdicts.  Exits 1 unless NVTraverse strictly beats \
+                    log-flush on flushes/op at equal or better throughput.  \
+                    It " ^ frontier_shape ^ ", so $(b,--threads), \
+                    $(b,--iterations) and $(b,--crash-at) are usage errors \
+                    here."))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1137,6 +1145,7 @@ let serve_cmd =
         windows = override base.Service.Serve.windows Fun.id windows;
       }
     in
+    let* () = Service.Serve.validate cfg in
     let r = Service.Serve.run ?jobs cfg in
     print_string (Service.Serve.render r);
     (match trace_out with
@@ -1189,7 +1198,8 @@ let serve_cmd =
       ~body:(fun j ->
         Obs.Json.key j "report";
         Service.Serve.to_json j r);
-    if Service.Serve.failed r then exit 1
+    if Service.Serve.failed r then exit 1;
+    Ok ()
   in
   let smoke =
     smoke_arg
@@ -1257,15 +1267,17 @@ let serve_cmd =
          "Sharded KV service under open-loop load: N independent machines \
           behind a deterministic router, with online crash recovery of one \
           shard, graceful degradation, and availability accounting.")
-    Term.(const run $ logs_term $ smoke $ platform_arg $ variant_arg ()
-          $ shards
-          $ Arg.(value & opt (some int) None & seed_info)
-          $ keys $ requests $ rate $ theta $ preset $ crash_shard
-          $ crash_at_arg
-              "Inject a crash after STEP simulated memory operations on the \
-               victim shard (default: half its crash-free step count)."
-          $ fault_model_arg $ recovery_mode_arg $ degraded $ trace_out
-          $ jobs_arg $ windows $ artifact_dir_arg $ replay_arg)
+    Term.(term_result' ~usage:true
+            (const run $ logs_term $ smoke $ platform_arg $ variant_arg ()
+             $ shards
+             $ Arg.(value & opt (some int) None & seed_info)
+             $ keys $ requests $ rate $ theta $ preset $ crash_shard
+             $ crash_at_arg
+                 "Inject a crash after STEP simulated memory operations on \
+                  the victim shard (default: half its crash-free step \
+                  count)."
+             $ fault_model_arg $ recovery_mode_arg $ degraded $ trace_out
+             $ jobs_arg $ windows $ artifact_dir_arg $ replay_arg))
 
 (* recovery *)
 
@@ -1362,7 +1374,7 @@ let recovery_cmd =
   in
   let sizes =
     Arg.(value
-         & opt (list int) [ 10_000; 100_000; 1_000_000 ]
+         & opt (list count_conv) [ 10_000; 100_000; 1_000_000 ]
          & info [ "sizes" ] ~docv:"N,N,..."
              ~doc:"Heap populations (object counts) to measure.")
   in
@@ -1379,7 +1391,7 @@ let recovery_cmd =
                    incremental).")
   in
   let touches =
-    Arg.(value & opt int 64
+    Arg.(value & opt size_conv 64
          & info [ "touches" ] ~docv:"N"
              ~doc:"On-demand first-touch recoveries charged per \
                    incremental cell before the background collection \

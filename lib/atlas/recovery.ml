@@ -119,9 +119,7 @@ let orphan_warning ~tid ~orphans =
       (Fmt.str "thread %d log truncated (%d orphaned %s)" tid orphans
          (if orphans = 1 then "entry" else "entries"))
 
-type scan_mode =
-  | Costed_scan
-  | Streamed_scan of ((unit -> unit) list -> unit)
+type scan_mode = Costed_scan | Streamed_scan
 
 let run_attached ?(scan = Costed_scan) ~heap ~pmem ~ulog () =
   (* Recovery phases bracket the log scan and the rollback so the trace
@@ -148,38 +146,26 @@ let run_attached ?(scan = Costed_scan) ~heap ~pmem ~ulog () =
         parse_thread ~anomalies ~table entries
   in
   Obs.Tracer.in_phase tracer ~phase:Obs.Event.phase_log_scan (fun () ->
+      (* One ring at a time, in tid order.  The streamed reader peeks
+         and counts the words it touches; their bill is charged at the
+         end: the log is read as a sequential stream, so the cost is
+         one cold miss per cache line of log data rather than per
+         word. *)
+      let words = ref 0 in
+      let read =
+        match scan with
+        | Costed_scan -> Nvm.Pmem.load pmem
+        | Streamed_scan ->
+            fun a ->
+              incr words;
+              Nvm.Pmem.peek pmem a
+      in
+      for tid = 0 to Undo_log.num_threads ulog - 1 do
+        consume tid (Undo_log.scan_thread ulog ~tid ~read)
+      done;
       match scan with
-      | Costed_scan ->
-          let read = Nvm.Pmem.load pmem in
-          for tid = 0 to Undo_log.num_threads ulog - 1 do
-            consume tid (Undo_log.scan_thread ulog ~tid ~read)
-          done
-      | Streamed_scan fanout ->
-          (* Scan all rings with cost-free peeks — in parallel if
-             [fanout] fans out — then merge in tid order and charge one
-             analytic bill: the log is read as a sequential stream, so
-             the cost is one cold miss per cache line of log data rather
-             than per word.  The merge order is fixed, so the report is
-             byte-identical for any fanout. *)
-          let n = Undo_log.num_threads ulog in
-          let results = Array.make n (Ok ([], 0), 0) in
-          let tasks =
-            List.init n (fun tid () ->
-                let words = ref 0 in
-                let read a =
-                  incr words;
-                  Nvm.Pmem.peek pmem a
-                in
-                let res = Undo_log.scan_thread ulog ~tid ~read in
-                results.(tid) <- (res, !words))
-          in
-          fanout tasks;
-          let words = ref 0 in
-          Array.iteri
-            (fun tid (res, w) ->
-              words := !words + w;
-              consume tid res)
-            results;
+      | Costed_scan -> ()
+      | Streamed_scan ->
           let cfg = Nvm.Pmem.config pmem in
           let lines =
             ((!words * 8) + cfg.Nvm.Config.line_size - 1)

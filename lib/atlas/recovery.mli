@@ -43,22 +43,19 @@ type report = {
   verdict : verdict;
 }
 
-(** Both modes run the one ring scan, {!Undo_log.scan_thread}, and
-    differ only in the reader they hand it, so they produce the same
-    report, verdict and heap repairs; only the cycle bill differs. *)
+(** Both modes scan the rings in one loop, in tid order, with the one
+    ring scan {!Undo_log.scan_thread}, and differ only in the reader
+    they hand it, so they produce the same report, verdict and heap
+    repairs; only the cycle bill differs. *)
 type scan_mode =
   | Costed_scan
       (** the default: every log word is read with a costed
-          {!Nvm.Pmem.load}, ring by ring in tid order — the per-word
-          charge sequence the eager recovery cycle counts pin *)
-  | Streamed_scan of ((unit -> unit) list -> unit)
-      (** each ring is read with a cost-free peek that counts words — the
-          supplied runner executes the per-thread scan thunks,
-          sequentially or on a domain pool, and must have completed them
-          all when it returns — then the rings merge in tid order and
-          one analytic bill is charged (cache lines of log words read ×
-          cold-miss cost).  The result is byte-identical for any
-          runner. *)
+          {!Nvm.Pmem.load} — the per-word charge sequence the eager
+          recovery cycle counts pin *)
+  | Streamed_scan
+      (** every log word is read with a cost-free peek that counts
+          words, and one analytic bill is charged at the end (cache
+          lines of log words read x cold-miss cost) *)
 
 val run : ?scan:scan_mode -> heap:Pheap.Heap.t -> log_base:int -> unit -> report
 (** Perform rollback.  The heap's device must not be in the crashed

@@ -69,12 +69,6 @@ let smoke_config =
 
 type fate = Pending | Served | Shed | Timed_out
 
-(* fate codes inside the cells: int arrays survive an abandoned fiber *)
-let f_pending = 0
-let f_served = 1
-let f_shed = 2
-let f_timed_out = 3
-
 type recovery_report = {
   t_down : int;
   t_up : int;
@@ -129,25 +123,37 @@ type report = {
 }
 
 let validate (cfg : config) =
-  if cfg.shards <= 0 then
-    Fmt.invalid_arg "Serve: shard count %d must be positive" cfg.shards;
-  if cfg.keys < cfg.shards then
-    Fmt.invalid_arg "Serve: %d keys cannot cover %d shards" cfg.keys cfg.shards;
-  if cfg.windows <= 0 then
-    Fmt.invalid_arg "Serve: availability window count %d must be positive"
-      cfg.windows;
-  if cfg.log_mib <= 0 then
-    Fmt.invalid_arg "Serve: log size %d MiB must be positive" cfg.log_mib;
-  (match cfg.n_buckets with
-  | Some b when b <= 0 ->
-      Fmt.invalid_arg "Serve: bucket count %d must be positive" b
-  | _ -> ());
-  match cfg.crash_shard with
-  | Some s when s < 0 || s >= cfg.shards ->
-      Fmt.invalid_arg
-        "Serve: crash shard %d is out of range (the service has shards 0..%d)"
-        s (cfg.shards - 1)
-  | _ -> ()
+  let rule ok fmt = Fmt.kstr (fun why -> if ok then None else Some why) fmt in
+  let broken =
+    List.find_map Fun.id
+      [
+        rule (cfg.shards > 0) "--shards %d: the shard count must be positive"
+          cfg.shards;
+        rule (cfg.keys >= cfg.shards) "--keys %d cannot cover %d shards"
+          cfg.keys cfg.shards;
+        rule (cfg.requests >= 0)
+          "--requests %d: the request count must be >= 0" cfg.requests;
+        rule (cfg.rate_per_mcycle > 0.)
+          "--arrival-rate %g: the arrival rate must be positive"
+          cfg.rate_per_mcycle;
+        rule (cfg.theta >= 0. && cfg.theta < 1.)
+          "--theta %g: the Zipf skew must be in [0, 1)" cfg.theta;
+        rule (cfg.windows > 0)
+          "--windows %d: the availability window count must be positive"
+          cfg.windows;
+        rule (cfg.log_mib > 0) "log size %d MiB must be positive" cfg.log_mib;
+        Option.bind cfg.n_buckets (fun b ->
+            rule (b > 0) "bucket count %d must be positive" b);
+        Option.bind cfg.crash_shard (fun s ->
+            rule (s >= 0 && s < cfg.shards)
+              "--crash-shard %d is out of range (the service has shards \
+               0..%d)"
+              s (cfg.shards - 1));
+        Option.bind cfg.crash_at_step (fun s ->
+            rule (s >= 1) "--crash-at %d: crash steps count from 1" s);
+      ]
+  in
+  Option.fold ~none:(Ok ()) ~some:Result.error broken
 
 let rec next_pow2 n acc = if acc >= n then acc else next_pow2 n (acc * 2)
 
@@ -214,7 +220,7 @@ let server_body m (stream : Arrival.stream) idx fates lats () =
       ~key:(Key_space.h_key stream.Arrival.ranks.(j))
       ~op:stream.Arrival.ops.(j);
     lats.(li) <- Scheduler.now sched - arr;
-    fates.(li) <- f_served
+    fates.(li) <- Served
   done
 
 (* --- Degraded-mode planning -------------------------------------- *)
@@ -247,7 +253,7 @@ let plan_phase2 degraded ~t_up pending =
       | Degraded.Shed ->
           if arr >= t_up then
             serve := { li; arr; eff = arr; deadline = None; extra_attempts = 0 } :: !serve
-          else immediate := (li, f_shed) :: !immediate
+          else immediate := (li, Shed) :: !immediate
       | Degraded.Queue { deadline } ->
           serve :=
             { li; arr; eff = max arr t_up; deadline = Some deadline; extra_attempts = 0 }
@@ -269,7 +275,7 @@ let plan_phase2 degraded ~t_up pending =
                   extra_attempts = k;
                 }
                 :: !serve
-          | None -> immediate := (li, f_timed_out) :: !immediate))
+          | None -> immediate := (li, Timed_out) :: !immediate))
     pending;
   let serve =
     List.sort
@@ -300,7 +306,7 @@ let resume_body m plan idx fates lats ~t_up ?gc
       match deadline with
       | Some d when waited > d ->
           (* queue mode drops at dequeue: the client stopped waiting *)
-          fates.(li) <- f_timed_out
+          fates.(li) <- Timed_out
       | _ ->
           let j = idx.(li) in
           let key = Key_space.h_key stream.Arrival.ranks.(j) in
@@ -313,7 +319,7 @@ let resume_body m plan idx fates lats ~t_up ?gc
           Nvm.Pmem.charge pmem req_cycles;
           serve_one ops ~key ~op:stream.Arrival.ops.(j);
           lats.(li) <- (t_up + Scheduler.now sched) - arr;
-          fates.(li) <- f_served)
+          fates.(li) <- Served)
     plan
 
 (* Background collection fiber: drain the incremental GC's budget in
@@ -326,7 +332,7 @@ let background_gc_body inc () =
     ()
   done
 
-type cell = { c_report : shard_report; c_fates : int array; c_lats : int array }
+type cell = { c_report : shard_report; c_fates : fate array; c_lats : int array }
 
 let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_step shard =
   let owned = owned_keys cfg shard in
@@ -339,7 +345,7 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
     owned;
   Nvm.Pmem.persist_all pmem;
   let n = Array.length idx in
-  let fates = Array.make n f_pending in
+  let fates = Array.make n Pending in
   let lats = Array.make n (-1) in
   (* The history recorder is zero-perturbation (two Scheduler.now reads
      per op), so recording only where it is needed — the shard that will
@@ -366,9 +372,9 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
           shard;
           requests = n;
           populated = Array.length owned;
-          served = count f_served;
-          shed = count f_shed;
-          timed_out = count f_timed_out;
+          served = count Served;
+          shed = count Shed;
+          timed_out = count Timed_out;
           retry_attempts;
           phase2_served;
           sim_cycles = (Nvm.Pmem.stats pmem).Nvm.Stats.clock;
@@ -411,7 +417,7 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
       let pending =
         List.filter_map
           (fun li ->
-            if fates.(li) = f_pending then Some (li, stream.Arrival.times.(idx.(li)))
+            if fates.(li) = Pending then Some (li, stream.Arrival.times.(idx.(li)))
             else None)
           (List.init n Fun.id)
       in
@@ -437,7 +443,7 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
       match read with
       | Error (reason, errors) ->
           (* the shard never comes back: every pending request is shed *)
-          List.iter (fun (li, _) -> fates.(li) <- f_shed) pending;
+          List.iter (fun (li, _) -> fates.(li) <- Shed) pending;
           finish ~retry_attempts:0 ~phase2_served:0 ~elapsed:t_up ~steps:steps1
             ~outcome:"crashed+lost"
             ~recovery:
@@ -485,7 +491,7 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
           List.iter (fun (li, f) -> fates.(li) <- f) immediate;
           let retry_attempts =
             List.fold_left (fun a r -> a + r.extra_attempts) 0 plan
-            + (List.length (List.filter (fun (_, f) -> f = f_timed_out) immediate)
+            + (List.length (List.filter (fun (_, f) -> f = Timed_out) immediate)
               * (match cfg.degraded with
                 | Degraded.Retry { max_retries; _ } -> max_retries
                 | Degraded.Shed | Degraded.Queue _ -> 0))
@@ -517,7 +523,7 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
               : (Heap_gc.stats * Heap_gc.quarantine) option);
           let phase2_served =
             List.fold_left
-              (fun a r -> if fates.(r.li) = f_served then a + 1 else a)
+              (fun a r -> if fates.(r.li) = Served then a + 1 else a)
               0 plan
           in
           finish ~retry_attempts ~phase2_served
@@ -545,12 +551,6 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
                  })
 
 (* --- Aggregation -------------------------------------------------- *)
-
-let fate_of_code = function
-  | 0 -> Pending
-  | 1 -> Served
-  | 2 -> Shed
-  | _ -> Timed_out
 
 let build_windows (cfg : config) ~horizon ~times fates =
   let w = cfg.windows in
@@ -630,7 +630,7 @@ let latency_rows (cfg : config) ~outage ~times ~shard_of fates lats =
     (List.init cfg.shards Fun.id)
 
 let run ?jobs (cfg : config) =
-  validate cfg;
+  Result.iter_error (fun why -> invalid_arg ("Serve: " ^ why)) (validate cfg);
   let stream =
     Arrival.generate ~seed:cfg.seed ~rate_per_mcycle:cfg.rate_per_mcycle
       ~theta:cfg.theta ~keys:cfg.keys ~preset:cfg.preset ~requests:cfg.requests
@@ -656,10 +656,7 @@ let run ?jobs (cfg : config) =
      what the crashed run will execute. *)
   let crash_step_of shard =
     match cfg.crash_at_step with
-    | Some s ->
-        if s < 1 then
-          Fmt.invalid_arg "Serve: crash step %d must be >= 1 (steps count from 1)" s;
-        s
+    | Some s -> s
     | None ->
         let baseline =
           run_shard
@@ -689,7 +686,7 @@ let run ?jobs (cfg : config) =
     (fun shard cell ->
       Array.iteri
         (fun li j ->
-          fates.(j) <- fate_of_code cell.c_fates.(li);
+          fates.(j) <- cell.c_fates.(li);
           latencies.(j) <- cell.c_lats.(li))
         idxs.(shard))
     cells;

@@ -131,12 +131,19 @@ type report = {
   latency : latency_row list;
 }
 
+val validate : config -> (unit, string) result
+(** The one rule for a well-formed config, checked before any
+    simulation: positive shard, window, log and bucket counts, at least
+    one key per shard, no negative request count, a positive arrival
+    rate, a Zipf skew in [\[0, 1)], a crash shard among the shards and a
+    crash step from 1.  [Error] says why, naming the [tsp serve] flag
+    that sets the field where there is one. *)
+
 val run : ?jobs:int -> config -> report
 (** Generate the stream, fan the shards out as parallel cells, crash and
     recover the victim (if any), aggregate.  [jobs] affects wall-clock
     time only.
-    @raise Invalid_argument on a malformed config (shard count, crash
-    shard out of range, rate, windows). *)
+    @raise Invalid_argument when {!validate} rejects the config. *)
 
 val failed : report -> bool
 (** The exit rule of [tsp serve]: some shard deadlocked, was lost

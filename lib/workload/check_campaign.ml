@@ -174,13 +174,15 @@ let one spec ~crash_step =
     cycle_totals = Nvm.Stats.cycle_totals r.Runner.device_stats;
   }
 
+let window { from_step; window; stride; _ } =
+  { Runner.from_step; window; stride }
+
 let run ?jobs spec =
   validate spec;
-  let stride = max 1 spec.stride in
-  let steps = (spec.window + stride - 1) / stride in
-  let params = List.init steps (fun i -> spec.from_step + (i * stride)) in
   let points =
-    Parallel.map ?jobs (fun crash_step -> one spec ~crash_step) params
+    Parallel.map ?jobs
+      (fun crash_step -> one spec ~crash_step)
+      (Runner.crash_steps (window spec))
   in
   let count p = List.length (List.filter p points) in
   {
@@ -208,13 +210,12 @@ let breakdown s =
 
 let pp_summary ppf s =
   Fmt.pf ppf
-    "@[<v>check: %s on %s, exhaustive steps [%d,%d) stride %d, strict \
-     durable linearizability%s@ %d points: %d crashed; %d explained, %d \
-     FLAGGED@ recovery verdicts: %d clean, %d degraded"
+    "@[<v>check: %s on %s, %a, strict durable linearizability%s@ %d \
+     points: %d crashed; %d explained, %d FLAGGED@ recovery verdicts: %d \
+     clean, %d degraded"
     (Runner.variant_to_string s.spec.base.Runner.variant)
-    s.spec.base.Runner.platform.Nvm.Config.name s.spec.from_step
-    (s.spec.from_step + s.spec.window)
-    (max 1 s.spec.stride)
+    s.spec.base.Runner.platform.Nvm.Config.name Runner.pp_window
+    (window s.spec)
     (if String.equal s.spec.mutate_label "" then ""
      else " [mutant: " ^ s.spec.mutate_label ^ "]")
     s.total s.crashes s.explained s.flagged s.clean_recoveries
@@ -229,19 +230,12 @@ let pp_summary ppf s =
     s.capped_points s.capped_keys;
   Fmt.pf ppf "@ device cycles across all points:@ %a"
     Nvm.Stats.pp_breakdown_totals (breakdown s);
-  let shown = ref 0 in
-  let hidden = ref 0 in
-  List.iter
-    (fun p ->
-      if not (Check.Dl.is_explained p.dl) then
-        if !shown >= 20 then incr hidden
-        else begin
-          incr shown;
-          Fmt.pf ppf "@ step %d (%d ops, %d pending): %a" p.crash_step
-            p.ops_recorded p.ops_pending Check.Dl.pp_verdict p.dl
-        end)
-    s.points;
-  if !hidden > 0 then Fmt.pf ppf "@ ... and %d more flagged points" !hidden;
+  Report.capped_rows ~more:"flagged points"
+    (fun ppf p ->
+      Fmt.pf ppf "step %d (%d ops, %d pending): %a" p.crash_step
+        p.ops_recorded p.ops_pending Check.Dl.pp_verdict p.dl)
+    ppf
+    (List.filter (fun p -> not (Check.Dl.is_explained p.dl)) s.points);
   Fmt.pf ppf "@]"
 
 (* Normalized failure signature of a flagged point: DL violation x
@@ -288,14 +282,7 @@ let to_json j s =
   J.key j "mutant";
   J.str j s.spec.mutate_label;
   J.key j "crash_window";
-  J.obj_open j;
-  J.key j "from";
-  J.int j s.spec.from_step;
-  J.key j "window";
-  J.int j s.spec.window;
-  J.key j "stride";
-  J.int j (max 1 s.spec.stride);
-  J.obj_close j;
+  Runner.window_to_json j (window s.spec);
   J.key j "total";
   J.int j s.total;
   J.key j "crashes";

@@ -15,7 +15,7 @@
     rejects specs whose crash would execute discard semantics or an
     adversarial fault model other than [Full_rescue].
 
-    Enumeration mirrors {!Fault_injector}: every [stride]-th step of a
+    Enumeration is {!Fault_injector}'s: the {!Runner.crash_steps} of a
     window, no randomness, parameters fixed before the parallel fan-out
     — so verdicts and the rendered summary are byte-identical for any
     [jobs] value (pinned by [test/test_checker.ml]).

@@ -1,7 +1,7 @@
 module Rng = Sched.Sim_rng
 module FM = Nvm.Fault_model
 
-type exhaustive = { from_step : int; window : int; stride : int }
+type exhaustive = Runner.window = { from_step : int; window : int; stride : int }
 
 type spec = {
   base : Runner.config;
@@ -323,13 +323,11 @@ let run ?jobs spec =
      campaign draws exactly what the pre-fault-model code drew. *)
   let params =
     match spec.exhaustive with
-    | Some { from_step; window; stride } ->
-        let stride = max 1 stride in
+    | Some w ->
         let seed = Option.value spec.run_seed ~default:spec.campaign_seed in
-        let steps = (window + stride - 1) / stride in
+        let steps = Runner.crash_steps w in
         List.concat_map
-          (fun m ->
-            List.init steps (fun i -> (m, seed, from_step + (i * stride))))
+          (fun m -> List.map (fun step -> (m, seed, step)) steps)
           models
     | None ->
         let rng = Rng.create ~seed:spec.campaign_seed in
@@ -461,9 +459,7 @@ let pp_summary ppf s =
     s.spec.base.Runner.hardware.Tsp_core.Hardware.name
     s.spec.base.Runner.platform.Nvm.Config.name
     (match s.spec.exhaustive with
-    | Some e ->
-        Printf.sprintf " (exhaustive steps [%d,%d) stride %d)" e.from_step
-          (e.from_step + e.window) e.stride
+    | Some e -> Fmt.str " (%a)" Runner.pp_window e
     | None -> "")
     s.total s.crashes s.consistent_recoveries s.violations
     s.unexpected_violations
@@ -479,23 +475,16 @@ let pp_summary ppf s =
       List.iter
         (fun (sg, n) -> Fmt.pf ppf "@   %a x%d" Obs.Signature.pp sg n)
         sigs);
-  let shown = ref 0 in
-  let hidden = ref 0 in
-  List.iter
-    (fun o ->
-      if o.violation then
-        if !shown >= 20 then incr hidden
-        else begin
-          incr shown;
-          Fmt.pf ppf
-            "@ VIOLATION (%s) fault=%s campaign-seed=%d seed=%d step=%d: %s@ \
-            \  repro: %s"
-            (if o.expected then "expected" else "UNEXPECTED")
-            (model_label o.fault) s.spec.campaign_seed o.seed o.crash_step
-            (failure_detail o) o.repro
-        end)
-    s.outcomes;
-  if !hidden > 0 then Fmt.pf ppf "@ ... and %d more violations" !hidden;
+  Report.capped_rows ~more:"violations"
+    (fun ppf o ->
+      Fmt.pf ppf
+        "VIOLATION (%s) fault=%s campaign-seed=%d seed=%d step=%d: %s@ \
+        \  repro: %s"
+        (if o.expected then "expected" else "UNEXPECTED")
+        (model_label o.fault) s.spec.campaign_seed o.seed o.crash_step
+        (failure_detail o) o.repro)
+    ppf
+    (List.filter (fun o -> o.violation) s.outcomes);
   (match s.shrunk with
   | None -> ()
   | Some sh ->
@@ -537,14 +526,7 @@ let to_json j s =
   (match s.spec.exhaustive with
   | Some e ->
       J.key j "crash_window";
-      J.obj_open j;
-      J.key j "from";
-      J.int j e.from_step;
-      J.key j "window";
-      J.int j e.window;
-      J.key j "stride";
-      J.int j e.stride;
-      J.obj_close j
+      Runner.window_to_json j e
   | None ->
       J.key j "runs";
       J.int j s.spec.runs;

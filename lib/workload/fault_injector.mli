@@ -27,11 +27,12 @@
     All parameters are drawn from the campaign RNG {e before} fanning
     the runs out over domains, so results are independent of [jobs]. *)
 
-type exhaustive = {
-  from_step : int;  (** first crash step enumerated *)
-  window : int;  (** steps [from_step, from_step + window) are covered *)
-  stride : int;  (** enumerate every [stride]-th step (min 1) *)
+type exhaustive = Runner.window = {
+  from_step : int;
+  window : int;
+  stride : int;
 }
+(** The crash window exhaustive mode enumerates, {!Runner.crash_steps}. *)
 
 type spec = {
   base : Runner.config;  (** crash point and seed are overridden per run *)

@@ -39,12 +39,16 @@ let default_variants =
     Machine.Delayfree_map;
   ]
 
+let threads = 4
+let iterations = 2000
+let crash_step = 40_000
+
 let base_config ~platform ~seed =
   {
     (Runner.smoke_workload Runner.default_config) with
     Runner.platform;
-    threads = 4;
-    iterations = 2000;
+    threads;
+    iterations;
     seed;
   }
 
@@ -61,7 +65,7 @@ let measure ~config variant =
   let spec =
     {
       (Check_campaign.default_spec config) with
-      Check_campaign.from_step = 40_000;
+      Check_campaign.from_step = crash_step;
       window = 1;
       stride = 1;
     }

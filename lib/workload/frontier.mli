@@ -25,6 +25,15 @@ type row = {
   recovery_verdict : Atlas.Recovery.verdict option;
 }
 
+val threads : int
+(** 4: the worker threads of every frontier run. *)
+
+val iterations : int
+(** 2000: the iterations each worker runs. *)
+
+val crash_step : int
+(** 40 000: the step each design's checker leg crashes at. *)
+
 val run :
   ?jobs:int ->
   ?variants:Machine.variant list ->
@@ -32,8 +41,8 @@ val run :
   platform:Nvm.Config.t ->
   unit ->
   row list
-(** Each of [variants] (default: the six designs) runs 4 threads x 2000
-    iterations; its crash point is step 40,000. *)
+(** Each of [variants] (default: the six designs) runs {!threads} x
+    {!iterations}; its crash point is {!crash_step}. *)
 
 val find : row list -> Machine.variant -> row option
 

@@ -206,17 +206,6 @@ let recover ?(mode = Eager) m =
   let pmem = m.pmem in
   let errors = ref [] in
   let err fmt = Fmt.kstr (fun s -> errors := s :: !errors) fmt in
-  (* The streamed modes share one fanout: chunk thunks run on the domain
-     pool ([Parallel_gc]) or inline ([Incremental_gc] — its win is the
-     shorter outage, not host parallelism).  [Parallel.run_all ~jobs:1]
-     is exactly sequential iteration, so jobs only changes wall-clock. *)
-  let fanout =
-    match mode with
-    | Eager -> None
-    | Parallel_gc jobs ->
-        Some (fun tasks -> ignore (Parallel.run_all ~jobs tasks : unit list))
-    | Incremental_gc -> Some (fun tasks -> List.iter (fun f -> f ()) tasks)
-  in
   let observer =
     if spec.journal then Some (Tsp_core.Recovery_observer.observe pmem)
     else None
@@ -239,8 +228,12 @@ let recover ?(mode = Eager) m =
         (* [Recovery.run] is graceful by construction; the handler is a
            belt-and-braces backstop so one buggy path cannot take the
            whole campaign down. *)
-        let scan = Option.map (fun f -> Atlas.Recovery.Streamed_scan f) fanout in
-        try Some (Atlas.Recovery.run ?scan ~heap ~log_base:(log_base spec) ())
+        let scan =
+          match mode with
+          | Eager -> Atlas.Recovery.Costed_scan
+          | Parallel_gc _ | Incremental_gc -> Atlas.Recovery.Streamed_scan
+        in
+        try Some (Atlas.Recovery.run ~scan ~heap ~log_base:(log_base spec) ())
         with exn ->
           err "atlas recovery failed: %s" (Printexc.to_string exn);
           None
@@ -272,10 +265,16 @@ let recover ?(mode = Eager) m =
                 (fun () -> Heap_gc.collect heap)
             in
             (Some stats, Some quarantine, None)
-        | Parallel_gc _ ->
+        | Parallel_gc jobs ->
+            (* The streamed mark's chunk thunks run on the domain pool.
+               [Parallel.run_all ~jobs:1] is exactly sequential
+               iteration, so jobs only changes wall-clock. *)
+            let fanout tasks =
+              ignore (Parallel.run_all ~jobs tasks : unit list)
+            in
             let stats, quarantine =
               Obs.Tracer.in_phase spec.tracer ~phase:Obs.Event.phase_heap_gc
-                (fun () -> Heap_gc.collect_streamed ?fanout heap)
+                (fun () -> Heap_gc.collect_streamed ~fanout heap)
             in
             (Some stats, Some quarantine, None)
         | Incremental_gc ->
@@ -283,8 +282,10 @@ let recover ?(mode = Eager) m =
                paid later — by the background fiber and by on-demand
                touches — so the outage window ends here.  The planned
                stats (with analytic mark/sweep cycles) and quarantine
-               are final; only their application is deferred. *)
-            let inc = Heap_gc.Incremental.start ?fanout heap in
+               are final; only their application is deferred.  Its mark
+               runs inline: its win is the shorter outage, not host
+               parallelism. *)
+            let inc = Heap_gc.Incremental.start heap in
             let stats, quarantine = Heap_gc.Incremental.plan inc in
             (Some stats, Some quarantine, Some inc)
       end

@@ -21,6 +21,13 @@ let table ~header ~rows ppf =
   Format.fprintf ppf "%s@.%s@." (render_row header) sep;
   List.iter (fun r -> Format.fprintf ppf "%s@." (render_row r)) rows
 
+let shown_rows = 20
+
+let capped_rows ~more pp ppf rows =
+  List.iteri (fun i r -> if i < shown_rows then Format.fprintf ppf "@ %a" pp r) rows;
+  let hidden = List.length rows - shown_rows in
+  if hidden > 0 then Format.fprintf ppf "@ ... and %d more %s" hidden more
+
 let ratio measured base =
   if base = 0. || Float.is_nan measured || Float.is_nan base then "-"
   else Printf.sprintf "%.2fx" (measured /. base)

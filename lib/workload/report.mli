@@ -4,6 +4,11 @@ val table :
   header:string list -> rows:string list list -> Format.formatter -> unit
 (** Render an aligned ASCII table. *)
 
+val capped_rows : more:string -> 'a Fmt.t -> 'a list Fmt.t
+(** A campaign summary's failing rows: each of the first 20 after a
+    break hint ([@ ]), so inside a vertical box each starts a line, then
+    ["... and N more <more>"] when [N] rows were left out. *)
+
 val ratio : float -> float -> string
 (** ["0.65x"]-style ratio of measured to baseline; ["-"] if undefined. *)
 

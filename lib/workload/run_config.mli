@@ -65,10 +65,10 @@ type workload =
       simulation, GC completes before [Machine.recover] returns.  This
       is the charge sequence the committed benchmark snapshots pin.
     - [Parallel_gc jobs]: the streamed engines — log rings and GC mark
-      chunks scanned with cost-free peeks on up to [jobs] domains, one
-      analytic cold-miss bill.  Stats, verdicts and the recovered heap
-      image are byte-identical for {e any} [jobs] (including 1); only
-      host wall-clock changes.
+      chunks scanned with cost-free peeks, the mark chunks on up to
+      [jobs] domains, one analytic cold-miss bill.  Stats, verdicts and
+      the recovered heap image are byte-identical for {e any} [jobs]
+      (including 1); only host wall-clock changes.
     - [Incremental_gc]: streamed discovery, deferred application.
       [Machine.recover] returns as soon as rollback and GC {e planning}
       are done; the collection bill sits in the machine's [gc_pending]

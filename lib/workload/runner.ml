@@ -75,7 +75,33 @@ let smoke ?(sized = true) c =
   let c = smoke_workload { c with platform } in
   if sized then { c with threads = 4; iterations = 200 } else c
 
-let smoke_mid_from = function Delayfree_map -> 18_000 | _ -> 40_000
+type window = { from_step : int; window : int; stride : int }
+
+let crash_steps { from_step; window; stride } =
+  let stride = max 1 stride in
+  List.init ((window + stride - 1) / stride) (fun i -> from_step + (i * stride))
+
+let pp_window ppf { from_step; window; stride } =
+  Fmt.pf ppf "exhaustive steps [%d,%d) stride %d" from_step
+    (from_step + window) (max 1 stride)
+
+let window_to_json j { from_step; window; stride } =
+  let module J = Obs.Json in
+  J.obj_open j;
+  J.key j "from";
+  J.int j from_step;
+  J.key j "window";
+  J.int j window;
+  J.key j "stride";
+  J.int j (max 1 stride);
+  J.obj_close j
+
+let smoke_windows ~early_window ~early_stride ~mid_stride variant =
+  let mid_from = match variant with Delayfree_map -> 18_000 | _ -> 40_000 in
+  [
+    { from_step = 400; window = early_window; stride = early_stride };
+    { from_step = mid_from; window = 400; stride = mid_stride };
+  ]
 
 type crash_report = {
   verdict : Tsp_core.Policy.verdict;
@@ -184,8 +210,10 @@ let initial_entries config =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) map []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
+(* Iterations [progress.(tid) + 1] to [config.iterations]: a fresh run
+   starts from 0, a resumed one from the thread's recovered c2. *)
 let counter_body config pmem ops ~tid ~rng ~h_keys ~progress () =
-  for i = 1 to config.iterations do
+  for i = progress.(tid) + 1 to config.iterations do
     Nvm.Pmem.charge pmem config.iter_cycles;
     ops.Tsp_maps.Map_intf.set ~tid ~key:(Key_space.c1 ~tid)
       ~value:(Int64.of_int i);
@@ -550,33 +578,24 @@ let resume_counters config (m : Machine.t) ~h_keys recovery =
   let map = m.Machine.map in
   (* Each thread derives its restart point from the persistent heap. *)
   let entries = Machine.dump m ~root in
-  let resume_from tid =
-    match List.assoc_opt (Key_space.c2 ~tid) entries with
-    | Some v -> Int64.to_int v + 1
-    | None -> 1
+  let progress =
+    Array.init config.threads (fun tid ->
+        match List.assoc_opt (Key_space.c2 ~tid) entries with
+        | Some v -> Int64.to_int v
+        | None -> 0)
   in
-  let resumed_iters = ref 0 in
+  let recovered = Array.fold_left ( + ) 0 progress in
   for tid = 0 to config.threads - 1 do
-    let start = resume_from tid in
     let rng = Rng.create ~seed:(config.seed + 555 + (1000 * tid)) in
     ignore
       (Scheduler.spawn sched
          ~name:(Printf.sprintf "resumed-%d" tid)
-         (fun () ->
-           for i = start to config.iterations do
-             Nvm.Pmem.charge pmem config.iter_cycles;
-             map.Machine.map_ops.Tsp_maps.Map_intf.set ~tid
-               ~key:(Key_space.c1 ~tid) ~value:(Int64.of_int i);
-             let k = Key_space.h_key (Rng.int rng h_keys) in
-             map.Machine.map_ops.Tsp_maps.Map_intf.incr ~tid ~key:k ~by:1L;
-             map.Machine.map_ops.Tsp_maps.Map_intf.set ~tid
-               ~key:(Key_space.c2 ~tid) ~value:(Int64.of_int i);
-             incr resumed_iters
-           done)
+         (counter_body config pmem map.Machine.map_ops ~tid ~rng ~h_keys
+            ~progress)
         : int)
   done;
   let outcome = Machine.execute m in
-  (outcome, !resumed_iters, Machine.dump m ~root)
+  (outcome, Array.fold_left ( + ) 0 progress - recovered, Machine.dump m ~root)
 
 let run_with_resume config =
   let h_keys =

@@ -72,9 +72,36 @@ val smoke_workload : config -> config
 val smoke : ?sized:bool -> config -> config
 (** The whole shape; [~sized:false] keeps the threads and iterations. *)
 
-val smoke_mid_from : variant -> int
-(** Start of the smokes' mid-workload crash window: 18 000 for the
-    delay-free table (done near step 22k), else 40 000. *)
+(** {1 Crash windows} *)
+
+type window = {
+  from_step : int;  (** first crash step enumerated *)
+  window : int;  (** steps [from_step, from_step + window) are covered *)
+  stride : int;  (** enumerate every [stride]-th step (min 1) *)
+}
+
+val crash_steps : window -> int list
+(** The crash steps a window enumerates, ascending: [from_step] and
+    every [stride]-th step after it (a stride below 1 counts as 1) that
+    stays below [from_step + window].  The exhaustive [faults] and the
+    [check] campaigns crash at exactly these steps. *)
+
+val pp_window : window Fmt.t
+(** ["exhaustive steps [from,to) stride s"], the stride as enumerated. *)
+
+val window_to_json : Obs.Json.t -> window -> unit
+(** The [crash_window] object of a campaign's results artifact: [from],
+    [window] and the stride as enumerated. *)
+
+val smoke_windows :
+  early_window:int -> early_stride:int -> mid_stride:int -> variant ->
+  window list
+(** The faults and check smokes' two crash windows on [variant]: an
+    early one of [early_window] steps from step 400, just after preload,
+    while logs are short; and a dense 400-step one mid-workload, where
+    the cache has evicted enough for discard semantics to bite.  The
+    mid window starts at step 18 000 on the delay-free table (done near
+    step 22k), else at 40 000. *)
 
 type crash_report = {
   verdict : Tsp_core.Policy.verdict;

@@ -1,11 +1,6 @@
 type point = { x : float; values : (string * float) list }
 
-type series_table = {
-  title : string;
-  x_label : string;
-  series_names : string list;
-  points : point list;
-}
+type series_table = { title : string; x_label : string; points : point list }
 
 let run_config config =
   let r = Runner.run config in
@@ -43,13 +38,6 @@ let flush_latency ?(iterations = 1500)
   {
     title = "E7: TSP advantage vs NVM flush latency (desktop, 8 threads)";
     x_label = "flush latency (cycles)";
-    series_names =
-      [
-        "log-only (TSP)";
-        "log+flush (no TSP)";
-        "deferred (no TSP)";
-        "TSP speedup";
-      ];
     points = Parallel.map ?jobs point latencies;
   }
 
@@ -78,7 +66,6 @@ let thread_scaling ?(iterations = 1500) ?jobs () =
   {
     title = "E8: throughput scaling with worker threads (desktop)";
     x_label = "threads";
-    series_names = [ "no Atlas"; "log only"; "log+flush"; "non-blocking" ];
     points = Parallel.map ?jobs point [ 1; 2; 4; 8; 16 ];
   }
 
@@ -109,7 +96,6 @@ let log_cost_ablation ?(iterations = 1500)
       "E4: fortification overhead factor vs per-entry logging cost (the \
        application study regime: ~3x log, ~5x log+flush)";
     x_label = "log entry cost (cycles)";
-    series_names = [ "overhead log-only"; "overhead log+flush" ];
     points = Parallel.map ?jobs point log_cycles;
   }
 
@@ -156,27 +142,22 @@ let cache_ablation ?(iterations = 1500) ?jobs () =
       "cache-size ablation: natural write-back shrinks the data a TSP \
        rescue must save, at the price of miss latency";
     x_label = "cache lines";
-    series_names =
-      [ "log-only Miter/s"; "hit rate %"; "dirty lines lost at crash" ];
     points = Parallel.map ?jobs point [ 512; 2048; 8192; 32768 ];
   }
 
+(* Every point of a sweep carries the same series in the same order, so
+   the first point's names head the columns. *)
 let render t ppf =
-  let header = t.x_label :: t.series_names in
+  let names = match t.points with p :: _ -> List.map fst p.values | [] -> [] in
   let rows =
     List.map
       (fun p ->
         Printf.sprintf "%g" p.x
-        :: List.map
-             (fun name ->
-               match List.assoc_opt name p.values with
-               | Some v -> Printf.sprintf "%.2f" v
-               | None -> "-")
-             t.series_names)
+        :: List.map (fun (_, v) -> Printf.sprintf "%.2f" v) p.values)
       t.points
   in
   Format.fprintf ppf "%s@.@." t.title;
-  Report.table ~header ~rows ppf
+  Report.table ~header:(t.x_label :: names) ~rows ppf
 
 let read_ratio ?(iterations = 1500) ?jobs () =
   let point read_pct =
@@ -209,14 +190,6 @@ let read_ratio ?(iterations = 1500) ?jobs () =
       "E12: fortification overhead vs read share (reads are never logged \
        or flushed, so procrastination costs nothing on them)";
     x_label = "read-only iterations (%)";
-    series_names =
-      [
-        "no Atlas";
-        "log only";
-        "log+flush";
-        "overhead log-only";
-        "overhead log+flush";
-      ];
     points = Parallel.map ?jobs point [ 0; 25; 50; 75; 90 ];
   }
 

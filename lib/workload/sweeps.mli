@@ -4,13 +4,10 @@
     here regenerates a claim as a data series. *)
 
 type point = { x : float; values : (string * float) list }
+(** One x value and each series' value there; every point of a table
+    names the same series in the same order. *)
 
-type series_table = {
-  title : string;
-  x_label : string;
-  series_names : string list;
-  points : point list;
-}
+type series_table = { title : string; x_label : string; points : point list }
 
 (** Every sweep below accepts [?jobs]: its points are independent
     deterministic cells, fanned across that many domains via

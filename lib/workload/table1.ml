@@ -137,9 +137,12 @@ let render rows ppf =
         ])
       rows
   in
+  let threads = (List.hd (List.hd rows).cells).result.Runner.config.threads in
   Format.fprintf ppf
-    "Table 1: throughput in millions of iterations/second (8 worker \
-     threads,@ each iteration = 3 atomic map operations)@.@.";
+    "Table 1: throughput in millions of iterations/second (%d worker \
+     thread%s,@ each iteration = 3 atomic map operations)@.@."
+    threads
+    (if threads = 1 then "" else "s");
   Report.table ~header ~rows:table_rows ppf;
   List.iter
     (fun row ->

@@ -49,7 +49,9 @@ val shape_ok : row -> bool
 
 val render : row list -> Format.formatter -> unit
 (** Print measured vs. paper numbers, normalised overheads, and the
-    TSP-vs-non-TSP speedup — the quantities Section 5.2 discusses. *)
+    TSP-vs-non-TSP speedup — the quantities Section 5.2 discusses —
+    under a header stating the first row's thread count.  [rows] must
+    not be empty. *)
 
 val render_breakdown : row -> Format.formatter -> unit
 (** Per-variant cycle decomposition (loads / stores / CAS / flushes /

@@ -56,6 +56,12 @@ let run_threads_s ?seed ?crash_at_step pmem bodies =
     ~finally:(fun () -> Pmem.clear_step_hook pmem)
     (fun () -> Scheduler.run ?crash_at_step sched)
 
+(* Whether [sub] occurs in [s]. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
 let check_raises_invalid name f =
   Alcotest.check_raises name (Invalid_argument "") (fun () ->
       try f () with Invalid_argument _ -> raise (Invalid_argument ""))

@@ -15,11 +15,6 @@ module Report = Workload.Report
 module FI = Workload.Fault_injector
 module CC = Workload.Check_campaign
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 (* --- Report.percentiles: nearest-rank, Int.compare --- *)
 
 let pcts samples qs = List.map snd (Report.percentiles samples qs)

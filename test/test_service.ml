@@ -396,7 +396,19 @@ let test_serve_guards () =
   check_raises_invalid "crash shard out of range" (fun () ->
       ignore (Serve.run { tiny_config with Serve.crash_shard = Some 9 } : Serve.report));
   check_raises_invalid "0 windows" (fun () ->
-      ignore (Serve.run { tiny_config with Serve.windows = 0 } : Serve.report))
+      ignore (Serve.run { tiny_config with Serve.windows = 0 } : Serve.report));
+  List.iter
+    (fun (what, cfg) ->
+      Alcotest.(check bool) what true (Result.is_error (Serve.validate cfg)))
+    [
+      ("zero arrival rate", { tiny_config with Serve.rate_per_mcycle = 0. });
+      ("skew of 1.5", { tiny_config with Serve.theta = 1.5 });
+      ("negative request count", { tiny_config with Serve.requests = -5 });
+      ("no keys", { tiny_config with Serve.keys = 0 });
+      ("crash step 0", { tiny_config with Serve.crash_at_step = Some 0 });
+    ];
+  Alcotest.(check bool) "the tiny config is valid" true
+    (Result.is_ok (Serve.validate tiny_config))
 
 (* --- p999 in the YCSB sweep table (satellite of this PR) --- *)
 

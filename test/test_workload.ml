@@ -377,7 +377,23 @@ let test_resume_completes_counters () =
         (Runner.variant_to_string variant ^ " completed")
         true r.Runner.completion_ok;
       Alcotest.(check bool) "duplicates within the at-least-once bound" true
-        (r.Runner.duplicated_increments <= small_config.Runner.threads))
+        (r.Runner.duplicated_increments <= small_config.Runner.threads);
+      (* Each thread resumes after the iteration its recovered c2 names. *)
+      let recovered_c2 =
+        List.fold_left
+          (fun sum tid ->
+            match
+              List.assoc_opt (Key_space.c2 ~tid) r.Runner.first.Runner.entries
+            with
+            | Some v -> sum + Int64.to_int v
+            | None -> sum)
+          0
+          (List.init small_config.Runner.threads Fun.id)
+      in
+      Alcotest.(check int)
+        (Runner.variant_to_string variant ^ " resume iterations")
+        ((small_config.Runner.threads * 200) - recovered_c2)
+        r.Runner.resume_iterations)
     [ Runner.Mutex_map Mode.Log_only; Runner.Nonblocking_map ]
 
 let test_resume_without_crash_is_identity () =
@@ -660,7 +676,17 @@ let test_table1_shape () =
   Alcotest.(check int) "four cells" 4 (List.length row.Table1.cells);
   let rendered = Format.asprintf "%t" (Table1.render [ row ]) in
   Alcotest.(check bool) "render mentions platform" true
-    (String.length rendered > 0)
+    (String.length rendered > 0);
+  Alcotest.(check bool) "the header states 8 threads" true
+    (contains rendered "(8 worker threads,");
+  let two =
+    Table1.run_row ~threads:2 ~iterations:40 Nvm.Config.desktop
+      Table1.paper_desktop
+  in
+  Alcotest.(check bool) "the header states 2 threads" true
+    (contains
+       (Format.asprintf "%t" (Table1.render [ two ]))
+       "(2 worker threads,")
 
 (* --- Sweeps / report --- *)
 
@@ -712,6 +738,33 @@ let test_report_table () =
   in
   Alcotest.(check bool) "aligned output" true
     (String.length out > 0 && String.contains out '-')
+
+let test_report_capped_rows () =
+  let render n =
+    Format.asprintf "@[<v>rows%a@]"
+      (Report.capped_rows ~more:"rows" Format.pp_print_int)
+      (List.init n Fun.id)
+  in
+  let shown = "rows" :: List.init 20 string_of_int in
+  Alcotest.(check string) "20 rows: every one shown"
+    (String.concat "\n" shown) (render 20);
+  Alcotest.(check string) "21 rows: the 21st is counted, not shown"
+    (String.concat "\n" (shown @ [ "... and 1 more rows" ]))
+    (render 21)
+
+(* The crash steps of a [faults --exhaustive] or [check] window. *)
+let test_crash_steps () =
+  let steps from_step window stride =
+    Runner.crash_steps { Runner.from_step; window; stride }
+  in
+  Alcotest.(check (list int)) "a stride below 1 counts as 1" [ 5; 6; 7 ]
+    (steps 5 3 0);
+  Alcotest.(check (list int)) "a negative stride counts as 1" [ 5; 6; 7 ]
+    (steps 5 3 (-2));
+  Alcotest.(check (list int)) "a partial last stride still enumerates"
+    [ 100; 140; 180 ] (steps 100 100 40);
+  Alcotest.(check (list int)) "a window of 1 is its first step" [ 40_000 ]
+    (steps 40_000 1 50)
 
 let test_report_ratio_pct () =
   Alcotest.(check string) "ratio" "2.00x" (Report.ratio 4. 2.);
@@ -985,6 +1038,8 @@ let suite =
         test_sweep_read_ratio_lowers_overhead;
       case "report: table rendering" test_report_table;
       case "report: ratio and percentage" test_report_ratio_pct;
+      case "report: the first 20 failing rows" test_report_capped_rows;
+      case "runner: crash steps of a window" test_crash_steps;
       case "runner: a run stores exactly its initial entries"
         test_initial_entries_are_stored;
       case "runner: wide values and transfers need the hash map" test_validate;
