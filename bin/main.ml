@@ -34,10 +34,11 @@ let int_from least ~what =
     Fmt.int
 
 (* Threads, iterations, runs, repeats, heap sizes, a crash step, a
-   window or a stride, a mutant rate. *)
+   window or a stride, a mutant rate, a value width. *)
 let count_conv = int_from 1 ~what:"positive count"
 
-(* Ballast entries and on-demand touches, where none is a choice. *)
+(* Ballast entries, on-demand touches and a rescue budget in lines,
+   where none is a choice. *)
 let size_conv = int_from 0 ~what:"non-negative count"
 
 let platform_conv =
@@ -488,10 +489,11 @@ let faults_cmd =
            ~doc:"Number of injected crashes.")
   in
   let wide =
-    Arg.(value & opt int 1
+    Arg.(value & opt count_conv 1
          & info [ "wide" ] ~docv:"W"
              ~doc:"Use the wide-value workload with W-word values (the \
-                   multi-word tearing experiment E13).")
+                   multi-word tearing experiment E13); 1 keeps the counter \
+                   workload.")
   in
   let fault_models =
     Arg.(value
@@ -1066,13 +1068,14 @@ let trace_cmd =
                    over the trace window.")
   in
   let ring_cap =
-    Arg.(value & opt int 65536
+    Arg.(value & opt (int_from 8 ~what:"ring capacity of at least 8") 65536
          & info [ "ring-cap" ] ~docv:"N"
-             ~doc:"Event ring capacity; older events are overwritten once \
-                   exceeded (summary statistics stay exact).")
+             ~doc:"Event ring capacity, at least 8; older events are \
+                   overwritten once exceeded (summary statistics stay \
+                   exact).")
   in
   let budget_lines =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some size_conv) None
          & info [ "budget-lines" ] ~docv:"N"
              ~doc:"Override the WSP rescue budget (in cache lines) used by \
                    the exposure accounting; default is derived from the \

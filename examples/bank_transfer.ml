@@ -65,7 +65,7 @@ let () =
       let fortified = run_one Atlas.Mode.Log_only crash_at seed in
       Fmt.pr "--- same crash, Atlas log-only (TSP mode) ---@.";
       (match fortified.Runner.crash with
-      | Some { Runner.atlas_recovery = Some rep; _ } ->
+      | Some { atlas_recovery = Some rep; _ } ->
           Fmt.pr "recovery: %a@." Atlas.Recovery.pp_report rep
       | _ -> ());
       Fmt.pr "recovered total: %Ld (expected %Ld)@." (total fortified.Runner.entries)

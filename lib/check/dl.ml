@@ -6,7 +6,7 @@ type stats = {
   capped : int;
 }
 
-type violation = { key : int; found : int64 option; detail : string }
+type violation = { key : int; detail : string }
 type verdict = Explained of stats | Violation of stats * violation list
 
 let subset_limit = 20
@@ -210,12 +210,7 @@ let check_records ~initial ~records ~recovered =
         in
         if explain_key ~capped ~initial_v ~recovered_v entries then None
         else
-          Some
-            {
-              key = k;
-              found = recovered_v;
-              detail = diagnose ~initial_v ~recovered_v entries;
-            })
+          Some { key = k; detail = diagnose ~initial_v ~recovered_v entries })
       sorted_keys
   in
   let stats =

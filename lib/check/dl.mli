@@ -51,7 +51,6 @@ type stats = {
 
 type violation = {
   key : int;
-  found : int64 option;  (** recovered value ([None] = absent) *)
   detail : string;  (** deterministic human-readable diagnosis *)
 }
 

@@ -10,7 +10,6 @@ type crash_action =
   | Failover_to_ups
   | Nvdimm_save
   | Wsp_rescue of Wsp.outcome
-  | Adversarial_rescue of Nvm.Fault_model.t
 
 type verdict =
   | Tsp of { actions : crash_action list; note : string }
@@ -156,8 +155,6 @@ let pp_crash_action ppf = function
   | Failover_to_ups -> Fmt.string ppf "fail over to UPS"
   | Nvdimm_save -> Fmt.string ppf "NVDIMM supercap save"
   | Wsp_rescue o -> Fmt.pf ppf "WSP rescue (%.3f s)" o.Wsp.total_time_s
-  | Adversarial_rescue fm ->
-      Fmt.pf ppf "adversarial rescue [%a]" Nvm.Fault_model.pp fm
 
 let pp_verdict ppf = function
   | Tsp { actions; note } ->

@@ -31,10 +31,6 @@ type crash_action =
   | Failover_to_ups
   | Nvdimm_save  (** on-DIMM supercaps persist DRAM to flash *)
   | Wsp_rescue of Wsp.outcome  (** the two-stage WSP evacuation *)
-  | Adversarial_rescue of Nvm.Fault_model.t
-      (** a rescue degraded by an adversarial fault model — the crash
-          executor synthesises this bill when a campaign overrides the
-          verdict-derived crash semantics (see {!Crash_executor.execute}) *)
 
 type verdict =
   | Tsp of { actions : crash_action list; note : string }

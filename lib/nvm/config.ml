@@ -1,8 +1,6 @@
 type t = {
   name : string;
   ghz : float;
-  hw_threads : int;
-  dram_desc : string;
   region_size : int;
   line_size : int;
   cache_lines : int;
@@ -27,8 +25,6 @@ let desktop =
   {
     name = "ENVY Phoenix 800";
     ghz = 3.4;
-    hw_threads = 8;
-    dram_desc = "32 GB";
     region_size = 64 * 1024 * 1024;
     line_size = 64;
     cache_lines = 8192;
@@ -46,8 +42,6 @@ let server =
   {
     name = "DL580 Gen8";
     ghz = 2.8;
-    hw_threads = 30;
-    dram_desc = "1.5 TB";
     region_size = 64 * 1024 * 1024;
     line_size = 64;
     cache_lines = 16384;
@@ -65,8 +59,6 @@ let test_small =
   {
     name = "test-small";
     ghz = 1.0;
-    hw_threads = 4;
-    dram_desc = "tiny";
     region_size = 64 * 1024;
     line_size = 64;
     cache_lines = 16;

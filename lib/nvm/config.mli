@@ -10,8 +10,6 @@
 type t = {
   name : string;  (** human-readable platform name *)
   ghz : float;  (** clock frequency used to convert cycles to seconds *)
-  hw_threads : int;  (** hardware threads available (informational) *)
-  dram_desc : string;  (** memory description, for report headers *)
   region_size : int;  (** bytes of simulated NVM; multiple of [line_size] *)
   line_size : int;  (** cache-line size in bytes (power of two) *)
   cache_lines : int;  (** total lines in the simulated cache *)

@@ -96,6 +96,7 @@ type shard_report = {
   elapsed_cycles : int;
   steps : int;
   outcome : string;
+  crash_step : int option;
   recovery : recovery_report option;
   tracer : Obs.Tracer.t option;
 }
@@ -116,8 +117,6 @@ type report = {
   config : config;
   horizon : int;
   shards : shard_report array;
-  fates : fate array;
-  latencies : int array;
   windows : window array;
   latency : latency_row list;
 }
@@ -151,6 +150,12 @@ let validate (cfg : config) =
               s (cfg.shards - 1));
         Option.bind cfg.crash_at_step (fun s ->
             rule (s >= 1) "--crash-at %d: crash steps count from 1" s);
+        Option.bind cfg.crash_at_step (fun s ->
+            rule (cfg.crash_shard <> None)
+              "--crash-at %d: no shard crashes (name one with --crash-shard)" s);
+        rule (cfg.requests > 0 || cfg.crash_shard = None)
+          "--requests %d: the crash shard needs requests to crash under"
+          cfg.requests;
       ]
   in
   Option.fold ~none:(Ok ()) ~some:Result.error broken
@@ -381,6 +386,7 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
           elapsed_cycles = elapsed;
           steps;
           outcome;
+          crash_step;
           recovery;
           tracer;
         };
@@ -390,10 +396,13 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
   in
   match outcome with
   | Scheduler.Completed ->
+      (* A crash shard that completes ran out of requests before its
+         crash step: the crash it was to survive never happened. *)
       finish ~retry_attempts:0 ~phase2_served:0
         ~elapsed:(Scheduler.elapsed_cycles m.Machine.sched)
         ~steps:(Scheduler.total_steps m.Machine.sched)
-        ~outcome:"ok" ~recovery:None
+        ~outcome:(if crash_step = None then "ok" else "crash-missed")
+        ~recovery:None
   | Scheduler.Deadlocked _ ->
       finish ~retry_attempts:0 ~phase2_served:0
         ~elapsed:(Scheduler.elapsed_cycles m.Machine.sched)
@@ -403,17 +412,26 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
       let sched1 = m.Machine.sched in
       let t_down = Scheduler.elapsed_cycles sched1 in
       let steps1 = Scheduler.total_steps sched1 in
-      let clock_before = (Nvm.Pmem.stats pmem).Nvm.Stats.clock in
-      let fault =
-        (Machine.crash_execute ?fault:cfg.fault_model m)
-          .Tsp_core.Crash_executor.fault
-      in
+      let crash = Machine.crash_execute ?fault:cfg.fault_model m in
       let recovery = Machine.recover ~mode:cfg.recovery m in
-      let recovery_cycles =
-        (Nvm.Pmem.stats pmem).Nvm.Stats.clock - clock_before
+      let t_up = t_down + recovery.Machine.recovery_cycles in
+      (* What the victim's report holds whether or not the shard comes
+         back; the branches below fill in the rest. *)
+      let report =
+        {
+          t_down;
+          t_up;
+          recovery_cycles = recovery.Machine.recovery_cycles;
+          rescued_lines = crash.Tsp_core.Crash_executor.damage.Nvm.Pmem.rescued;
+          fault = crash.Tsp_core.Crash_executor.fault;
+          background_gc_cycles = 0;
+          on_demand_recovered = 0;
+          recovery_verdict = recovery.Machine.recovery_verdict;
+          dl = None;
+          dl_note = "";
+          recovery_errors = recovery.Machine.recovery_errors;
+        }
       in
-      let rescued_lines = (Nvm.Pmem.stats pmem).Nvm.Stats.rescued_lines in
-      let t_up = t_down + recovery_cycles in
       let pending =
         List.filter_map
           (fun li ->
@@ -421,16 +439,14 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
             else None)
           (List.init n Fun.id)
       in
-      let recovered_ok =
-        recovery.Machine.heap <> None && recovery.Machine.heap_audit_ok
-      in
       (* The victim restarts on the recovered heap and its map is read
          back under one guard: a damaged image the heap audit passed
          can still make the restart, the map's audit or its walk
          raise.  The error carries the reason and what it adds to
          [recovery_errors]. *)
       let read =
-        if not recovered_ok then Error ("the shard state was not recovered", [])
+        if not recovery.Machine.heap_audit_ok then
+          Error ("the shard state was not recovered", [])
         else
           match
             Machine.read_back m ~root:(fun () -> Machine.reattach m recovery) ignore
@@ -449,17 +465,9 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
             ~recovery:
               (Some
                  {
-                   t_down;
-                   t_up;
-                   recovery_cycles;
-                   rescued_lines;
-                   fault;
-                   background_gc_cycles = 0;
-                   on_demand_recovered = 0;
-                   recovery_verdict = recovery.Machine.recovery_verdict;
-                   dl = None;
+                   report with
                    dl_note = "skipped: " ^ reason;
-                   recovery_errors = recovery.Machine.recovery_errors @ errors;
+                   recovery_errors = report.recovery_errors @ errors;
                  })
       | Ok recovered_entries ->
           let dl, dl_note =
@@ -536,19 +544,7 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_st
               | Scheduler.Crashed _ -> "crashed+lost")
             ~recovery:
               (Some
-                 {
-                   t_down;
-                   t_up;
-                   recovery_cycles;
-                   rescued_lines;
-                   fault;
-                   background_gc_cycles;
-                   on_demand_recovered;
-                   recovery_verdict = recovery.Machine.recovery_verdict;
-                   dl;
-                   dl_note;
-                   recovery_errors = recovery.Machine.recovery_errors;
-                 })
+                 { report with background_gc_cycles; on_demand_recovered; dl; dl_note })
 
 (* --- Aggregation -------------------------------------------------- *)
 
@@ -680,6 +676,8 @@ let run ?jobs (cfg : config) =
       (List.init cfg.shards Fun.id)
   in
   let cells = Array.of_list cells in
+  (* Per request, in arrival order: its fate, and its latency when
+     served. *)
   let fates = Array.make cfg.requests Pending in
   let latencies = Array.make cfg.requests (-1) in
   Array.iteri
@@ -703,18 +701,18 @@ let run ?jobs (cfg : config) =
     config = cfg;
     horizon;
     shards;
-    fates;
-    latencies;
     windows = build_windows cfg ~horizon ~times:stream.Arrival.times fates;
     latency = latency_rows cfg ~outage ~times:stream.Arrival.times ~shard_of fates latencies;
   }
 
 (* The service's verdict on a run: a shard fails when it deadlocked,
    when it was lost although the model its crash ran promised no loss,
-   or when its recovered state is not durably linearizable. *)
+   or when its recovered state is not durably linearizable; a crash
+   shard also fails when its crash never happened. *)
 let failed r =
   let bad s =
     s.outcome = "deadlocked"
+    || s.outcome = "crash-missed"
     ||
     match s.recovery with
     | None -> false
@@ -762,9 +760,14 @@ let render r =
     shed timed_out avail;
   Array.iter
     (fun (s : shard_report) ->
-      match s.recovery with
-      | None -> ()
-      | Some rr ->
+      match (s.recovery, s.crash_step) with
+      | None, Some step when s.outcome = "crash-missed" ->
+          pf
+            "\ncrash: shard %d was to crash at step %d, but its run ended \
+             after %d steps\n"
+            s.shard step s.steps
+      | None, _ -> ()
+      | Some rr, _ ->
           pf
             "\ncrash: shard %d down at cycle %d; recovery took %d cycles (%d \
              lines rescued); serving again at cycle %d\n"

@@ -55,8 +55,6 @@ val smoke_config : config
 (** A seconds-scale shrink (4 shards, 16 Ki keys, 6000 requests) with a
     crash on shard 1, for CI. *)
 
-type fate = Pending | Served | Shed | Timed_out
-
 type recovery_report = {
   t_down : int;  (** simulated cycle the shard crashed *)
   t_up : int;  (** cycle it was serving again: [t_down + recovery_cycles] *)
@@ -94,8 +92,10 @@ type shard_report = {
   elapsed_cycles : int;
   steps : int;
   outcome : string;
-      (** ["ok"], ["crashed+recovered"], ["crashed+lost"] or
-          ["deadlocked"] *)
+      (** ["ok"], ["crashed+recovered"], ["crashed+lost"],
+          ["deadlocked"], or ["crash-missed"] for a crash shard whose
+          requests ran out before its crash step *)
+  crash_step : int option;  (** the crash shard's planned crash step *)
   recovery : recovery_report option;
   tracer : Obs.Tracer.t option;
 }
@@ -125,8 +125,6 @@ type report = {
   config : config;
   horizon : int;  (** one past the last arrival cycle *)
   shards : shard_report array;
-  fates : fate array;  (** per request, in arrival order *)
-  latencies : int array;  (** per request; [-1] unless served *)
   windows : window array;
   latency : latency_row list;
 }
@@ -136,8 +134,9 @@ val validate : config -> (unit, string) result
     simulation: positive shard, window, log and bucket counts, at least
     one key per shard, no negative request count, a positive arrival
     rate, a Zipf skew in [\[0, 1)], a crash shard among the shards and a
-    crash step from 1.  [Error] says why, naming the [tsp serve] flag
-    that sets the field where there is one. *)
+    crash step from 1, only with a crash shard, which needs at least one
+    request.  [Error] says why, naming the [tsp serve] flag that sets
+    the field where there is one. *)
 
 val run : ?jobs:int -> config -> report
 (** Generate the stream, fan the shards out as parallel cells, crash and
@@ -146,8 +145,8 @@ val run : ?jobs:int -> config -> report
     @raise Invalid_argument when {!validate} rejects the config. *)
 
 val failed : report -> bool
-(** The exit rule of [tsp serve]: some shard deadlocked, was lost
-    although the model its crash ran promises no loss
+(** The exit rule of [tsp serve]: some shard deadlocked, missed its
+    crash, was lost although the model its crash ran promises no loss
     ({!Nvm.Fault_model.expects_loss}), or recovered a state its strict
     durable-linearizability check flagged. *)
 

@@ -151,7 +151,6 @@ let one spec ~crash_step =
             [
               {
                 Check.Dl.key = -1;
-                found = None;
                 detail =
                   Fmt.str "run deadlocked (%a)"
                     Fmt.(list ~sep:comma string)
@@ -170,7 +169,7 @@ let one spec ~crash_step =
     ops_pending = Check.History.pending h;
     dl;
     recovery_verdict =
-      Option.map (fun c -> c.Runner.recovery_verdict) r.Runner.crash;
+      Option.map (fun c -> c.Machine.recovery_verdict) r.Runner.crash;
     cycle_totals = Nvm.Stats.cycle_totals r.Runner.device_stats;
   }
 

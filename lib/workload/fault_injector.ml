@@ -130,7 +130,7 @@ let one spec ~fault ~seed ~crash_step =
       in
       let consistent = Runner.consistent r in
       let recovery_verdict =
-        Option.map (fun c -> c.Runner.recovery_verdict) r.Runner.crash
+        Option.map (fun c -> c.Machine.recovery_verdict) r.Runner.crash
       in
       (* Judging rules, on the model the crash ran (a run that never
          crashed ran none): the binary models promise full consistency;
@@ -141,7 +141,9 @@ let one spec ~fault ~seed ~crash_step =
          drops every dirty line. *)
       let model =
         Option.map
-          (fun c -> c.Runner.rescue_bill.Tsp_core.Crash_executor.fault)
+          (fun _ ->
+            Tsp_core.Policy.crash_model ~hardware:config.Runner.hardware
+              ~failure:config.Runner.failure fault)
           r.Runner.crash
       in
       let violation =
@@ -158,22 +160,22 @@ let one spec ~fault ~seed ~crash_step =
         Option.bind r.Runner.crash (fun c ->
             Option.map
               (fun o -> o.Tsp_core.Recovery_observer.prefix_ok)
-              c.Runner.observer)
+              c.Machine.observer)
       in
       let rolled_back, cascaded =
         match r.Runner.crash with
-        | Some { Runner.atlas_recovery = Some a; _ } ->
+        | Some { Machine.atlas_recovery = Some a; _ } ->
             (a.Atlas.Recovery.updates_applied, a.Atlas.Recovery.cascaded)
         | _ -> (0, 0)
       in
       let gc_freed =
         match r.Runner.crash with
-        | Some { Runner.gc = Some g; _ } -> g.Pheap.Heap_gc.freed_objects
+        | Some { Machine.gc = Some g; _ } -> g.Pheap.Heap_gc.freed_objects
         | _ -> 0
       in
       let errors =
         match r.Runner.crash with
-        | Some c -> c.Runner.recovery_errors
+        | Some c -> c.Machine.recovery_errors
         | None -> []
       in
       {

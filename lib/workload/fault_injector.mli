@@ -64,7 +64,7 @@ type run_outcome = {
   violation : bool;  (** this run broke its fault model's promise *)
   expected : bool;
       (** the violation is the documented behaviour of the model the
-          crash ran ({!Tsp_core.Crash_executor.execution}'s [fault]):
+          crash ran ({!Tsp_core.Policy.crash_model} of the run's config):
           [Full_discard], e.g. an unfortified variant without TSP.  A
           run that never crashed ran no model, so its violation is
           never expected *)

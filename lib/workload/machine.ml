@@ -186,16 +186,15 @@ let crash_execute ?fault m =
         ~hardware:m.spec.hardware ~failure:m.spec.failure)
 
 type recovery = {
-  heap : Heap.t option;
   observer : Tsp_core.Recovery_observer.verdict option;
   atlas_recovery : Atlas.Recovery.report option;
-  rcas_repair : Tsp_maps.Delayfree_map.repair option;
   gc : Heap_gc.stats option;
   gc_quarantine : Heap_gc.quarantine option;
   gc_pending : Heap_gc.Incremental.t option;
   recovery_verdict : Atlas.Recovery.verdict;
   heap_audit_ok : bool;
   recovery_errors : string list;
+  recovery_cycles : int;
 }
 
 (* Post-crash pipeline: device-level crash semantics, then recovery,
@@ -204,6 +203,8 @@ type recovery = {
 let recover ?(mode = Eager) m =
   let spec = m.spec in
   let pmem = m.pmem in
+  let stats = Nvm.Pmem.stats pmem in
+  let clock0 = stats.Nvm.Stats.clock in
   let errors = ref [] in
   let err fmt = Fmt.kstr (fun s -> errors := s :: !errors) fmt in
   let observer =
@@ -244,15 +245,18 @@ let recover ?(mode = Eager) m =
      in-flight announced CAS exactly once, before anything reads the
      table.  [rcas_failed] feeds the verdict — a table we could not even
      scan is a degraded recovery, not a clean one. *)
-  let rcas_repair, rcas_failed =
+  let rcas_failed =
     match (heap, spec.variant) with
     | Some heap, Delayfree_map -> begin
-        try (Some (Delayfree.repair heap (Heap.get_root heap)), false)
+        try
+          ignore
+            (Delayfree.repair heap (Heap.get_root heap) : Delayfree.repair);
+          false
         with exn ->
           err "rcas repair failed: %s" (Printexc.to_string exn);
-          (None, true)
+          true
       end
-    | _ -> (None, false)
+    | _ -> false
   in
   let gc, gc_quarantine, gc_pending =
     match heap with
@@ -344,16 +348,15 @@ let recover ?(mode = Eager) m =
   | None -> ());
   m.gc_pending <- gc_pending;
   {
-    heap;
     observer;
     atlas_recovery;
-    rcas_repair;
     gc;
     gc_quarantine;
     gc_pending;
     recovery_verdict;
     heap_audit_ok;
     recovery_errors = List.rev !errors;
+    recovery_cycles = stats.Nvm.Stats.clock - clock0;
   }
 
 let finish_background_gc (m : t) =

@@ -2,15 +2,14 @@
     runtime and map instance, bundled so that several of them can
     coexist in one process.
 
-    Historically {!Runner} built this quintet inline and assumed it was
-    alone in the world; the sharded service layer ([lib/service]) needs
-    N of them side by side — one per shard — each crashing and
-    recovering independently while the others keep executing.  This
-    module is that refactor: everything device-, scheduler- or
-    map-shaped that {!Runner.run} used to wire by hand now lives behind
-    one handle, and {!Runner} itself is a client.
+    Every driver builds its machines here: {!Runner} one per run,
+    {!Recovery_scaling} one per cell, and the sharded service layer
+    ([lib/service]) N side by side — one per shard — each crashing and
+    recovering independently while the others keep executing.  A crash
+    is {!crash_execute} then {!recover}, whose {!recovery} record is
+    the one report of what the crash's recovery did and cost.
 
-    {b Multi-instance safety} (audited for this refactor): every piece
+    {b Multi-instance safety}: every piece
     of state the machine touches is per-instance —
     {!Sched.Scheduler.t} carries its own RNG, thread table, quantum and
     tracer field; {!Nvm.Pmem.t} its own cache, images, hooks and stats;
@@ -103,31 +102,40 @@ val crash_execute :
     from their own seed-derived stream, so a given (spec, crash step)
     is bit-reproducible regardless of what the workload drew. *)
 
+(** What one crash's recovery did and cost: the report every driver
+    reads ({!Runner.crash_report} is this type). *)
 type recovery = {
-  heap : Pheap.Heap.t option;  (** [None]: attach failed (unrecoverable) *)
   observer : Tsp_core.Recovery_observer.verdict option;
+      (** journalled machines only: what the crash did to the store
+          history *)
   atlas_recovery : Atlas.Recovery.report option;
-  rcas_repair : Tsp_maps.Delayfree_map.repair option;
-      (** [Delayfree_map] only: outcome of completing/aborting every
-          in-flight announced CAS (exactly once) before the table is
-          read *)
   gc : Pheap.Heap_gc.stats option;
   gc_quarantine : Pheap.Heap_gc.quarantine option;
+      (** what the recovery GC had to give up on (see
+          {!Pheap.Heap_gc.quarantine}); present whenever [gc] is *)
   gc_pending : Pheap.Heap_gc.Incremental.t option;
       (** [Incremental_gc] only: the deferred collection *)
   recovery_verdict : Atlas.Recovery.verdict;
+      (** the whole pipeline's structured verdict: [Clean] when every
+          stage trusted all of the image, [Degraded] with one reason per
+          discounted part, [Unrecoverable] when the heap could not even
+          be attached *)
   heap_audit_ok : bool;
   recovery_errors : string list;
+  recovery_cycles : int;
+      (** simulated cycles {!recover} charged — the outage, the
+          procrastinator's bill: log scan, rollback, the GC (its plan
+          only under [Incremental_gc]) and the heap audit *)
 }
 
 val recover : ?mode:recovery_mode -> t -> recovery
 (** The whole post-crash pipeline: device recovery, heap re-attach,
     Atlas rollback (mutex variants), graceful GC, audit.  Failures are
-    reported, never raised.  On success [t.heap] is re-pointed at the
-    recovered heap; [t.atlas] and [t.map] are stale until {!reattach}
-    (the recovered state can still be audited and dumped through
-    [t.map], whose [audit] and {!dump} read any heap handle).  [mode]
-    defaults to [Eager]. *)
+    reported, never raised.  Unless the verdict is [Unrecoverable],
+    [t.heap] is re-pointed at the recovered heap; [t.atlas] and [t.map]
+    are stale until {!reattach} (the recovered state can still be
+    audited and dumped through [t.map], whose [audit] and {!dump} read
+    any heap handle).  [mode] defaults to [Eager]. *)
 
 val finish_background_gc :
   t -> (Pheap.Heap_gc.stats * Pheap.Heap_gc.quarantine) option

@@ -63,15 +63,11 @@ let default_spec ~variant ~seed =
 let recover_cell (m : Machine.t) ~objects ~mode ?(touches = 0) () =
   let tracer = Obs.Tracer.create ~ring_cap:4096 () in
   let m = Machine.with_tracer m tracer in
-  let pmem = m.Machine.pmem in
-  let stats = Nvm.Pmem.stats pmem in
   ignore (Machine.crash_execute m : Tsp_core.Crash_executor.execution);
-  let clock0 = stats.Nvm.Stats.clock in
   let r = Machine.recover ~mode m in
-  let outage_cycles = stats.Nvm.Stats.clock - clock0 in
   (* Incremental: the machine is already serving; charge a sample of
      on-demand touches (first-touch key recoveries), then let the
-     background collector finish.  Everything after [outage_cycles] is
+     background collector finish.  Everything after the outage is
      availability-overlapped work. *)
   let on_demand_touches = ref 0 in
   (match r.Machine.gc_pending with
@@ -99,14 +95,15 @@ let recover_cell (m : Machine.t) ~objects ~mode ?(touches = 0) () =
     variant = m.Machine.spec.Machine.variant;
     objects;
     mode;
-    outage_cycles;
+    outage_cycles = r.Machine.recovery_cycles;
     background_cycles;
     on_demand_touches = !on_demand_touches;
     phases;
     gc = r.Machine.gc;
     verdict = Fmt.str "%a" Atlas.Recovery.pp_verdict r.Machine.recovery_verdict;
     heap_audit_ok = r.Machine.heap_audit_ok;
-    image_hash = image_hash pmem ~lo:0 ~hi:(Machine.log_base m.Machine.spec);
+    image_hash =
+      image_hash m.Machine.pmem ~lo:0 ~hi:(Machine.log_base m.Machine.spec);
   }
 
 (* The pre-crash image is a pure function of (variant, objects, seed),

@@ -16,7 +16,7 @@ type cell = {
   mode : Machine.recovery_mode;
   outage_cycles : int;
       (** simulated cycles from device recovery to "serving again":
-          everything {!Machine.recover} charged *)
+          the recovery's [recovery_cycles] *)
   background_cycles : int;
       (** incremental mode: the collection bill paid after the shard is
           already serving; 0 in the other modes *)
@@ -57,7 +57,8 @@ val recover_cell :
     background collection is driven to completion; the collection is
     always finished — and its allocator reset applied — before the
     image digest is taken.  Every field is read from the recovered
-    image, the recovery's report or a clock delta. *)
+    image, the recovery's report, the tracer or the pending
+    collection. *)
 
 val run_cell :
   ?spec:Machine.config option ->

@@ -103,19 +103,7 @@ let smoke_windows ~early_window ~early_stride ~mid_stride variant =
     { from_step = mid_from; window = 400; stride = mid_stride };
   ]
 
-type crash_report = {
-  verdict : Tsp_core.Policy.verdict;
-  observer : Tsp_core.Recovery_observer.verdict option;
-  atlas_recovery : Atlas.Recovery.report option;
-  gc : Pheap.Heap_gc.stats option;
-  gc_quarantine : Pheap.Heap_gc.quarantine option;
-  recovery_verdict : Atlas.Recovery.verdict;
-  heap_audit_ok : bool;
-  recovery_errors : string list;
-  recovery_cycles : int;
-  rescued_lines : int;
-  rescue_bill : Tsp_core.Crash_executor.execution;
-}
+type crash_report = Machine.recovery
 
 type outcome = Completed | Crashed of int | Deadlocked of string list
 
@@ -325,22 +313,6 @@ let check_invariants config ?wide_entries entries =
         ~entries:(workload_keys accounts entries)
         ~expected_total:(Int64.of_int (accounts * initial_balance))
 
-let crash_report_of pmem ~verdict ~(recovery : Machine.recovery) ~clock_before
-    ~rescue_bill =
-  {
-    verdict;
-    observer = recovery.Machine.observer;
-    atlas_recovery = recovery.Machine.atlas_recovery;
-    gc = recovery.Machine.gc;
-    gc_quarantine = recovery.Machine.gc_quarantine;
-    recovery_verdict = recovery.Machine.recovery_verdict;
-    heap_audit_ok = recovery.Machine.heap_audit_ok;
-    recovery_errors = recovery.Machine.recovery_errors;
-    recovery_cycles = (Nvm.Pmem.stats pmem).Nvm.Stats.clock - clock_before;
-    rescued_lines = (Nvm.Pmem.stats pmem).Nvm.Stats.rescued_lines;
-    rescue_bill;
-  }
-
 let run_full config =
   Result.iter_error
     (fun why -> invalid_arg ("Runner: " ^ why))
@@ -452,15 +424,13 @@ let run_full config =
       let root = Heap.get_root heap in
       let entries = Machine.dump m ~root in
       let wide_entries = wide_dump heap root in
-      ( finish Completed (check_invariants config ?wide_entries entries) None entries,
-        m,
-        None )
+      (finish Completed (check_invariants config ?wide_entries entries) None entries, m)
   | Scheduler.Deadlocked { blocked } ->
-      (finish (Deadlocked blocked) (Invariant.failed "deadlocked") None [], m, None)
+      (finish (Deadlocked blocked) (Invariant.failed "deadlocked") None [], m)
   | Scheduler.Crashed { at_step } ->
-      let clock_before = (Nvm.Pmem.stats pmem).Nvm.Stats.clock in
-      let rescue_bill = Machine.crash_execute ?fault:config.fault_model m in
-      let verdict = rescue_bill.Tsp_core.Crash_executor.verdict in
+      ignore
+        (Machine.crash_execute ?fault:config.fault_model m
+          : Tsp_core.Crash_executor.execution);
       let recovery = Machine.recover ~mode:config.recovery_mode m in
       (* The driver has no service to overlap with: drive any pending
          incremental collection to completion before dumping, so the
@@ -468,10 +438,15 @@ let run_full config =
       ignore
         (Machine.finish_background_gc m
           : (Pheap.Heap_gc.stats * Pheap.Heap_gc.quarantine) option);
-      let rheap = recovery.Machine.heap in
       let entries, invariants =
-        match rheap with
-        | Some rheap when recovery.Machine.heap_audit_ok -> begin
+        match recovery.recovery_verdict with
+        | Atlas.Recovery.Unrecoverable _ ->
+            ([], Invariant.failed "heap unrecoverable")
+        | _ when not recovery.heap_audit_ok ->
+            ([], Invariant.failed "heap audit failed")
+        | _ -> begin
+            (* [recover] re-pointed the machine's heap at the recovered one *)
+            let rheap = m.Machine.heap in
             match
               Machine.read_back m
                 ~root:(fun () -> Heap.get_root rheap)
@@ -482,17 +457,10 @@ let run_full config =
             | Error msg ->
                 ([], Invariant.failed ("map traversal failed: " ^ msg))
           end
-        | Some _ -> ([], Invariant.failed "heap audit failed")
-        | None -> ([], Invariant.failed "heap unrecoverable")
       in
-      let crash =
-        Some (crash_report_of pmem ~verdict ~recovery ~clock_before ~rescue_bill)
-      in
-      (finish (Crashed at_step) invariants crash entries, m, Some recovery)
+      (finish (Crashed at_step) invariants (Some recovery) entries, m)
 
-let run config =
-  let r, _, _ = run_full config in
-  r
+let run config = fst (run_full config)
 
 let consistent r =
   r.invariants.Invariant.ok
@@ -523,8 +491,9 @@ let pp_result ppf r =
     Invariant.pp r.invariants
     (fun ppf -> function
       | None -> ()
-      | Some c ->
-          Fmt.pf ppf "@ crash: %a" Tsp_core.Policy.pp_verdict c.verdict;
+      | Some (c : crash_report) ->
+          Fmt.pf ppf "@ crash: %a" Tsp_core.Policy.pp_verdict
+            (Tsp_core.Policy.decide r.config.hardware r.config.failure);
           Fmt.pf ppf "@ recovery verdict: %a" Atlas.Recovery.pp_verdict
             c.recovery_verdict;
           Option.iter
@@ -563,7 +532,6 @@ type resume_report = {
   first : result;  (** the crashed phase, fully verified *)
   resumed : bool;  (** a resume phase actually ran *)
   resume_iterations : int;
-  final_entries : (int * int64) list;
   final_invariants : Invariant.result;
   completion_ok : bool;
       (** every thread reached [iterations], and for counters the H-range
@@ -604,19 +572,18 @@ let run_with_resume config =
     | Mixed _ | Wide _ | Ycsb _ | Transfers _ ->
         invalid_arg ("Runner.run_with_resume: " ^ resume_rule)
   in
-  let first, m, recovery = run_full config in
+  let first, m = run_full config in
   let no_resume completion_ok =
     {
       first;
       resumed = false;
       resume_iterations = 0;
-      final_entries = first.entries;
       final_invariants = first.invariants;
       completion_ok;
       duplicated_increments = 0;
     }
   in
-  match (first.outcome, recovery) with
+  match (first.outcome, first.crash) with
   | Completed, _ -> no_resume (consistent first)
   | (Crashed _ | Deadlocked _), None -> no_resume false
   | Deadlocked _, Some _ -> no_resume false
@@ -652,7 +619,6 @@ let run_with_resume config =
           first;
           resumed = true;
           resume_iterations;
-          final_entries;
           final_invariants;
           completion_ok;
           duplicated_increments = max 0 duplicated;

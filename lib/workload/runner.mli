@@ -103,29 +103,11 @@ val smoke_windows :
     mid window starts at step 18 000 on the delay-free table (done near
     step 22k), else at 40 000. *)
 
-type crash_report = {
-  verdict : Tsp_core.Policy.verdict;
-  observer : Tsp_core.Recovery_observer.verdict option;
-  atlas_recovery : Atlas.Recovery.report option;
-  gc : Pheap.Heap_gc.stats option;
-  gc_quarantine : Pheap.Heap_gc.quarantine option;
-      (** what the recovery GC had to give up on (see
-          {!Pheap.Heap_gc.quarantine}); present whenever [gc] is *)
-  recovery_verdict : Atlas.Recovery.verdict;
-      (** the whole recovery pipeline's structured verdict: [Clean] when
-          every stage trusted all of the image, [Degraded] with one
-          reason per discounted part, [Unrecoverable] when the heap
-          could not even be attached *)
-  heap_audit_ok : bool;
-  recovery_errors : string list;
-  recovery_cycles : int;
-      (** simulated cycles spent on the whole recovery pipeline (log
-          scan, rollback, GC, audit) — the procrastinator's bill *)
-  rescued_lines : int;
-      (** dirty cache lines the crash-time TSP rescue wrote back *)
-  rescue_bill : Tsp_core.Crash_executor.execution;
-      (** the executed crash-time actions with their time/energy cost *)
-}
+type crash_report = Machine.recovery
+(** What a crashed run's recovery did and cost, as {!Machine.recover}
+    reported it.  The model the crash ran is
+    {!Tsp_core.Policy.crash_model} of the config, and the lines its
+    rescue wrote back are [device_stats.rescued_lines]. *)
 
 type outcome = Completed | Crashed of int | Deadlocked of string list
 
@@ -169,7 +151,6 @@ type resume_report = {
   first : result;  (** the crashed phase, fully verified *)
   resumed : bool;  (** a resume phase actually ran *)
   resume_iterations : int;
-  final_entries : (int * int64) list;
   final_invariants : Invariant.result;
   completion_ok : bool;
       (** every thread reached [iterations]; invariants hold; duplicated

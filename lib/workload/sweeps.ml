@@ -247,16 +247,16 @@ let procrastination_ledger ?(iterations = 1200) ?(crash_step = 100_000) ?jobs
            for 2 configs"
           (List.length rs)
   in
-  let _, tsp_crash = tsp_side in
+  let tsp_run, tsp_crash = tsp_side in
   let no_tsp_run, no_tsp_crash = no_tsp_side in
   let runtime_flushes = no_tsp_run.Runner.device_stats.Nvm.Stats.flushes in
-  let rescued = tsp_crash.Runner.rescued_lines in
+  let rescued = tsp_run.Runner.device_stats.Nvm.Stats.rescued_lines in
   {
     crash_step;
     runtime_flushes_no_tsp = runtime_flushes;
     rescued_lines_tsp = rescued;
-    recovery_cycles_tsp = tsp_crash.Runner.recovery_cycles;
-    recovery_cycles_no_tsp = no_tsp_crash.Runner.recovery_cycles;
+    recovery_cycles_tsp = tsp_crash.Machine.recovery_cycles;
+    recovery_cycles_no_tsp = no_tsp_crash.Machine.recovery_cycles;
     flushes_avoided_per_rescued_line =
       (if rescued = 0 then infinity
        else float_of_int runtime_flushes /. float_of_int rescued);
@@ -268,7 +268,7 @@ let pp_ledger ppf l =
      prevention (log+flush, no TSP): %d synchronous flushes before the \
      crash@ procrastination (log-only, TSP): %d dirty lines rescued at \
      crash time@ => %.1f runtime flushes avoided per crash-time line \
-     rescued@ @ recovery pipeline: %a cycles (TSP) vs %a cycles (no TSP)@ \
+     rescued@ @ recovery pipeline: %a (TSP) vs %a (no TSP)@ \
      (recovery work is paid once per failure; the flushes were paid on \
      every store)@]"
     l.crash_step l.runtime_flushes_no_tsp l.rescued_lines_tsp

@@ -272,13 +272,12 @@ let test_executor_tsp_bills_actions () =
   done;
   let e = Exec.execute p ~hardware:HW.nvram_machine ~failure:FC.Kernel_panic in
   Alcotest.(check bool) "verdict tsp" true (Policy.is_tsp e.Exec.verdict);
-  Alcotest.(check int) "ten lines rescued" 10 e.Exec.rescued_lines;
-  Alcotest.(check int) "nothing dropped" 0 e.Exec.dropped_lines;
-  Alcotest.(check bool) "flush action billed" true
-    (List.exists
-       (fun b -> b.Exec.action = Policy.Panic_flush_caches)
-       e.Exec.bills);
-  Alcotest.(check bool) "time positive" true (e.Exec.total_seconds > 0.)
+  Alcotest.(check bool) "the plan flushes the caches" true
+    (match e.Exec.verdict with
+    | Policy.Tsp { actions; _ } -> List.mem Policy.Panic_flush_caches actions
+    | Policy.Not_tsp _ -> false);
+  Alcotest.(check int) "ten lines rescued" 10 e.Exec.damage.Pmem.rescued;
+  Alcotest.(check int) "nothing dropped" 0 e.Exec.damage.Pmem.dropped
 
 let test_executor_process_crash_is_free () =
   let p = small_pmem () in
@@ -286,9 +285,11 @@ let test_executor_process_crash_is_free () =
   let e =
     Exec.execute p ~hardware:HW.conventional_server ~failure:FC.Process_crash
   in
-  Alcotest.(check bool) "rescued anyway" true (e.Exec.rescued_lines = 1);
-  Alcotest.(check bool) "zero cost" true
-    (e.Exec.total_seconds = 0. && e.Exec.total_energy_j = 0.)
+  Alcotest.(check int) "rescued anyway" 1 e.Exec.damage.Pmem.rescued;
+  Alcotest.(check bool) "kernel persistence moves nothing at crash time" true
+    (match e.Exec.verdict with
+    | Policy.Tsp { actions = [ Policy.Rely_on_kernel_persistence ]; _ } -> true
+    | Policy.Tsp _ | Policy.Not_tsp _ -> false)
 
 let test_executor_no_tsp_drops () =
   let p = small_pmem () in
@@ -297,18 +298,8 @@ let test_executor_no_tsp_drops () =
     Exec.execute p ~hardware:HW.conventional_server ~failure:FC.Power_outage
   in
   Alcotest.(check bool) "not tsp" false (Policy.is_tsp e.Exec.verdict);
-  Alcotest.(check int) "line dropped" 1 e.Exec.dropped_lines;
-  Alcotest.(check (list unit)) "no actions billed" []
-    (List.map (fun _ -> ()) e.Exec.bills)
-
-let test_executor_wsp_bill_matches_model () =
-  let p = small_pmem () in
-  Pmem.store p 0 1L;
-  let e = Exec.execute p ~hardware:HW.wsp_machine ~failure:FC.Power_outage in
-  let expected = Tsp_core.Wsp.of_hardware HW.wsp_machine in
-  Alcotest.(check bool) "energy matches the WSP model" true
-    (abs_float (e.Exec.total_energy_j -. expected.Tsp_core.Wsp.total_energy_j)
-     < 1e-6)
+  Alcotest.(check int) "line dropped" 1 e.Exec.damage.Pmem.dropped;
+  Alcotest.(check int) "nothing rescued" 0 e.Exec.damage.Pmem.rescued
 
 (* --- Requirement -> obligation, and the crash it implies --- *)
 
@@ -371,8 +362,6 @@ let suite =
       case "executor: process-crash rescue is free"
         test_executor_process_crash_is_free;
       case "executor: non-TSP crash drops lines" test_executor_no_tsp_drops;
-      case "executor: WSP bill matches the energy model"
-        test_executor_wsp_bill_matches_model;
       case "observer: rescue shows the full prefix" test_observer_rescue;
       case "observer: discard breaks the prefix" test_observer_discard;
       case "facade: plan and TSP crash" test_plan_and_crash;

@@ -44,7 +44,7 @@ let test_adversarial_models_never_raise () =
             | Some c -> c
             | None -> Alcotest.failf "%s: run did not crash" (FM.to_string fault)
           in
-          match (c.Runner.recovery_verdict, fault) with
+          match (c.recovery_verdict, fault) with
           | (Recovery.Clean | Recovery.Degraded _), _ -> ()
           | Recovery.Unrecoverable _, FM.Bit_rot _ -> ()
           | Recovery.Unrecoverable msg, _ ->
@@ -68,7 +68,7 @@ let test_full_rescue_is_tsp_crash () =
   match r.Runner.crash with
   | Some c ->
       Alcotest.(check bool) "clean verdict" true
-        (c.Runner.recovery_verdict = Recovery.Clean)
+        (c.recovery_verdict = Recovery.Clean)
   | None -> Alcotest.fail "did not crash"
 
 let test_nonblocking_prefix_under_full_rescue () =
@@ -88,7 +88,7 @@ let test_nonblocking_prefix_under_full_rescue () =
   in
   Alcotest.(check bool) "consistent" true (Runner.consistent r);
   match r.Runner.crash with
-  | Some { Runner.observer = Some o; _ } ->
+  | Some { observer = Some o; _ } ->
       Alcotest.(check bool) "prefix observed" true
         o.Tsp_core.Recovery_observer.prefix_ok
   | _ -> Alcotest.fail "expected a crash with an observer verdict"

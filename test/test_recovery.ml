@@ -54,7 +54,7 @@ let test_incremental_crash_idempotent () =
   let ra = Machine.recover ~mode:Machine.Incremental_gc a in
   ignore (Machine.recover ~mode:Machine.Incremental_gc b : Machine.recovery);
   let inc_a = Option.get ra.Machine.gc_pending in
-  let heap_a = Option.get ra.Machine.heap in
+  let heap_a = a.Machine.heap in
   ignore (Heap_gc.Incremental.advance inc_a ~budget:2_000 : int);
   ignore (Heap_gc.Incremental.on_demand inc_a : int);
   Alcotest.(check bool)
@@ -142,11 +142,11 @@ let test_cost_free_build_matches_costed () =
 let guard_heap =
   lazy
     (let m = crashed ~objects:20_000 ~seed:31 in
-     let r = Machine.recover ~mode:Machine.Incremental_gc m in
+     ignore (Machine.recover ~mode:Machine.Incremental_gc m : Machine.recovery);
      ignore
        (Machine.finish_background_gc m
          : (Heap_gc.stats * Heap_gc.quarantine) option);
-     let heap = Option.get r.Machine.heap in
+     let heap = m.Machine.heap in
      let stats, _ = Heap_gc.collect_streamed heap in
      (heap, stats.Heap_gc.live_objects))
 

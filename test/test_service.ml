@@ -297,6 +297,7 @@ let test_serve_exit_rule () =
       elapsed_cycles = 30;
       steps = 3;
       outcome;
+      crash_step = None;
       recovery;
       tracer = None;
     }
@@ -307,8 +308,6 @@ let test_serve_exit_rule () =
         Serve.config = tiny_config;
         horizon = 30;
         shards = Array.of_list shards;
-        fates = [||];
-        latencies = [||];
         windows = [||];
         latency = [];
       }
@@ -343,7 +342,7 @@ let test_serve_exit_rule () =
          ok;
          recovered
            (Check.Dl.Violation
-              (stats, [ { Check.Dl.key = 7; found = None; detail = "lost" } ]));
+              (stats, [ { Check.Dl.key = 7; detail = "lost" } ]));
        ])
 
 let test_serve_shed_and_retry () =
@@ -390,6 +389,28 @@ let test_serve_damaged_victim_lost () =
       Alcotest.(check bool) "recovery errors carry the reason" true
         (List.exists (String.starts_with ~prefix:reason) rr.Serve.recovery_errors)
 
+(* A crash shard whose requests run out before its crash step never
+   crashes.  It must not pass as "ok": its row says the crash was
+   missed, the report states the planned step and the steps it ran, and
+   the run fails. *)
+let test_serve_missed_crash () =
+  let step = 100_000_000 in
+  let r =
+    Serve.run ~jobs:1 { tiny_config with Serve.crash_at_step = Some step }
+  in
+  let v = r.Serve.shards.(1) in
+  Alcotest.(check string) "victim outcome" "crash-missed" v.Serve.outcome;
+  Alcotest.(check (option int)) "planned crash step" (Some step)
+    v.Serve.crash_step;
+  Alcotest.(check bool) "nothing to recover" true (v.Serve.recovery = None);
+  Alcotest.(check bool) "the run fails" true (Serve.failed r);
+  Alcotest.(check bool) "the report states both steps" true
+    (contains (Serve.render r)
+       (Printf.sprintf
+          "crash: shard 1 was to crash at step %d, but its run ended after \
+           %d steps"
+          step v.Serve.steps))
+
 let test_serve_guards () =
   check_raises_invalid "0 shards" (fun () ->
       ignore (Serve.run { tiny_config with Serve.shards = 0 } : Serve.report));
@@ -406,6 +427,9 @@ let test_serve_guards () =
       ("negative request count", { tiny_config with Serve.requests = -5 });
       ("no keys", { tiny_config with Serve.keys = 0 });
       ("crash step 0", { tiny_config with Serve.crash_at_step = Some 0 });
+      ( "crash step without a crash shard",
+        { tiny_config with Serve.crash_shard = None; crash_at_step = Some 5 } );
+      ("no requests to crash under", { tiny_config with Serve.requests = 0 });
     ];
   Alcotest.(check bool) "the tiny config is valid" true
     (Result.is_ok (Serve.validate tiny_config))
@@ -445,5 +469,6 @@ let suite =
       slow_case "serve: a damaged victim comes back lost"
         test_serve_damaged_victim_lost;
       case "serve: config guards" test_serve_guards;
+      slow_case "serve: a missed crash fails the run" test_serve_missed_crash;
       case "sweeps: ycsb table reports p999" test_ycsb_table_p999;
     ] )

@@ -228,14 +228,16 @@ let test_runner_crash_tsp_consistent () =
         true (Runner.consistent r);
       match r.Runner.crash with
       | Some c ->
-          Alcotest.(check bool) "heap audit ok" true c.Runner.heap_audit_ok;
-          (match c.Runner.observer with
+          Alcotest.(check bool) "heap audit ok" true c.heap_audit_ok;
+          (match c.observer with
           | Some o ->
               Alcotest.(check bool) "observer prefix" true
                 o.Tsp_core.Recovery_observer.prefix_ok
           | None -> Alcotest.fail "journal requested");
           Alcotest.(check bool) "verdict TSP" true
-            (Tsp_core.Policy.is_tsp c.Runner.verdict)
+            (Tsp_core.Policy.is_tsp
+               (Tsp_core.Policy.decide r.Runner.config.hardware
+                  r.Runner.config.failure))
       | None -> Alcotest.fail "crash report missing")
     [ Runner.Mutex_map Mode.Log_only; Runner.Nonblocking_map ]
 
@@ -413,7 +415,13 @@ let test_procrastination_ledger () =
   Alcotest.(check bool) "TSP rescued a bounded set of lines" true
     (l.Sweeps.rescued_lines_tsp > 0);
   Alcotest.(check bool) "procrastination wins per line" true
-    (l.Sweeps.flushes_avoided_per_rescued_line > 1.)
+    (l.Sweeps.flushes_avoided_per_rescued_line > 1.);
+  (* The recovery's own cycles, without the harness's read-back of the
+     recovered map. *)
+  Alcotest.(check int) "TSP recovery cycles" 20_475_159
+    l.Sweeps.recovery_cycles_tsp;
+  Alcotest.(check int) "no-TSP recovery cycles" 20_475_645
+    l.Sweeps.recovery_cycles_no_tsp
 
 let test_wide_torn_without_rollback () =
   (* E13: multi-word updates + unfortified code: even under a perfect
