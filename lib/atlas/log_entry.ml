@@ -9,19 +9,20 @@ type t = { seq : int; tid : int; payload : payload }
 let bytes = 32
 let magic = 0xE7
 
-let type_code = function
-  | Begin _ -> 1
-  | Update _ -> 2
-  | Dep _ -> 3
-  | Commit _ -> 4
+(* Header type codes, one per payload constructor; [read] decodes
+   them. *)
+let begin_ty = 1
+let update_ty = 2
+let dep_ty = 3
+let commit_ty = 4
 
-let payload_words = function
-  | Begin { ocs } -> (Int64.of_int ocs, 0L)
-  | Update { addr; old } -> (Int64.of_int addr, old)
-  | Dep { on_ocs; mutex } -> (Int64.of_int on_ocs, Int64.of_int mutex)
-  | Commit { ocs } -> (Int64.of_int ocs, 0L)
+let words = function
+  | Begin { ocs } -> (begin_ty, ocs, 0L)
+  | Update { addr; old } -> (update_ty, addr, old)
+  | Dep { on_ocs; mutex } -> (dep_ty, on_ocs, Int64.of_int mutex)
+  | Commit { ocs } -> (commit_ty, ocs, 0L)
 
-let checksum ~ty ~seq ~a ~b =
+let[@inline] checksum ~ty ~seq ~a ~b =
   let fold v =
     let v = Int64.logxor v (Int64.shift_right_logical v 32) in
     let v = Int64.logxor v (Int64.shift_right_logical v 16) in
@@ -29,11 +30,12 @@ let checksum ~ty ~seq ~a ~b =
   in
   fold (Int64.logxor (Int64.of_int (ty lsl 8)) (Int64.logxor seq (Int64.logxor a b)))
 
-let write store ~at e =
-  let ty = type_code e.payload in
-  let a, b = payload_words e.payload in
-  let seq = Int64.of_int e.seq in
-  let ck = checksum ~ty ~seq ~a ~b in
+(* The one encoder.  Inlined into [Undo_log.append_words] and on into
+   the runtime's appends, so every word stays unboxed from the caller
+   to the device: no record, payload, tuple or store closure is built
+   per entry. *)
+let[@inline] write pmem ~at ~ty ~seq ~tid ~a ~b =
+  let ck = checksum ~ty ~seq:(Int64.of_int seq) ~a:(Int64.of_int a) ~b in
   let w0 =
     Int64.logor
       (Int64.shift_left (Int64.of_int magic) 56)
@@ -41,14 +43,14 @@ let write store ~at e =
          (Int64.shift_left (Int64.of_int ty) 48)
          (Int64.logor
             (Int64.shift_left (Int64.of_int ck) 32)
-            (Int64.of_int (e.tid land 0xffffffff))))
+            (Int64.of_int (tid land 0xffffffff))))
   in
-  store (at + 8) seq;
-  store (at + 16) a;
-  store (at + 24) b;
+  Nvm.Pmem.store_int pmem (at + 8) seq;
+  Nvm.Pmem.store_int pmem (at + 16) a;
+  Nvm.Pmem.store pmem (at + 24) b;
   (* Header last: a torn entry whose header never made it is simply
      invisible rather than mis-checksummed. *)
-  store at w0
+  Nvm.Pmem.store pmem at w0
 
 let read load ~at =
   let w0 = load at in

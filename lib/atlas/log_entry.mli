@@ -29,8 +29,27 @@ type t = { seq : int; tid : int; payload : payload }
 val bytes : int
 (** Size of an encoded entry: 32. *)
 
-val write : (int -> int64 -> unit) -> at:int -> t -> unit
-(** Encode [t] into four word stores starting at address [at]. *)
+(** {1 Header type codes}
+
+    The type byte of [w0], one code per {!payload} constructor. *)
+
+val begin_ty : int
+val update_ty : int
+val dep_ty : int
+val commit_ty : int
+
+val words : payload -> int * int * int64
+(** [(ty, a, b)]: a payload's type code and its two payload words, as
+    {!write} takes them and {!read} decodes them. *)
+
+val write :
+  Nvm.Pmem.t -> at:int -> ty:int -> seq:int -> tid:int -> a:int -> b:int64 -> unit
+(** [write pmem ~at ~ty ~seq ~tid ~a ~b] encodes an entry from its
+    words ([ty], [a] and [b] as {!words} gives them) into four costed
+    device stores at [at]: [w1], [w2], [w3], and the header [w0] last,
+    so {!read} at [at] returns the entry those words spell.  Inlined
+    into its caller, it builds no record, payload or closure and boxes
+    no word. *)
 
 val read : (int -> int64) -> at:int -> t option
 (** Decode and validate; [None] if magic or checksum fail. *)

@@ -1,5 +1,6 @@
 module Heap = Pheap.Heap
 module Scheduler = Sched.Scheduler
+module Int_table = Nvm.Int_table
 
 type costs = { lock_cycles : int; unlock_cycles : int; log_cycles : int }
 
@@ -33,7 +34,7 @@ type t = {
   mutable next_ocs : int;
   mutable next_seq : int;
   mutable started : int;
-  table : (int, ocs_info) Hashtbl.t;
+  table : ocs_info Int_table.t;  (* unpruned sections by id; never iterated *)
   ctxs : ctx array;
   (* Deferred durability (Log_flush_async): committed sections whose
      data has not yet reached the persistence domain, in commit order,
@@ -43,6 +44,8 @@ type t = {
   mutable in_checkpoint : bool;
   pending : (int * int) Queue.t;  (* commit seq, ocs id *)
   pending_lines : (int, unit) Hashtbl.t;
+      (* a polymorphic table on purpose: its [iter] order is the
+         durability point's flush order *)
 }
 
 type amutex = {
@@ -75,7 +78,7 @@ let create ?(costs = default_costs) ?(first_seq = 1) ?(checkpoint_every = 32)
     next_ocs = 1;
     next_seq = first_seq;
     started = 0;
-    table = Hashtbl.create 256;
+    table = Int_table.create 256;
     ctxs = Array.init num_threads ctx;
     checkpoint_every;
     commits_since_checkpoint = 0;
@@ -108,18 +111,23 @@ let[@inline] trace t ~code ~a ~b =
   | None -> ()
   | Some tr -> Obs.Tracer.emit tr ~code ~a ~b
 
-let append t (ctx : ctx) payload =
+(* One entry appended, from its words to the device: inlined into
+   [append] and into [store]'s Update, so no word is boxed on the way
+   (see [Log_entry.write]). *)
+let[@inline] append_words t (ctx : ctx) ~ty ~a ~b =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let entry = { Log_entry.seq; tid = ctx.tid; payload } in
-  let addr = Undo_log.append t.ulog ~tid:ctx.tid entry in
+  let addr = Undo_log.append_words t.ulog ~tid:ctx.tid ~ty ~seq ~a ~b in
   (match ctx.current with
   | Some cur -> cur.seg_last <- addr
   | None -> assert false);
   Nvm.Pmem.charge (pmem t) t.costs.log_cycles;
   trace t ~code:Obs.Event.log_append ~a:seq ~b:0;
-  if Mode.flushes t.mode then Undo_log.flush_entry t.ulog ~entry_addr:addr;
-  addr
+  if Mode.flushes t.mode then Undo_log.flush_entry t.ulog ~entry_addr:addr
+
+(* Begin, Dep and Commit entries, whose second word is an int, share
+   this one out-of-line copy. *)
+let append t ctx ~ty ~a ~b = append_words t ctx ~ty ~a ~b:(Int64.of_int b)
 
 (* Stability: an OCS can never be rolled back once it is committed and
    every section it depends on is itself stable.  Stability is monotone,
@@ -132,7 +140,7 @@ let rec prune_thread t tid =
   match Queue.peek_opt ctx.segments with
   | None -> ()
   | Some id -> begin
-      match Hashtbl.find_opt t.table id with
+      match Int_table.find_opt t.table id with
       | None ->
           ignore (Queue.pop ctx.segments);
           prune_thread t tid
@@ -141,18 +149,18 @@ let rec prune_thread t tid =
           Undo_log.advance_tail t.ulog ~tid
             ~new_tail:(Undo_log.next_slot t.ulog info.seg_last)
             ~flush:(Mode.flushes t.mode);
-          Hashtbl.remove t.table id;
+          Int_table.remove t.table id;
           prune_thread t tid
       | Some _ -> ()
     end
 
 let rec try_stabilize t id =
-  match Hashtbl.find_opt t.table id with
+  match Int_table.find_opt t.table id with
   | None -> ()
   | Some info when info.stable || not info.committed -> ()
   | Some info ->
       let dep_stable d =
-        match Hashtbl.find_opt t.table d with
+        match Int_table.find_opt t.table d with
         | None -> true (* pruned, hence stable *)
         | Some di -> di.stable
       in
@@ -188,7 +196,7 @@ let checkpoint t =
       | Some (seq, id) ->
           try_stabilize t id;
           let stable =
-            match Hashtbl.find_opt t.table id with
+            match Int_table.find_opt t.table id with
             | None -> true (* pruned, hence stable *)
             | Some info -> info.stable
           in
@@ -220,11 +228,11 @@ let begin_ocs t ctx =
       seg_last = 0;
     }
   in
-  Hashtbl.replace t.table id info;
+  Int_table.replace t.table id info;
   ctx.current <- Some info;
   Queue.add id ctx.segments;
   trace t ~code:Obs.Event.ocs_begin ~a:id ~b:0;
-  ignore (append t ctx (Log_entry.Begin { ocs = id }) : int)
+  append t ctx ~ty:Log_entry.begin_ty ~a:id ~b:0
 
 let record_dep t ctx am =
   match ctx.current with
@@ -232,14 +240,12 @@ let record_dep t ctx am =
   | Some cur ->
       let lr = am.last_release in
       if lr <> 0 && lr <> cur.id && not (List.mem lr cur.deps) then begin
-        match Hashtbl.find_opt t.table lr with
+        match Int_table.find_opt t.table lr with
         | Some dep_info when not dep_info.stable ->
             cur.deps <- lr :: cur.deps;
             dep_info.rev_deps <- cur.id :: dep_info.rev_deps;
             trace t ~code:Obs.Event.dep ~a:lr ~b:am.amid;
-            ignore
-              (append t ctx (Log_entry.Dep { on_ocs = lr; mutex = am.amid })
-                : int)
+            append t ctx ~ty:Log_entry.dep_ty ~a:lr ~b:am.amid
         | Some _ | None -> ()
       end
 
@@ -264,7 +270,7 @@ let commit t ctx =
         Nvm.Pmem.fence (pmem t)
       end;
       let commit_seq = t.next_seq in
-      ignore (append t ctx (Log_entry.Commit { ocs = cur.id }) : int);
+      append t ctx ~ty:Log_entry.commit_ty ~a:cur.id ~b:0;
       trace t ~code:Obs.Event.ocs_commit ~a:cur.id ~b:commit_seq;
       cur.committed <- true;
       ctx.current <- None;
@@ -323,7 +329,7 @@ let store t ctx addr v =
              is thread-local and a crash discards it entirely. *)
           if Nvm.Intset.add ctx.logged addr then begin
             let old = Nvm.Pmem.load (pmem t) addr in
-            ignore (append t ctx (Log_entry.Update { addr; old }) : int)
+            append_words t ctx ~ty:Log_entry.update_ty ~a:addr ~b:old
           end;
           Nvm.Pmem.store (pmem t) addr v;
           if Mode.flushes t.mode then
@@ -338,7 +344,7 @@ let ocs_depth ctx = ctx.depth
 let current_ocs ctx = Option.map (fun (o : ocs_info) -> o.id) ctx.current
 let live_log_entries t ~tid = Undo_log.live_entries t.ulog ~tid
 let ocs_started t = t.started
-let unpruned_ocses t = Hashtbl.length t.table
+let unpruned_ocses t = Int_table.length t.table
 
 let watermark t = Undo_log.watermark t.ulog
 let pending_commits t = Queue.length t.pending

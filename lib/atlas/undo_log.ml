@@ -113,14 +113,18 @@ let attach pmem ~base =
 let num_threads t = t.num_threads
 let capacity_entries t = (t.buf_bytes / entry_bytes) - 1
 
-let append t ~tid entry =
+let[@inline] append_words t ~tid ~ty ~seq ~a ~b =
   let head = t.heads.(tid) in
-  let next = next_slot t head in
+  let next = next_slot_of ~bstart:(buf_start t tid) ~bend:(buf_end t tid) head in
   if next = t.tails.(tid) then raise (Log_full { tid });
-  Log_entry.write (Nvm.Pmem.store t.pmem) ~at:head entry;
+  Log_entry.write t.pmem ~at:head ~ty ~seq ~tid ~a ~b;
   Nvm.Pmem.store t.pmem next 0L;
   t.heads.(tid) <- next;
   head
+
+let append t ~tid (e : Log_entry.t) =
+  let ty, a, b = Log_entry.words e.payload in
+  append_words t ~tid ~ty ~seq:e.seq ~a ~b
 
 let flush_entry t ~entry_addr =
   let pmem = t.pmem in

@@ -50,10 +50,17 @@ val capacity_entries : t -> int
 
 (** {1 Writer side (failure-free operation)} *)
 
-val append : t -> tid:int -> Log_entry.t -> int
-(** Write an entry at the head of [tid]'s ring, advance the head and
-    re-plant the sentinel.  Returns the entry's address.
+val append_words :
+  t -> tid:int -> ty:int -> seq:int -> a:int -> b:int64 -> int
+(** Write an entry, given by its words as {!Log_entry.write} takes them
+    ([tid] goes into its header), at the head of [tid]'s ring, advance
+    the head and re-plant the sentinel.  Returns the entry's address.
+    The runtime's append: inlined, it allocates nothing.
     @raise Log_full when the ring has no free slot. *)
+
+val append : t -> tid:int -> Log_entry.t -> int
+(** {!append_words} of an entry record's words.  The header records
+    [tid]; the record's own [tid] field is not read. *)
 
 val flush_entry : t -> entry_addr:int -> unit
 (** Synchronously persist an appended entry {e and} its sentinel: flush

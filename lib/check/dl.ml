@@ -1,3 +1,5 @@
+module Int_table = Nvm.Int_table
+
 type stats = {
   ops : int;
   completed : int;
@@ -158,53 +160,58 @@ let diagnose ~initial_v ~recovered_v entries =
      completed / %d pending writes)"
     pp_value recovered_v pp_value initial_v completed_w pending_w
 
+(* Every table below is int-keyed and sized for the key universe up
+   front; only [sorted_keys] decides an output order. *)
 let check_records ~initial ~records ~recovered =
   let assoc name l =
-    let h = Hashtbl.create 64 in
+    let h = Int_table.create (List.length l) in
     List.iter
       (fun (k, v) ->
-        if Hashtbl.mem h k then
+        if Int_table.mem h k then
           Fmt.invalid_arg "Dl.check: duplicate key %d in %s" k name;
-        Hashtbl.replace h k v)
+        Int_table.replace h k v)
       l;
     h
   in
   let initial_h = assoc "initial" initial in
   let recovered_h = assoc "recovered" recovered in
-  let by_key : (int, entry list ref) Hashtbl.t = Hashtbl.create 64 in
+  let n_keys =
+    Int.max 64 (Int_table.length initial_h + Int_table.length recovered_h)
+  in
+  let by_key : entry list ref Int_table.t = Int_table.create n_keys in
   let completed = ref 0 and pending = ref 0 in
   List.iter
     (fun (r : History.record) ->
       if r.t1 >= 0 then incr completed else incr pending;
       if r.op <> History.Get then begin
         let cell =
-          match Hashtbl.find_opt by_key r.key with
+          match Int_table.find_opt by_key r.key with
           | Some c -> c
           | None ->
               let c = ref [] in
-              Hashtbl.add by_key r.key c;
+              Int_table.add by_key r.key c;
               c
         in
         cell := { op = r.op; arg = r.arg; t0 = r.t0; t1 = r.t1 } :: !cell
       end)
     records;
-  let keys = Hashtbl.create 64 in
-  let add_key k = if not (Hashtbl.mem keys k) then Hashtbl.add keys k () in
-  Hashtbl.iter (fun k _ -> add_key k) initial_h;
-  Hashtbl.iter (fun k _ -> add_key k) recovered_h;
-  Hashtbl.iter (fun k _ -> add_key k) by_key;
+  let keys = Int_table.create n_keys in
+  let add_key k = if not (Int_table.mem keys k) then Int_table.add keys k () in
+  Int_table.iter (fun k _ -> add_key k) initial_h;
+  Int_table.iter (fun k _ -> add_key k) recovered_h;
+  Int_table.iter (fun k _ -> add_key k) by_key;
   let sorted_keys =
-    Hashtbl.fold (fun k () acc -> k :: acc) keys []
+    Int_table.fold (fun k () acc -> k :: acc) keys []
     |> List.sort Int.compare
   in
   let capped = ref 0 in
   let violations =
     List.filter_map
       (fun k ->
-        let initial_v = Hashtbl.find_opt initial_h k in
-        let recovered_v = Hashtbl.find_opt recovered_h k in
+        let initial_v = Int_table.find_opt initial_h k in
+        let recovered_v = Int_table.find_opt recovered_h k in
         let entries =
-          match Hashtbl.find_opt by_key k with
+          match Int_table.find_opt by_key k with
           | Some c -> List.rev !c
           | None -> []
         in

@@ -10,6 +10,11 @@ type t = {
   tags : int array;  (* n_sets * ways; the line number, or -1 when empty *)
   stamps : int array;  (* LRU clocks, same indexing; lower = older *)
   dirty : int array;  (* bitset over flat way indexes, 63 ways per word *)
+  hints : int array;
+      (* per set, the flat index of the way last touched there: the
+         first probe of [find_idx].  Only a guess, always re-checked
+         against [tags], so a hint left stale by an eviction or
+         [drop_all] can only miss. *)
   ways : int;
   line_shift : int;  (* log2 line_size: addr lsr line_shift = line *)
   set_mask : int;  (* n_sets - 1: line land set_mask = set index *)
@@ -44,6 +49,7 @@ let create ~sets ~ways ~line_size ~write_back =
     tags = Array.make n (-1);
     stamps = Array.make n 0;
     dirty = Array.make ((n + 62) / 63) 0;
+    hints = Array.init sets (fun s -> s * ways);
     ways;
     line_shift = log2_exact line_size;
     set_mask = sets - 1;
@@ -80,9 +86,15 @@ let rec find_from tags line i stop =
   else if Array.unsafe_get tags i = line then i
   else find_from tags line (i + 1) stop
 
+(* The set's hint first: re-touches of the way last used in a set are
+   most hits, and they then cost one comparison instead of a scan. *)
 let[@inline] find_idx t line =
-  let base = (line land t.set_mask) * t.ways in
-  find_from t.tags line base (base + t.ways)
+  let set = line land t.set_mask in
+  let h = Array.unsafe_get t.hints set in
+  if Array.unsafe_get t.tags h = line then h
+  else
+    let base = set * t.ways in
+    find_from t.tags line base (base + t.ways)
 
 let next_stamp t =
   t.tick <- t.tick + 1;
@@ -105,6 +117,7 @@ let[@inline] touch t ~addr ~dirty =
   let line = line_of t addr in
   let i = find_idx t line in
   if i >= 0 then begin
+    Array.unsafe_set t.hints (line land t.set_mask) i;
     t.stamps.(i) <- next_stamp t;
     if dirty && not (is_dirty_idx t i) then begin
       set_dirty_idx t i;
@@ -113,8 +126,9 @@ let[@inline] touch t ~addr ~dirty =
     hit
   end
   else begin
-    let base = (line land t.set_mask) * t.ways in
-    let v = lru_idx t base in
+    let set = line land t.set_mask in
+    let v = lru_idx t (set * t.ways) in
+    Array.unsafe_set t.hints set v;
     let evicted_dirty = t.tags.(v) >= 0 && is_dirty_idx t v in
     if evicted_dirty then begin
       t.write_back (t.tags.(v) lsl t.line_shift);
@@ -143,11 +157,43 @@ let flush_line t ~addr =
 
 let dirty_count t = t.n_dirty
 
+(* In-place ascending heap sort.  Top-level and int-only, so each
+   comparison is one instruction: [Array.sort Int.compare] calls its
+   comparison through a closure, n log n times. *)
+let rec sift_down a i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c =
+      if l + 1 < n && Array.unsafe_get a (l + 1) > Array.unsafe_get a l then
+        l + 1
+      else l
+    in
+    let ai = Array.unsafe_get a i and ac = Array.unsafe_get a c in
+    if ac > ai then begin
+      Array.unsafe_set a i ac;
+      Array.unsafe_set a c ai;
+      sift_down a c n
+    end
+  end
+
+let sort_ints a =
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a i n
+  done;
+  for last = n - 1 downto 1 do
+    let top = Array.unsafe_get a 0 in
+    Array.unsafe_set a 0 (Array.unsafe_get a last);
+    Array.unsafe_set a last top;
+    sift_down a 0 last
+  done
+
 let dirty_lines t =
-  (* Collected into an exact-size scratch array and sorted with the
-     monomorphic [Int.compare]: this runs inside [Pmem.crash] for
-     every partial-rescue and torn campaign step, where the historical
-     polymorphic [List.sort compare] dominated the crash cost. *)
+  (* Collected into an exact-size scratch array and sorted with
+     [sort_ints]: this runs inside [Pmem.crash] for every
+     partial-rescue and torn campaign step and in every [persist_all],
+     where the historical polymorphic [List.sort compare] dominated the
+     crash cost. *)
   let out = Array.make (Int.max 1 t.n_dirty) 0 in
   let k = ref 0 in
   Array.iteri
@@ -158,7 +204,7 @@ let dirty_lines t =
       end)
     t.tags;
   let out = if !k = Array.length out then out else Array.sub out 0 !k in
-  Array.sort Int.compare out;
+  sort_ints out;
   Array.to_list out
 
 let write_back_all t =

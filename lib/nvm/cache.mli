@@ -10,7 +10,10 @@
     The metadata is stored struct-of-arrays — flat [int array]s of tags
     and LRU stamps plus a dirty bitset — and the access path reports its
     outcome as an unboxed int code, so one simulated access performs no
-    minor-heap allocation.  See DESIGN.md, "Hot-path architecture". *)
+    minor-heap allocation.  A lookup first probes the way last touched in
+    the set (a per-set hint, re-checked against the tags) and scans the
+    set only when that misses.  See DESIGN.md, "Hot-path
+    architecture". *)
 
 type t
 
@@ -51,9 +54,10 @@ val flush_line : t -> addr:int -> bool
     a write-back actually happened. *)
 
 val dirty_lines : t -> int list
-(** Byte addresses of all currently dirty lines, ascending.  Sorted with
-    [Int.compare] over a scratch array (not polymorphic compare): this
-    runs once per [Pmem.crash], i.e. per campaign crash point. *)
+(** Byte addresses of all currently dirty lines, ascending.  Sorted by
+    an int-only heap sort over a scratch array (no polymorphic compare,
+    no comparison closure): this runs once per [Pmem.crash], i.e. per
+    campaign crash point, and once per [Pmem.persist_all]. *)
 
 val dirty_count : t -> int
 (** Number of currently dirty lines, maintained incrementally — O(1),

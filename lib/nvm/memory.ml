@@ -164,11 +164,15 @@ let flip_durable_bit t ~addr ~bit =
 
 (* A page whose durable copy is the zero page goes back to sharing it;
    any other page gets the durable bytes, reusing the current page when
-   it is already private. *)
+   it is already private.  A slot that already shares the zero page is
+   left alone: storing it again would cost a write barrier for each of
+   a large region's untouched pages on every recovery. *)
 let discard_current t =
   Array.iteri
     (fun i d ->
-      if d == zero_page then t.current.(i) <- zero_page
+      if d == zero_page then begin
+        if t.current.(i) != zero_page then t.current.(i) <- zero_page
+      end
       else
         let c = t.current.(i) in
         if c == zero_page then t.current.(i) <- Bytes.copy d

@@ -1,15 +1,17 @@
+module Int_table = Nvm.Int_table
+
 type t = {
-  buckets : (int, int Stack.t) Hashtbl.t;  (* words -> data addresses *)
+  buckets : int Stack.t Int_table.t;  (* words -> data addresses *)
   mutable sizes : int list;  (* sorted ascending, distinct *)
   mutable free_words : int;
   mutable blocks : int;
 }
 
 let create () =
-  { buckets = Hashtbl.create 32; sizes = []; free_words = 0; blocks = 0 }
+  { buckets = Int_table.create 32; sizes = []; free_words = 0; blocks = 0 }
 
 let clear t =
-  Hashtbl.reset t.buckets;
+  Int_table.reset t.buckets;
   t.sizes <- [];
   t.free_words <- 0;
   t.blocks <- 0
@@ -21,11 +23,11 @@ let rec insert_size s = function
 
 let add t ~addr ~words =
   let stack =
-    match Hashtbl.find_opt t.buckets words with
+    match Int_table.find_opt t.buckets words with
     | Some s -> s
     | None ->
         let s = Stack.create () in
-        Hashtbl.add t.buckets words s;
+        Int_table.add t.buckets words s;
         t.sizes <- insert_size words t.sizes;
         s
   in
@@ -34,14 +36,14 @@ let add t ~addr ~words =
   t.blocks <- t.blocks + 1
 
 let pop_bucket t size =
-  match Hashtbl.find_opt t.buckets size with
+  match Int_table.find_opt t.buckets size with
   | None -> None
   | Some stack -> begin
       match Stack.pop_opt stack with
       | None -> None
       | Some addr ->
           if Stack.is_empty stack then begin
-            Hashtbl.remove t.buckets size;
+            Int_table.remove t.buckets size;
             t.sizes <- List.filter (fun s -> s <> size) t.sizes
           end;
           t.free_words <- t.free_words - size;
@@ -56,10 +58,14 @@ let rec take_split t words = function
   | [] -> None
   | s :: rest -> if s >= words + 2 then pop_bucket t s else take_split t words rest
 
+(* An empty list answers at once: a heap that has freed nothing yet
+   (every fresh one) takes this branch on each [Heap.alloc]. *)
 let take t ~words =
-  match pop_bucket t words with
-  | Some _ as r -> r
-  | None -> take_split t words t.sizes
+  if t.blocks = 0 then None
+  else
+    match pop_bucket t words with
+    | Some _ as r -> r
+    | None -> take_split t words t.sizes
 
 let total_free_words t = t.free_words
 let block_count t = t.blocks

@@ -477,7 +477,7 @@ let pp_result ppf r =
         Fmt.pf ppf "DEADLOCK (%a)" Fmt.(list ~sep:comma string) l
   in
   Fmt.pf ppf
-    "@[<v>%s / %s on %s: %a@ %d iterations in %a cycles = %.2f M iter/s \
+    "@[<v>%s / %s on %s: %a@ %d iterations in %a = %.2f M iter/s \
      (sim); %d steps@ %a%a@]"
     (variant_to_string r.config.variant)
     (match r.config.workload with

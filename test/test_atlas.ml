@@ -45,15 +45,26 @@ let payloads =
     Log_entry.Commit { ocs = 42 };
   ]
 
+let write_entry pmem ~at (e : Log_entry.t) =
+  let ty, a, b = Log_entry.words e.payload in
+  Log_entry.write pmem ~at ~ty ~seq:e.seq ~tid:e.tid ~a ~b
+
+(* The four words of the entry at [at], for decoding from an array. *)
+let entry_words pmem ~at = Array.init 4 (fun i -> Pmem.peek pmem (at + (8 * i)))
+
+(* Encode [e] through the device writer and return its four words. *)
+let encode (e : Log_entry.t) =
+  let pmem = small_pmem () in
+  write_entry pmem ~at:0 e;
+  entry_words pmem ~at:0
+
 let test_entry_roundtrip () =
   List.iteri
     (fun i payload ->
-      let words = Array.make 8 0L in
-      let store a v = words.(a / 8) <- v in
-      let load a = words.(a / 8) in
+      let pmem = small_pmem () in
       let e = { Log_entry.seq = 1000 + i; tid = 5; payload } in
-      Log_entry.write store ~at:0 e;
-      match Log_entry.read load ~at:0 with
+      write_entry pmem ~at:64 e;
+      match Log_entry.read (Pmem.peek pmem) ~at:64 with
       | Some e' ->
           Alcotest.(check string) "same entry"
             (Format.asprintf "%a" Log_entry.pp e)
@@ -61,25 +72,51 @@ let test_entry_roundtrip () =
       | None -> Alcotest.fail "decode failed")
     payloads
 
+(* The word writer and [read] agree on every payload kind, across the
+   whole range of each word: any int for [seq] and the first payload
+   word, any [int64] for the second, the low 32 bits of [tid]. *)
+let prop_entry_words_roundtrip =
+  let pmem = small_pmem () in
+  qcheck ~count:500 "log entry: the word writer and read agree on every kind"
+    QCheck2.Gen.(
+      pair
+        (quad (int_range 0 3) int (int_range 0 0xFFFF_FFFF) int)
+        (pair ui64 (int_range 0 1_000_000)))
+    (fun ((kind, seq, tid, a), (b, mutex)) ->
+      let ty, b, expected =
+        match kind with
+        | 0 -> (Log_entry.begin_ty, 0L, Log_entry.Begin { ocs = a })
+        | 1 -> (Log_entry.update_ty, b, Log_entry.Update { addr = a; old = b })
+        | 2 ->
+            ( Log_entry.dep_ty,
+              Int64.of_int mutex,
+              Log_entry.Dep { on_ocs = a; mutex } )
+        | _ -> (Log_entry.commit_ty, 0L, Log_entry.Commit { ocs = a })
+      in
+      Log_entry.write pmem ~at:0 ~ty ~seq ~tid ~a ~b;
+      match Log_entry.read (Pmem.peek pmem) ~at:0 with
+      | Some e -> e = { Log_entry.seq; tid; payload = expected }
+      | None -> false)
+
 let test_entry_rejects_garbage () =
   let load _ = 0L in
   Alcotest.(check bool) "zeros invalid" true
     (Option.is_none (Log_entry.read load ~at:0));
   (* Flip one payload bit after encoding: checksum must catch it. *)
-  let words = Array.make 4 0L in
-  let store a v = words.(a / 8) <- v in
-  Log_entry.write store ~at:0
-    { Log_entry.seq = 7; tid = 0; payload = Log_entry.Begin { ocs = 1 } };
+  let words =
+    encode { Log_entry.seq = 7; tid = 0; payload = Log_entry.Begin { ocs = 1 } }
+  in
   words.(2) <- Int64.logxor words.(2) 1L;
   Alcotest.(check bool) "corrupted rejected" true
     (Option.is_none (Log_entry.read (fun a -> words.(a / 8)) ~at:0))
 
 let test_entry_header_written_last () =
-  let writes = ref [] in
-  let store a _ = writes := a :: !writes in
-  Log_entry.write store ~at:64
+  let pmem = small_pmem ~journal:true () in
+  write_entry pmem ~at:64
     { Log_entry.seq = 1; tid = 0; payload = Log_entry.Commit { ocs = 1 } };
-  Alcotest.(check int) "header is the final store" 64 (List.hd !writes)
+  let writes = List.rev_map fst (Pmem.store_history pmem) in
+  Alcotest.(check int) "four stores" 4 (List.length writes);
+  Alcotest.(check int) "header is the final store" 64 (List.hd writes)
 
 (* --- Undo_log --- *)
 
@@ -791,8 +828,7 @@ let prop_entry_decode_total =
           (* Anything accepted must behave like a legitimate encoding:
              writing the decoded entry back yields an image that decodes
              to the same entry. *)
-          let out = Array.make 4 0L in
-          Log_entry.write (fun a v -> out.(a / 8) <- v) ~at:0 e;
+          let out = encode e in
           (match Log_entry.read (fun a -> out.(a / 8)) ~at:0 with
           | Some e' -> e' = e
           | None -> false))
@@ -817,9 +853,8 @@ let prop_entry_bitflip_detected =
       quad (int_range 1 1_000_000) (int_range 0 0xFFFF) gen_payload
         (int_range 0 255))
     (fun (seq, tid, payload, bit) ->
-      let words = Array.make 4 0L in
       let e = { Log_entry.seq; tid; payload } in
-      Log_entry.write (fun a v -> words.(a / 8) <- v) ~at:0 e;
+      let words = encode e in
       let w = bit / 64 and b = bit mod 64 in
       words.(w) <- Int64.logxor words.(w) (Int64.shift_left 1L b);
       match Log_entry.read (fun a -> words.(a / 8)) ~at:0 with
@@ -837,6 +872,7 @@ let suite =
       case "mode: string roundtrip" test_mode_strings;
       case "mode: logs/flushes flags" test_mode_flags;
       case "log entry: roundtrip all payloads" test_entry_roundtrip;
+      prop_entry_words_roundtrip;
       case "log entry: garbage and corruption rejected"
         test_entry_rejects_garbage;
       case "log entry: header written last" test_entry_header_written_last;

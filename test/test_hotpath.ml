@@ -18,15 +18,16 @@ module Intset = Nvm.Intset
 
 (* --- SoA cache vs the reference model --- *)
 
-(* One step of a random trace.  Addresses are word-aligned slots into a
-   region spanning 32 lines over a 4-set * 2-way cache, so evictions,
-   set conflicts and re-touches all happen constantly. *)
+(* One step of a random trace. *)
 type op =
   | Touch of int * bool
   | Flush of int
   | Write_back_all
   | Drop_all
 
+(* Addresses are word-aligned slots into a region spanning 32 lines over
+   a 4-set * 2-way cache, so evictions, set conflicts and re-touches all
+   happen constantly. *)
 let op_gen =
   QCheck2.Gen.(
     let addr = map (fun slot -> slot * 8) (int_range 0 255) in
@@ -38,22 +39,40 @@ let op_gen =
         (1, return Drop_all);
       ])
 
+(* Wide sets, where the per-set way hint matters: most touches go to
+   [ways + 1] lines of set 0, so the same line is touched again and
+   again while its neighbours evict one another; the rest spread over
+   a region four times the cache.  Frequent [Drop_all]s leave every
+   hint pointing at an emptied way. *)
+let wide_op_gen ~sets ~ways =
+  QCheck2.Gen.(
+    let hot = map (fun j -> j * sets * 64) (int_range 0 ways) in
+    let any = map (fun slot -> slot * 8) (int_range 0 ((32 * sets * ways) - 1)) in
+    frequency
+      [
+        (8, map2 (fun a d -> Touch (a, d)) hot bool);
+        (3, map2 (fun a d -> Touch (a, d)) any bool);
+        (2, map (fun a -> Flush a) (oneof [ hot; any ]));
+        (1, return Write_back_all);
+        (2, return Drop_all);
+      ])
+
 let code_of_ref = function
   | Reference_cache.Hit -> Cache.hit
   | Reference_cache.Miss { evicted_dirty = false } -> Cache.miss_clean
   | Reference_cache.Miss { evicted_dirty = true } -> Cache.miss_dirty
 
-let prop_soa_matches_reference =
-  qcheck ~count:300 "SoA cache == record-based reference on random traces"
-    QCheck2.Gen.(list_size (int_range 1 400) op_gen)
+let soa_matches_reference ~count ~sets ~ways ~max_len name gen =
+  qcheck ~count name
+    QCheck2.Gen.(list_size (int_range 1 max_len) gen)
     (fun ops ->
       let wb_soa = ref [] and wb_ref = ref [] in
       let soa =
-        Cache.create ~sets:4 ~ways:2 ~line_size:64 ~write_back:(fun a ->
+        Cache.create ~sets ~ways ~line_size:64 ~write_back:(fun a ->
             wb_soa := a :: !wb_soa)
       in
       let reference =
-        Reference_cache.create ~sets:4 ~ways:2 ~line_size:64
+        Reference_cache.create ~sets ~ways ~line_size:64
           ~write_back:(fun a -> wb_ref := a :: !wb_ref)
       in
       let check_op op =
@@ -91,6 +110,20 @@ let prop_soa_matches_reference =
       List.iter check_op ops;
       !wb_soa = !wb_ref
       && Cache.dirty_lines soa = Reference_cache.dirty_lines reference)
+
+let prop_soa_matches_reference =
+  soa_matches_reference ~count:300 ~sets:4 ~ways:2 ~max_len:400
+    "SoA cache == record-based reference on random traces" op_gen
+
+let prop_soa_matches_reference_8way =
+  soa_matches_reference ~count:200 ~sets:4 ~ways:8 ~max_len:600
+    "SoA cache == reference on 8-way sets, re-touch and drop heavy"
+    (wide_op_gen ~sets:4 ~ways:8)
+
+let prop_soa_matches_reference_16way =
+  soa_matches_reference ~count:200 ~sets:2 ~ways:16 ~max_len:600
+    "SoA cache == reference on 16-way sets, re-touch and drop heavy"
+    (wide_op_gen ~sets:2 ~ways:16)
 
 (* --- allocation regression --- *)
 
@@ -253,22 +286,18 @@ let test_skiplist_insert_alloc () =
     (Printf.sprintf "minor words per skip-list insert: %.1f" per_insert)
     true (per_insert < 1.)
 
-(* [get] and [incr] on present keys of a log-free hash map, inside a
-   simulated thread (the operations take the bucket's mutex).  What
-   they still allocate, 6 words an operation on average, is outside
-   the search and the critical section's code: the option and boxed
-   value a [get] returns, the boxed sum an [incr] hands to Atlas, and
-   the [Some] owner the scheduler's mutex records at each lock.  With
-   the section passed to [Rt.with_lock] as a closure it was 13. *)
-let test_hashmap_get_incr_alloc () =
+(* Minor words per [get] or [incr] on present keys of a hash map under
+   Atlas [mode], inside a simulated thread (the operations take the
+   bucket's mutex), averaged over a second, warm pass. *)
+let hashmap_get_incr_words ~mode =
   let keys = 2_048 and rounds = 4 in
   let pmem = desktop_pmem ~region_mib:4 () in
   let size = (Pmem.config pmem).Config.region_size in
   let log_base = size - (512 * 1024) in
   let heap = Heap.create pmem ~base:0 ~size:log_base in
   let atlas =
-    Atlas.Runtime.create ~mode:Atlas.Mode.No_log ~heap ~log_base
-      ~log_size:(512 * 1024) ~num_threads:1 ()
+    Atlas.Runtime.create ~mode ~heap ~log_base ~log_size:(512 * 1024)
+      ~num_threads:1 ()
   in
   let sched = Scheduler.create ~seed:5 () in
   let hm = Tsp_maps.Chained_hashmap.create heap ~atlas ~sched ~n_buckets:512 () in
@@ -300,9 +329,32 @@ let test_hashmap_get_incr_alloc () =
   | _ -> Alcotest.fail "expected completion");
   Pmem.clear_quantum pmem;
   Pmem.clear_step_hook pmem;
+  !per_op
+
+(* Log-free: what a [get] or [incr] still allocates, 6 words an
+   operation on average, is outside the search and the critical
+   section's code: the option and boxed value a [get] returns, the
+   boxed sum an [incr] hands to Atlas, and the [Some] owner the
+   scheduler's mutex records at each lock.  With the section passed to
+   [Rt.with_lock] as a closure it was 13. *)
+let test_hashmap_get_incr_alloc () =
+  let per_op = hashmap_get_incr_words ~mode:Atlas.Mode.No_log in
   Alcotest.(check bool)
-    (Printf.sprintf "minor words per hash-map get or incr: %.1f" !per_op)
-    true (!per_op < 7.)
+    (Printf.sprintf "minor words per hash-map get or incr: %.1f" per_op)
+    true (per_op < 7.)
+
+(* Log-only adds the section's bookkeeping: a Begin and a Commit entry
+   for every operation and an Update for an [incr]'s first store.  An
+   append writes its words straight to the device (no entry record,
+   payload, tuple, boxed word or store closure) and the section table
+   is int-keyed, so that costs about 38 words an operation; with
+   record appends through polymorphic [Hashtbl] it cost 107.5. *)
+let test_hashmap_log_only_alloc () =
+  let per_op = hashmap_get_incr_words ~mode:Atlas.Mode.Log_only in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per log-only hash-map get or incr: %.1f"
+       per_op)
+    true (per_op < 45.)
 
 (* [Populate.build] inserts its keys inside [Pmem.cost_free].  Per
    object it allocates no more minor words than [Machine.create] plus
@@ -443,6 +495,8 @@ let suite =
   ( "hotpath",
     [
       prop_soa_matches_reference;
+      prop_soa_matches_reference_8way;
+      prop_soa_matches_reference_16way;
       case "device int ops allocate nothing" test_zero_alloc_loop;
       case "an inlined Pmem.load read as an int allocates nothing"
         test_boxed_load_inlined;
@@ -455,6 +509,8 @@ let suite =
         test_skiplist_insert_alloc;
       case "hash-map get and incr allocate under 7 words an op"
         test_hashmap_get_incr_alloc;
+      case "log-only hash-map get and incr allocate under 45 words an op"
+        test_hashmap_log_only_alloc;
       slow_case "a cost-free populate allocates no more than a costed one"
         test_populate_alloc;
       case "intset: add/mem/clear" test_intset_basics;

@@ -89,14 +89,25 @@ let test_memory_discard () =
   Alcotest.check int64 "written-back survives" 1L (Memory.load m 0);
   Alcotest.check int64 "unwritten lost" 0L (Memory.load m 64)
 
-(* Bytes allocated by [f ()] on this domain, minor and major heap alike. *)
-let allocated_during f =
-  let before = Gc.allocated_bytes () in
+(* Device footprints are counted deterministically, in words: what is
+   reachable from the device (page tables, cache arrays, every page it
+   holds, the shared zero page) plus the minor words allocated on the
+   way (what was built and dropped).  Pages are major-heap blocks, so
+   every page a device holds is in the first count.  Not
+   [Gc.allocated_bytes]: under OCaml 5.1 it can jump by most of a minor
+   heap when a minor collection lands inside the window. *)
+let device_words p = float (Obj.reachable_words (Obj.repr p))
+
+let minor_words_during f =
+  let before = Gc.minor_words () in
   let r = f () in
-  (Gc.allocated_bytes () -. before, r)
+  (r, Gc.minor_words () -. before)
+
+let bytes_of_words w = w *. float (Sys.word_size / 8)
 
 let test_memory_create_footprint () =
-  let bytes, _ = allocated_during (fun () -> Pmem.create Config.desktop) in
+  let p, transient = minor_words_during (fun () -> Pmem.create Config.desktop) in
+  let bytes = bytes_of_words (device_words p +. transient) in
   Alcotest.(check bool)
     (Printf.sprintf "64 MiB desktop device allocates %.0f bytes < 1 MiB" bytes)
     true (bytes < 1048576.)
@@ -119,7 +130,9 @@ let test_memory_recover_footprint () =
   (* The first run in a process also pays one-off lazy set-up. *)
   life (Pmem.create Config.desktop);
   let p = Pmem.create Config.desktop in
-  let bytes, () = allocated_during (fun () -> life p) in
+  let before = device_words p in
+  let (), transient = minor_words_during (fun () -> life p) in
+  let bytes = bytes_of_words (device_words p -. before +. transient) in
   let bound = float ((2 * k) + 2) *. float Memory.page_size in
   Alcotest.(check bool)
     (Printf.sprintf "%d written pages: %.0f bytes < %.0f" k bytes bound)

@@ -105,6 +105,35 @@ let test_freelist_prefers_exact () =
   Freelist.clear f;
   Alcotest.(check int) "cleared" 0 (Freelist.block_count f)
 
+(* [take] answers an empty list without looking up a bucket; a list
+   that was drained, or cleared, and then refilled serves its new blocks
+   exactly as a fresh one would, bucket by bucket. *)
+let test_freelist_empty_and_refilled () =
+  let take f words = Freelist.take f ~words in
+  let opt = Alcotest.(option (pair int int)) in
+  let f = Freelist.create () in
+  List.iter
+    (fun w -> Alcotest.check opt (Printf.sprintf "fresh: %d words" w) None (take f w))
+    [ 1; 4; 1024 ];
+  Freelist.add f ~addr:100 ~words:4;
+  Freelist.add f ~addr:200 ~words:4;
+  Freelist.add f ~addr:300 ~words:1024;
+  Alcotest.check opt "last freed first" (Some (200, 4)) (take f 4);
+  Alcotest.check opt "then the older" (Some (100, 4)) (take f 4);
+  Alcotest.check opt "then a split" (Some (300, 1024)) (take f 4);
+  Alcotest.check opt "drained" None (take f 4);
+  Alcotest.(check int) "no blocks" 0 (Freelist.block_count f);
+  Freelist.add f ~addr:400 ~words:2048;
+  Freelist.add f ~addr:500 ~words:3;
+  Alcotest.check opt "refilled: exact" (Some (500, 3)) (take f 3);
+  Alcotest.check opt "refilled: split" (Some (400, 2048)) (take f 2);
+  Freelist.add f ~addr:600 ~words:8;
+  Freelist.clear f;
+  Alcotest.check opt "cleared" None (take f 8);
+  Freelist.add f ~addr:700 ~words:8;
+  Alcotest.check opt "refilled after clear" (Some (700, 8)) (take f 8);
+  Alcotest.(check int) "free words" 0 (Freelist.total_free_words f)
+
 (* --- Heap --- *)
 
 let test_heap_create_attach () =
@@ -626,6 +655,8 @@ let suite =
       case "freelist: exact take" test_freelist_exact;
       case "freelist: split rule" test_freelist_split_rule;
       case "freelist: prefers exact size" test_freelist_prefers_exact;
+      case "freelist: take on an empty and a refilled list"
+        test_freelist_empty_and_refilled;
       case "heap: create/attach roundtrip" test_heap_create_attach;
       case "heap: attach rejects bad magic" test_heap_attach_bad_magic;
       case "heap: alloc invariants" test_heap_alloc_properties;
