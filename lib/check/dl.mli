@@ -72,8 +72,14 @@ val check_records :
   recovered:(int * int64) list ->
   verdict
 (** [initial] is the map contents at the recording start (after
-    preload), [recovered] the post-crash, post-recovery enumeration.
-    Both must list each key at most once. *)
+    preload), [recovered] the post-crash, post-recovery enumeration;
+    neither needs to be sorted.  A key [recovered] lists more than once
+    is a violation of its own (a map holds each key once), counted once
+    in [stats.keys].  The host work is sized by the writes: every key is
+    indexed once, only a key some [Set]/[Incr]/[Remove] touched is
+    explained from its operations, and an untouched key is explained
+    exactly when its recovered value is its initial one.
+    @raise Invalid_argument when [initial] lists a key twice. *)
 
 val check :
   initial:(int * int64) list ->

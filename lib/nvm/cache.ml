@@ -157,55 +157,49 @@ let flush_line t ~addr =
 
 let dirty_count t = t.n_dirty
 
-(* In-place ascending heap sort.  Top-level and int-only, so each
-   comparison is one instruction: [Array.sort Int.compare] calls its
-   comparison through a closure, n log n times. *)
-let rec sift_down a i n =
-  let l = (2 * i) + 1 in
-  if l < n then begin
-    let c =
-      if l + 1 < n && Array.unsafe_get a (l + 1) > Array.unsafe_get a l then
-        l + 1
-      else l
-    in
-    let ai = Array.unsafe_get a i and ac = Array.unsafe_get a c in
-    if ac > ai then begin
-      Array.unsafe_set a i ac;
-      Array.unsafe_set a c ai;
-      sift_down a c n
-    end
-  end
-
-let sort_ints a =
-  let n = Array.length a in
-  for i = (n / 2) - 1 downto 0 do
-    sift_down a i n
-  done;
-  for last = n - 1 downto 1 do
-    let top = Array.unsafe_get a 0 in
-    Array.unsafe_set a 0 (Array.unsafe_get a last);
-    Array.unsafe_set a last top;
-    sift_down a 0 last
-  done
-
+(* Line [l] sits in set [l land set_mask] at row [l lsr set_bits]
+   (set_bits = log2 n_sets), so
+   ascending lines are ascending (row, set).  The flat scan below visits
+   sets in ascending order, and a set holds at most one way per row:
+   placing each dirty line stably by its row (a counting sort) therefore
+   leaves them in ascending line order, in time linear in the ways
+   scanned plus the row range.  This runs inside [Pmem.crash] for every
+   partial-rescue and torn campaign step and in every [persist_all]. *)
 let dirty_lines t =
-  (* Collected into an exact-size scratch array and sorted with
-     [sort_ints]: this runs inside [Pmem.crash] for every
-     partial-rescue and torn campaign step and in every [persist_all],
-     where the historical polymorphic [List.sort compare] dominated the
-     crash cost. *)
-  let out = Array.make (Int.max 1 t.n_dirty) 0 in
-  let k = ref 0 in
+  let set_bits = log2_exact (t.set_mask + 1) in
+  let lines = Array.make t.n_dirty 0 in
+  let k = ref 0 and lo = ref max_int and hi = ref (-1) in
   Array.iteri
     (fun i tag ->
       if tag >= 0 && is_dirty_idx t i then begin
-        out.(!k) <- tag lsl t.line_shift;
-        incr k
+        lines.(!k) <- tag;
+        incr k;
+        let row = tag lsr set_bits in
+        if row < !lo then lo := row;
+        if row > !hi then hi := row
       end)
     t.tags;
-  let out = if !k = Array.length out then out else Array.sub out 0 !k in
-  sort_ints out;
-  Array.to_list out
+  let n = !k and lo = !lo in
+  if n = 0 then []
+  else begin
+    (* [next.(r)]: where the next line of row [lo + r] goes *)
+    let next = Array.make (!hi - lo + 2) 0 in
+    for i = 0 to n - 1 do
+      let r = (lines.(i) lsr set_bits) - lo + 1 in
+      next.(r) <- next.(r) + 1
+    done;
+    for r = 1 to Array.length next - 1 do
+      next.(r) <- next.(r) + next.(r - 1)
+    done;
+    let sorted = Array.make n 0 in
+    for i = 0 to n - 1 do
+      let line = lines.(i) in
+      let r = (line lsr set_bits) - lo in
+      sorted.(next.(r)) <- line lsl t.line_shift;
+      next.(r) <- next.(r) + 1
+    done;
+    Array.to_list sorted
+  end
 
 let write_back_all t =
   let n = ref 0 in

@@ -54,10 +54,10 @@ val flush_line : t -> addr:int -> bool
     a write-back actually happened. *)
 
 val dirty_lines : t -> int list
-(** Byte addresses of all currently dirty lines, ascending.  Sorted by
-    an int-only heap sort over a scratch array (no polymorphic compare,
-    no comparison closure): this runs once per [Pmem.crash], i.e. per
-    campaign crash point, and once per [Pmem.persist_all]. *)
+(** Byte addresses of all currently dirty lines, ascending.  Ordered by
+    a counting sort on each line's row, in time linear in the ways
+    scanned (no comparison sort): this runs once per [Pmem.crash], i.e.
+    per campaign crash point, and once per [Pmem.persist_all]. *)
 
 val dirty_count : t -> int
 (** Number of currently dirty lines, maintained incrementally — O(1),

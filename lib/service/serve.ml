@@ -167,17 +167,30 @@ let bucket_count (cfg : config) =
   | Some b -> b
   | None -> next_pow2 (max 1024 (cfg.keys / cfg.shards)) 1024
 
-(* Keys this shard owns, ascending.  Population order (hence the durable
-   image) is a pure function of (keys, shards, shard), which is what
-   lets the DL checker re-derive the pre-crash baseline instead of
-   dumping it. *)
-let owned_keys (cfg : config) shard =
-  let acc = ref [] in
-  for i = cfg.keys - 1 downto 0 do
-    let k = Key_space.h_key i in
-    if Arrival.route ~shards:cfg.shards k = shard then acc := k :: !acc
-  done;
-  Array.of_list !acc
+(* For each shard [s], [value i] for every [i] with [shard_of.(i) = s],
+   in ascending [i]: a counting pass sizes every shard's array exactly,
+   a second pass fills them. *)
+let group ~shards shard_of value =
+  let next = Array.make shards 0 in
+  Array.iter (fun s -> next.(s) <- next.(s) + 1) shard_of;
+  let out = Array.map (fun n -> Array.make n 0) next in
+  Array.fill next 0 shards 0;
+  Array.iteri
+    (fun i s ->
+      out.(s).(next.(s)) <- value i;
+      next.(s) <- next.(s) + 1)
+    shard_of;
+  out
+
+(* Every shard's keys, ascending, from one routing pass over the key
+   space.  Population order (hence the durable image) is a pure function
+   of (keys, shards, shard), which is what lets the DL checker re-derive
+   the pre-crash baseline instead of dumping it. *)
+let owned_keys (cfg : config) =
+  let shards = cfg.shards in
+  group ~shards
+    (Array.init cfg.keys (fun i -> Arrival.route ~shards (Key_space.h_key i)))
+    Key_space.h_key
 
 let spec_for (cfg : config) ~shard ~owned ~n_buckets ~tracer =
   let rc = Workload.Runner.calibrated_config cfg.platform in
@@ -339,8 +352,8 @@ let background_gc_body inc () =
 
 type cell = { c_report : shard_report; c_fates : fate array; c_lats : int array }
 
-let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~n_buckets ~crash_step shard =
-  let owned = owned_keys cfg shard in
+let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~owned ~n_buckets
+    ~crash_step shard =
   let tracer = if cfg.trace then Some (Obs.Tracer.create ()) else None in
   let spec = spec_for cfg ~shard ~owned ~n_buckets ~tracer in
   let m = Machine.create spec in
@@ -637,14 +650,8 @@ let run ?jobs (cfg : config) =
       (fun rank -> Arrival.route ~shards:cfg.shards (Key_space.h_key rank))
       stream.Arrival.ranks
   in
-  let idx_of shard =
-    let acc = ref [] in
-    for j = cfg.requests - 1 downto 0 do
-      if shard_of.(j) = shard then acc := j :: !acc
-    done;
-    Array.of_list !acc
-  in
-  let idxs = Array.init cfg.shards idx_of in
+  let idxs = group ~shards:cfg.shards shard_of Fun.id in
+  let owned = owned_keys cfg in
   let n_buckets = bucket_count cfg in
   (* Resolve the crash point: half the victim's crash-free step count,
      derived from a baseline pre-run of that one cell.  The baseline is
@@ -657,7 +664,8 @@ let run ?jobs (cfg : config) =
         let baseline =
           run_shard
             { cfg with trace = false }
-            stream ~idx:idxs.(shard) ~n_buckets ~crash_step:None shard
+            stream ~idx:idxs.(shard) ~owned:owned.(shard) ~n_buckets
+            ~crash_step:None shard
         in
         max 1 (baseline.c_report.steps / 2)
   in
@@ -671,7 +679,7 @@ let run ?jobs (cfg : config) =
   let cells =
     Parallel.map ?jobs
       (fun shard ->
-        run_shard cfg stream ~idx:idxs.(shard) ~n_buckets
+        run_shard cfg stream ~idx:idxs.(shard) ~owned:owned.(shard) ~n_buckets
           ~crash_step:crash_plan.(shard) shard)
       (List.init cfg.shards Fun.id)
   in

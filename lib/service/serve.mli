@@ -138,6 +138,11 @@ val validate : config -> (unit, string) result
     request.  [Error] says why, naming the [tsp serve] flag that sets
     the field where there is one. *)
 
+val owned_keys : config -> int array array
+(** [(owned_keys cfg).(s)] is the keys shard [s] owns and populates,
+    ascending.  One routing pass over the key space fills every shard's
+    array; {!run} makes it once and hands each shard run its own. *)
+
 val run : ?jobs:int -> config -> report
 (** Generate the stream, fan the shards out as parallel cells, crash and
     recover the victim (if any), aggregate.  [jobs] affects wall-clock

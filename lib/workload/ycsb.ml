@@ -19,11 +19,10 @@ let rmw_fraction = function F -> 0.5 | A | B | C -> 0.0
 module Zipf = struct
   type t = {
     n : int;
-    theta : float;
     alpha : float;
     zetan : float;
     eta : float;
-    zeta2 : float;
+    rank1 : float;  (* 1 + 0.5^theta: [sample]'s bound for rank 1 *)
   }
 
   let zeta n theta =
@@ -46,13 +45,13 @@ module Zipf = struct
       (1. -. Float.pow (2. /. float_of_int n) (1. -. theta))
       /. (1. -. (zeta2 /. zetan))
     in
-    { n; theta; alpha; zetan; eta; zeta2 }
+    { n; alpha; zetan; eta; rank1 = 1. +. Float.pow 0.5 theta }
 
   let sample t rng =
     let u = Rng.float rng 1.0 in
     let uz = u *. t.zetan in
     if uz < 1. then 0
-    else if uz < 1. +. Float.pow 0.5 t.theta then 1
+    else if uz < t.rank1 then 1
     else
       let rank =
         float_of_int t.n

@@ -258,6 +258,88 @@ let test_dl_vs_model =
       Dl.is_explained (dl records entries)
       && not (Dl.is_explained (dl records ((999, 123L) :: entries))))
 
+(* The index-based check against [Reference_dl], the table-and-sort
+   version it replaced, on random inputs: unsorted initial and
+   recovered lists, overlapping or disjoint, keys in only one of them,
+   untouched keys whose recovered value changed or vanished, completed
+   and pending Set/Incr/Remove (now and then a burst of unequal pending
+   increments past [Dl.subset_limit]), and Gets on written and unwritten
+   keys.  The verdict, every stat and every violation must be equal. *)
+let gen_dl_input =
+  let open QCheck2.Gen in
+  let value = map Int64.of_int (int_range 0 4) in
+  let uniq l =
+    List.rev
+      (List.fold_left
+         (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc)
+         [] l)
+  in
+  let record =
+    let* op = oneofl History.[ Set; Get; Incr; Remove ] in
+    let* key = int_range 0 13 in
+    let* by = oneof [ return 1L; map Int64.of_int (int_range 1 3) ] in
+    let* t0 = int_range 0 30 in
+    let* len = int_range (-3) 8 in
+    let arg = match op with History.Set | History.Incr -> by | _ -> 0L in
+    return (rc op key arg t0 (if len < 0 then -1 else t0 + len))
+  in
+  let burst =
+    list_repeat (Dl.subset_limit + 2)
+      (map (fun by -> rc History.Incr 0 (Int64.of_int by) 0 (-1)) (int_range 1 3))
+  in
+  let* initial = map uniq (list_size (int_range 0 10) (pair (int_range 0 11) value)) in
+  let* kept =
+    flatten_l
+      (List.map
+         (fun (k, v) ->
+           map
+             (function
+               | 0 | 1 -> Some (k, v) | 2 -> Some (k, Int64.succ v) | _ -> None)
+             (int_range 0 3))
+         initial)
+  in
+  let* extra = list_size (int_range 0 4) (pair (int_range 0 15) value) in
+  let* recovered = shuffle_l (uniq (List.filter_map Fun.id kept @ extra)) in
+  let* initial = shuffle_l initial in
+  let* records = list_size (int_range 0 14) record in
+  let* burst = frequency [ (9, return []); (1, burst) ] in
+  let* records = shuffle_l (records @ burst) in
+  return (initial, records, recovered)
+
+let test_dl_vs_reference =
+  let stats (s : Dl.stats) = (s.ops, s.completed, s.pending, s.keys, s.capped) in
+  let ref_stats (s : Reference_dl.stats) =
+    (s.ops, s.completed, s.pending, s.keys, s.capped)
+  in
+  let viols = List.map (fun (v : Dl.violation) -> (v.key, v.detail)) in
+  let ref_viols = List.map (fun (v : Reference_dl.violation) -> (v.key, v.detail)) in
+  qcheck ~count:1000 "dl matches the table-and-sort reference" gen_dl_input
+    (fun (initial, records, recovered) ->
+      match
+        ( Reference_dl.check_records ~initial ~records ~recovered,
+          Dl.check_records ~initial ~records ~recovered )
+      with
+      | Reference_dl.Explained a, Dl.Explained b -> ref_stats a = stats b
+      | Reference_dl.Violation (a, va), Dl.Violation (b, vb) ->
+          ref_stats a = stats b && ref_viols va = viols vb
+      | _ -> false)
+
+(* A key the recovered dump lists twice is a violation naming that key,
+   counted once among the keys; the table-and-sort version raised. *)
+let test_dl_recovered_duplicate () =
+  let initial = [ (1, 0L) ] and records = [ rc History.Set 2 5L 0 1 ] in
+  let recovered = [ (1, 0L); (2, 5L); (1, 3L); (1, 4L) ] in
+  check_raises_invalid "the reference raises" (fun () ->
+      ignore (Reference_dl.check_records ~initial ~records ~recovered));
+  match Dl.check_records ~initial ~records ~recovered with
+  | Dl.Violation (s, [ v ]) ->
+      Alcotest.(check int) "the key" 1 v.Dl.key;
+      Alcotest.(check string) "detail"
+        "recovered more than once (0, then 3); a map holds each key once"
+        v.Dl.detail;
+      Alcotest.(check int) "keys counted once" 2 s.Dl.keys
+  | v -> Alcotest.failf "expected one violation, got %a" Dl.pp_verdict v
+
 (* --- Recovery verdict formatting --- *)
 
 let test_orphan_warning () =
@@ -521,6 +603,8 @@ let suite =
       case "dl/overlap" test_dl_overlap;
       case "dl/frame" test_dl_frame;
       test_dl_vs_model;
+      test_dl_vs_reference;
+      case "dl/recovered-duplicate" test_dl_recovered_duplicate;
       case "recovery/orphan-warning" test_orphan_warning;
       case "recovery/pp-verdict" test_pp_verdict;
       case "faults/tally" test_tally;

@@ -212,6 +212,29 @@ let test_cache_write_back_all () =
   Alcotest.(check int) "both written" 2 (List.length !wb);
   Alcotest.(check (list int)) "nothing dirty" [] (Cache.dirty_lines c)
 
+(* Dirty lines spread over several rows of the same sets: the flat
+   (set, way) order they sit in is not address order, and
+   [dirty_lines] must still list them ascending.  Line [l] is set
+   [l mod 4], row [l / 4]. *)
+let test_cache_dirty_lines_order () =
+  let c, _ = make_cache ~sets:4 ~ways:4 () in
+  Alcotest.(check (list int)) "empty cache" [] (Cache.dirty_lines c);
+  let touch ~dirty line = ignore (Cache.touch c ~addr:(line * 64) ~dirty) in
+  (* set 0 holds rows 3, 1, 2; set 1 rows 2, 0; set 2 a clean row 0
+     and a dirty row 5; set 3 row 1 *)
+  List.iter (touch ~dirty:true) [ 12; 4; 8; 9; 1 ];
+  touch ~dirty:false 2;
+  List.iter (touch ~dirty:true) [ 22; 7 ];
+  Alcotest.(check (list int)) "ascending addresses"
+    (List.map (fun l -> l * 64) [ 1; 4; 7; 8; 9; 12; 22 ])
+    (Cache.dirty_lines c);
+  ignore (Cache.flush_line c ~addr:(8 * 64) : bool);
+  Alcotest.(check (list int)) "a flushed line leaves the list"
+    (List.map (fun l -> l * 64) [ 1; 4; 7; 9; 12; 22 ])
+    (Cache.dirty_lines c);
+  ignore (Cache.drop_all c : int);
+  Alcotest.(check (list int)) "dropped cache" [] (Cache.dirty_lines c)
+
 let test_cache_drop_all () =
   let c, wb = make_cache ~sets:4 ~ways:2 () in
   ignore (Cache.touch c ~addr:0 ~dirty:true);
@@ -933,4 +956,5 @@ let suite =
       prop_rescue_preserves_everything;
       prop_discard_is_per_word_prefix;
       prop_paged_memory_matches_reference;
+      case "cache: dirty_lines ascend across rows" test_cache_dirty_lines_order;
     ] )

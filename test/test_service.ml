@@ -81,6 +81,26 @@ let test_route () =
   check_raises_invalid "0 shards" (fun () ->
       ignore (Arrival.route ~shards:0 1 : int))
 
+(* The one-pass owned arrays are the per-shard filters of the key
+   space, for every shard count the service is run at. *)
+let test_serve_owned_keys () =
+  List.iter
+    (fun (shards, keys) ->
+      let owned = Serve.owned_keys { Serve.smoke_config with shards; keys } in
+      Alcotest.(check int) "one array per shard" shards (Array.length owned);
+      Array.iteri
+        (fun s got ->
+          let want =
+            List.init keys Workload.Key_space.h_key
+            |> List.filter (fun k -> Arrival.route ~shards k = s)
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%d shards, %d keys: shard %d" shards keys s)
+            want (Array.to_list got))
+        owned)
+    (List.concat_map (fun shards -> [ (shards, shards); (shards, 5_000) ])
+       (List.init 8 (fun i -> i + 1)))
+
 (* --- Zipf: theta = 0 uniform degenerate case (and the guard) --- *)
 
 let test_zipf_theta_zero_uniform () =
@@ -125,6 +145,47 @@ let test_zipf_rank_monotone =
       let sum a b = Array.fold_left ( + ) 0 (Array.sub counts a (b - a)) in
       counts.(0) > counts.(n - 1)
       && sum 0 quarter >= sum (n - quarter) n)
+
+(* [sample] reads its rank-1 bound from [create]; the formula that
+   called [Float.pow 0.5 theta] on every draw is kept here and must
+   agree draw for draw. *)
+let test_zipf_matches_formula () =
+  let zeta n theta =
+    let acc = ref 0. in
+    for i = 1 to n do
+      acc := !acc +. (1. /. Float.pow (float_of_int i) theta)
+    done;
+    !acc
+  in
+  List.iter
+    (fun (theta, n) ->
+      let zetan = zeta n theta and zeta2 = zeta 2 theta in
+      let alpha = 1. /. (1. -. theta) in
+      let eta =
+        (1. -. Float.pow (2. /. float_of_int n) (1. -. theta))
+        /. (1. -. (zeta2 /. zetan))
+      in
+      let formula rng =
+        let u = Rng.float rng 1.0 in
+        let uz = u *. zetan in
+        if uz < 1. then 0
+        else if uz < 1. +. Float.pow 0.5 theta then 1
+        else
+          let r =
+            int_of_float
+              (float_of_int n *. Float.pow ((eta *. u) -. eta +. 1.) alpha)
+          in
+          if r >= n then n - 1 else if r < 0 then 0 else r
+      in
+      let z = Ycsb.Zipf.create ~theta ~n () in
+      let a = Rng.create ~seed:11 and b = Rng.create ~seed:11 in
+      for i = 1 to 20_000 do
+        let got = Ycsb.Zipf.sample z a and want = formula b in
+        if got <> want then
+          Alcotest.failf "theta %g, n %d, draw %d: rank %d, formula %d" theta
+            n i got want
+      done)
+    [ (0., 16); (0.3, 2); (0.8, 4096); (0.99, 65_536) ]
 
 (* --- Degraded-mode parsing --- *)
 
@@ -452,8 +513,10 @@ let suite =
       case "arrival: empirical rate within 10%" test_arrival_rate;
       case "arrival: argument guards" test_arrival_guards;
       case "router: range, balance, purity" test_route;
+      case "serve: one routing pass owns every key once" test_serve_owned_keys;
       case "zipf: theta=0 is uniform" test_zipf_theta_zero_uniform;
       test_zipf_rank_monotone;
+      case "zipf: hoisted bound matches the formula" test_zipf_matches_formula;
       case "degraded: parser round-trips" test_degraded_of_string;
       slow_case "serve: byte-identical across jobs and repeats"
         test_serve_deterministic;
