@@ -81,6 +81,18 @@ val check_records :
     exactly when its recovered value is its initial one.
     @raise Invalid_argument when [initial] lists a key twice. *)
 
+val check_keys :
+  keys:int array ->
+  value:(int -> int64) ->
+  records:History.record list ->
+  recovered:(int * int64) list ->
+  verdict
+(** {!check_records} with the initial contents given by position: the
+    map held [keys.(i)] with the value [value i].  No list of the
+    initial contents is built, and [value] is called only for a key
+    the check compares or diagnoses.
+    @raise Invalid_argument when [keys] lists a key twice. *)
+
 val check :
   initial:(int * int64) list ->
   history:History.t ->

@@ -493,10 +493,12 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~owned ~n_buckets
             | Error reason, _ -> (None, "skipped: " ^ reason)
             | Ok (), None -> (None, "skipped: no history recorded")
             | Ok (), Some h ->
-                let initial =
-                  Array.to_list (Array.map (fun k -> (k, Int64.of_int k)) owned)
-                in
-                (Some (Dl.check ~initial ~history:h ~recovered:recovered_entries), "")
+                ( Some
+                    (Dl.check_keys ~keys:owned
+                       ~value:(fun i -> Int64.of_int owned.(i))
+                       ~records:(History.records h)
+                       ~recovered:recovered_entries),
+                  "" )
           in
           (* Re-anchor the tracer's clock on the service timeline: the
              restarted scheduler counts from zero, t_up cycles in. *)

@@ -313,16 +313,24 @@ let test_dl_vs_reference =
   in
   let viols = List.map (fun (v : Dl.violation) -> (v.key, v.detail)) in
   let ref_viols = List.map (fun (v : Reference_dl.violation) -> (v.key, v.detail)) in
+  let agrees reference verdict =
+    match (reference, verdict) with
+    | Reference_dl.Explained a, Dl.Explained b -> ref_stats a = stats b
+    | Reference_dl.Violation (a, va), Dl.Violation (b, vb) ->
+        ref_stats a = stats b && ref_viols va = viols vb
+    | _ -> false
+  in
+  (* Both entry points: the list form, and the initial contents by
+     position that [Serve] passes. *)
   qcheck ~count:1000 "dl matches the table-and-sort reference" gen_dl_input
     (fun (initial, records, recovered) ->
-      match
-        ( Reference_dl.check_records ~initial ~records ~recovered,
-          Dl.check_records ~initial ~records ~recovered )
-      with
-      | Reference_dl.Explained a, Dl.Explained b -> ref_stats a = stats b
-      | Reference_dl.Violation (a, va), Dl.Violation (b, vb) ->
-          ref_stats a = stats b && ref_viols va = viols vb
-      | _ -> false)
+      let reference = Reference_dl.check_records ~initial ~records ~recovered in
+      let ini = Array.of_list initial in
+      agrees reference (Dl.check_records ~initial ~records ~recovered)
+      && agrees reference
+           (Dl.check_keys ~keys:(Array.map fst ini)
+              ~value:(fun i -> snd ini.(i))
+              ~records ~recovered))
 
 (* A key the recovered dump lists twice is a violation naming that key,
    counted once among the keys; the table-and-sort version raised. *)

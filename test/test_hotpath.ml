@@ -234,6 +234,35 @@ let test_switch_alloc () =
     (Printf.sprintf "minor words per switching step: %.1f" per_step)
     true (per_step <= 8.)
 
+(* The same bound when the clocks tie: every charge costs 1000 with no
+   jitter, so each round of eight steps starts from one clock.  The
+   round's first two picks draw in the minimum group (eight, then seven
+   threads at the round's clock, the rest one charge above), and the
+   other six scan, as two or more threads tie above the minimum: both
+   of the pick's drawing paths run on every round. *)
+let test_switch_alloc_ties () =
+  let threads = 8 and rounds = 120 in
+  let sched = Scheduler.create ~seed:3 () in
+  for _ = 0 to threads - 1 do
+    ignore
+      (Scheduler.spawn sched (fun () ->
+           for _ = 1 to rounds do
+             Scheduler.step sched ~cost:1000
+           done)
+        : int)
+  done;
+  let before = Gc.minor_words () in
+  (match Scheduler.run sched with
+  | Scheduler.Completed -> ()
+  | _ -> Alcotest.fail "expected completion");
+  let words = Gc.minor_words () -. before in
+  let steps = Scheduler.total_steps sched in
+  Alcotest.(check int) "steps" (threads * rounds) steps;
+  let per_step = words /. float_of_int steps in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per tied switching step: %.1f" per_step)
+    true (per_step <= 8.)
+
 (* The jitter draw every charge makes, and the tie draws of the pick,
    allocate nothing: 100k draws each of [Sim_rng.int] at a power-of-two
    bound (the jitter bound 4) and at another bound (7), and of
@@ -519,4 +548,6 @@ let suite =
       case "intset: add and mem allocate nothing" test_intset_alloc;
       case "kind: a full scan_object call allocates nothing"
         test_scan_object_alloc;
+      case "tied context switches allocate at most 8 words a step"
+        test_switch_alloc_ties;
     ] )
