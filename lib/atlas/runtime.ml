@@ -39,7 +39,6 @@ type t = {
   (* Deferred durability (Log_flush_async): committed sections whose
      data has not yet reached the persistence domain, in commit order,
      with the union of their dirtied lines. *)
-  checkpoint_every : int;
   mutable commits_since_checkpoint : int;
   mutable in_checkpoint : bool;
   pending : (int * int) Queue.t;  (* commit seq, ocs id *)
@@ -54,8 +53,11 @@ type amutex = {
   mutable last_release : int;  (* OCS id, 0 = none *)
 }
 
-let create ?(costs = default_costs) ?(first_seq = 1) ?(checkpoint_every = 32)
-    ~mode ~heap ~log_base ~log_size ~num_threads () =
+(* Commits between two automatic durability points (Log_flush_async). *)
+let checkpoint_every = 32
+
+let create ?(costs = default_costs) ?(first_seq = 1) ~mode ~heap ~log_base
+    ~log_size ~num_threads () =
   let pmem = Heap.pmem heap in
   let ulog = Undo_log.format pmem ~base:log_base ~size:log_size ~num_threads in
   if Mode.deferred_durability mode then Undo_log.set_watermark ulog 0;
@@ -80,7 +82,6 @@ let create ?(costs = default_costs) ?(first_seq = 1) ?(checkpoint_every = 32)
     started = 0;
     table = Int_table.create 256;
     ctxs = Array.init num_threads ctx;
-    checkpoint_every;
     commits_since_checkpoint = 0;
     in_checkpoint = false;
     pending = Queue.create ();
@@ -284,7 +285,7 @@ let commit t ctx =
         Nvm.Intset.clear ctx.dirtied;
         Queue.add (commit_seq, cur.id) t.pending;
         t.commits_since_checkpoint <- t.commits_since_checkpoint + 1;
-        if t.commits_since_checkpoint >= t.checkpoint_every then checkpoint t
+        if t.commits_since_checkpoint >= checkpoint_every then checkpoint t
       end
       else begin
         Nvm.Intset.clear ctx.dirtied;

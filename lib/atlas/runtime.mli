@@ -47,7 +47,6 @@ val default_costs : costs
 val create :
   ?costs:costs ->
   ?first_seq:int ->
-  ?checkpoint_every:int ->
   mode:Mode.t ->
   heap:Pheap.Heap.t ->
   log_base:int ->
@@ -97,7 +96,7 @@ val checkpoint : t -> unit
 (** Force a durability point now: flush all data dirtied by commits
     since the last point, advance the persistent watermark along the
     stable prefix of pending commits, and prune their log segments.
-    Called automatically every [checkpoint_every] commits. *)
+    Called automatically every 32 commits. *)
 
 val watermark : t -> int
 (** The persistent durability watermark (-1 outside async mode). *)

@@ -8,9 +8,9 @@ type t = {
   stats : Stats.t;
   mutable hook : (cost:int -> unit) option;
   mutable quantum : Scheduler.quantum;
-      (* burst-charge handle every charge tries first; [null_quantum]
-         (never grants) until a scheduler is wired in, so the hot path
-         needs no option match *)
+      (* the wired scheduler's quantum handle, which every charge tries
+         first; [null_quantum] (never grants) until a scheduler is
+         wired in, so the hot path needs no option match *)
   mutable state : int;
       (* [live], [crashed] or [cost_free_state]: the one field every op
          tests before it charges *)
@@ -90,9 +90,9 @@ let step t cost =
   | None -> t.stats.Stats.clock <- t.stats.Stats.clock + cost
 
 (* Every charge: consume the scheduler quantum when one is held and the
-   charge stays short of the horizon — a branch, a comparison and a
-   clock add, no closure call, no effect — and fall back to the full
-   [step] road otherwise. *)
+   charge stays short of the horizon and the crash step — two
+   comparisons, a clock add and a step count, no closure call, no
+   effect — and fall back to the full [step] road otherwise. *)
 let[@inline] qstep t cost =
   if not (Scheduler.quantum_try_charge t.quantum ~cost) then step t cost
 
@@ -312,10 +312,10 @@ let no_damage = { rescued = 0; torn = 0; dropped = 0; bit_flips = 0 }
 
 let crash t ~fault ?(rescue_limit = max_int) ~rng () =
   check_live t "crash";
-  (* Crash injection aborts any in-flight burst: whatever the quantum
-     had accrued is folded into the scheduler before the device dies
-     (normally a no-op — the scheduler settles before abandoning its
-     threads — but a crash forced from inside a thread hits this). *)
+  (* Crash injection ends any in-flight burst: the quantum is revoked
+     before the device dies, so no later charge rides it (normally a
+     no-op — the run loop revokes whenever control comes back to it —
+     but a crash forced from inside a thread hits this). *)
   Scheduler.quantum_settle t.quantum;
   let st = t.stats in
   st.Stats.crashes <- st.Stats.crashes + 1;

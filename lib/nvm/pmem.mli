@@ -52,9 +52,10 @@ val set_quantum : t -> Sched.Scheduler.quantum -> unit
     CAS, flush, fence and {!charge} — first tries
     {!Sched.Scheduler.quantum_try_charge} and falls back to the step
     hook when no quantum is held or the quantum refuses the charge at
-    the horizon.  Wired alongside {!set_step_hook}; until then the
-    device holds {!Sched.Scheduler.null_quantum}, which never grants.
-    {!crash} settles the quantum before the device stops. *)
+    the horizon or the crash step.  Wired alongside {!set_step_hook};
+    until then the device holds {!Sched.Scheduler.null_quantum}, which
+    never grants.  {!crash} revokes the quantum before the device
+    stops. *)
 
 val clear_quantum : t -> unit
 (** Reinstall {!Sched.Scheduler.null_quantum}. *)

@@ -13,9 +13,6 @@ let null = 0
 exception Out_of_memory
 exception Corrupt of string
 
-let debug_checks = ref false
-let set_debug_checks b = debug_checks := b
-
 let corrupt fmt = Fmt.kstr (fun s -> raise (Corrupt s)) fmt
 
 let pmem t = t.pmem
@@ -137,21 +134,9 @@ let reset_allocator t ~free =
       Freelist.add t.freelist ~addr:a ~words)
     free
 
-let[@inline never] check_field_debug t a i =
-  let h = peek_header t a in
-  if not (Layout.header_valid h) then
-    corrupt "field access to non-object %d" a;
-  let words = Layout.header_words h in
-  if i < 0 || i >= words then
-    Fmt.invalid_arg "Heap: field %d out of bounds for %d-word object at %d" i
-      words a
-
 (* The field accessors are the map structures' every device access:
-   inlined, with the debug check a cold call, they compile to the
-   [Pmem] entry point inlined in turn. *)
-let[@inline] field_addr t a i =
-  if !debug_checks then check_field_debug t a i;
-  a + (i * Layout.word_size)
+   inlined, they compile to the [Pmem] entry point inlined in turn. *)
+let[@inline] field_addr _ a i = a + (i * Layout.word_size)
 
 let[@inline] load_field t a i = Nvm.Pmem.load t.pmem (field_addr t a i)
 let[@inline] store_field t a i v = Nvm.Pmem.store t.pmem (field_addr t a i) v

@@ -119,7 +119,3 @@ val iter_blocks : t -> (addr:addr -> kind:int -> words:int -> unit) -> unit
     returning the diagnosis.
     @raise Corrupt on an invalid or overrunning header. *)
 
-val set_debug_checks : bool -> unit
-(** Globally enable paranoid field-access validation (header magic and
-    index bounds on every access, via cost-free peeks).  Slow; meant for
-    the test suite. *)

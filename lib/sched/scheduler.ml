@@ -24,9 +24,6 @@ type t = {
   mutable n_threads : int;
   rng : Sim_rng.t;
   cost_jitter : int;
-  mutable charge : int;
-      (* the cost plus jitter [step] drew for the charge it hands to
-         the effect handler *)
   mutable steps : int;
   mutable crash_at : int;  (* [max_int] when no crash is scheduled *)
   mutable crashed : bool;
@@ -39,7 +36,11 @@ type t = {
       (* thread id the run loop last handed the CPU to; context-switch
          events fire only when it changes, not on every loop pass *)
   quantum_on : bool;
-  quantum : quantum;
+  mutable q_thread : thread;  (* the thread the quantum was granted *)
+  mutable q_limit : int;
+      (* the granted horizon less the largest jitter, [unset] while no
+         quantum is held: a charge whose cost takes [q_thread]'s clock
+         to it could reach the horizon, so it is refused *)
   mutable horizon : int;  (* the last [pick]'s horizon *)
   mutable set_ids : int array;
       (* the runnable set: the ids of the [Fresh] and [Suspended]
@@ -48,32 +49,6 @@ type t = {
   mutable set_clocks : int array;  (* [set_clocks.(j)]: [set_ids.(j)]'s clock *)
   mutable set_size : int;
   mutable set_equal : int;  (* adjacent set entries with equal clocks *)
-}
-
-(* A quantum: permission for the device layer to charge up to
-   [q_budget] steps straight onto the granted thread's clock without
-   calling {!step} at all.  The run loop grants one when it resumes a
-   thread whose horizon is set, so charges through {!step} could not
-   have suspended the thread, drawn differently, or crashed — the
-   thread would still be the pick and the crash window is clamped out
-   of reach — and a quantum-charged burst is observationally identical
-   to the same ops charged one [step] at a time (DESIGN.md, "The
-   scheduler's one fast path").
-
-   [q_used] steps are accrued per-op onto [q_thread.vclock] (so clock
-   reads mid-quantum are always settled) but folded into [t.steps] only
-   at the next settle point: a {!step} entry, a mutex block or
-   hand-off, thread exit, or a device crash. *)
-and quantum = {
-  q_sched : t;
-  q_rng : Sim_rng.t;  (* alias of [q_sched.rng]: same draw stream *)
-  q_jitter : int;
-  mutable q_thread : thread;
-  mutable q_budget : int;  (* remaining grant; 0 = no quantum held *)
-  mutable q_used : int;  (* charged but not yet folded into [t.steps] *)
-  mutable q_limit : int;
-      (* the horizon less the maximum jitter: a charge whose cost takes
-         the clock to this could reach the horizon, so it is refused *)
 }
 
 type outcome =
@@ -90,12 +65,13 @@ type mutex = {
 
 type _ Effect.t += Step_eff : unit Effect.t | Block_eff : mutex -> unit Effect.t
 
-(* The horizon of a thread the pick's scan would draw for: no quantum
-   is granted, so every charge goes through the pick. *)
+(* The horizon of a thread the pick's scan would draw for, and the
+   quantum limit while no quantum is held: every charge then goes
+   through the pick. *)
 let unset = min_int
 
-(* Placeholder for [q_thread] while no quantum is held.  Never charged:
-   [q_budget] is 0 whenever it is installed. *)
+(* [q_thread] before the first grant.  Never charged: [q_limit] is
+   [unset] until a grant replaces it. *)
 let no_thread =
   {
     id = -1;
@@ -107,44 +83,30 @@ let no_thread =
   }
 
 let create ?(seed = 42) ?(cost_jitter = 0) ?(quantum = true) () =
-  let rng = Sim_rng.create ~seed in
-  let rec t =
-    {
-      threads = [||];
-      pending_rev = [];
-      n_threads = 0;
-      rng;
-      cost_jitter;
-      charge = 0;
-      steps = 0;
-      crash_at = max_int;
-      crashed = false;
-      current = -1;
-      failure = None;
-      started = false;
-      next_mutex_id = 0;
-      tracer = None;
-      last_resumed = -1;
-      quantum_on = quantum;
-      quantum = q;
-      horizon = unset;
-      set_ids = [||];
-      set_clocks = [||];
-      set_size = 0;
-      set_equal = 0;
-    }
-  and q =
-    {
-      q_sched = t;
-      q_rng = rng;
-      q_jitter = cost_jitter;
-      q_thread = no_thread;
-      q_budget = 0;
-      q_used = 0;
-      q_limit = unset;
-    }
-  in
-  t
+  {
+    threads = [||];
+    pending_rev = [];
+    n_threads = 0;
+    rng = Sim_rng.create ~seed;
+    cost_jitter;
+    steps = 0;
+    crash_at = max_int;
+    crashed = false;
+    current = -1;
+    failure = None;
+    started = false;
+    next_mutex_id = 0;
+    tracer = None;
+    last_resumed = -1;
+    quantum_on = quantum;
+    q_thread = no_thread;
+    q_limit = unset;
+    horizon = unset;
+    set_ids = [||];
+    set_clocks = [||];
+    set_size = 0;
+    set_equal = 0;
+  }
 
 let freeze t =
   match t.pending_rev with
@@ -181,70 +143,56 @@ let set_tracer t tr = t.tracer <- tr
 (* Hook point for history recorders: the current thread's virtual clock,
    readable from inside the thread without freezing or scanning the
    thread table.  One field load — cheap enough to bracket every map
-   operation with two calls.  Quantum charges write the thread's vclock
-   per-op, so this read is settled even in the middle of a burst. *)
+   operation with two calls.  Every charge writes the thread's clock
+   when it is made, so this read is exact in the middle of a burst. *)
 let now t = (current_thread t).vclock
 
 (* ------------------------------------------------------------------ *)
-(* Quantum grant / settle                                              *)
+(* Charges                                                             *)
 
-(* Revoke the quantum and fold its accrued steps into the scheduler
-   counters.  Called at every point where scheduling state could change
-   or be observed: [step] entry, thread exit (retc/exnc), mutex block
-   and hand-off, and a device crash.  Idempotent and cheap when no
-   quantum is outstanding (two field tests). *)
-let[@inline] settle_quantum q =
-  q.q_budget <- 0;
-  if q.q_used > 0 then begin
-    let t = q.q_sched in
-    t.steps <- t.steps + q.q_used;
-    q.q_used <- 0
-  end
+type quantum = t
 
-let quantum_settle q = settle_quantum q
-let quantum_handle t = t.quantum
+(* Revoke the quantum: one store.  The run loop revokes whenever control
+   comes back from the fiber it resumed; a mutex hand-off and a device
+   crash revoke too. *)
+let[@inline] revoke t = t.q_limit <- unset
 
-(* Charge one step against a held quantum: the same clock update and
-   the same jitter draw from the same stream as a [step], minus every
-   per-op scheduler check (those were hoisted into the grant).  The
-   horizon test comes before the draw, against the largest jitter the
-   draw could return, so a refused charge has drawn nothing and [step]
-   makes its one draw.  Returns false when no quantum is held or the
-   charge is refused, sending the caller down the ordinary [step]
-   road. *)
-let[@inline] quantum_try_charge q ~cost =
-  let b = q.q_budget in
-  if b <= 0 then false
+let quantum_settle = revoke
+let quantum_handle t = t
+
+(* The jitter of one charge, drawn once per step from the one stream. *)
+let[@inline] jitter t =
+  if t.cost_jitter > 0 then Sim_rng.int t.rng (t.cost_jitter + 1) else 0
+
+(* Charge one step against a held quantum: the same clock update, the
+   same jitter draw from the same stream and the same step count as a
+   [step], minus the suspension.  The charge is refused, before the
+   draw, when its cost could take the clock to the horizon ([q_limit]
+   holds the largest jitter back, and is [unset] while no quantum is
+   held) or when its step would reach the crash step, so a refused
+   charge has drawn nothing and [step] makes its one draw. *)
+let[@inline] quantum_try_charge t ~cost =
+  let th = t.q_thread in
+  let clock = th.vclock + cost in
+  if clock >= t.q_limit || t.steps + 1 >= t.crash_at then false
   else begin
-    let th = q.q_thread in
-    let clock = th.vclock + cost in
-    if clock >= q.q_limit then false
-    else begin
-      let jitter =
-        if q.q_jitter > 0 then Sim_rng.int q.q_rng (q.q_jitter + 1) else 0
-      in
-      th.vclock <- clock + jitter;
-      q.q_budget <- b - 1;
-      q.q_used <- q.q_used + 1;
-      true
-    end
+    th.vclock <- clock + jitter t;
+    t.steps <- t.steps + 1;
+    true
   end
 
 (* A quantum handle that never grants: what a [Pmem] charges against
-   before a scheduler is wired in.  Owned by a throwaway scheduler that
-   never runs, so its budget stays 0 forever. *)
-let null_quantum = (create ()).quantum
+   before a scheduler is wired in.  A scheduler that never runs, so its
+   quantum stays [unset] forever. *)
+let null_quantum = create ()
 
-(* The road every charge a quantum refuses takes: draw the step's
-   jitter and hand the charge to the effect handler, whose run loop
-   picks the next thread.  The jitter is drawn here, once per step,
-   from the stream the quantum draws from. *)
+(* The road every charge a quantum refuses takes: the same charge onto
+   the calling thread's clock and the same step count, then the effect
+   handler, whose run loop picks the next thread. *)
 let step t ~cost =
-  settle_quantum t.quantum;
-  ignore (current_thread t : thread);
-  t.charge <-
-    (if t.cost_jitter > 0 then cost + Sim_rng.int t.rng (t.cost_jitter + 1)
-     else cost);
+  let th = current_thread t in
+  th.vclock <- th.vclock + cost + jitter t;
+  t.steps <- t.steps + 1;
   Effect.perform Step_eff
 
 let yield t = step t ~cost:0
@@ -253,7 +201,7 @@ let elapsed_cycles t =
   freeze t;
   Array.fold_left (fun acc th -> Int.max acc th.vclock) 0 t.threads
 
-let total_steps t = t.steps + t.quantum.q_used
+let total_steps t = t.steps
 
 let thread_cycles t id =
   freeze t;
@@ -330,8 +278,6 @@ let handler t th =
   let on_step =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
-        th.vclock <- th.vclock + t.charge;
-        t.steps <- t.steps + 1;
         if t.steps >= t.crash_at then
           (* Abandon the continuation: the operation that would have
              followed this step never executes, and neither does
@@ -344,13 +290,9 @@ let handler t th =
         end)
   in
   {
-    Effect.Deep.retc =
-      (fun () ->
-        settle_quantum t.quantum;
-        th.state <- Done);
+    Effect.Deep.retc = (fun () -> th.state <- Done);
     exnc =
       (fun e ->
-        settle_quantum t.quantum;
         th.state <- Done;
         if Option.is_none t.failure then
           t.failure <- Some (e, Printexc.get_raw_backtrace ()));
@@ -362,9 +304,6 @@ let handler t th =
         | Block_eff m ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
-                (* Performed straight from [Mutex.lock], not via [step]:
-                   an outstanding quantum must be settled here. *)
-                settle_quantum t.quantum;
                 th.k <- Some k;
                 th.state <- Blocked;
                 Queue.add th m.waiters)
@@ -525,17 +464,11 @@ let table_wake t id clock = wake t t.threads.(id) clock
 
 (* Grant [th], the thread the run loop is about to resume, a quantum
    when [horizon] is set: below it, charges cannot change the pick or
-   draw for it.  The budget stops one short of the crash step, so the
-   step that reaches it goes through the effect handler. *)
+   draw for it. *)
 let grant t th horizon =
   if horizon <> unset then begin
-    let budget = t.crash_at - t.steps - 1 in
-    if budget > 0 then begin
-      let q = t.quantum in
-      q.q_thread <- th;
-      q.q_budget <- budget;
-      q.q_limit <- horizon - t.cost_jitter
-    end
+    t.q_thread <- th;
+    t.q_limit <- horizon - t.cost_jitter
   end
 
 let run ?crash_at_step t =
@@ -590,6 +523,9 @@ let run ?crash_at_step t =
                    step %d (vclock %d)"
                   i th.name t.steps th.vclock);
             t.current <- -1;
+            (* The fiber yielded, blocked, finished or crashed: its
+               quantum ends before any other thread charges. *)
+            revoke t;
             loop ()
           end
   in
@@ -628,7 +564,7 @@ module Mutex = struct
           (* The wake makes another thread runnable, at a clock the
              releaser's horizon never saw: revoke the quantum, so the
              releaser's next charge goes back through the pick. *)
-          settle_quantum t.quantum;
+          revoke t;
           m.owner <- Some th.id;
           wake t th me.vclock
         end

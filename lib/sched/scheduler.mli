@@ -31,10 +31,10 @@
     waiter revokes the quantum.  The run loop keeps the runnable threads
     ordered by clock, so most picks read the scan's answer without
     scanning (see {{!section:pick}The pick}).
-    The budget stops short of the crash step.  Every observable — step
-    counts, clocks, interleavings, crash states, trace events — is
-    bit-identical with quanta on or off; see DESIGN.md, "The
-    scheduler's one fast path". *)
+    A quantum refuses the step that would reach the crash step.  Every
+    observable — step counts, clocks, interleavings, crash states,
+    trace events — is bit-identical with quanta on or off; see
+    DESIGN.md, "The scheduler's one fast path". *)
 
 type t
 
@@ -67,43 +67,44 @@ val run : ?crash_at_step:int -> t -> outcome
     May be called only once per scheduler. *)
 
 val step : t -> cost:int -> unit
-(** Charge [cost] cycles to the calling thread and yield.  Must be called
-    from inside a simulated thread; this is what gets wired into
-    [Pmem.set_step_hook].  Settles any outstanding quantum on entry, so
-    interleaving charges through [step] and through a quantum handle is
-    always coherent; the run loop grants the next quantum when it
-    resumes the thread. *)
+(** Charge [cost] cycles (plus the jitter draw) to the calling thread,
+    count the step, and yield.  Must be called from inside a simulated
+    thread; this is what gets wired into [Pmem.set_step_hook].  The run
+    loop revokes the thread's quantum when the yield reaches it, and
+    grants the next one when it resumes a thread. *)
 
 (** {2 Quanta}
 
-    A quantum is a burst budget the run loop grants the thread it
-    resumes, whenever that thread's horizon is set, so that the device
-    can charge the thread's clock without re-entering the scheduler:
-    each load, store, CAS, flush, fence or compute charge then costs a
-    branch, a comparison against the horizon and an add on the thread's
-    clock ({!quantum_try_charge}), plus the jitter draw.
+    A quantum is the run loop's permission, given to the thread it
+    resumes whenever that thread's horizon is set, for the device to
+    charge the thread's clock without re-entering the scheduler: each
+    load, store, CAS, flush, fence or compute charge then costs a
+    comparison against the horizon, one against the crash step and two
+    adds, on the thread's clock and on the step count
+    ({!quantum_try_charge}), plus the jitter draw.
 
-    Grant/settle invariants (see DESIGN.md, "The scheduler's one fast
-    path"): grants happen only at resumption, only while the horizon is
-    set, and are clamped short of the crash step.  A quantum refuses,
-    before drawing its jitter, any charge whose cost plus the maximum
-    jitter could take the clock to the horizon, so the charge that could
-    let another thread win the pick, and the step that would crash,
-    still travel through {!step}.  Charges write the granted thread's
-    vclock per-op, so {!now}, {!thread_cycles} and {!elapsed_cycles}
-    are exact mid-burst; {!total_steps} folds the unsettled count in.  A
-    quantum is revoked (settled) at every [step] entry, mutex
-    block/hand-off, thread exit and {!quantum_settle}.  Simulated
-    results are bit-identical with quanta on or off. *)
+    Grant/revoke invariants (see DESIGN.md, "The scheduler's one fast
+    path"): grants happen only at resumption and only while the horizon
+    is set.  A quantum refuses, before drawing its jitter, any charge
+    whose cost plus the maximum jitter could take the clock to the
+    horizon, and the charge whose step would reach the crash step, so
+    the charge that could let another thread win the pick, and the step
+    that would crash, still travel through {!step}.  Every charge, by
+    either road, moves the clock and the step count when it is made, so
+    {!now}, {!thread_cycles}, {!elapsed_cycles} and {!total_steps} are
+    exact mid-burst.  The run loop revokes the quantum whenever control
+    comes back from the thread it resumed; a mutex hand-off and
+    {!quantum_settle} revoke it too.  Simulated results are
+    bit-identical with quanta on or off. *)
 
 type quantum
 (** A revocable burst-charge handle owned by one scheduler. *)
 
 val quantum_handle : t -> quantum
-(** The scheduler's (single, reusable) quantum handle, to be installed
-    into the device layer ([Pmem.set_quantum]).  Holding the handle
-    grants nothing: the budget only becomes positive when the run loop
-    resumes a thread whose horizon is set. *)
+(** The scheduler's quantum handle, to be installed into the device
+    layer ([Pmem.set_quantum]).  Holding the handle grants nothing: a
+    charge only goes through while the run loop has granted the thread
+    it resumed a quantum. *)
 
 val null_quantum : quantum
 (** A handle that never grants: charging against it always returns
@@ -111,15 +112,16 @@ val null_quantum : quantum
 
 val quantum_try_charge : quantum -> cost:int -> bool
 (** Charge one step's [cost] (plus the usual jitter draw) against a held
-    quantum.  [false] when no quantum is held, or when [cost] plus the
-    maximum jitter could reach the horizon; the charge has then drawn
-    nothing, and the caller must charge through {!step}.  Performs the
-    same clock update and RNG draw a charge through {!step} would. *)
+    quantum.  [false] when no quantum is held, when [cost] plus the
+    maximum jitter could reach the horizon, or when the step would reach
+    the crash step; the charge has then drawn nothing, and the caller
+    must charge through {!step}.  Performs the same clock update, RNG
+    draw and step count a charge through {!step} would. *)
 
 val quantum_settle : quantum -> unit
-(** Revoke the current grant (if any) and fold accrued steps into the
-    scheduler's counters.  Idempotent; safe from harness code.  The
-    device settles before a crash. *)
+(** Revoke the current grant, if any: later charges go through {!step}
+    until the run loop grants again.  Idempotent; safe from harness
+    code.  The device revokes before a crash. *)
 
 val yield : t -> unit
 (** [step t ~cost:0]. *)
@@ -206,6 +208,9 @@ val elapsed_cycles : t -> int
 (** Simulated duration so far: the maximum per-thread virtual clock. *)
 
 val total_steps : t -> int
+(** Steps charged so far, through {!step} and through quanta alike;
+    exact mid-burst. *)
+
 val thread_cycles : t -> int -> int
 val thread_count : t -> int
 val is_crashed : t -> bool

@@ -585,13 +585,8 @@ let test_async_rolls_back_uncovered_commits () =
     (report.Recovery.cascaded >= 2)
 
 let test_async_auto_checkpoint () =
-  let pmem, heap, atlas, _ = make_env ~mode:Mode.Log_flush_async () in
-  (* Recreate with a small interval to trigger automatic checkpoints. *)
-  ignore (atlas : Rt.t);
-  let log_base = (Pmem.config pmem).Config.region_size - (256 * 1024) in
-  let atlas =
-    Rt.create ~mode:Mode.Log_flush_async ~heap ~log_base
-      ~log_size:(256 * 1024) ~num_threads:1 ~checkpoint_every:4 ()
+  let pmem, heap, atlas, _ =
+    make_env ~mode:Mode.Log_flush_async ~threads:1 ()
   in
   let a = Heap.alloc heap ~kind:Kind.raw ~words:1 in
   Heap.set_root heap a;
@@ -601,16 +596,17 @@ let test_async_auto_checkpoint () =
        [
          (fun sched ->
            let m = Rt.make_mutex atlas sched in
-           for i = 1 to 10 do
+           for i = 1 to 70 do
              Rt.with_lock atlas ctx m (fun () ->
                  Rt.store_field atlas ctx a 0 (Int64.of_int i))
            done);
        ]);
-  (* 10 commits with interval 4: at least two automatic checkpoints. *)
+  (* 70 commits at the runtime's interval of 32: two automatic
+     checkpoints. *)
   Alcotest.(check bool) "watermark advanced automatically" true
     (Rt.watermark atlas > 0);
   Alcotest.(check bool) "pending bounded by interval" true
-    (Rt.pending_commits atlas < 4)
+    (Rt.pending_commits atlas < 32)
 
 let test_async_cheaper_than_eager () =
   (* The ablation: deferred durability must flush strictly less than

@@ -220,19 +220,6 @@ let test_heap_fields () =
   Alcotest.(check bool) "cas_int" true
     (Heap.cas_field_int heap a 1 ~expected:2 ~desired:9)
 
-let test_heap_debug_checks () =
-  let _, heap = small_heap () in
-  let a = Heap.alloc heap ~kind:Kind.raw ~words:2 in
-  Heap.set_debug_checks true;
-  Fun.protect
-    ~finally:(fun () -> Heap.set_debug_checks false)
-    (fun () ->
-      Heap.store_field heap a 1 1L (* in bounds: fine *);
-      check_raises_invalid "index out of bounds" (fun () ->
-          Heap.store_field heap a 2 1L);
-      check_raises_corrupt "not an object" (fun () ->
-          Heap.load_field heap (a + 800) 0))
-
 let test_heap_iter_blocks () =
   let _, heap = small_heap () in
   let a = Heap.alloc heap ~kind:Kind.raw ~words:2 in
@@ -665,7 +652,6 @@ let suite =
       case "heap: split on reuse" test_heap_free_split;
       case "heap: double free rejected" test_heap_double_free;
       case "heap: field access and CAS" test_heap_fields;
-      case "heap: debug checks" test_heap_debug_checks;
       case "heap: iter_blocks" test_heap_iter_blocks;
       case "heap: fresh root is null" test_heap_root_defaults_null;
       case "gc: reclaims garbage and coalesces" test_gc_reclaims_garbage;

@@ -62,8 +62,9 @@ let test_crash_image_identical () =
 
 (* The scheduler-level harness: a contended-then-uncontended two-thread
    workload.  Returns every simulated observable plus the
-   [Scheduler.now] read after each store — mid-burst whenever a quantum
-   is held.  A [tracer] is wired by [wire_tracer]. *)
+   [Scheduler.now] and [Scheduler.total_steps] reads after each store —
+   mid-burst whenever a quantum is held.  A [tracer] is wired by
+   [wire_tracer]. *)
 let mini_observables ?tracer ~seed quantum =
   let pmem = desktop_pmem ~region_mib:1 () in
   let sched = Scheduler.create ~seed ~cost_jitter:3 ~quantum () in
@@ -72,7 +73,7 @@ let mini_observables ?tracer ~seed quantum =
   let nows = ref [] in
   let store addr v =
     Pmem.store_int pmem addr v;
-    nows := Scheduler.now sched :: !nows
+    nows := (Scheduler.now sched, Scheduler.total_steps sched) :: !nows
   in
   let body tid () =
     for i = 0 to 199 do
@@ -125,8 +126,9 @@ let test_tracer_identical () =
   Alcotest.(check bool) "event streams identical" true (evs_on = evs_off)
 
 (* 3. A clock read mid-burst (what a history record's t0/t1 and every
-   trace timestamp do) must observe the settled per-op cycle, not the
-   cycle at which the quantum was granted. *)
+   trace timestamp do) must observe the per-op cycle, not the cycle at
+   which the quantum was granted; the step count read beside it must
+   count every charge made so far. *)
 let test_history_timestamps_identical () =
   let nows mode =
     let tr = Tracer.create ~ring_cap:65536 () in
@@ -135,7 +137,8 @@ let test_history_timestamps_identical () =
   in
   let on = nows with_quanta and off = nows reference in
   Alcotest.(check int) "clock reads" (List.length off) (List.length on);
-  Alcotest.(check (list int)) "Scheduler.now after every store" off on
+  Alcotest.(check (list (pair int int)))
+    "Scheduler.now and total_steps after every store" off on
 
 (* 4. Randomised equivalence over seeds. *)
 let qcheck_quantum_equiv =
@@ -276,7 +279,27 @@ let qcheck_contended_equiv =
          contended_observables case with_quanta
          = contended_observables case reference))
 
-(* 6. The allocation-free Sim_rng that feeds per-op jitter draws inside
+(* 6. A thread that finishes while it holds a quantum, on the contended
+   harness with no jitter.  Threads 1-3 first charge 1000 cycles each;
+   thread 0 then runs alone below the horizon 1000 and returns holding
+   its quantum.  The pick among the three tied threads keeps the third
+   for about a third of the seeds and grants it nothing: its charges
+   must go through [step], not ride the finished thread's quantum onto
+   thread 0's clock. *)
+let test_finish_holding_quantum () =
+  let progs =
+    List.init 4 (fun tid ->
+        if tid = 0 then List.init 4 (fun i -> D_store (i * 8))
+        else [ D_charge 1000; D_store (tid * 64); D_store ((tid * 64) + 8) ])
+  in
+  for seed = 0 to 63 do
+    let case = (seed, 0, None, progs) in
+    if contended_observables case with_quanta
+       <> contended_observables case reference
+    then Alcotest.failf "%s" (print_contended case)
+  done
+
+(* 7. The allocation-free Sim_rng that feeds per-op jitter draws inside
    quanta: its stream, stored as two native-int halves and drawn on
    unboxed int64 locals, must match the boxed int64 splitmix64 reference
    draw by draw, across every public operation and both [int] bound
@@ -340,7 +363,7 @@ let qcheck_rng_reference =
       ok := !ok && Int64.equal (Rng.next rd) (Rng.next r);
       !ok)
 
-(* 7. The run loop's one scan (the pick and its horizon) against the
+(* 8. The run loop's one scan (the pick and its horizon) against the
    two scans it replaced, [Reference_pick]: random tables of 1-8 threads
    in every state, with clocks from a small range so that ties at the
    minimum and prefix ties above it ([5; 5; 3]: the scan draws at index
@@ -397,7 +420,7 @@ let qcheck_scan_reference =
        ~name:"one-scan pick and horizon match the two-scan reference"
        table_gen scan_matches_reference)
 
-(* 8. The run loop's ordered pick (the runnable set, which scans only on
+(* 9. The run loop's ordered pick (the runnable set, which scans only on
    a tie above the minimum) against [Reference_pick] over the same
    table, pick after pick.  [picks_match tb r table f] makes one pick
    from [tb], whose draws come from [r], and one reference pick over
@@ -559,6 +582,7 @@ let suite =
         test_history_timestamps_identical;
       qcheck_quantum_equiv;
       qcheck_contended_equiv;
+      case "a thread finishes holding a quantum" test_finish_holding_quantum;
       qcheck_rng_reference;
       case "one scan: prefix ties above the minimum"
         test_scan_prefix_ties;
