@@ -64,6 +64,13 @@ commands+=(
   "tsp run --resume --crash-at 3000 --iterations 100 --variant btree"
   "tsp policy"
   "tsp wsp"
+  # Up to 16 threads (the densest clock ties the pick breaks), a sampled
+  # fault campaign, a shrunk one (which exits 1 by design) and a planted
+  # mutant.
+  "tsp sweeps threads --iterations 30"
+  "tsp faults --runs 20"
+  "tsp faults --runs 6 --hardware conventional-server --failure power-outage --shrink"
+  "tsp check --mutant 3 --from 400 --window 200 --stride 100"
 )
 for e in $examples; do
   commands+=("example $e")

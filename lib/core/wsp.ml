@@ -73,7 +73,10 @@ let line_rescue_budget (h : Hardware.t) ~budget_j ~line_size =
     let time_s = budget_j /. h.Hardware.rescue_power_w in
     let mb = time_s *. h.Hardware.dram_bandwidth_gb_s *. 1024. in
     let bytes = mb *. 1024. *. 1024. in
-    int_of_float (bytes /. float_of_int line_size)
+    let lines = bytes /. float_of_int line_size in
+    (* [int_of_float] of a count past [max_int] is [min_int] on x86-64,
+       which would rescue nothing. *)
+    if lines >= float_of_int max_int then max_int else int_of_float lines
   end
 
 let headroom outcome =

@@ -50,7 +50,8 @@ val line_rescue_budget : Hardware.t -> budget_j:float -> line_size:int -> int
     joules run out, under the platform's DRAM bandwidth and rescue power
     draw.  This converts a {!Nvm.Fault_model.Partial_rescue} energy
     budget into the [rescue_limit] passed to {!Nvm.Pmem.crash};
-    0 when the budget is non-positive. *)
+    0 when the budget is non-positive; a count past [max_int] is
+    [max_int]. *)
 
 val headroom : outcome -> float
 (** Smallest ratio of budget to need across stages ([infinity] for an

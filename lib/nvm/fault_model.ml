@@ -57,7 +57,11 @@ let of_string s =
   | Some i ->
       let name = String.sub s 0 i in
       let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      let float_param = float_of_string_opt in
+      let nonneg_float r =
+        match float_of_string_opt r with
+        | Some j when Float.is_finite j && j >= 0. -> Some j
+        | _ -> None
+      in
       let nonneg_int r =
         match int_of_string_opt r with
         | Some n when n >= 0 -> Some n
@@ -65,7 +69,7 @@ let of_string s =
       in
       (match name with
       | "partial-rescue" | "partial" ->
-          param name float_param rest (fun j ->
+          param name nonneg_float rest (fun j ->
               Partial_rescue { energy_budget_j = j })
       | "torn" | "torn-lines" ->
           param name

@@ -51,6 +51,9 @@ val to_string : t -> string
     [partial-rescue:J], [torn:P], [bit-rot:N]. *)
 
 val of_string : string -> (t, string) result
+(** An error for an unknown model or a parameter out of range: a
+    joule budget must be finite and non-negative, a tear probability in
+    [0,1] and a flip count non-negative. *)
 
 val of_string_list : string -> (t list, string) result
 (** Comma-separated models, or ["all"] for {!reference}. *)

@@ -1,8 +1,9 @@
-(* One JSON writer for every emitter in the tree (Chrome traces, bench
-   snapshots, campaign artifacts).  Allocation-conscious: the only state
-   besides the output buffer is three scalar fields, and the
-   between-element commas are tracked in a single int bitmask indexed by
-   nesting depth — no per-container allocation, no closure captures. *)
+(* One JSON writer for the bench snapshots and the campaign artifacts;
+   Chrome traces are printed event by event with [Printf] and share only
+   [escape].  Allocation-conscious: the only state besides the output
+   buffer is three scalar fields, and the between-element commas are
+   tracked in a single int bitmask indexed by nesting depth — no
+   per-container allocation, no closure captures. *)
 
 type t = {
   buf : Buffer.t;

@@ -65,9 +65,8 @@ type mutex = {
 
 type _ Effect.t += Step_eff : unit Effect.t | Block_eff : mutex -> unit Effect.t
 
-(* The horizon of a thread the pick's scan would draw for, and the
-   quantum limit while no quantum is held: every charge then goes
-   through the pick. *)
+(* The horizon of a pick that a draw precedes, and the quantum limit
+   while no quantum is held: every charge then goes through the pick. *)
 let unset = min_int
 
 (* [q_thread] before the first grant.  Never charged: [q_limit] is
@@ -310,83 +309,60 @@ let handler t th =
         | _ -> None);
   }
 
-(* The scan of the thread table that defines the pick: the runnable
-   thread with the smallest clock, as an index into [t.threads] (-1 if
-   none), with that thread's horizon left in [t.horizon].  The run loop
-   reads most picks off the runnable set instead ([pick] below) and
-   scans only when the set cannot prove what the scan would draw.
+(* The pick reads the runnable set but makes the draws, the pick and the
+   horizon of a scan of the thread table in id order
+   ([test/reference_pick.ml]), which breaks clock ties by reservoir
+   sampling: at each runnable thread that ties the smallest clock among
+   the runnable threads before it, it draws [Sim_rng.int rng k], [k]
+   counting the threads of that clock met so far, and keeps the thread
+   if the draw is 0.  A draw advances the stream by one output whatever
+   its bound, and the count restarts at the first member in id order of
+   the minimum group (the runnable threads of the smallest clock), so
+   the scan comes down to one rule:
+   - one draw at each prefix tie, a runnable thread below the group's
+     first id whose clock ties the smallest runnable clock before it
+     ([prefix_ties]), which the set rules out when its only equal
+     clocks are the group's;
+   - then the group's own draws ([draw_group]), which alone choose the
+     pick.
+   The horizon is the smallest clock among the other runnable threads
+   when no draw precedes the pick in id order, else [unset]: the next
+   pick would make that draw again, so no quantum may skip it.  That
+   leaves it set exactly when there was no prefix tie and the kept
+   member is the group's first or second. *)
 
-   The pick: [best] is the pick so far, [best_clock] its clock and
-   [ties] how many scanned threads share that clock.  Clock ties are
-   reservoir-sampled, one draw per tie, so that equal-time threads
-   interleave differently across seeds.
-
-   The horizon: the smallest clock among the other runnable threads.
-   While the pick's clock stays below it, the pick is the scan's unique
-   minimum.  That alone does not keep the scan from drawing: it draws
-   whenever a thread ties the smallest clock scanned before it.  Past
-   the pick no thread can, as the pick's clock is smaller than theirs,
-   but a tie among the threads ahead of it draws on every scan; a draw
-   at an index below the pick ([first_draw], the index of the scan's
-   first draw, [max_int] when none) leaves the horizon [unset].  [rest]
-   is the smallest clock among the scanned runnable threads other than
-   [best]: a tie puts a thread of [best_clock] outside [best] whichever
-   the draw keeps, and a new minimum puts the old [best] there.  The
-   other threads' clocks and states hold still while the pick runs,
-   except when a mutex hand-off wakes one, and that revokes the quantum
-   granted from the horizon.
-
-   Two scans used to compute the pick and then the horizon.  They
-   differ from this one only for a runnable clock equal to [max_int],
-   which the horizon scan took for a tie; no run reaches that clock. *)
-let rec scan t i best best_clock ties first_draw rest =
-  let threads = t.threads in
-  if i = Array.length threads then begin
-    t.horizon <- (if first_draw < best then unset else rest);
-    best
-  end
+(* Walk the threads below id [g] in id order with [lo] the smallest
+   runnable clock so far, drawing once at each prefix tie; how many
+   drew.  A runnable clock of [max_int], which no run reaches, would
+   count as a tie. *)
+let rec prefix_ties t i g lo ties =
+  if i = g then ties
   else
-    let th = Array.unsafe_get threads i in
+    let th = Array.unsafe_get t.threads i in
     match th.state with
     | Fresh | Suspended ->
         let c = th.vclock in
-        if best < 0 then scan t (i + 1) i c 1 first_draw rest
-        else if c < best_clock then
-          scan t (i + 1) i c 1 first_draw best_clock
-        else if c = best_clock then
-          let ties = ties + 1 in
-          let best = if Sim_rng.int t.rng ties = 0 then i else best in
-          let first_draw = if first_draw < i then first_draw else i in
-          scan t (i + 1) best best_clock ties first_draw best_clock
-        else
-          scan t (i + 1) best best_clock ties first_draw
-            (if c < rest then c else rest)
-    | Running | Blocked | Done ->
-        scan t (i + 1) best best_clock ties first_draw rest
+        if c = lo then begin
+          ignore (Sim_rng.int t.rng 1 : int);
+          prefix_ties t (i + 1) g lo (ties + 1)
+        end
+        else prefix_ties t (i + 1) g (if c < lo then c else lo) ties
+    | Running | Blocked | Done -> prefix_ties t (i + 1) g lo ties
 
-let scan_all t = scan t 0 (-1) 0 0 max_int max_int
-
-(* The member the scan keeps from a minimum group of [m] threads, by
-   its rank in id order: the scan meets the group's members in id
-   order and draws [Sim_rng.int rng k] at the [k]-th (k = 2..m),
-   keeping the last member whose draw was 0 (the first when none
+(* The member kept from a minimum group of [m] threads, by its rank in
+   id order: the [k]-th member (k = 2..m) draws [Sim_rng.int rng k], and
+   the last member whose draw was 0 is kept (the first when none
    was). *)
 let rec draw_group rng k m kept =
   if k > m then kept
   else draw_group rng (k + 1) m (if Sim_rng.int rng k = 0 then k else kept)
 
-(* The pick, read off the runnable set whenever it can prove what the
-   scan would do, with the scan's draws, pick and horizon; the pick
-   leaves the set.  The scan draws exactly when a thread ties the
-   smallest clock among the runnable threads before it in id order.
-   - No two clocks equal: the scan draws nothing; the pick is the
-     minimum and the horizon the next clock ([max_int] alone).
-   - Every equal pair in the minimum group of [m] threads: no thread
-     above the minimum ties the prefix minimum it meets, so the scan
-     draws only at the group's members, and its first draw is at the
-     group's second member in id order.  The horizon is the minimum
-     clock when the kept member is the first or second, else unset.
-   - A tie above the minimum: the scan may draw there, so it runs. *)
+(* The pick, which leaves the set.  With no two clocks equal the rule
+   makes no draw and keeps the minimum; that case, most picks, exits
+   early.  Otherwise the group's [k]-th member in id order is at
+   [n - k], [set_equal] exceeds the group's [m - 1] equal pairs exactly
+   when a tie lies above the minimum, and the clock next to the minimum
+   is the group's when it has other members, else the next one. *)
 let pick t =
   let n = t.set_size in
   if n = 0 then -1
@@ -405,36 +381,16 @@ let pick t =
         decr j
       done;
       let m = n - !j in
-      if t.set_equal = m - 1 then begin
-        (* The group's [k]-th member in id order is at [n - k]. *)
-        let kept = draw_group t.rng 2 m 1 in
-        let p = n - kept in
-        let i = t.set_ids.(p) in
-        remove_at t p;
-        t.horizon <- (if kept <= 2 then c else unset);
-        i
-      end
-      else begin
-        let i = scan_all t in
-        let ids = t.set_ids in
-        let p = ref last in
-        while ids.(!p) <> i do
-          decr p
-        done;
-        remove_at t !p;
-        i
-      end
-
-let scan_table rng table =
-  let threads =
-    Array.mapi
-      (fun id (state, vclock) ->
-        { id; name = ""; vclock; state; body = ignore; k = None })
-      table
-  in
-  let t = { (create ()) with rng; threads } in
-  let i = scan_all t in
-  (i, t.horizon)
+      let ties =
+        if t.set_equal > m - 1 then prefix_ties t 0 t.set_ids.(last) max_int 0
+        else 0
+      in
+      let kept = draw_group t.rng 2 m 1 in
+      t.horizon <- (if ties > 0 || kept > 2 then unset else clocks.(last - 1));
+      let p = n - kept in
+      let i = t.set_ids.(p) in
+      remove_at t p;
+      i
 
 type table = t
 

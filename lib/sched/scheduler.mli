@@ -24,13 +24,10 @@
     thread a {!quantum}.  While a charge leaves the thread's clock below
     its horizon, suspending would only re-pick it, so the device charges
     the clock through the quantum instead of calling {!step}.  The
-    horizon is left unset, and no quantum granted, when the pick's scan
-    of the thread table would draw a tie-break before reaching the
-    thread (a runnable thread ahead of it in spawn order ties the
-    smallest clock ahead of that one), and a mutex hand-off that wakes a
-    waiter revokes the quantum.  The run loop keeps the runnable threads
-    ordered by clock, so most picks read the scan's answer without
-    scanning (see {{!section:pick}The pick}).
+    horizon is left unset, and no quantum granted, when the pick draws
+    a tie-break before reaching the thread in spawn order (see
+    {{!section:pick}The pick}), and a mutex hand-off that wakes a
+    waiter revokes the quantum.
     A quantum refuses the step that would reach the crash step.  Every
     observable — step counts, clocks, interleavings, crash states,
     trace events — is bit-identical with quanta on or off; see
@@ -161,38 +158,38 @@ val set_tracer : t -> Obs.Tracer.t option -> unit
     at each thread that ties the smallest clock scanned before it, so
     that equal-time threads interleave differently across seeds.
 
-    The run loop reads the scan's answer off an ordered runnable set:
+    The run loop makes the scan's draws off an ordered runnable set:
     the [Fresh] and [Suspended] threads by (clock, id), with the count
     of adjacent equal clocks.  A thread enters it at {!run}, on
     suspending and when a mutex hand-off wakes it; the pick leaves it.
-    With no two clocks equal, the pick is the minimum, with no draw, and
-    the horizon the next clock.  With every equal pair in the minimum
-    group, the set makes the scan's draws, one per member after the
-    first in id order.  A tie above the minimum, where the scan may
-    draw, runs the scan itself.  Picks, draws and horizons are the
-    scan's in every case. *)
+    Every pick follows one rule.  First one draw per prefix tie: a
+    runnable thread below the minimum group's first id whose clock ties
+    the smallest runnable clock before it.  Only a tie above the
+    minimum can make one, and only then is the thread table walked, up
+    to the group's first id.  Then one draw per group member after the
+    first in id order, which alone choose the pick.  The horizon is set
+    when there was no prefix tie and the kept member is the group's
+    first or second: the group's clock when the group has other
+    members, else the next clock ([max_int] alone).  With no two clocks
+    equal, as in most picks, that is the minimum with no draw, and the
+    pick takes it at once.  Picks, draws and horizons are the scan's in
+    every case. *)
 
 type thread_state = Fresh | Suspended | Running | Blocked | Done
 (** [Fresh] (not started) and [Suspended] threads are runnable. *)
 
-val scan_table : Sim_rng.t -> (thread_state * int) array -> int * int
-(** [scan_table rng table] runs the run loop's scan over a thread table
-    of (state, clock) pairs, drawing its tie-breaks from [rng]: the pick
-    (-1 when no thread is runnable) and the pick's horizon ([min_int]
-    when unset).  The scan that defines the run loop's pick, exposed
-    for the differential test against the former two-scan pick. *)
-
 type table
 (** A bare thread table with the run loop's runnable set, for the
-    differential test of the ordered pick against the scan. *)
+    differential test of the pick against the scan. *)
 
 val table : Sim_rng.t -> int -> table
 (** [table rng n]: [n] [Fresh] threads at clock 0, entered into the set
     as {!run} enters them; picks draw their tie-breaks from [rng]. *)
 
 val table_pick : table -> int * int
-(** The run loop's pick over the table, as {!scan_table} returns it.
-    The pick becomes [Running] and leaves the set. *)
+(** The run loop's pick over the table (-1 when no thread is runnable)
+    and the pick's horizon ([min_int] when unset).  The pick becomes
+    [Running] and leaves the set. *)
 
 val table_set : table -> int -> thread_state -> int -> unit
 (** [table_set tb id state clock] gives thread [id], which must be out

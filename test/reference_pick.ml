@@ -1,11 +1,11 @@
 (* The two-scan pick, retained verbatim as an executable reference.  The
-   production run loop ([Sched.Scheduler]) now picks the next thread and
-   computes its horizon in one scan of the thread table; this module
-   keeps the original pair of scans, [pick_from] and then
-   [horizon_from], over a minimal copy of the thread table, so a
-   property test can run both on the same random tables and demand the
-   same pick, the same horizon and the same draws.  Do not "improve"
-   this file: its value is that it is the old code. *)
+   production run loop ([Sched.Scheduler]) now reads the pick and its
+   horizon off an ordered runnable set, making the draws of the scan in
+   closed form; this module keeps the original pair of scans,
+   [pick_from] and then [horizon_from], over a minimal copy of the
+   thread table, so property tests can run both on the same tables and
+   demand the same pick, the same horizon and the same draws.  Do not
+   "improve" this file: its value is that it is the old code. *)
 
 module Sim_rng = Sched.Sim_rng
 

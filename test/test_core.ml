@@ -301,6 +301,24 @@ let test_executor_no_tsp_drops () =
   Alcotest.(check int) "line dropped" 1 e.Exec.damage.Pmem.dropped;
   Alcotest.(check int) "nothing rescued" 0 e.Exec.damage.Pmem.rescued
 
+(* A joule budget whose line count overflows an int rescues every dirty
+   line: the count saturates at [max_int] instead of wrapping. *)
+let test_executor_huge_budget_rescues_all () =
+  Alcotest.(check int) "line count saturates" max_int
+    (Wsp.line_rescue_budget HW.conventional_server ~budget_j:1e30
+       ~line_size:64);
+  let p = small_pmem () in
+  for i = 0 to 9 do
+    Pmem.store p (i * 64) 1L
+  done;
+  let e =
+    Exec.execute
+      ~fault:(FM.Partial_rescue { energy_budget_j = 1e30 })
+      p ~hardware:HW.conventional_server ~failure:FC.Power_outage
+  in
+  Alcotest.(check int) "every line rescued" 10 e.Exec.damage.Pmem.rescued;
+  Alcotest.(check int) "nothing dropped" 0 e.Exec.damage.Pmem.dropped
+
 (* --- Requirement -> obligation, and the crash it implies --- *)
 
 let tsp_everywhere h req =
@@ -362,6 +380,8 @@ let suite =
       case "executor: process-crash rescue is free"
         test_executor_process_crash_is_free;
       case "executor: non-TSP crash drops lines" test_executor_no_tsp_drops;
+      case "executor: a 1e30 J budget rescues every dirty line"
+        test_executor_huge_budget_rescues_all;
       case "observer: rescue shows the full prefix" test_observer_rescue;
       case "observer: discard breaks the prefix" test_observer_discard;
       case "facade: plan and TSP crash" test_plan_and_crash;

@@ -238,8 +238,9 @@ let test_switch_alloc () =
    jitter, so each round of eight steps starts from one clock.  The
    round's first two picks draw in the minimum group (eight, then seven
    threads at the round's clock, the rest one charge above), and the
-   other six scan, as two or more threads tie above the minimum: both
-   of the pick's drawing paths run on every round. *)
+   other six walk the thread table, as two or more threads tie above
+   the minimum: the group draws and the prefix-tie walk both run on
+   every round. *)
 let test_switch_alloc_ties () =
   let threads = 8 and rounds = 120 in
   let sched = Scheduler.create ~seed:3 () in

@@ -363,12 +363,15 @@ let qcheck_rng_reference =
       ok := !ok && Int64.equal (Rng.next rd) (Rng.next r);
       !ok)
 
-(* 8. The run loop's one scan (the pick and its horizon) against the
-   two scans it replaced, [Reference_pick]: random tables of 1-8 threads
-   in every state, with clocks from a small range so that ties at the
-   minimum and prefix ties above it ([5; 5; 3]: the scan draws at index
-   1, then picks index 2) are common.  Same pick, same horizon (for a
-   pick) and the same position of the draw stream afterwards. *)
+(* 8. The run loop's pick, read off the runnable set, against
+   [Reference_pick], the two scans of the thread table that define it:
+   random tables of 1-8 threads in every state, with clocks from a
+   small range so that ties at the minimum and prefix ties above it
+   ([5; 5; 3]: the scan draws at index 1, then picks index 2) are
+   common.  [picks_match tb r table f] makes one pick from [tb], whose
+   draws come from [r], and one reference pick over [table] drawing
+   from [f]: the same pick, the same horizon (for a pick) and the same
+   next output of both streams. *)
 let state_gen =
   QCheck2.Gen.oneofl
     Scheduler.[ Fresh; Suspended; Suspended; Running; Blocked; Done ]
@@ -393,39 +396,6 @@ let print_table (seed, table) =
        (Array.to_list
           (Array.map (fun (s, c) -> Printf.sprintf "%s@%d" (state s) c) table)))
 
-let scan_matches_reference (seed, table) =
-  let r = Rng.create ~seed and f = Rng.create ~seed in
-  let pick, horizon = Scheduler.scan_table r table in
-  let ref_pick, ref_horizon = Reference_pick.scan_table f table in
-  pick = ref_pick
-  && (pick < 0 || horizon = ref_horizon)
-  && Int64.equal (Rng.next r) (Rng.next f)
-
-let test_scan_prefix_ties () =
-  let runnable clocks =
-    Array.of_list (List.map (fun c -> (Scheduler.Suspended, c)) clocks)
-  in
-  List.iter
-    (fun clocks ->
-      for seed = 0 to 31 do
-        if not (scan_matches_reference (seed, runnable clocks)) then
-          Alcotest.failf "%s" (print_table (seed, runnable clocks))
-      done)
-    [ [ 5; 5; 3 ]; [ 3; 5; 5 ]; [ 5; 3; 5 ]; [ 3; 3 ]; [ 3; 3; 3 ];
-      [ 4; 6; 6; 2; 2 ]; [ 7 ] ]
-
-let qcheck_scan_reference =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:2000 ~print:print_table
-       ~name:"one-scan pick and horizon match the two-scan reference"
-       table_gen scan_matches_reference)
-
-(* 9. The run loop's ordered pick (the runnable set, which scans only on
-   a tie above the minimum) against [Reference_pick] over the same
-   table, pick after pick.  [picks_match tb r table f] makes one pick
-   from [tb], whose draws come from [r], and one reference pick over
-   [table] drawing from [f]: the same pick, the same horizon (for a
-   pick) and the same next output of both streams. *)
 let picks_match tb r table f =
   let pick, horizon = Scheduler.table_pick tb in
   let ref_pick, ref_horizon = Reference_pick.scan_table f table in
@@ -447,16 +417,60 @@ let table_of r table =
     table;
   (tb, Rng.copy r)
 
+let first_pick_matches (seed, table) =
+  let r = Rng.create ~seed in
+  let tb, f = table_of r table in
+  snd (picks_match tb r table f)
+
 let check_first_pick name table =
   for seed = 0 to 31 do
-    let r = Rng.create ~seed in
-    let tb, f = table_of r table in
-    if not (snd (picks_match tb r table f)) then
+    if not (first_pick_matches (seed, table)) then
       Alcotest.failf "%s: %s" name (print_table (seed, table))
   done
 
 let suspended clocks =
   Array.of_list (List.map (fun c -> (Scheduler.Suspended, c)) clocks)
+
+let test_set_prefix_ties () =
+  List.iter
+    (fun clocks -> check_first_pick "prefix ties" (suspended clocks))
+    [ [ 5; 5; 3 ]; [ 3; 5; 5 ]; [ 5; 3; 5 ]; [ 3; 3 ]; [ 3; 3; 3 ];
+      [ 4; 6; 6; 2; 2 ]; [ 7 ] ]
+
+let qcheck_set_tables =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~print:print_table
+       ~name:"ordered pick: random tables match the two-scan reference"
+       table_gen first_pick_matches)
+
+(* Every table of 1-5 threads, each [Suspended] or [Blocked] at a clock
+   of 0-2 (9,330 tables), at seeds 0-7: every arrangement of prefix
+   ties, minimum groups and blocked gaps that size allows. *)
+let test_set_small_tables () =
+  let entries =
+    List.concat_map
+      (fun state -> List.map (fun c -> (state, c)) [ 0; 1; 2 ])
+      Scheduler.[ Suspended; Blocked ]
+  in
+  let rec tables n =
+    if n = 0 then [ [] ]
+    else
+      let rest = tables (n - 1) in
+      List.concat_map (fun e -> List.map (fun r -> e :: r) rest) entries
+  in
+  let count = ref 0 in
+  for n = 1 to 5 do
+    List.iter
+      (fun table ->
+        incr count;
+        let table = Array.of_list table in
+        for seed = 0 to 7 do
+          if not (first_pick_matches (seed, table)) then
+            Alcotest.failf "%s" (print_table (seed, table))
+        done)
+      (tables n)
+  done;
+  Alcotest.(check int) "tables" 9_330 !count
 
 (* A tie only in the minimum group, of every size the Table 1 cells
    reach: the group's members draw in id order, whether they lead the
@@ -477,7 +491,8 @@ let test_set_min_group () =
       [ trailing; leading; spread ]
   done
 
-(* A tie above the minimum, which the scan may draw for: the set scans. *)
+(* A tie above the minimum, which the scan may draw for: the pick walks
+   the thread table up to the minimum group's first id. *)
 let test_set_tie_above () =
   List.iter
     (fun clocks -> check_first_pick "tie above the minimum" (suspended clocks))
@@ -584,12 +599,15 @@ let suite =
       qcheck_contended_equiv;
       case "a thread finishes holding a quantum" test_finish_holding_quantum;
       qcheck_rng_reference;
-      case "one scan: prefix ties above the minimum"
-        test_scan_prefix_ties;
-      qcheck_scan_reference;
+      case "ordered pick: prefix ties above the minimum"
+        test_set_prefix_ties;
+      qcheck_set_tables;
+      case "ordered pick: every table of 1-5 threads, clocks 0-2"
+        test_set_small_tables;
       case "ordered pick: a tie only in the minimum group"
         test_set_min_group;
-      case "ordered pick: a tie above the minimum scans" test_set_tie_above;
+      case "ordered pick: a tie above the minimum walks the table"
+        test_set_tie_above;
       case "ordered pick: one runnable thread, and none"
         test_set_alone_and_empty;
       qcheck_set_reference;
