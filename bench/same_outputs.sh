@@ -71,6 +71,22 @@ commands+=(
   "tsp faults --runs 20"
   "tsp faults --runs 6 --hardware conventional-server --failure power-outage --shrink"
   "tsp check --mutant 3 --from 400 --window 200 --stride 100"
+  # The way back from a crash: every degraded mode (a short queue
+  # deadline and a starved retry budget time requests out), the
+  # streamed and incremental recovery modes (on-demand surcharges
+  # inside the request loop), a victim whose read-back fails, heap
+  # attaches that fail under the service and under the runner, and the
+  # journal's observer stage.
+  "tsp serve --smoke --degraded-mode shed"
+  "tsp serve --smoke --degraded-mode queue:200000"
+  "tsp serve --smoke --degraded-mode retry:50000:8"
+  "tsp serve --smoke --degraded-mode retry:1:1"
+  "tsp serve --smoke --recovery-mode incremental"
+  "tsp serve --smoke --recovery-mode parallel:2"
+  "tsp serve --smoke --fault-model bit-rot:4096"
+  "tsp serve --smoke --fault-model bit-rot:1000000"
+  "tsp faults --smoke-base --threads 4 --iterations 200 --fault-model bit-rot:8000000 --exhaustive --from 500 --window 1 --run-seed 110"
+  "tsp run --journal --crash-at 5000 --iterations 200 --hardware conventional-server --failure power-outage"
 )
 for e in $examples; do
   commands+=("example $e")

@@ -218,37 +218,12 @@ let serve_one (ops : Map_intf.ops) ~key ~op =
     ops.Map_intf.set ~tid:0 ~key ~value:(Int64.of_int key)
   else ops.Map_intf.incr ~tid:0 ~key ~by:1L
 
-(* Phase-A server loop: take the shard's requests in arrival order, idle
-   (charging simulated cycles) until each one's arrival, dispatch, and
-   record fate + latency.  The fate/latency arrays are mutated in place,
-   so whatever was recorded before a crash abandons the fiber
-   survives. *)
-let server_body m (stream : Arrival.stream) idx fates lats () =
-  let pmem = m.Machine.pmem in
-  let sched = m.Machine.sched in
-  let ops = m.Machine.map.Machine.map_ops in
-  let n = Array.length idx in
-  for li = 0 to n - 1 do
-    let j = idx.(li) in
-    let arr = stream.Arrival.times.(j) in
-    let now = Scheduler.now sched in
-    if arr > now then Nvm.Pmem.charge pmem (arr - now);
-    Nvm.Pmem.charge pmem req_cycles;
-    serve_one ops
-      ~key:(Key_space.h_key stream.Arrival.ranks.(j))
-      ~op:stream.Arrival.ops.(j);
-    lats.(li) <- Scheduler.now sched - arr;
-    fates.(li) <- Served
-  done
-
 (* --- Degraded-mode planning -------------------------------------- *)
 
 type p2_req = {
   li : int;
-  arr : int;
   eff : int;  (** effective (re-)arrival; always [>= t_up] for [< t_up] arrivals *)
   deadline : int option;  (** queue mode: max tolerated [dequeue - arr] *)
-  extra_attempts : int;
 }
 
 (* Attempt [k] (0 = the original arrival) of a retrying client. *)
@@ -261,21 +236,20 @@ let attempt_time ~arr ~backoff k =
 
 (* Decide, purely, what happens to every request left pending by the
    crash: an immediate fate (shed / timed out), or a phase-2 service
-   plan.  [pending] is (local index, arrival) in arrival order. *)
+   plan, and how many extra attempts the clients made.  [pending] is
+   (local index, arrival) in arrival order. *)
 let plan_phase2 degraded ~t_up pending =
   let immediate = ref [] in
   let serve = ref [] in
+  let retries = ref 0 in
   List.iter
     (fun (li, arr) ->
       match degraded with
       | Degraded.Shed ->
-          if arr >= t_up then
-            serve := { li; arr; eff = arr; deadline = None; extra_attempts = 0 } :: !serve
+          if arr >= t_up then serve := { li; eff = arr; deadline = None } :: !serve
           else immediate := (li, Shed) :: !immediate
       | Degraded.Queue { deadline } ->
-          serve :=
-            { li; arr; eff = max arr t_up; deadline = Some deadline; extra_attempts = 0 }
-            :: !serve
+          serve := { li; eff = max arr t_up; deadline = Some deadline } :: !serve
       | Degraded.Retry { backoff; max_retries } ->
           let rec first k =
             if k > max_retries then None
@@ -285,51 +259,55 @@ let plan_phase2 degraded ~t_up pending =
           (match first 0 with
           | Some k ->
               serve :=
-                {
-                  li;
-                  arr;
-                  eff = max (attempt_time ~arr ~backoff k) t_up;
-                  deadline = None;
-                  extra_attempts = k;
-                }
-                :: !serve
-          | None -> immediate := (li, Timed_out) :: !immediate))
+                { li; eff = max (attempt_time ~arr ~backoff k) t_up; deadline = None }
+                :: !serve;
+              retries := !retries + k
+          | None ->
+              immediate := (li, Timed_out) :: !immediate;
+              retries := !retries + max_retries))
     pending;
   let serve =
     List.sort
       (fun a b -> match compare a.eff b.eff with 0 -> compare a.li b.li | c -> c)
       !serve
   in
-  (List.rev !immediate, serve)
+  (List.rev !immediate, serve, !retries)
 
-(* Phase-B server loop, on the restarted machine.  The fresh scheduler's
-   clocks start at zero; [t_up] anchors them back on the service
-   timeline, so waits and latencies are computed in absolute cycles.
-   Under incremental recovery [gc] is the pending background collection:
-   the first request touching a key pays that object's on-demand
-   recovery surcharge (procrastination moves the cost onto the unlucky
-   first reader instead of the outage). *)
-let resume_body m plan idx fates lats ~t_up ?gc
-    (stream : Arrival.stream) () =
+(* The server loop, before a crash and after one.  [requests serve]
+   calls [serve li ~eff ~deadline] for each request in service order:
+   its local index, the cycle it is due and, in queue mode after a
+   crash, how long its client waits.  The loop idles (charging
+   simulated cycles) until the request is due, dispatches it, and
+   records fate + latency in the arrays, which are mutated in place so
+   whatever was recorded before a crash abandons the fiber survives.
+   [t_up] anchors the scheduler's clocks on the service timeline: 0
+   before the crash, the cycle the restarted scheduler's zero stands for
+   after it.  Under incremental recovery [gc] is the pending background
+   collection: the first request touching a key pays that object's
+   on-demand recovery surcharge (procrastination moves the cost onto the
+   unlucky first reader instead of the outage). *)
+let server_loop m (stream : Arrival.stream) idx fates lats ~t_up ?gc requests
+    () =
   let pmem = m.Machine.pmem in
   let sched = m.Machine.sched in
   let ops = m.Machine.map.Machine.map_ops in
-  let touched = Nvm.Intset.create ~capacity:1024 () in
-  List.iter
-    (fun { li; arr; eff; deadline; extra_attempts = _ } ->
+  let gc =
+    Option.map (fun inc -> (inc, Nvm.Intset.create ~capacity:1024 ())) gc
+  in
+  requests (fun li ~eff ~deadline ->
+      let j = idx.(li) in
+      let arr = stream.Arrival.times.(j) in
       let rel_target = eff - t_up in
       let now = Scheduler.now sched in
       if rel_target > now then Nvm.Pmem.charge pmem (rel_target - now);
-      let waited = t_up + Scheduler.now sched - arr in
       match deadline with
-      | Some d when waited > d ->
+      | Some d when t_up + Scheduler.now sched - arr > d ->
           (* queue mode drops at dequeue: the client stopped waiting *)
           fates.(li) <- Timed_out
       | _ ->
-          let j = idx.(li) in
           let key = Key_space.h_key stream.Arrival.ranks.(j) in
           (match gc with
-          | Some inc
+          | Some (inc, touched)
             when Heap_gc.Incremental.remaining_cycles inc > 0
                  && Nvm.Intset.add touched key ->
               ignore (Heap_gc.Incremental.on_demand inc : int)
@@ -338,7 +316,6 @@ let resume_body m plan idx fates lats ~t_up ?gc
           serve_one ops ~key ~op:stream.Arrival.ops.(j);
           lats.(li) <- (t_up + Scheduler.now sched) - arr;
           fates.(li) <- Served)
-    plan
 
 (* Background collection fiber: drain the incremental GC's budget in
    slices, yielding to the request fiber between charges — the scheduler
@@ -379,7 +356,10 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~owned ~n_buckets
   ignore
     (Scheduler.spawn m.Machine.sched
        ~name:(Printf.sprintf "shard-%d" shard)
-       (server_body m stream idx fates lats)
+       (server_loop m stream idx fates lats ~t_up:0 (fun serve ->
+            for li = 0 to n - 1 do
+              serve li ~eff:stream.Arrival.times.(idx.(li)) ~deadline:None
+            done))
       : int);
   let outcome = Machine.execute ?crash_at_step:crash_step m in
   let count f = Array.fold_left (fun a c -> if c = f then a + 1 else a) 0 fates in
@@ -408,19 +388,17 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~owned ~n_buckets
     }
   in
   match outcome with
-  | Scheduler.Completed ->
-      (* A crash shard that completes ran out of requests before its
-         crash step: the crash it was to survive never happened. *)
+  | (Scheduler.Completed | Scheduler.Deadlocked _) as ended ->
       finish ~retry_attempts:0 ~phase2_served:0
         ~elapsed:(Scheduler.elapsed_cycles m.Machine.sched)
         ~steps:(Scheduler.total_steps m.Machine.sched)
-        ~outcome:(if crash_step = None then "ok" else "crash-missed")
+        ~outcome:
+          (match ended with
+          | Scheduler.Deadlocked _ -> "deadlocked"
+          (* A crash shard that completes ran out of requests before its
+             crash step: the crash it was to survive never happened. *)
+          | _ -> if crash_step = None then "ok" else "crash-missed")
         ~recovery:None
-  | Scheduler.Deadlocked _ ->
-      finish ~retry_attempts:0 ~phase2_served:0
-        ~elapsed:(Scheduler.elapsed_cycles m.Machine.sched)
-        ~steps:(Scheduler.total_steps m.Machine.sched)
-        ~outcome:"deadlocked" ~recovery:None
   | Scheduler.Crashed { at_step = _ } ->
       let sched1 = m.Machine.sched in
       let t_down = Scheduler.elapsed_cycles sched1 in
@@ -510,20 +488,19 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~owned ~n_buckets
               Obs.Tracer.set_clock tr (fun () ->
                   if Scheduler.in_thread sched2 then t_up + Scheduler.now sched2
                   else stats.Nvm.Stats.clock));
-          let immediate, plan = plan_phase2 cfg.degraded ~t_up pending in
-          List.iter (fun (li, f) -> fates.(li) <- f) immediate;
-          let retry_attempts =
-            List.fold_left (fun a r -> a + r.extra_attempts) 0 plan
-            + (List.length (List.filter (fun (_, f) -> f = Timed_out) immediate)
-              * (match cfg.degraded with
-                | Degraded.Retry { max_retries; _ } -> max_retries
-                | Degraded.Shed | Degraded.Queue _ -> 0))
+          let immediate, plan, retry_attempts =
+            plan_phase2 cfg.degraded ~t_up pending
           in
+          List.iter (fun (li, f) -> fates.(li) <- f) immediate;
           let gc_pending = recovery.Machine.gc_pending in
           ignore
             (Scheduler.spawn m.Machine.sched
                ~name:(Printf.sprintf "shard-%d-recovered" shard)
-               (resume_body m plan idx fates lats ~t_up ?gc:gc_pending stream)
+               (server_loop m stream idx fates lats ~t_up ?gc:gc_pending
+                  (fun serve ->
+                    List.iter
+                      (fun { li; eff; deadline } -> serve li ~eff ~deadline)
+                      plan))
               : int);
           (match gc_pending with
           | Some inc ->

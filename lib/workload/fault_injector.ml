@@ -139,13 +139,7 @@ let one spec ~fault ~seed ~crash_step =
          Bit_rot is allowed to reach [Unrecoverable] (it alone can hit
          region headers).  A violation is expected only where the model
          drops every dirty line. *)
-      let model =
-        Option.map
-          (fun _ ->
-            Tsp_core.Policy.crash_model ~hardware:config.Runner.hardware
-              ~failure:config.Runner.failure fault)
-          r.Runner.crash
-      in
+      let model = r.Runner.crash_model in
       let violation =
         match model with
         | Some m when FM.adversarial m -> (

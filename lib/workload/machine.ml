@@ -32,7 +32,6 @@ type t = {
   pmem : Nvm.Pmem.t;
   mutable heap : Heap.t;
   mutable sched : Scheduler.t;
-  mutable atlas : Rt.t option;
   mutable map : map;
   mutable gc_pending : Heap_gc.Incremental.t option;
 }
@@ -155,7 +154,7 @@ let create spec =
   wire_tracer spec pmem sched;
   let atlas = build_atlas spec heap in
   let map = build_map spec heap atlas sched ~root:None in
-  { spec; pmem; heap; sched; atlas; map; gc_pending = None }
+  { spec; pmem; heap; sched; map; gc_pending = None }
 
 let with_tracer m tr =
   let spec = { m.spec with tracer = Some tr } in
@@ -189,7 +188,6 @@ type recovery = {
   observer : Tsp_core.Recovery_observer.verdict option;
   atlas_recovery : Atlas.Recovery.report option;
   gc : Heap_gc.stats option;
-  gc_quarantine : Heap_gc.quarantine option;
   gc_pending : Heap_gc.Incremental.t option;
   recovery_verdict : Atlas.Recovery.verdict;
   heap_audit_ok : bool;
@@ -205,70 +203,71 @@ let recover ?(mode = Eager) m =
   let pmem = m.pmem in
   let stats = Nvm.Pmem.stats pmem in
   let clock0 = stats.Nvm.Stats.clock in
-  let errors = ref [] in
-  let err fmt = Fmt.kstr (fun s -> errors := s :: !errors) fmt in
   let observer =
     if spec.journal then Some (Tsp_core.Recovery_observer.observe pmem)
     else None
   in
   Nvm.Pmem.recover pmem;
-  let heap =
-    (* [Invalid_argument] too: after bit rot the persisted header fields
-       can be arbitrary garbage, not merely inconsistent. *)
-    try Some (Heap.attach pmem ~base:0 ~size:(log_base spec)) with
-    | Heap.Corrupt msg ->
-        err "heap attach failed: %s" msg;
-        None
-    | Invalid_argument msg ->
-        err "heap attach failed: %s" msg;
-        None
-  in
-  let atlas_recovery =
-    match (heap, spec.variant) with
-    | Some heap, (Mutex_map _ | Mutex_btree _) -> begin
-        (* [Recovery.run] is graceful by construction; the handler is a
-           belt-and-braces backstop so one buggy path cannot take the
-           whole campaign down. *)
-        let scan =
-          match mode with
-          | Eager -> Atlas.Recovery.Costed_scan
-          | Parallel_gc _ | Incremental_gc -> Atlas.Recovery.Streamed_scan
-        in
-        try Some (Atlas.Recovery.run ~scan ~heap ~log_base:(log_base spec) ())
-        with exn ->
-          err "atlas recovery failed: %s" (Printexc.to_string exn);
-          None
-      end
-    | _ -> None
-  in
-  (* The delay-free map's recovery obligation: complete or abort every
-     in-flight announced CAS exactly once, before anything reads the
-     table.  [rcas_failed] feeds the verdict — a table we could not even
-     scan is a degraded recovery, not a clean one. *)
-  let rcas_failed =
-    match (heap, spec.variant) with
-    | Some heap, Delayfree_map -> begin
-        try
-          ignore
-            (Delayfree.repair heap (Heap.get_root heap) : Delayfree.repair);
-          false
-        with exn ->
-          err "rcas repair failed: %s" (Printexc.to_string exn);
-          true
-      end
-    | _ -> false
-  in
-  let gc, gc_quarantine, gc_pending =
-    match heap with
-    | None -> (None, None, None)
-    | Some heap -> begin
-        match mode with
-        | Eager ->
-            let stats, quarantine =
-              Obs.Tracer.in_phase spec.tracer ~phase:Obs.Event.phase_heap_gc
-                (fun () -> Heap_gc.collect heap)
+  (* [Invalid_argument] too: after bit rot the persisted header fields
+     can be arbitrary garbage, not merely inconsistent. *)
+  match Heap.attach pmem ~base:0 ~size:(log_base spec) with
+  | exception (Heap.Corrupt msg | Invalid_argument msg) ->
+      let e = "heap attach failed: " ^ msg in
+      m.gc_pending <- None;
+      {
+        observer;
+        atlas_recovery = None;
+        gc = None;
+        gc_pending = None;
+        recovery_verdict = Atlas.Recovery.Unrecoverable e;
+        heap_audit_ok = false;
+        recovery_errors = [ e ];
+        recovery_cycles = stats.Nvm.Stats.clock - clock0;
+      }
+  | heap ->
+      let errors = ref [] in
+      let err fmt = Fmt.kstr (fun s -> errors := s :: !errors) fmt in
+      let atlas_recovery =
+        match spec.variant with
+        | Mutex_map _ | Mutex_btree _ -> begin
+            (* [Recovery.run] is graceful by construction; the handler is
+               a belt-and-braces backstop so one buggy path cannot take
+               the whole campaign down. *)
+            let scan =
+              match mode with
+              | Eager -> Atlas.Recovery.Costed_scan
+              | Parallel_gc _ | Incremental_gc -> Atlas.Recovery.Streamed_scan
             in
-            (Some stats, Some quarantine, None)
+            try Some (Atlas.Recovery.run ~scan ~heap ~log_base:(log_base spec) ())
+            with exn ->
+              err "atlas recovery failed: %s" (Printexc.to_string exn);
+              None
+          end
+        | Nonblocking_map | Nvtraverse_map | Delayfree_map -> None
+      in
+      (* The delay-free map's recovery obligation: complete or abort
+         every in-flight announced CAS exactly once, before anything
+         reads the table.  [rcas_failed] feeds the verdict — a table we
+         could not even scan is a degraded recovery, not a clean one. *)
+      let rcas_failed =
+        match spec.variant with
+        | Delayfree_map -> begin
+            try
+              ignore
+                (Delayfree.repair heap (Heap.get_root heap) : Delayfree.repair);
+              false
+            with exn ->
+              err "rcas repair failed: %s" (Printexc.to_string exn);
+              true
+          end
+        | Mutex_map _ | Mutex_btree _ | Nonblocking_map | Nvtraverse_map -> false
+      in
+      let gc_phase f =
+        Obs.Tracer.in_phase spec.tracer ~phase:Obs.Event.phase_heap_gc f
+      in
+      let (gc, quarantine), gc_pending =
+        match mode with
+        | Eager -> (gc_phase (fun () -> Heap_gc.collect heap), None)
         | Parallel_gc jobs ->
             (* The streamed mark's chunk thunks run on the domain pool.
                [Parallel.run_all ~jobs:1] is exactly sequential
@@ -276,11 +275,7 @@ let recover ?(mode = Eager) m =
             let fanout tasks =
               ignore (Parallel.run_all ~jobs tasks : unit list)
             in
-            let stats, quarantine =
-              Obs.Tracer.in_phase spec.tracer ~phase:Obs.Event.phase_heap_gc
-                (fun () -> Heap_gc.collect_streamed ~fanout heap)
-            in
-            (Some stats, Some quarantine, None)
+            (gc_phase (fun () -> Heap_gc.collect_streamed ~fanout heap), None)
         | Incremental_gc ->
             (* Plan only: no stores, no charges.  The collection bill is
                paid later — by the background fiber and by on-demand
@@ -290,14 +285,9 @@ let recover ?(mode = Eager) m =
                runs inline: its win is the shorter outage, not host
                parallelism. *)
             let inc = Heap_gc.Incremental.start heap in
-            let stats, quarantine = Heap_gc.Incremental.plan inc in
-            (Some stats, Some quarantine, Some inc)
-      end
-  in
-  let heap_audit_ok =
-    match heap with
-    | None -> false
-    | Some heap -> begin
+            (Heap_gc.Incremental.plan inc, Some inc)
+      in
+      let heap_audit_ok =
         match
           Obs.Tracer.in_phase spec.tracer ~phase:Obs.Event.phase_audit
             (fun () ->
@@ -308,56 +298,41 @@ let recover ?(mode = Eager) m =
         | Error es ->
             List.iter (fun e -> err "audit: %s" e) es;
             false
-      end
-  in
-  let recovery_verdict =
-    match heap with
-    | None ->
-        Atlas.Recovery.Unrecoverable
-          (match List.rev !errors with e :: _ -> e | [] -> "heap unrecoverable")
-    | Some _ ->
-        let reasons =
-          (match atlas_recovery with
-          | Some a -> begin
-              match a.Atlas.Recovery.verdict with
-              | Atlas.Recovery.Clean -> []
-              | Atlas.Recovery.Degraded rs -> rs
-              | Atlas.Recovery.Unrecoverable m ->
-                  [ "undo log unrecoverable: " ^ m ]
-            end
-          | None -> [])
-          @ (match gc_quarantine with
-            | Some q
-              when q.Heap_gc.unscannable > 0 || q.Heap_gc.quarantined_words > 0
-              ->
-                q.Heap_gc.reasons
-            | _ -> [])
-          @ (if rcas_failed then [ "rcas repair failed" ] else [])
-          @ if heap_audit_ok then [] else [ "heap audit failed" ]
-        in
-        (match reasons with
-        | [] -> Atlas.Recovery.Clean
-        | rs -> Atlas.Recovery.Degraded rs)
-  in
-  (match heap with
-  | Some h ->
-      m.heap <- h;
-      (* the old runtime and map handles point into the pre-crash heap;
-         [reattach] rebuilds them *)
-      m.atlas <- None
-  | None -> ());
-  m.gc_pending <- gc_pending;
-  {
-    observer;
-    atlas_recovery;
-    gc;
-    gc_quarantine;
-    gc_pending;
-    recovery_verdict;
-    heap_audit_ok;
-    recovery_errors = List.rev !errors;
-    recovery_cycles = stats.Nvm.Stats.clock - clock0;
-  }
+      in
+      let reasons =
+        (match atlas_recovery with
+        | Some a -> begin
+            match a.Atlas.Recovery.verdict with
+            | Atlas.Recovery.Clean -> []
+            | Atlas.Recovery.Degraded rs -> rs
+            | Atlas.Recovery.Unrecoverable msg ->
+                [ "undo log unrecoverable: " ^ msg ]
+          end
+        | None -> [])
+        @ (if quarantine.Heap_gc.unscannable > 0
+              || quarantine.Heap_gc.quarantined_words > 0
+           then quarantine.Heap_gc.reasons
+           else [])
+        @ (if rcas_failed then [ "rcas repair failed" ] else [])
+        @ if heap_audit_ok then [] else [ "heap audit failed" ]
+      in
+      (* the old map handles point into the pre-crash heap; [reattach]
+         rebuilds them *)
+      m.heap <- heap;
+      m.gc_pending <- gc_pending;
+      {
+        observer;
+        atlas_recovery;
+        gc = Some gc;
+        gc_pending;
+        recovery_verdict =
+          (match reasons with
+          | [] -> Atlas.Recovery.Clean
+          | rs -> Atlas.Recovery.Degraded rs);
+        heap_audit_ok;
+        recovery_errors = List.rev !errors;
+        recovery_cycles = stats.Nvm.Stats.clock - clock0;
+      }
 
 let finish_background_gc (m : t) =
   match m.gc_pending with
@@ -388,7 +363,6 @@ let reattach (m : t) (r : recovery) =
   let root = Heap.get_root m.heap in
   let map = build_map spec m.heap atlas sched ~root:(Some root) in
   m.sched <- sched;
-  m.atlas <- atlas;
   m.map <- map;
   root
 

@@ -62,7 +62,6 @@ type t = {
       (** re-pointed at the recovered heap by a successful {!recover} *)
   mutable sched : Sched.Scheduler.t;
       (** replaced by {!reattach} (a restart gets a fresh scheduler) *)
-  mutable atlas : Atlas.Runtime.t option;
   mutable map : map;
   mutable gc_pending : Pheap.Heap_gc.Incremental.t option;
       (** set by an [Incremental_gc] {!recover}; cleared by
@@ -110,9 +109,6 @@ type recovery = {
           history *)
   atlas_recovery : Atlas.Recovery.report option;
   gc : Pheap.Heap_gc.stats option;
-  gc_quarantine : Pheap.Heap_gc.quarantine option;
-      (** what the recovery GC had to give up on (see
-          {!Pheap.Heap_gc.quarantine}); present whenever [gc] is *)
   gc_pending : Pheap.Heap_gc.Incremental.t option;
       (** [Incremental_gc] only: the deferred collection *)
   recovery_verdict : Atlas.Recovery.verdict;
@@ -131,11 +127,13 @@ type recovery = {
 val recover : ?mode:recovery_mode -> t -> recovery
 (** The whole post-crash pipeline: device recovery, heap re-attach,
     Atlas rollback (mutex variants), graceful GC, audit.  Failures are
-    reported, never raised.  Unless the verdict is [Unrecoverable],
-    [t.heap] is re-pointed at the recovered heap; [t.atlas] and [t.map]
-    are stale until {!reattach} (the recovered state can still be
-    audited and dumped through [t.map], whose [audit] and {!dump} read
-    any heap handle).  [mode] defaults to [Eager]. *)
+    reported, never raised.  A failed heap attach ends it: the verdict
+    is [Unrecoverable] with the attach error as the only error, there
+    are no GC stats and the audit fails.  Otherwise [t.heap] is
+    re-pointed at the recovered heap and [t.map] is stale until
+    {!reattach} (the recovered state can still be audited and dumped
+    through [t.map], whose [audit] and {!dump} read any heap handle).
+    [mode] defaults to [Eager]. *)
 
 val finish_background_gc :
   t -> (Pheap.Heap_gc.stats * Pheap.Heap_gc.quarantine) option

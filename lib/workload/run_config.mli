@@ -4,7 +4,7 @@
     crash and recover.  {!Machine} and {!Runner} both include this
     module, so [Runner.config] and [Machine.config] are one type.  What a
     configuration stores before its threads start, and whether it can
-    run, are {!Runner.iter_preload} and {!Runner.validate}. *)
+    run, are {!Runner.initial_entries} and {!Runner.validate}. *)
 
 type variant =
   | Mutex_map of Atlas.Mode.t  (** the separate-chaining hash table *)
@@ -75,8 +75,8 @@ type workload =
       for a background fiber to drain
       ({!Pheap.Heap_gc.Incremental.advance}/[on_demand]), and
       [Machine.finish_background_gc] applies the allocator reset.  The
-      planned [gc] stats and [gc_quarantine] — and hence the verdict —
-      are already final. *)
+      planned [gc] stats and quarantine — and hence the verdict — are
+      already final. *)
 type recovery_mode = Eager | Parallel_gc of int | Incremental_gc
 
 val recovery_mode_to_string : recovery_mode -> string

@@ -115,6 +115,7 @@ type result = {
   miters_per_sec : float;
   invariants : Invariant.result;
   crash : crash_report option;
+  crash_model : Nvm.Fault_model.t option;
   entries : (int * int64) list;
   total_steps : int;
   device_stats : Nvm.Stats.t;
@@ -398,7 +399,7 @@ let run_full config =
     Nvm.Cost_model.miter_per_sec config.platform ~iterations:iterations_done
       ~cycles:elapsed_cycles
   in
-  let finish outcome invariants crash entries =
+  let finish outcome invariants ?crash_model crash entries =
     {
       config;
       outcome;
@@ -407,6 +408,7 @@ let run_full config =
       miters_per_sec = miters;
       invariants;
       crash;
+      crash_model;
       entries;
       total_steps = Scheduler.total_steps sched;
       device_stats = Nvm.Pmem.stats pmem;
@@ -428,9 +430,7 @@ let run_full config =
   | Scheduler.Deadlocked { blocked } ->
       (finish (Deadlocked blocked) (Invariant.failed "deadlocked") None [], m)
   | Scheduler.Crashed { at_step } ->
-      ignore
-        (Machine.crash_execute ?fault:config.fault_model m
-          : Tsp_core.Crash_executor.execution);
+      let execution = Machine.crash_execute ?fault:config.fault_model m in
       let recovery = Machine.recover ~mode:config.recovery_mode m in
       (* The driver has no service to overlap with: drive any pending
          incremental collection to completion before dumping, so the
@@ -458,7 +458,10 @@ let run_full config =
                 ([], Invariant.failed ("map traversal failed: " ^ msg))
           end
       in
-      (finish (Crashed at_step) invariants (Some recovery) entries, m)
+      ( finish (Crashed at_step) invariants
+          ~crash_model:execution.Tsp_core.Crash_executor.fault (Some recovery)
+          entries,
+        m )
 
 let run config = fst (run_full config)
 
@@ -492,8 +495,14 @@ let pp_result ppf r =
     (fun ppf -> function
       | None -> ()
       | Some (c : crash_report) ->
-          Fmt.pf ppf "@ crash: %a" Tsp_core.Policy.pp_verdict
-            (Tsp_core.Policy.decide r.config.hardware r.config.failure);
+          let verdict =
+            Tsp_core.Policy.decide r.config.hardware r.config.failure
+          in
+          (match (r.config.fault_model, r.crash_model) with
+          | Some _, Some model ->
+              Fmt.pf ppf "@ crash: %a fault model, overriding %a"
+                Nvm.Fault_model.pp model Tsp_core.Policy.pp_verdict verdict
+          | _ -> Fmt.pf ppf "@ crash: %a" Tsp_core.Policy.pp_verdict verdict);
           Fmt.pf ppf "@ recovery verdict: %a" Atlas.Recovery.pp_verdict
             c.recovery_verdict;
           Option.iter

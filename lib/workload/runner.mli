@@ -46,16 +46,11 @@ val validate_resume : config -> (unit, string) result
 
 (** {1 What a run stores before its threads start} *)
 
-val iter_preload : config -> (key:int -> value:int64 -> unit) -> unit
-(** The workload's preload in store order: each thread's c1/c2 counters
-    at 0 (counters with preload, mixed, counters without), the H range at
-    0 (counters with preload, mixed, wide), each YCSB record at its own
-    key, each transfer account at [initial_balance].  {!run} stores
-    through it with the map's [set_plain], after the ballast. *)
-
 val initial_entries : config -> (int * int64) list
 (** The map a run holds when its threads start, sorted by key: the
-    {!Populate.keys} ballast (value = key), then {!iter_preload}, the
+    {!Populate.keys} ballast (value = key), then the workload's preload
+    (each thread's c1/c2 counters and the H range at 0, each YCSB record
+    at its own key, each transfer account at [initial_balance]), the
     last value written to each key kept.  Population is single-threaded,
     unrecorded and a pure function of the config, so this is the
     durable-linearizability baseline without a dump. *)
@@ -105,9 +100,9 @@ val smoke_windows :
 
 type crash_report = Machine.recovery
 (** What a crashed run's recovery did and cost, as {!Machine.recover}
-    reported it.  The model the crash ran is
-    {!Tsp_core.Policy.crash_model} of the config, and the lines its
-    rescue wrote back are [device_stats.rescued_lines]. *)
+    reported it.  The model the crash ran is the result's [crash_model],
+    and the lines its rescue wrote back are
+    [device_stats.rescued_lines]. *)
 
 type outcome = Completed | Crashed of int | Deadlocked of string list
 
@@ -119,6 +114,11 @@ type result = {
   miters_per_sec : float;  (** the Table 1 metric, in simulated time *)
   invariants : Invariant.result;
   crash : crash_report option;
+  crash_model : Nvm.Fault_model.t option;
+      (** the model the crash ran, as {!Machine.crash_execute} reported
+          it: the config's [fault_model] when one is set, else the one
+          the policy verdict implies; [None] when the run did not
+          crash *)
   entries : (int * int64) list;  (** post-run/post-recovery map dump *)
   total_steps : int;
   device_stats : Nvm.Stats.t;

@@ -322,32 +322,40 @@ let test_campaign_shrinks_violation () =
    incremental engines share one log-ring scan, one scanner per kind and
    one sweep planner, so on an image a fault model damaged they must
    reach the same judgement.  Each leg is a `faults --smoke` crash point
-   (its 400 + 50k and 40000 + 40k grids) at which eager recovery comes
-   back [Degraded]: torn log lines truncate rings (log-only), and bit rot
-   dense enough to land on live data damages the heap (on this grid the
-   reference 8 flips never reach the small heap inside the 64 MiB
-   region, hence 4096).  The non-blocking map has no torn leg: after its
-   persisted preload the counter workload allocates nothing, so torn
-   lines only hit value words and recovery stays [Clean].  Reasons
-   compare as multisets: the eager DFS and the streamed BFS reach
-   unscannable objects in different orders. --- *)
+   (its 400 + 50k and 40000 + 40k grids) with the verdict eager recovery
+   reaches there.  At the [Degraded] legs torn log lines truncate rings
+   (log-only), and bit rot dense enough to land on live data damages the
+   heap (on this grid the reference 8 flips never reach the small heap
+   inside the 64 MiB region, hence 4096).  The non-blocking map has no
+   torn leg: after its persisted preload the counter workload allocates
+   nothing, so torn lines only hit value words and recovery stays
+   [Clean].  At the [Unrecoverable] leg the flips break the heap header
+   itself, so the heap attach fails.  Reasons compare as multisets: the
+   eager DFS and the streamed BFS reach unscannable objects in different
+   orders. --- *)
 
 let damaged_legs =
   let log_only = Runner.Mutex_map Mode.Log_only in
   let torn = FM.Torn_lines { prob = 0.5 } in
   let rot = FM.Bit_rot { flips = 4096 } in
   [
-    (log_only, torn, 99, 500);
-    (log_only, torn, 99, 1_600);
-    (log_only, torn, 99, 40_000);
-    (log_only, rot, 110, 500);
-    (Runner.Nonblocking_map, rot, 107, 500);
-    (Runner.Nonblocking_map, rot, 110, 1_000);
+    (log_only, torn, 99, 500, "degraded");
+    (log_only, torn, 99, 1_600, "degraded");
+    (log_only, torn, 99, 40_000, "degraded");
+    (log_only, rot, 110, 500, "degraded");
+    (Runner.Nonblocking_map, rot, 107, 500, "degraded");
+    (Runner.Nonblocking_map, rot, 110, 1_000, "degraded");
+    (log_only, FM.Bit_rot { flips = 8_000_000 }, 110, 500, "unrecoverable");
   ]
 
 let test_recovery_modes_agree_on_damage () =
   List.iter
-    (fun (variant, fault, seed, crash_step) ->
+    (fun (variant, fault, seed, crash_step, expected) ->
+      let name =
+        Fmt.str "%s %s seed %d step %d"
+          (Runner.variant_to_string variant)
+          (FM.to_string fault) seed crash_step
+      in
       let leg mode =
         let base = { small_config with Runner.variant; recovery_mode = mode } in
         let o =
@@ -370,6 +378,23 @@ let test_recovery_modes_agree_on_damage () =
           | Some (Recovery.Unrecoverable m) -> ("unrecoverable", [ m ])
           | None -> ("none", [])
         in
+        (* A failed heap attach ends recovery: its error is the verdict
+           and the only error, and no GC ran and no audit passed. *)
+        (match (o.FI.recovery_verdict, r.Runner.crash) with
+        | Some (Recovery.Unrecoverable e), Some c ->
+            let name =
+              name ^ " " ^ Workload.Machine.recovery_mode_to_string mode
+            in
+            Alcotest.(check bool) (name ^ ": the heap attach failed") true
+              (String.starts_with ~prefix:"heap attach failed: " e);
+            Alcotest.(check (list string)) (name ^ ": its only error") [ e ]
+              c.Workload.Machine.recovery_errors;
+            Alcotest.(check bool) (name ^ ": no GC stats") true
+              (Option.is_none c.Workload.Machine.gc
+              && Option.is_none c.Workload.Machine.gc_pending);
+            Alcotest.(check bool) (name ^ ": the audit failed") false
+              c.Workload.Machine.heap_audit_ok
+        | _ -> ());
         ( ( o.FI.violation,
             verdict,
             o.FI.gc_freed,
@@ -378,14 +403,9 @@ let test_recovery_modes_agree_on_damage () =
           reasons,
           List.sort compare r.Runner.entries )
       in
-      let name =
-        Fmt.str "%s %s seed %d step %d"
-          (Runner.variant_to_string variant)
-          (FM.to_string fault) seed crash_step
-      in
       let ((judged, _, _) as eager) = leg Workload.Machine.Eager in
       let _, verdict, _, _, _ = judged in
-      Alcotest.(check string) (name ^ ": eager degrades") "degraded" verdict;
+      Alcotest.(check string) (name ^ ": eager verdict") expected verdict;
       List.iter
         (fun mode ->
           Alcotest.(check bool)

@@ -241,6 +241,41 @@ let test_runner_crash_tsp_consistent () =
       | None -> Alcotest.fail "crash report missing")
     [ Runner.Mutex_map Mode.Log_only; Runner.Nonblocking_map ]
 
+(* A crash line names the model the crash ran when a fault model
+   overrode the policy verdict, and prints the verdict alone otherwise:
+   a full discard on a TSP platform must not read as a rescue. *)
+let test_runner_crash_names_its_model () =
+  let run fault_model =
+    Runner.run
+      {
+        small_config with
+        Runner.crash_at_step = Some 9_000;
+        hardware = HW.nvram_machine;
+        fault_model;
+      }
+  in
+  let model r = Option.map Nvm.Fault_model.to_string r.Runner.crash_model in
+  let crash_line r =
+    Fmt.str "%a" Runner.pp_result r
+    |> String.split_on_char '\n'
+    |> List.find (String.starts_with ~prefix:"crash: ")
+  in
+  let discard = run (Some Nvm.Fault_model.Full_discard) in
+  Alcotest.(check (option string)) "the model the discard ran"
+    (Some "full-discard") (model discard);
+  Alcotest.(check bool) "its crash line names the model" true
+    (contains (crash_line discard) "full-discard");
+  let rescue = run None in
+  Alcotest.(check (option string)) "the model the verdict ran"
+    (Some "full-rescue") (model rescue);
+  Alcotest.(check string) "without an override, the verdict alone"
+    (Fmt.str "crash: %a" Tsp_core.Policy.pp_verdict
+       (Tsp_core.Policy.decide HW.nvram_machine
+          rescue.Runner.config.Runner.failure))
+    (crash_line rescue);
+  Alcotest.(check (option string)) "a run that does not crash runs none" None
+    (model (Runner.run small_config))
+
 let test_runner_crash_no_tsp_breaks_log_only () =
   (* The E9 negative control: at least some seeds must produce violations
      when dirty lines are dropped and nothing was flushed. *)
@@ -1051,4 +1086,6 @@ let suite =
       case "runner: a run stores exactly its initial entries"
         test_initial_entries_are_stored;
       case "runner: wide values and transfers need the hash map" test_validate;
+      case "runner: a crash line names the model the crash ran"
+        test_runner_crash_names_its_model;
     ] )
