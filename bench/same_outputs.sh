@@ -87,6 +87,17 @@ commands+=(
   "tsp serve --smoke --fault-model bit-rot:1000000"
   "tsp faults --smoke-base --threads 4 --iterations 200 --fault-model bit-rot:8000000 --exhaustive --from 500 --window 1 --run-seed 110"
   "tsp run --journal --crash-at 5000 --iterations 200 --hardware conventional-server --failure power-outage"
+  # The recovery collector on damaged images (interior pointers,
+  # pointers past the heap end, tag bits; bit rot degrades 26 of the
+  # NVTraverse runs and 9 of the log-only ones) and on other heap
+  # shapes: B-tree nodes, skip-list towers (many duplicate mark
+  # candidates) and the delay-free map's one table object.
+  "tsp faults --smoke-base --threads 4 --iterations 200 --variant nvtraverse --fault-model bit-rot:20000 --runs 30"
+  "tsp faults --smoke-base --threads 4 --iterations 200 --variant log-only --fault-model bit-rot:20000 --runs 30"
+  "tsp faults --smoke-base --threads 4 --iterations 200 --variant btree --fault-model torn:0.5 --runs 30"
+  "tsp recovery --sizes 2000,20000 --variant btree"
+  "tsp recovery --sizes 2000,20000 --variant non-blocking"
+  "tsp recovery --sizes 10 --variant delay-free"
 )
 for e in $examples; do
   commands+=("example $e")

@@ -201,9 +201,10 @@ let index_id ix k = probe ix k (slot_of ix.slots k)
    every key, and only a key some Set/Incr/Remove touched goes through
    [explain_key].  An untouched key is explained exactly when its
    recovered value is its initial one (both absent, or both present and
-   equal), which is what [explain_key] answers for no entries.  Only the
+   equal), which is what [explain_key] answers for no entries; [same]
+   compares the two without building the initial value.  Only the
    violations are sorted. *)
-let check_keys ~keys ~value ~records ~recovered =
+let check_keys ~keys ~value ~same ~records ~recovered =
   let recv = Array.of_list recovered in
   let n_ini = Array.length keys in
   let n_writes =
@@ -276,11 +277,10 @@ let check_keys ~keys ~value ~records ~recovered =
     match writes.(id) with
     | _ when j = -2 -> ()
     | [] ->
-        let same =
-          if id < n_ini then j >= 0 && Int64.equal (value id) (snd recv.(j))
-          else j < 0
+        let unchanged =
+          if id < n_ini then j >= 0 && same id (snd recv.(j)) else j < 0
         in
-        if not same then
+        if not unchanged then
           flag id ~initial_v:(initial_of id) ~recovered_v:(recovered_of j) []
     | rev_entries ->
         let entries = List.rev rev_entries in
@@ -303,8 +303,10 @@ let check_keys ~keys ~value ~records ~recovered =
 
 let check_records ~initial ~records ~recovered =
   let ini = Array.of_list initial in
-  check_keys ~keys:(Array.map fst ini) ~value:(fun i -> snd ini.(i)) ~records
-    ~recovered
+  check_keys ~keys:(Array.map fst ini)
+    ~value:(fun i -> snd ini.(i))
+    ~same:(fun i v -> Int64.equal (snd ini.(i)) v)
+    ~records ~recovered
 
 let check ~initial ~history ~recovered =
   check_records ~initial ~records:(History.records history) ~recovered

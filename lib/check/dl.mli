@@ -84,13 +84,16 @@ val check_records :
 val check_keys :
   keys:int array ->
   value:(int -> int64) ->
+  same:(int -> int64 -> bool) ->
   records:History.record list ->
   recovered:(int * int64) list ->
   verdict
 (** {!check_records} with the initial contents given by position: the
-    map held [keys.(i)] with the value [value i].  No list of the
-    initial contents is built, and [value] is called only for a key
-    the check compares or diagnoses.
+    map held [keys.(i)] with the value [value i], and [same i v] is
+    [Int64.equal (value i) v].  No list of the initial contents is
+    built: a key no write touched is compared with [same], so a caller
+    that computes its values need not box one per key, and [value] is
+    called only for a written key or a diagnosis.
     @raise Invalid_argument when [keys] lists a key twice. *)
 
 val check :

@@ -49,7 +49,7 @@ type quarantine = {
 
 (* What a mark phase found, whichever traversal produced it. *)
 type discovery = {
-  d_marks : Nvm.Intset.t;
+  d_marks : Markset.t;
   d_dangling : int;
   d_unscannable : int;
   d_reasons : string list;  (* oldest first *)
@@ -68,7 +68,7 @@ type discovery = {
    not traversed: its buffered emissions are dropped. *)
 let mark heap =
   let pmem = Heap.pmem heap in
-  let marks = Nvm.Intset.create ~capacity:4096 () in
+  let marks = Markset.create heap in
   let dangling = ref 0 in
   let unscannable = ref 0 in
   let reasons = ref [] in
@@ -78,9 +78,9 @@ let mark heap =
   let emit p = Istack.push emitted p in
   let push a =
     let a = strip_tag a in
-    if a <> Heap.null && not (Nvm.Intset.mem marks a) then
+    if a <> Heap.null && not (Markset.mem marks a) then
       if Heap.is_object_start heap a then begin
-        ignore (Nvm.Intset.add marks a : bool);
+        ignore (Markset.add marks a : bool);
         Istack.push stack a
       end
       else incr dangling
@@ -137,8 +137,8 @@ let reachable heap = (mark heap).d_marks
    their chunk's objects into private buffers; a sequential merge in
    chunk order deduplicates candidates into the global mark set.  The
    per-chunk outputs are pure functions of the chunk contents, and the
-   merge order is fixed, so the discovery order — and with it the mark
-   set's insertion order — never depends on scheduling. *)
+   merge order is fixed, so the discovery order — and with it every
+   frontier — never depends on scheduling. *)
 
 let chunk_size = 2048
 
@@ -210,7 +210,7 @@ let seq_fanout tasks = List.iter (fun f -> f ()) tasks
 
 let discover ?(fanout = seq_fanout) heap =
   let pmem = Heap.pmem heap in
-  let marks = Nvm.Intset.create ~capacity:4096 () in
+  let marks = Markset.create heap in
   let dangling = ref 0 in
   let unscannable = ref 0 in
   let reasons = ref [] in
@@ -219,7 +219,7 @@ let discover ?(fanout = seq_fanout) heap =
   (let root = strip_tag (Nvm.Pmem.peek_int pmem (Heap.base heap + Layout.root_offset)) in
    if root <> Heap.null then
      if Heap.is_object_start heap root then begin
-       ignore (Nvm.Intset.add marks root : bool);
+       ignore (Markset.add marks root : bool);
        Istack.push frontier root
      end
      else incr dangling);
@@ -237,7 +237,7 @@ let discover ?(fanout = seq_fanout) heap =
     in
     fanout tasks;
     (* Deterministic merge: chunk order, then emission order within the
-       chunk.  [Intset.add] deduplicates against everything discovered
+       chunk.  [Markset.add] deduplicates against everything discovered
        so far, including earlier chunks of this level. *)
     Array.iter
       (fun out ->
@@ -247,7 +247,7 @@ let discover ?(fanout = seq_fanout) heap =
         reasons := List.rev_append out.c_reasons !reasons;
         for i = 0 to out.cand_n - 1 do
           let p = out.cand.(i) in
-          if Nvm.Intset.add marks p then Istack.push frontier p
+          if Markset.add marks p then Istack.push frontier p
         done)
       outs
   done;
@@ -315,7 +315,7 @@ let plan_sweep heap ~costed marks =
   let walk =
     Heap.fold_blocks_checked heap ~costed (fun ~addr ~kind ~words ->
         count_line (Layout.obj_header_addr addr);
-        if Nvm.Intset.mem marks addr then begin
+        if Markset.mem marks addr then begin
           flush_run ();
           incr live_objects;
           live_words := !live_words + words
@@ -387,7 +387,7 @@ let collect heap =
 module Incremental = struct
   type gc = {
     heap : Heap.t;
-    marks : Nvm.Intset.t;
+    marks : Markset.t;
     stats : stats;
     quarantine : quarantine;
     free_blocks : (int * int) list;
@@ -438,7 +438,7 @@ module Incremental = struct
   let on_demand t =
     if t.applied then 0
     else begin
-      let marked = max 1 (Nvm.Intset.cardinal t.marks) in
+      let marked = max 1 (Markset.cardinal t.marks) in
       let cost = max t.miss (t.total / marked) in
       Nvm.Pmem.charge (Heap.pmem t.heap) cost;
       t.consumed <- min t.total (t.consumed + cost);

@@ -35,7 +35,13 @@
     the same mark set, frees the same blocks, quarantines the same tail
     with the same reasons, and leaves the same heap image; only the
     cycle counts differ (and the order of unscannable-object reasons,
-    which the two traversals reach in different orders). *)
+    which the two traversals reach in different orders).
+
+    Every mode keeps its mark set in a {!Markset}: one bit per heap word
+    of the span the collection starts on, allocated once (span / 64
+    bytes) and never grown or hashed.  The set only answers membership,
+    so it moves no cycle: the traversal orders live in the mark stack
+    and the frontiers. *)
 
 type stats = {
   live_objects : int;
@@ -72,9 +78,10 @@ val collect : Heap.t -> stats * quarantine
     withheld from the allocator rather than reused.  On a healthy heap
     the quarantine is empty. *)
 
-val reachable : Heap.t -> Nvm.Intset.t
+val reachable : Heap.t -> Markset.t
 (** The eager mark set: every object reachable from the root through
-    scannable objects (costed, like {!collect}'s mark). *)
+    scannable objects (costed, like {!collect}'s mark), one bit per word
+    of the heap's current span. *)
 
 val collect_streamed :
   ?fanout:((unit -> unit) list -> unit) -> Heap.t -> stats * quarantine

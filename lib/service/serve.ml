@@ -474,6 +474,7 @@ let run_shard (cfg : config) (stream : Arrival.stream) ~idx ~owned ~n_buckets
                 ( Some
                     (Dl.check_keys ~keys:owned
                        ~value:(fun i -> Int64.of_int owned.(i))
+                       ~same:(fun i v -> Int64.equal v (Int64.of_int owned.(i)))
                        ~records:(History.records h)
                        ~recovered:recovered_entries),
                   "" )

@@ -330,6 +330,7 @@ let test_dl_vs_reference =
       && agrees reference
            (Dl.check_keys ~keys:(Array.map fst ini)
               ~value:(fun i -> snd ini.(i))
+              ~same:(fun i v -> Int64.equal (snd ini.(i)) v)
               ~records ~recovered))
 
 (* A key the recovered dump lists twice is a violation naming that key,

@@ -521,6 +521,34 @@ let test_scan_object_alloc () =
        words !sum)
     true (words < 100.)
 
+(* The DL check of a served shard compares every key no write touched
+   with its initial value, which [Serve] computes from the key.  [same]
+   compares without building that value, so at the 16,505 keys of the
+   [service_crash] victim an all-untouched check allocates under one
+   minor word a key; a [value] closure's boxed [int64] cost 3.  The
+   arrays the check sizes by the key count go to the major heap. *)
+let test_dl_untouched_alloc () =
+  let n = 16_505 in
+  let keys = Array.init n (fun i -> 1024 + (4 * i)) in
+  let recovered =
+    Array.to_list (Array.map (fun k -> (k, Int64.of_int k)) keys)
+  in
+  let dl () =
+    Check.Dl.check_keys ~keys
+      ~value:(fun i -> Int64.of_int keys.(i))
+      ~same:(fun i v -> Int64.equal v (Int64.of_int keys.(i)))
+      ~records:[] ~recovered
+  in
+  ignore (dl () : Check.Dl.verdict);
+  let before = Gc.minor_words () in
+  let verdict = dl () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "explained" true (Check.Dl.is_explained verdict);
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words for %d untouched keys: %.0f" n words)
+    true
+    (words < float_of_int n)
+
 let suite =
   ( "hotpath",
     [
@@ -551,4 +579,6 @@ let suite =
         test_scan_object_alloc;
       case "tied context switches allocate at most 8 words a step"
         test_switch_alloc_ties;
+      case "dl: an untouched key allocates under one word"
+        test_dl_untouched_alloc;
     ] )

@@ -6,6 +6,7 @@ module Layout = Pheap.Layout
 module Kind = Pheap.Kind
 module Freelist = Pheap.Freelist
 module Heap_gc = Pheap.Heap_gc
+module Markset = Pheap.Markset
 
 (* A test kind whose every word is a pointer, distinct from the builtin
    so kind dispatch is exercised. *)
@@ -402,9 +403,63 @@ let test_reachable_set () =
   let orphan = alloc_cell heap Heap.null in
   Heap.set_root heap c1;
   let marks = Heap_gc.reachable heap in
-  Alcotest.(check bool) "c1" true (Nvm.Intset.mem marks c1);
-  Alcotest.(check bool) "c2" true (Nvm.Intset.mem marks c2);
-  Alcotest.(check bool) "orphan" false (Nvm.Intset.mem marks orphan)
+  Alcotest.(check bool) "c1" true (Markset.mem marks c1);
+  Alcotest.(check bool) "c2" true (Markset.mem marks c2);
+  Alcotest.(check bool) "orphan" false (Markset.mem marks orphan)
+
+(* The mark set's edges.  Three blocks tile an 8-word span, one bitmap
+   byte: the root [first] (2 words) points at [last] (1 word, at
+   [end_addr - 8]) and [last] back at [first]; [filler] between them is
+   garbage.  Only the two objects read marked: not the header word at
+   [start_addr], an interior word, [end_addr], one word below the span,
+   a misaligned address inside a marked word, or an address far outside.
+   The last word of the span sets the byte's last bit, so a word index
+   one off either way leaves the bitmap. *)
+let test_markset_edges () =
+  let _, heap = small_heap () in
+  let first = Heap.alloc heap ~kind:Kind.all_pointers ~words:2 in
+  let filler = Heap.alloc heap ~kind:Kind.raw ~words:2 in
+  let last = Heap.alloc heap ~kind:Kind.all_pointers ~words:1 in
+  let start = Heap.start_addr heap and stop = Heap.end_addr heap in
+  Alcotest.(check int) "an 8-word span" 64 (stop - start);
+  Alcotest.(check int) "last is the span's last word" (stop - 8) last;
+  Heap.store_field_int heap first 0 last;
+  Heap.store_field_int heap first 1 Heap.null;
+  Heap.store_field_int heap last 0 first;
+  Heap.set_root heap first;
+  let marks = Heap_gc.reachable heap in
+  Alcotest.(check int) "cardinal" 2 (Markset.cardinal marks);
+  List.iter
+    (fun (name, a, want) ->
+      Alcotest.(check bool) name want (Markset.mem marks a))
+    [
+      ("start_addr (a header word)", start, false);
+      ("first object", first, true);
+      ("interior word", first + 8, false);
+      ("garbage", filler, false);
+      ("last object = end_addr - 8", last, true);
+      ("end_addr", stop, false);
+      ("start_addr - 8", start - 8, false);
+      ("misaligned", first + 4, false);
+      ("negative", -8, false);
+      ("max_int", max_int, false);
+    ];
+  Alcotest.(check bool) "re-adding a mark" false (Markset.add marks first);
+  Alcotest.(check bool) "adding an interior word" true
+    (Markset.add marks (first + 8));
+  Alcotest.(check bool) "adding it twice" false (Markset.add marks (first + 8));
+  Alcotest.(check int) "cardinal after adds" 3 (Markset.cardinal marks);
+  List.iter
+    (fun (name, a) ->
+      check_raises_invalid ("add " ^ name) (fun () ->
+          ignore (Markset.add marks a : bool)))
+    [
+      ("end_addr", stop);
+      ("start_addr - 8", start - 8);
+      ("misaligned", first + 4);
+      ("negative", -8);
+      ("max_int", max_int);
+    ]
 
 (* --- properties --- *)
 
@@ -672,4 +727,5 @@ let suite =
       prop_blocks_tile_heap;
       prop_gc_preserves_exactly_reachable;
       prop_verify_matches_reference;
+      case "gc: the mark set's edges" test_markset_edges;
     ] )

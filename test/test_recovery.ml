@@ -3,12 +3,17 @@
    [Incremental.finish]), equivalence of on-demand and eager recovery,
    allocation-rate guards on the recovery scans, and the image digest:
    its page-skipping fold against the plain one, and the smoke's
-   recovered images pinned. *)
+   recovered images pinned.  The bitmap mark set (E40): its host memory,
+   and its answers against the hash-set reference on damaged heaps. *)
 
 module RS = Workload.Recovery_scaling
 module Machine = Workload.Machine
 module Populate = Workload.Populate
+module Runner = Workload.Runner
+module Heap = Pheap.Heap
 module Heap_gc = Pheap.Heap_gc
+module Markset = Pheap.Markset
+module FM = Nvm.Fault_model
 
 let variant = Machine.Mutex_map Atlas.Mode.Log_only
 
@@ -180,6 +185,189 @@ let test_verify_allocation_guard () =
       | Ok () -> ()
       | Error es -> Alcotest.failf "audit failed: %s" (String.concat "; " es))
 
+(* The mark set is one bit per word of the span: on the guard heap it
+   holds span words / 64 words plus its record and block headers, where
+   the hash set it replaced held three 65,536-slot int arrays. *)
+let test_markset_footprint () =
+  let heap, _ = Lazy.force guard_heap in
+  let marks = Heap_gc.reachable heap in
+  let span_words = (Heap.end_addr heap - Heap.start_addr heap) / 8 in
+  let words = Obj.reachable_words (Obj.repr marks) in
+  if words > (span_words / 64) + 16 then
+    Alcotest.failf "the mark set holds %d words for a %d-word span (bound %d)"
+      words span_words
+      ((span_words / 64) + 16)
+
+(* --- the bitmap mark against the hash-set reference --- *)
+
+let map_families =
+  [
+    Machine.Mutex_map Atlas.Mode.Log_only;
+    Machine.Mutex_btree Atlas.Mode.Log_only;
+    Machine.Nonblocking_map;
+    Machine.Nvtraverse_map;
+    Machine.Delayfree_map;
+  ]
+
+(* A map of [variant] filled with [objects] entries on a 2 MiB device
+   with the smoke's 32 KiB cache, then written by two threads (sets of
+   old and new keys, every third operation a remove) until step
+   [crash_at] or the end, crashed under [fault] and attached: the raw
+   damaged heap every collector starts from, before log rollback or
+   repair.  [None] when the damage broke the heap header. *)
+let damaged_heap (variant, fault, seed, objects, crash_at) =
+  let smoke = Runner.smoke (Runner.calibrated_config Nvm.Config.desktop) in
+  let spec =
+    {
+      smoke with
+      Machine.variant;
+      seed;
+      n_buckets = 64;
+      platform =
+        Nvm.Config.with_region_size smoke.Machine.platform (2 * 1024 * 1024);
+    }
+  in
+  let m = Machine.create spec in
+  Populate.fill m ~objects ~seed;
+  let keys = Populate.keys ~objects:(2 * objects) ~seed in
+  let ops = m.Machine.map.Machine.map_ops in
+  for tid = 0 to 1 do
+    ignore
+      (Sched.Scheduler.spawn m.Machine.sched (fun () ->
+           for i = 0 to 59 do
+             let key = keys.(((tid * 60) + i) * 7 mod Array.length keys) in
+             if i mod 3 = 2 then ignore (ops.remove ~tid ~key : bool)
+             else ops.set ~tid ~key ~value:(Int64.of_int i)
+           done)
+        : int)
+  done;
+  ignore (Machine.execute ~crash_at_step:crash_at m : Sched.Scheduler.outcome);
+  ignore (Machine.crash_execute ~fault m : Tsp_core.Crash_executor.execution);
+  Nvm.Pmem.recover m.Machine.pmem;
+  match Heap.attach m.Machine.pmem ~base:0 ~size:(Machine.log_base spec) with
+  | heap -> Some heap
+  | exception (Heap.Corrupt _ | Invalid_argument _) -> None
+
+(* The reason every mode's sweep adds when the block chain stops
+   parsing, and the live objects and words a sweep over [marks] keeps:
+   what the collections report beyond their mark phase. *)
+let tail_reasons heap =
+  match
+    Heap.fold_blocks_checked heap ~costed:false (fun ~addr:_ ~kind:_ ~words:_ ->
+        ())
+  with
+  | Ok () -> []
+  | Error (_, msg) -> [ Fmt.str "heap tail quarantined: %s" msg ]
+
+let live_in heap marks =
+  let objects = ref 0 and words = ref 0 in
+  ignore
+    (Heap.fold_blocks_checked heap ~costed:false (fun ~addr ~kind:_ ~words:w ->
+         if Nvm.Intset.mem marks addr then begin
+           incr objects;
+           words := !words + w
+         end)
+      : (unit, int * string) result);
+  (!objects, !words)
+
+(* The first 8-aligned address of [start_addr - 8, end_addr + 8] on
+   which the two sets answer differently. *)
+let first_disagreement heap marks reference =
+  let rec go a =
+    if a > Heap.end_addr heap + 8 then None
+    else if Markset.mem marks a <> Nvm.Intset.mem reference a then Some a
+    else go (a + 8)
+  in
+  go (Heap.start_addr heap - 8)
+
+(* The names of the checks the collector fails against the reference on
+   one damaged heap: membership at every word of the span and one past
+   each end, cardinals, re-adding a mark, dangling and unscannable
+   counts, reasons, the live tallies of each sweep and the streamed line
+   bill.  A set that re-admits a mark would send the streamed frontier
+   round every cycle of the heap until memory runs out, so the eager
+   set is checked first and alone.  The eager collection runs last: it
+   is the one that writes. *)
+let mark_disagreements heap =
+  let failed =
+    List.filter_map (fun (name, ok) -> if ok then None else Some name)
+  in
+  let eager = Reference_mark.mark heap in
+  let streamed = Reference_mark.discover heap in
+  let cardinal d = Nvm.Intset.cardinal d.Reference_mark.d_marks in
+  let marks = Heap_gc.reachable heap in
+  let readmitted = ref false in
+  Nvm.Intset.iter
+    (fun a -> if Markset.add marks a then readmitted := true)
+    eager.d_marks;
+  match
+    failed
+      [
+        ( "eager membership",
+          Option.is_none (first_disagreement heap marks eager.d_marks) );
+        ("eager cardinal", Markset.cardinal marks = cardinal eager);
+        ("re-adding a mark", not !readmitted);
+      ]
+  with
+  | _ :: _ as bad -> bad
+  | [] ->
+      let tail = tail_reasons heap in
+      let eager_live = live_in heap eager.d_marks in
+      let streamed_live = live_in heap streamed.d_marks in
+      let inc = Heap_gc.Incremental.start heap in
+      let s, sq = Heap_gc.Incremental.plan inc in
+      let miss = (Nvm.Pmem.config (Heap.pmem heap)).Nvm.Config.load_miss in
+      let on_demand = Heap_gc.Incremental.on_demand inc in
+      let e, eq = Heap_gc.collect heap in
+      failed
+        [
+          ("eager dangling", e.Heap_gc.dangling_refs = eager.d_dangling);
+          ("eager unscannable", eq.Heap_gc.unscannable = eager.d_unscannable);
+          ("eager reasons", eq.reasons = eager.d_reasons @ tail);
+          ("eager live", (e.live_objects, e.live_words) = eager_live);
+          ("streamed dangling", s.dangling_refs = streamed.d_dangling);
+          ("streamed unscannable", sq.unscannable = streamed.d_unscannable);
+          ("streamed reasons", sq.reasons = streamed.d_reasons @ tail);
+          ("streamed live", (s.live_objects, s.live_words) = streamed_live);
+          ("streamed lines", s.mark_cycles = streamed.d_lines * miss);
+          ( "streamed cardinal",
+            on_demand
+            = max miss
+                (Heap_gc.Incremental.total_cycles inc
+                / max 1 (cardinal streamed)) );
+        ]
+
+let gen_damaged =
+  QCheck2.Gen.(
+    let* variant = oneofl map_families in
+    let* fault =
+      oneof
+        [
+          map (fun flips -> FM.Bit_rot { flips }) (int_range 1 4096);
+          map (fun prob -> FM.Torn_lines { prob }) (oneofl [ 0.25; 0.5; 1. ]);
+        ]
+    in
+    let* seed = int_range 1 10_000 in
+    let* objects = int_range 50 300 in
+    let+ crash_at = int_range 200 20_000 in
+    (variant, fault, seed, objects, crash_at))
+
+let print_damaged (variant, fault, seed, objects, crash_at) =
+  Fmt.str "%s, %a, seed %d, %d objects, crash at %d"
+    (Machine.variant_to_cli_string variant)
+    FM.pp fault seed objects crash_at
+
+let prop_mark_matches_reference =
+  QCheck2.Test.make ~count:300 ~print:print_damaged
+    ~name:"bitmap mark == hash-set reference on damaged heaps" gen_damaged
+    (fun c ->
+      match damaged_heap c with
+      | None -> true
+      | Some heap -> (
+          match mark_disagreements heap with
+          | [] -> true
+          | bad -> QCheck2.Test.fail_reportf "%s" (String.concat ", " bad)))
+
 (* [image_hash] folds an untouched page in one multiply; its value must
    still be the word-by-word FNV-1a fold below, on devices with written
    pages, pages written back to all zeros (private, yet reading zero),
@@ -305,4 +493,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_image_hash_matches_fold;
       Alcotest.test_case "smoke image hashes are pinned" `Quick
         test_smoke_image_hashes;
+      Alcotest.test_case "the mark set holds one bit per heap word" `Slow
+        test_markset_footprint;
+      QCheck_alcotest.to_alcotest prop_mark_matches_reference;
     ] )
